@@ -10,10 +10,13 @@ use datamime::generator::DatasetGenerator;
 use datamime::generator::{DnnGenerator, KvGenerator, SiloGenerator, XapianGenerator};
 use datamime::metrics::DistMetric;
 use datamime::profile_error;
-use datamime::profiler::{profile_app, profile_workload, CurveMethod, ProfilingConfig};
+use datamime::profiler::{
+    profile_app_cancellable_in, profile_workload, CancelToken, CurveMethod, ProfilingConfig,
+};
 use datamime::scalar::{scalar_search, ScalarSearchConfig};
 use datamime::search::{search, SearchConfig};
 use datamime::workload::{AppConfig, Workload};
+use datamime::EvalArena;
 use datamime_apps::{
     ImgDnnConfig, KvConfig, MasstreeConfig, SearchConfig as XapianConfig, SiloConfig,
 };
@@ -111,11 +114,13 @@ fn fig1_fig3_clone_accuracy(c: &mut Criterion) {
     c.bench_function("fig1/perfprox-generate-and-profile", |b| {
         b.iter(|| {
             let stats = datamime_perfproxy::CloneStats::from_profile(&target);
-            profile_app(
+            profile_app_cancellable_in(
                 &move || Box::new(PerfProxClone::new(stats, 1)),
                 WorkloadSpec::poisson(1e9),
                 &machine,
                 &cfg,
+                &CancelToken::new(),
+                &mut EvalArena::new(),
             )
         })
     });

@@ -13,15 +13,13 @@
 //! - [`KvGeneratorCompressible`] extends the Table-III memcached generator
 //!   with a `value_redundancy` parameter;
 //! - [`search_compress_aware`] runs the Datamime search with the ratio
-//!   mismatch added to the EMD objective.
+//!   mismatch plugged into the shared engine as an extra objective term.
 
-use crate::error_model::profile_error;
 use crate::generator::{DatasetGenerator, KvGenerator, ParamSpec};
 use crate::profile::Profile;
-use crate::profiler::profile_workload;
-use crate::search::{IterationRecord, SearchConfig, SearchOutcome, SearchStats};
+use crate::search::{search_with_objective, RuntimeOptions, SearchConfig, SearchOutcome};
 use crate::workload::{AppConfig, Workload};
-use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig};
+use datamime_runtime::ExecError;
 use datamime_stats::compress::estimate_compression_ratio;
 
 /// Measures the compression ratio of a workload's memory snapshot, or
@@ -74,12 +72,9 @@ impl DatasetGenerator for KvGeneratorCompressible {
             self.specs.len(),
             "parameter vector dimension mismatch"
         );
-        let mut w = self.inner.instantiate(&unit[..unit.len() - 1]);
-        let redundancy = self
-            .specs
-            .last()
-            .expect("has specs")
-            .denormalize(unit[unit.len() - 1]);
+        let last = self.specs.len() - 1;
+        let mut w = self.inner.instantiate(&unit[..last]);
+        let redundancy = self.specs[last].denormalize(unit[last]);
         if let AppConfig::Kv(cfg) = &mut w.app {
             cfg.value_redundancy = Some(redundancy);
         }
@@ -94,66 +89,49 @@ impl DatasetGenerator for KvGeneratorCompressible {
 /// Candidates whose application does not expose snapshots incur the full
 /// mismatch penalty (they cannot satisfy the compressibility requirement).
 ///
+/// The mismatch is an objective term of the shared search engine, so
+/// `opts` means what it means for
+/// [`search_with_runtime`](crate::search::search_with_runtime): memo
+/// cache, journal and resume, supervision, thread pool.
+///
+/// # Errors
+///
+/// As [`search_with_runtime`](crate::search::search_with_runtime), plus
+/// [`ExecError::Backend`] when `opts` selects the process backend: the
+/// term is a closure, which a worker's command line cannot carry.
+///
 /// # Panics
 ///
 /// Panics if `cfg.iterations == 0`, `target_ratio` is outside `(0, 1]`, or
 /// `ratio_weight` is negative.
 pub fn search_compress_aware(
-    generator: &dyn DatasetGenerator,
+    generator: &(dyn DatasetGenerator + Sync),
     target_profile: &Profile,
     target_ratio: f64,
     ratio_weight: f64,
     cfg: &SearchConfig,
-) -> SearchOutcome {
-    assert!(cfg.iterations > 0, "need at least one iteration");
+    opts: &RuntimeOptions,
+) -> Result<SearchOutcome, ExecError> {
     assert!(
         target_ratio > 0.0 && target_ratio <= 1.0,
         "ratio must be in (0, 1]"
     );
     assert!(ratio_weight >= 0.0, "weight must be non-negative");
-
-    let mut bo = BayesOpt::new(BoConfig::for_dims(generator.dims()), cfg.seed);
-    let mut history = Vec::with_capacity(cfg.iterations);
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    for _ in 0..cfg.iterations {
-        let unit = bo.suggest();
-        let workload = generator.instantiate(&unit);
-        let profile = profile_workload(&workload, &cfg.machine, &cfg.profiling);
-        let emd = profile_error(target_profile, &profile, &cfg.weights).total;
-        let ratio_err = match workload_compression_ratio(&workload) {
+    let mismatch = |workload: &Workload| {
+        let ratio_err = match workload_compression_ratio(workload) {
             Some(r) => (r - target_ratio).abs(),
             None => 1.0,
         };
-        let err = emd + ratio_weight * ratio_err;
-        bo.observe(unit.clone(), err);
-        if best.as_ref().is_none_or(|(_, be)| err < *be) {
-            best = Some((unit.clone(), err));
-        }
-        history.push(IterationRecord {
-            unit_params: unit,
-            error: err,
-        });
-    }
-    let (best_unit_params, best_error) = best.expect("at least one iteration ran");
-    let best_workload = generator.instantiate(&best_unit_params);
-    let best_profile = profile_workload(&best_workload, &cfg.machine, &cfg.profiling);
-    SearchOutcome {
-        best_unit_params,
-        best_workload,
-        best_profile,
-        best_error,
-        history,
-        stats: SearchStats {
-            evaluated: cfg.iterations + 1, // every iteration plus the final re-profile
-            ..SearchStats::default()
-        },
-        quota: None,
-    }
+        ratio_weight * ratio_err
+    };
+    search_with_objective(generator, target_profile, cfg, opts, Some(&mismatch))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::profile_workload;
+    use crate::search::{BackendChoice, ProcOptions};
     use datamime_apps::KvConfig;
 
     fn compressible_target(redundancy: f64) -> Workload {
@@ -206,7 +184,9 @@ mod tests {
             target_ratio,
             4.0,
             &cfg,
-        );
+            &RuntimeOptions::default(),
+        )
+        .unwrap();
         let got = workload_compression_ratio(&outcome.best_workload).unwrap();
         assert!(
             (got - target_ratio).abs() < 0.15,
@@ -220,6 +200,120 @@ mod tests {
         let cfg = SearchConfig::fast(1);
         let target = compressible_target(0.5);
         let p = profile_workload(&target, &cfg.machine, &cfg.profiling);
-        search_compress_aware(&KvGeneratorCompressible::new(), &p, 0.0, 1.0, &cfg);
+        let _ = search_compress_aware(
+            &KvGeneratorCompressible::new(),
+            &p,
+            0.0,
+            1.0,
+            &cfg,
+            &RuntimeOptions::default(),
+        );
+    }
+
+    /// FNV-1a over every observation's `(unit bits, error bits)`, then the
+    /// best point's.
+    fn history_checksum(out: &SearchOutcome) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut word = |w: u64| {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for r in &out.history {
+            r.unit_params.iter().for_each(|u| word(u.to_bits()));
+            word(r.error.to_bits());
+        }
+        out.best_unit_params.iter().for_each(|u| word(u.to_bits()));
+        word(out.best_error.to_bits());
+        h
+    }
+
+    #[test]
+    fn shared_engine_reproduces_the_hand_rolled_loop_bit_for_bit() {
+        // Recorded from the dedicated BO loop this module used to own
+        // (commit ba0ea6a), same seed and settings: moving the ratio
+        // mismatch into the shared engine as an objective term must not
+        // move a single bit of the history.
+        const HAND_ROLLED_LOOP_CHECKSUM: u64 = 0x375e_f3d1_ebc0_8b7e;
+        let target = compressible_target(0.85);
+        let target_ratio = workload_compression_ratio(&target).unwrap();
+        let mut cfg = SearchConfig::fast(6);
+        cfg.profiling = cfg.profiling.without_curves();
+        let target_profile = profile_workload(&target, &cfg.machine, &cfg.profiling);
+        let outcome = search_compress_aware(
+            &KvGeneratorCompressible::new(),
+            &target_profile,
+            target_ratio,
+            2.0,
+            &cfg,
+            &RuntimeOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(history_checksum(&outcome), HAND_ROLLED_LOOP_CHECKSUM);
+    }
+
+    #[test]
+    fn killed_compress_aware_search_resumes_bit_identically() {
+        let target = compressible_target(0.85);
+        let target_ratio = workload_compression_ratio(&target).unwrap();
+        // Past the 14-point initial design, so the resumed run must also
+        // rebuild the GP's state from the journal.
+        let mut cfg = SearchConfig::fast(17);
+        cfg.profiling = cfg.profiling.without_curves();
+        cfg.profiling.n_samples = 3;
+        let target_profile = profile_workload(&target, &cfg.machine, &cfg.profiling);
+        let generator = KvGeneratorCompressible::new();
+        let run = |opts: &RuntimeOptions| {
+            search_compress_aware(&generator, &target_profile, target_ratio, 2.0, &cfg, opts)
+                .unwrap()
+        };
+
+        let path = std::env::temp_dir().join(format!(
+            "datamime-compress-resume-{}.jsonl",
+            std::process::id()
+        ));
+        let full = run(&RuntimeOptions {
+            journal: Some(path.clone()),
+            ..RuntimeOptions::default()
+        });
+
+        // The kill: keep the header and the first 15 observations.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let kept: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.contains("\"checkpoint\"") && !l.contains("\"done\""))
+            .take(1 + 15)
+            .collect();
+        std::fs::write(&path, kept.join("\n") + "\n").unwrap();
+
+        let resumed = run(&RuntimeOptions {
+            journal: Some(path.clone()),
+            resume: Some(path.clone()),
+            ..RuntimeOptions::default()
+        });
+        assert_eq!(resumed.stats.replayed, 15);
+        assert_eq!(history_checksum(&resumed), history_checksum(&full));
+        assert_eq!(
+            resumed.best_profile.to_tsv(),
+            full.best_profile.to_tsv(),
+            "the resumed winner must be the same dataset"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn process_backend_rejects_the_objective_term() {
+        let cfg = SearchConfig::fast(2);
+        let target = compressible_target(0.5);
+        let p = profile_workload(&target, &cfg.machine, &cfg.profiling);
+        let opts = RuntimeOptions {
+            backend: BackendChoice::Process(ProcOptions::default()),
+            ..RuntimeOptions::default()
+        };
+        let err = search_compress_aware(&KvGeneratorCompressible::new(), &p, 0.5, 1.0, &cfg, &opts)
+            .expect_err("a closure cannot cross the process boundary");
+        assert!(matches!(err, ExecError::Backend(_)), "{err}");
+        assert!(err.to_string().contains("objective term"), "{err}");
     }
 }

@@ -18,13 +18,12 @@
 //! bits (and so memo entries from one protocol generation are never
 //! served to another).
 
-use crate::arena::EvalArena;
-use crate::error_model::{profile_error, DistanceKind, MetricWeights};
+use crate::error_model::{DistanceKind, MetricWeights};
 use crate::generator::{generator_for_program, DatasetGenerator, QuantizedGenerator};
 use crate::metrics::{CurveMetric, DistMetric};
 use crate::profile::Profile;
-use crate::profiler::{profile_workload_cancellable_in, CurveMethod, ProfilingConfig};
-use crate::search::SearchConfig;
+use crate::profiler::{CurveMethod, ProfilingConfig};
+use crate::search::{evaluate, SearchConfig};
 use datamime_dist::{serve, worker_identity, WorkerConfig, PROTOCOL_VERSION};
 use datamime_runtime::{fingerprint, CancelToken, FaultPlan, StageTimes};
 use datamime_sim::MachineConfig;
@@ -400,10 +399,9 @@ pub fn parse_worker_argv(args: &[String]) -> Result<WorkerInvocation, String> {
 /// evaluation context, derives the context fingerprint, and serves
 /// evaluations until the broker shuts the connection down.
 ///
-/// The evaluation body is the same instantiate → profile → error
-/// pipeline (with the same stage names) the in-process backend runs, on
-/// a never-cancelled token — the broker enforces deadlines by SIGKILL,
-/// not cooperative cancellation.
+/// The evaluation body is [`evaluate`], the very function the in-process
+/// backend runs, on a never-cancelled token — the broker enforces
+/// deadlines by SIGKILL, not cooperative cancellation.
 ///
 /// # Errors
 ///
@@ -468,24 +466,10 @@ pub fn run_worker_with_signal(
             if let Some(injected) = inv.fault.apply(index, req.attempt, &token) {
                 return injected;
             }
-            let workload = stages.time("instantiate", || generator.instantiate(&req.unit));
-            let profile = stages.time("profile", || {
-                // The worker process serves evaluations on one thread; its
-                // arena persists across requests, so every candidate after
-                // the first reuses the same simulator arrays.
-                EvalArena::with_thread_local(|arena| {
-                    profile_workload_cancellable_in(
-                        &workload,
-                        &cfg.machine,
-                        &cfg.profiling,
-                        &token,
-                        arena,
-                    )
-                })
-            });
-            stages.time("error", || {
-                profile_error(&target, &profile, &cfg.weights).total
-            })
+            // The worker serves evaluations on one thread, so its
+            // thread-local arena persists across requests: every
+            // candidate after the first reuses the same simulator arrays.
+            evaluate(&generator, &target, &cfg, None, &req.unit, stages, &token).error
         },
     )
 }

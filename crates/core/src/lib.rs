@@ -71,11 +71,11 @@ pub use generator::{
 pub use jobspec::{JobBackend, JobSpec};
 pub use metrics::{CurveMetric, DistMetric};
 pub use profile::{CurvePoint, EmptyProfileError, Profile};
-pub use profiler::{profile_app, profile_workload, ProfilingConfig};
+pub use profiler::{profile_app_cancellable_in, profile_workload, ProfilingConfig};
 pub use scalar::{scalar_search, scalar_sweep, ScalarOutcome, ScalarSearchConfig};
 pub use search::{
-    search, search_parallel, search_with_runtime, BackendChoice, IterationRecord, OptimizerKind,
-    ProcOptions, RuntimeOptions, SearchConfig, SearchOutcome, SearchStats,
+    search, search_with_runtime, BackendChoice, IterationRecord, OptimizerKind, ProcOptions,
+    RuntimeOptions, SearchConfig, SearchOutcome, SearchStats,
 };
 pub use servectl::{JobResult, JobState, JobStatus, ServeClient, ADMIN_SOCKET, JOB_SOCKET};
 pub use validate::{validate_clone, validate_paper_setup, ValidationReport, ValidationRow};

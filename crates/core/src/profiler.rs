@@ -9,7 +9,10 @@ use crate::profile::{CurvePoint, Profile};
 use crate::workload::Workload;
 use datamime_apps::App;
 use datamime_loadgen::{Driver, WorkloadSpec};
-use datamime_runtime::CancelToken;
+/// The cooperative cancellation flag [`profile_app_cancellable_in`] polls
+/// (re-exported so callers of the full form need not name the runtime
+/// crate).
+pub use datamime_runtime::CancelToken;
 use datamime_sim::{MachineConfig, MetricSample, Sampler};
 
 /// How cache-sensitivity curves are measured.
@@ -82,7 +85,10 @@ impl ProfilingConfig {
     }
 }
 
-/// Profiles `workload` on a machine described by `machine_cfg`.
+/// Profiles `workload` on a machine described by `machine_cfg`: the
+/// uncancellable, unpooled convenience form of
+/// [`profile_app_cancellable_in`] (a token nobody cancels and a throwaway
+/// arena make it bit-for-bit the same profile).
 ///
 /// A fresh application instance and machine are built for the main run and
 /// for each curve point (the paper likewise restarts per CAT allocation).
@@ -96,97 +102,33 @@ pub fn profile_workload(
     machine_cfg: &MachineConfig,
     cfg: &ProfilingConfig,
 ) -> Profile {
-    profile_app(&|| workload.app.build(), workload.load, machine_cfg, cfg)
-}
-
-/// Like [`profile_workload`], but polls `cancel` inside the sampling
-/// loops and between curve points, returning a truncated profile early
-/// when it fires (the supervised search discards it and classifies the
-/// evaluation as timed out).
-pub fn profile_workload_cancellable(
-    workload: &Workload,
-    machine_cfg: &MachineConfig,
-    cfg: &ProfilingConfig,
-    cancel: &CancelToken,
-) -> Profile {
-    profile_app_cancellable(
-        &|| workload.app.build(),
-        workload.load,
-        machine_cfg,
-        cfg,
-        cancel,
-    )
-}
-
-/// [`profile_workload_cancellable`] drawing simulator state from `arena`
-/// instead of the allocator. The evaluation loops pass their per-worker
-/// [`EvalArena`] here so retries and curve sweeps recycle the
-/// multi-megabyte machine arrays; results are bit-identical to the
-/// non-pooled variant.
-pub fn profile_workload_cancellable_in(
-    workload: &Workload,
-    machine_cfg: &MachineConfig,
-    cfg: &ProfilingConfig,
-    cancel: &CancelToken,
-    arena: &mut EvalArena,
-) -> Profile {
     profile_app_cancellable_in(
         &|| workload.app.build(),
         workload.load,
         machine_cfg,
         cfg,
-        cancel,
-        arena,
+        &CancelToken::new(),
+        &mut EvalArena::new(),
     )
 }
 
-/// Profiles any [`App`] (built fresh per run by `build`) under a load spec.
+/// Profiles any [`App`] (built fresh per run by `build`) under a load
+/// spec — the one profiling body. [`profile_workload`] wraps it, the
+/// search's evaluation calls it with its worker's arena and cancel token,
+/// and the PerfProx proxy benchmark uses it directly since the proxy is
+/// not a dataset-backed [`Workload`].
 ///
-/// This is the generic entry point; [`profile_workload`] wraps it, and the
-/// PerfProx proxy benchmark uses it directly since the proxy is not a
-/// dataset-backed [`Workload`].
+/// Cooperatively cancellable: the sampling loops poll `cancel` once per
+/// served request, and the curve sweep checks it between points. When
+/// cancellation fires the function returns early with whatever
+/// (truncated) profile exists — callers under supervision discard it.
 ///
-/// # Panics
-///
-/// Panics if the profiling configuration requests zero samples.
-pub fn profile_app(
-    build: &dyn Fn() -> Box<dyn App>,
-    load: WorkloadSpec,
-    machine_cfg: &MachineConfig,
-    cfg: &ProfilingConfig,
-) -> Profile {
-    // A token nobody cancels: the predicate never fires, so this is
-    // bit-for-bit the uncancellable profile.
-    profile_app_cancellable(build, load, machine_cfg, cfg, &CancelToken::new())
-}
-
-/// Like [`profile_app`], but cooperatively cancellable: the sampling
-/// loops poll `cancel` once per served request, and the curve sweep
-/// checks it between points. When cancellation fires the function
-/// returns early with whatever (truncated) profile exists — callers
-/// under supervision discard it.
-///
-/// # Panics
-///
-/// Panics if the profiling configuration requests zero samples.
-pub fn profile_app_cancellable(
-    build: &dyn Fn() -> Box<dyn App>,
-    load: WorkloadSpec,
-    machine_cfg: &MachineConfig,
-    cfg: &ProfilingConfig,
-    cancel: &CancelToken,
-) -> Profile {
-    // A throwaway arena: every take falls through to fresh construction,
-    // making this exactly the non-pooled profile.
-    profile_app_cancellable_in(build, load, machine_cfg, cfg, cancel, &mut EvalArena::new())
-}
-
-/// Like [`profile_app_cancellable`], but all machines and samplers are
-/// taken from (and recycled into) `arena`, so a worker that profiles many
-/// candidates allocates the simulator arrays once and `reinit`s them per
-/// run. Pooling is bit-invisible: `reinit` reproduces fresh construction
-/// exactly (property-tested in `crates/sim`), so this returns the same
-/// profile as the non-pooled variant, sample for sample.
+/// All machines and samplers are taken from (and recycled into) `arena`,
+/// so a worker that profiles many candidates allocates the simulator
+/// arrays once and `reinit`s them per run. Pooling is bit-invisible:
+/// `reinit` reproduces fresh construction exactly (property-tested in
+/// `crates/sim`), so a warm arena returns the same profile as
+/// [`EvalArena::new`], sample for sample.
 ///
 /// # Panics
 ///
@@ -390,15 +332,15 @@ mod tests {
         // so every take has to reinit across state and geometry.
         let mut arena = EvalArena::new();
         let cancel = CancelToken::new();
-        let _ = profile_workload_cancellable_in(
-            &Workload::silo_bidding(),
+        let mut pooled = |w: Workload, machine: &MachineConfig, cfg: &ProfilingConfig| {
+            profile_app_cancellable_in(&|| w.app.build(), w.load, machine, cfg, &cancel, &mut arena)
+        };
+        let _ = pooled(
+            Workload::silo_bidding(),
             &MachineConfig::silvermont(),
             &ProfilingConfig::fast().without_curves(),
-            &cancel,
-            &mut arena,
         );
-        let pooled =
-            profile_workload_cancellable_in(&tiny_kv(), &machine, &cfg, &cancel, &mut arena);
+        let pooled = pooled(tiny_kv(), &machine, &cfg);
 
         for m in DistMetric::ALL {
             assert_eq!(fresh.dist(m).samples(), pooled.dist(m).samples(), "{m}");

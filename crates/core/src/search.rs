@@ -6,24 +6,25 @@
 //! computed, and the error is fed back to the optimizer.
 //!
 //! The loop itself is executed by [`datamime_runtime`]'s [`Executor`]: this
-//! module supplies the evaluation closure (instantiate → profile → error)
-//! and translates between the search-level and runtime-level vocabularies.
-//! [`search`] runs the executor with `batch_k = 1`, which is bit-for-bit
-//! the paper's sequential loop; [`search_with_runtime`] exposes batching,
-//! worker pools, journaling and resume.
+//! module supplies the one evaluation body ([`evaluate`]: instantiate →
+//! profile → error) and translates between the search-level and
+//! runtime-level vocabularies. [`search_with_runtime`] is the engine —
+//! optimizer, executor, backend choice, batching, journaling, resume;
+//! [`search`] is the same engine with default options, which is
+//! bit-for-bit the paper's sequential loop.
 
 use crate::arena::EvalArena;
 use crate::error_model::{profile_error, MetricWeights};
 use crate::generator::{DatasetGenerator, ParamSpec};
 use crate::profile::Profile;
-use crate::profiler::{profile_workload, profile_workload_cancellable_in, ProfilingConfig};
+use crate::profiler::{profile_app_cancellable_in, profile_workload, ProfilingConfig};
 use crate::workload::Workload;
 use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig, RandomSearch};
 use datamime_runtime::{
-    canonical_bits, fingerprint, replay, CancelToken, DiskFaultInjector, ExecError, Executor,
-    FailPolicy, FanoutSink, FaultPlan, GateHandle, JournalWriter, MemoKeyFn, MetricsRegistry,
-    MetricsSink, QuotaCause, RunMeta, RunOutcome, SharedSink, StageTimes, StderrSink,
-    SupervisorConfig,
+    canonical_bits, fingerprint, replay, with_local_backend, Backend, CancelToken,
+    DiskFaultInjector, ExecError, Executor, FailPolicy, FanoutSink, FaultPlan, GateHandle,
+    JournalWriter, MemoKeyFn, MetricsRegistry, MetricsSink, QuotaCause, RunMeta, RunOutcome,
+    SharedSink, StageTimes, StderrSink, SupervisorConfig,
 };
 use datamime_sim::MachineConfig;
 use std::path::PathBuf;
@@ -204,11 +205,6 @@ pub struct ProcOptions {
 }
 
 impl RuntimeOptions {
-    /// Sequential, no journal, no progress — the legacy behavior.
-    pub fn sequential() -> Self {
-        RuntimeOptions::default()
-    }
-
     /// Evaluate `batch` candidates at a time on `batch` worker threads.
     pub fn parallel(batch: usize) -> Self {
         RuntimeOptions {
@@ -283,18 +279,21 @@ fn make_optimizer(cfg: &SearchConfig, dims: usize) -> Box<dyn BlackBoxOptimizer>
     }
 }
 
+/// The run's identity; `workers` is the chosen backend's real pool size
+/// (threads or worker processes), recorded for the journal header only.
 fn run_meta(
     generator: &dyn DatasetGenerator,
     cfg: &SearchConfig,
-    opts: &RuntimeOptions,
+    batch_k: usize,
+    workers: usize,
 ) -> RunMeta {
     RunMeta {
         label: generator.name().to_string(),
         seed: cfg.seed,
         dims: generator.dims(),
         iterations: cfg.iterations,
-        batch_k: opts.batch_k.max(1),
-        workers: opts.workers.max(1),
+        batch_k: batch_k.max(1),
+        workers: workers.max(1),
         optimizer: cfg.optimizer.tag().to_string(),
     }
 }
@@ -344,15 +343,11 @@ pub(crate) fn memo_context(cfg: &SearchConfig) -> u64 {
     ])
 }
 
-/// The winning evaluation's artifacts, remembered so [`finish`] can
-/// package the outcome without re-instantiating and re-profiling the
-/// best point (which used to cost one full extra simulator run).
-struct BestEval {
-    error: f64,
-    key_bits: Vec<u64>,
-    workload: Workload,
-    profile: Profile,
-}
+/// The winning evaluation and the canonical bits of its quantized
+/// parameter point, remembered so [`finish`] can package the outcome
+/// without re-instantiating and re-profiling the best point (which used
+/// to cost one full extra simulator run).
+type BestEval = (Vec<u64>, Evaluation);
 
 /// Tracks the lowest-error evaluation seen so far. Shared across worker
 /// threads behind a mutex; [`finish`] validates the remembered artifacts
@@ -365,8 +360,8 @@ struct BestTracker(Mutex<Option<BestEval>>);
 impl BestTracker {
     /// Offers one finished evaluation; keeps it if it beats the
     /// incumbent.
-    fn offer(&self, error: f64, key_bits: Vec<u64>, workload: &Workload, profile: &Profile) {
-        if !error.is_finite() {
+    fn offer(&self, key_bits: Vec<u64>, done: Evaluation) {
+        if !done.error.is_finite() {
             return;
         }
         // A poisoned lock means another evaluation panicked mid-offer;
@@ -378,13 +373,11 @@ impl BestTracker {
             .0
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if slot.as_ref().is_none_or(|b| error < b.error) {
-            *slot = Some(BestEval {
-                error,
-                key_bits,
-                workload: workload.clone(),
-                profile: profile.clone(),
-            });
+        if slot
+            .as_ref()
+            .is_none_or(|(_, best)| done.error < best.error)
+        {
+            *slot = Some((key_bits, done));
         }
     }
 
@@ -395,37 +388,65 @@ impl BestTracker {
     }
 }
 
-/// One evaluation: instantiate → profile → error, with each stage timed.
-/// The cancel token reaches the profiler's sampling loops so a deadline
-/// can stop a runaway evaluation cooperatively.
-fn evaluate(
+/// An extra term of the search objective: a pure function of the
+/// candidate workload whose value is added to the profile error — how an
+/// extension (the Sec. III-D compression-ratio mismatch) plugs into the
+/// shared engine instead of owning a search loop.
+pub type ObjectiveTerm<'a> = dyn Fn(&Workload) -> f64 + Sync + 'a;
+
+/// What one [`evaluate`] call produced.
+#[derive(Debug)]
+pub struct Evaluation {
+    /// The dataset the generator instantiated for the point.
+    pub workload: Workload,
+    /// Its profile (truncated if the evaluation was cancelled).
+    pub profile: Profile,
+    /// The objective: weighted profile error plus the extra term, if any.
+    pub error: f64,
+}
+
+/// One evaluation: instantiate → profile → error, with each stage timed —
+/// the only such body; the thread backend, the `datamime-worker` process
+/// and the experiments all call it. The cancel token reaches the
+/// profiler's sampling loops so a deadline can stop a runaway evaluation
+/// cooperatively.
+pub fn evaluate(
     generator: &dyn DatasetGenerator,
     target_profile: &Profile,
     cfg: &SearchConfig,
-    tracker: &BestTracker,
+    term: Option<&ObjectiveTerm<'_>>,
     unit: &[f64],
     stages: &mut StageTimes,
     cancel: &CancelToken,
-) -> f64 {
+) -> Evaluation {
     let workload = stages.time("instantiate", || generator.instantiate(unit));
     let profile = stages.time("profile", || {
-        // Each worker thread recycles its simulator state across
+        // Each evaluating thread recycles its simulator state across
         // evaluations (and across supervisor retries) through its
         // thread-local arena; results are bit-identical to fresh state.
         EvalArena::with_thread_local(|arena| {
-            profile_workload_cancellable_in(&workload, &cfg.machine, &cfg.profiling, cancel, arena)
+            profile_app_cancellable_in(
+                &|| workload.app.build(),
+                workload.load,
+                &cfg.machine,
+                &cfg.profiling,
+                cancel,
+                arena,
+            )
         })
     });
     let error = stages.time("error", || {
-        profile_error(target_profile, &profile, &cfg.weights).total
+        let emd = profile_error(target_profile, &profile, &cfg.weights).total;
+        match term {
+            Some(term) => emd + term(&workload),
+            None => emd,
+        }
     });
-    // A cancelled evaluation produced a truncated profile and will be
-    // penalized by the supervisor — its artifacts must not be remembered.
-    if !cancel.is_cancelled() {
-        let key_bits = canonical_bits(&denormalized_params(generator.param_specs(), unit));
-        tracker.offer(error, key_bits, &workload, &profile);
+    Evaluation {
+        workload,
+        profile,
+        error,
     }
-    error
 }
 
 /// The supervisor configuration implied by `opts` (penalty, backoff, and
@@ -461,11 +482,11 @@ fn finish(
         generator.param_specs(),
         &run.best_unit,
     ));
-    let reuse = tracker
-        .take()
-        .filter(|b| b.error.to_bits() == run.best_error.to_bits() && b.key_bits == best_key);
+    let reuse = tracker.take().filter(|(key_bits, best)| {
+        best.error.to_bits() == run.best_error.to_bits() && *key_bits == best_key
+    });
     let (best_workload, best_profile) = match reuse {
-        Some(b) => (b.workload, b.profile),
+        Some((_, best)) => (best.workload, best.profile),
         None => {
             let w = generator.instantiate(&run.best_unit);
             let p = profile_workload(&w, &cfg.machine, &cfg.profiling);
@@ -548,16 +569,19 @@ fn build_executor(
 }
 
 /// Runs a Datamime search under full runtime control: batched suggestions,
-/// a worker pool, an optional crash-safe journal, and optional resume.
+/// a worker pool or worker processes, an optional crash-safe journal, and
+/// optional resume. This is the search engine; every other entry point is
+/// a thin wrapper over it.
 ///
 /// Results are a deterministic function of `(cfg.seed, opts.batch_k)`:
 /// observations are applied in batch order regardless of worker scheduling,
-/// and `batch_k <= 1` is bit-for-bit the sequential [`search`].
+/// and `batch_k <= 1` is bit-for-bit the paper's sequential loop.
 ///
 /// # Errors
 ///
-/// Fails on journal I/O errors or when `opts.resume` names a journal
-/// recorded under a different search configuration.
+/// Fails on journal I/O errors, when `opts.resume` names a journal
+/// recorded under a different search configuration, or when the process
+/// backend cannot be set up.
 ///
 /// # Panics
 ///
@@ -568,28 +592,66 @@ pub fn search_with_runtime(
     cfg: &SearchConfig,
     opts: &RuntimeOptions,
 ) -> Result<SearchOutcome, ExecError> {
-    if let BackendChoice::Process(proc) = &opts.backend {
-        return search_with_process_backend(generator, target_profile, cfg, opts, proc);
-    }
+    search_with_objective(generator, target_profile, cfg, opts, None)
+}
+
+/// [`search_with_runtime`] with an extra [`ObjectiveTerm`] added to every
+/// evaluation's error. The term is a closure, which the process backend
+/// cannot carry through a worker's argv: that combination is rejected
+/// with [`ExecError::Backend`], never run without the term.
+pub(crate) fn search_with_objective(
+    generator: &(dyn DatasetGenerator + Sync),
+    target_profile: &Profile,
+    cfg: &SearchConfig,
+    opts: &RuntimeOptions,
+    term: Option<&ObjectiveTerm<'_>>,
+) -> Result<SearchOutcome, ExecError> {
     let mut optimizer = make_optimizer(cfg, generator.dims());
-    let exec = build_executor(
-        generator,
-        memo_context(cfg),
-        run_meta(generator, cfg, opts),
-        opts,
-    )?;
     let tracker = BestTracker::default();
-    let run = exec.run(optimizer.as_mut(), &|unit, stages, cancel| {
-        evaluate(
-            generator,
-            target_profile,
-            cfg,
-            &tracker,
-            unit,
-            stages,
-            cancel,
-        )
-    })?;
+    let run = match &opts.backend {
+        BackendChoice::Thread => {
+            let meta = run_meta(generator, cfg, opts.batch_k, opts.workers);
+            let exec = build_executor(generator, memo_context(cfg), meta, opts)?;
+            let eval = |unit: &[f64], stages: &mut StageTimes, cancel: &CancelToken| {
+                let done = evaluate(generator, target_profile, cfg, term, unit, stages, cancel);
+                let error = done.error;
+                // A cancelled evaluation produced a truncated profile and
+                // will be penalized by the supervisor — its artifacts
+                // must not be remembered.
+                if !cancel.is_cancelled() {
+                    let key = denormalized_params(generator.param_specs(), unit);
+                    tracker.offer(canonical_bits(&key), done);
+                }
+                error
+            };
+            with_local_backend(exec.meta().workers, exec.supervisor(), &eval, |backend| {
+                exec.run(optimizer.as_mut(), backend)
+            })
+        }
+        BackendChoice::Process(proc) => {
+            if term.is_some() {
+                return Err(ExecError::Backend(
+                    "the process backend cannot evaluate a custom objective term (a closure \
+                     cannot cross a worker's command line); use the thread backend"
+                        .to_string(),
+                ));
+            }
+            search_with_process_backend(
+                generator,
+                target_profile,
+                cfg,
+                opts,
+                proc,
+                |ctx, broker| {
+                    let meta = run_meta(generator, cfg, opts.batch_k, proc.workers);
+                    build_executor(generator, ctx, meta, opts)?.run(optimizer.as_mut(), broker)
+                },
+            )
+        }
+    }?;
+    // On the process backend no in-process evaluation ran, so the tracker
+    // is empty and `finish` re-profiles the best point locally (one extra
+    // deterministic simulator run).
     Ok(finish(generator, cfg, run, tracker))
 }
 
@@ -620,18 +682,22 @@ fn resolve_worker_bin(proc: &ProcOptions) -> Result<PathBuf, String> {
 /// target-profile TSV handed to worker processes.
 static PROC_RUN_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// The process-backend variant of [`search_with_runtime`]: stages the
-/// target profile on disk, starts a [`datamime_dist::Broker`] pool of
-/// `datamime-worker` processes, and drives it through the same executor
-/// engine — so journaling, resume, memoization, and observation order
-/// are shared with the thread backend and results stay bit-identical.
+/// The process half of [`search_with_runtime`]: it only *builds* the
+/// backend — stages the target profile on disk, starts a
+/// [`datamime_dist::Broker`] pool of `datamime-worker` processes — and
+/// hands it to `drive` together with the context fingerprint the memo
+/// cache must be bound to. `drive` is the same executor engine the thread
+/// backend runs under, so journaling, resume, memoization, and
+/// observation order are shared and results stay bit-identical. The
+/// staging directory is removed when `drive` returns.
 fn search_with_process_backend(
     generator: &(dyn DatasetGenerator + Sync),
     target_profile: &Profile,
     cfg: &SearchConfig,
     opts: &RuntimeOptions,
     proc: &ProcOptions,
-) -> Result<SearchOutcome, ExecError> {
+    drive: impl FnOnce(u64, &mut dyn Backend) -> Result<RunOutcome, ExecError>,
+) -> Result<RunOutcome, ExecError> {
     use crate::distproc::{dist_context, EvalSpec};
     use datamime_dist::{Broker, BrokerConfig};
 
@@ -666,83 +732,33 @@ fn search_with_process_backend(
         bcfg.penalty = datamime_bayesopt::PENALTY_OBJECTIVE;
         bcfg.metrics = opts.metrics.clone();
         let mut broker = Broker::start(bcfg).map_err(ExecError::Backend)?;
-        let mut optimizer = make_optimizer(cfg, generator.dims());
-        let exec = build_executor(generator, ctx, run_meta(generator, cfg, opts), opts)?;
-        let run = exec.run_backend(optimizer.as_mut(), &mut broker)?;
-        // No in-process evaluation ran, so there is no tracked winner to
-        // reuse; `finish` re-profiles the best point locally (one extra
-        // deterministic simulator run).
-        Ok(finish(generator, cfg, run, BestTracker::default()))
+        drive(ctx, &mut broker)
     })();
     let _ = std::fs::remove_dir_all(&dir);
     result
 }
 
 /// Runs a Datamime search for a dataset that makes `generator`'s program
-/// mimic `target_profile`.
-///
-/// This is the paper's sequential loop, executed on the runtime with
-/// `batch_k = 1`, no journal, and no supervision (so it cannot fail,
-/// keeps the legacy fail-fast behavior, and needs no `Sync` bound on the
-/// generator).
+/// mimic `target_profile`: [`search_with_runtime`] with default options —
+/// the paper's sequential loop, no journal — except that a failing
+/// evaluation aborts (its panic propagates) instead of being penalized.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.iterations == 0`.
+/// Panics if `cfg.iterations == 0`, or when an evaluation panics or
+/// returns a non-finite error.
 pub fn search(
-    generator: &dyn DatasetGenerator,
-    target_profile: &Profile,
-    cfg: &SearchConfig,
-) -> SearchOutcome {
-    let opts = RuntimeOptions::sequential();
-    let mut optimizer = make_optimizer(cfg, generator.dims());
-    let exec = Executor::new(run_meta(generator, cfg, &opts))
-        .memoize_keyed(memo_context(cfg), memo_key(generator));
-    let tracker = BestTracker::default();
-    let run = exec
-        .run_seq(optimizer.as_mut(), &mut |unit, stages, cancel| {
-            evaluate(
-                generator,
-                target_profile,
-                cfg,
-                &tracker,
-                unit,
-                stages,
-                cancel,
-            )
-        })
-        // audit:allow(panic-safety): run_seq only fails on journal I/O, and this run has no journal
-        .expect("journal-less sequential run cannot fail");
-    finish(generator, cfg, run, tracker)
-}
-
-/// Runs a Datamime search with *parallel* candidate evaluation: the
-/// optimizer proposes batches via the constant-liar strategy and a worker
-/// pool of `batch` threads profiles them concurrently.
-///
-/// This is the parallelization the paper defers to future work (Sec. IV).
-/// Results are deterministic for a given seed: observations are applied in
-/// batch order regardless of thread completion order. With `batch == 1`
-/// this reduces to the serial loop.
-///
-/// # Panics
-///
-/// Panics if `cfg.iterations == 0` or `batch == 0`.
-pub fn search_parallel(
     generator: &(dyn DatasetGenerator + Sync),
     target_profile: &Profile,
     cfg: &SearchConfig,
-    batch: usize,
 ) -> SearchOutcome {
-    assert!(batch > 0, "batch must be positive");
-    search_with_runtime(
-        generator,
-        target_profile,
-        cfg,
-        &RuntimeOptions::parallel(batch),
-    )
-    // audit:allow(panic-safety): search_with_runtime only fails on journal I/O, and these options set no journal
-    .expect("journal-less parallel run cannot fail")
+    let abort_on_failure = RuntimeOptions {
+        fail_policy: FailPolicy::Abort,
+        ..RuntimeOptions::default()
+    };
+    search_with_runtime(generator, target_profile, cfg, &abort_on_failure)
+        // audit:allow(panic-safety): the engine only fails on journal I/O or backend setup, and these options set neither
+        .expect("journal-less thread-backend run cannot fail")
 }
 
 #[cfg(test)]
@@ -762,6 +778,16 @@ mod tests {
             };
         }
         w
+    }
+
+    fn parallel(target: &Profile, cfg: &SearchConfig, batch: usize) -> SearchOutcome {
+        search_with_runtime(
+            &KvGenerator::new(),
+            target,
+            cfg,
+            &RuntimeOptions::parallel(batch),
+        )
+        .expect("journal-less run cannot fail")
     }
 
     #[test]
@@ -806,7 +832,7 @@ mod tests {
         cfg.profiling = cfg.profiling.without_curves();
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
-        let par = search_parallel(&KvGenerator::new(), &target, &cfg, 4);
+        let par = parallel(&target, &cfg, 4);
         assert_eq!(par.history.len(), 12);
         let ser = search(&KvGenerator::new(), &target, &cfg);
         // Parallel batches explore slightly differently but must land in
@@ -825,8 +851,8 @@ mod tests {
         cfg.profiling = cfg.profiling.without_curves();
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
-        let a = search_parallel(&KvGenerator::new(), &target, &cfg, 3);
-        let b = search_parallel(&KvGenerator::new(), &target, &cfg, 3);
+        let a = parallel(&target, &cfg, 3);
+        let b = parallel(&target, &cfg, 3);
         assert_eq!(a.best_error, b.best_error);
         assert_eq!(a.best_unit_params, b.best_unit_params);
     }
@@ -1004,7 +1030,7 @@ mod tests {
             &KvGenerator::new(),
             &target,
             &cfg,
-            &RuntimeOptions::sequential(),
+            &RuntimeOptions::default(),
         )
         .unwrap();
         assert_eq!(plain.best_unit_params, runtime.best_unit_params);

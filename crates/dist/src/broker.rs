@@ -4,7 +4,7 @@
 //! processes, and validates each one's `Hello` (protocol version, context
 //! fingerprint, worker-binary identity) before admitting it to the pool.
 //! [`Broker`] implements [`datamime_runtime::Backend`], so
-//! `Executor::run_backend` drives it exactly like the in-process thread
+//! `Executor::run` drives it exactly like the in-process thread
 //! pool — and because verdicts are returned in job order and every
 //! retry/penalty decision is a pure function of `(seed, index, attempt)`,
 //! a proc-backend run is bit-identical to a thread-backend run for any

@@ -14,7 +14,7 @@
 use datamime::error_model::{profile_error, DistanceKind, MetricWeights};
 use datamime::generator::KvGenerator;
 use datamime::profiler::profile_workload;
-use datamime::search::{search_with_runtime, OptimizerKind};
+use datamime::search::{evaluate, search_with_runtime, OptimizerKind};
 use datamime::workload::Workload;
 use datamime_experiments::{Report, Settings};
 
@@ -81,7 +81,7 @@ fn main() {
     {
         use datamime::generator::DatasetGenerator;
         use datamime_bayesopt::{Acquisition, BayesOpt, BoConfig};
-        use datamime_runtime::{Executor, RunMeta};
+        use datamime_runtime::{with_local_backend, Executor, RunMeta};
         let generator = KvGenerator::new();
         let run_with = |acq: Acquisition| {
             let mut cfg = BoConfig::for_dims(generator.dims());
@@ -96,18 +96,25 @@ fn main() {
                 workers: 1,
                 optimizer: "bayesian".to_string(),
             };
-            let outcome = Executor::new(meta)
-                .run_seq(&mut bo, &mut |unit, stages, _cancel| {
-                    let w = stages.time("instantiate", || generator.instantiate(unit));
-                    let p = stages.time("profile", || {
-                        profile_workload(&w, &base_cfg.machine, &base_cfg.profiling)
-                    });
-                    stages.time("error", || {
-                        profile_error(&target_profile, &p, &yardstick).total
-                    })
-                })
-                .expect("journal-less run cannot fail");
-            outcome.best_error
+            // `base_cfg` weighs metrics equally, so the shared evaluation
+            // scores each point by the yardstick itself.
+            let eval = |unit: &[f64], stages: &mut _, cancel: &_| {
+                evaluate(
+                    &generator,
+                    &target_profile,
+                    &base_cfg,
+                    None,
+                    unit,
+                    stages,
+                    cancel,
+                )
+                .error
+            };
+            with_local_backend(1, None, &eval, |backend| {
+                Executor::new(meta).run(&mut bo, backend)
+            })
+            .expect("journal-less run cannot fail")
+            .best_error
         };
         r.line(format!(
             "acquisition @ {iters} iters: expected-improvement {:.4}  lower-confidence-bound {:.4}",

@@ -15,6 +15,7 @@ use datamime::compress::{
 use datamime::generator::DatasetGenerator;
 use datamime::metrics::DistMetric;
 use datamime::profiler::profile_workload;
+use datamime::search::RuntimeOptions;
 use datamime::workload::{AppConfig, Workload};
 use datamime_apps::KvConfig;
 use datamime_experiments::{Report, Settings};
@@ -39,7 +40,15 @@ fn main() {
         let target_profile = profile_workload(&target, &cfg.machine, &cfg.profiling);
 
         let generator = KvGeneratorCompressible::new();
-        let outcome = search_compress_aware(&generator, &target_profile, target_ratio, 2.0, &cfg);
+        let outcome = search_compress_aware(
+            &generator,
+            &target_profile,
+            target_ratio,
+            2.0,
+            &cfg,
+            &RuntimeOptions::default(),
+        )
+        .expect("journal-less search cannot fail");
         let achieved_ratio =
             workload_compression_ratio(&outcome.best_workload).expect("generator emits contents");
 

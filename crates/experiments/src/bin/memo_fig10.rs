@@ -35,7 +35,7 @@ fn run(iterations: usize, no_memo: bool) -> SearchOutcome {
     let target = profile_workload(&Workload::mem_fb(), &cfg.machine, &cfg.profiling);
     let opts = RuntimeOptions {
         no_memo,
-        ..RuntimeOptions::sequential()
+        ..RuntimeOptions::default()
     };
     search_with_runtime(&generator, &target, &cfg, &opts).expect("journal-less search cannot fail")
 }

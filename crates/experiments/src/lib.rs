@@ -78,7 +78,7 @@ impl Settings {
         if self.parallel > 1 {
             RuntimeOptions::parallel(self.parallel)
         } else {
-            RuntimeOptions::sequential()
+            RuntimeOptions::default()
         }
     }
 }
@@ -276,10 +276,12 @@ pub fn profile_perfprox(
 ) -> Profile {
     use datamime_perfproxy::{CloneStats, PerfProxClone};
     let stats = CloneStats::from_profile(target_broadwell);
-    datamime::profile_app(
+    datamime::profile_app_cancellable_in(
         &move || Box::new(PerfProxClone::new(stats, 0xFF0C)),
         datamime_loadgen::WorkloadSpec::poisson(1e9),
         machine,
         &s.profiling,
+        &datamime::profiler::CancelToken::new(),
+        &mut datamime::EvalArena::new(),
     )
 }

@@ -1,14 +1,14 @@
-//! The parallel batched search executor.
+//! The batched search executor.
 //!
 //! [`Executor`] drains batch-`k` suggestions from any
-//! [`BlackBoxOptimizer`] through a bounded work queue serviced by a pool
-//! of scoped worker threads, feeds results back to the optimizer in
-//! **batch order** (so a run's outcome is a deterministic function of
-//! `(seed, batch_k)` — never of thread scheduling), journals every
-//! evaluation, and aggregates telemetry.
+//! [`BlackBoxOptimizer`], hands each batch to a [`Backend`] (inline, a
+//! thread pool, or worker processes), feeds results back to the optimizer
+//! in **batch order** (so a run's outcome is a deterministic function of
+//! `(seed, batch_k)` — never of scheduling), journals every evaluation,
+//! and aggregates telemetry.
 //!
-//! With `batch_k = 1` and one worker the executor degenerates to exactly
-//! the paper's sequential suggest → evaluate → observe loop, which is how
+//! With `batch_k = 1` the executor is exactly the paper's sequential
+//! suggest → evaluate → observe loop, which is how
 //! `datamime::search::search()` runs on top of it without changing any
 //! result.
 //!
@@ -27,16 +27,13 @@
 //! same state machine) continues exactly where it would have gone.
 //! Without `supervise` the executor keeps its legacy fail-fast behavior.
 
+use crate::backend::Backend;
 use crate::journal::{JournalError, JournalWriter, Replay};
 use crate::memo::{MemoCache, MemoEntry};
-use crate::supervisor::{
-    CancelToken, Evaluated, FailedAttempt, FailureKind, FaultInfo, Supervisor, SupervisorConfig,
-};
-use crate::telemetry::{NullSink, ProgressSink, StageTimes, Telemetry};
+use crate::supervisor::{FailedAttempt, FailureKind, FaultInfo, Supervisor, SupervisorConfig};
+use crate::telemetry::{NullSink, ProgressSink, Telemetry};
 use datamime_bayesopt::BlackBoxOptimizer;
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Identity and shape of one run; doubles as the journal header.
@@ -246,41 +243,9 @@ impl From<JournalError> for ExecError {
     }
 }
 
-/// Evaluates the given `(global index, unit)` jobs, returning one
-/// [`Evaluated`] verdict per job in the same order and reporting failed
-/// attempts through the callback — the engine's pluggable evaluation
-/// backend. An `Err` aborts the run (it means the backend itself broke,
-/// not that a point failed — point failures are penalty verdicts).
-type Dispatch<'a> = dyn FnMut(&[(usize, Vec<f64>)], &mut dyn FnMut(FailedAttempt)) -> Result<Vec<Evaluated>, ExecError>
-    + 'a;
-
-/// A batch evaluation backend the executor can drive through
-/// [`Executor::run_backend`] — the seam where out-of-process evaluation
-/// (the `datamime-dist` broker) plugs in beside the built-in thread pool.
-///
-/// Contract: `evaluate_batch` returns exactly one verdict per job, **in
-/// job order**, regardless of internal scheduling — the executor commits
-/// observations in that order, which is what keeps runs bit-identical
-/// across backends and worker counts. Failed attempts (retries included)
-/// are reported through `on_attempt` as they happen so the engine can
-/// journal them eagerly. Returning `Err` aborts the whole run.
-pub trait Backend {
-    /// Evaluates one batch of `(global index, unit)` jobs.
-    ///
-    /// # Errors
-    ///
-    /// An error means the backend itself failed (lost its workers, could
-    /// not respawn within budget) — per-point failures must be returned
-    /// as penalty verdicts instead.
-    fn evaluate_batch(
-        &mut self,
-        jobs: &[(usize, Vec<f64>)],
-        on_attempt: &mut dyn FnMut(FailedAttempt),
-    ) -> Result<Vec<Evaluated>, String>;
-}
-
 /// Pure projection from a unit point to the memo-cache key it is cached
-/// under (see [`Executor::memoize_keyed`]).
+/// under (see [`Executor::memoize_keyed`]); `|unit| unit.to_vec()` keys
+/// on the raw point.
 pub type MemoKeyFn = Box<dyn Fn(&[f64]) -> Vec<f64>>;
 
 /// How one batch position gets its record.
@@ -308,12 +273,11 @@ pub struct Executor {
     resume: Option<Replay>,
     sink: Box<dyn ProgressSink>,
     supervision: Option<SupervisorConfig>,
-    memo: Option<MemoCache>,
-    /// Projects a unit point onto the memo key space (e.g. the dataset
-    /// generator's quantized parameter values, so unit points that
-    /// instantiate identical datasets share one cache entry). Identity
-    /// when absent. Only ever called on the engine thread.
-    memo_key: Option<MemoKeyFn>,
+    /// The memo cache and the projection of a unit point onto its key
+    /// space (e.g. the dataset generator's quantized parameter values, so
+    /// unit points that instantiate identical datasets share one cache
+    /// entry). The projection is only ever called on the engine thread.
+    memo: Option<(MemoCache, MemoKeyFn)>,
     gate: Option<std::sync::Arc<dyn BatchGate>>,
     quota_evals: Option<usize>,
     quota_wall: Option<std::time::Duration>,
@@ -340,7 +304,6 @@ impl Executor {
             sink: Box::new(NullSink),
             supervision: None,
             memo: None,
-            memo_key: None,
             gate: None,
             quota_evals: None,
             quota_wall: None,
@@ -411,10 +374,11 @@ impl Executor {
         self
     }
 
-    /// Runs every evaluation under a fault-tolerant
-    /// [`Supervisor`] built from `cfg`
-    /// (seeded with `meta.seed`); see the module docs. Without this the
-    /// executor fails fast, exactly as before supervision existed.
+    /// Supervises the run under `cfg`: the engine quarantines, degrades
+    /// and penalizes on fault verdicts, and [`supervisor`](Self::supervisor)
+    /// hands a local backend the matching [`Supervisor`]; see the module
+    /// docs. Without this the executor fails fast, exactly as before
+    /// supervision existed.
     #[must_use]
     pub fn supervise(mut self, cfg: SupervisorConfig) -> Self {
         self.supervision = Some(cfg);
@@ -424,11 +388,14 @@ impl Executor {
     /// Memoizes successful evaluations in a [`MemoCache`] bound to
     /// `context` (a [`crate::memo::fingerprint`] of whatever fixes the
     /// objective beyond the unit point — machine configuration and seed
-    /// for the Datamime search). When the optimizer re-suggests a point
-    /// whose canonical bits are already cached, the executor observes the
-    /// memoized error without dispatching an evaluation and journals a
-    /// `cache_hit` event carrying the source index, so a resumed run
-    /// replays the hit bit-identically.
+    /// for the Datamime search) and keyed on `key(unit)`. The Datamime
+    /// search passes the generator's denormalization as `key`: parameter
+    /// quantization (integer rounding, log scales) maps many unit points
+    /// onto one dataset, and all of them share a single evaluation. When
+    /// the optimizer re-suggests a point whose key is already cached, the
+    /// executor observes the memoized error without dispatching an
+    /// evaluation and journals a `cache_hit` event carrying the source
+    /// index, so a resumed run replays the hit bit-identically.
     ///
     /// Because every evaluation is a pure function of `(unit, context)`,
     /// memoization never changes an observed value — only how fast it
@@ -439,34 +406,23 @@ impl Executor {
     ///
     /// On resume the cache is rebuilt from the replayed prefix before any
     /// fresh evaluation runs, so hits keep working across restarts.
-    #[must_use]
-    pub fn memoize(mut self, context: u64) -> Self {
-        self.memo = Some(MemoCache::new(context));
-        self
-    }
-
-    /// Like [`memoize`](Self::memoize), but keys the cache on
-    /// `key(unit)` instead of the raw unit point. The Datamime search
-    /// passes the generator's denormalization here: parameter
-    /// quantization (integer rounding, log scales) maps many unit points
-    /// onto one dataset, and all of them share a single evaluation.
     ///
     /// `key` must be pure — called only on the engine thread, in
     /// observation order.
     #[must_use]
     pub fn memoize_keyed(mut self, context: u64, key: MemoKeyFn) -> Self {
-        self.memo = Some(MemoCache::new(context));
-        self.memo_key = Some(key);
+        self.memo = Some((MemoCache::new(context), key));
         self
     }
 
-    /// The memo key for `unit`: the projected parameter point when a key
-    /// projection is installed, the unit point itself otherwise.
-    fn memo_key_of(&self, unit: &[f64]) -> Vec<f64> {
-        match &self.memo_key {
-            Some(key) => key(unit),
-            None => unit.to_vec(),
-        }
+    /// The supervisor a local backend evaluates this run's points under
+    /// (see [`with_local_backend`](crate::with_local_backend)): built
+    /// from the [`supervise`](Self::supervise) config and seeded with
+    /// `meta.seed`; `None` for an unsupervised, fail-fast run.
+    pub fn supervisor(&self) -> Option<Supervisor> {
+        self.supervision
+            .clone()
+            .map(|cfg| Supervisor::new(cfg, self.meta.seed))
     }
 
     /// Resumes from a replayed journal: journaled points are re-suggested
@@ -514,198 +470,38 @@ impl Executor {
         Ok(self)
     }
 
-    /// Runs sequentially on the calling thread (no `Sync` bound on the
-    /// evaluation), ignoring `meta.workers`. This is the exact legacy
-    /// Datamime loop when `batch_k = 1` and no supervision is attached.
+    /// Runs the search to completion, evaluating every fresh batch on
+    /// `backend` — [`with_local_backend`](crate::with_local_backend) for
+    /// in-process evaluation, the `datamime-dist` broker for worker
+    /// processes. Results are observed in batch order regardless of how
+    /// the backend schedules a batch, so the outcome is a function of
+    /// `(seed, batch_k)` alone — with or without supervision and
+    /// injected faults.
     ///
-    /// # Errors
-    ///
-    /// Fails only on journal I/O or a resume/journal mismatch.
-    pub fn run_seq(
-        mut self,
-        optimizer: &mut dyn BlackBoxOptimizer,
-        eval: &mut dyn FnMut(&[f64], &mut StageTimes, &CancelToken) -> f64,
-    ) -> Result<RunOutcome, ExecError> {
-        match self.supervision.clone() {
-            Some(cfg) => {
-                let sup = Supervisor::new(cfg, self.meta.seed);
-                self.engine(optimizer, &mut |jobs, on_attempt| {
-                    Ok(jobs
-                        .iter()
-                        .map(|(index, unit)| sup.evaluate(*index, unit, eval, on_attempt))
-                        .collect())
-                })
-            }
-            None => self.engine(optimizer, &mut |jobs, _on_attempt| {
-                Ok(jobs
-                    .iter()
-                    .map(|(_, unit)| {
-                        let mut stages = StageTimes::new();
-                        let error = eval(unit, &mut stages, &CancelToken::new());
-                        Evaluated {
-                            error,
-                            stages,
-                            fault: None,
-                            worker: None,
-                        }
-                    })
-                    .collect())
-            }),
-        }
-    }
-
-    /// Runs on a pluggable [`Backend`] — the out-of-process broker, or
-    /// anything else that evaluates batches in job order. Supervision
-    /// config still shapes the engine-side fault machinery (quarantine,
-    /// degradation, penalties for journal-pending points); the backend
-    /// itself is responsible for per-point retries and deadlines and for
-    /// returning penalty verdicts that match the supervisor's.
-    ///
-    /// # Errors
-    ///
-    /// Fails on journal I/O, a resume/journal mismatch, or a backend
-    /// failure ([`ExecError::Backend`]).
-    pub fn run_backend(
-        mut self,
-        optimizer: &mut dyn BlackBoxOptimizer,
-        backend: &mut dyn Backend,
-    ) -> Result<RunOutcome, ExecError> {
-        self.engine(optimizer, &mut |jobs, on_attempt| {
-            backend
-                .evaluate_batch(jobs, on_attempt)
-                .map_err(ExecError::Backend)
-        })
-    }
-
-    /// Runs with `meta.workers` scoped worker threads draining a bounded
-    /// work queue. Results are observed in batch order regardless of
-    /// completion order, so the outcome is identical to
-    /// [`run_seq`](Self::run_seq) for the same `(seed, batch_k)` — with
-    /// or without supervision and injected faults.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on journal I/O or a resume/journal mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises any panic from `eval` when unsupervised (or when the
-    /// supervisor's fail policy is
-    /// [`Abort`](crate::supervisor::FailPolicy::Abort)).
-    pub fn run(
-        mut self,
-        optimizer: &mut dyn BlackBoxOptimizer,
-        eval: &(dyn Fn(&[f64], &mut StageTimes, &CancelToken) -> f64 + Sync),
-    ) -> Result<RunOutcome, ExecError> {
-        let workers = self.meta.workers;
-        if workers == 1 {
-            return self.run_seq(optimizer, &mut |unit, stages, token| {
-                eval(unit, stages, token)
-            });
-        }
-        let supervisor = self
-            .supervision
-            .clone()
-            .map(|cfg| Supervisor::new(cfg, self.meta.seed));
-        let supervisor = &supervisor;
-        // Bounded job queue: the coordinator blocks rather than buffering
-        // a whole oversized batch. Created outside the scope so worker
-        // borrows outlive every spawned thread.
-        let (job_tx, job_rx) = mpsc::sync_channel::<(usize, usize, Vec<f64>)>(2 * workers);
-        let job_rx = Mutex::new(job_rx);
-        enum WorkerMsg {
-            Attempt(FailedAttempt),
-            Done(usize, std::thread::Result<Evaluated>),
-        }
-        let (res_tx, res_rx) = mpsc::channel::<WorkerMsg>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let res_tx = res_tx.clone();
-                let job_rx = &job_rx;
-                scope.spawn(move || loop {
-                    let job = job_rx.lock().expect("job queue poisoned").recv();
-                    let Ok((slot, index, unit)) = job else { break };
-                    // The outer catch keeps the pool alive so an Abort
-                    // re-raise (or an unsupervised panic) propagates via
-                    // the coordinator's resume_unwind, not a dead worker.
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || match supervisor {
-                                Some(sup) => sup.evaluate(
-                                    index,
-                                    &unit,
-                                    &mut |u, st, t| eval(u, st, t),
-                                    &mut |a| {
-                                        let _ = res_tx.send(WorkerMsg::Attempt(a));
-                                    },
-                                ),
-                                None => {
-                                    let mut stages = StageTimes::new();
-                                    let error = eval(&unit, &mut stages, &CancelToken::new());
-                                    Evaluated {
-                                        error,
-                                        stages,
-                                        fault: None,
-                                        worker: None,
-                                    }
-                                }
-                            },
-                        ));
-                    if res_tx.send(WorkerMsg::Done(slot, outcome)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(res_tx); // workers hold the only senders now
-
-            // `move` so `dispatch` owns `job_tx`: dropping it below hangs
-            // up the job queue and lets the workers exit before the scope
-            // joins them.
-            let mut dispatch = move |jobs: &[(usize, Vec<f64>)],
-                                     on_attempt: &mut dyn FnMut(FailedAttempt)|
-                  -> Result<Vec<Evaluated>, ExecError> {
-                for (slot, (index, unit)) in jobs.iter().enumerate() {
-                    job_tx
-                        .send((slot, *index, unit.clone()))
-                        .expect("worker pool died before the batch was queued");
-                }
-                let mut slots: Vec<Option<Evaluated>> = (0..jobs.len()).map(|_| None).collect();
-                let mut filled = 0;
-                while filled < jobs.len() {
-                    let msg = res_rx
-                        .recv()
-                        .expect("worker pool died before the batch finished");
-                    match msg {
-                        WorkerMsg::Attempt(a) => on_attempt(a),
-                        WorkerMsg::Done(slot, Ok(verdict)) => {
-                            slots[slot] = Some(verdict);
-                            filled += 1;
-                        }
-                        WorkerMsg::Done(_, Err(panic)) => std::panic::resume_unwind(panic),
-                    }
-                }
-                Ok(slots
-                    .into_iter()
-                    .map(|s| s.expect("every slot was filled"))
-                    .collect())
-            };
-            let outcome = self.engine(optimizer, &mut dispatch);
-            drop(dispatch);
-            outcome
-        })
-    }
-
-    /// The batch loop shared by the sequential and pooled paths;
-    /// `dispatch` evaluates `(index, unit)` jobs and returns verdicts in
-    /// the same order.
+    /// The supervision config shapes the engine-side fault machinery
+    /// (quarantine, degradation, penalties for journal-pending points);
+    /// per-point retries, deadlines and penalty verdicts are the
+    /// backend's job (the local backends take [`Executor::supervisor`]
+    /// for exactly that).
     ///
     /// All fault bookkeeping lives here, updated in observation order, so
     /// quarantine, degradation, and the outcome itself never depend on
     /// thread scheduling.
-    fn engine(
-        &mut self,
+    ///
+    /// # Errors
+    ///
+    /// Fails on journal I/O, a resume/journal mismatch, a closed
+    /// [`BatchGate`], or a backend failure ([`ExecError::Backend`]).
+    ///
+    /// # Panics
+    ///
+    /// Propagates whatever panic the backend lets through (the local
+    /// backends re-raise an evaluation's panic when unsupervised or under
+    /// [`FailPolicy::Abort`](crate::supervisor::FailPolicy::Abort)).
+    pub fn run(
+        mut self,
         optimizer: &mut dyn BlackBoxOptimizer,
-        dispatch: &mut Dispatch<'_>,
+        backend: &mut dyn Backend,
     ) -> Result<RunOutcome, ExecError> {
         let iterations = self.meta.iterations;
         let mut telemetry = Telemetry::new();
@@ -812,9 +608,8 @@ impl Executor {
                         continue;
                     }
                 }
-                if self.memo.is_some() {
-                    let key = self.memo_key_of(unit);
-                    if let Some(entry) = self.memo.as_ref().and_then(|m| m.lookup(&key)) {
+                if let Some((memo, key)) = &self.memo {
+                    if let Some(entry) = memo.lookup(&key(unit)) {
                         slots.push(SlotPlan::Memo(*entry));
                         continue;
                     }
@@ -854,7 +649,9 @@ impl Executor {
                             }
                         }
                     };
-                    dispatch(&jobs, &mut on_attempt)
+                    backend
+                        .evaluate_batch(&jobs, &mut on_attempt)
+                        .map_err(ExecError::Backend)
                 };
                 if let Some(gate) = &self.gate {
                     gate.leave();
@@ -919,10 +716,9 @@ impl Executor {
                 // replayed — on the observation path, so the cache's
                 // contents never depend on thread scheduling and a
                 // resumed run rebuilds it from its journaled prefix.
-                if rec.fault.is_none() && rec.cached.is_none() && self.memo.is_some() {
-                    let key = self.memo_key_of(&rec.unit);
-                    if let Some(memo) = self.memo.as_mut() {
-                        memo.insert(&key, rec.error, rec.index, rec.worker);
+                if rec.fault.is_none() && rec.cached.is_none() {
+                    if let Some((memo, key)) = &mut self.memo {
+                        memo.insert(&key(&rec.unit), rec.error, rec.index, rec.worker);
                     }
                 }
 

@@ -39,13 +39,14 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Journal format version written into the header. Version 2 added the
-/// `fault`, `attempt`, and `cache_hit` events; [`replay`] accepts
-/// versions 1 and 2 (a v1 journal simply contains no fault or cache-hit
-/// events).
+/// `fault`, `attempt`, and `cache_hit` events.
 pub const JOURNAL_VERSION: u64 = 2;
 
-/// The oldest journal version [`replay`] still reads.
-pub const OLDEST_READABLE_VERSION: u64 = 1;
+/// The oldest journal version [`replay`] still reads. Version 1 (no
+/// fault or cache-hit events) was never written by a released build, so
+/// its read support was dropped; a v1 header is an
+/// "unsupported journal version".
+pub const OLDEST_READABLE_VERSION: u64 = 2;
 
 /// Every `event` value a journal line may carry. This registry is a
 /// wire surface: the audit's `wire-compat` rule locks it in

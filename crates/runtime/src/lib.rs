@@ -1,10 +1,13 @@
 //! datamime-runtime: the run harness under the Datamime search loop.
 //!
-//! Five layers, each usable on its own:
+//! Its layers, each usable on its own:
 //!
-//! - [`executor`] — a worker pool draining batch-`k` suggestions from any
-//!   [`datamime_bayesopt::BlackBoxOptimizer`] through a bounded work
-//!   queue, with seed-stable deterministic ordering;
+//! - [`executor`] — the engine draining batch-`k` suggestions from any
+//!   [`datamime_bayesopt::BlackBoxOptimizer`] with seed-stable
+//!   deterministic ordering;
+//! - [`backend`] — where a batch is evaluated: the [`Backend`] seam plus
+//!   the in-process implementations (inline, or a pool of scoped worker
+//!   threads over a bounded work queue);
 //! - [`supervisor`] — fault-tolerant evaluation: panic containment,
 //!   watchdog deadlines via a cooperative [`CancelToken`], bounded retry
 //!   with deterministic backoff, and penalty verdicts the executor
@@ -40,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod diskfault;
 pub mod executor;
 pub mod faultinject;
@@ -51,12 +55,13 @@ pub mod supervisor;
 pub mod telemetry;
 pub mod termsig;
 
+pub use backend::{with_local_backend, Backend, SyncEvalFn};
 pub use diskfault::{
     DiskFaultInjector, DiskFaultKind, DiskFaultPlan, DiskTarget, PlannedDiskFault, DISK_FAULT_ENV,
 };
 pub use executor::{
-    Backend, BatchGate, EvalRecord, ExecError, Executor, GateClosed, GateHandle, MemoKeyFn,
-    QuotaCause, RunMeta, RunOutcome,
+    BatchGate, EvalRecord, ExecError, Executor, GateClosed, GateHandle, MemoKeyFn, QuotaCause,
+    RunMeta, RunOutcome,
 };
 pub use faultinject::{FaultPlan, InjectedFault, PlannedFault};
 pub use journal::{

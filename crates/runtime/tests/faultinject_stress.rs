@@ -10,6 +10,9 @@
 //! two outcomes to be bit-identical.
 #![cfg(feature = "faultinject")]
 
+mod common;
+
+use common::RunLocal;
 use datamime_bayesopt::{BayesOpt, BoConfig};
 use datamime_runtime::{
     CancelToken, EvalRecord, Executor, FaultPlan, InjectedFault, RunMeta, StageTimes,
@@ -80,7 +83,7 @@ fn fault_storms_stay_deterministic_across_worker_counts() {
             };
             Executor::new(meta("storm", iterations, 4, workers))
                 .supervise(cfg)
-                .run(&mut BayesOpt::new(BoConfig::for_dims(3), 42 + storm), &eval)
+                .run_local(&mut BayesOpt::new(BoConfig::for_dims(3), 42 + storm), &eval)
                 .expect("a fault storm must never abort the run")
         };
         let serial = run(1);
@@ -119,7 +122,7 @@ fn all_evaluations_failing_still_completes() {
     };
     let out = Executor::new(meta("total-loss", iterations, 4, 3))
         .supervise(cfg)
-        .run(&mut BayesOpt::new(BoConfig::for_dims(3), 42), &eval)
+        .run_local(&mut BayesOpt::new(BoConfig::for_dims(3), 42), &eval)
         .expect("even a total loss must complete under the penalize policy");
     assert_eq!(out.history.len(), iterations);
     assert!(out.history.iter().all(|r| r.fault.is_some()));

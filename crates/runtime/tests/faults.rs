@@ -2,6 +2,9 @@
 //! objectives must be contained, retried, journaled, quarantined, and —
 //! above all — never change the deterministic outcome contract.
 
+mod common;
+
+use common::RunLocal;
 use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig, PENALTY_OBJECTIVE};
 use datamime_runtime::{
     replay, CancelToken, EvalRecord, Executor, FailPolicy, FailedAttempt, FailureKind, FaultInfo,
@@ -68,7 +71,7 @@ fn injected_panic_is_contained_and_penalized() {
     };
     let out = Executor::new(meta("panic", 8, 2, 1))
         .supervise(cfg)
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .expect("a penalized panic must not abort the run");
     assert_eq!(out.history.len(), 8);
     let rec = &out.history[2];
@@ -100,7 +103,7 @@ fn faulty_outcome_is_identical_across_worker_counts() {
         };
         Executor::new(meta("det", 12, 4, workers))
             .supervise(cfg)
-            .run(&mut bayes(42), &eval)
+            .run_local(&mut bayes(42), &eval)
             .unwrap()
     };
     let serial = run(1);
@@ -137,7 +140,7 @@ fn transient_fault_recovers_on_retry() {
     // observations are identical to a fault-free run.
     let clean = Executor::new(meta("transient", 8, 2, 1))
         .supervise(supervision())
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
     let cfg = SupervisorConfig {
         max_retries: 1,
@@ -146,7 +149,7 @@ fn transient_fault_recovers_on_retry() {
     };
     let faulty = Executor::new(meta("transient", 8, 2, 1))
         .supervise(cfg)
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
     assert_eq!(points(&clean.history), points(&faulty.history));
     assert!(faulty.history[3].fault.is_none());
@@ -163,7 +166,7 @@ fn stall_past_deadline_is_a_timeout() {
     };
     let out = Executor::new(meta("stall", 4, 1, 1))
         .supervise(cfg)
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
     let fault = out.history[1].fault.as_ref().unwrap();
     assert_eq!(fault.kind, FailureKind::Timeout);
@@ -181,7 +184,7 @@ fn abort_policy_reraises_through_the_worker_pool() {
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         Executor::new(meta("abort", 6, 2, 2))
             .supervise(cfg)
-            .run(&mut bayes(42), &eval)
+            .run_local(&mut bayes(42), &eval)
     }))
     .expect_err("abort policy must fail fast");
     let msg = datamime_runtime::supervisor::panic_message(err.as_ref());
@@ -226,7 +229,7 @@ fn repeatedly_failing_point_is_quarantined_without_reevaluation() {
     let evals = AtomicUsize::new(0);
     let out = Executor::new(meta("quarantine", 5, 1, 1))
         .supervise(cfg)
-        .run_seq(&mut opt, &mut |unit, stages, cancel| {
+        .run_local(&mut opt, &|unit, stages, cancel| {
             evals.fetch_add(1, Ordering::Relaxed);
             eval(unit, stages, cancel)
         })
@@ -292,7 +295,7 @@ fn consecutive_failures_degrade_the_batch_deterministically() {
         let out = Executor::new(meta("degrade", 12, 4, workers))
             .supervise(cfg)
             .sink(Box::new(sink.clone()))
-            .run(&mut bayes(42), &eval)
+            .run_local(&mut bayes(42), &eval)
             .unwrap();
         let log = sink.0.borrow();
         (
@@ -328,7 +331,7 @@ fn fault_records_round_trip_through_the_journal() {
     let out = Executor::new(m.clone())
         .supervise(cfg)
         .journal(writer, false)
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
 
     let text = fs::read_to_string(&path).unwrap();
@@ -383,7 +386,7 @@ fn resume_after_mid_retry_kill_penalizes_without_rerunning() {
     let reference = Executor::new(m.clone())
         .supervise(sup(Some(plan.clone())))
         .journal(writer, false)
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
     assert_eq!(
         reference.history[2].fault.as_ref().unwrap().kind,
@@ -423,7 +426,7 @@ fn resume_after_mid_retry_kill_penalizes_without_rerunning() {
         .journal(writer, true)
         .resume(r)
         .unwrap()
-        .run_seq(&mut bayes(42), &mut |unit, stages, cancel| {
+        .run_local(&mut bayes(42), &|unit, stages, cancel| {
             evals.fetch_add(1, Ordering::Relaxed);
             eval(unit, stages, cancel)
         })
@@ -472,7 +475,7 @@ fn resumed_fault_records_drive_the_same_state_machine() {
     let reference = Executor::new(m.clone())
         .supervise(sup())
         .journal(writer, false)
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
 
     // Truncate to the first 7 observations (evals or faults).
@@ -494,7 +497,7 @@ fn resumed_fault_records_drive_the_same_state_machine() {
         .supervise(sup())
         .resume(r)
         .unwrap()
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
     assert_eq!(points(&resumed.history), points(&reference.history));
     let _ = fs::remove_file(&path);
@@ -550,13 +553,13 @@ fn quarantined_points_are_never_memoized_but_healthy_ones_are() {
     };
     let out = Executor::new(meta("memo-quarantine", 12, 1, 1))
         .supervise(cfg)
-        .memoize(0xFACADE)
-        .run_seq(
+        .memoize_keyed(0xFACADE, Box::new(<[f64]>::to_vec))
+        .run_local(
             &mut Cycle4 {
                 suggested: 0,
                 history: Vec::new(),
             },
-            &mut { counted_eval },
+            &counted_eval,
         )
         .unwrap();
 

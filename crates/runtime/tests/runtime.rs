@@ -1,6 +1,9 @@
 //! End-to-end tests of the executor / journal / telemetry stack using the
 //! real optimizers from `datamime-bayesopt`.
 
+mod common;
+
+use common::RunLocal;
 use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig, RandomSearch};
 use datamime_runtime::{
     replay, CancelToken, EvalRecord, ExecError, Executor, JournalWriter, ProgressSink, RunMeta,
@@ -55,7 +58,7 @@ fn tmp(name: &str) -> PathBuf {
 fn same_seed_and_batch_is_deterministic() {
     let run = || {
         Executor::new(meta("det", 12, 3, 1))
-            .run_seq(&mut bayes(42), &mut eval)
+            .run_local(&mut bayes(42), &eval)
             .unwrap()
     };
     let (a, b) = (run(), run());
@@ -68,7 +71,7 @@ fn same_seed_and_batch_is_deterministic() {
 fn worker_count_does_not_change_results() {
     let run = |workers: usize| {
         Executor::new(meta("workers", 12, 4, workers))
-            .run(&mut bayes(42), &eval)
+            .run_local(&mut bayes(42), &eval)
             .unwrap()
     };
     let serial = run(1);
@@ -92,7 +95,7 @@ fn batch_of_one_matches_the_plain_sequential_loop() {
 
     let mut m = meta("batch1", 10, 1, 1);
     m.seed = 7;
-    let out = Executor::new(m).run_seq(&mut bayes(7), &mut eval).unwrap();
+    let out = Executor::new(m).run_local(&mut bayes(7), &eval).unwrap();
     let runtime_history: Vec<(Vec<f64>, f64)> = out
         .history
         .iter()
@@ -109,7 +112,7 @@ fn journal_round_trips_a_completed_run() {
     let out = Executor::new(m.clone())
         .journal(writer, false)
         .checkpoint_every(3)
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
 
     let r = replay(&path).unwrap();
@@ -133,7 +136,7 @@ fn interrupted_run_resumes_without_re_evaluating() {
 
     // The uninterrupted reference run.
     let reference = Executor::new(m.clone())
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
 
     // A run that "crashes" after 8 evaluations (simulated by truncating
@@ -142,7 +145,7 @@ fn interrupted_run_resumes_without_re_evaluating() {
     let writer = JournalWriter::create(&path, &m).unwrap();
     Executor::new(m.clone())
         .journal(writer, false)
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
     let text = fs::read_to_string(&path).unwrap();
     let kept: Vec<&str> = text
@@ -166,7 +169,7 @@ fn interrupted_run_resumes_without_re_evaluating() {
         .journal(writer, true)
         .resume(r)
         .unwrap()
-        .run_seq(&mut bayes(42), &mut { counting_eval })
+        .run_local(&mut bayes(42), &counting_eval)
         .unwrap();
 
     assert_eq!(evaluated.load(Ordering::Relaxed), iterations - 8);
@@ -200,7 +203,7 @@ fn malformed_trailing_line_is_tolerated() {
     let writer = JournalWriter::create(&path, &m).unwrap();
     Executor::new(m.clone())
         .journal(writer, false)
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
 
     // Simulate a crash mid-write: chop the last line in half.
@@ -230,13 +233,30 @@ fn journal_without_header_is_rejected() {
 }
 
 #[test]
+fn journal_version_one_is_rejected() {
+    // A current header with only its version rewound: everything else
+    // about the file is valid, so the version check alone rejects it.
+    let path = tmp("v1.jsonl");
+    drop(JournalWriter::create(&path, &meta("v1", 4, 1, 1)).unwrap());
+    let text = fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"version\":2"), "{text}");
+    fs::write(&path, text.replace("\"version\":2", "\"version\":1")).unwrap();
+    let err = replay(&path).unwrap_err();
+    assert!(
+        err.to_string().contains("unsupported journal version"),
+        "{err}"
+    );
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
 fn resume_refuses_a_mismatched_run() {
     let path = tmp("mismatch.jsonl");
     let m = meta("mismatch", 6, 2, 1);
     let writer = JournalWriter::create(&path, &m).unwrap();
     Executor::new(m.clone())
         .journal(writer, false)
-        .run_seq(&mut bayes(42), &mut eval)
+        .run_local(&mut bayes(42), &eval)
         .unwrap();
     let r = replay(&path).unwrap();
 
@@ -287,7 +307,7 @@ fn progress_sink_sees_every_event() {
     let sink = RecordingSink::default();
     let out = Executor::new(meta("sink", 5, 2, 1))
         .sink(Box::new(sink.clone()))
-        .run_seq(&mut RandomSearch::new(3, 42), &mut eval)
+        .run_local(&mut RandomSearch::new(3, 42), &eval)
         .unwrap();
     let log = sink.0.borrow();
     assert_eq!(log.started, 1);
@@ -303,7 +323,7 @@ fn random_search_runs_through_the_pool() {
         let mut m = meta("random", 16, 4, workers);
         m.optimizer = "random".to_string();
         Executor::new(m)
-            .run(&mut RandomSearch::new(3, 9), &eval)
+            .run_local(&mut RandomSearch::new(3, 9), &eval)
             .unwrap()
     };
     let a = run(1);
@@ -380,13 +400,13 @@ fn memo_serves_duplicates_without_reevaluating() {
     };
 
     let plain = Executor::new(meta("memo", 12, 1, 1))
-        .run_seq(&mut Cycler::new(), &mut { counted_eval })
+        .run_local(&mut Cycler::new(), &counted_eval)
         .unwrap();
     assert_eq!(evaluations.swap(0, Ordering::SeqCst), 12);
 
     let memoized = Executor::new(meta("memo", 12, 1, 1))
-        .memoize(0xC0FFEE)
-        .run_seq(&mut Cycler::new(), &mut { counted_eval })
+        .memoize_keyed(0xC0FFEE, Box::new(<[f64]>::to_vec))
+        .run_local(&mut Cycler::new(), &counted_eval)
         .unwrap();
     // Four distinct points: one real evaluation each, eight cache hits.
     assert_eq!(evaluations.load(Ordering::SeqCst), 4);
@@ -409,8 +429,8 @@ fn memo_serves_duplicates_without_reevaluating() {
 fn memo_hits_match_across_worker_counts() {
     let run = |workers: usize| {
         Executor::new(meta("memo-pool", 12, 4, workers))
-            .memoize(7)
-            .run(&mut Cycler::new(), &eval)
+            .memoize_keyed(7, Box::new(<[f64]>::to_vec))
+            .run_local(&mut Cycler::new(), &eval)
             .unwrap()
     };
     let serial = run(1);
@@ -426,9 +446,9 @@ fn cache_hits_journal_and_resume_rebuilds_the_memo() {
     let m = meta("memo-journal", 12, 1, 1);
     let writer = JournalWriter::create(&path, &m).unwrap();
     let full = Executor::new(m.clone())
-        .memoize(99)
+        .memoize_keyed(99, Box::new(<[f64]>::to_vec))
         .journal(writer, false)
-        .run_seq(&mut Cycler::new(), &mut eval)
+        .run_local(&mut Cycler::new(), &eval)
         .unwrap();
 
     // The journal replays with provenance intact.
@@ -450,13 +470,13 @@ fn cache_hits_journal_and_resume_rebuilds_the_memo() {
     let writer = JournalWriter::create(&resumed_path, &m).unwrap();
     let evaluations = AtomicUsize::new(0);
     let resumed = Executor::new(m)
-        .memoize(99)
+        .memoize_keyed(99, Box::new(<[f64]>::to_vec))
         .journal(writer, false)
         .resume(replay(&path).unwrap())
         .unwrap()
-        .run_seq(
+        .run_local(
             &mut Cycler::new(),
-            &mut |unit: &[f64], stages: &mut StageTimes, cancel: &CancelToken| {
+            &|unit: &[f64], stages: &mut StageTimes, cancel: &CancelToken| {
                 evaluations.fetch_add(1, Ordering::SeqCst);
                 eval(unit, stages, cancel)
             },

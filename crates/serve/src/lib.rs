@@ -32,7 +32,7 @@ pub mod server;
 
 pub use manifest::{
     segment_file_name, JobEntry, Manifest, ManifestOptions, WalError, WalStats, CHECKPOINT_FILE,
-    DEFAULT_SEGMENT_BYTES, MANIFEST_FILE,
+    DEFAULT_SEGMENT_BYTES,
 };
 pub use sched::{FairGate, Ticket};
 pub use server::{run, run_with, ServeOptions};

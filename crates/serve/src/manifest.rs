@@ -52,9 +52,10 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// The legacy single-file manifest name. Found on open, it is migrated
-/// (renamed) to segment 1 of the segmented WAL.
-pub const MANIFEST_FILE: &str = "manifest.log";
+/// The single-file manifest name of pre-segmentation daemons. No
+/// released daemon wrote one, so it is no longer migrated: a state root
+/// holding this file is refused on open rather than silently ignored.
+const LEGACY_MANIFEST_FILE: &str = "manifest.log";
 
 /// The compacted checkpoint file under the daemon state root.
 pub const CHECKPOINT_FILE: &str = "manifest.ckpt";
@@ -66,9 +67,11 @@ const CHECKPOINT_TMP: &str = "manifest.ckpt.tmp";
 pub const DEFAULT_SEGMENT_BYTES: u64 = 64 * 1024;
 
 /// Manifest WAL format revision. Replay accepts only this revision's
-/// event vocabulary; bump it whenever [`MANIFEST_EVENT_KINDS`] changes
-/// meaning or membership.
-pub const MANIFEST_FORMAT_REVISION: u32 = 1;
+/// event vocabulary and on-disk layout; bump it whenever
+/// [`MANIFEST_EVENT_KINDS`] changes meaning or membership, or a layout
+/// stops being readable (revision 2 dropped the single-file
+/// `manifest.log` migration).
+pub const MANIFEST_FORMAT_REVISION: u32 = 2;
 
 /// Every `event` value a WAL line may carry. This registry is a wire
 /// surface: the audit's `wire-compat` rule locks it in
@@ -201,19 +204,20 @@ impl Manifest {
     }
 
     /// Opens (creating if absent) the segmented manifest under `root`:
-    /// deletes a stale checkpoint temp, migrates a legacy single-file
-    /// manifest to segment 1, loads the checkpoint, deletes segments the
-    /// checkpoint covers (resuming an interrupted post-checkpoint
-    /// deletion), replays newer segments in order with torn-tail repair,
-    /// and returns the writer plus the folded job table in id order.
+    /// deletes a stale checkpoint temp, loads the checkpoint, deletes
+    /// segments the checkpoint covers (resuming an interrupted
+    /// post-checkpoint deletion), replays newer segments in order with
+    /// torn-tail repair, and returns the writer plus the folded job table
+    /// in id order.
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, a corrupt checkpoint, or an unknown event
-    /// *kind* in any segment (a forward-compatibility tripwire — old
-    /// daemons must not silently drop transitions written by newer
-    /// ones). Corrupt interior lines and events for unknown jobs are
-    /// skipped with a warning.
+    /// Fails on I/O errors, a corrupt checkpoint, a stray single-file
+    /// `manifest.log` (a layout this revision no longer reads), or an
+    /// unknown event *kind* in any segment (a forward-compatibility
+    /// tripwire — old daemons must not silently drop transitions written
+    /// by newer ones). Corrupt interior lines and events for unknown jobs
+    /// are skipped with a warning.
     pub fn open_with(
         root: &Path,
         options: ManifestOptions,
@@ -222,6 +226,14 @@ impl Manifest {
             .segment_bytes
             .unwrap_or(DEFAULT_SEGMENT_BYTES)
             .max(1);
+        let legacy = root.join(LEGACY_MANIFEST_FILE);
+        if legacy.exists() {
+            return Err(format!(
+                "{legacy:?} is a single-file manifest, a layout this daemon no longer reads \
+                 (manifest format revision {MANIFEST_FORMAT_REVISION}); refusing to start \
+                 without its jobs"
+            ));
+        }
         let tmp = root.join(CHECKPOINT_TMP);
         if tmp.exists() {
             // Crash between temp write and rename: the temp's content is
@@ -231,20 +243,6 @@ impl Manifest {
                 .map_err(|e| format!("cannot remove stale checkpoint temp {tmp:?}: {e}"))?;
         }
         let mut segments = list_segments(root)?;
-        let legacy = root.join(MANIFEST_FILE);
-        if legacy.exists() {
-            if !segments.is_empty() {
-                return Err(format!(
-                    "both a legacy manifest {legacy:?} and segmented WAL files exist under \
-                     {root:?}; refusing to guess which is authoritative"
-                ));
-            }
-            let seg1 = root.join(segment_file_name(1));
-            std::fs::rename(&legacy, &seg1)
-                .map_err(|e| format!("cannot migrate legacy manifest {legacy:?}: {e}"))?;
-            sync_dir(root)?;
-            segments.push(1);
-        }
         let ckpt_path = root.join(CHECKPOINT_FILE);
         let (mut fold, checkpoint_seq) = if ckpt_path.exists() {
             load_checkpoint(&ckpt_path)?
@@ -1017,18 +1015,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_manifest_is_migrated_to_segment_one() {
+    fn stray_legacy_manifest_is_refused_loudly() {
         let root = tmp("legacy");
         std::fs::write(
-            root.join(MANIFEST_FILE),
+            root.join(LEGACY_MANIFEST_FILE),
             "{\"event\":\"submit\",\"job\":\"job-0001\",\"spec\":\"workload=mem-fb\"}\n",
         )
         .unwrap();
-        let (m, jobs) = Manifest::open(&root).unwrap();
-        assert_eq!(jobs.len(), 1);
-        assert!(!root.join(MANIFEST_FILE).exists());
-        assert!(root.join(segment_file_name(1)).exists());
-        assert_eq!(m.next_job_number(), 2);
+        let err = Manifest::open(&root).expect_err("a manifest.log must not be ignored");
+        assert!(err.contains("manifest.log"), "{err}");
+        assert!(err.contains("no longer reads"), "{err}");
+        // Nothing was renamed, created, or deleted on the way out.
+        assert!(root.join(LEGACY_MANIFEST_FILE).exists());
+        assert!(!root.join(segment_file_name(1)).exists());
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1081,7 +1080,7 @@ mod tests {
     fn events_for_unknown_jobs_are_skipped_not_fatal() {
         let root = tmp("orphan");
         std::fs::write(
-            root.join(MANIFEST_FILE),
+            root.join(segment_file_name(1)),
             "{\"event\":\"start\",\"job\":\"job-0009\"}\n\
              {\"event\":\"submit\",\"job\":\"job-0001\",\"spec\":\"workload=mem-fb\"}\n\
              {\"event\":\"done\",\"job\":\"job-0009\",\"best_error\":0.5,\"best_unit\":[]}\n",

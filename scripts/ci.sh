@@ -59,6 +59,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 if [ -z "${SKIP_TESTS:-}" ]; then
   run cargo build --release
   run cargo test -q
+  # The stand-alone benchmark package (outside the workspace, so neither
+  # command above sees it) calls a pinned slice of the crates' public
+  # API; building and unit-testing it here makes API drift fail locally
+  # instead of in the benchmark pipeline.
+  run cargo build --release --offline --manifest-path benchmark/Cargo.toml
+  run cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
   # Fault-injection stress pass: the supervisor must keep runs
   # deterministic and crash-free under injected panics/stalls/NaNs.
   run cargo test -q -p datamime-runtime --features faultinject

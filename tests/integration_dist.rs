@@ -182,6 +182,11 @@ fn journal_resume_works_across_backend_kinds() {
         },
     )
     .unwrap();
+    assert_eq!(
+        datamime_runtime::replay(&p2t).unwrap().meta.workers,
+        2,
+        "the header records the process pool's size, not RuntimeOptions::workers"
+    );
     truncate(&p2t, 4);
     let resumed = search_with_runtime(
         &generator(),

@@ -33,7 +33,7 @@ fn runtime_batch_one_is_bit_for_bit_the_legacy_search() {
         &KvGenerator::new(),
         &target,
         &cfg,
-        &RuntimeOptions::sequential(),
+        &RuntimeOptions::default(),
     )
     .unwrap();
     assert_eq!(legacy.best_unit_params, runtime.best_unit_params);
@@ -55,7 +55,7 @@ fn journaled_search_resumes_to_the_same_best() {
         &KvGenerator::new(),
         &target,
         &cfg,
-        &RuntimeOptions::sequential(),
+        &RuntimeOptions::default(),
     )
     .unwrap();
 

@@ -7,7 +7,7 @@ use datamime::generator::KvGenerator;
 use datamime::metrics::DistMetric;
 use datamime::profile::Profile;
 use datamime::profiler::profile_workload;
-use datamime::search::{search, search_parallel, SearchConfig};
+use datamime::search::{search, search_with_runtime, RuntimeOptions, SearchConfig};
 use datamime::workload::{AppConfig, Workload};
 
 fn small_target() -> Workload {
@@ -60,7 +60,13 @@ fn parallel_search_from_shared_profile() {
     cfg.profiling = cfg.profiling.without_curves();
     let tsv = profile_workload(&small_target(), &cfg.machine, &cfg.profiling).to_tsv();
     let imported = Profile::from_tsv(&tsv).unwrap();
-    let outcome = search_parallel(&KvGenerator::new(), &imported, &cfg, 4);
+    let outcome = search_with_runtime(
+        &KvGenerator::new(),
+        &imported,
+        &cfg,
+        &RuntimeOptions::parallel(4),
+    )
+    .unwrap();
     assert_eq!(outcome.history.len(), 8);
     assert!(outcome.best_error.is_finite());
 }
