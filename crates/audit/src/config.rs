@@ -111,9 +111,6 @@ pub struct AuditConfig {
     /// Allowed internal dependencies per crate; a crate absent from the
     /// matrix is itself a layering violation.
     pub layering: BTreeMap<String, Vec<String>>,
-    /// The raw configuration text — hashed into incremental-cache keys
-    /// so a policy change invalidates every cached analysis.
-    pub source_text: String,
 }
 
 /// A configuration failure (I/O, parse error, wrong value shape).
@@ -245,7 +242,6 @@ impl AuditConfig {
             lock_order: flag(&doc, "lock-order", "enabled", true)?,
             unsafe_forbidden: flag(&doc, "unsafe-forbidden", "enabled", true)?,
             layering,
-            source_text: text.to_string(),
         })
     }
 
@@ -385,7 +381,6 @@ mod tests {
         );
         assert!(!cfg.lock_order);
         assert_eq!(cfg.layering["datamime-sim"], vec!["datamime-stats"]);
-        assert!(cfg.source_text.contains("[wire-compat]"));
     }
 
     #[test]

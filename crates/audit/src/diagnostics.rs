@@ -7,8 +7,8 @@ use std::path::PathBuf;
 /// One audit violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule identifier (`determinism`, `panic-safety`, `lock-order`,
-    /// `layering`, `unsafe-forbidden`, `unused-allow`, `allow-syntax`).
+    /// Rule identifier: one of [`RULES`](crate::rules::RULES), or
+    /// `unused-allow` / `allow-syntax` for a misfiring suppression.
     pub rule: &'static str,
     /// File the violation is in, relative to the workspace root.
     pub file: PathBuf,

@@ -32,12 +32,10 @@
 //!   version constants are locked in a committed `audit.wire.lock`;
 //!   kinds cannot change without a revision bump.
 //!
-//! The engine analyzes files in parallel (deterministic report order:
-//! results are merged in discovery order and finally sorted), and can
-//! reuse per-file results across runs via a content-hash cache
-//! ([`cache`]). Cross-file rules — lock-order graphs, layering, the
-//! wire-lock comparison, and allow bookkeeping — always run, over the
-//! (possibly cached) per-file facts.
+//! The engine analyzes files one at a time in discovery order; the
+//! cross-file rules — lock-order graphs, layering, the wire-lock
+//! comparison, and allow bookkeeping — then run over the per-file facts,
+//! and the report is sorted.
 //!
 //! Intentional exceptions are written in the source as
 //! `// audit:allow(rule): reason` on (or directly above) the flagged
@@ -47,13 +45,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod config;
 pub mod diagnostics;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod source;
 pub mod toml;
 pub mod workspace;
@@ -62,13 +58,11 @@ use config::AuditConfig;
 use diagnostics::Diagnostic;
 use source::{Allow, BadAllow, SourceFile};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use workspace::{RawFile, Workspace, WorkspaceError};
 
-/// Everything the per-file analysis phase learns about one source file.
-/// This is the unit of caching: per-file diagnostics plus the raw
-/// material the cross-file rules consume.
+/// Everything the per-file analysis phase learns about one source file:
+/// per-file diagnostics plus the raw material the cross-file rules
+/// consume.
 #[derive(Debug)]
 pub struct FileFacts {
     /// Path relative to the workspace root.
@@ -86,16 +80,6 @@ pub struct FileFacts {
     pub wire: Option<rules::wire_compat::WireFacts>,
 }
 
-/// Engine knobs beyond the policy config.
-#[derive(Debug, Default)]
-pub struct CheckOptions {
-    /// Directory for the per-file facts cache; `None` disables caching
-    /// (the default — tests and one-shot runs stay hermetic).
-    pub cache_dir: Option<PathBuf>,
-    /// Worker thread count; `None` means available parallelism.
-    pub jobs: Option<usize>,
-}
-
 /// The outcome of one `check` run.
 #[derive(Debug)]
 pub struct CheckReport {
@@ -105,8 +89,6 @@ pub struct CheckReport {
     pub files_scanned: usize,
     /// Number of crates discovered.
     pub crates_scanned: usize,
-    /// Files whose analysis was served from the cache.
-    pub cache_hits: usize,
 }
 
 impl CheckReport {
@@ -116,28 +98,16 @@ impl CheckReport {
     }
 }
 
-/// Runs every enabled rule over the workspace at `root` with default
-/// options (no cache).
-pub fn run_check(root: &Path, cfg: &AuditConfig) -> Result<CheckReport, WorkspaceError> {
-    run_check_with(root, cfg, &CheckOptions::default())
-}
-
 /// Runs every enabled rule over the workspace at `root` and applies the
 /// `audit:allow` suppression pass.
-pub fn run_check_with(
-    root: &Path,
-    cfg: &AuditConfig,
-    opts: &CheckOptions,
-) -> Result<CheckReport, WorkspaceError> {
+pub fn run_check(root: &Path, cfg: &AuditConfig) -> Result<CheckReport, WorkspaceError> {
     let ws = Workspace::discover(root, cfg)?;
     let roots = ws.crate_roots();
-    let is_root: Vec<bool> = ws
+    let facts: Vec<FileFacts> = ws
         .files
         .iter()
-        .map(|f| roots.contains(f.rel_path.as_path()))
+        .map(|f| analyze_file(f, roots.contains(f.rel_path.as_path()), cfg))
         .collect();
-
-    let (facts, cache_hits) = analyze_all(&ws.files, &is_root, cfg, opts);
 
     let mut raw: Vec<Diagnostic> = Vec::new();
     let mut lock_fns = Vec::new();
@@ -180,77 +150,7 @@ pub fn run_check_with(
         diagnostics,
         files_scanned: ws.files.len(),
         crates_scanned: ws.crates.len(),
-        cache_hits,
     })
-}
-
-/// Runs the per-file phase over every file, in parallel, preserving
-/// discovery order in the output. Returns the facts plus the cache hit
-/// count.
-fn analyze_all(
-    files: &[RawFile],
-    is_root: &[bool],
-    cfg: &AuditConfig,
-    opts: &CheckOptions,
-) -> (Vec<FileFacts>, usize) {
-    let n = files.len();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let jobs = opts
-        .jobs
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n);
-    let cache_dir = opts.cache_dir.as_deref();
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, FileFacts, bool)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = analyze_or_load(&files[i], is_root[i], cfg, cache_dir);
-                results
-                    .lock()
-                    .expect("audit worker panicked while holding the results lock")
-                    .push((i, item.0, item.1));
-            });
-        }
-    });
-    let mut slots = results
-        .into_inner()
-        .expect("audit worker panicked while holding the results lock");
-    // Merge back into discovery order so diagnostics are deterministic
-    // regardless of scheduling.
-    slots.sort_by_key(|(i, _, _)| *i);
-    let cache_hits = slots.iter().filter(|(_, _, hit)| *hit).count();
-    (slots.into_iter().map(|(_, f, _)| f).collect(), cache_hits)
-}
-
-/// Analyzes one file, consulting the cache first when enabled. The
-/// second element reports whether the result came from the cache.
-fn analyze_or_load(
-    raw: &RawFile,
-    is_root: bool,
-    cfg: &AuditConfig,
-    cache_dir: Option<&Path>,
-) -> (FileFacts, bool) {
-    if let Some(dir) = cache_dir {
-        let key = cache::file_key(&cfg.source_text, &raw.rel_path, is_root, &raw.text);
-        if let Some(facts) = cache::load(dir, &raw.rel_path, key) {
-            return (facts, true);
-        }
-        let facts = analyze_file(raw, is_root, cfg);
-        cache::store(dir, &raw.rel_path, key, &facts);
-        return (facts, false);
-    }
-    (analyze_file(raw, is_root, cfg), false)
 }
 
 /// The per-file analysis: lex + parse once, then run every rule whose
@@ -283,7 +183,7 @@ pub fn analyze_file(raw: &RawFile, is_root: bool, cfg: &AuditConfig) -> FileFact
         }
     }
     let lock_fns = if cfg.lock_order {
-        rules::lock_order::collect(&src)
+        rules::lock_order::collect(&src, &cfg.blocking_in_lock.guard_fns)
     } else {
         Vec::new()
     };

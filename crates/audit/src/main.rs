@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cargo run -p datamime-audit -- check [--root DIR] [--config FILE]
-//!                                      [--format human|json|sarif]
-//!                                      [--no-cache] [--quiet]
+//!                                      [--format human|json] [--quiet]
 //! cargo run -p datamime-audit -- wire-lock [--update] [--force]
 //!                                          [--root DIR] [--config FILE]
 //! cargo run -p datamime-audit -- rules
@@ -13,16 +12,12 @@
 //! wire-lock); `2` — usage, configuration, or scan error. Without
 //! `--root`/`--config`, the workspace root is located by walking up
 //! from the current directory to the nearest `audit.toml`.
-//!
-//! `check` keeps a per-file facts cache under `<root>/target/audit-cache`
-//! (disable with `--no-cache`); the summary line reports hit counts and
-//! wall time so CI logs show whether the cache is doing its job.
 
 #![forbid(unsafe_code)]
 
 use datamime_audit::config::AuditConfig;
 use datamime_audit::rules::wire_compat;
-use datamime_audit::{diagnostics, run_check_with, sarif, CheckOptions};
+use datamime_audit::{diagnostics, run_check};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -31,16 +26,14 @@ const USAGE: &str = "\
 datamime-audit: static-analysis gates for the Datamime workspace
 
 USAGE:
-    datamime-audit check [--root DIR] [--config FILE] [--format human|json|sarif]
-                         [--no-cache] [--quiet]
+    datamime-audit check [--root DIR] [--config FILE] [--format human|json] [--quiet]
     datamime-audit wire-lock [--update] [--force] [--root DIR] [--config FILE]
     datamime-audit rules
 
 OPTIONS:
     --root DIR       Workspace root (default: nearest ancestor with audit.toml)
     --config FILE    Configuration file (default: <root>/audit.toml)
-    --format KIND    Output format: human (default), json, or sarif
-    --no-cache       Skip the per-file facts cache under target/audit-cache
+    --format KIND    Output format: human (default) or json
     --quiet          Suppress the summary line on success
     --update         (wire-lock) Rewrite the lockfile from current sources
     --force          (wire-lock) Re-baseline even when kinds changed without
@@ -50,7 +43,6 @@ OPTIONS:
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 struct Options {
@@ -58,7 +50,6 @@ struct Options {
     config: Option<PathBuf>,
     format: Format,
     quiet: bool,
-    no_cache: bool,
     update: bool,
     force: bool,
 }
@@ -110,7 +101,6 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
         config: None,
         format: Format::Human,
         quiet: false,
-        no_cache: false,
         update: false,
         force: false,
     };
@@ -138,12 +128,10 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
                 opts.format = match value.as_str() {
                     "human" => Format::Human,
                     "json" => Format::Json,
-                    "sarif" => Format::Sarif,
                     other => return Err(format!("unknown format `{other}`")),
                 }
             }
             "--quiet" | "-q" => opts.quiet = true,
-            "--no-cache" => opts.no_cache = true,
             "--update" => opts.update = true,
             "--force" => opts.force = true,
             other => return Err(format!("unknown option `{other}`")),
@@ -186,12 +174,8 @@ fn check(opts: &Options) -> ExitCode {
         Ok(rc) => rc,
         Err(code) => return code,
     };
-    let check_opts = CheckOptions {
-        cache_dir: (!opts.no_cache).then(|| root.join("target").join("audit-cache")),
-        jobs: None,
-    };
     let started = Instant::now();
-    let report = match run_check_with(&root, &cfg, &check_opts) {
+    let report = match run_check(&root, &cfg) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("datamime-audit: {e}");
@@ -201,7 +185,6 @@ fn check(opts: &Options) -> ExitCode {
     let elapsed_ms = started.elapsed().as_millis();
     match opts.format {
         Format::Json => print!("{}", diagnostics::to_json(&report.diagnostics)),
-        Format::Sarif => print!("{}", sarif::to_sarif(&report.diagnostics)),
         Format::Human => {
             for d in &report.diagnostics {
                 println!("{d}");
@@ -209,21 +192,15 @@ fn check(opts: &Options) -> ExitCode {
             if !report.clean() {
                 eprintln!(
                     "datamime-audit: {} violation(s) across {} file(s) in {} crate(s) \
-                     ({}/{} cached, {elapsed_ms} ms)",
+                     ({elapsed_ms} ms)",
                     report.diagnostics.len(),
                     report.files_scanned,
                     report.crates_scanned,
-                    report.cache_hits,
-                    report.files_scanned,
                 );
             } else if !opts.quiet {
                 eprintln!(
-                    "datamime-audit: clean ({} files, {} crates, {}/{} cached, \
-                     {elapsed_ms} ms)",
-                    report.files_scanned,
-                    report.crates_scanned,
-                    report.cache_hits,
-                    report.files_scanned,
+                    "datamime-audit: clean ({} files, {} crates, {elapsed_ms} ms)",
+                    report.files_scanned, report.crates_scanned,
                 );
             }
         }

@@ -112,7 +112,7 @@ pub fn receiver_path(toks: &[Token], leaf: usize) -> Option<String> {
 
 /// The token span `(start, leaf)` of the dotted ident path ending at
 /// `leaf` (both inclusive; every other token is a `.`).
-fn receiver_span(toks: &[Token], leaf: usize) -> Option<(usize, usize)> {
+pub fn receiver_span(toks: &[Token], leaf: usize) -> Option<(usize, usize)> {
     if toks.get(leaf)?.kind != TokKind::Ident {
         return None;
     }

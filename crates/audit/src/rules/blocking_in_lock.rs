@@ -8,27 +8,21 @@
 //! a shared-state guard stalls every other tenant — the fairness
 //! guarantees are only as good as the critical sections are short.
 //!
-//! Guard liveness is tracked structurally: a guard is born at
-//! `let g = recv.lock()` / `.read()` / `.write()` (the zero-argument
-//! acquisition forms, possibly chained through `.unwrap()`), or at
-//! `let g = lock(&m)` for the configured guard-returning helper
-//! functions; it dies at the end of its enclosing block or at an
-//! explicit `drop(g)`. Between birth and death, any call whose name is
-//! in the configured blocking list is flagged.
+//! Guard liveness comes from the shared tracker in [`guards`]: between
+//! a let-bound guard's birth and its death, any call whose name is in
+//! the configured blocking list is flagged.
 //!
-//! Honest limits: temporary guards (`lock(&m).cancel(job)`) are not
-//! tracked — the guard dies within the statement; and a blocking call
-//! hidden behind a project-local helper name is invisible unless that
-//! name is added to the blocking list. The condvar idiom
-//! `cv.wait(guard)` is exempted when a live guard is passed as an
-//! argument — handing the guard over is the correct pattern, not a
-//! violation.
+//! Honest limits: a blocking call hidden behind a project-local helper
+//! name is invisible unless that name is added to the blocking list.
+//! The condvar idiom `cv.wait(guard)` is exempted when a live guard is
+//! passed as an argument — handing the guard over is the correct
+//! pattern, not a violation.
 
 use crate::config::BlockingInLockConfig;
 use crate::diagnostics::Diagnostic;
 use crate::parser;
+use crate::rules::guards;
 use crate::source::SourceFile;
-use std::collections::BTreeMap;
 
 /// Checks one file (the rule is workspace-global, path-unscoped).
 pub fn check(src: &SourceFile, cfg: &BlockingInLockConfig) -> Vec<Diagnostic> {
@@ -38,29 +32,7 @@ pub fn check(src: &SourceFile, cfg: &BlockingInLockConfig) -> Vec<Diagnostic> {
         if src.is_test_code(f.body.0) {
             continue;
         }
-        // Guard name -> (live-from token idx, live-to token idx).
-        let mut guards: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for b in parser::let_bindings(toks, f.body) {
-            if b.names.len() != 1 || b.init.0 > b.init.1 {
-                continue;
-            }
-            if !init_acquires_guard(toks, b.init, cfg) {
-                continue;
-            }
-            let mut to = parser::scope_end(toks, b.stmt_end, f.body);
-            // An explicit `drop(g)` ends the guard early.
-            let calls = parser::calls_in(toks, (b.stmt_end, to));
-            for c in &calls {
-                if c.name == "drop"
-                    && !c.is_macro
-                    && c.arg_idents(toks).collect::<Vec<_>>() == vec![b.names[0].as_str()]
-                {
-                    to = c.start;
-                    break;
-                }
-            }
-            guards.insert(b.names[0].clone(), (b.stmt_end, to));
-        }
+        let guards = guards::live_guards(toks, f.body, &cfg.guard_fns);
         if guards.is_empty() {
             continue;
         }
@@ -68,17 +40,14 @@ pub fn check(src: &SourceFile, cfg: &BlockingInLockConfig) -> Vec<Diagnostic> {
             if c.is_macro || !cfg.blocking.iter().any(|b| b == &c.name) {
                 continue;
             }
-            let live: Vec<&str> = guards
-                .iter()
-                .filter(|(_, (from, to))| c.name_idx > *from && c.name_idx < *to)
-                .map(|(name, _)| name.as_str())
-                .collect();
+            let live: Vec<&guards::Guard> =
+                guards.iter().filter(|g| g.covers(c.name_idx)).collect();
             if live.is_empty() {
                 continue;
             }
             // Condvar handoff: `cv.wait(guard)` consumes the guard.
             if matches!(c.name.as_str(), "wait" | "wait_timeout" | "wait_while")
-                && c.arg_idents(toks).any(|a| live.contains(&a))
+                && c.arg_idents(toks).any(|a| live.iter().any(|g| g.name == a))
             {
                 continue;
             }
@@ -94,52 +63,16 @@ pub fn check(src: &SourceFile, cfg: &BlockingInLockConfig) -> Vec<Diagnostic> {
                      shorten the critical section — copy what you need out of the \
                      guard, drop it, then do the blocking work",
                     c.name,
-                    live.join("`, `"),
-                    toks[guards[live[0]].0.min(toks.len() - 1)].line,
+                    live.iter()
+                        .map(|g| g.name.as_str())
+                        .collect::<Vec<_>>()
+                        .join("`, `"),
+                    toks[live[0].from.min(toks.len() - 1)].line,
                 ),
             ));
         }
     }
     out
-}
-
-/// Whether the initializer's value *is* a guard: the expression's
-/// trailing call is `.lock()`/`.read()`/`.write()` (zero-argument,
-/// chained off a receiver; `.unwrap()`/`.expect(…)` wrappers are peeled
-/// first) or a configured guard-returning helper.
-///
-/// Trailing-call position matters: in
-/// `let v = std::mem::take(&mut *lock(&m))` or a `match` arm that locks
-/// internally, the guard is a *temporary* that dies within the
-/// statement — the bound name is plain data, not a guard.
-fn init_acquires_guard(
-    toks: &[crate::lexer::Token],
-    init: (usize, usize),
-    cfg: &BlockingInLockConfig,
-) -> bool {
-    let calls = parser::calls_in(toks, init);
-    let mut end = init.1;
-    loop {
-        let Some(c) = calls.iter().find(|c| !c.is_macro && c.args.1 == end) else {
-            return false;
-        };
-        let zero_args = c.args.1 == c.args.0 + 1;
-        let is_method = c.name_idx > 0 && toks[c.name_idx - 1].is_punct('.');
-        match c.name.as_str() {
-            "unwrap" | "expect" if is_method && c.name_idx >= 2 => {
-                // Peel the wrapper and look at its receiver chain, which
-                // must itself end in a call.
-                end = c.name_idx - 2;
-                if !toks.get(end).is_some_and(|t| t.is_punct(')')) {
-                    return false;
-                }
-            }
-            "lock" | "read" | "write" if zero_args && is_method => return true,
-            name => {
-                return cfg.guard_fns.iter().any(|g| g == name) && c.recv.is_none() && !zero_args;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

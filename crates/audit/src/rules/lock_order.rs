@@ -2,23 +2,20 @@
 //!
 //! The runtime's executor, supervisor, and watchdog coordinate through a
 //! handful of locks; a deadlock between them stalls a whole search run.
-//! This rule extracts, per function, the ordered sequence of
-//! `<receiver>.lock()` / `.read()` / `.write()` acquisitions (exactly
-//! the zero-argument forms `Mutex::lock`, `RwLock::read`,
-//! `RwLock::write` take — `io::Write::write(buf)` never matches), builds
-//! a workspace-wide acquired-before graph keyed by receiver path (with a
-//! leading `self.` stripped so methods and free functions agree on a
-//! lock's name), and reports every pair of locks acquired in both
-//! orders.
+//! This rule extracts, per function, every lock acquisition together
+//! with the locks whose guards were live at that point (the shared
+//! [`guards`] tracker: the same acquisition forms, helper functions and
+//! liveness windows `blocking-in-lock` uses), builds a workspace-wide
+//! acquired-before graph keyed by lock name (a leading `self.` stripped
+//! so methods and free functions agree on a lock's name), and reports
+//! every pair of locks acquired in both orders.
 //!
-//! Heuristics, stated honestly: guards are assumed held to the end of
-//! the function (an early `drop(guard)` can false-positive — suppress
-//! with `audit:allow(lock-order)` and a reason), and re-acquiring the
-//! *same* lock in one function is *not* flagged (loops that re-lock per
-//! iteration are common and correct).
+//! Re-acquiring the *same* lock while it is held is *not* flagged here
+//! (loops that re-lock per iteration are common and correct).
 
 use crate::diagnostics::Diagnostic;
-use crate::lexer::{TokKind, Token};
+use crate::parser;
+use crate::rules::guards;
 use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -26,13 +23,15 @@ use std::path::PathBuf;
 /// One lock acquisition site.
 #[derive(Debug, Clone)]
 pub struct Acquisition {
-    /// Normalized receiver path naming the lock (`shared.state`).
+    /// Normalized path naming the lock (`shared.state`).
     pub lock: String,
     /// 1-based line of the acquisition.
     pub line: u32,
+    /// Locks whose let-bound guards were live at this acquisition.
+    pub held: Vec<String>,
 }
 
-/// The ordered acquisitions of one function.
+/// The acquisitions of one function.
 #[derive(Debug, Clone)]
 pub struct FnLocks {
     /// Function name.
@@ -43,126 +42,38 @@ pub struct FnLocks {
     pub acquisitions: Vec<Acquisition>,
 }
 
-/// Extracts per-function acquisition sequences from one file.
-pub fn collect(src: &SourceFile) -> Vec<FnLocks> {
+/// Extracts per-function acquisitions from one file. `guard_fns` are the
+/// configured guard-returning helpers (`[blocking-in-lock] guard-fns`).
+pub fn collect(src: &SourceFile, guard_fns: &[String]) -> Vec<FnLocks> {
     let toks = &src.tokens;
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("fn")
-            && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
-            && !src.is_test_code(i)
-        {
-            let name = toks[i + 1].text.clone();
-            if let Some((body_start, body_end)) = body_span(toks, i + 2) {
-                let acquisitions = acquisitions_in(toks, body_start, body_end);
-                if !acquisitions.is_empty() {
-                    out.push(FnLocks {
-                        function: name,
-                        file: src.rel_path.clone(),
-                        acquisitions,
-                    });
-                }
-                // Continue scanning *inside* the body too: nested fns are
-                // picked up as their own functions on later iterations.
-                i = body_start + 1;
-                continue;
-            }
+    for f in parser::functions(src) {
+        let live = guards::live_guards(toks, f.body, guard_fns);
+        let acquisitions: Vec<Acquisition> =
+            parser::calls_in(toks, (f.body.0 + 1, f.body.1.saturating_sub(1)))
+                .iter()
+                .filter(|c| guards::is_acquisition(toks, c, guard_fns))
+                .filter_map(|c| {
+                    Some(Acquisition {
+                        lock: guards::lock_name(toks, c)?,
+                        line: c.line,
+                        held: live
+                            .iter()
+                            .filter(|g| g.covers(c.name_idx))
+                            .filter_map(|g| g.lock.clone())
+                            .collect(),
+                    })
+                })
+                .collect();
+        if !acquisitions.is_empty() {
+            out.push(FnLocks {
+                function: f.name,
+                file: src.rel_path.clone(),
+                acquisitions,
+            });
         }
-        i += 1;
     }
     out
-}
-
-/// Finds the `{ … }` body of a function whose signature starts at `i`;
-/// `None` for body-less declarations (`fn f();` in traits).
-fn body_span(toks: &[Token], mut i: usize) -> Option<(usize, usize)> {
-    let mut paren_depth = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct('(') {
-            paren_depth += 1;
-        } else if t.is_punct(')') {
-            paren_depth = paren_depth.saturating_sub(1);
-        } else if paren_depth == 0 {
-            if t.is_punct(';') {
-                return None;
-            }
-            if t.is_punct('{') {
-                let mut depth = 0usize;
-                let start = i;
-                while i < toks.len() {
-                    if toks[i].is_punct('{') {
-                        depth += 1;
-                    } else if toks[i].is_punct('}') {
-                        depth -= 1;
-                        if depth == 0 {
-                            return Some((start, i));
-                        }
-                    }
-                    i += 1;
-                }
-                return Some((start, toks.len()));
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Collects `receiver.lock()/read()/write()` acquisitions in
-/// `toks[start..end]`, skipping nested `fn` bodies (they are reported as
-/// their own functions).
-fn acquisitions_in(toks: &[Token], start: usize, end: usize) -> Vec<Acquisition> {
-    let mut out = Vec::new();
-    let mut i = start;
-    while i < end {
-        if toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
-            if let Some((_, nested_end)) = body_span(toks, i + 2) {
-                i = nested_end + 1;
-                continue;
-            }
-        }
-        let is_acquire = matches!(toks[i].text.as_str(), "lock" | "read" | "write")
-            && toks[i].kind == TokKind::Ident
-            && i >= 2
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(')'));
-        if is_acquire {
-            if let Some(lock) = receiver_path(toks, i - 2) {
-                out.push(Acquisition {
-                    lock,
-                    line: toks[i].line,
-                });
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Reconstructs the dotted receiver ending at token `leaf`
-/// (`self.shared.state` → `shared.state`); `None` when the receiver is
-/// not a plain path (e.g. `make().lock()`).
-fn receiver_path(toks: &[Token], leaf: usize) -> Option<String> {
-    if toks.get(leaf)?.kind != TokKind::Ident {
-        return None;
-    }
-    let mut parts = vec![toks[leaf].text.clone()];
-    let mut i = leaf;
-    while i >= 2 && toks[i - 1].is_punct('.') && toks[i - 2].kind == TokKind::Ident {
-        i -= 2;
-        parts.push(toks[i].text.clone());
-    }
-    parts.reverse();
-    if parts.first().is_some_and(|p| p == "self") {
-        parts.remove(0);
-    }
-    if parts.is_empty() {
-        return None;
-    }
-    Some(parts.join("."))
 }
 
 /// A witness that `first` was acquired before `second`.
@@ -178,13 +89,13 @@ pub fn report(functions: &[FnLocks]) -> Vec<Diagnostic> {
     // (first, second) -> first witness.
     let mut edges: BTreeMap<(String, String), Edge> = BTreeMap::new();
     for f in functions {
-        for (a_idx, a) in f.acquisitions.iter().enumerate() {
-            for b in f.acquisitions.iter().skip(a_idx + 1) {
-                if a.lock == b.lock {
+        for b in &f.acquisitions {
+            for a in &b.held {
+                if *a == b.lock {
                     continue; // re-acquiring in a loop is not an inversion
                 }
                 edges
-                    .entry((a.lock.clone(), b.lock.clone()))
+                    .entry((a.clone(), b.lock.clone()))
                     .or_insert_with(|| Edge {
                         function: f.function.clone(),
                         file: f.file.clone(),
@@ -232,7 +143,7 @@ mod tests {
     use std::path::Path;
 
     fn locks_of(src: &str) -> Vec<FnLocks> {
-        collect(&SourceFile::parse(Path::new("f.rs"), src))
+        collect(&SourceFile::parse(Path::new("f.rs"), src), &["lock".into()])
     }
 
     #[test]
@@ -269,6 +180,30 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("potential deadlock"));
         assert!(diags[0].message.contains("`ab`") && diags[0].message.contains("`ba`"));
+    }
+
+    #[test]
+    fn helper_and_method_forms_agree_on_a_locks_name() {
+        // `lock(&self.shared.jobs)` and `shared.jobs.lock()` are the same
+        // lock, so an inversion across the two forms is still one.
+        let fns = locks_of(
+            "impl S {\n\
+               fn admit(&self) {\n\
+                 let jobs = lock(&self.shared.jobs);\n\
+                 let wal = lock(&mut self.shared.manifest);\n\
+               }\n\
+             }\n\
+             fn gc(shared: &Shared) {\n\
+               let wal = shared.manifest.lock().unwrap();\n\
+               let n = shared.jobs.lock().unwrap().len();\n\
+             }\n",
+        );
+        assert_eq!(fns[0].acquisitions[1].lock, "shared.manifest");
+        assert_eq!(fns[0].acquisitions[1].held, vec!["shared.jobs"]);
+        assert_eq!(fns[1].acquisitions[1].held, vec!["shared.manifest"]);
+        assert_eq!(report(&fns).len(), 1);
+        // A helper argument that is not a plain path names no lock.
+        assert!(locks_of("fn f() { let g = lock(&pick(i)); }\n").is_empty());
     }
 
     #[test]

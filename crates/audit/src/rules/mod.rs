@@ -4,10 +4,11 @@
 //! (most now via the structural [`parser`](crate::parser)) or parsed
 //! manifests and emits [`Diagnostic`](crate::diagnostics::Diagnostic)s;
 //! the engine in [`crate::run_check`] owns scoping (which files a rule
-//! sees), parallelism, caching, and the `audit:allow` suppression pass.
+//! sees) and the `audit:allow` suppression pass.
 
 pub mod blocking_in_lock;
 pub mod durability;
+pub mod guards;
 pub mod layering;
 pub mod lock_order;
 pub mod nondet_taint;
@@ -30,9 +31,3 @@ pub const RULES: [&str; 9] = [
     "blocking-in-lock",
     "wire-compat",
 ];
-
-/// Looks up the `'static` rule name for a string (used when
-/// deserializing cached diagnostics).
-pub fn rule_name(name: &str) -> Option<&'static str> {
-    RULES.iter().find(|r| **r == name).copied()
-}

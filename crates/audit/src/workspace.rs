@@ -14,9 +14,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// One source file as read from disk. Lexing and parsing happen in the
-/// per-file analysis phase (parallel, cacheable) — discovery only does
-/// I/O, so the cache can skip the expensive work entirely on a hit.
+/// One source file as read from disk. Discovery only does I/O; lexing
+/// and parsing happen in the per-file analysis phase.
 #[derive(Debug)]
 pub struct RawFile {
     /// Path relative to the workspace root.

@@ -1,12 +1,13 @@
 //! End-to-end audit runs: each fixture mini-workspace under
 //! `tests/fixtures/` trips exactly its intended rule (and its clean
 //! twin passes), the CLI reports violations with a non-zero exit in
-//! every output format, the incremental cache round-trips, and — the
-//! self-check — the live workspace passes with zero violations.
+//! both output formats, and — the self-check — the live workspace
+//! passes with zero violations.
 
 use datamime_audit::config::AuditConfig;
 use datamime_audit::diagnostics::Diagnostic;
-use datamime_audit::{run_check, run_check_with, CheckOptions};
+use datamime_audit::run_check;
+use datamime_audit::workspace::RawFile;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -148,6 +149,17 @@ fn lock_order_fixture_reports_the_inversion_once() {
 }
 
 #[test]
+fn lock_order_sees_helper_acquisitions_and_honours_drop() {
+    // `ab`/`ba` invert through the configured `lock(&m)` helper;
+    // `c_then_d`/`d_then_c` take their pair in both orders too, but
+    // `drop(g)` releases the first guard before the second lock.
+    let diags = check_fixture("lock_order_guards");
+    assert_eq!(rules_of(&diags), vec!["lock-order"], "{diags:?}");
+    assert!(diags[0].message.contains("`ab`"), "{diags:?}");
+    assert!(diags[0].message.contains("`ba`"), "{diags:?}");
+}
+
+#[test]
 fn layering_fixture_flags_the_skipped_layer() {
     let diags = check_fixture("layering");
     assert_eq!(rules_of(&diags), vec!["layering"], "{diags:?}");
@@ -182,34 +194,6 @@ fn clean_fixture_passes_and_its_allow_counts_as_used() {
     assert_clean("clean");
 }
 
-/// The facts cache: a cold run misses everything, a warm run hits
-/// everything, and the diagnostics are byte-identical either way.
-#[test]
-fn cache_round_trips_and_reports_hits() {
-    let root = fixture_root("swallowed_result");
-    let cfg = AuditConfig::load(&root.join("audit.toml")).expect("config loads");
-    let cache_dir = std::env::temp_dir().join(format!("audit-e2e-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let opts = CheckOptions {
-        cache_dir: Some(cache_dir.clone()),
-        jobs: None,
-    };
-    let cold = run_check_with(&root, &cfg, &opts).expect("cold run");
-    assert_eq!(cold.cache_hits, 0, "cold run must miss");
-    let warm = run_check_with(&root, &cfg, &opts).expect("warm run");
-    assert_eq!(warm.cache_hits, warm.files_scanned, "warm run must hit");
-    assert_eq!(
-        cold.diagnostics, warm.diagnostics,
-        "cache must not change results"
-    );
-    // A policy edit invalidates every entry (config text is in the key).
-    let mut edited = cfg.clone();
-    edited.source_text.push_str("\n# policy touched\n");
-    let invalidated = run_check_with(&root, &edited, &opts).expect("post-edit run");
-    assert_eq!(invalidated.cache_hits, 0, "config change must miss");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-}
-
 fn audit_cli(args: &[&str], root: &Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_datamime-audit"))
         .args(args)
@@ -219,12 +203,12 @@ fn audit_cli(args: &[&str], root: &Path) -> std::process::Output {
         .expect("audit binary runs")
 }
 
-/// Golden-file checks: the machine formats are a contract for CI
-/// consumers, so their exact bytes are pinned.
+/// Golden-file check: the machine format is a contract for CI
+/// consumers, so its exact bytes are pinned.
 #[test]
 fn json_output_matches_the_golden_file() {
     let out = audit_cli(
-        &["check", "--no-cache", "--format=json"],
+        &["check", "--format=json"],
         &fixture_root("swallowed_result"),
     );
     assert_eq!(out.status.code(), Some(1));
@@ -235,18 +219,15 @@ fn json_output_matches_the_golden_file() {
     assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
 }
 
+/// The facts cache and the SARIF renderer are gone, and so are their
+/// switches: asking for either is a usage error, not a silent no-op.
 #[test]
-fn sarif_output_matches_the_golden_file() {
-    let out = audit_cli(
-        &["check", "--no-cache", "--format=sarif"],
-        &fixture_root("swallowed_result"),
-    );
-    assert_eq!(out.status.code(), Some(1));
-    let golden = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/swallowed_result.sarif"),
-    )
-    .expect("golden sarif exists");
-    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+fn removed_cache_and_sarif_switches_are_usage_errors() {
+    let root = fixture_root("clean");
+    for args in [["check", "--no-cache"], ["check", "--format=sarif"]] {
+        let out = audit_cli(&args, &root);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
 }
 
 /// Copies a fixture into a scratch dir so a CLI test can mutate it.
@@ -286,22 +267,19 @@ fn wire_lock_update_refuses_unbumped_kind_changes() {
     let lock = std::fs::read_to_string(scratch.join("audit.wire.lock")).expect("lock rewritten");
     assert!(lock.contains("kind Frame::Retire = 3"), "{lock}");
     // After the forced re-baseline the audit is clean again.
-    let clean = audit_cli(&["check", "--no-cache", "--quiet"], &scratch);
+    let clean = audit_cli(&["check", "--quiet"], &scratch);
     assert_eq!(clean.status.code(), Some(0));
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]
 fn cli_exits_nonzero_on_a_fixture_and_zero_on_the_workspace() {
-    let bad = audit_cli(
-        &["check", "--no-cache", "--format=json"],
-        &fixture_root("panic_safety"),
-    );
+    let bad = audit_cli(&["check", "--format=json"], &fixture_root("panic_safety"));
     assert_eq!(bad.status.code(), Some(1), "fixture must fail the audit");
     let json = String::from_utf8_lossy(&bad.stdout);
     assert!(json.contains("\"rule\":\"panic-safety\""), "{json}");
 
-    let good = audit_cli(&["check", "--no-cache"], &workspace_root());
+    let good = audit_cli(&["check"], &workspace_root());
     assert_eq!(
         good.status.code(),
         Some(0),
@@ -348,4 +326,23 @@ fn live_workspace_audits_clean() {
         "swallowed-result engaged"
     );
     assert!(!cfg.wire_compat.files.is_empty(), "wire-compat engaged");
+}
+
+/// The serve daemon takes every lock through its `lock(&m)` helper, so
+/// the lock graph only covers it if helper acquisitions are extracted.
+#[test]
+fn live_lock_graph_contains_the_serve_daemons_helper_acquisitions() {
+    let root = workspace_root();
+    let cfg = AuditConfig::load(&root.join("audit.toml")).expect("workspace audit.toml loads");
+    let rel_path = PathBuf::from("crates/serve/src/server.rs");
+    let text = std::fs::read_to_string(root.join(&rel_path)).expect("server.rs exists");
+    let facts = datamime_audit::analyze_file(&RawFile { rel_path, text }, false, &cfg);
+    let locks: Vec<&str> = facts
+        .lock_fns
+        .iter()
+        .flat_map(|f| &f.acquisitions)
+        .map(|a| a.lock.as_str())
+        .collect();
+    assert!(locks.contains(&"shared.jobs"), "{locks:?}");
+    assert!(locks.contains(&"shared.manifest"), "{locks:?}");
 }

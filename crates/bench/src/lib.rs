@@ -1,9 +1,6 @@
-//! Criterion benches live in benches/; see DESIGN.md for the table/figure
-//! index and docs/PERFORMANCE.md for the measurement methodology.
-//!
-//! [`simbench`] defines the simulator-kernel microbenchmarks shared by the
-//! `sim_kernels` Criterion bench and the `bench_sim` binary that emits
-//! `BENCH_sim.json` (median + IQR over fixed-seed runs).
+//! [`simbench`] defines the simulator-kernel microbenchmarks the
+//! `bench_sim` binary measures into `BENCH_sim.json` (median + IQR over
+//! fixed-seed runs); docs/PERFORMANCE.md has the methodology.
 
 #![forbid(unsafe_code)]
 

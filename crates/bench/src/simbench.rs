@@ -3,8 +3,7 @@
 //! Each [`Kernel`] is a self-contained measurement target: a fixed-seed
 //! workload driven through one `datamime-sim` hot loop (cache lookup, TLB
 //! translation, the full `Machine` access path, counter sampling). The
-//! kernels are shared by the `sim_kernels` Criterion bench and the
-//! `bench_sim` binary behind `scripts/bench.sh`, which reports
+//! `bench_sim` binary behind `scripts/bench.sh` runs them and reports
 //! median + IQR nanoseconds per operation into `BENCH_sim.json`.
 //!
 //! Every kernel returns a **checksum** folded from the simulator's own

@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 use datamime::generator::generator_for_program;
+use datamime::jobspec::{machine_by_name, MACHINE_PRESETS};
 use datamime::metrics::DistMetric;
 use datamime::profiler::{profile_workload, ProfilingConfig};
 use datamime::search::{
@@ -18,7 +19,6 @@ use datamime::search::{
 use datamime::servectl::ServeClient;
 use datamime::workload::Workload;
 use datamime_runtime::FailPolicy;
-use datamime_sim::MachineConfig;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -77,15 +77,6 @@ OPTIONS:
     --paper                    paper-fidelity profiling (slower)
     --tsv                      with `profile`: dump raw samples as TSV
 ";
-
-fn machine_by_name(name: &str) -> Option<MachineConfig> {
-    match name {
-        "broadwell" => Some(MachineConfig::broadwell()),
-        "zen2" => Some(MachineConfig::zen2()),
-        "silvermont" => Some(MachineConfig::silvermont()),
-        _ => None,
-    }
-}
 
 #[derive(Debug, Default)]
 struct Options {
@@ -267,11 +258,7 @@ fn cmd_list() {
 }
 
 fn cmd_machines() {
-    for m in [
-        MachineConfig::broadwell(),
-        MachineConfig::zen2(),
-        MachineConfig::silvermont(),
-    ] {
+    for m in MACHINE_PRESETS.into_iter().filter_map(machine_by_name) {
         println!(
             "{:<11} {:.2} GHz, width {}, L1I {}, L1D {}, L2 {}, LLC {}",
             m.name,

@@ -20,13 +20,13 @@
 
 use crate::error_model::{DistanceKind, MetricWeights};
 use crate::generator::{generator_for_program, DatasetGenerator, QuantizedGenerator};
+use crate::jobspec::machine_by_name;
 use crate::metrics::{CurveMetric, DistMetric};
 use crate::profile::Profile;
 use crate::profiler::{CurveMethod, ProfilingConfig};
 use crate::search::{evaluate, SearchConfig};
 use datamime_dist::{serve, worker_identity, WorkerConfig, PROTOCOL_VERSION};
 use datamime_runtime::{fingerprint, CancelToken, FaultPlan, StageTimes};
-use datamime_sim::MachineConfig;
 use std::path::PathBuf;
 
 /// The boxed generator shape [`EvalSpec::build`] returns.
@@ -50,15 +50,6 @@ pub struct EvalSpec {
     pub seed: u64,
     /// File holding the target profile as TSV.
     pub target_tsv: PathBuf,
-}
-
-fn machine_by_name(name: &str) -> Option<MachineConfig> {
-    match name {
-        "broadwell" => Some(MachineConfig::broadwell()),
-        "zen2" => Some(MachineConfig::zen2()),
-        "silvermont" => Some(MachineConfig::silvermont()),
-        _ => None,
-    }
 }
 
 /// Uniform step count shared by every axis: `Ok(None)` for a fully

@@ -20,6 +20,20 @@ use crate::workload::Workload;
 use datamime_sim::MachineConfig;
 use std::path::PathBuf;
 
+/// Names of the machine presets a command line, job spec or worker
+/// argv may carry — each is its preset's [`MachineConfig::name`].
+pub const MACHINE_PRESETS: [&str; 3] = ["broadwell", "zen2", "silvermont"];
+
+/// Looks a machine preset up by name.
+pub fn machine_by_name(name: &str) -> Option<MachineConfig> {
+    match name {
+        "broadwell" => Some(MachineConfig::broadwell()),
+        "zen2" => Some(MachineConfig::zen2()),
+        "silvermont" => Some(MachineConfig::silvermont()),
+        _ => None,
+    }
+}
+
 /// The boxed generator shape [`JobSpec::generator`] returns.
 pub type BoxedGenerator = Box<dyn crate::generator::DatasetGenerator + Send + Sync>;
 
@@ -221,12 +235,8 @@ impl JobSpec {
     ///
     /// Fails on an unknown machine preset.
     pub fn search_config(&self) -> Result<SearchConfig, String> {
-        let machine = match self.machine.as_str() {
-            "broadwell" => MachineConfig::broadwell(),
-            "zen2" => MachineConfig::zen2(),
-            "silvermont" => MachineConfig::silvermont(),
-            other => return Err(format!("unknown machine {other}")),
-        };
+        let machine = machine_by_name(&self.machine)
+            .ok_or_else(|| format!("unknown machine {}", self.machine))?;
         let mut cfg = SearchConfig::paper_default();
         cfg.machine = machine;
         cfg.iterations = self.iters;
@@ -286,6 +296,15 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_machine_preset_round_trips_by_name() {
+        for name in MACHINE_PRESETS {
+            let machine = machine_by_name(name).expect("listed preset resolves");
+            assert_eq!(machine.name, name);
+        }
+        assert!(machine_by_name("alderlake").is_none());
+    }
 
     #[test]
     fn line_round_trips() {

@@ -95,10 +95,6 @@ impl ProgressSink for JobSink {
             .best_bits
             .store(best_error.to_bits(), Ordering::SeqCst);
     }
-
-    fn on_cache_hit(&mut self, _index: usize, _source: usize) {
-        self.progress.evals.fetch_add(1, Ordering::SeqCst);
-    }
 }
 
 /// Server-side record of one job.

@@ -34,10 +34,6 @@ fi
 # flakiness. The fixture suite proves each rule still trips on its
 # violating mini-workspace and stays quiet on the clean twin.
 run cargo test -q -p datamime-audit --test audit
-# Two passes so the log shows the facts cache working: the first may be
-# cold, the second must report (nearly) full hits and a small wall time
-# in its summary line.
-run cargo run -q -p datamime-audit -- check
 run cargo run -q -p datamime-audit -- check
 
 # The machine-readable report is a contract (docs/audit.schema.json);

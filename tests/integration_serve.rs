@@ -130,6 +130,16 @@ fn daemon_jobs_are_bit_identical_to_one_shot_runs_on_both_backends() {
         thread_ref.best_error.to_bits(),
         "status best error"
     );
+    // A memo hit reaches the job's sink as `on_eval` *and*
+    // `on_cache_hit`; the status view must still count it once.
+    let hits = replay(&root.join(&thread_result.journal))
+        .unwrap()
+        .evals
+        .iter()
+        .filter(|rec| rec.cached.is_some())
+        .count();
+    assert!(hits > 0, "the grid-quantised job never hit the memo");
+    assert_eq!(status.evals, 48, "status evals with {hits} memo hits");
 
     let proc_result = client.result(&proc_job).unwrap();
     let proc_ref = one_shot(&proc_spec, &root.join("proc.reference.jsonl"));
