@@ -175,7 +175,7 @@ struct BuiltLayer {
 }
 
 /// The inference server (see module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DnnApp {
     spec: NetSpec,
     layers: Vec<BuiltLayer>,
@@ -364,6 +364,10 @@ impl App for DnnApp {
             kernel.branch(machine, 64 + (i as u64 % 32) * 8, rng.bool(0.85));
         }
         self.respond.call(machine, 800);
+    }
+
+    fn fork(&self) -> Box<dyn App> {
+        Box::new(self.clone())
     }
 
     fn footprint_bytes(&self) -> u64 {

@@ -153,12 +153,27 @@ impl ServicePaths {
 /// application decides the request type (from its configured mix), executes
 /// its code paths, and touches its data structures. All randomness comes
 /// from the supplied [`Rng`] so runs are reproducible.
+///
+/// An application is plain data laid out in *simulated* addresses: it
+/// holds no host pointer and nothing machine-dependent, which is what
+/// lets [`App::fork`] stand in for a rebuild.
 pub trait App {
     /// Short identifier, e.g. `"memcached"`.
     fn name(&self) -> &str;
 
     /// Serves one request.
     fn serve(&mut self, machine: &mut Machine, rng: &mut Rng);
+
+    /// An independent copy of the application in its current state.
+    ///
+    /// The copy and the original serve any request stream identically —
+    /// same simulated addresses, same counters, same footprint — and
+    /// serving one never changes the other. A copy of a freshly built
+    /// application is therefore address-for-address a rebuild from the
+    /// same configuration, at the price of a `memcpy` instead of a
+    /// dataset construction; the profiler restarts an application between
+    /// runs this way.
+    fn fork(&self) -> Box<dyn App>;
 
     /// Approximate resident data footprint in bytes (used by tests and by
     /// dataset-generation sanity checks).

@@ -43,7 +43,7 @@ struct FcLayer {
 }
 
 /// The autoencoder inference service (see module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ImgDnn {
     cfg: ImgDnnConfig,
     layers: Vec<FcLayer>,
@@ -148,6 +148,10 @@ impl App for ImgDnn {
                 .branch(machine, 32 + (i as u64) * 4, rng.bool(0.9));
         }
         self.respond.call(machine, 500);
+    }
+
+    fn fork(&self) -> Box<dyn App> {
+        Box::new(self.clone())
     }
 
     fn footprint_bytes(&self) -> u64 {

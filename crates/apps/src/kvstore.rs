@@ -14,8 +14,9 @@ use crate::content::ContentModel;
 use crate::dataset::SizeDist;
 use crate::engine::{App, CodeLayout, CodeRegion, ServicePaths};
 use datamime_sim::{Addr, Machine, Segment, SimAlloc};
-use datamime_stats::dist::Zipf;
+use datamime_stats::dist::{sample_size, Zipf};
 use datamime_stats::Rng;
+use std::sync::Arc;
 
 /// Dataset + request-mix configuration for [`KvStore`].
 ///
@@ -130,22 +131,21 @@ const ITEM_HEADER_BYTES: u64 = 56;
 const MAX_KEY: u64 = 250;
 const MAX_VALUE: u64 = 1 << 20;
 
-/// The memcached-like store (see module docs).
+/// Everything about a built store that serving never changes, shared by
+/// the store and all its copies behind one `Arc`.
 #[derive(Debug)]
-pub struct KvStore {
+struct KvImage {
     cfg: KvConfig,
-    alloc: SimAlloc,
-    items: Vec<Item>,
-    buckets: Vec<Vec<u32>>,
+    /// The hash chains in CSR form: bucket `b` holds key ids
+    /// `bucket_ids[bucket_starts[b]..bucket_starts[b + 1]]`, ascending.
+    bucket_starts: Vec<u32>,
+    bucket_ids: Vec<u32>,
     bucket_table: Addr,
     popularity: Zipf,
     /// Maps popularity rank -> key id, so hot keys are scattered over buckets.
     rank_to_key: Vec<u32>,
-    footprint: u64,
     /// Sampled value contents for memory-snapshot profiling.
     content_sample: Vec<Vec<u8>>,
-    /// Wall-clock cycle of the last LRU-reaper pass.
-    last_reap_cycles: u64,
     // Code regions.
     frontend: CodeRegion,
     netstack: CodeRegion,
@@ -159,11 +159,31 @@ pub struct KvStore {
     aux_paths: ServicePaths,
 }
 
+/// The memcached-like store (see module docs): an immutable image shared
+/// with every copy, plus the state requests mutate (SETs move items
+/// between slab classes), so a copy costs one `memcpy` of the item table.
+#[derive(Debug, Clone)]
+pub struct KvStore {
+    image: Arc<KvImage>,
+    alloc: SimAlloc,
+    items: Vec<Item>,
+    footprint: u64,
+    /// Wall-clock cycle of the last LRU-reaper pass.
+    last_reap_cycles: u64,
+}
+
 /// How often the background LRU reaper (memcached's `lru_crawler`) runs,
 /// in wall-clock cycles.
 const REAP_INTERVAL_CYCLES: u64 = 4_000_000;
 /// Items scanned per reaper pass.
 const REAP_SCAN_ITEMS: usize = 192;
+
+/// The bucket a key id hashes to (a mixed hash of the id stands in for
+/// the key hash); `n_buckets` is a power of two.
+fn bucket_of(key: u32, n_buckets: usize) -> usize {
+    let h = u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    (h as usize) & (n_buckets - 1)
+}
 
 fn slab_class_of(bytes: u64) -> usize {
     // memcached-style geometric size classes starting at 64 B.
@@ -209,12 +229,14 @@ impl KvStore {
             .alloc(Segment::Heap, (n_buckets as u64) * 8)
             .expect("bucket table");
 
+        // One sampler per distribution for the whole build.
+        let key_size = cfg.key_size.build().expect("invalid size distribution");
+        let value_size = cfg.value_size.build().expect("invalid size distribution");
         let mut items = Vec::with_capacity(cfg.n_keys);
-        let mut buckets = vec![Vec::new(); n_buckets];
         let mut footprint = (n_buckets as u64) * 8;
-        for id in 0..cfg.n_keys {
-            let key_bytes = cfg.key_size.sample_bytes(&mut rng, 1, MAX_KEY);
-            let value_bytes = cfg.value_size.sample_bytes(&mut rng, 1, MAX_VALUE);
+        for _ in 0..cfg.n_keys {
+            let key_bytes = sample_size(key_size.as_ref(), &mut rng, 1, MAX_KEY);
+            let value_bytes = sample_size(value_size.as_ref(), &mut rng, 1, MAX_VALUE);
             let total = ITEM_HEADER_BYTES + key_bytes + value_bytes;
             let addr = alloc.alloc(Segment::Heap, total).expect("item");
             items.push(Item {
@@ -222,10 +244,24 @@ impl KvStore {
                 key_bytes,
                 value_bytes,
             });
-            // Bucket by a mixed hash of the id (stands in for the key hash).
-            let h = (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-            buckets[(h as usize) & (n_buckets - 1)].push(id as u32);
             footprint += total;
+        }
+
+        // Counting sort of the key ids by bucket; filling in id order keeps
+        // every chain in insertion order.
+        let mut bucket_starts = vec![0u32; n_buckets + 1];
+        for id in 0..cfg.n_keys as u32 {
+            bucket_starts[bucket_of(id, n_buckets) + 1] += 1;
+        }
+        for b in 0..n_buckets {
+            bucket_starts[b + 1] += bucket_starts[b];
+        }
+        let mut next = bucket_starts[..n_buckets].to_vec();
+        let mut bucket_ids = vec![0u32; cfg.n_keys];
+        for id in 0..cfg.n_keys as u32 {
+            let slot = &mut next[bucket_of(id, n_buckets)];
+            bucket_ids[*slot as usize] = id;
+            *slot += 1;
         }
 
         let popularity =
@@ -250,26 +286,29 @@ impl KvStore {
         };
 
         KvStore {
-            cfg,
+            image: Arc::new(KvImage {
+                cfg,
+                bucket_starts,
+                bucket_ids,
+                bucket_table,
+                popularity,
+                rank_to_key,
+                content_sample,
+                frontend,
+                netstack,
+                parse,
+                hash_fn,
+                copy_loop,
+                respond,
+                store_path,
+                reaper,
+                slab_classes,
+                aux_paths,
+            }),
             alloc,
             items,
-            buckets,
-            bucket_table,
-            popularity,
-            rank_to_key,
             footprint,
-            content_sample,
             last_reap_cycles: 0,
-            frontend,
-            netstack,
-            parse,
-            hash_fn,
-            copy_loop,
-            respond,
-            store_path,
-            reaper,
-            slab_classes,
-            aux_paths,
         }
     }
 
@@ -281,33 +320,33 @@ impl KvStore {
             return;
         }
         self.last_reap_cycles = machine.wall_cycles();
-        self.reaper.call(machine, 900);
+        self.image.reaper.call(machine, 900);
         for _ in 0..REAP_SCAN_ITEMS.min(self.items.len()) {
             let it = self.items[rng.index(self.items.len())];
             machine.load(it.addr, 64);
             // Expiry check on the header timestamp: almost never expired.
-            self.reaper.branch(machine, 128, rng.bool(0.02));
+            self.image.reaper.branch(machine, 128, rng.bool(0.02));
         }
-        self.reaper.call(machine, 400);
+        self.image.reaper.call(machine, 400);
     }
 
     /// The store's configuration.
     pub fn config(&self) -> &KvConfig {
-        &self.cfg
+        &self.image.cfg
     }
 
     fn pick_key(&self, rng: &mut Rng) -> u32 {
-        self.rank_to_key[self.popularity.sample_rank(rng)]
+        self.image.rank_to_key[self.image.popularity.sample_rank(rng)]
     }
 
     /// Walks the hash chain to `key`, modeling the bucket-head load, the
     /// per-entry header loads, and the data-dependent compare branches.
     fn lookup(&self, machine: &mut Machine, key: u32) -> Item {
-        let n_buckets = self.buckets.len();
-        let h = u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        let b = (h as usize) & (n_buckets - 1);
-        machine.load(self.bucket_table + (b as u64) * 8, 8);
-        let chain = &self.buckets[b];
+        let img = &*self.image;
+        let b = bucket_of(key, img.bucket_starts.len() - 1);
+        machine.load(img.bucket_table + (b as u64) * 8, 8);
+        let chain =
+            &img.bucket_ids[img.bucket_starts[b] as usize..img.bucket_starts[b + 1] as usize];
         let mut found = self.items[key as usize];
         for &id in chain {
             let it = self.items[id as usize];
@@ -315,7 +354,7 @@ impl KvStore {
             machine.load(it.addr, 64.min(ITEM_HEADER_BYTES + it.key_bytes));
             let is_match = id == key;
             // Compare branch: taken when we keep walking.
-            self.hash_fn.branch(machine, 64, !is_match);
+            img.hash_fn.branch(machine, 64, !is_match);
             if is_match {
                 found = it;
                 break;
@@ -328,26 +367,28 @@ impl KvStore {
         let it = self.lookup(machine, key);
         // Read the full key for the final compare and hash verification.
         machine.load(it.addr + ITEM_HEADER_BYTES, it.key_bytes);
-        self.hash_fn.call(machine, 150 + it.key_bytes / 4);
+        self.image.hash_fn.call(machine, 150 + it.key_bytes / 4);
         // Copy the value out through the memcpy loop (8 B/instr).
         machine.load(it.addr + ITEM_HEADER_BYTES + it.key_bytes, it.value_bytes);
-        self.copy_loop.call(machine, 40 + it.value_bytes / 8);
+        self.image.copy_loop.call(machine, 40 + it.value_bytes / 8);
         // Slab-class-specific item bookkeeping (LRU bump).
         let class = slab_class_of(ITEM_HEADER_BYTES + it.key_bytes + it.value_bytes);
-        self.slab_classes[class].call(machine, 250);
+        self.image.slab_classes[class].call(machine, 250);
         machine.store(it.addr + 16, 8); // LRU timestamp update
     }
 
     fn serve_set(&mut self, machine: &mut Machine, key: u32, rng: &mut Rng) {
         let old = self.lookup(machine, key);
         // New value size drawn from the dataset's distribution.
-        let value_bytes = self.cfg.value_size.sample_bytes(rng, 1, MAX_VALUE);
+        let value_bytes = self.image.cfg.value_size.sample_bytes(rng, 1, MAX_VALUE);
         let old_total = ITEM_HEADER_BYTES + old.key_bytes + old.value_bytes;
         let new_total = ITEM_HEADER_BYTES + old.key_bytes + value_bytes;
         let old_class = slab_class_of(old_total);
         let new_class = slab_class_of(new_total);
         // Reallocation branch: taken when the item changes slab class.
-        self.store_path.branch(machine, 128, new_class != old_class);
+        self.image
+            .store_path
+            .branch(machine, 128, new_class != old_class);
         let addr = if new_class != old_class {
             self.alloc.free(Segment::Heap, old.addr, old_total);
             self.footprint = self.footprint - old_total + new_total;
@@ -364,13 +405,13 @@ impl KvStore {
         };
         // Store-side bookkeeping paths: LRU maintenance, eviction checks,
         // stats, logging — memcached's write path is much wider than GET.
-        self.aux_paths.touch(machine, rng, 3, 300);
+        self.image.aux_paths.touch(machine, rng, 3, 300);
         // Write header + key + value.
         machine.store(addr, ITEM_HEADER_BYTES + old.key_bytes);
         machine.store(addr + ITEM_HEADER_BYTES + old.key_bytes, value_bytes);
-        self.copy_loop.call(machine, 40 + value_bytes / 8);
-        self.store_path.call(machine, 900);
-        self.slab_classes[new_class].call(machine, 300);
+        self.image.copy_loop.call(machine, 40 + value_bytes / 8);
+        self.image.store_path.call(machine, 900);
+        self.image.slab_classes[new_class].call(machine, 300);
     }
 }
 
@@ -380,32 +421,32 @@ impl App for KvStore {
     }
 
     fn serve(&mut self, machine: &mut Machine, rng: &mut Rng) {
-        self.frontend.call(machine, 5200);
+        self.image.frontend.call(machine, 5200);
         // Connection state machine: each request runs a few of the many
         // small service functions (epoll arms, logging, stats, timeouts).
-        self.aux_paths.touch(machine, rng, 4, 260);
-        if self.cfg.networked {
-            self.netstack.call(machine, 4200);
+        self.image.aux_paths.touch(machine, rng, 4, 260);
+        if self.image.cfg.networked {
+            self.image.netstack.call(machine, 4200);
         }
         let key = self.pick_key(rng);
         let it = self.items[key as usize];
-        self.parse.call(machine, 350 + it.key_bytes * 3);
+        self.image.parse.call(machine, 350 + it.key_bytes * 3);
         // Tokenizing the request: one data-dependent branch per few key
         // bytes (delimiter checks on effectively random characters).
         for b in 0..(it.key_bytes / 6).max(2) {
-            self.parse.branch(machine, 300 + b * 4, rng.bool(0.3));
+            self.image.parse.branch(machine, 300 + b * 4, rng.bool(0.3));
         }
-        let is_get = rng.bool(self.cfg.get_ratio);
+        let is_get = rng.bool(self.image.cfg.get_ratio);
         // Request-type dispatch: data-dependent on the request mix.
-        self.parse.branch(machine, 256, is_get);
+        self.image.parse.branch(machine, 256, is_get);
         if is_get {
-            if rng.bool(self.cfg.multiget_fraction) {
+            if rng.bool(self.image.cfg.multiget_fraction) {
                 // Multiget: one request fetching several keys.
                 let n = 4 + rng.index(13);
                 self.serve_get(machine, key);
                 for _ in 1..n {
                     let extra = self.pick_key(rng);
-                    self.parse.call_span(machine, 512, 256, 120);
+                    self.image.parse.call_span(machine, 512, 256, 120);
                     self.serve_get(machine, extra);
                 }
             } else {
@@ -414,8 +455,12 @@ impl App for KvStore {
         } else {
             self.serve_set(machine, key, rng);
         }
-        self.respond.call(machine, 700);
+        self.image.respond.call(machine, 700);
         self.maybe_reap(machine, rng);
+    }
+
+    fn fork(&self) -> Box<dyn App> {
+        Box::new(self.clone())
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -423,11 +468,11 @@ impl App for KvStore {
     }
 
     fn memory_snapshot(&self) -> Option<Vec<u8>> {
-        if self.content_sample.is_empty() {
+        if self.image.content_sample.is_empty() {
             return None;
         }
         let mut snap = Vec::new();
-        for v in &self.content_sample {
+        for v in &self.image.content_sample {
             snap.extend_from_slice(v);
             if snap.len() > 256 * 1024 {
                 break;

@@ -43,7 +43,7 @@ impl MasstreeConfig {
 }
 
 /// The masstree-like store (see module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Masstree {
     cfg: MasstreeConfig,
     index: BTreeIndex,
@@ -136,6 +136,10 @@ impl App for Masstree {
             self.index.update(machine, &self.tree_code, key);
         }
         self.request_path.call_span(machine, 4096, 1024, 500);
+    }
+
+    fn fork(&self) -> Box<dyn App> {
+        Box::new(self.clone())
     }
 
     fn footprint_bytes(&self) -> u64 {

@@ -96,7 +96,7 @@ const ORDERLINE_BYTES: u64 = 54;
 const BID_BYTES: u64 = 64;
 
 /// The silo-like database (see module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SiloDb {
     cfg: SiloConfig,
     mix: Categorical,
@@ -370,6 +370,10 @@ impl App for SiloDb {
             TxKind::StockLevel => self.tx_stock_level(machine, rng),
             TxKind::Bid => self.tx_bid(machine, rng),
         }
+    }
+
+    fn fork(&self) -> Box<dyn App> {
+        Box::new(self.clone())
     }
 
     fn footprint_bytes(&self) -> u64 {

@@ -12,7 +12,7 @@
 use crate::dataset::SizeDist;
 use crate::engine::{App, CodeLayout, CodeRegion, ServicePaths};
 use datamime_sim::{Addr, Machine, Segment, SimAlloc};
-use datamime_stats::dist::Zipf;
+use datamime_stats::dist::{sample_size, Zipf};
 use datamime_stats::Rng;
 
 /// Dataset configuration for [`SearchEngine`].
@@ -92,7 +92,7 @@ struct Term {
 }
 
 /// The search-engine leaf (see module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SearchEngine {
     cfg: SearchConfig,
     docs: Vec<Doc>,
@@ -148,9 +148,10 @@ impl SearchEngine {
         let mut footprint =
             cfg.n_terms as u64 * DICT_ENTRY_BYTES + cfg.n_docs as u64 * DOC_META_BYTES;
 
+        let doc_length = cfg.doc_length.build().expect("invalid size distribution");
         let mut docs = Vec::with_capacity(cfg.n_docs);
         for _ in 0..cfg.n_docs {
-            let bytes = cfg.doc_length.sample_bytes(&mut rng, MIN_DOC, MAX_DOC);
+            let bytes = sample_size(doc_length.as_ref(), &mut rng, MIN_DOC, MAX_DOC);
             let content = alloc.alloc(Segment::Heap, bytes).expect("doc content");
             docs.push(Doc { content, bytes });
             footprint += bytes;
@@ -285,6 +286,10 @@ impl App for SearchEngine {
         }
 
         self.respond.call(machine, 800);
+    }
+
+    fn fork(&self) -> Box<dyn App> {
+        Box::new(self.clone())
     }
 
     fn footprint_bytes(&self) -> u64 {

@@ -18,7 +18,9 @@ use datamime_sim::{MachineConfig, MetricSample, Sampler};
 /// How cache-sensitivity curves are measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CurveMethod {
-    /// Fresh application + machine per allocation (simple, slower).
+    /// Restarted application + fresh machine per allocation, as the paper
+    /// does it: each point serves a copy of the freshly built dataset, so
+    /// a k-point sweep costs k copies, not k builds.
     Restart,
     /// DynaWay-style online repartitioning (paper ref. \[11\]): one run,
     /// the LLC is resized in place per point with a one-sample warm-up.
@@ -85,13 +87,11 @@ impl ProfilingConfig {
     }
 }
 
-/// Profiles `workload` on a machine described by `machine_cfg`: the
-/// uncancellable, unpooled convenience form of
-/// [`profile_app_cancellable_in`] (a token nobody cancels and a throwaway
-/// arena make it bit-for-bit the same profile).
+/// Profiles `workload` on a machine described by `machine_cfg`: builds
+/// its dataset once and hands the application to
+/// [`profile_app_cancellable_in`] with a token nobody cancels and a
+/// throwaway arena (bit-for-bit the same profile as the full form).
 ///
-/// A fresh application instance and machine are built for the main run and
-/// for each curve point (the paper likewise restarts per CAT allocation).
 /// Machines without a partitionable LLC (Silvermont) skip the curve sweep.
 ///
 /// # Panics
@@ -103,7 +103,7 @@ pub fn profile_workload(
     cfg: &ProfilingConfig,
 ) -> Profile {
     profile_app_cancellable_in(
-        &|| workload.app.build(),
+        workload.app.build(),
         workload.load,
         machine_cfg,
         cfg,
@@ -112,11 +112,18 @@ pub fn profile_workload(
     )
 }
 
-/// Profiles any [`App`] (built fresh per run by `build`) under a load
-/// spec — the one profiling body. [`profile_workload`] wraps it, the
-/// search's evaluation calls it with its worker's arena and cancel token,
-/// and the PerfProx proxy benchmark uses it directly since the proxy is
-/// not a dataset-backed [`Workload`].
+/// Profiles a freshly built [`App`] under a load spec — the one profiling
+/// body. [`profile_workload`] wraps it, the search's evaluation calls it
+/// with its worker's arena and cancel token, and the PerfProx proxy
+/// benchmark uses it directly since the proxy is not a dataset-backed
+/// [`Workload`].
+///
+/// The paper restarts the application for every run (the main run and
+/// each CAT allocation); here the dataset is built once and every run but
+/// the last serves an [`App::fork`] copy of it, dropped when that run
+/// ends. `app` itself is served only by the last planned run, so each
+/// copy is of a never-served application — address-for-address a rebuild —
+/// and a profile without a sweep copies nothing.
 ///
 /// Cooperatively cancellable: the sampling loops poll `cancel` once per
 /// served request, and the curve sweep checks it between points. When
@@ -134,7 +141,7 @@ pub fn profile_workload(
 ///
 /// Panics if the profiling configuration requests zero samples.
 pub fn profile_app_cancellable_in(
-    build: &dyn Fn() -> Box<dyn App>,
+    mut app: Box<dyn App>,
     load: WorkloadSpec,
     machine_cfg: &MachineConfig,
     cfg: &ProfilingConfig,
@@ -142,65 +149,90 @@ pub fn profile_app_cancellable_in(
     arena: &mut EvalArena,
 ) -> Profile {
     assert!(cfg.n_samples > 0, "need at least one sample");
-    let mut should_stop = || cancel.is_cancelled();
 
-    // Main distribution run. The sampler stays out until its samples are
-    // consumed at the end; the machine is recycled as soon as the run ends.
-    let mut app = build();
-    let mut machine = arena.take_machine(machine_cfg.clone());
-    let mut sampler = arena.take_sampler(cfg.interval_cycles);
-    let mut driver = Driver::new(load, cfg.seed);
-    driver.run_cancellable(
-        app.as_mut(),
-        &mut machine,
-        &mut sampler,
+    // The CAT allocations the sweep will visit: none on a machine without
+    // a partitionable LLC, which has zero partitions.
+    let points: Vec<u32> = cfg
+        .curve_ways
+        .iter()
+        .copied()
+        .filter(|&ways| ways != 0 && ways <= machine_cfg.llc_partitions())
+        .collect();
+
+    // One restarted run: fresh machine, sampler and driver. `last` marks
+    // the last planned run, the only one that serves `app` itself. The
+    // sampler comes back holding the run's samples; the machine is
+    // recycled as soon as the run ends.
+    let run_fresh = |app: &mut Box<dyn App>,
+                     last: bool,
+                     run_cfg: MachineConfig,
+                     seed: u64,
+                     samples: usize,
+                     arena: &mut EvalArena| {
+        let mut copy;
+        let served: &mut dyn App = if last {
+            app.as_mut()
+        } else {
+            copy = app.fork();
+            copy.as_mut()
+        };
+        let mut machine = arena.take_machine(run_cfg);
+        let mut sampler = arena.take_sampler(cfg.interval_cycles);
+        Driver::new(load, seed).run_cancellable(
+            served,
+            &mut machine,
+            &mut sampler,
+            samples,
+            &mut || cancel.is_cancelled(),
+        );
+        arena.recycle_machine(machine);
+        sampler
+    };
+
+    // Main distribution run; its sampler stays out until its samples are
+    // consumed at the end.
+    let sampler = run_fresh(
+        &mut app,
+        points.is_empty(),
+        machine_cfg.clone(),
+        cfg.seed,
         cfg.n_samples,
-        &mut should_stop,
+        arena,
     );
-    arena.recycle_machine(machine);
 
-    // Curve sweep with CAT-restricted LLC allocations.
+    // Curve sweep with CAT-restricted LLC allocations; skipped outright
+    // when no point will run.
     let mut curve = Vec::new();
-    if machine_cfg.llc.is_some() && !cancel.is_cancelled() {
+    if !points.is_empty() && !cancel.is_cancelled() {
         match cfg.curve_method {
             CurveMethod::Restart => {
-                for &ways in &cfg.curve_ways {
+                for (i, &ways) in points.iter().enumerate() {
                     if cancel.is_cancelled() {
                         break;
                     }
-                    if ways == 0 || ways > machine_cfg.llc_partitions() {
-                        continue;
-                    }
                     let part_cfg = machine_cfg.with_llc_ways(ways);
-                    let mut app = build();
-                    let mut machine = arena.take_machine(part_cfg.clone());
-                    let mut point_sampler = arena.take_sampler(cfg.interval_cycles);
-                    let mut driver = Driver::new(load, cfg.seed ^ u64::from(ways));
-                    driver.run_cancellable(
-                        app.as_mut(),
-                        &mut machine,
-                        &mut point_sampler,
+                    let bytes = part_cfg.llc_bytes();
+                    let point_sampler = run_fresh(
+                        &mut app,
+                        i + 1 == points.len(),
+                        part_cfg,
+                        cfg.seed ^ u64::from(ways),
                         cfg.curve_samples.max(1),
-                        &mut should_stop,
+                        arena,
                     );
-                    curve.push(curve_point(&point_sampler, part_cfg.llc_bytes()));
-                    arena.recycle_machine(machine);
+                    curve.push(curve_point(&point_sampler, bytes));
                     arena.recycle_sampler(point_sampler);
                 }
             }
             CurveMethod::Dynaway => {
-                // One application + machine; repartition in place per point
-                // and let the driver's built-in warm-up sample absorb the
-                // cold restart.
-                let mut app = build();
+                // One run for the whole sweep, serving `app` itself;
+                // repartition in place per point and let the driver's
+                // built-in warm-up sample absorb the cold restart.
                 let mut machine = arena.take_machine(machine_cfg.clone());
                 let mut driver = Driver::new(load, cfg.seed ^ 0xD1A);
-                for &ways in &cfg.curve_ways {
+                for &ways in &points {
                     if cancel.is_cancelled() {
                         break;
-                    }
-                    if ways == 0 || ways > machine_cfg.llc_partitions() {
-                        continue;
                     }
                     machine.set_llc_ways(ways);
                     let mut point_sampler = arena.take_sampler(cfg.interval_cycles);
@@ -209,7 +241,7 @@ pub fn profile_app_cancellable_in(
                         &mut machine,
                         &mut point_sampler,
                         cfg.curve_samples.max(1),
-                        &mut should_stop,
+                        &mut || cancel.is_cancelled(),
                     );
                     let bytes = machine_cfg.with_llc_ways(ways).llc_bytes();
                     curve.push(curve_point(&point_sampler, bytes));
@@ -333,7 +365,7 @@ mod tests {
         let mut arena = EvalArena::new();
         let cancel = CancelToken::new();
         let mut pooled = |w: Workload, machine: &MachineConfig, cfg: &ProfilingConfig| {
-            profile_app_cancellable_in(&|| w.app.build(), w.load, machine, cfg, &cancel, &mut arena)
+            profile_app_cancellable_in(w.app.build(), w.load, machine, cfg, &cancel, &mut arena)
         };
         let _ = pooled(
             Workload::silo_bidding(),

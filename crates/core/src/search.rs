@@ -7,7 +7,7 @@
 //!
 //! The loop itself is executed by [`datamime_runtime`]'s [`Executor`]: this
 //! module supplies the one evaluation body ([`evaluate`]: instantiate →
-//! profile → error) and translates between the search-level and
+//! build → profile → error) and translates between the search-level and
 //! runtime-level vocabularies. [`search_with_runtime`] is the engine —
 //! optimizer, executor, backend choice, batching, journaling, resume;
 //! [`search`] is the same engine with default options, which is
@@ -405,11 +405,12 @@ pub struct Evaluation {
     pub error: f64,
 }
 
-/// One evaluation: instantiate → profile → error, with each stage timed —
-/// the only such body; the thread backend, the `datamime-worker` process
-/// and the experiments all call it. The cancel token reaches the
-/// profiler's sampling loops so a deadline can stop a runaway evaluation
-/// cooperatively.
+/// One evaluation: instantiate → build → profile → error, with each stage
+/// timed — the only such body; the thread backend, the `datamime-worker`
+/// process and the experiments all call it. The dataset is built once,
+/// here, and the profiler restarts from copies of it. The cancel token
+/// reaches the profiler's sampling loops so a deadline can stop a runaway
+/// evaluation cooperatively.
 pub fn evaluate(
     generator: &dyn DatasetGenerator,
     target_profile: &Profile,
@@ -420,13 +421,14 @@ pub fn evaluate(
     cancel: &CancelToken,
 ) -> Evaluation {
     let workload = stages.time("instantiate", || generator.instantiate(unit));
+    let app = stages.time("build", || workload.app.build());
     let profile = stages.time("profile", || {
         // Each evaluating thread recycles its simulator state across
         // evaluations (and across supervisor retries) through its
         // thread-local arena; results are bit-identical to fresh state.
         EvalArena::with_thread_local(|arena| {
             profile_app_cancellable_in(
-                &|| workload.app.build(),
+                app,
                 workload.load,
                 &cfg.machine,
                 &cfg.profiling,

@@ -667,7 +667,7 @@ impl Drop for Broker {
 /// uses; stages the runtime does not know are dropped (they could only
 /// come from a newer worker, which the identity check already rejects).
 fn rebuild_stages(stage_ms: &[(String, u64)]) -> StageTimes {
-    const KNOWN: [&str; 4] = ["instantiate", "profile", "error", "evaluate"];
+    const KNOWN: [&str; 5] = ["instantiate", "build", "profile", "error", "evaluate"];
     let mut stages = StageTimes::new();
     for (name, ms_bits) in stage_ms {
         if let Some(known) = KNOWN.iter().find(|k| *k == name) {

@@ -277,7 +277,7 @@ pub fn profile_perfprox(
     use datamime_perfproxy::{CloneStats, PerfProxClone};
     let stats = CloneStats::from_profile(target_broadwell);
     datamime::profile_app_cancellable_in(
-        &move || Box::new(PerfProxClone::new(stats, 0xFF0C)),
+        Box::new(PerfProxClone::new(stats, 0xFF0C)),
         datamime_loadgen::WorkloadSpec::poisson(1e9),
         machine,
         &s.profiling,

@@ -69,7 +69,7 @@ const LINE: u64 = 64;
 /// Implements [`App`] so it can run under the same harness as real
 /// workloads, but it is a fixed loop: each `serve` call executes one
 /// constant-size chunk of the loop regardless of any request context.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PerfProxClone {
     stats: CloneStats,
     blocks: Vec<CodeRegion>,
@@ -204,6 +204,10 @@ impl App for PerfProxClone {
             site.branch(machine, 64 + (b % 16) * 4, taken);
         }
         let _ = rng; // proxy randomness is self-contained for determinism
+    }
+
+    fn fork(&self) -> Box<dyn App> {
+        Box::new(self.clone())
     }
 
     fn footprint_bytes(&self) -> u64 {

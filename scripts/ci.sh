@@ -61,6 +61,11 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # instead of in the benchmark pipeline.
   run cargo build --release --offline --manifest-path benchmark/Cargo.toml
   run cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+  # Search-level rebuild-vs-copy differential: the traced run's shadow
+  # search still rebuilds the dataset for every profiler run while the
+  # real search copies it, and the run is `correct: false` (non-zero
+  # exit) unless both produce the same history checksum.
+  run bash benchmark/run.sh --workload kv_curves_seq --seed 1 --seconds 30 --trace 1
   # Fault-injection stress pass: the supervisor must keep runs
   # deterministic and crash-free under injected panics/stalls/NaNs.
   run cargo test -q -p datamime-runtime --features faultinject

@@ -229,3 +229,51 @@ fn more_outstanding_points_than_workers_queue_without_reordering() {
     let proc = search_with_runtime(&generator(), &target, &cfg, &opts).unwrap();
     assert_identical(&thread, &proc, "backpressure at batch 6 on 2 workers");
 }
+
+#[test]
+fn every_stage_evaluate_records_reaches_a_process_backend_journal() {
+    // The broker maps wire stage names back onto the runtime's static
+    // names through a fixed list and drops the rest, so a stage added to
+    // `evaluate` without the broker learning its name would vanish from
+    // the journal without a sound.
+    let cfg = fast_config(2);
+    let target = profile_workload(&Workload::mem_fb(), &cfg.machine, &cfg.profiling);
+    let mut stages = datamime_runtime::StageTimes::new();
+    datamime::search::evaluate(
+        &generator(),
+        &target,
+        &cfg,
+        None,
+        &[0.5; 6],
+        &mut stages,
+        &datamime_runtime::CancelToken::new(),
+    );
+    let recorded: Vec<&str> = stages.entries().iter().map(|(name, _)| *name).collect();
+    assert!(recorded.contains(&"build"), "{recorded:?}");
+
+    let journal = tmp("stages.jsonl");
+    search_with_runtime(
+        &generator(),
+        &target,
+        &cfg,
+        &RuntimeOptions {
+            journal: Some(journal.clone()),
+            backend: proc_backend(1),
+            ..RuntimeOptions::default()
+        },
+    )
+    .unwrap();
+    let evals = datamime_runtime::replay(&journal).unwrap().evals;
+    assert_eq!(evals.len(), 2);
+    for rec in &evals {
+        for stage in &recorded {
+            assert!(
+                rec.stage_ms.iter().any(|(name, _)| name == stage),
+                "evaluation {} lost stage {stage}: {:?}",
+                rec.index,
+                rec.stage_ms
+            );
+        }
+    }
+    let _ = fs::remove_file(&journal);
+}
