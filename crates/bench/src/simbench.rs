@@ -15,6 +15,9 @@
 //! fast-path rewrites stayed bit-identical.
 
 use datamime_apps::{App, KvConfig, KvStore, SizeDist};
+use datamime_bayesopt::{
+    BayesOpt, BlackBoxOptimizer, BoConfig, GaussianProcess, Kernel as GpKernel,
+};
 use datamime_dist::{read_frame, write_frame, Frame};
 use datamime_sim::{
     Access, Cache, CacheConfig, Machine, MachineConfig, RefCache, RefTlb, Replacement, Sampler, Tlb,
@@ -356,6 +359,127 @@ pub fn kv_fork() -> Kernel {
     }
 }
 
+/// Input dimension of the optimiser kernels: the xapian generator's, the
+/// search whose wall the optimiser takes its largest share of.
+const BO_DIMS: usize = 4;
+
+/// The objective behind the optimiser kernels' observations: a bowl with
+/// an off-centre minimum, one cross term, and a ripple too fine for the
+/// surrogate to resolve — the posterior stays uncertain, so the suggested
+/// point depends on every observation held.
+fn bo_objective(x: &[f64]) -> f64 {
+    let bowl: f64 = x
+        .iter()
+        .zip([0.3, 0.45, 0.6, 0.75])
+        .map(|(v, c)| (v - c) * (v - c))
+        .sum();
+    bowl + 0.5 * x[0] * x[BO_DIMS - 1] + 0.05 * (40.0 * x[1] + 25.0 * x[2]).sin()
+}
+
+fn mix_point(h: u64, x: &[f64]) -> u64 {
+    x.iter().fold(h, |h, v| mix(h, v.to_bits()))
+}
+
+/// Fingerprint of a fitted surrogate: every hyperparameter and the log
+/// marginal likelihood, bit for bit.
+fn mix_fit(kernel: &GpKernel, noise: f64, lml: f64) -> u64 {
+    let (GpKernel::Matern52 {
+        variance,
+        lengthscales,
+    }
+    | GpKernel::SquaredExp {
+        variance,
+        lengthscales,
+    }) = kernel;
+    let h = mix(mix_point(0, lengthscales), variance.to_bits());
+    mix(mix(h, noise.to_bits()), lml.to_bits())
+}
+
+/// One hyperparameter fit — four 120-step Nelder–Mead starts over the log
+/// marginal likelihood — on 88 uniformly drawn observations: the largest
+/// refit a 90-iteration search pays. One op is one fit; the checksum folds
+/// the fitted lengthscales, variance, noise and marginal likelihood.
+pub fn bo_hyperfit_n88() -> Kernel {
+    const N: usize = 88;
+    let mut rng = Rng::with_seed(BENCH_SEED ^ 0xb0f1);
+    let xs: Vec<Vec<f64>> = (0..N)
+        .map(|_| (0..BO_DIMS).map(|_| rng.f64()).collect())
+        .collect();
+    let ys: Vec<f64> = xs.iter().map(|x| bo_objective(x)).collect();
+    let family = BoConfig::for_dims(BO_DIMS).kernel;
+    Kernel {
+        name: "bayesopt/hyperfit_n88",
+        ops: 1,
+        run: Box::new(move || {
+            let mut rng = Rng::with_seed(BENCH_SEED ^ 0x5eed);
+            let gp =
+                GaussianProcess::fit_hyperparams(family.clone(), xs.clone(), ys.clone(), &mut rng)
+                    .expect("the bench data is well-conditioned");
+            mix_fit(gp.kernel(), gp.noise(), gp.log_marginal_likelihood())
+        }),
+    }
+}
+
+/// Observations the optimiser kernels' hyperparameters are fitted on: the
+/// fit is set-up, not the measured work, and one at 200 points would cost
+/// more than every timed repetition together.
+const BO_FIT_AT: usize = 32;
+
+/// Feeds `bo` a fixed `n`-point history and leaves it ready for plain
+/// suggests: a 32-point initial design, the one hyperparameter fit the
+/// first model-based suggest always runs, then uniform draws observed
+/// without asking for suggestions. `refit_every` must be out of reach.
+fn bo_with_history<O: BlackBoxOptimizer>(mut bo: O, n: usize) -> O {
+    for _ in 0..BO_FIT_AT {
+        let x = bo.suggest();
+        let y = bo_objective(&x);
+        bo.observe(x, y);
+    }
+    bo.suggest();
+    let mut rng = Rng::with_seed(BENCH_SEED ^ 0xb0f2);
+    for _ in BO_FIT_AT..n {
+        let x: Vec<f64> = (0..BO_DIMS).map(|_| rng.f64()).collect();
+        let y = bo_objective(&x);
+        bo.observe(x, y);
+    }
+    bo
+}
+
+/// The optimiser configuration of the suggest kernels: the defaults for
+/// [`BO_DIMS`] with the initial design sized to [`BO_FIT_AT`] and no
+/// periodic hyperparameter refit.
+fn bo_suggest_config() -> BoConfig {
+    let mut cfg = BoConfig::for_dims(BO_DIMS);
+    cfg.init_points = BO_FIT_AT;
+    cfg.refit_every = usize::MAX;
+    cfg
+}
+
+/// One plain `suggest` — refit at the held hyperparameters, then 1280
+/// acquisition candidates — on a fixed `n`-point history
+/// ([`bo_with_history`]). One op is one scored candidate; the checksum
+/// folds the suggested point.
+fn bo_suggest(name: &'static str, n: usize) -> Kernel {
+    let cfg = bo_suggest_config();
+    let ops = (cfg.candidates + cfg.local_candidates) as u64;
+    let mut bo = bo_with_history(BayesOpt::new(cfg, BENCH_SEED), n);
+    Kernel {
+        name,
+        ops,
+        run: Box::new(move || mix_point(0, &bo.suggest())),
+    }
+}
+
+/// [`bo_suggest`] at 32, 88 and 200 observations: the cost-vs-n curve of
+/// a plain suggest up to the paper's 200 iterations.
+pub fn bo_suggest_curve() -> [Kernel; 3] {
+    [
+        bo_suggest("bayesopt/suggest_n32", 32),
+        bo_suggest("bayesopt/suggest_n88", 88),
+        bo_suggest("bayesopt/suggest_n200", 200),
+    ]
+}
+
 /// Every kernel, in report order.
 pub fn all_kernels() -> Vec<Kernel> {
     vec![
@@ -369,7 +493,11 @@ pub fn all_kernels() -> Vec<Kernel> {
         ipc_roundtrip(),
         kv_build(),
         kv_fork(),
+        bo_hyperfit_n88(),
     ]
+    .into_iter()
+    .chain(bo_suggest_curve())
+    .collect()
 }
 
 /// Scalar twins of the cache/TLB kernels, built on the straight-line
