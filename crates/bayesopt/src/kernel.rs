@@ -51,11 +51,7 @@ impl Kernel {
 
     /// Number of input dimensions.
     pub fn dims(&self) -> usize {
-        match self {
-            Kernel::Matern52 { lengthscales, .. } | Kernel::SquaredExp { lengthscales, .. } => {
-                lengthscales.len()
-            }
-        }
+        self.lengthscales().len()
     }
 
     /// Signal variance σ² (the prior variance at any point).
@@ -65,13 +61,17 @@ impl Kernel {
         }
     }
 
-    /// Scaled distance `r² = Σ ((xᵢ − yᵢ)/ℓᵢ)²`.
-    fn r2(&self, x: &[f64], y: &[f64]) -> f64 {
-        let ls = match self {
+    fn lengthscales(&self) -> &[f64] {
+        match self {
             Kernel::Matern52 { lengthscales, .. } | Kernel::SquaredExp { lengthscales, .. } => {
                 lengthscales
             }
-        };
+        }
+    }
+
+    /// Scaled distance `r² = Σ ((xᵢ − yᵢ)/ℓᵢ)²`.
+    fn r2(&self, x: &[f64], y: &[f64]) -> f64 {
+        let ls = self.lengthscales();
         debug_assert_eq!(x.len(), ls.len());
         x.iter()
             .zip(y)
@@ -83,9 +83,10 @@ impl Kernel {
             .sum()
     }
 
-    /// Evaluates `k(x, y)`.
-    pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
-        let r2 = self.r2(x, y);
+    /// The covariance at scaled squared distance `r2` — the only place
+    /// either family's expression is written.
+    #[inline]
+    fn of_r2(&self, r2: f64) -> f64 {
         match self {
             Kernel::Matern52 { variance, .. } => {
                 let r = r2.sqrt();
@@ -93,6 +94,42 @@ impl Kernel {
                 variance * (1.0 + s + 5.0 * r2 / 3.0) * (-s).exp()
             }
             Kernel::SquaredExp { variance, .. } => variance * (-0.5 * r2).exp(),
+        }
+    }
+
+    /// Evaluates `k(x, y)`.
+    pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
+        self.of_r2(self.r2(x, y))
+    }
+
+    /// `out[i] = k(p, x_{from+i})` against the points `from..n` of a
+    /// dimension-major input set (`xt[d * n + j]` is coordinate `d` of
+    /// point `j`), with `p`'s coordinates read through `point`.
+    ///
+    /// Bit-identical to [`eval`](Self::eval) per pair: `r²` accumulates
+    /// over dimensions in the ascending order `r2`'s `sum()` uses (the
+    /// leading `0.0 + t` is exact, a square being `+0.0` or larger), and a
+    /// difference and its negation square alike. What changes is the loop
+    /// nest — the inner loop runs over points, contiguous and independent.
+    pub(crate) fn eval_many(
+        &self,
+        xt: &[f64],
+        n: usize,
+        from: usize,
+        point: impl Fn(usize) -> f64,
+        out: &mut [f64],
+    ) {
+        let out = &mut out[..n - from];
+        out.fill(0.0);
+        for (d, l) in self.lengthscales().iter().enumerate() {
+            let p = point(d);
+            for (acc, xi) in out.iter_mut().zip(&xt[d * n + from..(d + 1) * n]) {
+                let t = (xi - p) / l;
+                *acc += t * t;
+            }
+        }
+        for v in out.iter_mut() {
+            *v = self.of_r2(*v);
         }
     }
 

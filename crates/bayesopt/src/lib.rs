@@ -15,6 +15,10 @@
 //!   design ([`latin_hypercube`]); [`RandomSearch`] as the ablation
 //!   baseline, both behind [`BlackBoxOptimizer`].
 //!
+//! The GP core is column-major and allocation-free per evaluation
+//! (docs/PERFORMANCE.md §6); [`mod@reference`] keeps the row-ordered stack it
+//! replaced as the oracle it must match bit for bit.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,10 +42,10 @@ mod kernel;
 mod linalg;
 pub mod neldermead;
 mod optimizer;
+pub mod reference;
 
 pub use gp::{GaussianProcess, GpError};
 pub use kernel::Kernel;
-pub use linalg::{Cholesky, NotPositiveDefiniteError, SquareMatrix};
 pub use optimizer::{
     latin_hypercube, sanitize_objective, Acquisition, BayesOpt, BlackBoxOptimizer, BoConfig,
     RandomSearch, PENALTY_OBJECTIVE,

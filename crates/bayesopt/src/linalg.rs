@@ -1,46 +1,49 @@
 //! Minimal dense linear algebra for Gaussian-process regression.
 //!
 //! Only what a GP needs: a symmetric positive-definite solve via Cholesky
-//! factorization, with forward/backward triangular substitution. Matrices
-//! are row-major `Vec<f64>` with explicit dimension — at the ≤ 200 × 200
-//! sizes a 200-iteration Datamime search produces, this outperforms any
-//! dependency it would replace.
+//! factorization, with forward/backward triangular substitution, in place
+//! on caller-owned buffers.
+//!
+//! Matrices are **column-major** lower triangles: `a[j * n + i]` is
+//! element `(i, j)` for `i ≥ j`, and nothing above the diagonal is read or
+//! written. The layout is what makes the loops fast: factorising by column
+//! and substituting forward by column axpy put the long loop over `i`,
+//! contiguous in memory and independent from one `i` to the next, where
+//! the row-ordered textbook form ([`crate::reference::Cholesky`]) runs a
+//! single dependent chain of subtractions over `k` and retires one per
+//! floating-point latency. Per *element* nothing changes — each `L(i, j)`,
+//! each `z[i]` still receives exactly the same subtractions in the same
+//! ascending-`k` order, so every result is bit-identical to the reference.
 
-use std::fmt;
-
-/// A dense, row-major, square matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SquareMatrix {
-    n: usize,
-    data: Vec<f64>,
-}
-
-/// Error returned when a matrix is not positive definite (Cholesky fails).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NotPositiveDefiniteError {
+/// The matrix handed to [`Cholesky::factor`] was not (numerically)
+/// positive definite.
+#[derive(Debug, PartialEq, Eq)]
+pub struct NotPositiveDefinite {
     /// Pivot index where factorization failed.
     pub pivot: usize,
 }
 
-impl fmt::Display for NotPositiveDefiniteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "matrix is not positive definite (pivot {})", self.pivot)
-    }
+/// The lower-triangular Cholesky factor `L` of a symmetric positive
+/// definite matrix `A = L Lᵀ`, stored column-major: `lt[k * n + i]` is
+/// `L(i, k)`.
+#[derive(Debug, Clone)]
+pub struct Cholesky {
+    n: usize,
+    lt: Vec<f64>,
 }
 
-impl std::error::Error for NotPositiveDefiniteError {}
-
-impl SquareMatrix {
-    /// Creates an `n × n` zero matrix.
+impl Cholesky {
+    /// An `n × n` factor holding nothing yet: storage for
+    /// [`factor`](Self::factor) to fill, as often as the caller likes.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn zeros(n: usize) -> Self {
+    pub fn with_dim(n: usize) -> Self {
         assert!(n > 0, "matrix dimension must be positive");
-        SquareMatrix {
+        Cholesky {
             n,
-            data: vec![0.0; n * n],
+            lt: vec![0.0; n * n],
         }
     }
 
@@ -49,104 +52,111 @@ impl SquareMatrix {
         self.n
     }
 
-    /// Element accessor.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.data[i * self.n + j]
+    /// `L(i, k)` for `i ≥ k`.
+    #[cfg(test)]
+    pub fn get(&self, i: usize, k: usize) -> f64 {
+        self.lt[k * self.n + i]
     }
 
-    /// Element mutator.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        self.data[i * self.n + j] = v;
-    }
-
-    /// Adds `v` to the diagonal (jitter / noise term).
-    pub fn add_diagonal(&mut self, v: f64) {
-        for i in 0..self.n {
-            self.data[i * self.n + i] += v;
-        }
-    }
-}
-
-/// The lower-triangular Cholesky factor `L` of a symmetric positive
-/// definite matrix `A = L Lᵀ`.
-#[derive(Debug, Clone)]
-pub struct Cholesky {
-    l: SquareMatrix,
-}
-
-impl Cholesky {
-    /// Factorizes `a` (reads only the lower triangle).
+    /// Factorizes the matrix whose column-major lower triangle is `a`,
+    /// replacing whatever factor was held.
+    ///
+    /// Left-looking by column: column `j` starts as `A(j.., j)` and
+    /// receives `s[i] -= L(i, k) · L(j, k)` for `k = 0..j` in ascending
+    /// `k` — per element the reference's subtraction sequence — with `k`
+    /// taken four at a time so `s` is loaded and stored once per four
+    /// columns (the four subtractions stay in order).
     ///
     /// # Errors
     ///
-    /// Returns an error if `a` is not (numerically) positive definite.
-    pub fn new(a: &SquareMatrix) -> Result<Self, NotPositiveDefiniteError> {
-        let n = a.dim();
-        let mut l = SquareMatrix::zeros(n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a.get(i, j);
-                for k in 0..j {
-                    sum -= l.get(i, k) * l.get(j, k);
+    /// Returns an error if `a` is not (numerically) positive definite; the
+    /// factor held is then meaningless.
+    pub fn factor(&mut self, a: &[f64]) -> Result<(), NotPositiveDefinite> {
+        let n = self.n;
+        assert_eq!(a.len(), n * n, "matrix dimension mismatch");
+        for j in 0..n {
+            let (done, rest) = self.lt.split_at_mut(j * n);
+            let s = &mut rest[j..n];
+            let m = s.len();
+            s.copy_from_slice(&a[j * n + j..(j + 1) * n]);
+            // Rows `j..n` of finished column `k`; `[0]` is `L(j, k)`.
+            let col = |k: usize| &done[k * n + j..k * n + j + m];
+            let mut k = 0;
+            while k + 4 <= j {
+                let (c0, c1, c2, c3) = (col(k), col(k + 1), col(k + 2), col(k + 3));
+                let (l0, l1, l2, l3) = (c0[0], c1[0], c2[0], c3[0]);
+                for i in 0..m {
+                    s[i] = (((s[i] - c0[i] * l0) - c1[i] * l1) - c2[i] * l2) - c3[i] * l3;
                 }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(NotPositiveDefiniteError { pivot: i });
-                    }
-                    l.set(i, j, sum.sqrt());
-                } else {
-                    l.set(i, j, sum / l.get(j, j));
+                k += 4;
+            }
+            for k in k..j {
+                let c = col(k);
+                let l = c[0];
+                for (si, ci) in s.iter_mut().zip(c) {
+                    *si -= ci * l;
                 }
             }
+            let pivot = s[0];
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return Err(NotPositiveDefinite { pivot: j });
+            }
+            let d = pivot.sqrt();
+            s[0] = d;
+            for si in &mut s[1..] {
+                *si /= d;
+            }
         }
-        Ok(Cholesky { l })
+        Ok(())
     }
 
-    /// Dimension.
-    pub fn dim(&self) -> usize {
-        self.l.dim()
-    }
-
-    /// Solves `L z = b` (forward substitution).
-    pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.dim();
+    /// Solves `L z = b` in place (forward substitution).
+    ///
+    /// By column: once `z[k]` is final, `z[i] -= L(i, k) · z[k]` for every
+    /// `i > k` — each `z[i]` sees its subtractions in ascending `k`, as in
+    /// the reference's row form.
+    pub fn solve_lower_in_place(&self, b: &mut [f64]) {
+        let n = self.n;
         assert_eq!(b.len(), n, "rhs length mismatch");
-        let mut z = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for (k, zk) in z.iter().enumerate().take(i) {
-                sum -= self.l.get(i, k) * zk;
+        for k in 0..n {
+            let col = &self.lt[k * n + k..(k + 1) * n];
+            let (zk, below) = b[k..]
+                .split_first_mut()
+                .expect("k < n, so the tail is non-empty");
+            *zk /= col[0];
+            for (bi, li) in below.iter_mut().zip(&col[1..]) {
+                *bi -= li * *zk;
             }
-            z[i] = sum / self.l.get(i, i);
         }
-        z
     }
 
-    /// Solves `Lᵀ x = z` (backward substitution).
-    pub fn solve_upper(&self, z: &[f64]) -> Vec<f64> {
-        let n = self.dim();
+    /// Solves `Lᵀ x = z` in place (backward substitution).
+    ///
+    /// Stays a per-row dot product in ascending `k`: the column form would
+    /// subtract in descending `k`, a different rounding sequence. Row `i`
+    /// of `Lᵀ` is column `i` of `L`, contiguous in this layout.
+    pub fn solve_upper_in_place(&self, z: &mut [f64]) {
+        let n = self.n;
         assert_eq!(z.len(), n, "rhs length mismatch");
-        let mut x = vec![0.0; n];
         for i in (0..n).rev() {
-            let mut sum = z[i];
-            for (k, xk) in x.iter().enumerate().take(n).skip(i + 1) {
-                sum -= self.l.get(k, i) * xk;
+            let col = &self.lt[i * n + i..(i + 1) * n];
+            let (xi, above) = z[i..]
+                .split_first_mut()
+                .expect("i < n, so the tail is non-empty");
+            let mut sum = *xi;
+            for (lk, xk) in col[1..].iter().zip(above.iter()) {
+                sum -= lk * xk;
             }
-            x[i] = sum / self.l.get(i, i);
+            *xi = sum / col[0];
         }
-        x
-    }
-
-    /// Solves `A x = b` where `A = L Lᵀ`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        self.solve_upper(&self.solve_lower(b))
     }
 
     /// `log det A = 2 Σ log Lᵢᵢ`.
     pub fn log_determinant(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l.get(i, i).ln()).sum::<f64>() * 2.0
+        (0..self.n)
+            .map(|i| self.lt[i * self.n + i].ln())
+            .sum::<f64>()
+            * 2.0
     }
 }
 
@@ -164,23 +174,35 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    fn from_rows(rows: &[&[f64]]) -> SquareMatrix {
+    /// Column-major storage of a symmetric matrix given by rows.
+    fn from_rows(rows: &[&[f64]]) -> Vec<f64> {
         let n = rows.len();
-        let mut m = SquareMatrix::zeros(n);
+        let mut a = vec![0.0; n * n];
         for (i, r) in rows.iter().enumerate() {
             for (j, &v) in r.iter().enumerate() {
-                m.set(i, j, v);
+                a[j * n + i] = v;
             }
         }
-        m
+        a
+    }
+
+    fn factor(a: &[f64], n: usize) -> Result<Cholesky, NotPositiveDefinite> {
+        let mut c = Cholesky::with_dim(n);
+        c.factor(a).map(|()| c)
+    }
+
+    fn solve(c: &Cholesky, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        c.solve_lower_in_place(&mut x);
+        c.solve_upper_in_place(&mut x);
+        x
     }
 
     #[test]
     fn cholesky_of_identity() {
-        let mut a = SquareMatrix::zeros(3);
-        a.add_diagonal(1.0);
-        let c = Cholesky::new(&a).unwrap();
-        assert_eq!(c.solve(&[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
+        let a = from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]);
+        let c = factor(&a, 3).unwrap();
+        assert_eq!(solve(&c, &[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
         assert!((c.log_determinant()).abs() < 1e-12);
     }
 
@@ -188,8 +210,10 @@ mod tests {
     fn cholesky_known_factor() {
         // A = [[4, 2], [2, 3]] -> L = [[2, 0], [1, sqrt(2)]].
         let a = from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let c = Cholesky::new(&a).unwrap();
-        let x = c.solve(&[8.0, 7.0]); // A x = b -> x = [1.25, 1.5]
+        let c = factor(&a, 2).unwrap();
+        assert_eq!((c.get(0, 0), c.get(1, 0)), (2.0, 1.0));
+        assert!((c.get(1, 1) - 2.0f64.sqrt()).abs() < 1e-15);
+        let x = solve(&c, &[8.0, 7.0]); // A x = b -> x = [1.25, 1.5]
         assert!((x[0] - 1.25).abs() < 1e-12, "{x:?}");
         assert!((x[1] - 1.5).abs() < 1e-12);
         // det A = 8.
@@ -205,19 +229,19 @@ mod tests {
         let b: Vec<Vec<f64>> = (0..n)
             .map(|_| (0..n).map(|_| rng.f64() - 0.5).collect())
             .collect();
-        let mut a = SquareMatrix::zeros(n);
+        let mut a = vec![0.0; n * n];
         for i in 0..n {
             for j in 0..n {
-                a.set(i, j, dot(&b[i], &b[j]));
+                a[j * n + i] = dot(&b[i], &b[j]);
             }
+            a[i * n + i] += n as f64;
         }
-        a.add_diagonal(n as f64);
-        let c = Cholesky::new(&a).unwrap();
+        let c = factor(&a, n).unwrap();
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let rhs: Vec<f64> = (0..n)
-            .map(|i| (0..n).map(|j| a.get(i, j) * x_true[j]).sum())
+            .map(|i| (0..n).map(|j| a[j * n + i] * x_true[j]).sum())
             .collect();
-        let x = c.solve(&rhs);
+        let x = solve(&c, &rhs);
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9, "{xi} vs {ti}");
         }
@@ -226,12 +250,22 @@ mod tests {
     #[test]
     fn non_spd_is_rejected() {
         let a = from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
-        assert!(Cholesky::new(&a).is_err());
+        assert_eq!(factor(&a, 2).unwrap_err(), NotPositiveDefinite { pivot: 1 });
+    }
+
+    #[test]
+    fn a_workspace_refactorises() {
+        // The hyperparameter fit factorises hundreds of matrices into one
+        // `Cholesky`; nothing of an earlier (or failed) factor may survive.
+        let mut c = Cholesky::with_dim(2);
+        assert!(c.factor(&from_rows(&[&[1.0, 2.0], &[2.0, 1.0]])).is_err());
+        c.factor(&from_rows(&[&[4.0, 2.0], &[2.0, 3.0]])).unwrap();
+        assert_eq!((c.get(0, 0), c.get(1, 0)), (2.0, 1.0));
     }
 
     #[test]
     #[should_panic(expected = "dimension must be positive")]
     fn zero_dim_panics() {
-        SquareMatrix::zeros(0);
+        Cholesky::with_dim(0);
     }
 }

@@ -6,14 +6,15 @@
 ///
 /// `step` sets the initial simplex size; `max_iters` bounds the number of
 /// reflection/expansion/contraction steps. Standard coefficients
-/// (α=1, γ=2, ρ=0.5, σ=0.5) are used.
+/// (α=1, γ=2, ρ=0.5, σ=0.5) are used. `f` is `FnMut` so an objective can
+/// own the workspace it evaluates in.
 ///
 /// # Panics
 ///
 /// Panics if `x0` is empty, or `step`/`max_iters` are not positive.
-pub fn nelder_mead<F>(f: &F, x0: &[f64], step: f64, max_iters: usize) -> (Vec<f64>, f64)
+pub fn nelder_mead<F>(mut f: F, x0: &[f64], step: f64, max_iters: usize) -> (Vec<f64>, f64)
 where
-    F: Fn(&[f64]) -> f64,
+    F: FnMut(&[f64]) -> f64,
 {
     assert!(!x0.is_empty(), "need at least one dimension");
     assert!(step > 0.0 && max_iters > 0, "invalid optimizer settings");

@@ -9,7 +9,7 @@
 //! candidates.
 
 use crate::acquisition::{expected_improvement, lower_confidence_bound};
-use crate::gp::GaussianProcess;
+use crate::gp::{GaussianProcess, TrainingSet};
 use crate::kernel::Kernel;
 use datamime_stats::Rng;
 
@@ -211,25 +211,29 @@ impl BayesOpt {
     }
 
     fn refit(&mut self) {
-        let xs: Vec<Vec<f64>> = self.training_set().map(|(x, _)| x.clone()).collect();
-        let ys: Vec<f64> = self.training_set().map(|(_, y)| *y).collect();
-        let need_hyper_fit = self.gp.is_none()
-            || self.observed_since_fit + self.fantasies.len() >= self.cfg.refit_every;
-        let gp = if need_hyper_fit {
-            self.observed_since_fit = 0;
-            GaussianProcess::fit_hyperparams(self.cfg.kernel.clone(), xs, ys, &mut self.rng).ok()
-        } else if let Some(prev) = &self.gp {
-            GaussianProcess::fit(prev.kernel().clone(), prev.noise(), xs, ys).ok()
-        } else {
-            None
+        let data = TrainingSet::new(
+            self.dims,
+            self.training_set().map(|(x, y)| (x.as_slice(), *y)),
+        );
+        let due = self.observed_since_fit + self.fantasies.len() >= self.cfg.refit_every;
+        let gp = match &self.gp {
+            Some(prev) if !due => {
+                data.and_then(|d| GaussianProcess::fit_on(prev.kernel().clone(), prev.noise(), d))
+            }
+            _ => {
+                self.observed_since_fit = 0;
+                let family = self.cfg.kernel.clone();
+                data.and_then(|d| GaussianProcess::fit_hyperparams_on(family, d, &mut self.rng))
+            }
         };
-        if let Some(gp) = gp {
+        if let Ok(gp) = gp {
             self.gp = Some(gp);
         }
     }
 
-    fn score(&self, gp: &GaussianProcess, x: &[f64], best: f64) -> f64 {
-        let (mean, var) = gp.predict(x);
+    /// The acquisition value ("higher is better") of a posterior
+    /// `(mean, variance)` against the incumbent `best`.
+    fn score(&self, (mean, var): (f64, f64), best: f64) -> f64 {
         match self.cfg.acquisition {
             Acquisition::ExpectedImprovement => expected_improvement(mean, var, best, self.cfg.xi),
             // LCB: lower is better, so negate to keep "higher is better".
@@ -255,30 +259,34 @@ impl BlackBoxOptimizer for BayesOpt {
             .map(|(x, y)| (x.clone(), *y))
             .expect("history is non-empty after the initial design");
 
-        let mut best_cand: Option<(f64, Vec<f64>)> = None;
+        // One candidate buffer and one prediction scratch serve all
+        // candidates; only a new best is copied out.
+        let mut best_score: Option<f64> = None;
+        let mut best_cand = vec![0.0; self.dims];
+        let mut cand = vec![0.0; self.dims];
+        let mut scratch = Vec::new();
         let n_global = self.cfg.candidates;
         let n_local = self.cfg.local_candidates;
         for i in 0..n_global + n_local {
-            let cand: Vec<f64> = if i < n_global {
-                (0..self.dims).map(|_| self.rng.f64()).collect()
+            if i < n_global {
+                cand.fill_with(|| self.rng.f64());
             } else {
                 // Gaussian perturbation of the incumbent.
-                best_x
-                    .iter()
-                    .map(|&v| {
-                        let u1 = 1.0 - self.rng.f64();
-                        let u2 = self.rng.f64();
-                        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                        (v + 0.05 * z).clamp(0.0, 1.0)
-                    })
-                    .collect()
-            };
-            let s = self.score(gp, &cand, best_y);
-            if best_cand.as_ref().is_none_or(|(bs, _)| s > *bs) {
-                best_cand = Some((s, cand));
+                for (c, &v) in cand.iter_mut().zip(&best_x) {
+                    let u1 = 1.0 - self.rng.f64();
+                    let u2 = self.rng.f64();
+                    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                    *c = (v + 0.05 * z).clamp(0.0, 1.0);
+                }
+            }
+            let s = self.score(gp.predict_with(&cand, &mut scratch), best_y);
+            if best_score.is_none_or(|bs| s > bs) {
+                best_score = Some(s);
+                best_cand.copy_from_slice(&cand);
             }
         }
-        best_cand.expect("at least one candidate").1
+        assert!(best_score.is_some(), "at least one candidate");
+        best_cand
     }
 
     /// Proposes a batch using the constant-liar strategy: each suggested

@@ -18,9 +18,11 @@
 //!   exits nonzero (the threshold is deliberately loose — see the noise
 //!   discussion in docs/PERFORMANCE.md — so it catches structural
 //!   regressions, not scheduler jitter);
-//! - `--cross-check` — run every `scalar/...` reference twin against its
-//!   batched `sim/...` kernel and fail on any checksum divergence. This is
-//!   the batched-vs-scalar behavioural gate CI runs on every push;
+//! - `--cross-check` — run every reference twin (`scalar/...` against its
+//!   batched `sim/...` kernel, `reference/bayesopt_...` against its
+//!   column-major `bayesopt/...` kernel) and fail on any checksum
+//!   divergence. This is the fast-vs-reference behavioural gate CI runs on
+//!   every push;
 //! - `--reps N` — timed repetitions per kernel (default 15);
 //! - `--memo-json FILE` — embed FILE (the JSON object `memo_fig10` from
 //!   the `datamime-experiments` binary of that name) in the report as the
@@ -31,7 +33,7 @@
 //! See docs/PERFORMANCE.md for how to read the report.
 
 #![forbid(unsafe_code)]
-use datamime_bench::simbench::{all_kernels, quartiles, scalar_kernels, BENCH_SEED};
+use datamime_bench::simbench::{all_kernels, quartiles, reference_kernels, BENCH_SEED};
 use std::time::Instant;
 
 /// A kernel in `--check --baseline` mode fails if its median ns/op exceeds
@@ -147,43 +149,36 @@ fn main() {
     }
 }
 
-/// `--cross-check`: run every scalar reference twin against its batched
-/// kernel and fail on checksum divergence.
+/// `--cross-check`: run every reference twin against its fast kernel and
+/// fail on checksum divergence.
 fn run_cross_check() {
-    let mut batched = all_kernels();
+    let mut fast = all_kernels();
     let mut failures = 0usize;
-    for mut scalar in scalar_kernels() {
-        let suffix = scalar.name.strip_prefix("scalar/").unwrap_or(scalar.name);
-        let Some(twin) = batched
-            .iter_mut()
-            .find(|k| k.name.strip_prefix("sim/") == Some(suffix))
-        else {
-            die(&format!(
-                "{}: no batched twin to compare against",
-                scalar.name
-            ));
+    for (fast_name, mut twin) in reference_kernels() {
+        let Some(kernel) = fast.iter_mut().find(|k| k.name == fast_name) else {
+            die(&format!("{}: no {fast_name} to compare against", twin.name));
         };
-        let (fast, reference) = ((twin.run)(), (scalar.run)());
-        if fast == reference {
+        let (got, reference) = ((kernel.run)(), (twin.run)());
+        if got == reference {
             eprintln!(
-                "{:<24} == {:<26} checksum {fast:#018x}",
-                twin.name, scalar.name
+                "{:<24} == {:<32} checksum {got:#018x}",
+                kernel.name, twin.name
             );
         } else {
             eprintln!(
-                "{:<24} {fast:#018x} != {:<26} {reference:#018x}  MISMATCH",
-                twin.name, scalar.name
+                "{:<24} {got:#018x} != {:<32} {reference:#018x}  MISMATCH",
+                kernel.name, twin.name
             );
             failures += 1;
         }
     }
     if failures > 0 {
         die(&format!(
-            "{failures} batched/scalar checksum mismatch(es): the fast paths \
-             changed simulated behaviour"
+            "{failures} fast/reference checksum mismatch(es): a fast path \
+             changed behaviour"
         ));
     }
-    eprintln!("bench_sim --cross-check: all batched kernels match their scalar twins");
+    eprintln!("bench_sim --cross-check: all fast kernels match their reference twins");
 }
 
 /// The `--check --baseline` gate: kernels present in the baseline must

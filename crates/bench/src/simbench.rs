@@ -2,21 +2,24 @@
 //!
 //! Each [`Kernel`] is a self-contained measurement target: a fixed-seed
 //! workload driven through one `datamime-sim` hot loop (cache lookup, TLB
-//! translation, the full `Machine` access path, counter sampling) or, for
-//! the `apps/...` pair, one dataset build and one per-run copy of it. The
-//! `bench_sim` binary behind `scripts/bench.sh` runs them and reports
-//! median + IQR nanoseconds per operation into `BENCH_sim.json`.
+//! translation, the full `Machine` access path, counter sampling); for
+//! the `apps/...` pair, one dataset build and one per-run copy of it; for
+//! the `bayesopt/...` four, one hyperparameter fit and one plain `suggest`
+//! at three history sizes. The `bench_sim` binary behind `scripts/bench.sh`
+//! runs them and reports median + IQR nanoseconds per operation into
+//! `BENCH_sim.json`.
 //!
-//! Every kernel returns a **checksum** folded from the simulator's own
-//! counters. The checksum is a semantic fingerprint: any change to the
-//! kernels that alters hit/miss behaviour — rather than just making the
-//! same behaviour faster — shows up as a checksum mismatch against the
+//! Every kernel returns a **checksum** folded from the values it computed
+//! — the simulator's own counters, the optimiser's fitted parameters or
+//! suggested point. The checksum is a semantic fingerprint: any change to
+//! the kernels that alters behaviour — rather than just making the same
+//! behaviour faster — shows up as a checksum mismatch against the
 //! committed baseline, which is how the benchmark enforces that the
 //! fast-path rewrites stayed bit-identical.
 
 use datamime_apps::{App, KvConfig, KvStore, SizeDist};
 use datamime_bayesopt::{
-    BayesOpt, BlackBoxOptimizer, BoConfig, GaussianProcess, Kernel as GpKernel,
+    reference, BayesOpt, BlackBoxOptimizer, BoConfig, GaussianProcess, Kernel as GpKernel,
 };
 use datamime_dist::{read_frame, write_frame, Frame};
 use datamime_sim::{
@@ -395,29 +398,47 @@ fn mix_fit(kernel: &GpKernel, noise: f64, lml: f64) -> u64 {
     mix(mix(h, noise.to_bits()), lml.to_bits())
 }
 
+/// Runs one hyperparameter fit of a kernel family on `(xs, ys)` with one
+/// GP stack and fingerprints the result with [`mix_fit`].
+type HyperFit = fn(GpKernel, Vec<Vec<f64>>, Vec<f64>, &mut Rng) -> u64;
+
 /// One hyperparameter fit — four 120-step Nelder–Mead starts over the log
-/// marginal likelihood — on 88 uniformly drawn observations: the largest
-/// refit a 90-iteration search pays. One op is one fit; the checksum folds
-/// the fitted lengthscales, variance, noise and marginal likelihood.
-pub fn bo_hyperfit_n88() -> Kernel {
-    const N: usize = 88;
+/// marginal likelihood — on 88 uniformly drawn observations, the size of
+/// the largest refit a 90-iteration search pays. One op is one fit.
+fn bo_hyperfit(name: &'static str, fit: HyperFit) -> Kernel {
     let mut rng = Rng::with_seed(BENCH_SEED ^ 0xb0f1);
-    let xs: Vec<Vec<f64>> = (0..N)
+    let xs: Vec<Vec<f64>> = (0..88)
         .map(|_| (0..BO_DIMS).map(|_| rng.f64()).collect())
         .collect();
     let ys: Vec<f64> = xs.iter().map(|x| bo_objective(x)).collect();
     let family = BoConfig::for_dims(BO_DIMS).kernel;
     Kernel {
-        name: "bayesopt/hyperfit_n88",
+        name,
         ops: 1,
         run: Box::new(move || {
             let mut rng = Rng::with_seed(BENCH_SEED ^ 0x5eed);
-            let gp =
-                GaussianProcess::fit_hyperparams(family.clone(), xs.clone(), ys.clone(), &mut rng)
-                    .expect("the bench data is well-conditioned");
-            mix_fit(gp.kernel(), gp.noise(), gp.log_marginal_likelihood())
+            fit(family.clone(), xs.clone(), ys.clone(), &mut rng)
         }),
     }
+}
+
+/// [`GaussianProcess::fit_hyperparams`] at 88 observations; the checksum
+/// folds the fitted lengthscales, variance, noise and marginal likelihood.
+pub fn bo_hyperfit_n88() -> Kernel {
+    bo_hyperfit("bayesopt/hyperfit_n88", |family, xs, ys, rng| {
+        let gp = GaussianProcess::fit_hyperparams(family, xs, ys, rng)
+            .expect("the bench data is well-conditioned");
+        mix_fit(gp.kernel(), gp.noise(), gp.log_marginal_likelihood())
+    })
+}
+
+/// Reference twin of [`bo_hyperfit_n88`].
+fn reference_bo_hyperfit_n88() -> Kernel {
+    bo_hyperfit("reference/bayesopt_hyperfit_n88", |family, xs, ys, rng| {
+        let gp = reference::GaussianProcess::fit_hyperparams(family, xs, ys, rng)
+            .expect("the bench data is well-conditioned");
+        mix_fit(gp.kernel(), gp.noise(), gp.log_marginal_likelihood())
+    })
 }
 
 /// Observations the optimiser kernels' hyperparameters are fitted on: the
@@ -457,12 +478,16 @@ fn bo_suggest_config() -> BoConfig {
 
 /// One plain `suggest` — refit at the held hyperparameters, then 1280
 /// acquisition candidates — on a fixed `n`-point history
-/// ([`bo_with_history`]). One op is one scored candidate; the checksum
-/// folds the suggested point.
-fn bo_suggest(name: &'static str, n: usize) -> Kernel {
+/// ([`bo_with_history`]), by the optimiser `new` builds. One op is one
+/// scored candidate; the checksum folds the suggested point.
+fn bo_suggest<O: BlackBoxOptimizer + 'static>(
+    name: &'static str,
+    n: usize,
+    new: fn(BoConfig, u64) -> O,
+) -> Kernel {
     let cfg = bo_suggest_config();
     let ops = (cfg.candidates + cfg.local_candidates) as u64;
-    let mut bo = bo_with_history(BayesOpt::new(cfg, BENCH_SEED), n);
+    let mut bo = bo_with_history(new(cfg, BENCH_SEED), n);
     Kernel {
         name,
         ops,
@@ -470,13 +495,23 @@ fn bo_suggest(name: &'static str, n: usize) -> Kernel {
     }
 }
 
-/// [`bo_suggest`] at 32, 88 and 200 observations: the cost-vs-n curve of
-/// a plain suggest up to the paper's 200 iterations.
+/// One plain `suggest` per invocation at 32, 88 and 200 observations: the
+/// cost-vs-n curve up to the paper's 200 iterations.
 pub fn bo_suggest_curve() -> [Kernel; 3] {
     [
-        bo_suggest("bayesopt/suggest_n32", 32),
-        bo_suggest("bayesopt/suggest_n88", 88),
-        bo_suggest("bayesopt/suggest_n200", 200),
+        bo_suggest("bayesopt/suggest_n32", 32, BayesOpt::new),
+        bo_suggest("bayesopt/suggest_n88", 88, BayesOpt::new),
+        bo_suggest("bayesopt/suggest_n200", 200, BayesOpt::new),
+    ]
+}
+
+/// Reference twins of [`bo_suggest_curve`].
+fn reference_bo_suggest_curve() -> [Kernel; 3] {
+    let new = reference::BayesOpt::new;
+    [
+        bo_suggest("reference/bayesopt_suggest_n32", 32, new),
+        bo_suggest("reference/bayesopt_suggest_n88", 88, new),
+        bo_suggest("reference/bayesopt_suggest_n200", 200, new),
     ]
 }
 
@@ -500,24 +535,35 @@ pub fn all_kernels() -> Vec<Kernel> {
     .collect()
 }
 
-/// Scalar twins of the cache/TLB kernels, built on the straight-line
-/// reference models (`RefCache`/`RefTlb`) with strictly per-access
-/// formulations — no batching, no specialization, no narrow tags.
+/// Reference twins, each paired with the name of the kernel in
+/// [`all_kernels`] it must fingerprint like.
 ///
-/// Each twin is named `scalar/<kernel>` and folds the **same counters in
-/// the same order** as its `sim/<kernel>` counterpart, so equal simulated
-/// behaviour means equal checksums. `bench_sim --cross-check` runs both
-/// sides and fails on any mismatch; this is the runtime complement to the
-/// `crates/sim` equivalence property tests, pinned on the exact streams
-/// the benchmarks measure. (The `machine_*` kernels have no reference twin
-/// — `Machine` has a single implementation whose batched internals are
-/// covered by the cache/TLB references plus the sim-crate property tests.)
-pub fn scalar_kernels() -> Vec<Kernel> {
+/// The `scalar/<kernel>` twins of the cache/TLB kernels are built on the
+/// straight-line reference models (`RefCache`/`RefTlb`) with strictly
+/// per-access formulations — no batching, no specialization, no narrow
+/// tags. The `reference/bayesopt_<kernel>` twins drive
+/// `datamime_bayesopt::reference`, the row-ordered allocate-per-call GP
+/// stack the column-major core replaced.
+///
+/// Each twin folds the **same values in the same order** as its
+/// counterpart, so equal behaviour means equal checksums. `bench_sim
+/// --cross-check` runs both sides and fails on any mismatch; this is the
+/// runtime complement to the equivalence property tests of `crates/sim`
+/// and `crates/bayesopt`, pinned on the exact inputs the benchmarks
+/// measure. (The `machine_*` kernels have no reference twin — `Machine`
+/// has a single implementation whose batched internals are covered by the
+/// cache/TLB references plus the sim-crate property tests.)
+pub fn reference_kernels() -> Vec<(&'static str, Kernel)> {
+    let [suggest_n32, suggest_n88, suggest_n200] = reference_bo_suggest_curve();
     vec![
-        scalar_l1l2llc_access(),
-        scalar_cache_l1_hit(),
-        scalar_cache_llc_drrip(),
-        scalar_tlb_access(),
+        ("sim/l1l2llc_access", scalar_l1l2llc_access()),
+        ("sim/cache_l1_hit", scalar_cache_l1_hit()),
+        ("sim/cache_llc_drrip", scalar_cache_llc_drrip()),
+        ("sim/tlb_access", scalar_tlb_access()),
+        ("bayesopt/hyperfit_n88", reference_bo_hyperfit_n88()),
+        ("bayesopt/suggest_n32", suggest_n32),
+        ("bayesopt/suggest_n88", suggest_n88),
+        ("bayesopt/suggest_n200", suggest_n200),
     ]
 }
 
@@ -641,15 +687,14 @@ mod tests {
     #[test]
     fn scalar_twins_checksum_match_batched_kernels() {
         // The in-process version of `bench_sim --cross-check`: every
-        // scalar/<k> twin must fingerprint identically to sim/<k>.
-        let mut batched = all_kernels();
-        for mut scalar in scalar_kernels() {
-            let suffix = scalar.name.strip_prefix("scalar/").unwrap();
-            let twin = batched
+        // reference twin must fingerprint identically to its fast kernel.
+        let mut fast = all_kernels();
+        for (fast_name, mut twin) in reference_kernels() {
+            let kernel = fast
                 .iter_mut()
-                .find(|k| k.name.strip_prefix("sim/") == Some(suffix))
-                .unwrap_or_else(|| panic!("no batched twin for {}", scalar.name));
-            assert_eq!((twin.run)(), (scalar.run)(), "{} diverged", scalar.name);
+                .find(|k| k.name == fast_name)
+                .unwrap_or_else(|| panic!("no fast kernel for {}", twin.name));
+            assert_eq!((kernel.run)(), (twin.run)(), "{} diverged", twin.name);
         }
     }
 

@@ -3,8 +3,10 @@
 #
 #   scripts/bench.sh                       # measure, write BENCH_sim.json
 #   scripts/bench.sh --baseline OLD.json   # also record before/after speedups
-#   scripts/bench.sh --check               # CI gate: batched-vs-scalar
-#                                          # checksum cross-check, then a
+#   scripts/bench.sh --check               # CI gate: fast-vs-reference
+#                                          # checksum cross-check (sim/*
+#                                          # against scalar/*, bayesopt/*
+#                                          # against reference/*), then a
 #                                          # 3-rep run gated against the
 #                                          # committed BENCH_sim.json —
 #                                          # fails on checksum drift OR a
@@ -37,8 +39,9 @@ cargo build --release -q -p datamime-bench --bin bench_sim \
 
 if [ "$CHECK" = 1 ]; then
   target/release/memo_fig10 --check -o /dev/null
-  # Behaviour gate: every batched kernel must fingerprint identically to
-  # its scalar RefCache/RefTlb twin.
+  # Behaviour gate: every kernel with a reference twin (scalar
+  # RefCache/RefTlb, row-ordered GP stack) must fingerprint identically
+  # to it.
   target/release/bench_sim --cross-check
   # Speed gate: 3 reps per kernel against the committed baseline (or the
   # one passed via --baseline). bench_sim exits nonzero on checksum drift

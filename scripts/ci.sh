@@ -55,6 +55,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 if [ -z "${SKIP_TESTS:-}" ]; then
   run cargo build --release
   run cargo test -q
+  # The optimiser's fast-vs-reference proptests and trajectory goldens
+  # once more under the release profile: bit identity must hold in the
+  # build whose loops are vectorised — the one that ships — not only in
+  # the debug build `cargo test -q` exercises.
+  run cargo test -q --release -p datamime-bayesopt
   # The stand-alone benchmark package (outside the workspace, so neither
   # command above sees it) calls a pinned slice of the crates' public
   # API; building and unit-testing it here makes API drift fail locally
@@ -69,13 +74,14 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # Fault-injection stress pass: the supervisor must keep runs
   # deterministic and crash-free under injected panics/stalls/NaNs.
   run cargo test -q -p datamime-runtime --features faultinject
-  # bench_smoke: the benchmark-harness gate. Runs the batched-vs-scalar
+  # bench_smoke: the benchmark-harness gate. Runs the fast-vs-reference
   # checksum cross-check (every sim/<k> kernel must fingerprint
-  # identically to its scalar/<k> RefCache/RefTlb twin), then a short
-  # gated measurement against the committed BENCH_sim.json that fails on
-  # checksum drift or a median regression beyond the documented
-  # threshold (docs/PERFORMANCE.md). The memo accounting harness runs
-  # its own smoke first.
+  # identically to its scalar/<k> RefCache/RefTlb twin, every
+  # bayesopt/<k> kernel to its reference/bayesopt_<k> row-ordered twin),
+  # then a short gated measurement of all fourteen kernels against the
+  # committed BENCH_sim.json that fails on checksum drift or a median
+  # regression beyond the documented threshold (docs/PERFORMANCE.md).
+  # The memo accounting harness runs its own smoke first.
   echo "==> bench_smoke"
   run scripts/bench.sh --check
   # Multi-process smoke: a short fig10-style search on the process
