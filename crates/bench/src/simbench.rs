@@ -2,12 +2,12 @@
 //!
 //! Each [`Kernel`] is a self-contained measurement target: a fixed-seed
 //! workload driven through one `datamime-sim` hot loop (cache lookup, TLB
-//! translation, the full `Machine` access path, counter sampling); for
-//! the `apps/...` pair, one dataset build and one per-run copy of it; for
-//! the `bayesopt/...` four, one hyperparameter fit and one plain `suggest`
-//! at three history sizes. The `bench_sim` binary behind `scripts/bench.sh`
-//! runs them and reports median + IQR nanoseconds per operation into
-//! `BENCH_sim.json`.
+//! translation, the full `Machine` access path, counter sampling, a
+//! replay of recorded application traffic); for the `apps/...` pair, one
+//! dataset build and one per-run copy of it; for the `bayesopt/...` four,
+//! one hyperparameter fit and one plain `suggest` at three history sizes.
+//! The `bench_sim` binary behind `scripts/bench.sh` runs them and reports
+//! median + IQR nanoseconds per operation into `BENCH_sim.json`.
 //!
 //! Every kernel returns a **checksum** folded from the values it computed
 //! — the simulator's own counters, the optimiser's fitted parameters or
@@ -17,7 +17,9 @@
 //! committed baseline, which is how the benchmark enforces that the
 //! fast-path rewrites stayed bit-identical.
 
-use datamime_apps::{App, KvConfig, KvStore, SizeDist};
+use datamime_apps::{
+    App, KvConfig, KvStore, SearchConfig, SearchEngine, SiloConfig, SiloDb, SizeDist,
+};
 use datamime_bayesopt::{
     reference, BayesOpt, BlackBoxOptimizer, BoConfig, GaussianProcess, Kernel as GpKernel,
 };
@@ -236,6 +238,62 @@ pub fn sampler_poll() -> Kernel {
             mix(m.counters().busy_cycles, s.samples().len() as u64)
         }),
     }
+}
+
+/// Replays recorded application traffic: `requests` seeded
+/// [`App::serve`] calls are recorded off a Broadwell machine at set-up,
+/// and an invocation is one [`datamime_sim::Trace::replay`] of that trace
+/// on a second machine — the event stream a search's evaluations send the
+/// simulator, without the application's own work. One op is one event;
+/// the checksum folds every counter.
+fn replay_kernel(name: &'static str, mut app: impl App, requests: usize) -> Kernel {
+    let mut recorder = Machine::new(MachineConfig::broadwell());
+    let mut rng = Rng::with_seed(BENCH_SEED ^ 0x7ace);
+    recorder.start_recording();
+    for _ in 0..requests {
+        app.serve(&mut recorder, &mut rng);
+    }
+    let trace = recorder.stop_recording().expect("recording was started");
+    let mut m = Machine::new(MachineConfig::broadwell());
+    Kernel {
+        name,
+        ops: trace.len() as u64,
+        run: Box::new(move || {
+            trace.replay(&mut m);
+            let c = m.counters();
+            [
+                c.instructions,
+                c.busy_cycles,
+                c.idle_cycles,
+                c.l1i_misses,
+                c.l1d_misses,
+                c.l2_misses,
+                c.llc_misses,
+                c.itlb_misses,
+                c.dtlb_misses,
+                c.branches,
+                c.branch_mispredicts,
+                c.memory_bytes,
+            ]
+            .into_iter()
+            .fold(0, mix)
+        }),
+    }
+}
+
+/// The `xapian_bo_long` target's traffic: exec spans of tens of lines and
+/// posting-list loads of eight to nine, the shapes no synthetic
+/// `sim/machine_*` kernel issues.
+pub fn replay_xapian() -> Kernel {
+    let engine = SearchEngine::new(SearchConfig::wikipedia_target());
+    replay_kernel("sim/replay_xapian", engine, 200)
+}
+
+/// The `silo_proc_journal` target's traffic: B-tree descents and record
+/// updates, mostly short multi-line loads and stores.
+pub fn replay_silo() -> Kernel {
+    let db = SiloDb::new(SiloConfig::bidding_target());
+    replay_kernel("sim/replay_silo", db, 2000)
 }
 
 /// The distributed backend's wire path: one `Eval` frame encoded, pushed
@@ -525,6 +583,8 @@ pub fn all_kernels() -> Vec<Kernel> {
         machine_load(),
         machine_exec(),
         sampler_poll(),
+        replay_xapian(),
+        replay_silo(),
         ipc_roundtrip(),
         kv_build(),
         kv_fork(),

@@ -59,7 +59,7 @@ pub use config::{MachineConfig, Penalties};
 pub use counters::Counters;
 pub use machine::Machine;
 pub use mem::{lines_of, Addr, AllocError, Segment, SimAlloc, LINE_BYTES, PAGE_BYTES};
-pub use reference::{RefCache, RefTlb};
+pub use reference::{RefCache, RefMachine, RefTlb};
 pub use sampler::{MetricSample, Sampler, DEFAULT_INTERVAL_CYCLES};
 pub use tlb::{Tlb, TlbConfig};
 pub use trace::{Trace, TraceEvent};

@@ -3,12 +3,17 @@
 //! [`RefCache`] and [`RefTlb`] are deliberate, unoptimized transcriptions
 //! of the pre-batching `Cache`/`Tlb` access logic: per-access `position()`
 //! scans, a per-access replacement-policy dispatch, and data-dependent
-//! branches everywhere. They exist so the optimized implementations can be
-//! *proved* equivalent rather than trusted:
+//! branches everywhere. [`RefMachine`] is the whole [`crate::Machine`] in
+//! the same spirit: every event one cache line at a time through those two
+//! models. They exist so the optimized implementations can be *proved*
+//! equivalent rather than trusted:
 //!
 //! - the property tests in `tests/batched_equivalence.rs` drive random
 //!   address streams through both models and assert every per-access
 //!   result (hit/miss and write-back address) and every counter match;
+//! - `tests/machine_equivalence.rs` drives random event streams, and the
+//!   workspace's `tests/integration_fork.rs` recorded application traces,
+//!   through `Machine` and `RefMachine` and compares every counter;
 //! - `bench_sim --cross-check` replays the checksum kernels against these
 //!   models and fails if any checksum diverges.
 //!
@@ -16,9 +21,13 @@
 //! are in the wrong file (see docs/PERFORMANCE.md, "How to land a perf
 //! PR").
 
+use crate::branch::BranchPredictor;
 use crate::cache::{Access, CacheConfig, Replacement};
-use crate::mem::{Addr, PAGE_BYTES};
+use crate::config::MachineConfig;
+use crate::counters::Counters;
+use crate::mem::{lines_of, Addr, LINE_BYTES, PAGE_BYTES};
 use crate::tlb::TlbConfig;
+use crate::trace::{Trace, TraceEvent};
 use datamime_stats::Rng;
 
 const INVALID_TAG: u64 = u64::MAX;
@@ -310,5 +319,226 @@ impl RefTlb {
     /// Cumulative misses.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+}
+
+/// Line-at-a-time reference implementation of [`crate::Machine`].
+///
+/// Every cache line of every event takes its whole trip — TLB when the
+/// page changed, prefetcher, L1, the levels below — before the next line
+/// starts, through [`RefCache`] and [`RefTlb`]. Penalties, write-back
+/// propagation and the fractional-cycle carry follow the machine's rules
+/// term for term, so every [`Counters`] field must come out equal.
+///
+/// # Examples
+///
+/// ```
+/// use datamime_sim::{Machine, MachineConfig, RefMachine};
+///
+/// let mut fast = Machine::new(MachineConfig::broadwell());
+/// fast.start_recording();
+/// fast.exec(0x4000_0000, 700, 64);
+/// fast.store(0x10_0000_0030, 200);
+/// let trace = fast.stop_recording().unwrap();
+///
+/// let mut reference = RefMachine::new(MachineConfig::broadwell());
+/// reference.replay(&trace);
+/// assert_eq!(reference.counters(), fast.counters());
+/// ```
+#[derive(Debug, Clone)]
+pub struct RefMachine {
+    cfg: MachineConfig,
+    l1i: RefCache,
+    l1d: RefCache,
+    l2: RefCache,
+    llc: Option<RefCache>,
+    itlb: RefTlb,
+    dtlb: RefTlb,
+    bp: BranchPredictor,
+    counters: Counters,
+    cycle_frac: f64,
+    streams: [Addr; 16],
+    stream_cursor: usize,
+}
+
+impl RefMachine {
+    /// Builds the reference machine from the configuration type the
+    /// optimized machine takes.
+    pub fn new(cfg: MachineConfig) -> Self {
+        RefMachine {
+            l1i: RefCache::new(cfg.l1i),
+            l1d: RefCache::new(cfg.l1d),
+            l2: RefCache::new(cfg.l2),
+            llc: cfg.llc.map(RefCache::new),
+            itlb: RefTlb::new(cfg.itlb),
+            dtlb: RefTlb::new(cfg.dtlb),
+            bp: BranchPredictor::new(cfg.branch),
+            counters: Counters::new(),
+            cycle_frac: 0.0,
+            streams: [Addr::MAX; 16],
+            stream_cursor: 0,
+            cfg,
+        }
+    }
+
+    /// Current counter values.
+    pub fn counters(&self) -> &Counters {
+        &self.counters
+    }
+
+    /// Repartitions the LLC to `ways` ways, keeping the retained ways'
+    /// lines, like `Machine::set_llc_ways`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine has no LLC or `ways` is zero.
+    pub fn set_llc_ways(&mut self, ways: u32) {
+        let llc = self.llc.as_mut().expect("machine has no LLC to partition");
+        llc.set_ways(ways);
+    }
+
+    /// Applies every event of `trace` in order.
+    pub fn replay(&mut self, trace: &Trace) {
+        for &ev in trace.events() {
+            match ev {
+                TraceEvent::Exec {
+                    pc,
+                    code_bytes,
+                    instrs,
+                    ilp,
+                } => self.exec(pc, code_bytes, instrs, ilp),
+                TraceEvent::Load { addr, size } => self.data(addr, size, false),
+                TraceEvent::Store { addr, size } => self.data(addr, size, true),
+                TraceEvent::Branch { pc, taken } => {
+                    self.counters.branches += 1;
+                    if !self.bp.predict_and_update(pc, taken) {
+                        self.counters.branch_mispredicts += 1;
+                        self.charge(self.cfg.penalties.branch_mispredict);
+                    }
+                }
+                TraceEvent::Idle { cycles } => self.counters.idle_cycles += cycles,
+            }
+        }
+    }
+
+    fn charge(&mut self, cycles: f64) {
+        let total = cycles + self.cycle_frac;
+        let whole = total as u64;
+        self.cycle_frac = total - whole as f64;
+        self.counters.busy_cycles += whole;
+    }
+
+    fn exec(&mut self, pc: Addr, code_bytes: u64, instrs: u64, ilp: f64) {
+        let p = self.cfg.penalties;
+        self.counters.instructions += instrs;
+        let mut penalty = 0.0;
+        let mut page = u64::MAX;
+        for (k, line) in lines_of(pc, code_bytes).enumerate() {
+            if line / PAGE_BYTES != page {
+                page = line / PAGE_BYTES;
+                if !self.itlb.access(line) {
+                    self.counters.itlb_misses += 1;
+                    penalty += p.tlb_walk;
+                }
+            }
+            if self.l1i.access(line, false).is_miss() {
+                self.counters.l1i_misses += 1;
+                let fill = self.below_l1(line) * p.frontend_stall_factor;
+                // Fetch-ahead hides part of every fill but the span's first.
+                penalty += if k == 0 {
+                    fill
+                } else {
+                    fill * p.prefetch_exposed.max(0.5)
+                };
+            }
+        }
+        self.charge(instrs as f64 / self.cfg.issue_width.min(ilp) + penalty);
+    }
+
+    fn data(&mut self, addr: Addr, size: u64, write: bool) {
+        let p = self.cfg.penalties;
+        let mut penalty = 0.0;
+        let mut page = u64::MAX;
+        for line in lines_of(addr, size) {
+            if line / PAGE_BYTES != page {
+                page = line / PAGE_BYTES;
+                if !self.dtlb.access(line) {
+                    self.counters.dtlb_misses += 1;
+                    penalty += p.tlb_walk / p.mlp;
+                }
+            }
+            let covered = self.prefetcher_covers(line);
+            if let Access::Miss { writeback_of } = self.l1d.access(line, write) {
+                self.counters.l1d_misses += 1;
+                if let Some(victim) = writeback_of {
+                    // The L2 absorbs the L1's dirty victim; that is not a
+                    // demand miss, whatever the L2 evicts to make room.
+                    if let Access::Miss {
+                        writeback_of: Some(evicted),
+                    } = self.l2.access(victim, true)
+                    {
+                        self.llc_access(evicted, true);
+                    }
+                }
+                let fill = self.below_l1(line) / p.mlp;
+                penalty += if covered {
+                    fill * p.prefetch_exposed
+                } else {
+                    fill
+                };
+            }
+        }
+        self.charge(penalty);
+    }
+
+    /// Whether `line` repeats or continues a tracked stream: the first
+    /// such stream moves to `line`, otherwise `line` takes the next slot.
+    fn prefetcher_covers(&mut self, line: Addr) -> bool {
+        for s in &mut self.streams {
+            if line == *s || line == s.wrapping_add(LINE_BYTES) {
+                *s = line;
+                return true;
+            }
+        }
+        self.streams[self.stream_cursor] = line;
+        self.stream_cursor = (self.stream_cursor + 1) % self.streams.len();
+        false
+    }
+
+    /// A demand read of `line` from the L2, the LLC, then memory.
+    fn below_l1(&mut self, line: Addr) -> f64 {
+        let p = self.cfg.penalties;
+        let Access::Miss { writeback_of } = self.l2.access(line, false) else {
+            return p.l2_hit;
+        };
+        self.counters.l2_misses += 1;
+        if let Some(victim) = writeback_of {
+            self.llc_access(victim, true);
+        }
+        if self.llc_access(line, false) {
+            p.l2_hit + p.llc_hit
+        } else {
+            self.counters.llc_misses += 1;
+            p.l2_hit + p.memory
+        }
+    }
+
+    /// Reads (a demand fill) or writes (a dirty line leaving the L2) `line`
+    /// at the last level and returns whether it hit. A miss moves the line
+    /// to or from memory, and so does the dirty victim it evicts; without
+    /// an LLC every access is a miss.
+    fn llc_access(&mut self, line: Addr, write: bool) -> bool {
+        let outcome = self.llc.as_mut().map(|llc| llc.access(line, write));
+        if let Some(Access::Hit) = outcome {
+            return true;
+        }
+        self.counters.memory_bytes += LINE_BYTES;
+        if let Some(Access::Miss {
+            writeback_of: Some(_),
+        }) = outcome
+        {
+            self.counters.memory_bytes += LINE_BYTES;
+        }
+        false
     }
 }

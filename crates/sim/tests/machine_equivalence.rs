@@ -1,71 +1,148 @@
-//! Arena-reuse equivalence: a `reinit`ed simulator must be bit-identical
-//! to a freshly constructed one on any subsequent event stream.
+//! Whole-machine equivalences: `Machine` against the line-at-a-time
+//! `RefMachine` oracle on any event stream, and a `reinit`ed simulator
+//! against a freshly constructed one.
 //!
-//! This is what lets `EvalArena` (crates/core) recycle `Machine`s across
-//! search evaluations instead of reallocating the multi-megabyte LLC model
-//! per candidate: the pool hands out state that behaves exactly like
-//! `Machine::new`, counter for counter.
+//! The second is what lets `EvalArena` (crates/core) recycle `Machine`s
+//! across search evaluations instead of reallocating the multi-megabyte
+//! LLC model per candidate: the pool hands out state that behaves exactly
+//! like `Machine::new`, counter for counter.
 
-use datamime_sim::{Cache, CacheConfig, Machine, MachineConfig, Replacement, Tlb, TlbConfig};
+use datamime_sim::{
+    Cache, CacheConfig, Machine, MachineConfig, RefMachine, Replacement, Tlb, TlbConfig, Trace,
+    TraceEvent,
+};
 use proptest::prelude::*;
 
+/// A preset's policies and associativities over a few sets per level, so
+/// a few hundred events evict dirty lines from every level — all the way
+/// to memory — and instruction spans wrap the L1I's set array.
+fn shrunk(mut cfg: MachineConfig) -> MachineConfig {
+    let resized = |c: CacheConfig, sets: u64| CacheConfig {
+        size_bytes: sets * u64::from(c.ways) * c.line_bytes,
+        ..c
+    };
+    cfg.l1i = resized(cfg.l1i, 4);
+    cfg.l1d = resized(cfg.l1d, 4);
+    cfg.l2 = resized(cfg.l2, 16);
+    cfg.llc = cfg.llc.map(|c| resized(c, 64));
+    cfg.itlb = TlbConfig::new(8, 4);
+    cfg.dtlb = TlbConfig::new(8, 4);
+    cfg
+}
+
+/// The three presets, whole or shrunk, the LLC whole or CAT-restricted.
 fn any_machine_config() -> impl Strategy<Value = MachineConfig> {
-    prop_oneof![
+    let preset = prop_oneof![
         Just(MachineConfig::broadwell()),
         Just(MachineConfig::zen2()),
         Just(MachineConfig::silvermont()),
-    ]
-}
-
-/// One simulated event; streams of these drive both machines.
-#[derive(Debug, Clone)]
-enum Event {
-    Exec { pc: u64, bytes: u64, instrs: u64 },
-    Load { addr: u64, size: u64 },
-    Store { addr: u64, size: u64 },
-    Branch { pc: u64, taken: bool },
-}
-
-fn any_event() -> impl Strategy<Value = Event> {
-    prop_oneof![
-        (0u64..1 << 30, 0u64..1024, 1u64..256).prop_map(|(pc, bytes, instrs)| Event::Exec {
-            pc,
-            bytes,
-            instrs
-        }),
-        (0u64..1 << 30, 1u64..64).prop_map(|(addr, size)| Event::Load { addr, size }),
-        (0u64..1 << 30, 1u64..64).prop_map(|(addr, size)| Event::Store { addr, size }),
-        (0u64..1 << 20, any::<bool>()).prop_map(|(pc, taken)| Event::Branch { pc, taken }),
-    ]
-}
-
-fn replay(m: &mut Machine, events: &[Event]) {
-    for e in events {
-        match *e {
-            Event::Exec { pc, bytes, instrs } => m.exec(pc, bytes, instrs),
-            Event::Load { addr, size } => m.load(addr, size),
-            Event::Store { addr, size } => m.store(addr, size),
-            Event::Branch { pc, taken } => m.branch(pc, taken),
+    ];
+    (preset, any::<bool>(), 1u32..=16).prop_map(|(cfg, small, ways)| {
+        let cfg = if small { shrunk(cfg) } else { cfg };
+        if ways < cfg.llc_partitions() {
+            cfg.with_llc_ways(ways)
+        } else {
+            cfg
         }
-    }
+    })
+}
+
+/// Unaligned addresses with three kinds of locality: a region a real L1
+/// holds, one that spills a real L2, and anywhere.
+fn any_addr(base: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..1 << 14, 0u64..1 << 22, 0u64..1 << 36].prop_map(move |off| base + off)
+}
+
+/// Data span lengths: empty, within a line or two, a few lines, up to
+/// 16 KiB (four pages, 257 lines when unaligned).
+fn any_size() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 1u64..64, 1u64..640, 1u64..=16_384]
+}
+
+/// One machine event; exec spans run from empty through a single line to
+/// five pages (320 lines).
+fn any_event() -> impl Strategy<Value = TraceEvent> {
+    let code_bytes = prop_oneof![Just(0u64), 1u64..64, 1u64..1024, 4096u64..20_480];
+    let ilp = prop_oneof![Just(f64::INFINITY), Just(1.5)];
+    prop_oneof![
+        (any_addr(0x4000_0000), code_bytes, 1u64..256, ilp).prop_map(
+            |(pc, code_bytes, instrs, ilp)| TraceEvent::Exec {
+                pc,
+                code_bytes,
+                instrs,
+                ilp
+            }
+        ),
+        (any_addr(0x10_0000_0000), any_size())
+            .prop_map(|(addr, size)| TraceEvent::Load { addr, size }),
+        (any_addr(0x10_0000_0000), any_size())
+            .prop_map(|(addr, size)| TraceEvent::Store { addr, size }),
+        (0u64..1 << 20, any::<bool>()).prop_map(|(pc, taken)| TraceEvent::Branch { pc, taken }),
+        (0u64..10_000).prop_map(|cycles| TraceEvent::Idle { cycles }),
+    ]
+}
+
+fn any_trace(len: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
+    prop::collection::vec(any_event(), len).prop_map(|events| {
+        let mut trace = Trace::new();
+        events.into_iter().for_each(|e| trace.push(e));
+        trace
+    })
 }
 
 proptest! {
+    /// Every counter — `busy_cycles`, so every penalty term and the
+    /// fractional-cycle carry, included — equals the oracle's.
+    #[test]
+    fn machine_matches_reference(cfg in any_machine_config(), trace in any_trace(1..250)) {
+        let mut fast = Machine::new(cfg.clone());
+        let mut reference = RefMachine::new(cfg);
+        trace.replay(&mut fast);
+        reference.replay(&trace);
+        prop_assert_eq!(fast.counters(), reference.counters());
+    }
+
+    /// CAT repartitioning in mid-stream, as DynaWay does: both models keep
+    /// the retained ways' lines and go on agreeing. Zen 2's LLC is LRU, so
+    /// its 8-way partition takes the packed-minimum victim path.
+    #[test]
+    fn machine_matches_reference_across_set_llc_ways(
+        cfg in prop_oneof![
+            Just(MachineConfig::broadwell()),
+            Just(MachineConfig::zen2()),
+            Just(shrunk(MachineConfig::broadwell())),
+            Just(shrunk(MachineConfig::zen2())),
+        ],
+        before in any_trace(1..150),
+        ways in 1u32..=12,
+        after in any_trace(1..150),
+    ) {
+        let mut fast = Machine::new(cfg.clone());
+        let mut reference = RefMachine::new(cfg);
+        before.replay(&mut fast);
+        reference.replay(&before);
+        fast.set_llc_ways(ways);
+        reference.set_llc_ways(ways);
+        after.replay(&mut fast);
+        reference.replay(&after);
+        prop_assert_eq!(fast.counters(), reference.counters());
+    }
+
     /// Run a machine through one stream, `reinit` it, replay a second
     /// stream — the counters must equal a fresh machine's bit for bit.
     #[test]
     fn reinit_machine_matches_fresh(
         cfg in any_machine_config(),
-        warmup in prop::collection::vec(any_event(), 0..60),
-        stream in prop::collection::vec(any_event(), 1..120),
+        warmup in any_trace(0..60),
+        stream in any_trace(1..120),
     ) {
         let mut recycled = Machine::new(cfg.clone());
-        replay(&mut recycled, &warmup);
+        warmup.replay(&mut recycled);
         recycled.reinit(cfg.clone());
 
         let mut fresh = Machine::new(cfg);
-        replay(&mut recycled, &stream);
-        replay(&mut fresh, &stream);
+        stream.replay(&mut recycled);
+        stream.replay(&mut fresh);
         prop_assert_eq!(recycled.counters(), fresh.counters());
     }
 

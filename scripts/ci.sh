@@ -60,6 +60,10 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # build whose loops are vectorised — the one that ships — not only in
   # the debug build `cargo test -q` exercises.
   run cargo test -q --release -p datamime-bayesopt
+  # Likewise the simulator against its line-at-a-time oracle
+  # (`RefMachine`, `RefCache`, `RefTlb`): the counters must agree in the
+  # build the searches run.
+  run cargo test -q --release -p datamime-sim
   # The stand-alone benchmark package (outside the workspace, so neither
   # command above sees it) calls a pinned slice of the crates' public
   # API; building and unit-testing it here makes API drift fail locally
@@ -78,7 +82,7 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # checksum cross-check (every sim/<k> kernel must fingerprint
   # identically to its scalar/<k> RefCache/RefTlb twin, every
   # bayesopt/<k> kernel to its reference/bayesopt_<k> row-ordered twin),
-  # then a short gated measurement of all fourteen kernels against the
+  # then a short gated measurement of all sixteen kernels against the
   # committed BENCH_sim.json that fails on checksum drift or a median
   # regression beyond the documented threshold (docs/PERFORMANCE.md).
   # The memo accounting harness runs its own smoke first.

@@ -13,7 +13,7 @@ use datamime::EvalArena;
 use datamime_apps::App;
 use datamime_loadgen::WorkloadSpec;
 use datamime_perfproxy::{CloneStats, PerfProxClone};
-use datamime_sim::{Counters, Machine, MachineConfig};
+use datamime_sim::{Counters, Machine, MachineConfig, RefMachine};
 use datamime_stats::Rng;
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -69,6 +69,47 @@ fn a_copy_of_a_fresh_build_serves_like_a_rebuild() {
         &|| Box::new(PerfProxClone::new(stats, 0xFF0C)),
         50,
     );
+}
+
+/// Each catalog application's own traffic, recorded off a `Machine` and
+/// pushed through the line-at-a-time `RefMachine`: on the platform it was
+/// recorded on, on the two validation platforms and under a two-way CAT
+/// partition, the simulator and its oracle agree on every counter.
+#[test]
+fn recorded_app_traffic_counts_the_same_on_the_reference_machine() {
+    let broadwell = MachineConfig::broadwell();
+    for w in Workload::catalog() {
+        let n = if w.load.qps < 10_000.0 { 2 } else { 300 };
+        let mut app = w.app.build();
+        let mut recorded = Machine::new(broadwell.clone());
+        recorded.start_recording();
+        let mut rng = Rng::with_seed(99);
+        for _ in 0..n {
+            app.serve(&mut recorded, &mut rng);
+        }
+        let trace = recorded.stop_recording().expect("recording was started");
+        for cfg in [
+            broadwell.clone(),
+            broadwell.with_llc_ways(2),
+            MachineConfig::zen2(),
+            MachineConfig::silvermont(),
+        ] {
+            let mut machine = Machine::new(cfg.clone());
+            trace.replay(&mut machine);
+            let mut reference = RefMachine::new(cfg.clone());
+            reference.replay(&trace);
+            assert_eq!(
+                machine.counters(),
+                reference.counters(),
+                "{} on {}",
+                w.name,
+                cfg.name
+            );
+            if cfg == broadwell {
+                assert_eq!(machine.counters(), recorded.counters(), "{}", w.name);
+            }
+        }
+    }
 }
 
 proptest! {
