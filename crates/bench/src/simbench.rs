@@ -75,20 +75,11 @@ fn address_stream(n: usize, seed: u64) -> Vec<u64> {
     out
 }
 
-/// The headline kernel: a three-level L1/L2/LLC lookup chain (Broadwell
-/// geometries, DRRIP LLC) over a mixed-locality address stream.
-///
-/// The chain runs block-at-a-time through [`Cache::access_block_clean`]:
-/// the L1 sweeps a block of addresses, the L2 sees only the L1's misses,
-/// and the LLC only the L2's. Each cache observes exactly the subsequence
-/// of addresses — in exactly the order — that the scalar
-/// `l1.miss && l2.miss → llc` formulation would send it, so every counter
-/// (and therefore the checksum) is bit-identical; what changes is that
-/// each level's probe loop runs tight instead of interleaving three
-/// levels' code behind data-dependent branches.
+/// A three-level L1/L2/LLC lookup chain (Broadwell geometries, DRRIP LLC)
+/// over a mixed-locality address stream, one address at a time through
+/// [`Cache::access`] — the chain `Machine` runs for every data line.
 pub fn l1l2llc_access() -> Kernel {
     const N: usize = 200_000;
-    const BLOCK: usize = 1024;
     let stream = address_stream(N, BENCH_SEED);
     let mut l1 = Cache::new(CacheConfig::new(32 * 1024, 8));
     let mut l2 = Cache::new(CacheConfig::new(256 * 1024, 8));
@@ -98,22 +89,14 @@ pub fn l1l2llc_access() -> Kernel {
         line_bytes: 64,
         replacement: Replacement::Drrip,
     });
-    let mut m1: Vec<u64> = Vec::with_capacity(BLOCK);
-    let mut m2: Vec<u64> = Vec::with_capacity(BLOCK);
-    let mut m3: Vec<u64> = Vec::with_capacity(BLOCK);
-    let mut wb: Vec<u64> = Vec::new();
     Kernel {
         name: "sim/l1l2llc_access",
         ops: N as u64,
         run: Box::new(move || {
-            for chunk in stream.chunks(BLOCK) {
-                m1.clear();
-                m2.clear();
-                m3.clear();
-                l1.access_block_clean(chunk, &mut m1, &mut wb);
-                l2.access_block_clean(&m1, &mut m2, &mut wb);
-                llc.access_block_clean(&m2, &mut m3, &mut wb);
-                debug_assert!(wb.is_empty(), "clean reads evict no dirty victims");
+            for &a in &stream {
+                if l1.access(a, false).is_miss() && l2.access(a, false).is_miss() {
+                    let _ = llc.access(a, false);
+                }
             }
             mix(mix(mix(0, l1.hits()), l2.misses()), llc.misses())
         }),
@@ -610,9 +593,9 @@ pub fn all_kernels() -> Vec<Kernel> {
 /// --cross-check` runs both sides and fails on any mismatch; this is the
 /// runtime complement to the equivalence property tests of `crates/sim`
 /// and `crates/bayesopt`, pinned on the exact inputs the benchmarks
-/// measure. (The `machine_*` kernels have no reference twin — `Machine`
-/// has a single implementation whose batched internals are covered by the
-/// cache/TLB references plus the sim-crate property tests.)
+/// measure. (The `machine_*` and `replay_*` kernels have no twin here:
+/// `Machine` is held to `RefMachine` by the sim crate's proptests and, on
+/// recorded application traffic, by `tests/integration_fork.rs`.)
 pub fn reference_kernels() -> Vec<(&'static str, Kernel)> {
     let [suggest_n32, suggest_n88, suggest_n200] = reference_bo_suggest_curve();
     vec![

@@ -1,17 +1,17 @@
-//! Equivalence of the batched/specialized cache and TLB paths with the
+//! Equivalence of the specialized cache and TLB paths with the
 //! straight-line reference transcriptions in `datamime_sim::reference`.
 //!
 //! These are the gate for every hot-path rewrite (see docs/PERFORMANCE.md):
 //! the optimized `Cache`/`Tlb` must match `RefCache`/`RefTlb` — and the
-//! span/block batch APIs must match their own per-access formulation —
-//! access for access, counter for counter, on arbitrary streams.
+//! span API must match its own per-access formulation — access for
+//! access, counter for counter, on arbitrary streams.
 
 use datamime_sim::{Cache, CacheConfig, RefCache, RefTlb, Replacement, Tlb, TlbConfig, LINE_BYTES};
 use proptest::prelude::*;
 
-/// Geometries covering every specialized path: 8-way LRU (fused span/block
-/// fast path), narrow LRU (generic scalar path), and the const-width DRRIP
-/// specializations for 8/12/16 ways plus the runtime-width fallback.
+/// Geometries covering every specialized path: 8-way LRU (packed-minimum
+/// victim), narrow LRU (generic victim scan), and the const-width DRRIP
+/// miss bodies for 8 and 12 ways plus the runtime-width one (16, 6).
 fn any_cache_config() -> impl Strategy<Value = CacheConfig> {
     prop_oneof![
         Just(CacheConfig::new(32 * 1024, 8)),
@@ -141,43 +141,6 @@ proptest! {
         prop_assert_eq!(&wb_span, &wb_scalar);
         prop_assert_eq!(spanning.hits(), scalar.hits());
         prop_assert_eq!(spanning.misses(), scalar.misses());
-    }
-
-    /// `access_block_clean` versus a per-access loop: identical miss lists,
-    /// write-back lists, and counters, across the fused 8-way LRU arm, the
-    /// generic LRU arm, and the DRRIP arm.
-    #[test]
-    fn block_clean_matches_per_access(
-        cfg in any_cache_config(),
-        seed_writes in prop::collection::vec(0u64..1 << 18, 0..100),
-        blocks in prop::collection::vec(
-            prop::collection::vec(0u64..1 << 18, 0..64),
-            1..20,
-        ),
-    ) {
-        let mut batched = Cache::new(cfg);
-        let mut scalar = Cache::new(cfg);
-        for &addr in &seed_writes {
-            prop_assert_eq!(batched.access(addr, true), scalar.access(addr, true));
-        }
-        let (mut wb_batched, mut wb_scalar) = (Vec::new(), Vec::new());
-        for block in &blocks {
-            let mut miss_batched = Vec::new();
-            batched.access_block_clean(block, &mut miss_batched, &mut wb_batched);
-            let mut miss_scalar = Vec::new();
-            for &addr in block {
-                if let datamime_sim::Access::Miss { writeback_of } = scalar.access(addr, false) {
-                    miss_scalar.push(addr);
-                    if let Some(victim) = writeback_of {
-                        wb_scalar.push(victim);
-                    }
-                }
-            }
-            prop_assert_eq!(&miss_batched, &miss_scalar);
-        }
-        prop_assert_eq!(&wb_batched, &wb_scalar);
-        prop_assert_eq!(batched.hits(), scalar.hits());
-        prop_assert_eq!(batched.misses(), scalar.misses());
     }
 
     /// TLB versus the reference model on arbitrary translation streams.
