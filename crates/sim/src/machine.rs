@@ -58,9 +58,12 @@ pub struct Machine {
     wb_scratch: Vec<Addr>,
 }
 
-/// Lines per batch in the block-phased frontend and data paths — see
+/// Lines per batch in the block-phased data path — see
 /// [`Machine::BLOCK_LINES`].
 const BLOCK_LINES: usize = 64;
+
+/// Cache lines per page.
+const LINES_PER_PAGE: u64 = PAGE_BYTES / LINE_BYTES;
 
 impl Machine {
     /// Lines per batch in the block-phased frontend and data paths.
@@ -315,138 +318,54 @@ impl Machine {
             });
         }
         self.counters.instructions += instrs;
-        // Single-line fast path, mirroring `data_access`: most spans the
-        // workloads issue (and every span the request loops replay) fit in
-        // one cache line, and the block machinery below would spend more
-        // on its bookkeeping than on the two probes this needs.
+        let p = self.cfg.penalties;
         let first_line = pc / LINE_BYTES;
         let last_line = if code_bytes == 0 {
             first_line
         } else {
             (pc + code_bytes - 1) / LINE_BYTES
         };
-        if first_line == last_line {
-            let line = first_line * LINE_BYTES;
-            let mut penalty = 0.0;
-            if !self.itlb.access(line) {
-                self.counters.itlb_misses += 1;
-                penalty += self.cfg.penalties.tlb_walk;
-            }
-            if self.l1i.access(line, false).is_miss() {
-                self.counters.l1i_misses += 1;
-                penalty += self.below_l1(line) * self.cfg.penalties.frontend_stall_factor;
-            }
-            self.charge(instrs as f64 / self.cfg.issue_width.min(ilp) + penalty);
-            return;
-        }
-        self.exec_span(first_line, last_line, instrs, ilp);
-    }
-
-    /// Multi-line half of [`Machine::exec_ilp`], kept out of line so the
-    /// dominant single-line path stays small enough to stay in registers.
-    fn exec_span(&mut self, first_line: u64, last_line: u64, instrs: u64, ilp: f64) {
-        let p = self.cfg.penalties;
-        let nlines = last_line - first_line + 1;
-        // Short-span fast path: a span that stays inside one page and one
-        // L1I probe window — the shape nearly every real code span has
-        // (compilers keep hot code compact; a 4 KiB page is 64 lines) —
-        // needs exactly one ITLB probe and one span call, so the generic
-        // block loop below with its per-line page dedup is pure overhead.
-        if nlines <= u64::from(Cache::SPAN_LINES)
-            && first_line * LINE_BYTES / PAGE_BYTES == last_line * LINE_BYTES / PAGE_BYTES
-        {
-            let span = first_line * LINE_BYTES;
-            let mut penalty = 0.0;
-            if !self.itlb.access(span) {
-                self.counters.itlb_misses += 1;
-                penalty += p.tlb_walk;
-            }
-            let miss_mask = self
-                .l1i
-                .access_span_clean(span, nlines as u32, &mut self.wb_scratch);
-            self.counters.l1i_misses += u64::from(miss_mask.count_ones());
-            debug_assert!(self.wb_scratch.is_empty(), "L1I lines are never dirty");
-            // Resolve misses in ascending line order (bit-identical f64
-            // accumulation order); only line 0 of the span pays the full
-            // fill, fetch-ahead hides part of the rest.
-            let exposed = p.prefetch_exposed.max(0.5);
-            let mut m = miss_mask;
-            while m != 0 {
-                let k = u64::from(m.trailing_zeros());
-                m &= m - 1;
-                let fill = self.below_l1((first_line + k) * LINE_BYTES) * p.frontend_stall_factor;
-                penalty += if k == 0 { fill } else { fill * exposed };
-            }
-            self.charge(instrs as f64 / self.cfg.issue_width.min(ilp) + penalty);
-            return;
-        }
+        // Fetch is sequential within a span: next-line prefetch hides part
+        // of the latency of every fill but the first line's, though
+        // branchy server code cannot run fetch far ahead.
+        let exposed = p.prefetch_exposed.max(0.5);
         let mut penalty = 0.0;
         let mut page = u64::MAX;
-        let mut first = true;
-        // The span's lines go through the frontend in blocks of up to
-        // [`Machine::BLOCK_LINES`]: each hardware unit (ITLB, L1I, then the
-        // unified levels) sees its own access subsequence in original line
-        // order, so per-unit state evolves exactly as in the line-at-a-time
-        // formulation, while each probe loop stays tight enough to pipeline
-        // across the block. Per-line outcomes live in two u64 bitmasks —
-        // no scratch arrays to zero per call.
         let mut ln = first_line;
         while ln <= last_line {
-            let chunk = (last_line - ln + 1).min(BLOCK_LINES as u64);
-            // Phase 1: ITLB probes, page-dedup'd (carried across blocks).
-            let mut walk_mask = 0u64;
-            for k in 0..chunk {
-                let line = (ln + k) * LINE_BYTES;
-                let line_page = line / PAGE_BYTES;
-                if line_page != page {
-                    page = line_page;
-                    if !self.itlb.access(line) {
-                        self.counters.itlb_misses += 1;
-                        walk_mask |= 1 << k;
-                    }
+            // One window: up to `SPAN_LINES` lines, clipped at the page
+            // end so a page change can only fall on a window's first line.
+            let to_page_end = LINES_PER_PAGE - ln % LINES_PER_PAGE;
+            let n = (last_line - ln + 1)
+                .min(u64::from(Cache::SPAN_LINES))
+                .min(to_page_end);
+            let window = ln * LINE_BYTES;
+            if window / PAGE_BYTES != page {
+                page = window / PAGE_BYTES;
+                if !self.itlb.access(window) {
+                    self.counters.itlb_misses += 1;
+                    penalty += p.tlb_walk;
                 }
             }
-            // Phase 2: L1I probes, span-batched — one vectorized window
-            // sweep answers up to SPAN_LINES consecutive probes at once.
-            let mut miss_mask = 0u64;
-            let mut off = 0u64;
-            while off < chunk {
-                let n = (chunk - off).min(u64::from(Cache::SPAN_LINES));
-                let m = self.l1i.access_span_clean(
-                    (ln + off) * LINE_BYTES,
-                    n as u32,
-                    &mut self.wb_scratch,
-                );
-                miss_mask |= m << off;
-                off += n;
-            }
-            self.counters.l1i_misses += u64::from(miss_mask.count_ones());
+            let mut misses = self
+                .l1i
+                .access_span_clean(window, n as u32, &mut self.wb_scratch);
             debug_assert!(self.wb_scratch.is_empty(), "L1I lines are never dirty");
-            // Phase 3: misses descend the unified hierarchy in line order,
-            // and penalty terms are summed in the original interleaved
-            // per-line order, keeping the f64 accumulation bit-identical
-            // to the scalar formulation. Fully warm blocks skip this.
-            if walk_mask | miss_mask != 0 {
-                for k in 0..chunk {
-                    if walk_mask & (1 << k) != 0 {
-                        penalty += p.tlb_walk;
-                    }
-                    if miss_mask & (1 << k) != 0 {
-                        let fill = self.below_l1((ln + k) * LINE_BYTES) * p.frontend_stall_factor;
-                        // Within a span, fetch is sequential: next-line
-                        // prefetch hides part of the latency of all but
-                        // the first line, but branchy server code cannot
-                        // run fetch far ahead.
-                        penalty += if first && k == 0 {
-                            fill
-                        } else {
-                            fill * p.prefetch_exposed.max(0.5)
-                        };
-                    }
-                }
+            self.counters.l1i_misses += u64::from(misses.count_ones());
+            // The window's misses descend in line order, so the L2 and LLC
+            // see them — and `penalty` sums them — exactly as a
+            // line-at-a-time fetch would.
+            while misses != 0 {
+                let line = ln + u64::from(misses.trailing_zeros());
+                misses &= misses - 1;
+                let fill = self.below_l1(line * LINE_BYTES) * p.frontend_stall_factor;
+                penalty += if line == first_line {
+                    fill
+                } else {
+                    fill * exposed
+                };
             }
-            first = false;
-            ln += chunk;
+            ln += n;
         }
         self.charge(instrs as f64 / self.cfg.issue_width.min(ilp) + penalty);
     }
