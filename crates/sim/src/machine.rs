@@ -58,25 +58,10 @@ pub struct Machine {
     wb_scratch: Vec<Addr>,
 }
 
-/// Lines per batch in the block-phased data path — see
-/// [`Machine::BLOCK_LINES`].
-const BLOCK_LINES: usize = 64;
-
 /// Cache lines per page.
 const LINES_PER_PAGE: u64 = PAGE_BYTES / LINE_BYTES;
 
 impl Machine {
-    /// Lines per batch in the block-phased frontend and data paths.
-    ///
-    /// Multi-line spans are processed in blocks of this many cache lines:
-    /// within a block, each hardware unit (TLB, L1, the unified levels
-    /// below) performs all of its probes in one tight loop over the block
-    /// before the next unit runs, instead of every line taking a full trip
-    /// through every unit. Each unit still observes its own accesses in
-    /// original line order, so all counters stay bit-identical to the
-    /// line-at-a-time formulation (see docs/PERFORMANCE.md).
-    pub const BLOCK_LINES: usize = BLOCK_LINES;
-
     /// Builds a machine from its configuration.
     pub fn new(cfg: MachineConfig) -> Self {
         Machine {
@@ -402,102 +387,28 @@ impl Machine {
     }
 
     fn data_access(&mut self, addr: Addr, size: u64, write: bool) {
-        // Same line arithmetic as `lines_of`, hoisted so the common case —
-        // an access contained in one cache line — skips the iterator and
-        // the per-line page-dedup bookkeeping entirely: one TLB translation
-        // and one L1D lookup, fused back to back.
-        let first = addr / LINE_BYTES;
-        let last = if size == 0 {
-            first
-        } else {
-            (addr + size - 1) / LINE_BYTES
-        };
-        if first == last {
-            let line = first * LINE_BYTES;
-            let mut penalty = 0.0;
-            if !self.dtlb.access(line) {
-                self.counters.dtlb_misses += 1;
-                penalty += self.cfg.penalties.tlb_walk / self.cfg.penalties.mlp;
-            }
-            penalty += self.data_line_access(line, write);
-            self.charge(penalty);
-            return;
-        }
-        self.data_span(addr, size, write);
-    }
-
-    /// Multi-line half of [`Machine::data_access`], kept out of line so the
-    /// dominant single-line path stays small.
-    fn data_span(&mut self, addr: Addr, size: u64, write: bool) {
         let p = self.cfg.penalties;
         let mut penalty = 0.0;
         let mut page = u64::MAX;
-        // Block-phased like `exec_ilp`: DTLB probes, then prefetcher
-        // stream scans, then L1D + the unified levels, each unit sweeping
-        // the whole block in line order before the next unit runs.
-        let mut lines = lines_of(addr, size);
-        let mut block = [0u64; BLOCK_LINES];
-        let mut tlb_walked = [false; BLOCK_LINES];
-        let mut covered = [false; BLOCK_LINES];
-        loop {
-            let mut n = 0;
-            for line in lines.by_ref() {
-                block[n] = line;
-                n += 1;
-                if n == BLOCK_LINES {
-                    break;
-                }
-            }
-            if n == 0 {
-                break;
-            }
-            // Phase 1: DTLB probes, page-dedup'd (carried across blocks).
-            for i in 0..n {
-                let line = block[i];
-                let line_page = line / PAGE_BYTES;
-                let mut walked = false;
-                if line_page != page {
-                    page = line_page;
-                    if !self.dtlb.access(line) {
-                        self.counters.dtlb_misses += 1;
-                        walked = true;
-                    }
-                }
-                tlb_walked[i] = walked;
-            }
-            // Phase 2: prefetcher stream scans across the block.
-            for i in 0..n {
-                covered[i] = self.prefetcher_covers(block[i]);
-            }
-            // Phase 3: L1D and the levels below, penalties summed in the
-            // original interleaved per-line order (bit-identical f64
-            // accumulation).
-            for i in 0..n {
-                if tlb_walked[i] {
+        for line in lines_of(addr, size) {
+            if line / PAGE_BYTES != page {
+                page = line / PAGE_BYTES;
+                if !self.dtlb.access(line) {
+                    self.counters.dtlb_misses += 1;
                     penalty += p.tlb_walk / p.mlp;
                 }
-                penalty += self.data_line_covered(block[i], write, covered[i]);
             }
+            penalty += self.data_line_access(line, write);
         }
         self.charge(penalty);
     }
 
     /// One line's trip through the D-side hierarchy (prefetcher check, L1D,
     /// and the unified levels on a miss), returning the cycle penalty.
-    /// Shared by the single-line fast path and the multi-line loop so both
-    /// charge bit-identical costs.
     #[inline]
     fn data_line_access(&mut self, line: Addr, write: bool) -> f64 {
-        let covered = self.prefetcher_covers(line);
-        self.data_line_covered(line, write, covered)
-    }
-
-    /// The L1D-and-below half of [`Machine::data_line_access`], with the
-    /// prefetcher verdict supplied by the caller (the block-phased path
-    /// batches the stream scans separately).
-    #[inline]
-    fn data_line_covered(&mut self, line: Addr, write: bool, covered: bool) -> f64 {
         let p = self.cfg.penalties;
+        let covered = self.prefetcher_covers(line);
         match self.l1d.access(line, write) {
             Access::Hit => 0.0,
             Access::Miss { writeback_of } => {
