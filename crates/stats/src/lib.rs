@@ -8,8 +8,7 @@
 //!   categorical, ...) used by dataset generators and load generators;
 //! - [`Ecdf`]: empirical CDFs over profiled metric samples;
 //! - [`emd`]: the Earth Mover's Distance error model from the paper
-//!   (normalized area between CDFs) plus a Kolmogorov–Smirnov alternative;
-//! - [`Summary`] and [`Histogram`]: streaming summaries for counters.
+//!   (normalized area between CDFs) plus a Kolmogorov–Smirnov alternative.
 //!
 //! # Examples
 //!
@@ -39,8 +38,6 @@ pub mod dist;
 mod ecdf;
 pub mod emd;
 mod rng;
-mod summary;
 
 pub use ecdf::{Ecdf, EmptySamplesError};
 pub use rng::Rng;
-pub use summary::{Histogram, Summary};

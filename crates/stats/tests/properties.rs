@@ -6,7 +6,7 @@ use datamime_stats::emd::{
     curve_distance, curve_distance_iter, emd_area, emd_area_naive, emd_normalized, ks_statistic,
     ks_statistic_naive,
 };
-use datamime_stats::{Ecdf, Rng, Summary};
+use datamime_stats::{Ecdf, Rng};
 use proptest::prelude::*;
 
 fn finite_samples(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -155,21 +155,6 @@ proptest! {
         for _ in 0..64 {
             prop_assert!(c.sample_index(&mut rng) < weights.len());
         }
-    }
-
-    #[test]
-    fn summary_matches_naive_computation(samples in finite_samples(64)) {
-        let mut s = Summary::new();
-        for &x in &samples {
-            s.add(x);
-        }
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let scale = 1.0 + mean.abs();
-        prop_assert!((s.mean() - mean).abs() / scale < 1e-9);
-        prop_assert_eq!(s.count(), samples.len() as u64);
-        prop_assert_eq!(s.min(), samples.iter().cloned().fold(f64::INFINITY, f64::min));
-        prop_assert_eq!(s.max(), samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
     }
 
     #[test]
