@@ -276,6 +276,14 @@ impl Cache {
     ///
     /// On a miss the line is allocated (write-allocate) and the victim's
     /// dirty state is reported so the caller can account write-back traffic.
+    ///
+    /// `#[inline]` is kept on a measurement. The release profile's thin
+    /// LTO can inline this into other crates without it, but whether it
+    /// does moves with unrelated edits: interleaved `bench_sim` rounds
+    /// read the same with and without the attribute at one commit of
+    /// PR 19, and 6.1–6.7 without against 5.2–5.9 ns/op with it on
+    /// `sim/cache_l1_hit` two commits later (docs/PERFORMANCE.md §2).
+    #[inline]
     pub fn access(&mut self, addr: Addr, write: bool) -> Access {
         self.clock += 1;
         let set = self.set_of(addr);
@@ -355,9 +363,9 @@ impl Cache {
     /// DRRIP access path. The hit check is the early-exit probe; the miss
     /// body is dispatched to a const-width specialization for the two
     /// widths that carry traffic — the 12-way Broadwell LLC and its 8-way
-    /// CAT partition. Runtime width throughout measured 12.5–17.6 →
-    /// 18.4–19.4 ns/op on `sim/cache_llc_drrip` and +10–13 % on the
-    /// `xapian_bo_long` search (docs/PERFORMANCE.md §2).
+    /// CAT partition. Runtime width throughout measured 15.7 → 21.7 ns/op
+    /// on `sim/cache_llc_drrip` and +10 % on the median `xapian_bo_long`
+    /// search (docs/PERFORMANCE.md §2).
     #[inline]
     fn access_drrip(&mut self, base: usize, set: u64, tag: u32, write: bool) -> Access {
         if let Some(way) = self.probe(base, tag) {

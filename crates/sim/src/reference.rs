@@ -528,17 +528,14 @@ impl RefMachine {
     /// to or from memory, and so does the dirty victim it evicts; without
     /// an LLC every access is a miss.
     fn llc_access(&mut self, line: Addr, write: bool) -> bool {
-        let outcome = self.llc.as_mut().map(|llc| llc.access(line, write));
-        if let Some(Access::Hit) = outcome {
-            return true;
-        }
-        self.counters.memory_bytes += LINE_BYTES;
-        if let Some(Access::Miss {
-            writeback_of: Some(_),
-        }) = outcome
-        {
-            self.counters.memory_bytes += LINE_BYTES;
-        }
+        let evicted_dirty = match &mut self.llc {
+            Some(llc) => match llc.access(line, write) {
+                Access::Hit => return true,
+                Access::Miss { writeback_of } => writeback_of.is_some(),
+            },
+            None => false,
+        };
+        self.counters.memory_bytes += LINE_BYTES * (1 + u64::from(evicted_dirty));
         false
     }
 }
