@@ -156,8 +156,11 @@ impl ServicePaths {
 ///
 /// An application is plain data laid out in *simulated* addresses: it
 /// holds no host pointer and nothing machine-dependent, which is what
-/// lets [`App::fork`] stand in for a rebuild.
-pub trait App {
+/// lets [`App::fork`] stand in for a rebuild — and what makes the `Send`
+/// bound free: the profiler serves a copy on a second thread beside the
+/// curve sweep, and a copy that owns its mutable state and shares only
+/// immutable data (behind an `Arc`) cannot tell which thread serves it.
+pub trait App: Send {
     /// Short identifier, e.g. `"memcached"`.
     fn name(&self) -> &str;
 
@@ -172,7 +175,9 @@ pub trait App {
     /// application is therefore address-for-address a rebuild from the
     /// same configuration, at the price of a `memcpy` instead of a
     /// dataset construction; the profiler restarts an application between
-    /// runs this way.
+    /// runs this way, and runs the main profile on one such copy while
+    /// the curve sweep serves the others — so a copy may share with its
+    /// original only what no `serve` ever writes.
     fn fork(&self) -> Box<dyn App>;
 
     /// Approximate resident data footprint in bytes (used by tests and by

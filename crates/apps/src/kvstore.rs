@@ -120,16 +120,43 @@ impl KvConfig {
     }
 }
 
+/// One entry of the item table, packed to 16 bytes: the table is the
+/// state every copy of the store owns, so its size is what a copy costs
+/// in time and in resident memory.
 #[derive(Debug, Clone, Copy)]
 struct Item {
     addr: Addr,
-    key_bytes: u64,
-    value_bytes: u64,
+    value_bytes: u32,
+    key_bytes: u16,
 }
 
 const ITEM_HEADER_BYTES: u64 = 56;
 const MAX_KEY: u64 = 250;
 const MAX_VALUE: u64 = 1 << 20;
+
+// Sizes reach `Item::new` clamped to these, so the narrowing is lossless.
+const _: () = assert!(MAX_KEY <= u16::MAX as u64 && MAX_VALUE <= u32::MAX as u64);
+
+impl Item {
+    /// Packs an item whose sizes are already clamped to `[1, MAX_KEY]` and
+    /// `[1, MAX_VALUE]`.
+    fn new(addr: Addr, key_bytes: u64, value_bytes: u64) -> Self {
+        debug_assert!(key_bytes <= MAX_KEY && value_bytes <= MAX_VALUE);
+        Item {
+            addr,
+            value_bytes: value_bytes as u32,
+            key_bytes: key_bytes as u16,
+        }
+    }
+
+    fn key_bytes(self) -> u64 {
+        u64::from(self.key_bytes)
+    }
+
+    fn value_bytes(self) -> u64 {
+        u64::from(self.value_bytes)
+    }
+}
 
 /// Everything about a built store that serving never changes, shared by
 /// the store and all its copies behind one `Arc`.
@@ -239,11 +266,7 @@ impl KvStore {
             let value_bytes = sample_size(value_size.as_ref(), &mut rng, 1, MAX_VALUE);
             let total = ITEM_HEADER_BYTES + key_bytes + value_bytes;
             let addr = alloc.alloc(Segment::Heap, total).expect("item");
-            items.push(Item {
-                addr,
-                key_bytes,
-                value_bytes,
-            });
+            items.push(Item::new(addr, key_bytes, value_bytes));
             footprint += total;
         }
 
@@ -278,7 +301,7 @@ impl KvStore {
                 (0..192.min(items.len()))
                     .map(|_| {
                         let it = items[rng.index(items.len())];
-                        model.generate(it.value_bytes as usize, &mut rng)
+                        model.generate(it.value_bytes() as usize, &mut rng)
                     })
                     .collect()
             }
@@ -351,7 +374,7 @@ impl KvStore {
         for &id in chain {
             let it = self.items[id as usize];
             // Header contains the hash + key pointer: one line.
-            machine.load(it.addr, 64.min(ITEM_HEADER_BYTES + it.key_bytes));
+            machine.load(it.addr, 64.min(ITEM_HEADER_BYTES + it.key_bytes()));
             let is_match = id == key;
             // Compare branch: taken when we keep walking.
             img.hash_fn.branch(machine, 64, !is_match);
@@ -366,13 +389,18 @@ impl KvStore {
     fn serve_get(&mut self, machine: &mut Machine, key: u32) {
         let it = self.lookup(machine, key);
         // Read the full key for the final compare and hash verification.
-        machine.load(it.addr + ITEM_HEADER_BYTES, it.key_bytes);
-        self.image.hash_fn.call(machine, 150 + it.key_bytes / 4);
+        machine.load(it.addr + ITEM_HEADER_BYTES, it.key_bytes());
+        self.image.hash_fn.call(machine, 150 + it.key_bytes() / 4);
         // Copy the value out through the memcpy loop (8 B/instr).
-        machine.load(it.addr + ITEM_HEADER_BYTES + it.key_bytes, it.value_bytes);
-        self.image.copy_loop.call(machine, 40 + it.value_bytes / 8);
+        machine.load(
+            it.addr + ITEM_HEADER_BYTES + it.key_bytes(),
+            it.value_bytes(),
+        );
+        self.image
+            .copy_loop
+            .call(machine, 40 + it.value_bytes() / 8);
         // Slab-class-specific item bookkeeping (LRU bump).
-        let class = slab_class_of(ITEM_HEADER_BYTES + it.key_bytes + it.value_bytes);
+        let class = slab_class_of(ITEM_HEADER_BYTES + it.key_bytes() + it.value_bytes());
         self.image.slab_classes[class].call(machine, 250);
         machine.store(it.addr + 16, 8); // LRU timestamp update
     }
@@ -381,8 +409,8 @@ impl KvStore {
         let old = self.lookup(machine, key);
         // New value size drawn from the dataset's distribution.
         let value_bytes = self.image.cfg.value_size.sample_bytes(rng, 1, MAX_VALUE);
-        let old_total = ITEM_HEADER_BYTES + old.key_bytes + old.value_bytes;
-        let new_total = ITEM_HEADER_BYTES + old.key_bytes + value_bytes;
+        let old_total = ITEM_HEADER_BYTES + old.key_bytes() + old.value_bytes();
+        let new_total = ITEM_HEADER_BYTES + old.key_bytes() + value_bytes;
         let old_class = slab_class_of(old_total);
         let new_class = slab_class_of(new_total);
         // Reallocation branch: taken when the item changes slab class.
@@ -398,17 +426,13 @@ impl KvStore {
         } else {
             old.addr
         };
-        self.items[key as usize] = Item {
-            addr,
-            key_bytes: old.key_bytes,
-            value_bytes,
-        };
+        self.items[key as usize] = Item::new(addr, old.key_bytes(), value_bytes);
         // Store-side bookkeeping paths: LRU maintenance, eviction checks,
         // stats, logging — memcached's write path is much wider than GET.
         self.image.aux_paths.touch(machine, rng, 3, 300);
         // Write header + key + value.
-        machine.store(addr, ITEM_HEADER_BYTES + old.key_bytes);
-        machine.store(addr + ITEM_HEADER_BYTES + old.key_bytes, value_bytes);
+        machine.store(addr, ITEM_HEADER_BYTES + old.key_bytes());
+        machine.store(addr + ITEM_HEADER_BYTES + old.key_bytes(), value_bytes);
         self.image.copy_loop.call(machine, 40 + value_bytes / 8);
         self.image.store_path.call(machine, 900);
         self.image.slab_classes[new_class].call(machine, 300);
@@ -430,10 +454,10 @@ impl App for KvStore {
         }
         let key = self.pick_key(rng);
         let it = self.items[key as usize];
-        self.image.parse.call(machine, 350 + it.key_bytes * 3);
+        self.image.parse.call(machine, 350 + it.key_bytes() * 3);
         // Tokenizing the request: one data-dependent branch per few key
         // bytes (delimiter checks on effectively random characters).
-        for b in 0..(it.key_bytes / 6).max(2) {
+        for b in 0..(it.key_bytes() / 6).max(2) {
             self.image.parse.branch(machine, 300 + b * 4, rng.bool(0.3));
         }
         let is_get = rng.bool(self.image.cfg.get_ratio);
@@ -692,6 +716,20 @@ mod tests {
         let a = run(KvConfig::facebook_like(), 500);
         let b = run(KvConfig::facebook_like(), 500);
         assert_eq!(a.counters(), b.counters());
+    }
+
+    #[test]
+    fn an_item_is_sixteen_bytes_and_round_trips_at_the_clamp_edges() {
+        assert_eq!(std::mem::size_of::<Item>(), 16);
+        for key_bytes in [1, MAX_KEY] {
+            for value_bytes in [1, MAX_VALUE] {
+                let it = Item::new(u64::MAX - 7, key_bytes, value_bytes);
+                assert_eq!(
+                    (it.addr, it.key_bytes(), it.value_bytes()),
+                    (u64::MAX - 7, key_bytes, value_bytes)
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,9 @@ use datamime_sim::{Machine, MachineConfig, Sampler};
 use std::cell::RefCell;
 
 /// Upper bound on pooled objects of each kind. Profiling holds at most two
-/// machines alive at once (the main-run machine plus one curve-sweep
-/// machine), so a small cap bounds worst-case retained memory without ever
-/// forcing a reallocation in practice.
+/// machines alive at once (the main run's, on its own thread, beside the
+/// curve-sweep point's), so a small cap bounds worst-case retained memory
+/// without ever forcing a reallocation in practice.
 const MAX_POOLED: usize = 4;
 
 /// A pool of recycled simulator state for one evaluation worker.
@@ -25,6 +25,10 @@ const MAX_POOLED: usize = 4;
 /// empty); `recycle_*` methods return objects for the next evaluation.
 /// Recycled state behaves exactly like freshly constructed state — counter
 /// for counter, sample for sample — so pooling is invisible to results.
+///
+/// The arena itself never leaves its worker's thread: the profiler takes
+/// the main run's machine and sampler here, moves that pair to the thread
+/// the run is on, and recycles it here when the run is joined.
 ///
 /// # Examples
 ///

@@ -13,17 +13,22 @@ use datamime_loadgen::{Driver, WorkloadSpec};
 /// (re-exported so callers of the full form need not name the runtime
 /// crate).
 pub use datamime_runtime::CancelToken;
-use datamime_sim::{MachineConfig, MetricSample, Sampler};
+use datamime_sim::{Machine, MachineConfig, MetricSample, Sampler};
 
 /// How cache-sensitivity curves are measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CurveMethod {
     /// Restarted application + fresh machine per allocation, as the paper
     /// does it: each point serves a copy of the freshly built dataset, so
-    /// a k-point sweep costs k copies, not k builds.
+    /// a k-point sweep costs k copies, not k builds. The restarted runs
+    /// are independent of the main run, which therefore runs beside the
+    /// sweep on a second thread (see [`profile_app_cancellable_in`]).
     Restart,
     /// DynaWay-style online repartitioning (paper ref. \[11\]): one run,
     /// the LLC is resized in place per point with a one-sample warm-up.
+    /// Each point starts from the machine state the previous one left, so
+    /// there is nothing to run side by side: main run, then sweep, on the
+    /// calling thread.
     Dynaway,
 }
 
@@ -31,7 +36,7 @@ pub enum CurveMethod {
 /// resolution).
 ///
 /// [`ProfilingConfig::paper_default`] mirrors the paper's methodology
-/// (20 M-cycle counter intervals, 11-point curve sweep);
+/// (20 M-cycle counter intervals, 12-point curve sweep);
 /// [`ProfilingConfig::fast`] is a cheaper setting used by tests and quick
 /// experiments. Absolute interval lengths are scaled down relative to the
 /// paper's wall-clock numbers because the simulated applications serve
@@ -54,8 +59,8 @@ pub struct ProfilingConfig {
 }
 
 impl ProfilingConfig {
-    /// The paper's methodology: 20 M-cycle intervals and an 11-point curve
-    /// (1 MB steps plus the full 12 MB on Broadwell).
+    /// The paper's methodology: 20 M-cycle intervals and a 12-point curve
+    /// (one point per 1 MB way, up to the full 12 MB on Broadwell).
     pub fn paper_default() -> Self {
         ProfilingConfig {
             interval_cycles: 20_000_000,
@@ -125,17 +130,33 @@ pub fn profile_workload(
 /// copy is of a never-served application — address-for-address a rebuild —
 /// and a profile without a sweep copies nothing.
 ///
-/// Cooperatively cancellable: the sampling loops poll `cancel` once per
-/// served request, and the curve sweep checks it between points. When
-/// cancellation fires the function returns early with whatever
-/// (truncated) profile exists — callers under supervision discard it.
+/// **Two lanes.** Restarted runs share nothing: each has its own copy,
+/// machine, sampler and driver seed, so each is a pure function of the
+/// dataset image, the machine configuration, the seed and the sample
+/// count, whatever runs beside it. A [`CurveMethod::Restart`] sweep with
+/// at least one point therefore runs on two threads: the main run, on its
+/// copy, on a scoped thread spawned for this call, and the sweep on the
+/// caller — one copy per point, the last point serving `app`. The profile
+/// is bit for bit the one a single thread would produce. [`App`] is
+/// `Send` for this. A [`CurveMethod::Dynaway`] sweep is one run by
+/// definition and a profile without a sweep is one run in fact; both stay
+/// on the calling thread.
 ///
-/// All machines and samplers are taken from (and recycled into) `arena`,
-/// so a worker that profiles many candidates allocates the simulator
-/// arrays once and `reinit`s them per run. Pooling is bit-invisible:
-/// `reinit` reproduces fresh construction exactly (property-tested in
-/// `crates/sim`), so a warm arena returns the same profile as
-/// [`EvalArena::new`], sample for sample.
+/// Cooperatively cancellable: every run polls `cancel` once per served
+/// request — both lanes poll the same token — and the curve sweep checks
+/// it between points. When cancellation fires the function returns early
+/// with whatever (truncated) profile exists — callers under supervision
+/// discard it. A panic on the main-run lane is re-raised on the caller
+/// with its original payload once the sweep lane has ended; no thread
+/// outlives the call.
+///
+/// All machines and samplers are taken from (and recycled into) `arena`
+/// on the calling thread — the main-run lane owns the pair it was handed
+/// and returns it — so a worker that profiles many candidates allocates
+/// the simulator arrays once and `reinit`s them per run. Pooling is
+/// bit-invisible: `reinit` reproduces fresh construction exactly
+/// (property-tested in `crates/sim`), so a warm arena returns the same
+/// profile as [`EvalArena::new`], sample for sample.
 ///
 /// # Panics
 ///
@@ -159,10 +180,22 @@ pub fn profile_app_cancellable_in(
         .filter(|&ways| ways != 0 && ways <= machine_cfg.llc_partitions())
         .collect();
 
-    // One restarted run: fresh machine, sampler and driver. `last` marks
-    // the last planned run, the only one that serves `app` itself. The
-    // sampler comes back holding the run's samples; the machine is
-    // recycled as soon as the run ends.
+    // One restarted run on state the caller picked: a fresh driver serves
+    // `served` until `sampler` holds `samples` intervals or `cancel` fires.
+    let drive = |served: &mut dyn App,
+                 machine: &mut Machine,
+                 sampler: &mut Sampler,
+                 seed: u64,
+                 samples: usize| {
+        Driver::new(load, seed).run_cancellable(served, machine, sampler, samples, &mut || {
+            cancel.is_cancelled()
+        });
+    };
+
+    // One restarted run on the calling thread: fresh machine and sampler
+    // from the arena. `last` marks the last planned run, the only one that
+    // serves `app` itself. The sampler comes back holding the run's
+    // samples; the machine is recycled as soon as the run ends.
     let run_fresh = |app: &mut Box<dyn App>,
                      last: bool,
                      run_cfg: MachineConfig,
@@ -178,79 +211,95 @@ pub fn profile_app_cancellable_in(
         };
         let mut machine = arena.take_machine(run_cfg);
         let mut sampler = arena.take_sampler(cfg.interval_cycles);
-        Driver::new(load, seed).run_cancellable(
-            served,
-            &mut machine,
-            &mut sampler,
-            samples,
-            &mut || cancel.is_cancelled(),
-        );
+        drive(served, &mut machine, &mut sampler, seed, samples);
         arena.recycle_machine(machine);
         sampler
     };
 
-    // Main distribution run; its sampler stays out until its samples are
+    // The main distribution run's sampler stays out until its samples are
     // consumed at the end.
-    let sampler = run_fresh(
-        &mut app,
-        points.is_empty(),
-        machine_cfg.clone(),
-        cfg.seed,
-        cfg.n_samples,
-        arena,
-    );
-
-    // Curve sweep with CAT-restricted LLC allocations; skipped outright
-    // when no point will run.
-    let mut curve = Vec::new();
-    if !points.is_empty() && !cancel.is_cancelled() {
-        match cfg.curve_method {
-            CurveMethod::Restart => {
-                for (i, &ways) in points.iter().enumerate() {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let part_cfg = machine_cfg.with_llc_ways(ways);
-                    let bytes = part_cfg.llc_bytes();
-                    let point_sampler = run_fresh(
-                        &mut app,
-                        i + 1 == points.len(),
-                        part_cfg,
-                        cfg.seed ^ u64::from(ways),
-                        cfg.curve_samples.max(1),
-                        arena,
-                    );
-                    curve.push(curve_point(&point_sampler, bytes));
-                    arena.recycle_sampler(point_sampler);
+    let (sampler, curve) = if cfg.curve_method == CurveMethod::Restart && !points.is_empty() {
+        // Two lanes: the main run owns its copy, machine and sampler on a
+        // scoped thread; the restarted sweep runs here.
+        let mut main_app = app.fork();
+        let mut machine = arena.take_machine(machine_cfg.clone());
+        let mut sampler = arena.take_sampler(cfg.interval_cycles);
+        std::thread::scope(|lanes| {
+            let main_run = lanes.spawn(move || {
+                drive(
+                    main_app.as_mut(),
+                    &mut machine,
+                    &mut sampler,
+                    cfg.seed,
+                    cfg.n_samples,
+                );
+                (sampler, machine)
+            });
+            let mut curve = Vec::with_capacity(points.len());
+            for (i, &ways) in points.iter().enumerate() {
+                if cancel.is_cancelled() {
+                    break;
                 }
+                let part_cfg = machine_cfg.with_llc_ways(ways);
+                let bytes = part_cfg.llc_bytes();
+                let point_sampler = run_fresh(
+                    &mut app,
+                    i + 1 == points.len(),
+                    part_cfg,
+                    cfg.seed ^ u64::from(ways),
+                    cfg.curve_samples.max(1),
+                    arena,
+                );
+                curve.push(curve_point(&point_sampler, bytes));
+                arena.recycle_sampler(point_sampler);
             }
-            CurveMethod::Dynaway => {
-                // One run for the whole sweep, serving `app` itself;
-                // repartition in place per point and let the driver's
-                // built-in warm-up sample absorb the cold restart.
-                let mut machine = arena.take_machine(machine_cfg.clone());
-                let mut driver = Driver::new(load, cfg.seed ^ 0xD1A);
-                for &ways in &points {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    machine.set_llc_ways(ways);
-                    let mut point_sampler = arena.take_sampler(cfg.interval_cycles);
-                    driver.run_cancellable(
-                        app.as_mut(),
-                        &mut machine,
-                        &mut point_sampler,
-                        cfg.curve_samples.max(1),
-                        &mut || cancel.is_cancelled(),
-                    );
-                    let bytes = machine_cfg.with_llc_ways(ways).llc_bytes();
-                    curve.push(curve_point(&point_sampler, bytes));
-                    arena.recycle_sampler(point_sampler);
+            match main_run.join() {
+                Ok((sampler, machine)) => {
+                    arena.recycle_machine(machine);
+                    (sampler, curve)
                 }
-                arena.recycle_machine(machine);
+                // The supervisor's `catch_unwind` must see the payload the
+                // run panicked with, not a second panic about a join.
+                Err(payload) => std::panic::resume_unwind(payload),
             }
+        })
+    } else {
+        let sampler = run_fresh(
+            &mut app,
+            points.is_empty(),
+            machine_cfg.clone(),
+            cfg.seed,
+            cfg.n_samples,
+            arena,
+        );
+        let mut curve = Vec::with_capacity(points.len());
+        if !points.is_empty() && !cancel.is_cancelled() {
+            // Dynaway: one run for the whole sweep, serving `app` itself;
+            // repartition in place per point and let the driver's built-in
+            // warm-up sample absorb the cold restart.
+            let mut machine = arena.take_machine(machine_cfg.clone());
+            let mut driver = Driver::new(load, cfg.seed ^ 0xD1A);
+            for &ways in &points {
+                if cancel.is_cancelled() {
+                    break;
+                }
+                machine.set_llc_ways(ways);
+                let mut point_sampler = arena.take_sampler(cfg.interval_cycles);
+                driver.run_cancellable(
+                    app.as_mut(),
+                    &mut machine,
+                    &mut point_sampler,
+                    cfg.curve_samples.max(1),
+                    &mut || cancel.is_cancelled(),
+                );
+                let bytes = machine_cfg.with_llc_ways(ways).llc_bytes();
+                curve.push(curve_point(&point_sampler, bytes));
+                arena.recycle_sampler(point_sampler);
+            }
+            arena.recycle_machine(machine);
         }
-    }
+        (sampler, curve)
+    };
 
     // A run cancelled before its first interval sample leaves the sampler
     // empty; fall back to a single zero sample so profiling degrades
@@ -378,6 +427,30 @@ mod tests {
             assert_eq!(fresh.dist(m).samples(), pooled.dist(m).samples(), "{m}");
         }
         assert_eq!(fresh.curve(), pooled.curve());
+    }
+
+    #[test]
+    fn a_token_cancelled_before_the_call_runs_no_sweep_point() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let w = tiny_kv();
+        let p = profile_app_cancellable_in(
+            w.app.build(),
+            w.load,
+            &MachineConfig::broadwell(),
+            &ProfilingConfig::fast(),
+            &cancel,
+            &mut EvalArena::new(),
+        );
+        // The main run still stops at its first real sample.
+        assert_eq!(p.dist(DistMetric::Ipc).len(), 1);
+        assert!(p.curve().is_empty());
+    }
+
+    #[test]
+    fn a_built_app_may_change_threads() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Box<dyn App>>();
     }
 
     #[test]

@@ -164,8 +164,11 @@ pub struct RuntimeOptions {
     /// how graceful shutdown drains in-flight work.
     pub batch_gate: Option<GateHandle>,
     /// A metrics registry fed by the run: evaluation/cache-hit/fault
-    /// counters and per-stage timings, plus `worker_restarts` from the
-    /// process backend's broker.
+    /// counters and per-stage timings, plus, from the process backend's
+    /// broker, `worker_restarts` (a worker slot respawned) and
+    /// `redispatches` (a point whose worker died mid-evaluation queued
+    /// again without consuming an attempt) — a flapping worker shows in
+    /// both, a slow one in neither.
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// Evaluation quota: stop with the best-so-far once this many
     /// observations exist. Checked at batch boundaries over the

@@ -83,7 +83,8 @@ pub struct BrokerConfig {
     /// [`FailureKind::WorkerLost`].
     pub redispatch_budget: u32,
     /// Optional metrics registry; the broker bumps `worker_restarts`
-    /// there whenever a slot is respawned.
+    /// there whenever a slot is respawned and `redispatches` whenever a
+    /// point whose worker died is silently queued again.
     pub metrics: Option<Arc<datamime_runtime::MetricsRegistry>>,
 }
 
@@ -619,11 +620,16 @@ impl Backend for Broker {
                                 on_attempt,
                                 &mut done,
                             );
+                        } else {
+                            // Transparent re-dispatch — no attempt is
+                            // consumed, because the in-process backend has
+                            // no equivalent failure and determinism demands
+                            // both backends observe the same values; the
+                            // counter is the only trace it leaves.
+                            if let Some(m) = &self.cfg.metrics {
+                                m.incr("redispatches");
+                            }
                         }
-                        // else: transparent re-dispatch — no attempt is
-                        // consumed, because the in-process backend has no
-                        // equivalent failure and determinism demands both
-                        // backends observe the same values.
                     }
                 }
             }

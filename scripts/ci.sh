@@ -64,6 +64,10 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # (`RefMachine`, `RefCache`, `RefTlb`): the counters must agree in the
   # build the searches run.
   run cargo test -q --release -p datamime-sim
+  # And the profiler's two lanes (main run beside the curve sweep): the
+  # golden profiles, the copy counts and the panic/cancel behaviour in
+  # the build where the lanes run at full speed side by side.
+  run cargo test -q --release -p datamime --test integration_fork
   # The stand-alone benchmark package (outside the workspace, so neither
   # command above sees it) calls a pinned slice of the crates' public
   # API; building and unit-testing it here makes API drift fail locally

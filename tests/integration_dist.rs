@@ -12,9 +12,10 @@ use datamime::search::{
     search_with_runtime, BackendChoice, ProcOptions, RuntimeOptions, SearchConfig, SearchOutcome,
 };
 use datamime::workload::Workload;
-use datamime_runtime::{FaultPlan, InjectedFault};
+use datamime_runtime::{FaultPlan, InjectedFault, MetricsRegistry};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("datamime-dist-it-{}-{name}", std::process::id()));
@@ -93,20 +94,35 @@ fn killing_a_worker_mid_batch_changes_nothing() {
     let cfg = fast_config(8);
     let target = profile_workload(&Workload::mem_fb(), &cfg.machine, &cfg.profiling);
     let plan = FaultPlan::new().fail_first(2, InjectedFault::KillWorker, 1);
+    let thread_metrics = Arc::new(MetricsRegistry::new());
     let base = RuntimeOptions {
         batch_k: 4,
         workers: 2,
         fault_plan: Some(plan),
+        metrics: Some(Arc::clone(&thread_metrics)),
         ..RuntimeOptions::default()
     };
     let thread = search_with_runtime(&generator(), &target, &cfg, &base).unwrap();
+    let proc_metrics = Arc::new(MetricsRegistry::new());
     let opts = RuntimeOptions {
         backend: proc_backend(2),
+        metrics: Some(Arc::clone(&proc_metrics)),
         ..base.clone()
     };
     let proc = search_with_runtime(&generator(), &target, &cfg, &opts).unwrap();
     assert_identical(&thread, &proc, "worker killed mid-batch");
     assert_eq!(thread.stats, proc.stats, "stats under a kill plan");
+    // The kill shows only in the broker's counters: one respawn, one
+    // transparent re-dispatch; in-process neither counter ever exists.
+    assert_eq!(proc_metrics.get("worker_restarts"), 1);
+    assert_eq!(proc_metrics.get("redispatches"), 1);
+    let thread_counters = thread_metrics.snapshot();
+    assert!(
+        !thread_counters
+            .iter()
+            .any(|(name, _)| name == "worker_restarts" || name == "redispatches"),
+        "{thread_counters:?}"
+    );
 }
 
 #[test]

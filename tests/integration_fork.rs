@@ -16,8 +16,10 @@ use datamime_perfproxy::{CloneStats, PerfProxClone};
 use datamime_sim::{Counters, Machine, MachineConfig, RefMachine};
 use datamime_stats::Rng;
 use proptest::prelude::*;
-use std::cell::Cell;
-use std::rc::Rc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// Serves `n` seeded requests on a fresh Broadwell machine and returns
 /// everything observable about the run.
@@ -215,12 +217,24 @@ fn golden_xapian_and_perfprox_profiles() {
     assert_eq!(profile_fnv(&proxy), 0xf836_7a03_a944_39ee);
 }
 
-/// Wraps an application and tallies every copy taken anywhere in its
-/// family; a copy of an app that has already served a request is the bug
-/// the profiler's run plan exists to rule out.
+/// What a [`Counting`] family — an application and every copy descended
+/// from it — shares.
+struct Family {
+    copies: AtomicUsize,
+    requests: AtomicUsize,
+    /// Runs before every request any member serves, with the member
+    /// (0 is the original, k the k-th copy taken) and the family's request
+    /// count including this one.
+    before_serve: Box<dyn Fn(usize, usize) + Send + Sync>,
+}
+
+/// Wraps an application and tallies every copy taken and every request
+/// served anywhere in its family; a copy of an app that has already served
+/// a request is the bug the profiler's run plan exists to rule out.
 struct Counting {
     inner: Box<dyn App>,
-    copies: Rc<Cell<usize>>,
+    family: Arc<Family>,
+    member: usize,
     served: bool,
 }
 
@@ -231,15 +245,18 @@ impl App for Counting {
 
     fn serve(&mut self, machine: &mut Machine, rng: &mut Rng) {
         self.served = true;
+        let request = self.family.requests.fetch_add(1, Ordering::SeqCst) + 1;
+        (self.family.before_serve)(self.member, request);
         self.inner.serve(machine, rng);
     }
 
     fn fork(&self) -> Box<dyn App> {
         assert!(!self.served, "copy taken from an app that has served");
-        self.copies.set(self.copies.get() + 1);
+        let member = self.family.copies.fetch_add(1, Ordering::SeqCst) + 1;
         Box::new(Counting {
             inner: self.inner.fork(),
-            copies: Rc::clone(&self.copies),
+            family: Arc::clone(&self.family),
+            member,
             served: false,
         })
     }
@@ -249,28 +266,48 @@ impl App for Counting {
     }
 }
 
-/// Profiles a 3 000-key SET-heavy store through a [`Counting`] wrapper and
-/// returns the copies taken with the profile's checksum.
-fn counted_profile(machine: &MachineConfig, cfg: &ProfilingConfig) -> (usize, u64) {
+/// A 3 000-key SET-heavy store.
+fn tiny_kv() -> Workload {
     let mut w = Workload::mem_public();
     if let AppConfig::Kv(c) = &mut w.app {
         c.n_keys = 3_000;
     }
-    let copies = Rc::new(Cell::new(0));
+    w
+}
+
+/// [`tiny_kv`] behind a [`Counting`] wrapper whose family runs
+/// `before_serve`.
+fn counted_kv(
+    before_serve: impl Fn(usize, usize) + Send + Sync + 'static,
+) -> (Box<dyn App>, WorkloadSpec, Arc<Family>) {
+    let w = tiny_kv();
+    let family = Arc::new(Family {
+        copies: AtomicUsize::new(0),
+        requests: AtomicUsize::new(0),
+        before_serve: Box::new(before_serve),
+    });
     let app = Box::new(Counting {
         inner: w.app.build(),
-        copies: Rc::clone(&copies),
+        family: Arc::clone(&family),
+        member: 0,
         served: false,
     });
+    (app, w.load, family)
+}
+
+/// Profiles [`counted_kv`] and returns the copies taken with the profile's
+/// checksum.
+fn counted_profile(machine: &MachineConfig, cfg: &ProfilingConfig) -> (usize, u64) {
+    let (app, load, family) = counted_kv(|_, _| {});
     let profile = profile_app_cancellable_in(
         app,
-        w.load,
+        load,
         machine,
         cfg,
         &CancelToken::new(),
         &mut EvalArena::new(),
     );
-    (copies.get(), profile_fnv(&profile))
+    (family.copies.load(Ordering::SeqCst), profile_fnv(&profile))
 }
 
 #[test]
@@ -304,4 +341,103 @@ fn a_profile_without_a_sweep_copies_nothing() {
     // No partitionable LLC, so the configured sweep never runs.
     let (copies, _) = counted_profile(&MachineConfig::silvermont(), &ProfilingConfig::fast());
     assert_eq!(copies, 0);
+}
+
+/// The main run beside the sweep is invisible: run after run on one warm
+/// arena — each taking back the machines and samplers both lanes of the
+/// previous one recycled — gives the profile a fresh arena gives.
+#[test]
+fn twenty_profiles_on_one_warm_arena_are_one_profile() {
+    let broadwell = MachineConfig::broadwell();
+    let fast = ProfilingConfig::fast();
+    let w = tiny_kv();
+    let fresh = profile_fnv(&profile_workload(&w, &broadwell, &fast));
+    assert_eq!(fresh, 0xf284_7e45_d3cc_e0a8);
+    let mut arena = EvalArena::new();
+    for run in 0..20 {
+        let p = profile_app_cancellable_in(
+            w.app.build(),
+            w.load,
+            &broadwell,
+            &fast,
+            &CancelToken::new(),
+            &mut arena,
+        );
+        assert_eq!(profile_fnv(&p), fresh, "run {run}");
+    }
+}
+
+#[test]
+fn a_panic_on_the_main_run_lane_reaches_the_caller_with_its_payload() {
+    let broadwell = MachineConfig::broadwell();
+    let fast = ProfilingConfig::fast();
+    let caller = std::thread::current().id();
+    // Member 1 is the first copy taken: the main run's.
+    let (app, load, family) = counted_kv(move |member, request| {
+        if member == 1 && request > 40 {
+            assert_ne!(
+                std::thread::current().id(),
+                caller,
+                "main run on the caller"
+            );
+            panic!("the main run's copy gave up");
+        }
+    });
+    let mut arena = EvalArena::new();
+    let cancel = CancelToken::new();
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        profile_app_cancellable_in(app, load, &broadwell, &fast, &cancel, &mut arena)
+    }))
+    .expect_err("the lane's panic must not be swallowed");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"the main run's copy gave up")
+    );
+    // Every member is dropped, the spawned lane's included: no run of this
+    // profile is still going.
+    assert_eq!(Arc::strong_count(&family), 1);
+    // The arena lost a machine to the unwinding and needs no repair.
+    let (app, load, _) = counted_kv(|_, _| {});
+    let p = profile_app_cancellable_in(app, load, &broadwell, &fast, &cancel, &mut arena);
+    assert_eq!(profile_fnv(&p), 0xf284_7e45_d3cc_e0a8);
+}
+
+#[test]
+fn a_token_cancelled_mid_run_truncates_both_lanes() {
+    let broadwell = MachineConfig::broadwell();
+    let fast = ProfilingConfig::fast();
+    let cancel = CancelToken::new();
+    // Members 1 and 2 are the main run's copy and the first sweep point's.
+    // Each waits at its first request until the other has got there, so
+    // both lanes are inside their warm-up interval when the token fires.
+    let arrived = (Mutex::new([false; 2]), Condvar::new());
+    let token = cancel.clone();
+    let (app, load, family) = counted_kv(move |member, request| {
+        if member == 1 || member == 2 {
+            let (here, changed) = &arrived;
+            let mut here = here.lock().unwrap();
+            if !here[member - 1] {
+                here[member - 1] = true;
+                changed.notify_all();
+                let (_here, wait) = changed
+                    .wait_timeout_while(here, Duration::from_secs(20), |h| !(h[0] && h[1]))
+                    .unwrap();
+                assert!(
+                    !wait.timed_out(),
+                    "the main run and the sweep never overlapped"
+                );
+            }
+        }
+        if request == 30 {
+            token.cancel();
+        }
+    });
+    let p =
+        profile_app_cancellable_in(app, load, &broadwell, &fast, &cancel, &mut EvalArena::new());
+    // A cancelled run stops at its first real sample; no later point starts
+    // (an undisturbed profile has 10 samples, 4 points and 4 copies).
+    assert_eq!(p.dist(DistMetric::Ipc).len(), 1);
+    assert_eq!(p.curve().len(), 1);
+    assert!(p.curve()[0].ipc.is_finite() && p.curve()[0].llc_mpki.is_finite());
+    assert_eq!(family.copies.load(Ordering::SeqCst), 2);
 }
