@@ -12,12 +12,14 @@
 //!   compression ratio (via the application's sampled value contents);
 //! - [`KvGeneratorCompressible`] extends the Table-III memcached generator
 //!   with a `value_redundancy` parameter;
-//! - [`search_compress_aware`] runs the Datamime search with the ratio
-//!   mismatch plugged into the shared engine as an extra objective term.
+//! - [`search_compress_aware`] runs the shared search engine on an
+//!   objective that adds the ratio mismatch to the usual EMD error.
 
 use crate::generator::{DatasetGenerator, KvGenerator, ParamSpec};
 use crate::profile::Profile;
-use crate::search::{search_with_objective, RuntimeOptions, SearchConfig, SearchOutcome};
+use crate::search::{
+    emd_objective, search_with_objective, RuntimeOptions, SearchConfig, SearchOutcome,
+};
 use crate::workload::{AppConfig, Workload};
 use datamime_runtime::ExecError;
 use datamime_stats::compress::estimate_compression_ratio;
@@ -89,8 +91,8 @@ impl DatasetGenerator for KvGeneratorCompressible {
 /// Candidates whose application does not expose snapshots incur the full
 /// mismatch penalty (they cannot satisfy the compressibility requirement).
 ///
-/// The mismatch is an objective term of the shared search engine, so
-/// `opts` means what it means for
+/// The sum is the [`Objective`](crate::search::Objective) of the shared
+/// search engine, so `opts` means what it means for
 /// [`search_with_runtime`](crate::search::search_with_runtime): memo
 /// cache, journal and resume, supervision, thread pool.
 ///
@@ -98,7 +100,7 @@ impl DatasetGenerator for KvGeneratorCompressible {
 ///
 /// As [`search_with_runtime`](crate::search::search_with_runtime), plus
 /// [`ExecError::Backend`] when `opts` selects the process backend: the
-/// term is a closure, which a worker's command line cannot carry.
+/// objective is a closure, which a worker's command line cannot carry.
 ///
 /// # Panics
 ///
@@ -117,14 +119,15 @@ pub fn search_compress_aware(
         "ratio must be in (0, 1]"
     );
     assert!(ratio_weight >= 0.0, "weight must be non-negative");
-    let mismatch = |workload: &Workload| {
+    let emd = emd_objective(target_profile, &cfg.weights);
+    let objective = |workload: &Workload, profile: &Profile| {
         let ratio_err = match workload_compression_ratio(workload) {
             Some(r) => (r - target_ratio).abs(),
             None => 1.0,
         };
-        ratio_weight * ratio_err
+        emd(workload, profile) + ratio_weight * ratio_err
     };
-    search_with_objective(generator, target_profile, cfg, opts, Some(&mismatch))
+    search_with_objective(generator, cfg, opts, &objective)
 }
 
 #[cfg(test)]

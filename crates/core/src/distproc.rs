@@ -24,7 +24,7 @@ use crate::jobspec::machine_by_name;
 use crate::metrics::{CurveMetric, DistMetric};
 use crate::profile::Profile;
 use crate::profiler::{CurveMethod, ProfilingConfig};
-use crate::search::{evaluate, SearchConfig};
+use crate::search::{emd_objective, evaluate, SearchConfig};
 use datamime_dist::{serve, worker_identity, WorkerConfig, PROTOCOL_VERSION};
 use datamime_runtime::{fingerprint, CancelToken, FaultPlan, StageTimes};
 use std::path::PathBuf;
@@ -421,6 +421,7 @@ pub fn run_worker_with_signal(
     let inv = parse_worker_argv(args)?;
     let (generator, cfg, target) = inv.spec.build()?;
     let ctx = dist_context(&generator, &cfg, &target);
+    let objective = emd_objective(&target, &cfg.weights);
     let token = CancelToken::new();
     // Drain protocol: between evaluations the closure checks the signal
     // directly; while the worker sits idle in `read_frame` a watcher
@@ -460,7 +461,7 @@ pub fn run_worker_with_signal(
             // The worker serves evaluations on one thread, so its
             // thread-local arena persists across requests: every
             // candidate after the first reuses the same simulator arrays.
-            evaluate(&generator, &target, &cfg, None, &req.unit, stages, &token).error
+            evaluate(&generator, &cfg, &objective, &req.unit, stages, &token).error
         },
     )
 }

@@ -54,7 +54,6 @@ pub mod jobspec;
 pub mod metrics;
 pub mod profile;
 pub mod profiler;
-pub mod scalar;
 pub mod search;
 pub mod servectl;
 pub mod validate;
@@ -72,7 +71,6 @@ pub use jobspec::{JobBackend, JobSpec};
 pub use metrics::{CurveMetric, DistMetric};
 pub use profile::{CurvePoint, EmptyProfileError, Profile};
 pub use profiler::{profile_app_cancellable_in, profile_workload, ProfilingConfig};
-pub use scalar::{scalar_search, scalar_sweep, ScalarOutcome, ScalarSearchConfig};
 pub use search::{
     search, search_with_runtime, BackendChoice, IterationRecord, OptimizerKind, ProcOptions,
     RuntimeOptions, SearchConfig, SearchOutcome, SearchStats,

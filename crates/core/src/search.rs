@@ -7,11 +7,13 @@
 //!
 //! The loop itself is executed by [`datamime_runtime`]'s [`Executor`]: this
 //! module supplies the one evaluation body ([`evaluate`]: instantiate →
-//! build → profile → error) and translates between the search-level and
-//! runtime-level vocabularies. [`search_with_runtime`] is the engine —
-//! optimizer, executor, backend choice, batching, journaling, resume;
-//! [`search`] is the same engine with default options, which is
-//! bit-for-bit the paper's sequential loop.
+//! build → profile → [`Objective`]) and translates between the
+//! search-level and runtime-level vocabularies. [`search_with_runtime`] is
+//! the engine — optimizer, executor, backend choice, batching, journaling,
+//! resume — under the paper's objective ([`emd_objective`]);
+//! [`search_with_objective`] is the same engine under any other;
+//! [`search`] is it with default options, which is bit-for-bit the paper's
+//! sequential loop.
 
 use crate::arena::EvalArena;
 use crate::error_model::{profile_error, MetricWeights};
@@ -391,11 +393,21 @@ impl BestTracker {
     }
 }
 
-/// An extra term of the search objective: a pure function of the
-/// candidate workload whose value is added to the profile error — how an
-/// extension (the Sec. III-D compression-ratio mismatch) plugs into the
-/// shared engine instead of owning a search loop.
-pub type ObjectiveTerm<'a> = dyn Fn(&Workload) -> f64 + Sync + 'a;
+/// The search objective: what one evaluated candidate — its workload and
+/// the profile just measured — costs. The engine minimises it and knows
+/// nothing else about it: the paper's Eq. 1 is [`emd_objective`], the
+/// Sec. III-D extension adds a compression-ratio mismatch to that, and
+/// Fig. 11 uses the distance of one metric's mean from a requested value.
+pub type Objective<'a> = dyn Fn(&Workload, &Profile) -> f64 + Sync + 'a;
+
+/// The paper's objective (Eq. 1): the weighted normalized-EMD error of the
+/// candidate's profile against `target`.
+pub fn emd_objective<'a>(
+    target: &'a Profile,
+    weights: &'a MetricWeights,
+) -> impl Fn(&Workload, &Profile) -> f64 + Sync + 'a {
+    move |_, profile| profile_error(target, profile, weights).total
+}
 
 /// What one [`evaluate`] call produced.
 #[derive(Debug)]
@@ -404,21 +416,20 @@ pub struct Evaluation {
     pub workload: Workload,
     /// Its profile (truncated if the evaluation was cancelled).
     pub profile: Profile,
-    /// The objective: weighted profile error plus the extra term, if any.
+    /// The objective's value for this workload and profile.
     pub error: f64,
 }
 
-/// One evaluation: instantiate → build → profile → error, with each stage
-/// timed — the only such body; the thread backend, the `datamime-worker`
-/// process and the experiments all call it. The dataset is built once,
-/// here, and the profiler restarts from copies of it. The cancel token
-/// reaches the profiler's sampling loops so a deadline can stop a runaway
-/// evaluation cooperatively.
+/// One evaluation: instantiate → build → profile → `objective`, with each
+/// stage timed — the only such body; the thread backend, the
+/// `datamime-worker` process and the experiments all call it. The dataset
+/// is built once, here, and the profiler restarts from copies of it. The
+/// cancel token reaches the profiler's sampling loops so a deadline can
+/// stop a runaway evaluation cooperatively.
 pub fn evaluate(
     generator: &dyn DatasetGenerator,
-    target_profile: &Profile,
     cfg: &SearchConfig,
-    term: Option<&ObjectiveTerm<'_>>,
+    objective: &Objective<'_>,
     unit: &[f64],
     stages: &mut StageTimes,
     cancel: &CancelToken,
@@ -440,13 +451,7 @@ pub fn evaluate(
             )
         })
     });
-    let error = stages.time("error", || {
-        let emd = profile_error(target_profile, &profile, &cfg.weights).total;
-        match term {
-            Some(term) => emd + term(&workload),
-            None => emd,
-        }
-    });
+    let error = stages.time("error", || objective(&workload, &profile));
     Evaluation {
         workload,
         profile,
@@ -475,7 +480,7 @@ fn finish(
     generator: &dyn DatasetGenerator,
     cfg: &SearchConfig,
     run: RunOutcome,
-    tracker: BestTracker,
+    tracked: Option<BestEval>,
 ) -> SearchOutcome {
     let stats = SearchStats {
         evaluated: run.telemetry.evaluated(),
@@ -487,7 +492,7 @@ fn finish(
         generator.param_specs(),
         &run.best_unit,
     ));
-    let reuse = tracker.take().filter(|(key_bits, best)| {
+    let reuse = tracked.filter(|(key_bits, best)| {
         best.error.to_bits() == run.best_error.to_bits() && *key_bits == best_key
     });
     let (best_workload, best_profile) = match reuse {
@@ -597,67 +602,75 @@ pub fn search_with_runtime(
     cfg: &SearchConfig,
     opts: &RuntimeOptions,
 ) -> Result<SearchOutcome, ExecError> {
-    search_with_objective(generator, target_profile, cfg, opts, None)
-}
-
-/// [`search_with_runtime`] with an extra [`ObjectiveTerm`] added to every
-/// evaluation's error. The term is a closure, which the process backend
-/// cannot carry through a worker's argv: that combination is rejected
-/// with [`ExecError::Backend`], never run without the term.
-pub(crate) fn search_with_objective(
-    generator: &(dyn DatasetGenerator + Sync),
-    target_profile: &Profile,
-    cfg: &SearchConfig,
-    opts: &RuntimeOptions,
-    term: Option<&ObjectiveTerm<'_>>,
-) -> Result<SearchOutcome, ExecError> {
-    let mut optimizer = make_optimizer(cfg, generator.dims());
-    let tracker = BestTracker::default();
-    let run = match &opts.backend {
+    match &opts.backend {
         BackendChoice::Thread => {
-            let meta = run_meta(generator, cfg, opts.batch_k, opts.workers);
-            let exec = build_executor(generator, memo_context(cfg), meta, opts)?;
-            let eval = |unit: &[f64], stages: &mut StageTimes, cancel: &CancelToken| {
-                let done = evaluate(generator, target_profile, cfg, term, unit, stages, cancel);
-                let error = done.error;
-                // A cancelled evaluation produced a truncated profile and
-                // will be penalized by the supervisor — its artifacts
-                // must not be remembered.
-                if !cancel.is_cancelled() {
-                    let key = denormalized_params(generator.param_specs(), unit);
-                    tracker.offer(canonical_bits(&key), done);
-                }
-                error
-            };
-            with_local_backend(exec.meta().workers, exec.supervisor(), &eval, |backend| {
-                exec.run(optimizer.as_mut(), backend)
-            })
+            let objective = emd_objective(target_profile, &cfg.weights);
+            search_with_objective(generator, cfg, opts, &objective)
         }
         BackendChoice::Process(proc) => {
-            if term.is_some() {
-                return Err(ExecError::Backend(
-                    "the process backend cannot evaluate a custom objective term (a closure \
-                     cannot cross a worker's command line); use the thread backend"
-                        .to_string(),
-                ));
-            }
-            search_with_process_backend(
-                generator,
-                target_profile,
-                cfg,
-                opts,
-                proc,
-                |ctx, broker| {
-                    let meta = run_meta(generator, cfg, opts.batch_k, proc.workers);
-                    build_executor(generator, ctx, meta, opts)?.run(optimizer.as_mut(), broker)
-                },
-            )
+            let mut optimizer = make_optimizer(cfg, generator.dims());
+            let drive = |ctx, broker: &mut dyn Backend| {
+                let meta = run_meta(generator, cfg, opts.batch_k, proc.workers);
+                build_executor(generator, ctx, meta, opts)?.run(optimizer.as_mut(), broker)
+            };
+            let run =
+                search_with_process_backend(generator, target_profile, cfg, opts, proc, drive)?;
+            // No in-process evaluation ran, so there is no tracked winner
+            // and `finish` re-profiles the best point locally (one extra
+            // deterministic simulator run).
+            Ok(finish(generator, cfg, run, None))
         }
-    }?;
-    // On the process backend no in-process evaluation ran, so the tracker
-    // is empty and `finish` re-profiles the best point locally (one extra
-    // deterministic simulator run).
-    Ok(finish(generator, cfg, run, tracker))
+    }
+}
+
+/// The engine on the thread backend, minimising an arbitrary
+/// [`Objective`]: [`search_with_runtime`] is this with [`emd_objective`].
+/// `opts` means the same thing — batching, memo cache, journal and resume,
+/// supervision, quotas.
+///
+/// # Errors
+///
+/// As [`search_with_runtime`], plus [`ExecError::Backend`] when `opts`
+/// selects the process backend: the objective is a closure, which a
+/// worker's command line cannot carry, so that combination is refused,
+/// never run under some other objective.
+///
+/// # Panics
+///
+/// Panics if `cfg.iterations == 0`.
+pub fn search_with_objective(
+    generator: &(dyn DatasetGenerator + Sync),
+    cfg: &SearchConfig,
+    opts: &RuntimeOptions,
+    objective: &Objective<'_>,
+) -> Result<SearchOutcome, ExecError> {
+    if opts.backend != BackendChoice::Thread {
+        return Err(ExecError::Backend(
+            "the process backend cannot evaluate a custom objective term (a closure cannot \
+             cross a worker's command line); use the thread backend"
+                .to_string(),
+        ));
+    }
+    let mut optimizer = make_optimizer(cfg, generator.dims());
+    let tracker = BestTracker::default();
+    let meta = run_meta(generator, cfg, opts.batch_k, opts.workers);
+    let exec = build_executor(generator, memo_context(cfg), meta, opts)?;
+    let eval = |unit: &[f64], stages: &mut StageTimes, cancel: &CancelToken| {
+        let done = evaluate(generator, cfg, objective, unit, stages, cancel);
+        let error = done.error;
+        // A cancelled evaluation produced a truncated profile and will be
+        // penalized by the supervisor — its artifacts must not be
+        // remembered.
+        if !cancel.is_cancelled() {
+            let key = denormalized_params(generator.param_specs(), unit);
+            tracker.offer(canonical_bits(&key), done);
+        }
+        error
+    };
+    let run = with_local_backend(exec.meta().workers, exec.supervisor(), &eval, |backend| {
+        exec.run(optimizer.as_mut(), backend)
+    })?;
+    Ok(finish(generator, cfg, run, tracker.take()))
 }
 
 /// Locates the `datamime-worker` binary: explicit option, then the
@@ -734,7 +747,6 @@ fn search_with_process_backend(
         bcfg.deadline = opts.eval_timeout;
         bcfg.max_retries = opts.max_retries;
         bcfg.fail_policy = opts.fail_policy;
-        bcfg.penalty = datamime_bayesopt::PENALTY_OBJECTIVE;
         bcfg.metrics = opts.metrics.clone();
         let mut broker = Broker::start(bcfg).map_err(ExecError::Backend)?;
         drive(ctx, &mut broker)
@@ -817,6 +829,28 @@ mod tests {
             "target ipc {t_ipc}, best {b_ipc}, err {}",
             outcome.best_error
         );
+    }
+
+    #[test]
+    fn evaluate_under_the_emd_objective_is_the_profile_error() {
+        let mut cfg = SearchConfig::fast(1);
+        cfg.profiling = cfg.profiling.without_curves();
+        cfg.weights = MetricWeights::equal().with_dist_weight(DistMetric::Ipc, 2.5);
+        let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
+        let done = evaluate(
+            &KvGenerator::new(),
+            &cfg,
+            &emd_objective(&target, &cfg.weights),
+            &[0.3; 6],
+            &mut StageTimes::new(),
+            &CancelToken::new(),
+        );
+        let expected = profile_error(&target, &done.profile, &cfg.weights).total;
+        assert_eq!(done.error.to_bits(), expected.to_bits());
+        // The weights reach the objective: the same profile under equal
+        // weights scores differently.
+        let equal = profile_error(&target, &done.profile, &MetricWeights::equal()).total;
+        assert_ne!(done.error.to_bits(), equal.to_bits());
     }
 
     #[test]

@@ -89,8 +89,9 @@ pub struct BrokerConfig {
 }
 
 impl BrokerConfig {
-    /// A config with the supervision defaults (penalize, no deadline, no
-    /// retries) and modest restart/re-dispatch budgets.
+    /// A config with the supervision defaults (penalize at the in-process
+    /// supervisor's penalty, no deadline, no retries) and modest
+    /// restart/re-dispatch budgets.
     pub fn new(worker_bin: PathBuf, workers: usize) -> Self {
         BrokerConfig {
             worker_bin,
@@ -103,19 +104,12 @@ impl BrokerConfig {
             backoff_base: Duration::from_millis(100),
             backoff_cap: Duration::from_secs(10),
             fail_policy: FailPolicy::Penalize,
-            penalty: datamime_bayesopt_penalty(),
+            penalty: datamime_runtime::SupervisorConfig::default().penalty,
             restart_budget: 3,
             redispatch_budget: 3,
             metrics: None,
         }
     }
-}
-
-/// The supervisor's penalty objective, without making this crate depend
-/// on `datamime-bayesopt` (the layering matrix keeps `dist` on top of
-/// `runtime` only). Checked against the real constant in core's tests.
-fn datamime_bayesopt_penalty() -> f64 {
-    1.0e9
 }
 
 /// Messages flowing from the acceptor/reader threads to the event loop.

@@ -14,13 +14,13 @@
 use datamime::error_model::{profile_error, DistanceKind, MetricWeights};
 use datamime::generator::KvGenerator;
 use datamime::profiler::profile_workload;
-use datamime::search::{evaluate, search_with_runtime, OptimizerKind};
+use datamime::search::{emd_objective, evaluate, search_with_runtime, OptimizerKind};
 use datamime::workload::Workload;
 use datamime_experiments::{Report, Settings};
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("ablations");
+    let mut r = Report::new("ablations", &s);
     let iters = s.iters.min(30);
 
     let base_cfg = {
@@ -98,17 +98,9 @@ fn main() {
             };
             // `base_cfg` weighs metrics equally, so the shared evaluation
             // scores each point by the yardstick itself.
+            let objective = emd_objective(&target_profile, &base_cfg.weights);
             let eval = |unit: &[f64], stages: &mut _, cancel: &_| {
-                evaluate(
-                    &generator,
-                    &target_profile,
-                    &base_cfg,
-                    None,
-                    unit,
-                    stages,
-                    cancel,
-                )
-                .error
+                evaluate(&generator, &base_cfg, &objective, unit, stages, cancel).error
             };
             with_local_backend(1, None, &eval, |backend| {
                 Executor::new(meta).run(&mut bo, backend)

@@ -22,7 +22,7 @@ use datamime_experiments::{Report, Settings};
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("ext_compress");
+    let mut r = Report::new("ext_compress", &s);
     let cfg = {
         let mut c = s.search_config();
         c.profiling = c.profiling.without_curves();

@@ -17,7 +17,7 @@ use datamime_experiments::{row, Report, Settings};
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("ext_constrained");
+    let mut r = Report::new("ext_constrained", &s);
     let cfg = {
         let mut c = s.search_config();
         c.profiling = c.profiling.without_curves();

@@ -26,7 +26,7 @@ fn latency_quantiles(w: &Workload, n_samples: usize) -> Vec<f64> {
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("ext_tail_latency");
+    let mut r = Report::new("ext_tail_latency", &s);
 
     for (target, program) in [
         (Workload::mem_fb(), "memcached"),

@@ -16,7 +16,7 @@ use datamime_sim::MachineConfig;
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("fig1");
+    let mut r = Report::new("fig1", &s);
 
     let target = Workload::mem_fb();
     let public = public_counterpart(&target.name);

@@ -13,7 +13,7 @@ use datamime_experiments::{primary_targets_with_programs, row, Report, Settings}
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("fig10");
+    let mut r = Report::new("fig10", &s);
 
     for (target, program) in primary_targets_with_programs() {
         eprintln!("== {} ==", target.name);

@@ -35,7 +35,7 @@ impl DatasetGenerator for NetworkedKvGenerator {
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("fig12");
+    let mut r = Report::new("fig12", &s);
     let cfg = {
         let mut c = s.search_config();
         c.profiling.curve_ways = (1..=12).collect();

@@ -12,7 +12,7 @@ use datamime_sim::MachineConfig;
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("fig3");
+    let mut r = Report::new("fig3", &s);
     let machines = [
         MachineConfig::broadwell(),
         MachineConfig::zen2(),

@@ -18,7 +18,7 @@ fn deciles(e: &Ecdf) -> Vec<f64> {
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("fig4");
+    let mut r = Report::new("fig4", &s);
     let bdw = MachineConfig::broadwell();
 
     let target = Workload::mem_fb();

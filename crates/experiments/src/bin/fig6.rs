@@ -11,7 +11,7 @@ use datamime_sim::MachineConfig;
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("fig6");
+    let mut r = Report::new("fig6", &s);
     let bdw = MachineConfig::broadwell();
     let metrics = [
         DistMetric::Ipc,

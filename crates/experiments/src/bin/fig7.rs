@@ -13,9 +13,9 @@ use datamime_stats::emd::curve_distance;
 
 fn main() {
     let mut s = Settings::from_env();
+    let mut r = Report::new("fig7", &s);
     // Curves are the point of this figure: sweep every CAT allocation.
     s.profiling.curve_ways = (1..=12).collect();
-    let mut r = Report::new("fig7");
     let bdw = MachineConfig::broadwell();
 
     for (target, program) in primary_targets_with_programs() {

@@ -32,7 +32,7 @@ fn quartiles(e: &Ecdf) -> String {
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("fig8");
+    let mut r = Report::new("fig8", &s);
     let bdw = MachineConfig::broadwell();
 
     let mut emd_dm_total = 0.0;

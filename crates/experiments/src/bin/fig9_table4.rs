@@ -31,17 +31,15 @@ const TABLE4_METRICS: [DistMetric; 10] = [
 
 fn main() {
     let s = Settings::from_env();
-    let mut r = Report::new("fig9_table4");
+    let mut r = Report::new("fig9_table4", &s);
     let bdw = MachineConfig::broadwell();
 
-    for (target, program) in [
-        (Workload::masstree_ycsb(), "memcached"),
-        (Workload::img_dnn_mnist(), "dnn"),
-    ] {
+    // One Table IV block; returns the target's and the clone's profiles.
+    let mut table = |target: &Workload, program: &str| {
         eprintln!("== {} cloned with {} ==", target.name, program);
-        let t = profile(&target, &bdw, &s);
+        let t = profile(target, &bdw, &s);
         let x = profile_perfprox(&t, &bdw, &s);
-        let dm = clone_target(&target, program, &s);
+        let dm = clone_target(target, program, &s);
         let d = profile(&dm.workload, &bdw, &s);
 
         r.line(format!(
@@ -71,17 +69,18 @@ fn main() {
             }
         }
         r.line(String::new());
-    }
-
-    // The IPC-reweighting rerun for img-dnn (Sec. V-C).
-    eprintln!("== img-dnn rerun with IPC weight x8 ==");
+        (t, d)
+    };
+    table(&Workload::masstree_ycsb(), "memcached");
     let target = Workload::img_dnn_mnist();
-    let t = profile(&target, &bdw, &s);
+    let (t, d) = table(&target, "dnn");
+
+    // The IPC-reweighting rerun for img-dnn (Sec. V-C), against the
+    // equal-weights clone just made.
+    eprintln!("== img-dnn rerun with IPC weight x8 ==");
     let weights = MetricWeights::equal().with_dist_weight(DistMetric::Ipc, 8.0);
     let dm_w = clone_target_weighted(&target, "dnn", &s, &weights);
     let d_w = profile(&dm_w.workload, &bdw, &s);
-    let dm = clone_target(&target, "dnn", &s);
-    let d = profile(&dm.workload, &bdw, &s);
     let t_ipc = t.mean(DistMetric::Ipc);
     r.line(format!(
         "img-dnn IPC: target {:.3}; datamime equal-weights {:.3} ({:.1}% err); IPC-weighted {:.3} ({:.1}% err)",

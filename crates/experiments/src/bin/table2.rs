@@ -1,11 +1,12 @@
 //! Table II: specifications of the three evaluation platforms.
 
 #![forbid(unsafe_code)]
-use datamime_experiments::Report;
+use datamime_experiments::{Report, Settings};
 use datamime_sim::MachineConfig;
 
 fn main() {
-    let mut r = Report::new("table2");
+    let s = Settings::from_env();
+    let mut r = Report::new("table2", &s);
     for m in [
         MachineConfig::broadwell(),
         MachineConfig::zen2(),

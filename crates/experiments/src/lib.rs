@@ -1,29 +1,40 @@
 //! Shared infrastructure for the experiment binaries that regenerate every
 //! table and figure of the paper (see DESIGN.md for the index).
 //!
-//! Knobs (environment variables):
+//! Knobs (environment variables; unset means the default, a malformed
+//! value stops the binary with a message naming it):
 //!
 //! - `DATAMIME_PROFILE` — `fast` (default) or `paper`: profiling fidelity;
 //! - `DATAMIME_ITERS` — search iterations per benchmark (default 40;
 //!   the paper runs 200);
 //! - `DATAMIME_PARALLEL` — candidates evaluated per optimizer batch, on
-//!   as many worker threads (default 1 = sequential);
-//! - `DATAMIME_NO_CACHE` — set to disable the on-disk search cache.
+//!   as many worker threads (default 1 = sequential).
 //!
-//! Searches are the expensive step, and several figures reuse the same
-//! synthesized benchmarks, so best-parameter vectors are cached under
-//! `results/search_cache/` keyed by target, generator, fidelity, and
-//! iteration count.
+//! Every figure searches: [`clone_target`] profiles the target and runs
+//! the search engine each time it is called, so a file under `results/`
+//! is a function of the code and the settings its second line records.
 
 #![forbid(unsafe_code)]
-use datamime::generator::{generator_for_program, DatasetGenerator};
+use datamime::generator::generator_for_program;
 use datamime::profile::Profile;
 use datamime::profiler::{profile_workload, ProfilingConfig};
 use datamime::search::{search_with_runtime, RuntimeOptions, SearchConfig};
 use datamime::workload::Workload;
 use datamime::MetricWeights;
+use std::fmt;
 use std::fs;
-use std::path::PathBuf;
+
+/// The `DATAMIME_PROFILE` names.
+const PROFILES: [&str; 2] = ["fast", "paper"];
+
+/// The profiling fidelity a `DATAMIME_PROFILE` name selects.
+fn profile_by_name(name: &str) -> Option<ProfilingConfig> {
+    match name {
+        "fast" => Some(ProfilingConfig::fast()),
+        "paper" => Some(ProfilingConfig::paper_default()),
+        _ => None,
+    }
+}
 
 /// Resolved experiment settings from the environment.
 #[derive(Debug, Clone)]
@@ -34,34 +45,65 @@ pub struct Settings {
     pub profiling: ProfilingConfig,
     /// Candidates evaluated per optimizer batch (1 = sequential).
     pub parallel: usize,
-    /// Whether the on-disk cache is enabled.
-    pub cache: bool,
+}
+
+/// The process environment as the lookup [`Settings::parse`] and
+/// [`env_usize`] read through.
+pub fn process_env(var: &str) -> Option<String> {
+    std::env::var_os(var).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Reads the count `var` through `env`: unset means `default`.
+///
+/// # Errors
+///
+/// Names the variable and its value when it is set to anything but a
+/// non-negative integer.
+pub fn env_usize(
+    env: &dyn Fn(&str) -> Option<String>,
+    var: &str,
+    default: usize,
+) -> Result<usize, String> {
+    match env(var) {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{var}={v:?} is not a non-negative integer")),
+    }
+}
+
+/// Unwraps, or stops the binary (exit status 2) with the message — a
+/// regeneration must not run at a budget nobody asked for, nor pass for
+/// done when its file was not written.
+pub fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 impl Settings {
-    /// Reads settings from the environment (see module docs).
+    /// Reads settings from the process environment (see module docs),
+    /// exiting with status 2 on a malformed value.
     pub fn from_env() -> Self {
-        let profile = std::env::var("DATAMIME_PROFILE").unwrap_or_else(|_| "fast".into());
-        let profiling = match profile.as_str() {
-            "paper" => ProfilingConfig::paper_default(),
-            _ => ProfilingConfig::fast(),
-        };
-        let iters = std::env::var("DATAMIME_ITERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(40);
-        let parallel = std::env::var("DATAMIME_PARALLEL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1)
-            .max(1);
-        let cache = std::env::var("DATAMIME_NO_CACHE").is_err();
-        Settings {
-            iters,
+        or_exit(Settings::parse(&process_env))
+    }
+
+    /// Resolves settings from an environment lookup; unset variables take
+    /// their defaults.
+    ///
+    /// # Errors
+    ///
+    /// Names the variable and its value when one is malformed.
+    pub fn parse(env: &dyn Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let name = env("DATAMIME_PROFILE").unwrap_or_else(|| "fast".to_string());
+        let profiling = profile_by_name(&name)
+            .ok_or_else(|| format!("DATAMIME_PROFILE={name:?} is not one of {PROFILES:?}"))?;
+        Ok(Settings {
+            iters: env_usize(env, "DATAMIME_ITERS", 40)?,
             profiling,
-            parallel,
-            cache,
-        }
+            parallel: env_usize(env, "DATAMIME_PARALLEL", 1)?.max(1),
+        })
     }
 
     /// The search configuration implied by these settings.
@@ -83,50 +125,20 @@ impl Settings {
     }
 }
 
-fn cache_dir() -> PathBuf {
-    PathBuf::from("results/search_cache")
-}
-
-fn cache_key(target: &Workload, generator: &dyn DatasetGenerator, cfg: &SearchConfig) -> String {
-    // Fingerprint the metric weights so reweighted searches get their own
-    // cache entries.
-    let wfp: f64 = datamime::metrics::DistMetric::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, &m)| cfg.weights.dist_weight(m) * (i + 1) as f64)
-        .sum();
-    format!(
-        "{}-{}-i{}-s{}-c{}-w{}",
-        target.name,
-        generator.name(),
-        cfg.iterations,
-        cfg.profiling.n_samples,
-        cfg.profiling.curve_ways.len(),
-        wfp
-    )
-}
-
-fn load_cached(key: &str, dims: usize) -> Option<Vec<f64>> {
-    let path = cache_dir().join(format!("{key}.tsv"));
-    let text = fs::read_to_string(path).ok()?;
-    let params: Vec<f64> = text
-        .split_whitespace()
-        .filter_map(|t| t.parse().ok())
-        .collect();
-    (params.len() == dims).then_some(params)
-}
-
-fn store_cached(key: &str, params: &[f64]) {
-    let dir = cache_dir();
-    if fs::create_dir_all(&dir).is_err() {
-        return;
+/// The settings as a [`Report`] records them: `iters=40 profile=fast
+/// parallel=1`.
+impl fmt::Display for Settings {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let profile = PROFILES
+            .into_iter()
+            .find(|name| profile_by_name(name).as_ref() == Some(&self.profiling))
+            .unwrap_or("custom");
+        write!(
+            f,
+            "iters={} profile={profile} parallel={}",
+            self.iters, self.parallel
+        )
     }
-    let line = params
-        .iter()
-        .map(|p| p.to_string())
-        .collect::<Vec<_>>()
-        .join("\t");
-    let _ = fs::write(dir.join(format!("{key}.tsv")), line);
 }
 
 /// A synthesized benchmark for one target: the Datamime search result.
@@ -136,12 +148,10 @@ pub struct CloneResult {
     pub workload: Workload,
     /// Best unit-hypercube parameters.
     pub unit_params: Vec<f64>,
-    /// Per-iteration error history (empty when served from cache).
-    pub history: Vec<f64>,
 }
 
-/// Runs (or loads from cache) the Datamime search cloning `target` with the
-/// generator matching `program`, using default equal metric weights.
+/// Runs the Datamime search cloning `target` with the generator matching
+/// `program`, using default equal metric weights.
 ///
 /// # Panics
 ///
@@ -166,20 +176,12 @@ pub fn clone_target_weighted(
         .unwrap_or_else(|| panic!("no dataset generator for program {program}"));
     let mut cfg = settings.search_config();
     cfg.weights = weights.clone();
-    let key = cache_key(target, generator.as_ref(), &cfg);
-
-    if settings.cache {
-        if let Some(params) = load_cached(&key, generator.dims()) {
-            eprintln!("[cache] {key}");
-            return CloneResult {
-                workload: generator.instantiate(&params),
-                unit_params: params,
-                history: Vec::new(),
-            };
-        }
-    }
-
-    eprintln!("[search] {key} ({} iterations)", cfg.iterations);
+    eprintln!(
+        "[search] {} with {} ({} iterations)",
+        target.name,
+        generator.name(),
+        cfg.iterations
+    );
     let target_profile = profile_workload(target, &cfg.machine, &cfg.profiling);
     let outcome = search_with_runtime(
         generator.as_ref(),
@@ -188,13 +190,9 @@ pub fn clone_target_weighted(
         &settings.runtime_options(),
     )
     .expect("journal-less search cannot fail");
-    if settings.cache {
-        store_cached(&key, &outcome.best_unit_params);
-    }
     CloneResult {
         workload: outcome.best_workload,
         unit_params: outcome.best_unit_params,
-        history: outcome.history.iter().map(|r| r.error).collect(),
     }
 }
 
@@ -219,13 +217,17 @@ pub struct Report {
 }
 
 impl Report {
-    /// Starts a report.
-    pub fn new(name: &str) -> Self {
-        println!("==== {name} ====");
-        Report {
+    /// Starts a report. Its second line records `settings` — the resolved
+    /// [`Settings`], plus whatever else the binary reads from the
+    /// environment — so the file says what budget produced it.
+    pub fn new(name: &str, settings: impl fmt::Display) -> Self {
+        let mut report = Report {
             name: name.to_owned(),
-            lines: vec![format!("==== {name} ====")],
-        }
+            lines: Vec::new(),
+        };
+        report.line(format!("==== {name} ===="));
+        report.line(format!("# settings: {settings}"));
+        report
     }
 
     /// Emits one line.
@@ -234,13 +236,13 @@ impl Report {
         self.lines.push(text.as_ref().to_owned());
     }
 
-    /// Flushes the report to `results/<name>.txt`.
+    /// Flushes the report to `results/<name>.txt`; a report that cannot be
+    /// written stops the binary, since `scripts/ci.sh` judges the files.
     pub fn finish(self) {
-        let _ = fs::create_dir_all("results");
-        let _ = fs::write(
-            format!("results/{}.txt", self.name),
-            self.lines.join("\n") + "\n",
-        );
+        let path = format!("results/{}.txt", self.name);
+        let written = fs::create_dir_all("results")
+            .and_then(|()| fs::write(&path, self.lines.join("\n") + "\n"));
+        or_exit(written.map_err(|e| format!("cannot write {path}: {e}")));
     }
 }
 
@@ -284,4 +286,79 @@ pub fn profile_perfprox(
         &datamime::profiler::CancelToken::new(),
         &mut datamime::EvalArena::new(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(vars: &[(&str, &str)]) -> Result<Settings, String> {
+        Settings::parse(&|name| {
+            vars.iter()
+                .find(|(var, _)| *var == name)
+                .map(|(_, value)| (*value).to_string())
+        })
+    }
+
+    #[test]
+    fn settings_parser_accepts_and_rejects() {
+        // Unset means the default, and the default says so.
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(defaults.to_string(), "iters=40 profile=fast parallel=1");
+        assert_eq!(defaults.profiling, ProfilingConfig::fast());
+
+        let paper = parse(&[
+            ("DATAMIME_PROFILE", "paper"),
+            ("DATAMIME_ITERS", "200"),
+            ("DATAMIME_PARALLEL", "4"),
+        ])
+        .unwrap();
+        assert_eq!(paper.to_string(), "iters=200 profile=paper parallel=4");
+        assert_eq!(paper.profiling, ProfilingConfig::paper_default());
+        assert_eq!(parse(&[("DATAMIME_PROFILE", "fast")]).unwrap().iters, 40);
+        // A zero-wide batch is sequential.
+        assert_eq!(parse(&[("DATAMIME_PARALLEL", "0")]).unwrap().parallel, 1);
+
+        // Malformed values are refused, naming the variable and the value.
+        for (var, value) in [
+            ("DATAMIME_ITERS", "4O"),
+            ("DATAMIME_ITERS", ""),
+            ("DATAMIME_ITERS", "-3"),
+            ("DATAMIME_PARALLEL", "two"),
+            ("DATAMIME_PROFILE", "papr"),
+            ("DATAMIME_PROFILE", "Paper"),
+        ] {
+            let err = parse(&[(var, value)]).expect_err(value);
+            assert!(err.contains(var) && err.contains(value), "{err}");
+        }
+        let env = |_: &str| Some("x".to_string());
+        let err = env_usize(&env, "DATAMIME_SWEEP_POINTS", 8).unwrap_err();
+        assert!(err.contains("DATAMIME_SWEEP_POINTS=\"x\""), "{err}");
+        assert_eq!(env_usize(&|_| None, "DATAMIME_SWEEP_POINTS", 8), Ok(8));
+    }
+
+    #[test]
+    fn a_custom_fidelity_is_not_reported_as_a_named_profile() {
+        let mut s = parse(&[]).unwrap();
+        s.profiling.n_samples = 3;
+        assert_eq!(s.to_string(), "iters=40 profile=custom parallel=1");
+    }
+
+    #[test]
+    fn clone_target_searches_every_time_and_caches_nothing() {
+        let mut target = Workload::mem_fb();
+        if let datamime::workload::AppConfig::Kv(c) = &mut target.app {
+            c.n_keys = 20_000;
+        }
+        let mut s = parse(&[("DATAMIME_ITERS", "5")]).unwrap();
+        s.profiling = s.profiling.without_curves();
+        s.profiling.n_samples = 3;
+        let first = clone_target(&target, "memcached", &s);
+        let second = clone_target(&target, "memcached", &s);
+        assert_eq!(first.unit_params, second.unit_params);
+        assert_eq!(first.unit_params.len(), 6);
+        // Tests run from the crate directory, which has no `results/`: a
+        // winner stored by either call would have created it.
+        assert!(!std::path::Path::new("results").exists());
+    }
 }

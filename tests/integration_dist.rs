@@ -257,9 +257,8 @@ fn every_stage_evaluate_records_reaches_a_process_backend_journal() {
     let mut stages = datamime_runtime::StageTimes::new();
     datamime::search::evaluate(
         &generator(),
-        &target,
         &cfg,
-        None,
+        &datamime::search::emd_objective(&target, &cfg.weights),
         &[0.5; 6],
         &mut stages,
         &datamime_runtime::CancelToken::new(),
