@@ -63,17 +63,6 @@ pub struct SwallowedResultConfig {
     pub apis: Vec<String>,
 }
 
-/// Settings for the blocking-in-lock rule (workspace-global).
-#[derive(Debug, Clone)]
-pub struct BlockingInLockConfig {
-    /// Whether the rule runs.
-    pub enabled: bool,
-    /// Project helper functions that return a guard (`lock(&m)`).
-    pub guard_fns: Vec<String>,
-    /// Call names considered blocking while a guard is live.
-    pub blocking: Vec<String>,
-}
-
 /// Settings for the wire-compat rule.
 #[derive(Debug, Clone)]
 pub struct WireCompatConfig {
@@ -100,14 +89,8 @@ pub struct AuditConfig {
     pub durability: DurabilityConfig,
     /// Swallowed-result rule settings.
     pub swallowed_result: SwallowedResultConfig,
-    /// Blocking-in-lock rule settings.
-    pub blocking_in_lock: BlockingInLockConfig,
     /// Wire-compat rule settings.
     pub wire_compat: WireCompatConfig,
-    /// Whether the lock-order rule runs.
-    pub lock_order: bool,
-    /// Whether the unsafe-forbidden rule runs.
-    pub unsafe_forbidden: bool,
     /// Allowed internal dependencies per crate; a crate absent from the
     /// matrix is itself a layering violation.
     pub layering: BTreeMap<String, Vec<String>>,
@@ -204,32 +187,6 @@ impl AuditConfig {
                     &["sync_all", "sync_data", "rename", "write_frame"],
                 )?,
             },
-            blocking_in_lock: BlockingInLockConfig {
-                enabled: flag(&doc, "blocking-in-lock", "enabled", true)?,
-                guard_fns: str_list(&doc, "blocking-in-lock", "guard-fns", &[])?,
-                blocking: str_list(
-                    &doc,
-                    "blocking-in-lock",
-                    "blocking",
-                    &[
-                        "sleep",
-                        "sync_all",
-                        "sync_data",
-                        "read_frame",
-                        "write_frame",
-                        "read_to_string",
-                        "read_to_end",
-                        "read_exact",
-                        "connect",
-                        "accept",
-                        "recv",
-                        "recv_timeout",
-                        "join",
-                        "wait",
-                        "wait_timeout",
-                    ],
-                )?,
-            },
             wire_compat: WireCompatConfig {
                 files: path_list(&doc, "wire-compat", "files", &[])?,
                 lock: match doc.get("wire-compat", "lock") {
@@ -239,8 +196,6 @@ impl AuditConfig {
                     None => PathBuf::from("audit.wire.lock"),
                 },
             },
-            lock_order: flag(&doc, "lock-order", "enabled", true)?,
-            unsafe_forbidden: flag(&doc, "unsafe-forbidden", "enabled", true)?,
             layering,
         })
     }
@@ -294,16 +249,6 @@ fn path_list(
         .collect())
 }
 
-fn flag(doc: &toml::Doc, table: &str, key: &str, default: bool) -> Result<bool, ConfigError> {
-    match doc.get(table, key) {
-        Some(e) => e
-            .value
-            .as_bool()
-            .ok_or_else(|| ConfigError(format!("`[{table}] {key}` must be a boolean"))),
-        None => Ok(default),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,8 +265,6 @@ mod tests {
             .nondet_taint
             .sources
             .contains(&"Instant::now".to_string()));
-        assert!(cfg.lock_order && cfg.unsafe_forbidden);
-        assert!(cfg.blocking_in_lock.enabled);
         assert!(cfg.wire_compat.files.is_empty(), "wire-compat defaults off");
         assert_eq!(cfg.wire_compat.lock, PathBuf::from("audit.wire.lock"));
         assert!(cfg.layering.is_empty());
@@ -348,14 +291,9 @@ mod tests {
             [swallowed-result]
             paths = ["crates/serve/src"]
             apis = ["sync_all", "rename"]
-            [blocking-in-lock]
-            guard-fns = ["lock"]
-            blocking = ["sleep"]
             [wire-compat]
             files = ["crates/dist/src/protocol.rs"]
             lock = "audit.wire.lock"
-            [lock-order]
-            enabled = false
             [layering.allow]
             datamime-stats = []
             datamime-sim = ["datamime-stats"]
@@ -374,19 +312,17 @@ mod tests {
         assert_eq!(cfg.nondet_taint.sinks, vec!["eval", "write_frame"]);
         assert_eq!(cfg.durability.paths.len(), 1);
         assert_eq!(cfg.swallowed_result.apis, vec!["sync_all", "rename"]);
-        assert_eq!(cfg.blocking_in_lock.guard_fns, vec!["lock"]);
         assert_eq!(
             cfg.wire_compat.files,
             vec![PathBuf::from("crates/dist/src/protocol.rs")]
         );
-        assert!(!cfg.lock_order);
         assert_eq!(cfg.layering["datamime-sim"], vec!["datamime-stats"]);
     }
 
     #[test]
     fn shape_errors_are_reported() {
         assert!(AuditConfig::from_toml("[nondet-taint]\npaths = \"not-a-list\"\n").is_err());
-        assert!(AuditConfig::from_toml("[lock-order]\nenabled = \"yes\"\n").is_err());
+        assert!(AuditConfig::from_toml("[wire-compat]\nlock = 3\n").is_err());
         assert!(AuditConfig::from_toml("[swallowed-result]\napis = [1]\n").is_err());
     }
 }

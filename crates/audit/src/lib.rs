@@ -7,7 +7,7 @@
 //! and a layered crate graph. The compiler checks none of that — this
 //! crate does, over a hand-rolled token stream and a lightweight
 //! structural parser (no `syn`: the build environment has no crates.io
-//! access, and the auditor must sit below every layer it audits). Nine
+//! access, and the auditor must sit below every layer it audits). Six
 //! CI-gating rule families:
 //!
 //! - **`nondet-taint`** — flow-sensitive taint from nondeterminism
@@ -15,27 +15,21 @@
 //!   additionally deny unordered containers outright.
 //! - **`panic-safety`** — no `.unwrap()`/`.expect(…)`/`panic!`-family
 //!   macros on the supervised evaluation path.
-//! - **`lock-order`** — no two locks acquired in both orders anywhere in
-//!   the workspace.
 //! - **`layering`** — internal dependencies match the
 //!   `[layering.allow]` matrix.
-//! - **`unsafe-forbidden`** — every crate root carries
-//!   `#![forbid(unsafe_code)]`, and no scanned code uses `unsafe`.
 //! - **`durability-protocol`** — file handles on durability paths must
 //!   follow write → fsync → rename → dir-fsync; a rename before the
 //!   sync, or a dropped handle with unsynced writes, is a violation.
 //! - **`swallowed-result`** — `let _ =` / `.ok()` / unread `Result`s on
 //!   configured durability/IPC APIs.
-//! - **`blocking-in-lock`** — no blocking I/O, sleeps, or waits while a
-//!   mutex/rwlock guard is live.
 //! - **`wire-compat`** — frame kinds, journal event kinds, and their
 //!   version constants are locked in a committed `audit.wire.lock`;
 //!   kinds cannot change without a revision bump.
 //!
 //! The engine analyzes files one at a time in discovery order; the
-//! cross-file rules — lock-order graphs, layering, the wire-lock
-//! comparison, and allow bookkeeping — then run over the per-file facts,
-//! and the report is sorted.
+//! cross-file rules — layering, the wire-lock comparison, and allow
+//! bookkeeping — then run over the per-file facts, and the report is
+//! sorted.
 //!
 //! Intentional exceptions are written in the source as
 //! `// audit:allow(rule): reason` on (or directly above) the flagged
@@ -64,20 +58,18 @@ use workspace::{RawFile, Workspace, WorkspaceError};
 /// per-file diagnostics plus the raw material the cross-file rules
 /// consume.
 #[derive(Debug)]
-pub struct FileFacts {
+struct FileFacts {
     /// Path relative to the workspace root.
-    pub rel_path: PathBuf,
+    rel_path: PathBuf,
     /// Per-file rule violations (before `audit:allow` suppression).
-    pub diags: Vec<Diagnostic>,
-    /// Lock acquisition sequences, for the cross-file lock-order graph.
-    pub lock_fns: Vec<rules::lock_order::FnLocks>,
+    diags: Vec<Diagnostic>,
     /// Well-formed `audit:allow` comments in the file.
-    pub allows: Vec<Allow>,
+    allows: Vec<Allow>,
     /// Malformed allow comments.
-    pub bad_allows: Vec<BadAllow>,
+    bad_allows: Vec<BadAllow>,
     /// Wire surface facts, when the file is configured under
     /// `[wire-compat] files`.
-    pub wire: Option<rules::wire_compat::WireFacts>,
+    wire: Option<rules::wire_compat::WireFacts>,
 }
 
 /// The outcome of one `check` run.
@@ -102,22 +94,9 @@ impl CheckReport {
 /// `audit:allow` suppression pass.
 pub fn run_check(root: &Path, cfg: &AuditConfig) -> Result<CheckReport, WorkspaceError> {
     let ws = Workspace::discover(root, cfg)?;
-    let roots = ws.crate_roots();
-    let facts: Vec<FileFacts> = ws
-        .files
-        .iter()
-        .map(|f| analyze_file(f, roots.contains(f.rel_path.as_path()), cfg))
-        .collect();
+    let facts: Vec<FileFacts> = ws.files.iter().map(|f| analyze_file(f, cfg)).collect();
 
-    let mut raw: Vec<Diagnostic> = Vec::new();
-    let mut lock_fns = Vec::new();
-    for f in &facts {
-        raw.extend(f.diags.iter().cloned());
-        lock_fns.extend(f.lock_fns.iter().cloned());
-    }
-    if cfg.lock_order {
-        raw.extend(rules::lock_order::report(&lock_fns));
-    }
+    let mut raw: Vec<Diagnostic> = facts.iter().flat_map(|f| f.diags.iter().cloned()).collect();
     raw.extend(rules::layering::check(&ws.crates, &cfg.layering));
 
     if !cfg.wire_compat.files.is_empty() {
@@ -155,7 +134,7 @@ pub fn run_check(root: &Path, cfg: &AuditConfig) -> Result<CheckReport, Workspac
 
 /// The per-file analysis: lex + parse once, then run every rule whose
 /// scope covers this file.
-pub fn analyze_file(raw: &RawFile, is_root: bool, cfg: &AuditConfig) -> FileFacts {
+fn analyze_file(raw: &RawFile, cfg: &AuditConfig) -> FileFacts {
     let src = SourceFile::parse(&raw.rel_path, &raw.text);
     let mut diags = Vec::new();
 
@@ -173,20 +152,6 @@ pub fn analyze_file(raw: &RawFile, is_root: bool, cfg: &AuditConfig) -> FileFact
     if AuditConfig::path_in_scope(&src.rel_path, &cfg.swallowed_result.paths) {
         diags.extend(rules::swallowed_result::check(&src, &cfg.swallowed_result));
     }
-    if cfg.blocking_in_lock.enabled {
-        diags.extend(rules::blocking_in_lock::check(&src, &cfg.blocking_in_lock));
-    }
-    if cfg.unsafe_forbidden {
-        diags.extend(rules::unsafe_forbidden::check_unsafe_use(&src));
-        if is_root {
-            diags.extend(rules::unsafe_forbidden::check_root(&src));
-        }
-    }
-    let lock_fns = if cfg.lock_order {
-        rules::lock_order::collect(&src, &cfg.blocking_in_lock.guard_fns)
-    } else {
-        Vec::new()
-    };
     let wire = cfg
         .wire_compat
         .files
@@ -197,7 +162,6 @@ pub fn analyze_file(raw: &RawFile, is_root: bool, cfg: &AuditConfig) -> FileFact
     FileFacts {
         rel_path: raw.rel_path.clone(),
         diags,
-        lock_fns,
         allows: src.allows,
         bad_allows: src.bad_allows,
         wire,

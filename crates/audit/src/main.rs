@@ -1,8 +1,7 @@
 //! The `datamime-audit` command-line interface.
 //!
 //! ```text
-//! cargo run -p datamime-audit -- check [--root DIR] [--config FILE]
-//!                                      [--format human|json] [--quiet]
+//! cargo run -p datamime-audit -- check [--root DIR] [--config FILE] [--quiet]
 //! cargo run -p datamime-audit -- wire-lock [--update] [--force]
 //!                                          [--root DIR] [--config FILE]
 //! cargo run -p datamime-audit -- rules
@@ -17,7 +16,7 @@
 
 use datamime_audit::config::AuditConfig;
 use datamime_audit::rules::wire_compat;
-use datamime_audit::{diagnostics, run_check};
+use datamime_audit::run_check;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -26,29 +25,22 @@ const USAGE: &str = "\
 datamime-audit: static-analysis gates for the Datamime workspace
 
 USAGE:
-    datamime-audit check [--root DIR] [--config FILE] [--format human|json] [--quiet]
+    datamime-audit check [--root DIR] [--config FILE] [--quiet]
     datamime-audit wire-lock [--update] [--force] [--root DIR] [--config FILE]
     datamime-audit rules
 
 OPTIONS:
     --root DIR       Workspace root (default: nearest ancestor with audit.toml)
     --config FILE    Configuration file (default: <root>/audit.toml)
-    --format KIND    Output format: human (default) or json
     --quiet          Suppress the summary line on success
     --update         (wire-lock) Rewrite the lockfile from current sources
     --force          (wire-lock) Re-baseline even when kinds changed without
                      a revision bump (normally refused)
 ";
 
-enum Format {
-    Human,
-    Json,
-}
-
 struct Options {
     root: Option<PathBuf>,
     config: Option<PathBuf>,
-    format: Format,
     quiet: bool,
     update: bool,
     force: bool,
@@ -99,7 +91,6 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
     let mut opts = Options {
         root: None,
         config: None,
-        format: Format::Human,
         quiet: false,
         update: false,
         force: false,
@@ -110,7 +101,7 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
             Some((f, v)) => (f.to_string(), Some(v.to_string())),
             None => (arg, None),
         };
-        let takes_value = matches!(flag.as_str(), "--root" | "--config" | "--format");
+        let takes_value = matches!(flag.as_str(), "--root" | "--config");
         let value = if takes_value {
             match inline.take() {
                 Some(v) => v,
@@ -124,13 +115,6 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
         match flag.as_str() {
             "--root" => opts.root = Some(PathBuf::from(value)),
             "--config" => opts.config = Some(PathBuf::from(value)),
-            "--format" => {
-                opts.format = match value.as_str() {
-                    "human" => Format::Human,
-                    "json" => Format::Json,
-                    other => return Err(format!("unknown format `{other}`")),
-                }
-            }
             "--quiet" | "-q" => opts.quiet = true,
             "--update" => opts.update = true,
             "--force" => opts.force = true,
@@ -183,27 +167,22 @@ fn check(opts: &Options) -> ExitCode {
         }
     };
     let elapsed_ms = started.elapsed().as_millis();
-    match opts.format {
-        Format::Json => print!("{}", diagnostics::to_json(&report.diagnostics)),
-        Format::Human => {
-            for d in &report.diagnostics {
-                println!("{d}");
-            }
-            if !report.clean() {
-                eprintln!(
-                    "datamime-audit: {} violation(s) across {} file(s) in {} crate(s) \
-                     ({elapsed_ms} ms)",
-                    report.diagnostics.len(),
-                    report.files_scanned,
-                    report.crates_scanned,
-                );
-            } else if !opts.quiet {
-                eprintln!(
-                    "datamime-audit: clean ({} files, {} crates, {elapsed_ms} ms)",
-                    report.files_scanned, report.crates_scanned,
-                );
-            }
-        }
+    for d in &report.diagnostics {
+        println!("{d}");
+    }
+    if !report.clean() {
+        eprintln!(
+            "datamime-audit: {} violation(s) across {} file(s) in {} crate(s) \
+             ({elapsed_ms} ms)",
+            report.diagnostics.len(),
+            report.files_scanned,
+            report.crates_scanned,
+        );
+    } else if !opts.quiet {
+        eprintln!(
+            "datamime-audit: clean ({} files, {} crates, {elapsed_ms} ms)",
+            report.files_scanned, report.crates_scanned,
+        );
     }
     if report.clean() {
         ExitCode::SUCCESS

@@ -1,15 +1,14 @@
 //! A lightweight structural parser over the token stream.
 //!
-//! The flow-aware rules (durability-protocol, blocking-in-lock,
-//! nondet-taint, swallowed-result) need more than token matching: they
-//! reason about *functions* (brace-matched bodies), *`let` bindings*
-//! (which names a statement introduces and from what initializer),
-//! *call sites* (method calls with reconstructed receiver paths, and
-//! free/path calls), and *scopes* (where a binding stops being live).
-//! This module recovers exactly that much structure — and no more — from
-//! the lexer's tokens. It is not a Rust parser: expressions stay flat
-//! token ranges, types are skipped by bracket matching, and macros are
-//! opaque except for their argument tokens.
+//! The flow-aware rules (durability-protocol, nondet-taint,
+//! swallowed-result) need more than token matching: they reason about
+//! *functions* (brace-matched bodies), *`let` bindings* (which names a
+//! statement introduces and from what initializer) and *call sites*
+//! (method calls with reconstructed receiver paths, and free/path
+//! calls). This module recovers exactly that much structure — and no
+//! more — from the lexer's tokens. It is not a Rust parser: expressions
+//! stay flat token ranges, types are skipped by bracket matching, and
+//! macros are opaque except for their argument tokens.
 //!
 //! Heuristics are byte-span assisted: `>=`/`=>`/`==` are distinguished
 //! from a bare assignment `=` by checking whether adjacent punctuation
@@ -97,8 +96,8 @@ pub fn body_span(toks: &[Token], mut i: usize) -> Option<(usize, usize)> {
 /// Reconstructs the dotted receiver path ending at token `leaf`
 /// (`self.shared.state` → `shared.state`); `None` when the receiver is
 /// not a plain ident path (e.g. `make().lock()`).
-pub fn receiver_path(toks: &[Token], leaf: usize) -> Option<String> {
-    receiver_span(toks, leaf).map(|(start, _)| {
+fn receiver_path(toks: &[Token], leaf: usize) -> Option<String> {
+    receiver_start(toks, leaf).map(|start| {
         let mut parts: Vec<&str> = (start..=leaf)
             .step_by(2)
             .map(|i| toks[i].text.as_str())
@@ -110,9 +109,9 @@ pub fn receiver_path(toks: &[Token], leaf: usize) -> Option<String> {
     })
 }
 
-/// The token span `(start, leaf)` of the dotted ident path ending at
-/// `leaf` (both inclusive; every other token is a `.`).
-pub fn receiver_span(toks: &[Token], leaf: usize) -> Option<(usize, usize)> {
+/// The first token of the dotted ident path ending at `leaf` (every
+/// other token is a `.`).
+fn receiver_start(toks: &[Token], leaf: usize) -> Option<usize> {
     if toks.get(leaf)?.kind != TokKind::Ident {
         return None;
     }
@@ -120,7 +119,7 @@ pub fn receiver_span(toks: &[Token], leaf: usize) -> Option<(usize, usize)> {
     while i >= 2 && toks[i - 1].is_punct('.') && toks[i - 2].kind == TokKind::Ident {
         i -= 2;
     }
-    Some((i, leaf))
+    Some(i)
 }
 
 /// Whether the tokens starting at `i` spell `path` (segments separated
@@ -530,7 +529,7 @@ fn call_at(toks: &[Token], i: usize) -> Option<Call> {
             None
         };
         let start = if i >= 2 {
-            receiver_span(toks, i - 2).map(|(s, _)| s).unwrap_or(i)
+            receiver_start(toks, i - 2).unwrap_or(i)
         } else {
             i
         };
@@ -586,36 +585,6 @@ fn close_bracket(toks: &[Token], open: usize) -> Option<usize> {
     None
 }
 
-/// For a binding introduced at `stmt_end` inside `body`, the token index
-/// one past the end of its lexical scope: the `}` closing the innermost
-/// block that was open at the binding site (or the function's own `}`).
-pub fn scope_end(toks: &[Token], from: usize, body: (usize, usize)) -> usize {
-    let mut depth = 0i32;
-    let mut i = from;
-    while i <= body.1 && i < toks.len() {
-        if toks[i].is_punct('{') {
-            depth += 1;
-        } else if toks[i].is_punct('}') {
-            depth -= 1;
-            if depth < 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    body.1
-}
-
-/// Whether any token in `[range.0, range.1]` is the ident `name`.
-pub fn range_mentions(toks: &[Token], range: (usize, usize), name: &str) -> bool {
-    if range.0 > range.1 {
-        return false;
-    }
-    toks[range.0..=(range.1).min(toks.len() - 1)]
-        .iter()
-        .any(|t| t.is_ident(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,6 +592,16 @@ mod tests {
 
     fn parse(src: &str) -> SourceFile {
         SourceFile::parse(Path::new("p.rs"), src)
+    }
+
+    /// Whether any token in `[range.0, range.1]` is the ident `name`.
+    fn range_mentions(toks: &[Token], range: (usize, usize), name: &str) -> bool {
+        if range.0 > range.1 {
+            return false;
+        }
+        toks[range.0..=(range.1).min(toks.len() - 1)]
+            .iter()
+            .any(|t| t.is_ident(name))
     }
 
     #[test]
@@ -741,17 +720,5 @@ mod tests {
             .collect();
         assert_eq!(eqs.len(), 1, "only `a = 1` has a bare =");
         assert!(toks[eqs[0] - 1].is_ident("a"));
-    }
-
-    #[test]
-    fn scope_end_finds_the_enclosing_close_brace() {
-        let f = parse("fn f() { { let g = m.lock(); use_it(&g); } after(); }\n");
-        let fns = functions(&f);
-        let toks = &f.tokens;
-        let lets = let_bindings(toks, fns[0].body);
-        let end = scope_end(toks, lets[0].stmt_end, fns[0].body);
-        // The scope ends before `after` is called.
-        let after = toks.iter().position(|t| t.is_ident("after")).unwrap();
-        assert!(end < after);
     }
 }

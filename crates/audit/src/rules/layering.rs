@@ -99,7 +99,6 @@ mod tests {
                     line: *l,
                 })
                 .collect(),
-            root_files: Vec::new(),
         }
     }
 

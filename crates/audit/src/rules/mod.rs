@@ -6,28 +6,21 @@
 //! the engine in [`crate::run_check`] owns scoping (which files a rule
 //! sees) and the `audit:allow` suppression pass.
 
-pub mod blocking_in_lock;
 pub mod durability;
-pub mod guards;
 pub mod layering;
-pub mod lock_order;
 pub mod nondet_taint;
 pub mod panic_safety;
 pub mod swallowed_result;
-pub mod unsafe_forbidden;
 pub mod wire_compat;
 
 /// Every rule identifier an `audit:allow(...)` comment may name.
 /// (`nondet-taint` superseded PR 3's `determinism`; the flow-aware
 /// families landed with the audit-v2 engine.)
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 6] = [
     "nondet-taint",
     "panic-safety",
-    "lock-order",
     "layering",
-    "unsafe-forbidden",
     "durability-protocol",
     "swallowed-result",
-    "blocking-in-lock",
     "wire-compat",
 ];

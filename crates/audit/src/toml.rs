@@ -38,14 +38,6 @@ impl Value {
         }
     }
 
-    /// The boolean, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -82,17 +74,6 @@ impl Doc {
             .filter(|(n, _)| n == name)
             .flat_map(|(_, entries)| entries)
             .collect()
-    }
-
-    /// Table names in definition order (deduplicated, top level excluded).
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut seen = Vec::new();
-        for (name, _) in &self.tables {
-            if !name.is_empty() && !seen.contains(&name.as_str()) {
-                seen.push(name);
-            }
-        }
-        seen
     }
 
     /// Looks up `key` in table `name`.
@@ -397,8 +378,8 @@ mod tests {
             Some("datamime-audit")
         );
         assert_eq!(
-            doc.get("package", "publish").unwrap().value.as_bool(),
-            Some(false)
+            doc.get("package", "publish").unwrap().value,
+            Value::Bool(false)
         );
         assert_eq!(
             doc.get("a.b", "list")

@@ -10,7 +10,6 @@
 
 use crate::config::AuditConfig;
 use crate::toml;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -46,9 +45,6 @@ pub struct CrateInfo {
     /// are exempt from layering: they shape the test graph, not the
     /// product graph.
     pub deps: Vec<DepRef>,
-    /// Crate roots relative to the workspace root: `src/lib.rs`,
-    /// `src/main.rs`, `src/bin/*.rs`, and explicit `[[bin]]` paths.
-    pub root_files: Vec<PathBuf>,
 }
 
 /// The scanned workspace.
@@ -120,29 +116,6 @@ impl Workspace {
             }
             src_files.sort();
 
-            let mut root_files = BTreeSet::new();
-            for candidate in ["src/lib.rs", "src/main.rs"] {
-                let rel = rel_dir.join(candidate);
-                if src_files.contains(&rel) {
-                    root_files.insert(rel);
-                }
-            }
-            for f in &src_files {
-                if f.strip_prefix(rel_dir.join("src/bin")).is_ok() {
-                    root_files.insert(f.clone());
-                }
-            }
-            for e in doc.table("bin") {
-                if e.key == "path" {
-                    if let Some(p) = e.value.as_str() {
-                        let rel = rel_dir.join(p);
-                        if src_files.contains(&rel) {
-                            root_files.insert(rel);
-                        }
-                    }
-                }
-            }
-
             for rel in &src_files {
                 let text = read(&root.join(rel))?;
                 files.push(RawFile {
@@ -155,20 +128,11 @@ impl Workspace {
                 rel_dir,
                 manifest_rel,
                 deps,
-                root_files: root_files.into_iter().collect(),
             });
         }
         crates.sort_by(|a, b| a.name.cmp(&b.name));
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         Ok(Workspace { crates, files })
-    }
-
-    /// The rel paths that are crate roots, across all crates.
-    pub fn crate_roots(&self) -> BTreeSet<&Path> {
-        self.crates
-            .iter()
-            .flat_map(|c| c.root_files.iter().map(PathBuf::as_path))
-            .collect()
     }
 }
 

@@ -1,13 +1,11 @@
 //! End-to-end audit runs: each fixture mini-workspace under
 //! `tests/fixtures/` trips exactly its intended rule (and its clean
-//! twin passes), the CLI reports violations with a non-zero exit in
-//! both output formats, and — the self-check — the live workspace
-//! passes with zero violations.
+//! twin passes), the CLI reports violations with a non-zero exit, and
+//! — the self-check — the live workspace passes with zero violations.
 
 use datamime_audit::config::AuditConfig;
 use datamime_audit::diagnostics::Diagnostic;
 use datamime_audit::run_check;
-use datamime_audit::workspace::RawFile;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -102,20 +100,6 @@ fn swallowed_result_clean_twin_passes_with_a_used_allow() {
 }
 
 #[test]
-fn blocking_in_lock_fixture_flags_the_sleep_under_the_guard() {
-    let diags = check_fixture("blocking_in_lock");
-    assert_eq!(rules_of(&diags), vec!["blocking-in-lock"], "{diags:?}");
-    assert!(diags[0].message.contains("`sleep`"));
-    assert!(diags[0].message.contains("guard `held`"));
-}
-
-#[test]
-fn blocking_in_lock_clean_twin_passes() {
-    // The guard dies at its block close before the sleep.
-    assert_clean("blocking_in_lock_clean");
-}
-
-#[test]
 fn wire_compat_fixture_fails_a_kind_addition_without_a_revision_bump() {
     // The acceptance scenario: `Frame::Retire` exists in the source,
     // the committed lock predates it, and WIRE_REVISION never moved.
@@ -141,40 +125,11 @@ fn panic_safety_fixture_trips_only_panic_safety() {
 }
 
 #[test]
-fn lock_order_fixture_reports_the_inversion_once() {
-    let diags = check_fixture("lock_order");
-    assert_eq!(rules_of(&diags), vec!["lock-order"], "{diags:?}");
-    assert!(diags[0].message.contains("`ab`"));
-    assert!(diags[0].message.contains("`ba`"));
-}
-
-#[test]
-fn lock_order_sees_helper_acquisitions_and_honours_drop() {
-    // `ab`/`ba` invert through the configured `lock(&m)` helper;
-    // `c_then_d`/`d_then_c` take their pair in both orders too, but
-    // `drop(g)` releases the first guard before the second lock.
-    let diags = check_fixture("lock_order_guards");
-    assert_eq!(rules_of(&diags), vec!["lock-order"], "{diags:?}");
-    assert!(diags[0].message.contains("`ab`"), "{diags:?}");
-    assert!(diags[0].message.contains("`ba`"), "{diags:?}");
-}
-
-#[test]
 fn layering_fixture_flags_the_skipped_layer() {
     let diags = check_fixture("layering");
     assert_eq!(rules_of(&diags), vec!["layering"], "{diags:?}");
     assert!(diags[0].file.ends_with("crates/top/Cargo.toml"));
     assert!(diags[0].message.contains("`top` may not depend on `base`"));
-}
-
-#[test]
-fn unsafe_fixture_flags_missing_forbid_and_unsafe_use() {
-    let diags = check_fixture("unsafe_missing");
-    assert_eq!(rules_of(&diags), vec!["unsafe-forbidden"; 2], "{diags:?}");
-    assert!(diags[0]
-        .message
-        .contains("missing `#![forbid(unsafe_code)]`"));
-    assert!(diags[1].message.contains("`unsafe` is forbidden"));
 }
 
 #[test]
@@ -184,7 +139,19 @@ fn misfiring_allows_are_themselves_violations() {
     rules.sort_unstable();
     assert_eq!(
         rules,
-        vec!["allow-syntax", "allow-syntax", "unused-allow"],
+        vec![
+            "allow-syntax",
+            "allow-syntax",
+            "allow-syntax",
+            "unused-allow"
+        ],
+        "{diags:?}"
+    );
+    // A deleted rule's name is an unknown rule like any other typo.
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.rule == "allow-syntax" && d.message.contains("unknown rule `lock-order`")),
         "{diags:?}"
     );
 }
@@ -203,28 +170,16 @@ fn audit_cli(args: &[&str], root: &Path) -> std::process::Output {
         .expect("audit binary runs")
 }
 
-/// Golden-file check: the machine format is a contract for CI
-/// consumers, so its exact bytes are pinned.
-#[test]
-fn json_output_matches_the_golden_file() {
-    let out = audit_cli(
-        &["check", "--format=json"],
-        &fixture_root("swallowed_result"),
-    );
-    assert_eq!(out.status.code(), Some(1));
-    let golden = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/swallowed_result.json"),
-    )
-    .expect("golden json exists");
-    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
-}
-
-/// The facts cache and the SARIF renderer are gone, and so are their
-/// switches: asking for either is a usage error, not a silent no-op.
+/// The facts cache and the SARIF and JSON renderers are gone, and so are
+/// their switches: asking for one is a usage error, not a silent no-op.
 #[test]
 fn removed_cache_and_sarif_switches_are_usage_errors() {
     let root = fixture_root("clean");
-    for args in [["check", "--no-cache"], ["check", "--format=sarif"]] {
+    for args in [
+        ["check", "--no-cache"],
+        ["check", "--format=sarif"],
+        ["check", "--format=json"],
+    ] {
         let out = audit_cli(&args, &root);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
     }
@@ -274,10 +229,13 @@ fn wire_lock_update_refuses_unbumped_kind_changes() {
 
 #[test]
 fn cli_exits_nonzero_on_a_fixture_and_zero_on_the_workspace() {
-    let bad = audit_cli(&["check", "--format=json"], &fixture_root("panic_safety"));
+    let bad = audit_cli(&["check"], &fixture_root("panic_safety"));
     assert_eq!(bad.status.code(), Some(1), "fixture must fail the audit");
-    let json = String::from_utf8_lossy(&bad.stdout);
-    assert!(json.contains("\"rule\":\"panic-safety\""), "{json}");
+    let report = String::from_utf8_lossy(&bad.stdout);
+    assert!(
+        report.starts_with("crates/eval/src/lib.rs:6: [panic-safety] "),
+        "{report}"
+    );
 
     let good = audit_cli(&["check"], &workspace_root());
     assert_eq!(
@@ -297,7 +255,7 @@ fn workspace_root() -> PathBuf {
 }
 
 /// The self-check gate: the workspace this crate ships in must audit
-/// clean under its own committed policy — all nine rules.
+/// clean under its own committed policy — all six rules.
 #[test]
 fn live_workspace_audits_clean() {
     let root = workspace_root();
@@ -326,23 +284,4 @@ fn live_workspace_audits_clean() {
         "swallowed-result engaged"
     );
     assert!(!cfg.wire_compat.files.is_empty(), "wire-compat engaged");
-}
-
-/// The serve daemon takes every lock through its `lock(&m)` helper, so
-/// the lock graph only covers it if helper acquisitions are extracted.
-#[test]
-fn live_lock_graph_contains_the_serve_daemons_helper_acquisitions() {
-    let root = workspace_root();
-    let cfg = AuditConfig::load(&root.join("audit.toml")).expect("workspace audit.toml loads");
-    let rel_path = PathBuf::from("crates/serve/src/server.rs");
-    let text = std::fs::read_to_string(root.join(&rel_path)).expect("server.rs exists");
-    let facts = datamime_audit::analyze_file(&RawFile { rel_path, text }, false, &cfg);
-    let locks: Vec<&str> = facts
-        .lock_fns
-        .iter()
-        .flat_map(|f| &f.acquisitions)
-        .map(|a| a.lock.as_str())
-        .collect();
-    assert!(locks.contains(&"shared.jobs"), "{locks:?}");
-    assert!(locks.contains(&"shared.manifest"), "{locks:?}");
 }

@@ -7,5 +7,6 @@ pub fn tidy(a: u32, b: u32) -> u32 {
     let c = a.wrapping_add(b);
     // audit:allow(panic-safety)
     // audit:allow(no-such-rule): the rule name is a typo
+    // audit:allow(lock-order): the rule was deleted; its name is unknown now
     c
 }

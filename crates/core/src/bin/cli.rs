@@ -19,6 +19,8 @@ use datamime::search::{
 use datamime::servectl::ServeClient;
 use datamime::workload::Workload;
 use datamime_runtime::FailPolicy;
+use datamime_sim::MachineConfig;
+use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -107,12 +109,15 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 i += 2;
             }
             "--iters" => {
-                o.iters = Some(
-                    args.get(i + 1)
-                        .ok_or("--iters needs a value")?
-                        .parse()
-                        .map_err(|_| "--iters must be a number")?,
-                );
+                let n: usize = args
+                    .get(i + 1)
+                    .ok_or("--iters needs a value")?
+                    .parse()
+                    .map_err(|_| "--iters must be a number")?;
+                if n == 0 {
+                    return Err("--iters must be at least 1".to_string());
+                }
+                o.iters = Some(n);
                 i += 2;
             }
             "--parallel" => {
@@ -310,6 +315,146 @@ fn cmd_profile(workload: &Workload, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+// Cross-microarchitecture validation (`datamime validate`): the paper
+// generates benchmarks on Broadwell and validates them unchanged on
+// Zen 2 and Silvermont (Figs. 1 and 3) — a representative dataset keeps
+// matching when the machine changes, because the match comes from the
+// workload's structure rather than overfitting to one microarchitecture.
+
+/// One (machine, metric) comparison between target and benchmark.
+#[derive(Debug)]
+struct ValidationRow {
+    /// Machine name.
+    machine: String,
+    /// Metric compared.
+    metric: DistMetric,
+    /// Target's mean value.
+    target: f64,
+    /// Benchmark's mean value.
+    benchmark: f64,
+}
+
+impl ValidationRow {
+    /// Absolute error.
+    fn abs_error(&self) -> f64 {
+        (self.benchmark - self.target).abs()
+    }
+
+    /// Relative error against the target (`None` when the target is ~0).
+    fn rel_error(&self) -> Option<f64> {
+        (self.target.abs() > 1e-9).then(|| self.abs_error() / self.target.abs())
+    }
+}
+
+/// The full validation result across machines and metrics.
+#[derive(Debug)]
+struct ValidationReport {
+    rows: Vec<ValidationRow>,
+}
+
+impl ValidationReport {
+    /// Mean absolute percentage error of a metric across machines
+    /// (`None` if no row has a usable target value).
+    fn mape(&self, metric: DistMetric) -> Option<f64> {
+        let errs: Vec<f64> = self
+            .rows
+            .iter()
+            .filter(|r| r.metric == metric)
+            .filter_map(ValidationRow::rel_error)
+            .collect();
+        (!errs.is_empty()).then(|| errs.iter().sum::<f64>() / errs.len() as f64)
+    }
+
+    /// Serializes the report as TSV.
+    fn to_tsv(&self) -> String {
+        let mut out = String::from("machine\tmetric\ttarget\tbenchmark\tabs_error\n");
+        for r in &self.rows {
+            out.push_str(&format!(
+                "{}\t{}\t{}\t{}\t{}\n",
+                r.machine,
+                r.metric.key(),
+                r.target,
+                r.benchmark,
+                r.abs_error()
+            ));
+        }
+        out
+    }
+}
+
+impl fmt::Display for ValidationReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for r in &self.rows {
+            writeln!(
+                f,
+                "{:<11} {:<14} target={:<10.4} benchmark={:<10.4} err={:.4}",
+                r.machine,
+                r.metric.key(),
+                r.target,
+                r.benchmark,
+                r.abs_error()
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Profiles `target` and `benchmark` on every machine in `machines` and
+/// compares the metric means.
+///
+/// # Panics
+///
+/// Panics if `machines` or `metrics` is empty.
+fn validate_clone(
+    target: &Workload,
+    benchmark: &Workload,
+    machines: &[MachineConfig],
+    metrics: &[DistMetric],
+    cfg: &ProfilingConfig,
+) -> ValidationReport {
+    assert!(!machines.is_empty(), "need at least one machine");
+    assert!(!metrics.is_empty(), "need at least one metric");
+    let mut rows = Vec::with_capacity(machines.len() * metrics.len());
+    for machine in machines {
+        let t = profile_workload(target, machine, cfg);
+        let b = profile_workload(benchmark, machine, cfg);
+        for &m in metrics {
+            rows.push(ValidationRow {
+                machine: machine.name.clone(),
+                metric: m,
+                target: t.mean(m),
+                benchmark: b.mean(m),
+            });
+        }
+    }
+    ValidationReport { rows }
+}
+
+/// The paper's validation setup: all three Table-II machines and the four
+/// headline metrics of Fig. 6.
+fn validate_paper_setup(
+    target: &Workload,
+    benchmark: &Workload,
+    cfg: &ProfilingConfig,
+) -> ValidationReport {
+    validate_clone(
+        target,
+        benchmark,
+        &[
+            MachineConfig::broadwell(),
+            MachineConfig::zen2(),
+            MachineConfig::silvermont(),
+        ],
+        &[
+            DistMetric::Ipc,
+            DistMetric::LlcMpki,
+            DistMetric::ICacheMpki,
+            DistMetric::BranchMpki,
+        ],
+        cfg,
+    )
+}
+
 fn cmd_validate(workload: &Workload, opts: &Options) -> Result<(), String> {
     let generator = generator_for_program(workload.app.program()).ok_or_else(|| {
         format!(
@@ -329,8 +474,7 @@ fn cmd_validate(workload: &Workload, opts: &Options) -> Result<(), String> {
     let target = profile_workload(workload, &cfg.machine, &cfg.profiling);
     let outcome = search(generator.as_ref(), &target, &cfg);
     eprintln!("validating across machines ...");
-    let report =
-        datamime::validate::validate_paper_setup(workload, &outcome.best_workload, &cfg.profiling);
+    let report = validate_paper_setup(workload, &outcome.best_workload, &cfg.profiling);
     print!("{report}");
     if let Some(mape) = report.mape(DistMetric::Ipc) {
         println!("IPC MAPE across machines: {:.1}%", mape * 100.0);
@@ -554,6 +698,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datamime::workload::AppConfig;
+    use datamime_apps::KvConfig;
 
     fn args(xs: &[&str]) -> Vec<String> {
         xs.iter().map(|s| s.to_string()).collect()
@@ -632,6 +778,7 @@ mod tests {
         assert!(parse_options(&args(&["--bogus"])).is_err());
         assert!(parse_options(&args(&["--iters"])).is_err());
         assert!(parse_options(&args(&["--iters", "x"])).is_err());
+        assert!(parse_options(&args(&["--iters", "0"])).is_err());
         assert!(parse_options(&args(&["--journal"])).is_err());
         assert!(parse_options(&args(&["--resume"])).is_err());
         assert!(parse_options(&args(&["--eval-timeout"])).is_err());
@@ -679,5 +826,68 @@ mod tests {
         assert_eq!(opts.root.as_deref(), Some(std::path::Path::new("/tmp/r")));
         assert_eq!(opts.timeout_secs, Some(9));
         assert!(split_ctl_args(&args(&["--bogus"])).is_err());
+    }
+
+    fn tiny(name: &str, n_keys: usize) -> Workload {
+        let mut w = Workload::mem_fb();
+        w.name = name.to_owned();
+        w.app = AppConfig::Kv(KvConfig {
+            n_keys,
+            ..KvConfig::facebook_like()
+        });
+        w
+    }
+
+    #[test]
+    fn self_validation_is_perfect() {
+        let w = tiny("t", 5_000);
+        let cfg = ProfilingConfig::fast().without_curves();
+        let report = validate_clone(
+            &w,
+            &w,
+            &[MachineConfig::broadwell()],
+            &[DistMetric::Ipc, DistMetric::LlcMpki],
+            &cfg,
+        );
+        assert_eq!(report.rows.len(), 2);
+        assert_eq!(report.mape(DistMetric::Ipc), Some(0.0));
+    }
+
+    #[test]
+    fn different_workloads_show_errors() {
+        let cfg = ProfilingConfig::fast().without_curves();
+        let report = validate_clone(
+            &tiny("a", 5_000),
+            &tiny("b", 200_000),
+            &[MachineConfig::broadwell(), MachineConfig::silvermont()],
+            &[DistMetric::Ipc, DistMetric::LlcMpki],
+            &cfg,
+        );
+        assert_eq!(report.rows.len(), 4);
+        assert!(report.mape(DistMetric::Ipc).unwrap() > 0.0);
+        let tsv = report.to_tsv();
+        assert!(tsv.lines().count() == 5);
+        assert!(tsv.contains("silvermont"));
+        assert!(!report.to_string().is_empty());
+    }
+
+    #[test]
+    fn mape_skips_zero_targets() {
+        let report = ValidationReport {
+            rows: vec![ValidationRow {
+                machine: "x".into(),
+                metric: DistMetric::ItlbMpki,
+                target: 0.0,
+                benchmark: 1.0,
+            }],
+        };
+        assert_eq!(report.mape(DistMetric::ItlbMpki), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one machine")]
+    fn empty_machines_panics() {
+        let w = tiny("t", 100);
+        validate_clone(&w, &w, &[], &[DistMetric::Ipc], &ProfilingConfig::fast());
     }
 }

@@ -670,4 +670,17 @@ mod tests {
         let large = hi.app.build().footprint_bytes();
         assert!(large > small * 10, "footprint range {small}..{large}");
     }
+
+    #[test]
+    fn normalize_roundtrips_denormalize() {
+        for spec in KvGenerator::new().param_specs() {
+            for u in [0.0, 0.3, 0.7, 1.0] {
+                let v = spec.denormalize(u);
+                let u2 = spec.normalize(v);
+                if !spec.integer {
+                    assert!((u - u2).abs() < 1e-9, "{}: {u} vs {u2}", spec.name);
+                }
+            }
+        }
+    }
 }

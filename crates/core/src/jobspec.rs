@@ -34,6 +34,21 @@ pub fn machine_by_name(name: &str) -> Option<MachineConfig> {
     }
 }
 
+/// Parses a count that must be at least 1: a zero `iters` or `grid`
+/// would panic the search it configures, a zero quota would strand the
+/// run before its first observation.
+fn at_least_one<T: std::str::FromStr + Default + PartialEq>(
+    value: &str,
+    what: &str,
+    bad: &dyn Fn(&str) -> String,
+) -> Result<T, String> {
+    let n: T = value.parse().map_err(|_| bad(what))?;
+    if n == T::default() {
+        return Err(bad("must be at least 1"));
+    }
+    Ok(n)
+}
+
 /// The boxed generator shape [`JobSpec::generator`] returns.
 pub type BoxedGenerator = Box<dyn crate::generator::DatasetGenerator + Send + Sync>;
 
@@ -179,7 +194,7 @@ impl JobSpec {
             let bad = |what: &str| format!("job-spec key `{key}`: {what}: `{value}`");
             match key {
                 "workload" => spec.workload = value.to_string(),
-                "iters" => spec.iters = value.parse().map_err(|_| bad("not a count"))?,
+                "iters" => spec.iters = at_least_one(value, "not a count", &bad)?,
                 "seed" => spec.seed = value.parse().map_err(|_| bad("not a u64"))?,
                 "machine" => spec.machine = value.to_string(),
                 "batch" => spec.batch = value.parse().map_err(|_| bad("not a count"))?,
@@ -193,21 +208,11 @@ impl JobSpec {
                 }
                 "paper" => spec.paper = value.parse().map_err(|_| bad("not a bool"))?,
                 "curves" => spec.curves = value.parse().map_err(|_| bad("not a bool"))?,
-                "grid" => spec.grid = Some(value.parse().map_err(|_| bad("not a step count"))?),
+                "grid" => spec.grid = Some(at_least_one(value, "not a step count", &bad)?),
                 "worker_bin" => spec.worker_bin = Some(PathBuf::from(value)),
-                "max_evals" => {
-                    let n: usize = value.parse().map_err(|_| bad("not a count"))?;
-                    if n == 0 {
-                        return Err(bad("must be at least 1"));
-                    }
-                    spec.max_evals = Some(n);
-                }
+                "max_evals" => spec.max_evals = Some(at_least_one(value, "not a count", &bad)?),
                 "wall_clock_s" => {
-                    let s: u64 = value.parse().map_err(|_| bad("not a second count"))?;
-                    if s == 0 {
-                        return Err(bad("must be at least 1"));
-                    }
-                    spec.wall_clock_s = Some(s);
+                    spec.wall_clock_s = Some(at_least_one(value, "not a second count", &bad)?)
                 }
                 _ => return Err(format!("unknown job-spec key `{key}`")),
             }
@@ -336,9 +341,15 @@ mod tests {
         assert!(JobSpec::parse("workload=mem-fb backend=fiber").is_err());
         assert!(JobSpec::parse("workload=mem-fb iters=1 iters=2").is_err());
         assert!(JobSpec::parse("workload").is_err());
-        // Zero quotas would strand the run before its first observation.
-        assert!(JobSpec::parse("workload=mem-fb max_evals=0").is_err());
-        assert!(JobSpec::parse("workload=mem-fb wall_clock_s=0").is_err());
+        // Zero counts would panic the search or strand it before its
+        // first observation; the message names key and value.
+        for key in ["iters", "grid", "max_evals", "wall_clock_s"] {
+            let err = JobSpec::parse(&format!("workload=mem-fb {key}=0")).unwrap_err();
+            assert!(
+                err.contains(&format!("`{key}`")) && err.contains("`0`"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -46,7 +46,6 @@
 
 pub mod arena;
 pub mod compress;
-pub mod constrained;
 pub mod distproc;
 pub mod error_model;
 pub mod generator;
@@ -56,12 +55,10 @@ pub mod profile;
 pub mod profiler;
 pub mod search;
 pub mod servectl;
-pub mod validate;
 pub mod workload;
 
 pub use arena::EvalArena;
 pub use compress::{search_compress_aware, workload_compression_ratio, KvGeneratorCompressible};
-pub use constrained::{ConstrainedGenerator, ConstraintError, ParamConstraint};
 pub use error_model::{profile_error, DistanceKind, ErrorBreakdown, MetricWeights};
 pub use generator::{
     generator_for_program, DatasetGenerator, DnnGenerator, KvGenerator, ParamSpec,
@@ -76,5 +73,4 @@ pub use search::{
     RuntimeOptions, SearchConfig, SearchOutcome, SearchStats,
 };
 pub use servectl::{JobResult, JobState, JobStatus, ServeClient, ADMIN_SOCKET, JOB_SOCKET};
-pub use validate::{validate_clone, validate_paper_setup, ValidationReport, ValidationRow};
 pub use workload::{AppConfig, Workload};

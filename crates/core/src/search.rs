@@ -24,9 +24,9 @@ use crate::workload::Workload;
 use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig, RandomSearch};
 use datamime_runtime::{
     canonical_bits, fingerprint, replay, with_local_backend, Backend, CancelToken,
-    DiskFaultInjector, ExecError, Executor, FailPolicy, FanoutSink, FaultPlan, GateHandle,
-    JournalWriter, MemoKeyFn, MetricsRegistry, MetricsSink, QuotaCause, RunMeta, RunOutcome,
-    SharedSink, StageTimes, StderrSink, SupervisorConfig,
+    DiskFaultInjector, ExecError, Executor, FailPolicy, FaultPlan, GateHandle, JournalWriter,
+    MemoKeyFn, MetricsRegistry, MetricsSink, QuotaCause, RunMeta, RunOutcome, SharedSink,
+    StageTimes, StderrSink, SupervisorConfig,
 };
 use datamime_sim::MachineConfig;
 use std::path::PathBuf;
@@ -537,19 +537,15 @@ fn build_executor(
     if !opts.no_memo {
         exec = exec.memoize_keyed(memo_ctx, memo_key(generator));
     }
-    let mut fanout = FanoutSink::new();
     if opts.progress {
         let every = opts.progress_every.unwrap_or(10);
-        fanout.push(Box::new(StderrSink::new(every)));
+        exec = exec.sink(Box::new(StderrSink::new(every)));
     }
     if let Some(extra) = &opts.extra_sink {
-        fanout.push(Box::new(extra.clone()));
+        exec = exec.sink(Box::new(extra.clone()));
     }
     if let Some(metrics) = &opts.metrics {
-        fanout.push(Box::new(MetricsSink::new(Arc::clone(metrics))));
-    }
-    if !fanout.is_empty() {
-        exec = exec.sink(Box::new(fanout));
+        exec = exec.sink(Box::new(MetricsSink::new(Arc::clone(metrics))));
     }
     if let Some(gate) = &opts.batch_gate {
         exec = exec.gate(gate.arc());

@@ -31,7 +31,7 @@ use crate::backend::Backend;
 use crate::journal::{JournalError, JournalWriter, Replay};
 use crate::memo::{MemoCache, MemoEntry};
 use crate::supervisor::{FailedAttempt, FailureKind, FaultInfo, Supervisor, SupervisorConfig};
-use crate::telemetry::{NullSink, ProgressSink, Telemetry};
+use crate::telemetry::{ProgressSink, Telemetry};
 use datamime_bayesopt::BlackBoxOptimizer;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -271,7 +271,8 @@ pub struct Executor {
     /// appended resume) or needs it rewritten (a fresh file).
     journal_has_prefix: bool,
     resume: Option<Replay>,
-    sink: Box<dyn ProgressSink>,
+    /// Progress observers; every event reaches each in attachment order.
+    sinks: Vec<Box<dyn ProgressSink>>,
     supervision: Option<SupervisorConfig>,
     /// The memo cache and the projection of a unit point onto its key
     /// space (e.g. the dataset generator's quantized parameter values, so
@@ -301,7 +302,7 @@ impl Executor {
             journal: None,
             journal_has_prefix: false,
             resume: None,
-            sink: Box::new(NullSink),
+            sinks: Vec::new(),
             supervision: None,
             memo: None,
             gate: None,
@@ -335,10 +336,10 @@ impl Executor {
         self
     }
 
-    /// Streams progress to `sink`.
+    /// Streams progress to `sink` as well as to those attached before it.
     #[must_use]
     pub fn sink(mut self, sink: Box<dyn ProgressSink>) -> Self {
-        self.sink = sink;
+        self.sinks.push(sink);
         self
     }
 
@@ -505,7 +506,9 @@ impl Executor {
     ) -> Result<RunOutcome, ExecError> {
         let iterations = self.meta.iterations;
         let mut telemetry = Telemetry::new();
-        self.sink.on_start(&self.meta);
+        for s in &mut self.sinks {
+            s.on_start(&self.meta);
+        }
 
         let sup_cfg = self.supervision.clone();
         let (replayed_prefix, mut pending_faults) = match self.resume.take() {
@@ -516,7 +519,9 @@ impl Executor {
             None => (Vec::new(), BTreeMap::new()),
         };
         if !replayed_prefix.is_empty() {
-            self.sink.on_replay(replayed_prefix.len());
+            for s in &mut self.sinks {
+                s.on_replay(replayed_prefix.len());
+            }
         }
 
         let mut history: Vec<EvalRecord> = Vec::with_capacity(iterations);
@@ -636,11 +641,13 @@ impl Executor {
                 let mut journal_err: Option<JournalError> = None;
                 let results = {
                     let journal = &mut self.journal;
-                    let sink = &mut self.sink;
+                    let sinks = &mut self.sinks;
                     let telemetry = &mut telemetry;
                     let mut on_attempt = |a: FailedAttempt| {
                         telemetry.count_failed_attempt();
-                        sink.on_attempt(&a);
+                        for s in sinks.iter_mut() {
+                            s.on_attempt(&a);
+                        }
                         if journal_err.is_none() {
                             if let Some(j) = journal.as_mut() {
                                 if let Err(e) = j.attempt(&a) {
@@ -745,7 +752,9 @@ impl Executor {
                                 effective_k = (effective_k / 2).max(1);
                                 consecutive_failures = 0;
                                 telemetry.count_degradation();
-                                self.sink.on_degrade(from, effective_k);
+                                for s in &mut self.sinks {
+                                    s.on_degrade(from, effective_k);
+                                }
                             }
                         }
                         None => consecutive_failures = 0,
@@ -769,12 +778,18 @@ impl Executor {
                 }
                 if is_new {
                     let (_, best_error) = best.as_ref().expect("best was just set");
-                    self.sink.on_eval(index, rec.error, *best_error);
+                    for s in &mut self.sinks {
+                        s.on_eval(index, rec.error, *best_error);
+                    }
                     if let Some(fault) = &rec.fault {
-                        self.sink.on_fault(index, fault);
+                        for s in &mut self.sinks {
+                            s.on_fault(index, fault);
+                        }
                     }
                     if let Some(source) = rec.cached {
-                        self.sink.on_cache_hit(index, source);
+                        for s in &mut self.sinks {
+                            s.on_cache_hit(index, source);
+                        }
                     }
                     since_checkpoint += 1;
                     if self.checkpoint_every > 0 && since_checkpoint >= self.checkpoint_every {
@@ -796,7 +811,9 @@ impl Executor {
             // exactly what a re-run under the same quota reproduces.
             journal.done(history.len(), best_error, &best_unit)?;
         }
-        self.sink.on_finish(best_error, &telemetry);
+        for s in &mut self.sinks {
+            s.on_finish(best_error, &telemetry);
+        }
         let replayed = replayed_prefix.len();
         Ok(RunOutcome {
             best_unit,

@@ -74,7 +74,5 @@ pub use supervisor::{
     retry_backoff, CancelToken, Evaluated, FailPolicy, FailedAttempt, FailureKind, FaultInfo,
     Supervisor, SupervisorConfig, Watchdog,
 };
-pub use telemetry::{
-    FanoutSink, NullSink, ProgressSink, SharedSink, StageTimes, StderrSink, Telemetry,
-};
+pub use telemetry::{ProgressSink, SharedSink, StageTimes, StderrSink, Telemetry};
 pub use termsig::{TermSignal, NO_TRAP_ENV, TERM_SENTINEL_ENV};

@@ -270,8 +270,8 @@ impl Telemetry {
 }
 
 /// Observer of run progress; implement to stream progress wherever you
-/// need it (the CLI uses [`StderrSink`], tests use [`NullSink`] or a
-/// recording sink).
+/// need it (the CLI uses [`StderrSink`], tests a recording sink). An
+/// executor takes any number of them.
 pub trait ProgressSink {
     /// The run is starting.
     fn on_start(&mut self, meta: &RunMeta) {
@@ -317,12 +317,6 @@ pub trait ProgressSink {
         let _ = (best_error, telemetry);
     }
 }
-
-/// A sink that ignores everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl ProgressSink for NullSink {}
 
 /// A cloneable, thread-safe handle around any [`ProgressSink`], so one
 /// sink can be installed from outside an executor-owning API (the serve
@@ -382,86 +376,6 @@ impl ProgressSink for SharedSink {
 
     fn on_finish(&mut self, best_error: f64, telemetry: &Telemetry) {
         self.lock().on_finish(best_error, telemetry);
-    }
-}
-
-/// Broadcasts every progress event to each attached sink, in attachment
-/// order — how the CLI's stderr reporting and a metrics feed coexist on
-/// one run.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn ProgressSink>>,
-}
-
-impl FanoutSink {
-    /// An empty fanout (equivalent to [`NullSink`] until sinks attach).
-    pub fn new() -> Self {
-        FanoutSink::default()
-    }
-
-    /// Attaches one more sink.
-    pub fn push(&mut self, sink: Box<dyn ProgressSink>) {
-        self.sinks.push(sink);
-    }
-
-    /// How many sinks are attached.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether no sinks are attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl ProgressSink for FanoutSink {
-    fn on_start(&mut self, meta: &RunMeta) {
-        for s in &mut self.sinks {
-            s.on_start(meta);
-        }
-    }
-
-    fn on_replay(&mut self, count: usize) {
-        for s in &mut self.sinks {
-            s.on_replay(count);
-        }
-    }
-
-    fn on_eval(&mut self, index: usize, error: f64, best_error: f64) {
-        for s in &mut self.sinks {
-            s.on_eval(index, error, best_error);
-        }
-    }
-
-    fn on_attempt(&mut self, attempt: &FailedAttempt) {
-        for s in &mut self.sinks {
-            s.on_attempt(attempt);
-        }
-    }
-
-    fn on_cache_hit(&mut self, index: usize, source: usize) {
-        for s in &mut self.sinks {
-            s.on_cache_hit(index, source);
-        }
-    }
-
-    fn on_fault(&mut self, index: usize, fault: &FaultInfo) {
-        for s in &mut self.sinks {
-            s.on_fault(index, fault);
-        }
-    }
-
-    fn on_degrade(&mut self, from_k: usize, to_k: usize) {
-        for s in &mut self.sinks {
-            s.on_degrade(from_k, to_k);
-        }
-    }
-
-    fn on_finish(&mut self, best_error: f64, telemetry: &Telemetry) {
-        for s in &mut self.sinks {
-            s.on_finish(best_error, telemetry);
-        }
     }
 }
 

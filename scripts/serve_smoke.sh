@@ -32,6 +32,14 @@ for _ in $(seq 1 100); do
 done
 "$CTL" ctl version --root "$ROOT" | grep -q '^datamime-served '
 
+# A spec the search would panic on is refused, naming the key, and the
+# daemon is still healthy afterwards.
+if HOSTILE=$("$CTL" ctl submit workload=mem-fb iters=0 --root "$ROOT" 2>&1); then
+  echo "iters=0 was accepted: $HOSTILE"; exit 1
+fi
+echo "$HOSTILE" | grep -q 'iters' || { echo "refusal does not name iters: $HOSTILE"; exit 1; }
+"$CTL" ctl health --root "$ROOT" >/dev/null
+
 # Grid-quantized so re-suggested points hit the evaluation memo cache;
 # enough iterations that hits actually occur.
 JOB=$("$CTL" ctl submit workload=mem-fb iters=48 seed=7 curves=false grid=4 --root "$ROOT")

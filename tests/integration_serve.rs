@@ -16,11 +16,20 @@ use datamime_runtime::{replay, TermSignal};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-fn tmp_root() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("datamime-serve-it-{}", std::process::id()));
+fn tmp_root(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("datamime-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Blocks until the daemon thread answers on its job socket.
+fn wait_reachable(client: &ServeClient) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client.list().is_err() {
+        assert!(Instant::now() < deadline, "daemon never became reachable");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 /// The exact search the one-shot CLI would run for this spec line.
@@ -65,7 +74,7 @@ fn stat(stats: &[(String, u64)], name: &str) -> u64 {
 
 #[test]
 fn daemon_jobs_are_bit_identical_to_one_shot_runs_on_both_backends() {
-    let root = tmp_root();
+    let root = tmp_root("it");
     let sentinel = root.join("term.sentinel");
     let client = ServeClient::new(&root);
 
@@ -74,11 +83,7 @@ fn daemon_jobs_are_bit_identical_to_one_shot_runs_on_both_backends() {
         let term = TermSignal::at(sentinel.clone());
         std::thread::spawn(move || datamime_serve::run(root, term))
     };
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while client.list().is_err() {
-        assert!(Instant::now() < deadline, "daemon never became reachable");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_reachable(&client);
 
     // Thread-backend tenant: grid-quantized with enough iterations that
     // the optimizer re-suggests points and the memo cache gets hits.
@@ -172,7 +177,7 @@ fn health_stat(health: &str, name: &str) -> u64 {
 /// garbage-collects the oldest terminal job.
 #[test]
 fn quota_stops_health_reporting_and_retention() {
-    let root = tmp_root2();
+    let root = tmp_root("it2");
     let sentinel = root.join("term.sentinel");
     let client = ServeClient::new(&root);
 
@@ -188,11 +193,7 @@ fn quota_stops_health_reporting_and_retention() {
         };
         std::thread::spawn(move || datamime_serve::run_with(root, term, options))
     };
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while client.list().is_err() {
-        assert!(Instant::now() < deadline, "daemon never became reachable");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_reachable(&client);
 
     // 24 iterations, capped at 8 observations: the quota, not the
     // iteration budget, ends this search.
@@ -275,9 +276,39 @@ fn quota_stops_health_reporting_and_retention() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-fn tmp_root2() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("datamime-serve-it2-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A spec the search would panic on is refused at submit with a
+/// `ServeErr` naming the key — not a hang-up — and the daemon goes on to
+/// run the next job to the one-shot result.
+#[test]
+fn hostile_specs_are_refused_and_the_daemon_keeps_serving() {
+    let root = tmp_root("hostile");
+    let client = ServeClient::new(&root);
+    let daemon = {
+        let root = root.clone();
+        let term = TermSignal::at(root.join("term.sentinel"));
+        std::thread::spawn(move || datamime_serve::run(root, term))
+    };
+    wait_reachable(&client);
+
+    for key in ["iters", "grid"] {
+        let err = client
+            .submit_line(&format!("workload=mem-fb {key}=0"))
+            .unwrap_err();
+        assert!(err.contains(&format!("job-spec key `{key}`")), "{err}");
+    }
+    let health = client.admin("health").unwrap();
+    assert!(health.ends_with("END\n"), "health terminates: {health}");
+
+    let spec = "workload=mem-fb iters=6 seed=3 curves=false grid=4";
+    let job = client.submit_line(spec).unwrap();
+    let status = client.wait(&job, Duration::from_secs(600)).unwrap();
+    assert_eq!(status.state, JobState::Done, "{job}");
+    let result = client.result(&job).unwrap();
+    let reference = one_shot(spec, &root.join("reference.jsonl"));
+    assert_matches_one_shot(&root, &result, &reference, "after hostile submits");
+    assert_eq!(stat(&client.stats().unwrap(), "jobs_submitted"), 1);
+
+    assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
+    daemon.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
 }
