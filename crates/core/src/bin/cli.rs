@@ -9,14 +9,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
-use datamime::generator::generator_for_program;
-use datamime::jobspec::{machine_by_name, MACHINE_PRESETS};
+use datamime::jobspec::{machine_by_name, JobBackend, JobSpec, MACHINE_PRESETS};
 use datamime::metrics::DistMetric;
 use datamime::profiler::{profile_workload, ProfilingConfig};
-use datamime::search::{
-    search, search_with_runtime, BackendChoice, ProcOptions, RuntimeOptions, SearchConfig,
-};
-use datamime::servectl::ServeClient;
+use datamime::search::{search, search_with_runtime, RuntimeOptions};
+use datamime::servectl::{records, ServeClient};
 use datamime::workload::Workload;
 use datamime_runtime::FailPolicy;
 use datamime_sim::MachineConfig;
@@ -455,18 +452,27 @@ fn validate_paper_setup(
     )
 }
 
-fn cmd_validate(workload: &Workload, opts: &Options) -> Result<(), String> {
-    let generator = generator_for_program(workload.app.program()).ok_or_else(|| {
-        format!(
-            "no dataset generator for program {}",
-            workload.app.program()
-        )
-    })?;
-    let mut cfg = SearchConfig::paper_default();
-    cfg.iterations = opts.iters.unwrap_or(40);
-    if !opts.paper {
-        cfg.profiling = ProfilingConfig::fast();
+/// The job `clone` and `validate` run, from their flags: the same
+/// [`JobSpec`] a `ctl submit` of those settings would carry, so the
+/// one-shot search and the daemon's are built by one code path.
+fn job_spec(name: &str, opts: &Options) -> JobSpec {
+    let mut spec = JobSpec::new(name);
+    if let Some(machine) = &opts.machine {
+        spec.machine = machine.clone();
     }
+    spec.iters = opts.iters.unwrap_or(spec.iters);
+    spec.batch = opts.parallel.unwrap_or(1).max(1);
+    spec.paper = opts.paper;
+    if opts.backend.as_deref() == Some("proc") {
+        spec.backend = JobBackend::Proc;
+        spec.workers = opts.workers.unwrap_or(spec.batch).max(1);
+    }
+    spec
+}
+
+fn cmd_validate(workload: &Workload, spec: &JobSpec, opts: &Options) -> Result<(), String> {
+    let generator = spec.generator()?;
+    let cfg = spec.search_config()?;
     eprintln!(
         "cloning {} ({} iterations) ...",
         workload.name, cfg.iterations
@@ -485,21 +491,9 @@ fn cmd_validate(workload: &Workload, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_clone(workload: &Workload, opts: &Options) -> Result<(), String> {
-    let machine = machine_by_name(opts.machine.as_deref().unwrap_or("broadwell"))
-        .ok_or("unknown machine (broadwell | zen2 | silvermont)")?;
-    let generator = generator_for_program(workload.app.program()).ok_or_else(|| {
-        format!(
-            "no dataset generator for program {}",
-            workload.app.program()
-        )
-    })?;
-    let mut cfg = SearchConfig::paper_default();
-    cfg.machine = machine;
-    cfg.iterations = opts.iters.unwrap_or(40);
-    if !opts.paper {
-        cfg.profiling = ProfilingConfig::fast();
-    }
+fn cmd_clone(workload: &Workload, spec: &JobSpec, opts: &Options) -> Result<(), String> {
+    let generator = spec.generator()?;
+    let cfg = spec.search_config()?;
     eprintln!(
         "profiling {} and searching {} dataset parameters ({} iterations{}) ...",
         workload.name,
@@ -509,20 +503,9 @@ fn cmd_clone(workload: &Workload, opts: &Options) -> Result<(), String> {
             .map_or(String::new(), |k| format!(", batch {k}")),
     );
     let target = profile_workload(workload, &cfg.machine, &cfg.profiling);
-    let batch = opts.parallel.unwrap_or(1).max(1);
-    let backend = match opts.backend.as_deref() {
-        Some("proc") => BackendChoice::Process(ProcOptions {
-            workers: opts.workers.unwrap_or(batch).max(1),
-            worker_bin: None,
-        }),
-        _ => BackendChoice::Thread,
-    };
     let runtime = RuntimeOptions {
-        batch_k: batch,
-        workers: batch,
-        backend,
-        // An interrupted run resumed in place keeps appending to its own
-        // journal unless a different --journal is given.
+        // An interrupted run resumed in place continues its own journal
+        // unless a different --journal is given.
         journal: opts.journal.clone().or_else(|| opts.resume.clone()),
         resume: opts.resume.clone(),
         progress: true,
@@ -532,7 +515,7 @@ fn cmd_clone(workload: &Workload, opts: &Options) -> Result<(), String> {
         max_retries: opts.max_retries.unwrap_or(1),
         fail_policy: opts.fail_policy.unwrap_or_default(),
         progress_every: opts.progress_every,
-        ..RuntimeOptions::default()
+        ..spec.runtime_options()
     };
     let outcome = search_with_runtime(generator.as_ref(), &target, &cfg, &runtime)
         .map_err(|e| e.to_string())?;
@@ -591,35 +574,13 @@ fn cmd_ctl(args: &[String]) -> Result<(), String> {
             .cloned()
             .ok_or(format!("ctl {action} needs a job id"))
     };
-    match action.as_str() {
-        "submit" => {
-            let spec = datamime::jobspec::JobSpec::parse(&positional.join(" "))?;
-            let job = client.submit(&spec)?;
-            println!("{job}");
-        }
-        "status" => {
-            let s = client.status(&job_arg()?)?;
-            println!(
-                "state={} evals={} iterations={} best_error={}",
-                s.state.as_str(),
-                s.evals,
-                s.iterations,
-                s.best_error
-            );
-        }
-        "result" => {
-            let r = client.result(&job_arg()?)?;
-            println!("best_error={}", r.best_error);
-            println!(
-                "best_unit={}",
-                r.best_unit
-                    .iter()
-                    .map(f64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            println!("journal={}", r.journal);
-        }
+    let request = match action.as_str() {
+        "submit" => format!(
+            "submit {}",
+            JobSpec::parse(&positional.join(" "))?.to_line()?
+        ),
+        "status" | "result" | "cancel" => format!("{action} {}", job_arg()?),
+        "list" | "stats" | "health" | "version" | "shutdown" => action.clone(),
         "wait" => {
             let timeout = Duration::from_secs(opts.timeout_secs.unwrap_or(600));
             let s = client.wait(&job_arg()?, timeout)?;
@@ -629,25 +590,15 @@ fn cmd_ctl(args: &[String]) -> Result<(), String> {
             if !s.state.has_result() {
                 return Err(format!("job finished {}", s.state.as_str()));
             }
+            return Ok(());
         }
-        "cancel" => {
-            client.cancel(&job_arg()?)?;
-            println!("cancelled");
-        }
-        "list" => {
-            for (job, state) in client.list()? {
-                println!("{job} {state}");
-            }
-        }
-        "stats" => {
-            for (name, value) in client.stats()? {
-                println!("STAT {name} {value}");
-            }
-        }
-        "version" => print!("{}", client.admin("version")?),
-        "health" => print!("{}", client.admin("health")?),
-        "shutdown" => print!("{}", client.admin("shutdown")?),
         other => return Err(format!("unknown ctl action {other}")),
+    };
+    // The reply is the output; `health` alone has always shown its `END`.
+    let reply = client.admin(&request)?;
+    match action.as_str() {
+        "result" | "list" | "stats" => print!("{}", records(&reply)?),
+        _ => print!("{reply}"),
     }
     Ok(())
 }
@@ -673,8 +624,8 @@ fn run() -> Result<(), String> {
             let opts = parse_options(&args[2..])?;
             match cmd {
                 "profile" => cmd_profile(&workload, &opts),
-                "clone" => cmd_clone(&workload, &opts),
-                _ => cmd_validate(&workload, &opts),
+                "clone" => cmd_clone(&workload, &job_spec(name, &opts), &opts),
+                _ => cmd_validate(&workload, &job_spec(name, &opts), &opts),
             }
         }
         Some("help") | Some("--help") | Some("-h") | None => {

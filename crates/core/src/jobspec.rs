@@ -1,7 +1,7 @@
 //! Serializable job specifications for the serve daemon.
 //!
 //! A [`JobSpec`] is everything a search job needs, in a single-line
-//! `key=value` form that survives the wire (the `SubmitJob` frame), the
+//! `key=value` form that survives the wire (the `submit` request line), the
 //! manifest WAL, and a human's shell history. The encoding is
 //! deliberately not JSON: values are bare tokens with no quoting, which
 //! keeps the round-trip trivially canonical — [`JobSpec::parse`] of

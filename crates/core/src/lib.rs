@@ -72,5 +72,5 @@ pub use search::{
     search, search_with_runtime, BackendChoice, IterationRecord, OptimizerKind, ProcOptions,
     RuntimeOptions, SearchConfig, SearchOutcome, SearchStats,
 };
-pub use servectl::{JobResult, JobState, JobStatus, ServeClient, ADMIN_SOCKET, JOB_SOCKET};
+pub use servectl::{JobResult, JobState, JobStatus, ServeClient, SERVE_SOCKET};
 pub use workload::{AppConfig, Workload};

@@ -24,9 +24,9 @@ use crate::workload::Workload;
 use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig, RandomSearch};
 use datamime_runtime::{
     canonical_bits, fingerprint, replay, with_local_backend, Backend, CancelToken,
-    DiskFaultInjector, ExecError, Executor, FailPolicy, FaultPlan, GateHandle, JournalWriter,
-    MemoKeyFn, MetricsRegistry, MetricsSink, QuotaCause, RunMeta, RunOutcome, SharedSink,
-    StageTimes, StderrSink, SupervisorConfig,
+    DiskFaultInjector, ExecError, Executor, FailPolicy, FaultPlan, GateHandle, JournalError,
+    JournalWriter, MemoKeyFn, MetricsRegistry, MetricsSink, QuotaCause, RunMeta, RunOutcome,
+    SharedSink, StageTimes, StderrSink, SupervisorConfig,
 };
 use datamime_sim::MachineConfig;
 use std::path::PathBuf;
@@ -130,7 +130,9 @@ pub struct RuntimeOptions {
     /// Journal every event to this file (crash-safe, resumable).
     pub journal: Option<PathBuf>,
     /// Resume from this journal, re-observing its points instead of
-    /// re-profiling them.
+    /// re-profiling them. With `journal` set to the same path the file is
+    /// reopened in place; with a different one that path starts as a copy;
+    /// without `journal` nothing is written.
     pub resume: Option<PathBuf>,
     /// Stream progress lines to stderr.
     pub progress: bool,
@@ -554,23 +556,24 @@ fn build_executor(
         Some(inj) => w.with_faults(inj.clone()),
         None => w,
     };
-    if let Some(resume_path) = &opts.resume {
-        let replayed = replay(resume_path)?;
-        exec = exec.resume(replayed)?;
-        // Appending to the very journal being resumed keeps its replayed
-        // prefix; any other journal path gets a fresh self-contained file.
-        if let Some(journal_path) = &opts.journal {
-            exec = if journal_path == resume_path {
-                exec.journal(arm(JournalWriter::append(journal_path)?), true)
-            } else {
-                let writer = arm(JournalWriter::create(journal_path, exec.meta())?);
-                exec.journal(writer, false)
-            };
+    exec = match (&opts.resume, &opts.journal) {
+        // One way to continue a journal: reopen it in place (its torn
+        // tail, if any, is cut first). Resuming onto a different path
+        // starts that path as a copy.
+        (Some(resume_path), Some(journal_path)) => {
+            if journal_path != resume_path {
+                std::fs::copy(resume_path, journal_path).map_err(JournalError::Io)?;
+            }
+            let (replayed, writer) = JournalWriter::reopen(journal_path)?;
+            exec.resume(replayed)?.journal(arm(writer))
         }
-    } else if let Some(journal_path) = &opts.journal {
-        let writer = arm(JournalWriter::create(journal_path, exec.meta())?);
-        exec = exec.journal(writer, false);
-    }
+        (Some(resume_path), None) => exec.resume(replay(resume_path)?)?,
+        (None, Some(journal_path)) => {
+            let writer = JournalWriter::create(journal_path, exec.meta())?;
+            exec.journal(arm(writer))
+        }
+        (None, None) => exec,
+    };
     Ok(exec)
 }
 

@@ -1,27 +1,35 @@
-//! Client side of the serve daemon: the job API and the admin plane.
+//! Client side of the serve daemon, and the grammar of its one plane.
 //!
-//! `datamime-served` listens on two Unix sockets under its state root:
+//! `datamime-served` listens on one Unix socket, `<root>/serve.sock`, one
+//! request and one reply per connection, both plain text — an operator
+//! can drive it with `nc -U` alone. A request is one UTF-8 line,
+//! `verb [argument]`; a reply is `ERROR <one-line detail>` or the text
+//! `datamime ctl <verb>` prints, multi-record replies closed by `END` so
+//! one cut short is refused instead of parsed:
 //!
-//! - `job.sock` speaks the [`datamime_dist`] frame protocol (versioned,
-//!   CRC-checked), one request/response per connection — submit, status,
-//!   result, cancel, list;
-//! - `admin.sock` speaks plain text, Pelikan-style — `stats`, `version`,
-//!   `shutdown` — so an operator can drive it with `nc` alone.
+//! | request | reply |
+//! |---|---|
+//! | `submit <JobSpec line>` | `<job>` |
+//! | `status <job>` | `state=… evals=… iterations=… best_error=…` |
+//! | `result <job>` | `best_error=…`, `best_unit=…,…`, `journal=…`, `END` |
+//! | `cancel <job>` | `cancelled` |
+//! | `list` | `<job> <state>` per job, `END` |
+//! | `stats`, `health` | `STAT <name> <value>` lines (`health` adds `READONLY <reason>`), `END` |
+//! | `version` / `shutdown` | `datamime-served <version>` / `OK draining` |
 //!
-//! [`ServeClient`] wraps both; the `datamime ctl` subcommand is a thin
-//! shell around it.
+//! Floats are written with `{}`, which round-trips every finite `f64` and
+//! `inf` bit for bit. [`ServeClient`] is [`ServeClient::admin`] plus the
+//! parsers of those replies; `datamime ctl` prints them.
 
 use crate::jobspec::JobSpec;
-use datamime_dist::{read_frame, write_frame, Frame};
+use std::fmt;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Name of the job-API socket under the daemon state root.
-pub const JOB_SOCKET: &str = "job.sock";
-/// Name of the plaintext admin socket under the daemon state root.
-pub const ADMIN_SOCKET: &str = "admin.sock";
+/// Name of the daemon's socket under its state root.
+pub const SERVE_SOCKET: &str = "serve.sock";
 
 /// A job's externally visible lifecycle state, as reported by the
 /// daemon. The strings on the wire are the lowercase variant names.
@@ -83,7 +91,7 @@ impl JobState {
     }
 }
 
-/// A `JobStatusResp`, decoded.
+/// The `status` reply.
 #[derive(Debug, Clone)]
 pub struct JobStatus {
     /// Lifecycle state.
@@ -96,7 +104,43 @@ pub struct JobStatus {
     pub best_error: f64,
 }
 
-/// A `JobResultResp`, decoded.
+impl fmt::Display for JobStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "state={} evals={} iterations={} best_error={}",
+            self.state.as_str(),
+            self.evals,
+            self.iterations,
+            self.best_error
+        )
+    }
+}
+
+impl JobStatus {
+    /// Parses a whole `status` reply (its newline included).
+    ///
+    /// # Errors
+    ///
+    /// Fails on a reply cut short or not in the `status` shape.
+    pub fn parse(reply: &str) -> Result<Self, String> {
+        let bad = || format!("bad status reply `{}`", reply.trim_end());
+        let line = reply.strip_suffix('\n').ok_or_else(bad)?;
+        let mut fields = line.split(' ');
+        let mut field = |key: &str| fields.next()?.strip_prefix(key)?.strip_prefix('=');
+        let status = (|| {
+            Some(JobStatus {
+                state: JobState::parse(field("state")?)?,
+                evals: field("evals")?.parse().ok()?,
+                iterations: field("iterations")?.parse().ok()?,
+                best_error: field("best_error")?.parse().ok()?,
+            })
+        })();
+        status.filter(|_| fields.next().is_none()).ok_or_else(bad)
+    }
+}
+
+/// The `result` reply.
 #[derive(Debug, Clone)]
 pub struct JobResult {
     /// Best total weighted EMD error.
@@ -105,6 +149,58 @@ pub struct JobResult {
     pub best_unit: Vec<f64>,
     /// Path of the job's journal, relative to the daemon state root.
     pub journal: String,
+}
+
+impl fmt::Display for JobResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let unit: Vec<String> = self.best_unit.iter().map(f64::to_string).collect();
+        write!(
+            f,
+            "best_error={}\nbest_unit={}\njournal={}",
+            self.best_error,
+            unit.join(","),
+            self.journal
+        )
+    }
+}
+
+impl JobResult {
+    /// Parses a whole `result` reply (its `END` included).
+    ///
+    /// # Errors
+    ///
+    /// Fails on a reply cut short or not in the `result` shape.
+    pub fn parse(reply: &str) -> Result<Self, String> {
+        let mut lines = records(reply)?.lines();
+        let mut field = |key: &str| lines.next()?.strip_prefix(key)?.strip_prefix('=');
+        let result = (|| {
+            Some(JobResult {
+                best_error: field("best_error")?.parse().ok()?,
+                best_unit: field("best_unit")?
+                    .split(',')
+                    .filter(|u| !u.is_empty())
+                    .map(|u| u.parse().ok())
+                    .collect::<Option<_>>()?,
+                journal: field("journal")?.to_string(),
+            })
+        })();
+        result
+            .filter(|_| lines.next().is_none())
+            .ok_or_else(|| format!("bad result reply `{}`", reply.trim_end()))
+    }
+}
+
+/// The records of a multi-record reply: everything before its closing
+/// `END` line.
+///
+/// # Errors
+///
+/// Fails when the terminator is missing — the reply was cut short.
+pub fn records(reply: &str) -> Result<&str, String> {
+    reply
+        .strip_suffix("END\n")
+        .filter(|body| body.is_empty() || body.ends_with('\n'))
+        .ok_or_else(|| "reply cut short: no END".to_string())
 }
 
 /// A client for one daemon state root. Cheap to construct; every call
@@ -125,19 +221,6 @@ impl ServeClient {
         &self.root
     }
 
-    /// One framed request/response round trip on the job socket.
-    fn call(&self, req: &Frame) -> Result<Frame, String> {
-        let path = self.root.join(JOB_SOCKET);
-        let mut conn = UnixStream::connect(&path)
-            .map_err(|e| format!("cannot reach the daemon at {path:?}: {e}"))?;
-        write_frame(&mut conn, req).map_err(|e| format!("request failed: {e}"))?;
-        let resp = read_frame(&mut conn).map_err(|e| format!("response failed: {e}"))?;
-        if let Frame::ServeErr { detail } = resp {
-            return Err(detail);
-        }
-        Ok(resp)
-    }
-
     /// Submits a job; returns the daemon-assigned job id.
     ///
     /// # Errors
@@ -154,12 +237,13 @@ impl ServeClient {
     ///
     /// As [`ServeClient::submit`].
     pub fn submit_line(&self, line: &str) -> Result<String, String> {
-        match self.call(&Frame::SubmitJob {
-            spec: line.to_string(),
-        })? {
-            Frame::JobAck { job } => Ok(job),
-            other => Err(format!("unexpected reply to submit: {other:?}")),
+        if line.contains('\n') {
+            return Err("a job spec is one line".to_string());
         }
+        Ok(self
+            .admin(&format!("submit {line}"))?
+            .trim_end()
+            .to_string())
     }
 
     /// Fetches a job's status.
@@ -168,24 +252,7 @@ impl ServeClient {
     ///
     /// Fails on connection errors or an unknown job id.
     pub fn status(&self, job: &str) -> Result<JobStatus, String> {
-        match self.call(&Frame::JobStatusReq {
-            job: job.to_string(),
-        })? {
-            Frame::JobStatusResp {
-                state,
-                evals,
-                iterations,
-                best_error_bits,
-                ..
-            } => Ok(JobStatus {
-                state: JobState::parse(&state)
-                    .ok_or_else(|| format!("daemon sent unknown job state `{state}`"))?,
-                evals,
-                iterations,
-                best_error: f64::from_bits(best_error_bits),
-            }),
-            other => Err(format!("unexpected reply to status: {other:?}")),
-        }
+        JobStatus::parse(&self.admin(&format!("status {job}"))?)
     }
 
     /// Fetches a completed job's result.
@@ -195,21 +262,7 @@ impl ServeClient {
     /// Fails on connection errors, an unknown job id, or a job that has
     /// not finished.
     pub fn result(&self, job: &str) -> Result<JobResult, String> {
-        match self.call(&Frame::JobResultReq {
-            job: job.to_string(),
-        })? {
-            Frame::JobResultResp {
-                best_error_bits,
-                best_unit_bits,
-                journal,
-                ..
-            } => Ok(JobResult {
-                best_error: f64::from_bits(best_error_bits),
-                best_unit: best_unit_bits.into_iter().map(f64::from_bits).collect(),
-                journal,
-            }),
-            other => Err(format!("unexpected reply to result: {other:?}")),
-        }
+        JobResult::parse(&self.admin(&format!("result {job}"))?)
     }
 
     /// Requests cancellation of a job (takes effect at its next batch
@@ -219,12 +272,7 @@ impl ServeClient {
     ///
     /// Fails on connection errors or an unknown job id.
     pub fn cancel(&self, job: &str) -> Result<(), String> {
-        match self.call(&Frame::CancelJob {
-            job: job.to_string(),
-        })? {
-            Frame::JobAck { .. } => Ok(()),
-            other => Err(format!("unexpected reply to cancel: {other:?}")),
-        }
+        self.admin(&format!("cancel {job}")).map(|_| ())
     }
 
     /// Lists all jobs the daemon knows, as `(id, state)` pairs in id
@@ -232,12 +280,16 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// Fails on connection errors.
+    /// Fails on connection errors or a malformed reply.
     pub fn list(&self) -> Result<Vec<(String, String)>, String> {
-        match self.call(&Frame::ListJobsReq)? {
-            Frame::JobList { jobs } => Ok(jobs),
-            other => Err(format!("unexpected reply to list: {other:?}")),
-        }
+        records(&self.admin("list")?)?
+            .lines()
+            .map(|line| {
+                line.split_once(' ')
+                    .map(|(job, state)| (job.to_string(), state.to_string()))
+                    .ok_or_else(|| format!("bad list line `{line}`"))
+            })
+            .collect()
     }
 
     /// Polls a job until it reaches a terminal state, then returns that
@@ -268,58 +320,122 @@ impl ServeClient {
         }
     }
 
-    /// Sends one plaintext command on the admin socket and returns the
-    /// full reply.
+    /// One round trip: sends the request line `command`, returns the whole
+    /// reply.
     ///
     /// # Errors
     ///
-    /// Fails on connection errors.
+    /// Fails on connection errors, on a reply that does not end in a
+    /// newline (cut short), and on an `ERROR <detail>` reply, whose
+    /// detail is the error.
     pub fn admin(&self, command: &str) -> Result<String, String> {
-        let path = self.root.join(ADMIN_SOCKET);
+        let path = self.root.join(SERVE_SOCKET);
         let mut conn = UnixStream::connect(&path)
-            .map_err(|e| format!("cannot reach the admin plane at {path:?}: {e}"))?;
-        conn.write_all(command.as_bytes())
-            .and_then(|()| conn.write_all(b"\n"))
-            .map_err(|e| format!("admin request failed: {e}"))?;
-        conn.shutdown(std::net::Shutdown::Write)
-            .map_err(|e| format!("admin request failed: {e}"))?;
+            .map_err(|e| format!("cannot reach the daemon at {path:?}: {e}"))?;
+        conn.write_all(format!("{command}\n").as_bytes())
+            .and_then(|()| conn.shutdown(std::net::Shutdown::Write))
+            .map_err(|e| format!("request failed: {e}"))?;
         let mut reply = String::new();
         conn.read_to_string(&mut reply)
-            .map_err(|e| format!("admin reply failed: {e}"))?;
-        Ok(reply)
+            .map_err(|e| format!("reply failed: {e}"))?;
+        let body = reply
+            .strip_suffix('\n')
+            .ok_or_else(|| format!("reply cut short: `{reply}`"))?;
+        match body.strip_prefix("ERROR ") {
+            Some(detail) => Err(detail.to_string()),
+            None => Ok(reply),
+        }
     }
 
-    /// Fetches the admin `stats` snapshot as sorted `(name, value)`
-    /// pairs.
+    /// Fetches the `stats` snapshot as sorted `(name, value)` pairs.
     ///
     /// # Errors
     ///
     /// Fails on connection errors or a malformed reply.
     pub fn stats(&self) -> Result<Vec<(String, u64)>, String> {
-        let reply = self.admin("stats")?;
-        let mut out = Vec::new();
-        for line in reply.lines() {
-            if line == "END" {
-                return Ok(out);
-            }
-            let mut it = line.split_whitespace();
-            match (it.next(), it.next(), it.next(), it.next()) {
-                (Some("STAT"), Some(name), Some(value), None) => {
-                    let value = value
+        records(&self.admin("stats")?)?
+            .lines()
+            .map(|line| {
+                let mut it = line.split_whitespace();
+                match (it.next(), it.next(), it.next(), it.next()) {
+                    (Some("STAT"), Some(name), Some(value), None) => value
                         .parse()
-                        .map_err(|_| format!("bad stat value in `{line}`"))?;
-                    out.push((name.to_string(), value));
+                        .map(|value| (name.to_string(), value))
+                        .map_err(|_| format!("bad stat value in `{line}`")),
+                    _ => Err(format!("bad stats line `{line}`")),
                 }
-                _ => return Err(format!("bad stats line `{line}`")),
-            }
-        }
-        Err("stats reply missing END".to_string())
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Any `f64` a daemon can report: arbitrary bit patterns with NaNs
+    /// mapped to `inf` (the "no observation yet" value), plus the corners
+    /// a uniform draw never hits.
+    fn reportable() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>()
+                .prop_map(f64::from_bits)
+                .prop_map(|x| if x.is_nan() { f64::INFINITY } else { x }),
+            (1u64..1 << 52).prop_map(f64::from_bits), // subnormals
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::MIN_POSITIVE),
+            Just(f64::MAX),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn status_and_result_replies_round_trip_by_bits(
+            best in reportable(),
+            unit in prop::collection::vec(reportable(), 0..6),
+            evals in any::<u64>(),
+        ) {
+            let status = JobStatus {
+                state: JobState::QuotaExceeded,
+                evals,
+                iterations: evals / 2,
+                best_error: best,
+            };
+            let back = JobStatus::parse(&format!("{status}\n")).unwrap();
+            prop_assert_eq!(back.state, status.state);
+            prop_assert_eq!((back.evals, back.iterations), (evals, evals / 2));
+            prop_assert_eq!(back.best_error.to_bits(), best.to_bits());
+            prop_assert!(JobStatus::parse(&status.to_string()).is_err(), "no newline");
+
+            let result = JobResult {
+                best_error: best,
+                best_unit: unit.clone(),
+                journal: "jobs/job-0001/journal.jsonl".to_string(),
+            };
+            let reply = format!("{result}\nEND\n");
+            let back = JobResult::parse(&reply).unwrap();
+            prop_assert_eq!(back.best_error.to_bits(), best.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|u| u.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back.best_unit), bits(&unit));
+            prop_assert_eq!(&back.journal, &result.journal);
+            // Cut anywhere, the reply is refused, never half-parsed.
+            let cut = (evals as usize) % reply.len();
+            prop_assert!(JobResult::parse(&reply[..cut]).is_err(), "cut at {}", cut);
+        }
+    }
+
+    #[test]
+    fn multi_record_replies_need_their_terminator() {
+        assert_eq!(records("END\n"), Ok(""));
+        assert_eq!(records("job-0001 done\nEND\n"), Ok("job-0001 done\n"));
+        assert!(records("job-0001 done\n").is_err());
+        assert!(records("job-0001 doneEND\n").is_err());
+        assert!(records("").is_err());
+        assert!(JobStatus::parse("state=zombie evals=1 iterations=1 best_error=0\n").is_err());
+        assert!(JobStatus::parse("state=done evals=1 iterations=1 best_error=0 x=1\n").is_err());
+    }
 
     #[test]
     fn job_states_round_trip() {

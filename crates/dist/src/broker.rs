@@ -246,11 +246,6 @@ impl Broker {
         Ok(broker)
     }
 
-    /// The directory holding the broker socket (useful in tests).
-    pub fn socket_dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-
     /// Spawns a fresh worker process into slot `i` under a new
     /// incarnation id.
     fn spawn_worker(&mut self, i: usize) -> Result<(), String> {
@@ -773,7 +768,6 @@ fn handshake_and_read(mut conn: UnixStream, expect_ctx: u64, tx: &mpsc::Sender<M
                     return;
                 }
             }
-            Ok(Frame::HeartbeatAck { .. }) => {}
             Ok(_) | Err(_) => {
                 let _ = tx.send(Msg::Closed { id: worker_id });
                 return;

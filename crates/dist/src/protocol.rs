@@ -1,5 +1,7 @@
 //! Versioned, length-prefixed, CRC-checked binary frame protocol spoken
-//! between the broker and its workers over Unix domain sockets.
+//! between the broker and its workers over Unix domain sockets — six
+//! frame kinds, and nothing else speaks it (the serve daemon's plane is
+//! plain text, `datamime::servectl`).
 //!
 //! Wire layout of one frame (all integers little-endian):
 //!
@@ -36,7 +38,7 @@ pub const PROTOCOL_VERSION: u16 = 1;
 /// wire (stage naming, unit encoding, error classification). Folded into
 /// [`worker_identity`] so a worker binary built from different evaluation
 /// code can never satisfy a broker expecting this build's semantics.
-pub const WIRE_REVISION: u32 = 3;
+pub const WIRE_REVISION: u32 = 4;
 
 /// Frame magic ("DIST", mangled). A connection that opens with anything
 /// else is not speaking this protocol.
@@ -113,88 +115,14 @@ pub enum Frame {
         /// Human-readable failure detail.
         detail: String,
     },
-    /// Broker → worker liveness probe.
-    Heartbeat {
-        /// Sequence number echoed by the ack.
-        seq: u64,
-    },
-    /// Worker → broker reply to [`Frame::Heartbeat`].
-    HeartbeatAck {
-        /// Echoed sequence number.
-        seq: u64,
-    },
     /// Broker → worker: exit cleanly. No reply.
     Shutdown,
-    /// Client → serve daemon: submit one search job. `spec` is the
-    /// serialized job spec (`datamime::jobspec` line format). Answered by
-    /// [`Frame::JobAck`] or [`Frame::ServeErr`].
-    SubmitJob {
-        /// Serialized job spec.
-        spec: String,
-    },
-    /// Serve daemon → client: the job was accepted (or the cancel took
-    /// effect) under this id.
-    JobAck {
-        /// Daemon-assigned job id (e.g. `j0001`).
-        job: String,
-    },
-    /// Client → serve daemon: report one job's live status.
-    JobStatusReq {
-        /// Job id to query.
-        job: String,
-    },
-    /// Serve daemon → client: one job's live status.
-    JobStatusResp {
-        /// Echoed job id.
-        job: String,
-        /// Lifecycle state tag (`submitted`, `running`, `done`,
-        /// `cancelled`, `failed`).
-        state: String,
-        /// Observations made so far (replays and cache hits included).
-        evals: u64,
-        /// Total iterations the job will run.
-        iterations: u64,
-        /// Best error so far as raw f64 bits (`f64::INFINITY` bits until
-        /// the first observation).
-        best_error_bits: u64,
-    },
-    /// Client → serve daemon: fetch a finished job's result.
-    JobResultReq {
-        /// Job id to fetch.
-        job: String,
-    },
-    /// Serve daemon → client: a finished job's result.
-    JobResultResp {
-        /// Echoed job id.
-        job: String,
-        /// Best error as raw f64 bits.
-        best_error_bits: u64,
-        /// Best unit-cube point as raw f64 bits.
-        best_unit_bits: Vec<u64>,
-        /// Path of the job's journal on the daemon's filesystem.
-        journal: String,
-    },
-    /// Client → serve daemon: cancel one job. Answered by
-    /// [`Frame::JobAck`].
-    CancelJob {
-        /// Job id to cancel.
-        job: String,
-    },
-    /// Client → serve daemon: list all known jobs.
-    ListJobsReq,
-    /// Serve daemon → client: every known job as `(id, state)`.
-    JobList {
-        /// `(job id, state tag)` pairs in id order.
-        jobs: Vec<(String, String)>,
-    },
-    /// Serve daemon → client: the request failed.
-    ServeErr {
-        /// Human-readable reason.
-        detail: String,
-    },
 }
 
 impl Frame {
+    /// The kind byte. 6, 7 and 9–18 are retired (a liveness probe nothing
+    /// sent, and the serve daemon's job frames before its plane became one
+    /// line grammar — `datamime::servectl`) and are never reused.
     fn kind(&self) -> u8 {
         match self {
             Frame::Hello { .. } => 1,
@@ -202,19 +130,7 @@ impl Frame {
             Frame::Eval { .. } => 3,
             Frame::EvalOk { .. } => 4,
             Frame::EvalErr { .. } => 5,
-            Frame::Heartbeat { .. } => 6,
-            Frame::HeartbeatAck { .. } => 7,
             Frame::Shutdown => 8,
-            Frame::SubmitJob { .. } => 9,
-            Frame::JobAck { .. } => 10,
-            Frame::JobStatusReq { .. } => 11,
-            Frame::JobStatusResp { .. } => 12,
-            Frame::JobResultReq { .. } => 13,
-            Frame::JobResultResp { .. } => 14,
-            Frame::CancelJob { .. } => 15,
-            Frame::ListJobsReq => 16,
-            Frame::JobList { .. } => 17,
-            Frame::ServeErr { .. } => 18,
         }
     }
 }
@@ -453,48 +369,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             put_str(&mut p, kind);
             put_str(&mut p, detail);
         }
-        Frame::Heartbeat { seq } | Frame::HeartbeatAck { seq } => put_u64(&mut p, *seq),
-        Frame::Shutdown | Frame::ListJobsReq => {}
-        Frame::SubmitJob { spec } => put_str(&mut p, spec),
-        Frame::JobAck { job }
-        | Frame::JobStatusReq { job }
-        | Frame::JobResultReq { job }
-        | Frame::CancelJob { job } => put_str(&mut p, job),
-        Frame::JobStatusResp {
-            job,
-            state,
-            evals,
-            iterations,
-            best_error_bits,
-        } => {
-            put_str(&mut p, job);
-            put_str(&mut p, state);
-            put_u64(&mut p, *evals);
-            put_u64(&mut p, *iterations);
-            put_u64(&mut p, *best_error_bits);
-        }
-        Frame::JobResultResp {
-            job,
-            best_error_bits,
-            best_unit_bits,
-            journal,
-        } => {
-            put_str(&mut p, job);
-            put_u64(&mut p, *best_error_bits);
-            put_u32(&mut p, best_unit_bits.len() as u32);
-            for &b in best_unit_bits {
-                put_u64(&mut p, b);
-            }
-            put_str(&mut p, journal);
-        }
-        Frame::JobList { jobs } => {
-            put_u32(&mut p, jobs.len() as u32);
-            for (job, state) in jobs {
-                put_str(&mut p, job);
-                put_str(&mut p, state);
-            }
-        }
-        Frame::ServeErr { detail } => put_str(&mut p, detail),
+        Frame::Shutdown => {}
     }
     p
 }
@@ -578,54 +453,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
             kind: c.str()?,
             detail: c.str()?,
         },
-        6 => Frame::Heartbeat { seq: c.u64()? },
-        7 => Frame::HeartbeatAck { seq: c.u64()? },
         8 => Frame::Shutdown,
-        9 => Frame::SubmitJob { spec: c.str()? },
-        10 => Frame::JobAck { job: c.str()? },
-        11 => Frame::JobStatusReq { job: c.str()? },
-        12 => Frame::JobStatusResp {
-            job: c.str()?,
-            state: c.str()?,
-            evals: c.u64()?,
-            iterations: c.u64()?,
-            best_error_bits: c.u64()?,
-        },
-        13 => Frame::JobResultReq { job: c.str()? },
-        14 => {
-            let job = c.str()?;
-            let best_error_bits = c.u64()?;
-            let n = c.u32()? as usize;
-            if n > MAX_PAYLOAD as usize / 8 {
-                return Err(ProtocolError::Malformed("unit dimension too large"));
-            }
-            let mut best_unit_bits = Vec::with_capacity(n);
-            for _ in 0..n {
-                best_unit_bits.push(c.u64()?);
-            }
-            Frame::JobResultResp {
-                job,
-                best_error_bits,
-                best_unit_bits,
-                journal: c.str()?,
-            }
-        }
-        15 => Frame::CancelJob { job: c.str()? },
-        16 => Frame::ListJobsReq,
-        17 => {
-            let n = c.u32()? as usize;
-            if n > 4096 {
-                return Err(ProtocolError::Malformed("job list too large"));
-            }
-            let mut jobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let job = c.str()?;
-                let state = c.str()?;
-                jobs.push((job, state));
-            }
-            Frame::JobList { jobs }
-        }
-        18 => Frame::ServeErr { detail: c.str()? },
         other => return Err(ProtocolError::UnknownKind(other)),
     };
     c.finish()?;
@@ -710,47 +538,7 @@ mod tests {
                 kind: "panic".to_string(),
                 detail: "injected panic at evaluation 7".to_string(),
             },
-            Frame::Heartbeat { seq: 99 },
-            Frame::HeartbeatAck { seq: 99 },
             Frame::Shutdown,
-            Frame::SubmitJob {
-                spec: "workload=mem_fb iters=8 seed=7 backend=thread".to_string(),
-            },
-            Frame::JobAck {
-                job: "job-0001".to_string(),
-            },
-            Frame::JobStatusReq {
-                job: "job-0001".to_string(),
-            },
-            Frame::JobStatusResp {
-                job: "job-0001".to_string(),
-                state: "running".to_string(),
-                evals: 17,
-                iterations: 8,
-                best_error_bits: 0.042f64.to_bits(),
-            },
-            Frame::JobResultReq {
-                job: "job-0001".to_string(),
-            },
-            Frame::JobResultResp {
-                job: "job-0001".to_string(),
-                best_error_bits: 0.042f64.to_bits(),
-                best_unit_bits: vec![0.125f64.to_bits(), 0.875f64.to_bits()],
-                journal: "jobs/job-0001/journal.jsonl".to_string(),
-            },
-            Frame::CancelJob {
-                job: "job-0002".to_string(),
-            },
-            Frame::ListJobsReq,
-            Frame::JobList {
-                jobs: vec![
-                    ("job-0001".to_string(), "done".to_string()),
-                    ("job-0002".to_string(), "cancelled".to_string()),
-                ],
-            },
-            Frame::ServeErr {
-                detail: "no such job: job-0099".to_string(),
-            },
         ]
     }
 
@@ -762,6 +550,21 @@ mod tests {
             let back = read_frame(&mut r).unwrap();
             assert_eq!(frame, back);
             assert!(r.is_empty(), "decoder consumed the whole frame");
+        }
+    }
+
+    #[test]
+    fn retired_kind_bytes_decode_to_unknown_kind() {
+        for kind in (6..=7).chain(9..=18) {
+            let mut bytes = encode_frame(&Frame::Shutdown);
+            bytes[6] = kind;
+            assert!(
+                matches!(
+                    read_frame(&mut &bytes[..]).unwrap_err(),
+                    ProtocolError::UnknownKind(k) if k == kind
+                ),
+                "kind {kind}"
+            );
         }
     }
 
@@ -807,7 +610,9 @@ mod tests {
 
     #[test]
     fn truncated_and_oversized_frames_are_rejected() {
-        let bytes = encode_frame(&Frame::Heartbeat { seq: 1 });
+        let bytes = encode_frame(&Frame::HelloAck {
+            protocol_version: PROTOCOL_VERSION,
+        });
         for cut in 1..bytes.len() {
             let err = read_frame(&mut &bytes[..cut]).unwrap_err();
             assert!(

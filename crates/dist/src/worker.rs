@@ -6,8 +6,8 @@
 //! same context fingerprint the broker computed, and calls [`serve`]
 //! with a closure that evaluates one point. [`serve`] owns the whole
 //! protocol conversation: `Hello`/`HelloAck` negotiation, the
-//! `Eval` → `EvalOk`/`EvalErr` loop with panic containment, heartbeat
-//! echoes, and clean shutdown.
+//! `Eval` → `EvalOk`/`EvalErr` loop with panic containment, and clean
+//! shutdown.
 //!
 //! Everything scheduling-related (deadlines, retries, re-dispatch) lives
 //! broker-side; the worker is a pure request server, which is what makes
@@ -117,7 +117,6 @@ where
         };
         let reply = match frame {
             Frame::Shutdown => return Ok(()),
-            Frame::Heartbeat { seq } => Frame::HeartbeatAck { seq },
             Frame::Eval {
                 index,
                 attempt,

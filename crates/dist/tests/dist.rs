@@ -238,10 +238,24 @@ fn worker_serve_answers_heartbeats_and_honors_shutdown() {
         },
     )
     .unwrap();
-    write_frame(&mut conn, &Frame::Heartbeat { seq: 7 }).unwrap();
+    write_frame(
+        &mut conn,
+        &Frame::Eval {
+            index: 7,
+            attempt: 0,
+            dispatch: 0,
+            unit_bits: vec![0.25f64.to_bits()],
+        },
+    )
+    .unwrap();
     match read_frame(&mut conn).unwrap() {
-        Frame::HeartbeatAck { seq } => assert_eq!(seq, 7),
-        other => panic!("expected HeartbeatAck, got {other:?}"),
+        Frame::EvalOk {
+            index, error_bits, ..
+        } => {
+            assert_eq!(index, 7);
+            assert_eq!(error_bits, 0.5f64.to_bits());
+        }
+        other => panic!("expected EvalOk, got {other:?}"),
     }
     write_frame(&mut conn, &Frame::Shutdown).unwrap();
     worker.join().unwrap().expect("serve exits cleanly");

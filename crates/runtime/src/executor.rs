@@ -267,9 +267,6 @@ pub struct Executor {
     meta: RunMeta,
     checkpoint_every: usize,
     journal: Option<JournalWriter>,
-    /// Whether the journal file already contains the replayed prefix (an
-    /// appended resume) or needs it rewritten (a fresh file).
-    journal_has_prefix: bool,
     resume: Option<Replay>,
     /// Progress observers; every event reaches each in attachment order.
     sinks: Vec<Box<dyn ProgressSink>>,
@@ -300,7 +297,6 @@ impl Executor {
             meta,
             checkpoint_every: 25,
             journal: None,
-            journal_has_prefix: false,
             resume: None,
             sinks: Vec::new(),
             supervision: None,
@@ -316,15 +312,12 @@ impl Executor {
         &self.meta
     }
 
-    /// Journals every event to `writer`. If the run also resumes from a
-    /// replay, pass `has_prefix = true` when `writer` appends to the very
-    /// file being replayed (the prefix is already on disk) and `false`
-    /// when it is a fresh file (the replayed prefix is rewritten so the
-    /// new journal is self-contained).
+    /// Journals every fresh event to `writer`. A run that also resumes
+    /// takes both from one [`JournalWriter::reopen`]: the replayed prefix
+    /// is already in the file and only what follows it is written.
     #[must_use]
-    pub fn journal(mut self, writer: JournalWriter, has_prefix: bool) -> Self {
+    pub fn journal(mut self, writer: JournalWriter) -> Self {
         self.journal = Some(writer);
-        self.journal_has_prefix = has_prefix;
         self
     }
 
@@ -765,8 +758,8 @@ impl Executor {
                 if best.as_ref().is_none_or(|(_, be)| rec.error < *be) {
                     best = Some((rec.unit.clone(), rec.error));
                 }
-                if let Some(journal) = &mut self.journal {
-                    if is_new || !self.journal_has_prefix {
+                if is_new {
+                    if let Some(journal) = &mut self.journal {
                         if rec.fault.is_some() {
                             journal.fault(&rec)?;
                         } else if rec.cached.is_some() {
@@ -775,8 +768,6 @@ impl Executor {
                             journal.eval(&rec)?;
                         }
                     }
-                }
-                if is_new {
                     let (_, best_error) = best.as_ref().expect("best was just set");
                     for s in &mut self.sinks {
                         s.on_eval(index, rec.error, *best_error);

@@ -22,8 +22,10 @@
 //! - `checkpoint` — periodic best-so-far marker;
 //! - `done` — final outcome.
 //!
-//! Resume does **not** re-run profiling for journaled points: the
-//! executor re-suggests them from the (deterministic, equally-seeded)
+//! A run continues its own journal through [`JournalWriter::reopen`],
+//! which cuts the file back to the prefix [`replay`] accepted before the
+//! first append. Resume does **not** re-run profiling for journaled
+//! points: the executor re-suggests them from the (deterministic, equally-seeded)
 //! optimizer and re-observes the journaled errors — including the
 //! penalties of `fault` records, which therefore replay failures
 //! faithfully — reconstructing the optimizer state bit-for-bit before
@@ -120,12 +122,27 @@ impl JournalWriter {
         Ok(w)
     }
 
-    /// Opens an existing journal for appending (no header is written).
-    pub fn append(path: &Path) -> Result<Self, JournalError> {
-        Ok(JournalWriter {
-            out: BufWriter::new(OpenOptions::new().append(true).open(path)?),
+    /// Reopens an existing journal to continue it — the one way a run
+    /// resumes onto its own file. Replays `path`, cuts the file back to
+    /// the prefix [`replay`] accepted ([`Replay::valid_len`]: a torn or
+    /// malformed tail goes, so the next record starts on a line of its
+    /// own instead of glued onto a fragment), syncs the cut, and returns
+    /// the replay with a writer positioned at the new end.
+    pub fn reopen(path: &Path) -> Result<(Replay, Self), JournalError> {
+        let bytes = std::fs::read(path)?;
+        let replayed = replay_bytes(&bytes)?;
+        let mut file = OpenOptions::new().append(true).open(path)?;
+        file.set_len(replayed.valid_len)?;
+        if bytes[..replayed.valid_len as usize].last() != Some(&b'\n') {
+            // The last record is whole but the crash ate its newline.
+            file.write_all(b"\n")?;
+        }
+        file.sync_all()?;
+        let writer = JournalWriter {
+            out: BufWriter::new(file),
             faults: None,
-        })
+        };
+        Ok((replayed, writer))
     }
 
     /// Routes every subsequent append through `injector`
@@ -317,27 +334,46 @@ pub struct Replay {
     /// Lines dropped as malformed or out-of-order (a crash mid-write
     /// leaves at most one).
     pub dropped_lines: usize,
+    /// Byte length of the prefix that was accepted: the end of the last
+    /// line before the first dropped one (the whole file when nothing was
+    /// dropped). [`JournalWriter::reopen`] truncates to it.
+    pub valid_len: u64,
 }
 
 /// Reads a journal back, tolerating a truncated or corrupt tail: parsing
-/// stops at the first malformed or out-of-order line and everything
-/// before it is kept.
+/// stops at the first malformed (or non-UTF-8) or out-of-order line and
+/// everything before it is kept.
 pub fn replay(path: &Path) -> Result<Replay, JournalError> {
-    let text = std::fs::read_to_string(path)?;
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header_line = lines
-        .next()
-        .ok_or_else(|| JournalError::BadHeader("empty journal".to_string()))?;
-    let header = Json::parse(header_line)
-        .map_err(|e| JournalError::BadHeader(format!("unparseable first line: {e}")))?;
-    let meta = parse_header(&header)?;
+    replay_bytes(&std::fs::read(path)?)
+}
 
+fn replay_bytes(bytes: &[u8]) -> Result<Replay, JournalError> {
+    let mut meta: Option<RunMeta> = None;
     let mut evals = Vec::new();
     let mut fault_attempts: BTreeMap<usize, PendingFault> = BTreeMap::new();
     let mut complete = false;
     let mut dropped_lines = 0;
-    for line in lines {
-        match parse_event(line, evals.len(), meta.dims) {
+    let mut valid_len = 0;
+    let mut pos = 0;
+    for raw in bytes.split_inclusive(|&b| b == b'\n') {
+        pos += raw.len();
+        let line = std::str::from_utf8(raw).map(str::trim);
+        if line == Ok("") {
+            continue;
+        }
+        let Some(meta) = &meta else {
+            let text =
+                line.map_err(|_| JournalError::BadHeader("first line is not UTF-8".into()))?;
+            let header = Json::parse(text)
+                .map_err(|e| JournalError::BadHeader(format!("unparseable first line: {e}")))?;
+            meta = Some(parse_header(&header)?);
+            valid_len = pos;
+            continue;
+        };
+        match line
+            .ok()
+            .and_then(|l| parse_event(l, evals.len(), meta.dims))
+        {
             Some(LineEvent::Eval(rec)) => evals.push(rec),
             Some(LineEvent::Attempt {
                 index,
@@ -364,7 +400,9 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
                 break;
             }
         }
+        valid_len = pos;
     }
+    let meta = meta.ok_or_else(|| JournalError::BadHeader("empty journal".to_string()))?;
     // Attempts whose point later got a final record are resolved; only
     // in-flight ones (index beyond the prefix) matter to resume.
     fault_attempts.retain(|index, _| *index >= evals.len());
@@ -374,6 +412,7 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
         fault_attempts,
         complete,
         dropped_lines,
+        valid_len: valid_len as u64,
     })
 }
 

@@ -330,7 +330,7 @@ fn fault_records_round_trip_through_the_journal() {
     let writer = JournalWriter::create(&path, &m).unwrap();
     let out = Executor::new(m.clone())
         .supervise(cfg)
-        .journal(writer, false)
+        .journal(writer)
         .run_local(&mut bayes(42), &eval)
         .unwrap();
 
@@ -385,7 +385,7 @@ fn resume_after_mid_retry_kill_penalizes_without_rerunning() {
     let writer = JournalWriter::create(&path, &m).unwrap();
     let reference = Executor::new(m.clone())
         .supervise(sup(Some(plan.clone())))
-        .journal(writer, false)
+        .journal(writer)
         .run_local(&mut bayes(42), &eval)
         .unwrap();
     assert_eq!(
@@ -420,10 +420,10 @@ fn resume_after_mid_retry_kill_penalizes_without_rerunning() {
     // Resume WITHOUT the fault plan and count evaluations: the journaled
     // attempts must be penalized from the journal, never re-run.
     let evals = AtomicUsize::new(0);
-    let writer = JournalWriter::append(&path).unwrap();
+    let (r, writer) = JournalWriter::reopen(&path).unwrap();
     let resumed = Executor::new(m.clone())
         .supervise(sup(None))
-        .journal(writer, true)
+        .journal(writer)
         .resume(r)
         .unwrap()
         .run_local(&mut bayes(42), &|unit, stages, cancel| {
@@ -474,7 +474,7 @@ fn resumed_fault_records_drive_the_same_state_machine() {
     let writer = JournalWriter::create(&path, &m).unwrap();
     let reference = Executor::new(m.clone())
         .supervise(sup())
-        .journal(writer, false)
+        .journal(writer)
         .run_local(&mut bayes(42), &eval)
         .unwrap();
 

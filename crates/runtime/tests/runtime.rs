@@ -110,7 +110,7 @@ fn journal_round_trips_a_completed_run() {
     let m = meta("roundtrip", 9, 2, 1);
     let writer = JournalWriter::create(&path, &m).unwrap();
     let out = Executor::new(m.clone())
-        .journal(writer, false)
+        .journal(writer)
         .checkpoint_every(3)
         .run_local(&mut bayes(42), &eval)
         .unwrap();
@@ -144,7 +144,7 @@ fn interrupted_run_resumes_without_re_evaluating() {
     let path = tmp("resume.jsonl");
     let writer = JournalWriter::create(&path, &m).unwrap();
     Executor::new(m.clone())
-        .journal(writer, false)
+        .journal(writer)
         .run_local(&mut bayes(42), &eval)
         .unwrap();
     let text = fs::read_to_string(&path).unwrap();
@@ -164,9 +164,9 @@ fn interrupted_run_resumes_without_re_evaluating() {
         evaluated.fetch_add(1, Ordering::Relaxed);
         eval(unit, stages, cancel)
     };
-    let writer = JournalWriter::append(&path).unwrap();
+    let (r, writer) = JournalWriter::reopen(&path).unwrap();
     let resumed = Executor::new(m.clone())
-        .journal(writer, true)
+        .journal(writer)
         .resume(r)
         .unwrap()
         .run_local(&mut bayes(42), &counting_eval)
@@ -196,13 +196,76 @@ fn interrupted_run_resumes_without_re_evaluating() {
     let _ = fs::remove_file(&path);
 }
 
+/// Runs a 14-iteration journalled search, cuts the journal back to its
+/// header and six `eval` lines, appends `tail` (what a crash left after
+/// them), resumes in place to completion, and checks the finished journal
+/// replays as the uninterrupted run.
+fn resume_in_place_after_tail(name: &str, tail: impl Fn(&str) -> Vec<u8>) {
+    let iterations = 14;
+    let m = meta(name, iterations, 3, 1);
+    let reference = Executor::new(m.clone())
+        .run_local(&mut bayes(42), &eval)
+        .unwrap();
+
+    let path = tmp(&format!("{name}.jsonl"));
+    let writer = JournalWriter::create(&path, &m).unwrap();
+    Executor::new(m.clone())
+        .journal(writer)
+        .run_local(&mut bayes(42), &eval)
+        .unwrap();
+    let text = fs::read_to_string(&path).unwrap();
+    let lines: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.contains("\"checkpoint\""))
+        .collect();
+    let kept = lines[..1 + 6].join("\n") + "\n";
+    fs::write(&path, [kept.as_bytes(), &tail(lines[7])].concat()).unwrap();
+
+    let (replayed, writer) = JournalWriter::reopen(&path).unwrap();
+    assert_eq!((replayed.evals.len(), replayed.dropped_lines), (6, 1));
+    assert_eq!(replayed.valid_len as usize, kept.len());
+    assert_eq!(fs::read_to_string(&path).unwrap(), kept, "the tail is cut");
+    Executor::new(m)
+        .journal(writer)
+        .resume(replayed)
+        .unwrap()
+        .run_local(&mut bayes(42), &eval)
+        .unwrap();
+
+    let full = replay(&path).unwrap();
+    assert!(
+        full.complete,
+        "the finished journal must replay as finished"
+    );
+    assert_eq!((full.evals.len(), full.dropped_lines), (iterations, 0));
+    assert_eq!(points(&full.evals), points(&reference.history));
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn resume_in_place_after_a_torn_tail_keeps_the_journal_whole() {
+    // The crash tore the seventh eval line in half.
+    resume_in_place_after_tail("torn-resume", |line| {
+        line.as_bytes()[..line.len() / 2].to_vec()
+    });
+}
+
+#[test]
+fn resume_in_place_after_a_garbage_line_keeps_the_journal_whole() {
+    // Newline-terminated but malformed (and not UTF-8): the cut is where
+    // replay stopped, not at the last newline.
+    resume_in_place_after_tail("garbage-resume", |_| {
+        b"{\"event\":\"eval\",\"ind\xff\xfe\n".to_vec()
+    });
+}
+
 #[test]
 fn malformed_trailing_line_is_tolerated() {
     let path = tmp("torn.jsonl");
     let m = meta("torn", 6, 2, 1);
     let writer = JournalWriter::create(&path, &m).unwrap();
     Executor::new(m.clone())
-        .journal(writer, false)
+        .journal(writer)
         .run_local(&mut bayes(42), &eval)
         .unwrap();
 
@@ -255,7 +318,7 @@ fn resume_refuses_a_mismatched_run() {
     let m = meta("mismatch", 6, 2, 1);
     let writer = JournalWriter::create(&path, &m).unwrap();
     Executor::new(m.clone())
-        .journal(writer, false)
+        .journal(writer)
         .run_local(&mut bayes(42), &eval)
         .unwrap();
     let r = replay(&path).unwrap();
@@ -447,7 +510,7 @@ fn cache_hits_journal_and_resume_rebuilds_the_memo() {
     let writer = JournalWriter::create(&path, &m).unwrap();
     let full = Executor::new(m.clone())
         .memoize_keyed(99, Box::new(<[f64]>::to_vec))
-        .journal(writer, false)
+        .journal(writer)
         .run_local(&mut Cycler::new(), &eval)
         .unwrap();
 
@@ -466,13 +529,15 @@ fn cache_hits_journal_and_resume_rebuilds_the_memo() {
     let truncated: Vec<&str> = text.lines().take(7).collect();
     fs::write(&path, truncated.join("\n")).unwrap();
 
+    // Resume onto a different path: it starts as a copy and is reopened.
     let resumed_path = tmp("memo-journal-resumed.jsonl");
-    let writer = JournalWriter::create(&resumed_path, &m).unwrap();
+    fs::copy(&path, &resumed_path).unwrap();
+    let (replayed, writer) = JournalWriter::reopen(&resumed_path).unwrap();
     let evaluations = AtomicUsize::new(0);
     let resumed = Executor::new(m)
         .memoize_keyed(99, Box::new(<[f64]>::to_vec))
-        .journal(writer, false)
-        .resume(replay(&path).unwrap())
+        .journal(writer)
+        .resume(replayed)
         .unwrap()
         .run_local(
             &mut Cycler::new(),
@@ -489,6 +554,11 @@ fn cache_hits_journal_and_resume_rebuilds_the_memo() {
     assert_eq!(evaluations.load(Ordering::SeqCst), 0);
     assert_eq!(resumed.telemetry.cache_hits(), 6);
     assert_eq!(points(&full.history), points(&resumed.history));
+    // The copy's last line had lost its newline; the reopened journal is
+    // still whole.
+    let whole = replay(&resumed_path).unwrap();
+    assert!(whole.complete);
+    assert_eq!((whole.evals.len(), whole.dropped_lines), (12, 0));
 
     let _ = fs::remove_file(&path);
     let _ = fs::remove_file(&resumed_path);

@@ -1,10 +1,10 @@
 //! `datamime-served`: the long-running Datamime search daemon.
 //!
 //! ```text
-//! datamime-served --root /var/lib/datamime   # job.sock + admin.sock under the root
+//! datamime-served --root /var/lib/datamime   # listens on <root>/serve.sock
 //! datamime-served --root /var/lib/datamime --keep-terminal 8 --segment-bytes 65536
 //! datamime ctl submit workload=mem-fb iters=40 max_evals=32 --root /var/lib/datamime
-//! echo health | nc -U /var/lib/datamime/admin.sock
+//! echo 'status job-0001' | nc -U /var/lib/datamime/serve.sock
 //! ```
 //!
 //! SIGTERM/SIGINT drain gracefully: running jobs stop at their next

@@ -3,10 +3,10 @@
 //! Turns the one-shot `datamime clone` search into a service
 //! (DESIGN.md §9):
 //!
-//! - [`server`] — `datamime-served`: a job API over a Unix socket
-//!   speaking the [`datamime_dist`] frame protocol, plus a
-//!   Pelikan-style plaintext admin plane (`stats` / `version` /
-//!   `shutdown`);
+//! - [`server`] — `datamime-served`: one Unix socket speaking one
+//!   plain-text line grammar for the job verbs and the Pelikan-style
+//!   admin verbs alike (`submit` … `list`, `stats` / `health` /
+//!   `version` / `shutdown`);
 //! - [`sched`] — a deterministic fair scheduler: jobs share the machine
 //!   through a strict round-robin [`BatchGate`] that interleaves their
 //!   evaluation batches without ever reordering one job's observations,

@@ -1,11 +1,18 @@
-//! The daemon: sockets, job lifecycle, and the admin plane.
+//! The daemon: one socket, job lifecycle, durability.
 //!
 //! One process, three concerns:
 //!
-//! - **job API** (`job.sock`): the [`datamime_dist`] frame protocol, one
-//!   request/response per connection — submit, status, result, cancel,
-//!   list. Specs are [`JobSpec`] `key=value` lines, validated at submit
-//!   time;
+//! - **the plane** (`serve.sock`): one UTF-8 request line per connection,
+//!   `verb [argument]`, read under a 64 KiB cap and one 5 s deadline —
+//!   the job verbs `submit <JobSpec line>`, `status|result|cancel <job>`,
+//!   `list`, and the admin verbs `stats` / `health` / `version` /
+//!   `shutdown`. The grammar and its reply text live in
+//!   [`datamime::servectl`]; specs are validated at submit time. `stats`
+//!   is the daemon's [`MetricsRegistry`] (monotonic counters plus the WAL
+//!   gauges) in sorted order, `health` the durability dashboard (uptime,
+//!   WAL shape, checkpoint and GC progress, the read-only state with its
+//!   reason), and `shutdown` drains: gates close, jobs stop at their next
+//!   batch boundary leaving resumable journals, and the process exits 0;
 //! - **scheduling**: every accepted job runs the unmodified
 //!   `search_with_runtime` loop on its own thread, interleaved with its
 //!   tenants through the [`FairGate`] round-robin (see [`crate::sched`]);
@@ -13,42 +20,31 @@
 //!   records lifecycle transitions with fsync-on-commit, and each job
 //!   journals its evaluations under `jobs/<id>/journal.jsonl`. On
 //!   startup both are replayed: pending GC intents are finished, and
-//!   every job whose manifest state is non-terminal is resumed from its
-//!   journal and runs to the same result it would have reached
+//!   every job whose manifest state is non-terminal reopens its journal
+//!   in place and runs to the same result it would have reached
 //!   uninterrupted. Terminal jobs beyond the `keep_terminal` retention
 //!   budget are garbage-collected via two-phase delete (durable intent,
 //!   then directory removal), so `jobs/` stops accumulating. An
 //!   out-of-space condition on any WAL write flips the daemon into
 //!   *draining read-only* mode: running jobs stop at their next batch
 //!   boundary with resumable journals, new submissions are refused, and
-//!   status/result/admin stay up;
-//! - **admin plane** (`admin.sock`): plain text `stats` / `version` /
-//!   `health` / `shutdown`. Stats are the daemon's [`MetricsRegistry`] —
-//!   monotonic counters (jobs submitted/completed/failed/quota-stopped,
-//!   evaluations, cache hits, worker restarts, per-stage milliseconds)
-//!   plus gauges (WAL segments and bytes, checkpoint seq, GC'd jobs,
-//!   read-only flag) — in deterministic sorted order. `health` is the
-//!   durability dashboard: uptime, WAL shape, checkpoint and GC
-//!   progress, and the read-only state with its reason. `shutdown`
-//!   drains: gates close, jobs stop at their next batch boundary leaving
-//!   resumable journals, and the process exits 0.
+//!   every other verb stays up.
 
-use crate::manifest::{JobEntry, Manifest, ManifestOptions, WalError};
+use crate::manifest::{JobEntry, Manifest, ManifestOptions, WalError, WalStats};
 use crate::sched::FairGate;
 use datamime::jobspec::JobSpec;
 use datamime::profiler::profile_workload;
 use datamime::search::search_with_runtime;
-use datamime::servectl::{JobState, ADMIN_SOCKET, JOB_SOCKET};
-use datamime_dist::{read_frame, write_frame, Frame};
+use datamime::servectl::{JobResult, JobState, JobStatus, SERVE_SOCKET};
 use datamime_runtime::diskfault::DiskTarget;
 use datamime_runtime::{
     DiskFaultInjector, DiskFaultPlan, ExecError, GateClosed, GateHandle, MetricsRegistry,
     ProgressSink, RunMeta, SharedSink, TermSignal,
 };
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -202,22 +198,24 @@ fn manifest_op(shared: &Shared, res: Result<(), WalError>) -> Result<(), String>
     res.map_err(|e| e.message)
 }
 
-/// Mirrors the durable WAL shape into gauges so the plain `stats`
-/// command exposes what `health` reports.
+/// The durable WAL shape: the rows `health` prints and the gauges that
+/// let the plain `stats` command expose the same.
+fn wal_rows(wal: &WalStats) -> [(&'static str, u64); 6] {
+    [
+        ("wal_segments", wal.segments),
+        ("wal_segment_bytes", wal.segment_bytes),
+        ("wal_checkpoint_seq", wal.checkpoint_seq),
+        ("wal_checkpoint_failures", wal.checkpoint_failures),
+        ("wal_pending_gc", wal.pending_gc),
+        ("jobs_gcd_total", wal.gcd_jobs),
+    ]
+}
+
 fn refresh_wal_gauges(shared: &Shared) {
-    let stats = lock(&shared.manifest).wal_stats();
-    shared.metrics.set_gauge("wal_segments", stats.segments);
-    shared
-        .metrics
-        .set_gauge("wal_segment_bytes", stats.segment_bytes);
-    shared
-        .metrics
-        .set_gauge("wal_checkpoint_seq", stats.checkpoint_seq);
-    shared
-        .metrics
-        .set_gauge("wal_checkpoint_failures", stats.checkpoint_failures);
-    shared.metrics.set_gauge("wal_pending_gc", stats.pending_gc);
-    shared.metrics.set_gauge("jobs_gcd_total", stats.gcd_jobs);
+    let wal = lock(&shared.manifest).wal_stats();
+    for (name, value) in wal_rows(&wal) {
+        shared.metrics.set_gauge(name, value);
+    }
 }
 
 /// Runs the daemon rooted at `root` with default [`ServeOptions`]. See
@@ -275,33 +273,18 @@ pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Resul
     maybe_gc(&shared);
     refresh_wal_gauges(&shared);
 
-    let job_listener = bind(&root.join(JOB_SOCKET))?;
-    let admin_listener = bind(&root.join(ADMIN_SOCKET))?;
+    let listener = bind(&root.join(SERVE_SOCKET))?;
     eprintln!("datamime-served: listening under {}", root.display());
 
     // Each connection is handled on its own short-lived thread: a client
-    // that connects and then stalls (up to the 5s read timeout) must not
-    // freeze the job API, the admin plane, or shutdown observation.
+    // that connects and then stalls (up to the request deadline) must not
+    // freeze the plane or shutdown observation.
     while !term.requested() {
-        let mut idle = true;
-        if let Ok((conn, _)) = job_listener.accept() {
-            idle = false;
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let mut conn = conn;
-                handle_job_conn(&shared, &mut conn);
-            });
-        }
-        if let Ok((conn, _)) = admin_listener.accept() {
-            idle = false;
+        if let Ok((mut conn, _)) = listener.accept() {
             let shared = Arc::clone(&shared);
             let term = term.clone();
-            std::thread::spawn(move || {
-                let mut conn = conn;
-                handle_admin_conn(&shared, &mut conn, &term);
-            });
-        }
-        if idle {
+            std::thread::spawn(move || handle_conn(&shared, &mut conn, &term));
+        } else {
             std::thread::sleep(Duration::from_millis(10));
         }
     }
@@ -316,9 +299,7 @@ pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Resul
         let _ = t.join();
     }
     // audit:allow(swallowed-result): shutdown cleanup is best-effort — a leftover socket file is replaced by the next bind
-    let _ = std::fs::remove_file(root.join(JOB_SOCKET));
-    // audit:allow(swallowed-result): shutdown cleanup is best-effort — a leftover socket file is replaced by the next bind
-    let _ = std::fs::remove_file(root.join(ADMIN_SOCKET));
+    let _ = std::fs::remove_file(root.join(SERVE_SOCKET));
     Ok(())
 }
 
@@ -490,49 +471,16 @@ fn run_job(shared: &Arc<Shared>, job: &str, spec_line: &str, resume: bool) {
             return Ok(());
         }
 
+        // A resumed job reopens its journal in place (the torn tail a
+        // SIGKILL mid-write leaves is cut before the first append). A
+        // journal without a readable header (killed before the first
+        // append) is ignored and the job simply starts over.
         let journal = shared.journal_path(job);
-        // Resume via a sidecar: the previous journal is renamed aside and
-        // the run rewrites a fresh, self-contained journal (the executor
-        // re-records the replayed prefix). Appending to the crashed file
-        // instead would glue new records onto a torn final line if the
-        // SIGKILL landed mid-write. A journal without a readable header
-        // (killed before the first append) is ignored and the job simply
-        // starts over.
-        let sidecar = shared.job_dir(job).join("journal.resume.jsonl");
-        if sidecar.exists() {
-            // Orphaned sidecar: a previous daemon crashed between staging
-            // the resume and finishing the rewrite. If the fresh journal
-            // replays, it is self-contained (its prefix came from the
-            // sidecar) and the sidecar is stale; otherwise the sidecar IS
-            // the journal — put it back. Either way the determinism of
-            // the search makes the resumed result identical.
-            if journal.exists() && datamime_runtime::replay(&journal).is_ok() {
-                std::fs::remove_file(&sidecar)
-                    .map_err(|e| format!("cannot drop the stale resume sidecar: {e}"))?;
-            } else {
-                std::fs::rename(&sidecar, &journal)
-                    .map_err(|e| format!("cannot restore the resume sidecar: {e}"))?;
-                // The restored name must survive a crash before we rely
-                // on it: rename durability requires the parent fsync.
-                crate::manifest::sync_dir(sidecar.parent().unwrap_or(Path::new(".")))?;
-            }
-        }
-        let resume_from =
-            if resume && journal.exists() && datamime_runtime::replay(&journal).is_ok() {
-                std::fs::rename(&journal, &sidecar)
-                    .map_err(|e| format!("cannot stage the resume journal: {e}"))?;
-                // Make the staging durable: if we crash mid-rewrite, the
-                // orphaned-sidecar recovery above only works if the
-                // sidecar's name actually reached the disk.
-                crate::manifest::sync_dir(sidecar.parent().unwrap_or(Path::new(".")))?;
-                Some(sidecar.clone())
-            } else {
-                None
-            };
+        let reopen = resume && datamime_runtime::replay(&journal).is_ok();
 
         let mut opts = spec.runtime_options();
+        opts.resume = reopen.then(|| journal.clone());
         opts.journal = Some(journal);
-        opts.resume = resume_from.clone();
         opts.extra_sink = Some(SharedSink::new(JobSink { progress }));
         opts.batch_gate = Some(GateHandle::new(Arc::new(ticket)));
         opts.metrics = Some(Arc::clone(&shared.metrics));
@@ -540,11 +488,6 @@ fn run_job(shared: &Arc<Shared>, job: &str, spec_line: &str, resume: bool) {
 
         let result = search_with_runtime(generator.as_ref(), &target_profile, &cfg, &opts);
         shared.gate.finish(seq);
-        if resume_from.is_some() {
-            // The fresh journal now carries the whole observed prefix.
-            // audit:allow(swallowed-result): best effort — a surviving stale sidecar is dropped by the orphan recovery on the next start
-            let _ = std::fs::remove_file(&sidecar);
-        }
         match result {
             Ok(outcome) => {
                 // The terminal transition must be durable *before* the
@@ -623,71 +566,149 @@ fn record_cancelled(shared: &Arc<Shared>, job: &str) {
     shared.metrics.incr("jobs_cancelled");
 }
 
-fn handle_job_conn(shared: &Arc<Shared>, conn: &mut UnixStream) {
-    // A socket we cannot put back into blocking mode or bound the read
-    // on would either busy-spin or hang this thread; drop the
-    // connection instead — the client sees EOF and retries.
-    if conn.set_nonblocking(false).is_err()
-        || conn.set_read_timeout(Some(Duration::from_secs(5))).is_err()
-    {
-        return;
+/// Longest request line the plane reads before refusing the connection.
+const MAX_REQUEST: usize = 64 << 10;
+/// One deadline for the whole request line, however slowly it trickles.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Reads the one request line: bytes up to the first `\n` (or EOF),
+/// bounded in size and in time, and UTF-8.
+fn read_request(conn: &mut UnixStream) -> Result<String, String> {
+    // Bounds a stalled client only; never reaches a reply or a journal.
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let late = || format!("request not finished within {REQUEST_DEADLINE:?}");
+    let mut line = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(late());
+        }
+        conn.set_read_timeout(Some(left))
+            .map_err(|e| format!("cannot bound the read: {e}"))?;
+        let n = match conn.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(late())
+            }
+            Err(e) => return Err(format!("request failed: {e}")),
+        };
+        let had = line.len();
+        line.extend_from_slice(&chunk[..n]);
+        if let Some(end) = chunk[..n].iter().position(|&b| b == b'\n') {
+            line.truncate(had + end);
+            break;
+        }
+        if line.len() > MAX_REQUEST {
+            return Err(format!("request longer than {MAX_REQUEST} bytes"));
+        }
     }
-    let Ok(req) = read_frame(conn) else { return };
-    let resp = match req {
-        Frame::SubmitJob { spec } => submit(shared, &spec),
-        Frame::JobStatusReq { job } => status(shared, &job),
-        Frame::JobResultReq { job } => result(shared, &job),
-        Frame::CancelJob { job } => cancel(shared, &job),
-        Frame::ListJobsReq => Frame::JobList {
-            jobs: lock(&shared.jobs)
-                .iter()
-                .map(|(id, rec)| (id.clone(), rec.state.as_str().to_string()))
-                .collect(),
-        },
-        other => Frame::ServeErr {
-            detail: format!("unexpected frame on the job socket: {other:?}"),
-        },
-    };
-    // audit:allow(swallowed-result): response is best-effort — the client may already have hung up
-    let _ = write_frame(conn, &resp);
+    String::from_utf8(line).map_err(|_| "request is not UTF-8".to_string())
 }
 
-fn submit(shared: &Arc<Shared>, spec_line: &str) -> Frame {
+fn handle_conn(shared: &Arc<Shared>, conn: &mut UnixStream, term: &TermSignal) {
+    // A socket we cannot put back into blocking mode would busy-spin this
+    // thread; drop the connection instead — the client sees EOF and retries.
+    if conn.set_nonblocking(false).is_err() {
+        return;
+    }
+    let reply = read_request(conn)
+        .and_then(|line| answer(shared, term, &line))
+        .unwrap_or_else(|detail| format!("ERROR {}\n", detail.replace('\n', " ")));
+    // audit:allow(swallowed-result): reply is best-effort — the client may already have hung up
+    let _ = conn.write_all(reply.as_bytes());
+}
+
+/// Answers one request line in the reply text of [`datamime::servectl`];
+/// an `Err` becomes the `ERROR <detail>` line.
+fn answer(shared: &Arc<Shared>, term: &TermSignal, line: &str) -> Result<String, String> {
+    let line = line.trim();
+    let (verb, arg) = line
+        .split_once(char::is_whitespace)
+        .map_or((line, ""), |(verb, arg)| (verb, arg.trim_start()));
+    let job = || match arg.split_whitespace().collect::<Vec<_>>()[..] {
+        [job] => Ok(job),
+        _ => Err(format!("{verb} takes one job id")),
+    };
+    match verb {
+        "submit" => submit(shared, arg).map(|job| format!("{job}\n")),
+        "status" => status(shared, job()?).map(|s| format!("{s}\n")),
+        "result" => result(shared, job()?).map(|r| format!("{r}\nEND\n")),
+        "cancel" => cancel(shared, job()?).map(|()| "cancelled\n".to_string()),
+        "list" | "stats" | "health" | "version" | "shutdown" if !arg.is_empty() => {
+            Err(format!("{verb} takes no argument"))
+        }
+        "list" => {
+            let mut out = String::new();
+            for (id, rec) in lock(&shared.jobs).iter() {
+                out.push_str(&format!("{id} {}\n", rec.state.as_str()));
+            }
+            out.push_str("END\n");
+            Ok(out)
+        }
+        "stats" => {
+            let mut out = String::new();
+            let counters = shared.metrics.snapshot();
+            for (name, value) in counters.into_iter().chain(shared.metrics.gauge_snapshot()) {
+                out.push_str(&format!("STAT {name} {value}\n"));
+            }
+            out.push_str("END\n");
+            Ok(out)
+        }
+        "version" => Ok(format!("datamime-served {}\n", env!("CARGO_PKG_VERSION"))),
+        "health" => {
+            let wal = lock(&shared.manifest).wal_stats();
+            let read_only = shared.read_only.load(Ordering::SeqCst);
+            let mut out = format!("STAT uptime_s {}\n", shared.started.elapsed().as_secs());
+            for (name, value) in wal_rows(&wal) {
+                out.push_str(&format!("STAT {name} {value}\n"));
+            }
+            out.push_str(&format!("STAT read_only {}\n", u64::from(read_only)));
+            if read_only {
+                out.push_str(&format!("READONLY {}\n", lock(&shared.read_only_reason)));
+            }
+            out.push_str("END\n");
+            Ok(out)
+        }
+        // A shutdown the daemon cannot act on must not be acknowledged
+        // as OK — the operator would walk away from a server that is
+        // still running.
+        "shutdown" => match term.trigger() {
+            Ok(()) => Ok("OK draining\n".to_string()),
+            Err(e) => Err(format!("cannot trigger drain: {e}")),
+        },
+        other => Err(format!("unknown command `{other}`")),
+    }
+}
+
+/// Accepts one job; returns its id.
+fn submit(shared: &Arc<Shared>, spec_line: &str) -> Result<String, String> {
     if shared.read_only.load(Ordering::SeqCst) {
-        return Frame::ServeErr {
-            detail: format!(
-                "daemon is read-only ({}); submissions are disabled",
-                lock(&shared.read_only_reason)
-            ),
-        };
+        return Err(format!(
+            "daemon is read-only ({}); submissions are disabled",
+            lock(&shared.read_only_reason)
+        ));
     }
     // Validate the whole spec now so a bad submit fails the submitter,
     // not a job thread minutes later.
-    let spec = match JobSpec::parse(spec_line)
-        .and_then(|s| s.target().map(|_| s))
-        .and_then(|s| s.search_config().map(|_| s))
-        .and_then(|s| s.generator().map(|_| s))
-    {
-        Ok(spec) => spec,
-        Err(detail) => return Frame::ServeErr { detail },
-    };
-    let canonical = match spec.to_line() {
-        Ok(line) => line,
-        Err(detail) => return Frame::ServeErr { detail },
-    };
+    let spec = JobSpec::parse(spec_line)?;
+    spec.target()?;
+    spec.search_config()?;
+    spec.generator()?;
+    let canonical = spec.to_line()?;
     // Id allocation and the submit record commit under one manifest
     // lock, so concurrent submitters cannot race the same number. The
     // high-water mark lives in the manifest fold (and its checkpoints),
     // so GC of old jobs never recycles an id.
-    let submitted = {
+    let (job, res) = {
         let mut m = lock(&shared.manifest);
         let job = format!("job-{:04}", m.next_job_number());
-        (job.clone(), m.submit(&job, &canonical))
+        let res = m.submit(&job, &canonical);
+        (job, res)
     };
-    let (job, res) = submitted;
-    if let Err(e) = manifest_op(shared, res) {
-        return Frame::ServeErr { detail: e };
-    }
+    manifest_op(shared, res)?;
     lock(&shared.jobs).insert(
         job.clone(),
         JobRecord {
@@ -702,135 +723,56 @@ fn submit(shared: &Arc<Shared>, spec_line: &str) -> Frame {
     );
     shared.metrics.incr("jobs_submitted");
     spawn_job(shared, job.clone(), canonical, false);
-    Frame::JobAck { job }
+    Ok(job)
 }
 
-fn status(shared: &Arc<Shared>, job: &str) -> Frame {
+fn status(shared: &Arc<Shared>, job: &str) -> Result<JobStatus, String> {
     let jobs = lock(&shared.jobs);
-    let Some(rec) = jobs.get(job) else {
-        return no_such_job(job);
-    };
-    let best_bits = match &rec.result {
-        Some((err, _)) => err.to_bits(),
-        None => rec.progress.best_bits.load(Ordering::SeqCst),
-    };
-    Frame::JobStatusResp {
-        job: job.to_string(),
-        state: rec.state.as_str().to_string(),
+    let rec = jobs.get(job).ok_or_else(|| no_such_job(job))?;
+    Ok(JobStatus {
+        state: rec.state,
         evals: rec.progress.evals.load(Ordering::SeqCst),
         iterations: rec.iterations,
-        best_error_bits: best_bits,
-    }
+        best_error: match &rec.result {
+            Some((err, _)) => *err,
+            None => f64::from_bits(rec.progress.best_bits.load(Ordering::SeqCst)),
+        },
+    })
 }
 
-fn result(shared: &Arc<Shared>, job: &str) -> Frame {
+fn result(shared: &Arc<Shared>, job: &str) -> Result<JobResult, String> {
     let jobs = lock(&shared.jobs);
-    let Some(rec) = jobs.get(job) else {
-        return no_such_job(job);
-    };
+    let rec = jobs.get(job).ok_or_else(|| no_such_job(job))?;
     match (&rec.state, &rec.result) {
-        (state, Some((err, unit))) if state.has_result() => Frame::JobResultResp {
-            job: job.to_string(),
-            best_error_bits: err.to_bits(),
-            best_unit_bits: unit.iter().map(|u| u.to_bits()).collect(),
+        (state, Some((err, unit))) if state.has_result() => Ok(JobResult {
+            best_error: *err,
+            best_unit: unit.clone(),
             journal: Shared::journal_rel(job),
-        },
-        (JobState::Failed, _) => Frame::ServeErr {
-            detail: format!(
-                "job {job} failed: {}",
-                rec.detail.as_deref().unwrap_or("unknown error")
-            ),
-        },
-        _ => Frame::ServeErr {
-            detail: format!("job {job} is {}, no result to serve", rec.state.as_str()),
-        },
+        }),
+        (JobState::Failed, _) => Err(format!(
+            "job {job} failed: {}",
+            rec.detail.as_deref().unwrap_or("unknown error")
+        )),
+        _ => Err(format!(
+            "job {job} is {}, no result to serve",
+            rec.state.as_str()
+        )),
     }
 }
 
-fn cancel(shared: &Arc<Shared>, job: &str) -> Frame {
+fn cancel(shared: &Arc<Shared>, job: &str) -> Result<(), String> {
     let mut jobs = lock(&shared.jobs);
-    let Some(rec) = jobs.get_mut(job) else {
-        return no_such_job(job);
-    };
+    let rec = jobs.get_mut(job).ok_or_else(|| no_such_job(job))?;
     if rec.state.is_terminal() {
-        return Frame::ServeErr {
-            detail: format!("job {job} is already {}", rec.state.as_str()),
-        };
+        return Err(format!("job {job} is already {}", rec.state.as_str()));
     }
     rec.cancel_requested = true;
     if let Some(seq) = rec.gate_seq {
         shared.gate.cancel(seq);
     }
-    Frame::JobAck {
-        job: job.to_string(),
-    }
+    Ok(())
 }
 
-fn no_such_job(job: &str) -> Frame {
-    Frame::ServeErr {
-        detail: format!("no such job: {job}"),
-    }
-}
-
-fn handle_admin_conn(shared: &Arc<Shared>, conn: &mut UnixStream, term: &TermSignal) {
-    // A socket we cannot put back into blocking mode or bound the read
-    // on would either busy-spin or hang this thread; drop the
-    // connection instead — the client sees EOF and retries.
-    if conn.set_nonblocking(false).is_err()
-        || conn.set_read_timeout(Some(Duration::from_secs(5))).is_err()
-    {
-        return;
-    }
-    let mut line = String::new();
-    if BufReader::new(&mut *conn).read_line(&mut line).is_err() {
-        return;
-    }
-    let reply = match line.trim() {
-        "stats" => {
-            let mut out = String::new();
-            for (name, value) in shared.metrics.snapshot() {
-                out.push_str(&format!("STAT {name} {value}\n"));
-            }
-            for (name, value) in shared.metrics.gauge_snapshot() {
-                out.push_str(&format!("STAT {name} {value}\n"));
-            }
-            out.push_str("END\n");
-            out
-        }
-        "version" => format!("datamime-served {}\n", env!("CARGO_PKG_VERSION")),
-        "health" => {
-            let wal = lock(&shared.manifest).wal_stats();
-            let read_only = shared.read_only.load(Ordering::SeqCst);
-            let mut out = String::new();
-            out.push_str(&format!(
-                "STAT uptime_s {}\n",
-                shared.started.elapsed().as_secs()
-            ));
-            out.push_str(&format!("STAT wal_segments {}\n", wal.segments));
-            out.push_str(&format!("STAT wal_segment_bytes {}\n", wal.segment_bytes));
-            out.push_str(&format!("STAT wal_checkpoint_seq {}\n", wal.checkpoint_seq));
-            out.push_str(&format!(
-                "STAT wal_checkpoint_failures {}\n",
-                wal.checkpoint_failures
-            ));
-            out.push_str(&format!("STAT wal_pending_gc {}\n", wal.pending_gc));
-            out.push_str(&format!("STAT jobs_gcd_total {}\n", wal.gcd_jobs));
-            out.push_str(&format!("STAT read_only {}\n", u64::from(read_only)));
-            if read_only {
-                out.push_str(&format!("READONLY {}\n", lock(&shared.read_only_reason)));
-            }
-            out.push_str("END\n");
-            out
-        }
-        "shutdown" => match term.trigger() {
-            Ok(()) => "OK draining\n".to_string(),
-            // A shutdown the daemon cannot act on must not be
-            // acknowledged as OK — the operator would walk away from a
-            // server that is still running.
-            Err(e) => format!("ERROR cannot trigger drain: {e}\n"),
-        },
-        other => format!("ERROR unknown admin command `{other}`\n"),
-    };
-    // audit:allow(swallowed-result): reply is best-effort — the admin client may already have hung up
-    let _ = conn.write_all(reply.as_bytes());
+fn no_such_job(job: &str) -> String {
+    format!("no such job: {job}")
 }

@@ -96,6 +96,13 @@ fn sigkilled_daemon_resumes_all_jobs_to_identical_results() {
     daemon.kill().unwrap();
     daemon.wait().unwrap();
 
+    // Make the worst case certain for one job: the SIGKILL landed mid-write
+    // and left half of its last journal line.
+    let torn = root.join("jobs").join(&jobs[0]).join("journal.jsonl");
+    let text = std::fs::read_to_string(&torn).unwrap();
+    let last = text.lines().last().unwrap().len();
+    std::fs::write(&torn, &text[..text.len() - 1 - last / 2]).unwrap();
+
     // Restart on the same root: the manifest replays and both in-flight
     // jobs resume from their journals.
     let mut daemon = start_daemon(&root, &sentinel);
@@ -132,6 +139,15 @@ fn sigkilled_daemon_resumes_all_jobs_to_identical_results() {
         let daemon_journal = replay(&root.join(&result.journal)).unwrap();
         let ref_replay = replay(&ref_journal).unwrap();
         assert!(daemon_journal.complete, "{job}: journal records completion");
+        assert_eq!(daemon_journal.dropped_lines, 0, "{job}: journal is whole");
+        assert!(
+            !root
+                .join("jobs")
+                .join(job)
+                .join("journal.resume.jsonl")
+                .exists(),
+            "{job}: resume goes through no sidecar"
+        );
         assert_eq!(
             daemon_journal.evals.len(),
             ref_replay.evals.len(),

@@ -32,6 +32,10 @@ for _ in $(seq 1 100); do
 done
 "$CTL" ctl version --root "$ROOT" | grep -q '^datamime-served '
 
+# Jobs and admin share one socket: exactly one socket file under the root.
+SOCKETS=$(find "$ROOT" -type s)
+[ "$SOCKETS" = "$ROOT/serve.sock" ] || { echo "expected one serve.sock, found: $SOCKETS"; exit 1; }
+
 # A spec the search would panic on is refused, naming the key, and the
 # daemon is still healthy afterwards.
 if HOSTILE=$("$CTL" ctl submit workload=mem-fb iters=0 --root "$ROOT" 2>&1); then

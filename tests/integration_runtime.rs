@@ -59,8 +59,8 @@ fn journaled_search_resumes_to_the_same_best() {
     )
     .unwrap();
 
-    // Journaled run, then simulate a crash by dropping everything after
-    // the header and the first 6 eval events.
+    // Journaled run, then simulate a crash mid-write: keep the header and
+    // the first 6 eval events, and tear the seventh in half.
     let path = tmp("clone.jsonl");
     let journaled = RuntimeOptions {
         journal: Some(path.clone()),
@@ -71,9 +71,10 @@ fn journaled_search_resumes_to_the_same_best() {
     let kept: Vec<&str> = text
         .lines()
         .filter(|l| l.contains("\"header\"") || l.contains("\"eval\""))
-        .take(1 + 6)
+        .take(1 + 7)
         .collect();
-    fs::write(&path, kept.join("\n") + "\n").unwrap();
+    let torn = &kept[7][..kept[7].len() / 2];
+    fs::write(&path, kept[..7].join("\n") + "\n" + torn).unwrap();
 
     // Resume in place (journal defaults to the resume path in the CLI;
     // here we pass both explicitly) and land on the reference outcome.
@@ -91,9 +92,14 @@ fn journaled_search_resumes_to_the_same_best() {
         "resumed search must reach the reference best error"
     );
 
-    // The journal now holds the complete run.
+    // The journal now holds the complete run: the torn fragment was cut
+    // before the first append, not glued onto it.
     let full = datamime_runtime::replay(&path).unwrap();
     assert!(full.complete);
-    assert_eq!(full.evals.len(), 10);
+    assert_eq!((full.evals.len(), full.dropped_lines), (10, 0));
+    for (journaled, ran) in full.evals.iter().zip(&reference.history) {
+        assert_eq!(journaled.unit, ran.unit_params);
+        assert_eq!(journaled.error.to_bits(), ran.error.to_bits());
+    }
     let _ = fs::remove_file(&path);
 }

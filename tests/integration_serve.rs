@@ -11,8 +11,10 @@
 use datamime::jobspec::JobSpec;
 use datamime::profiler::profile_workload;
 use datamime::search::{search_with_runtime, SearchOutcome};
-use datamime::servectl::{JobResult, JobState, ServeClient};
+use datamime::servectl::{JobResult, JobState, ServeClient, SERVE_SOCKET};
 use datamime_runtime::{replay, TermSignal};
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -23,7 +25,7 @@ fn tmp_root(tag: &str) -> PathBuf {
     dir
 }
 
-/// Blocks until the daemon thread answers on its job socket.
+/// Blocks until the daemon thread answers on its socket.
 fn wait_reachable(client: &ServeClient) {
     let deadline = Instant::now() + Duration::from_secs(30);
     while client.list().is_err() {
@@ -276,8 +278,8 @@ fn quota_stops_health_reporting_and_retention() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A spec the search would panic on is refused at submit with a
-/// `ServeErr` naming the key — not a hang-up — and the daemon goes on to
+/// A spec the search would panic on is refused at submit with an
+/// `ERROR` naming the key — not a hang-up — and the daemon goes on to
 /// run the next job to the one-shot result.
 #[test]
 fn hostile_specs_are_refused_and_the_daemon_keeps_serving() {
@@ -307,6 +309,89 @@ fn hostile_specs_are_refused_and_the_daemon_keeps_serving() {
     let reference = one_shot(spec, &root.join("reference.jsonl"));
     assert_matches_one_shot(&root, &result, &reference, "after hostile submits");
     assert_eq!(stat(&client.stats().unwrap(), "jobs_submitted"), 1);
+
+    assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
+    daemon.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// One exchange on a raw connection: write `request`, half-close, read
+/// until the daemon hangs up. A refusal may hang up before an oversized
+/// request is fully written, and the unread rest then ends the reply with
+/// a reset instead of EOF — both are "closed".
+fn raw_exchange(root: &Path, request: &[u8]) -> String {
+    let mut conn = UnixStream::connect(root.join(SERVE_SOCKET)).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let _ = conn.write_all(request);
+    let _ = conn.shutdown(std::net::Shutdown::Write);
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while let Ok(n @ 1..) = conn.read(&mut chunk) {
+        reply.extend_from_slice(&chunk[..n]);
+    }
+    String::from_utf8(reply).unwrap()
+}
+
+/// The plane is one socket and one bounded line grammar: whatever bytes
+/// arrive, the answer is one `ERROR` line and a closed connection, well
+/// inside the request deadline, and the daemon keeps serving.
+#[test]
+fn malformed_requests_are_refused_on_the_one_socket() {
+    let root = tmp_root("raw");
+    let client = ServeClient::new(&root);
+    let daemon = {
+        let root = root.clone();
+        let term = TermSignal::at(root.join("term.sentinel"));
+        std::thread::spawn(move || datamime_serve::run(root, term))
+    };
+    wait_reachable(&client);
+
+    let started = Instant::now();
+    assert_eq!(
+        raw_exchange(&root, b"status job-9999\n"),
+        "ERROR no such job: job-9999\n"
+    );
+    let oversized = raw_exchange(&root, &vec![b'a'; 1 << 20]);
+    assert!(
+        oversized.starts_with("ERROR request longer than"),
+        "{oversized}"
+    );
+    assert_eq!(
+        raw_exchange(&root, b"status \xff\xfe\n"),
+        "ERROR request is not UTF-8\n"
+    );
+    assert_eq!(
+        raw_exchange(&root, b"frobnicate now\n"),
+        "ERROR unknown command `frobnicate`\n"
+    );
+    assert_eq!(
+        raw_exchange(&root, b"status\n"),
+        "ERROR status takes one job id\n"
+    );
+    assert_eq!(
+        raw_exchange(&root, b"list all\n"),
+        "ERROR list takes no argument\n"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "refusals took {:?}",
+        started.elapsed()
+    );
+    // The typed client surfaces the same refusal as an error.
+    assert_eq!(
+        client.status("job-9999").unwrap_err(),
+        "no such job: job-9999"
+    );
+
+    let health = raw_exchange(&root, b"health\n");
+    assert!(health.ends_with("END\n"), "health terminates: {health}");
+    let sockets: Vec<_> = std::fs::read_dir(&root)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".sock"))
+        .collect();
+    assert_eq!(sockets, [SERVE_SOCKET], "one socket under the root");
 
     assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
     daemon.join().unwrap().unwrap();
