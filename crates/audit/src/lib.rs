@@ -3,7 +3,7 @@
 //!
 //! The search runtime promises bit-identical results across worker
 //! counts and journal replays, graceful degradation of supervised
-//! evaluations, crash-safe durability of manifests and WAL segments,
+//! evaluations, crash-safe durability of the manifest and journals,
 //! and a layered crate graph. The compiler checks none of that — this
 //! crate does, over a hand-rolled token stream and a lightweight
 //! structural parser (no `syn`: the build environment has no crates.io

@@ -104,9 +104,14 @@ fn const_int_value(toks: &[Token], mut i: usize) -> Option<String> {
     None
 }
 
-/// The string literals of a `const NAME: &[&str] = &[ … ];`, sorted.
+/// The string literals of a `const NAME: &[&str] = &[ … ];` (or
+/// `[&str; N]`), sorted. Scans from the assignment `=`, so the `;` of an
+/// array type does not end the statement.
 fn const_str_array(toks: &[Token], mut i: usize) -> Vec<String> {
     let mut out = Vec::new();
+    while i < toks.len() && !parser::is_assign_eq(toks, i) {
+        i += 1;
+    }
     while i < toks.len() && !toks[i].is_punct(';') {
         if let Some(s) = toks[i].str_content() {
             out.push(s.to_string());
@@ -452,6 +457,18 @@ pub const WAL_EVENT_KINDS: &[&str] = &[\"submit\", \"done\", \"gc\"];
         assert_eq!(
             f.kindsets["WAL_EVENT_KINDS"].0,
             vec!["done", "gc", "submit"]
+        );
+    }
+
+    /// A registry typed `[&str; N]` is collected too: the `;` inside the
+    /// array type does not end the statement.
+    #[test]
+    fn fixed_length_kind_registry_is_extracted() {
+        let src = "pub const JOURNAL_EVENT_KINDS: [&str; 3] = [\"header\", \"eval\", \"done\"];\n";
+        let f = extract(&SourceFile::parse(Path::new("j.rs"), src));
+        assert_eq!(
+            f.kindsets["JOURNAL_EVENT_KINDS"].0,
+            vec!["done", "eval", "header"]
         );
     }
 

@@ -19,8 +19,8 @@
 //! served to another).
 
 use crate::error_model::{DistanceKind, MetricWeights};
-use crate::generator::{generator_for_program, DatasetGenerator, QuantizedGenerator};
-use crate::jobspec::machine_by_name;
+use crate::generator::{generator_for_program_grid, DatasetGenerator};
+use crate::jobspec::{machine_by_name, BoxedGenerator};
 use crate::metrics::{CurveMetric, DistMetric};
 use crate::profile::Profile;
 use crate::profiler::{CurveMethod, ProfilingConfig};
@@ -28,9 +28,6 @@ use crate::search::{emd_objective, evaluate, SearchConfig};
 use datamime_dist::{serve, worker_identity, WorkerConfig, PROTOCOL_VERSION};
 use datamime_runtime::{fingerprint, CancelToken, FaultPlan, StageTimes};
 use std::path::PathBuf;
-
-/// The boxed generator shape [`EvalSpec::build`] returns.
-pub type BoxedGenerator = Box<dyn DatasetGenerator + Send + Sync>;
 
 /// An evaluation context in argv-serializable form.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +100,7 @@ impl EvalSpec {
             seed: cfg.seed,
             target_tsv,
         };
-        let rebuilt = spec.build_generator()?;
+        let rebuilt = generator_for_program_grid(&spec.program, spec.grid_steps)?;
         if format!("{:?}", rebuilt.param_specs()) != format!("{:?}", generator.param_specs()) {
             return Err(format!(
                 "the process backend cannot reproduce generator `{}`: its parameter \
@@ -151,15 +148,6 @@ impl EvalSpec {
         argv
     }
 
-    fn build_generator(&self) -> Result<BoxedGenerator, String> {
-        let inner = generator_for_program(&self.program)
-            .ok_or_else(|| format!("no dataset generator for program `{}`", self.program))?;
-        Ok(match self.grid_steps {
-            Some(steps) => Box::new(QuantizedGenerator::new(inner, steps)),
-            None => inner,
-        })
-    }
-
     /// Reconstitutes the live evaluation context: the generator, the
     /// search configuration (machine, profiling, weights, seed), and the
     /// target profile parsed from [`EvalSpec::target_tsv`].
@@ -169,7 +157,7 @@ impl EvalSpec {
     /// Fails on unknown program/machine names or an unreadable/garbled
     /// target-profile file.
     pub fn build(&self) -> Result<(BoxedGenerator, SearchConfig, Profile), String> {
-        let generator = self.build_generator()?;
+        let generator = generator_for_program_grid(&self.program, self.grid_steps)?;
         let machine = machine_by_name(&self.machine)
             .ok_or_else(|| format!("unknown machine `{}`", self.machine))?;
         let text = std::fs::read_to_string(&self.target_tsv)
@@ -480,7 +468,7 @@ impl Drop for BusyGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::KvGenerator;
+    use crate::generator::{KvGenerator, QuantizedGenerator};
 
     fn spec() -> EvalSpec {
         EvalSpec {

@@ -547,6 +547,25 @@ pub fn generator_for_program(program: &str) -> Option<Box<dyn DatasetGenerator +
     }
 }
 
+/// [`generator_for_program`], wrapped in a [`QuantizedGenerator`] of
+/// `grid` steps when `grid` is set: the one program → generator path a
+/// job spec and a process-backend worker both take.
+///
+/// # Errors
+///
+/// Fails when `program` has no generator.
+pub fn generator_for_program_grid(
+    program: &str,
+    grid: Option<u32>,
+) -> Result<Box<dyn DatasetGenerator + Send + Sync>, String> {
+    let inner = generator_for_program(program)
+        .ok_or_else(|| format!("no dataset generator for program `{program}`"))?;
+    Ok(match grid {
+        Some(steps) => Box::new(QuantizedGenerator::new(inner, steps)),
+        None => inner,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,10 +10,10 @@
 //!
 //! The spec builds the same objects the CLI's `clone` command builds
 //! ([`Workload::by_name`], [`SearchConfig`], [`RuntimeOptions`],
-//! [`generator_for_program`]), so a job submitted to the daemon runs the
+//! [`generator_for_program_grid`]), so a job submitted to the daemon runs the
 //! identical fixed-seed search a one-shot `datamime clone` would.
 
-use crate::generator::{generator_for_program, QuantizedGenerator};
+use crate::generator::generator_for_program_grid;
 use crate::profiler::ProfilingConfig;
 use crate::search::{BackendChoice, ProcOptions, RuntimeOptions, SearchConfig};
 use crate::workload::Workload;
@@ -262,13 +262,7 @@ impl JobSpec {
     ///
     /// Fails when the workload's program has no generator.
     pub fn generator(&self) -> Result<BoxedGenerator, String> {
-        let program = self.target()?.app.program();
-        let inner = generator_for_program(program)
-            .ok_or_else(|| format!("no dataset generator for program {program}"))?;
-        Ok(match self.grid {
-            Some(steps) => Box::new(QuantizedGenerator::new(inner, steps)),
-            None => inner,
-        })
+        generator_for_program_grid(self.target()?.app.program(), self.grid)
     }
 
     /// The runtime options the spec describes: batching, workers, and the

@@ -4,25 +4,24 @@
 //! [`crate::faultinject::FaultPlan`]: it names *which append operation*
 //! on *which durability surface* must misbehave, and how. A
 //! [`DiskFaultInjector`] wraps a plan with per-target operation counters;
-//! writers on the durability path (the serve daemon's manifest WAL and
-//! checkpoints, the run journal, the GC directory sweep) consult it once
-//! per logical operation, so the same plan produces the same failure at
-//! the same boundary on every run.
+//! writers on the durability path (the serve daemon's manifest, the run
+//! journal, the GC directory sweep) consult it once per logical
+//! operation, so the same plan produces the same failure at the same
+//! boundary on every run.
 //!
-//! Fault kinds model the disk failures that matter for a write-ahead
-//! log:
+//! Fault kinds model the disk failures that matter for durable writes:
 //!
 //! - **no-space** (`enospc`) — the append fails up front with the OS
 //!   `ENOSPC` error and nothing reaches the file;
 //! - **short write** (`short`) — half the record reaches the file before
-//!   the error, leaving exactly the torn tail the replay path repairs;
+//!   the error, leaving a torn tail;
 //! - **fsync failure** (`syncfail`) — the bytes are written but
 //!   durability is never acknowledged, so the caller must treat the
 //!   record as lost even though it may survive;
 //! - **crash** (`crash`) — the process aborts *at* the boundary
 //!   (`std::process::abort`, no unwinding, no destructors), which is how
-//!   the crash-matrix harness SIGKILLs a daemon at every WAL append,
-//!   rotation, checkpoint, and GC edge without racing a signal.
+//!   the crash-matrix harness SIGKILLs a daemon at every manifest write
+//!   and GC edge without racing a signal.
 //!
 //! The module is always compiled (an absent injector costs one `Option`
 //! check per append); the cargo feature `faultinject` only gates the
@@ -57,10 +56,8 @@ pub enum DiskFaultKind {
 /// its own operation counter inside the injector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskTarget {
-    /// Manifest WAL appends (one lifecycle event each).
+    /// Manifest snapshot writes (one lifecycle transition each).
     Manifest,
-    /// Manifest checkpoint writes (one per checkpoint attempt).
-    Checkpoint,
     /// Run-journal appends (one event line each).
     Journal,
     /// GC directory removals (one per job directory).
@@ -71,16 +68,14 @@ impl DiskTarget {
     fn index(self) -> usize {
         match self {
             DiskTarget::Manifest => 0,
-            DiskTarget::Checkpoint => 1,
-            DiskTarget::Journal => 2,
-            DiskTarget::GcDir => 3,
+            DiskTarget::Journal => 1,
+            DiskTarget::GcDir => 2,
         }
     }
 
     fn name(self) -> &'static str {
         match self {
             DiskTarget::Manifest => "manifest",
-            DiskTarget::Checkpoint => "checkpoint",
             DiskTarget::Journal => "journal",
             DiskTarget::GcDir => "gcdir",
         }
@@ -141,8 +136,8 @@ impl DiskFaultPlan {
     }
 
     /// Serializes the plan to its compact spec form: faults joined by
-    /// `;`, each `target:nth:kind` with targets `manifest`, `checkpoint`,
-    /// `journal`, `gcdir` and kinds `enospc`, `short`, `syncfail`,
+    /// `;`, each `target:nth:kind` with targets `manifest`, `journal`,
+    /// `gcdir` and kinds `enospc`, `short`, `syncfail`,
     /// `crash` — the format the daemon accepts via `--disk-fault` or the
     /// [`DISK_FAULT_ENV`] environment variable.
     pub fn to_spec(&self) -> String {
@@ -182,7 +177,6 @@ impl DiskFaultPlan {
             };
             let target = match target_s {
                 "manifest" => DiskTarget::Manifest,
-                "checkpoint" => DiskTarget::Checkpoint,
                 "journal" => DiskTarget::Journal,
                 "gcdir" => DiskTarget::GcDir,
                 other => return Err(format!("disk fault `{part}`: unknown target `{other}`")),
@@ -208,7 +202,7 @@ impl DiskFaultPlan {
 struct InjectorState {
     plan: DiskFaultPlan,
     /// Operations seen so far per [`DiskTarget::index`].
-    counts: [u64; 4],
+    counts: [u64; 3],
 }
 
 /// A [`DiskFaultPlan`] armed with per-target operation counters, shared
@@ -230,7 +224,7 @@ impl DiskFaultInjector {
         DiskFaultInjector {
             inner: Arc::new(Mutex::new(InjectorState {
                 plan,
-                counts: [0; 4],
+                counts: [0; 3],
             })),
         }
     }
@@ -326,13 +320,13 @@ mod tests {
     fn spec_round_trips_every_target_and_kind() {
         let plan = DiskFaultPlan::new()
             .fail(DiskTarget::Manifest, 3, DiskFaultKind::NoSpace)
-            .fail(DiskTarget::Checkpoint, 0, DiskFaultKind::Crash)
+            .fail(DiskTarget::Manifest, 0, DiskFaultKind::Crash)
             .fail(DiskTarget::Journal, 7, DiskFaultKind::ShortWrite)
             .fail(DiskTarget::GcDir, 1, DiskFaultKind::SyncFail);
         let spec = plan.to_spec();
         assert_eq!(
             spec,
-            "manifest:3:enospc;checkpoint:0:crash;journal:7:short;gcdir:1:syncfail"
+            "manifest:3:enospc;manifest:0:crash;journal:7:short;gcdir:1:syncfail"
         );
         assert_eq!(DiskFaultPlan::from_spec(&spec).unwrap(), plan);
         assert_eq!(DiskFaultPlan::from_spec("").unwrap(), DiskFaultPlan::new());

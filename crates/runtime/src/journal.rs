@@ -54,7 +54,15 @@ pub const OLDEST_READABLE_VERSION: u64 = 2;
 /// wire surface: the audit's `wire-compat` rule locks it in
 /// `audit.wire.lock`, so adding, removing, or renaming a kind without
 /// bumping [`JOURNAL_VERSION`] fails CI.
-pub const JOURNAL_EVENT_KINDS: [&str; 5] = ["header", "eval", "cache_hit", "fault", "attempt"];
+pub const JOURNAL_EVENT_KINDS: [&str; 7] = [
+    "header",
+    "eval",
+    "cache_hit",
+    "fault",
+    "attempt",
+    "checkpoint",
+    "done",
+];
 
 /// A failure reading or writing a journal.
 #[derive(Debug)]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! datamime-served --root /var/lib/datamime   # listens on <root>/serve.sock
-//! datamime-served --root /var/lib/datamime --keep-terminal 8 --segment-bytes 65536
+//! datamime-served --root /var/lib/datamime --keep-terminal 8
 //! datamime ctl submit workload=mem-fb iters=40 max_evals=32 --root /var/lib/datamime
 //! echo 'status job-0001' | nc -U /var/lib/datamime/serve.sock
 //! ```
@@ -26,7 +26,7 @@ use datamime_runtime::{DiskFaultPlan, DISK_FAULT_ENV};
 use datamime_serve::ServeOptions;
 
 const USAGE: &str = "usage: datamime-served --root <state-dir> \
-[--keep-terminal <n>] [--segment-bytes <n>] [--disk-fault <spec>]";
+[--keep-terminal <n>] [--disk-fault <spec>]";
 
 fn parse_args(args: &[String]) -> Result<Option<(PathBuf, ServeOptions)>, String> {
     let mut root: Option<PathBuf> = None;
@@ -47,16 +47,6 @@ fn parse_args(args: &[String]) -> Result<Option<(PathBuf, ServeOptions)>, String
                     .parse()
                     .map_err(|_| format!("invalid --keep-terminal value: {raw}"))?;
                 options.keep_terminal = Some(n);
-            }
-            "--segment-bytes" => {
-                let raw = value("--segment-bytes")?;
-                let n: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("invalid --segment-bytes value: {raw}"))?;
-                if n == 0 {
-                    return Err("--segment-bytes must be at least 1".to_string());
-                }
-                options.segment_bytes = Some(n);
             }
             "--disk-fault" => {
                 let raw = value("--disk-fault")?;

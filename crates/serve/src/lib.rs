@@ -12,11 +12,11 @@
 //!   evaluation batches without ever reordering one job's observations,
 //!   so a fixed-seed job run through the daemon is bit-identical to the
 //!   one-shot CLI;
-//! - [`manifest`] — a fsync-on-commit, *segmented* write-ahead log of
-//!   job lifecycle transitions with compacted checkpoints, two-phase GC
-//!   records, and deterministic disk-fault injection; after a crash (or
-//!   a graceful drain) the daemon replays checkpoint + newer segments
-//!   and resumes every in-flight job from its evaluation journal.
+//! - [`manifest`] — the job table as one snapshot, atomically rewritten
+//!   on every lifecycle transition (two-phase GC included) under
+//!   deterministic disk-fault injection; after a crash (or a graceful
+//!   drain) the daemon reads it back and resumes every in-flight job
+//!   from its evaluation journal.
 //!
 //! The client side — [`ServeClient`](datamime::servectl::ServeClient) and
 //! the `datamime ctl` subcommand — lives in the core crate.
@@ -30,9 +30,6 @@ pub mod manifest;
 pub mod sched;
 pub mod server;
 
-pub use manifest::{
-    segment_file_name, JobEntry, Manifest, ManifestOptions, WalError, WalStats, CHECKPOINT_FILE,
-    DEFAULT_SEGMENT_BYTES,
-};
+pub use manifest::{JobEntry, Manifest, WalError, WalStats};
 pub use sched::{FairGate, Ticket};
 pub use server::{run, run_with, ServeOptions};

@@ -8,29 +8,29 @@
 //!   `list`, and the admin verbs `stats` / `health` / `version` /
 //!   `shutdown`. The grammar and its reply text live in
 //!   [`datamime::servectl`]; specs are validated at submit time. `stats`
-//!   is the daemon's [`MetricsRegistry`] (monotonic counters plus the WAL
+//!   is the daemon's [`MetricsRegistry`] (monotonic counters plus the GC
 //!   gauges) in sorted order, `health` the durability dashboard (uptime,
-//!   WAL shape, checkpoint and GC progress, the read-only state with its
-//!   reason), and `shutdown` drains: gates close, jobs stop at their next
-//!   batch boundary leaving resumable journals, and the process exits 0;
+//!   GC progress, the read-only state with its reason), and `shutdown`
+//!   drains: gates close, jobs stop at their next batch boundary leaving
+//!   resumable journals, and the process exits 0;
 //! - **scheduling**: every accepted job runs the unmodified
 //!   `search_with_runtime` loop on its own thread, interleaved with its
 //!   tenants through the [`FairGate`] round-robin (see [`crate::sched`]);
-//! - **durability**: the segmented, checkpointed [`Manifest`] WAL
-//!   records lifecycle transitions with fsync-on-commit, and each job
-//!   journals its evaluations under `jobs/<id>/journal.jsonl`. On
-//!   startup both are replayed: pending GC intents are finished, and
-//!   every job whose manifest state is non-terminal reopens its journal
-//!   in place and runs to the same result it would have reached
-//!   uninterrupted. Terminal jobs beyond the `keep_terminal` retention
-//!   budget are garbage-collected via two-phase delete (durable intent,
-//!   then directory removal), so `jobs/` stops accumulating. An
-//!   out-of-space condition on any WAL write flips the daemon into
+//! - **durability**: the [`Manifest`] snapshot is atomically rewritten
+//!   on every lifecycle transition, and each job journals its
+//!   evaluations under `jobs/<id>/journal.jsonl`. On startup both are
+//!   read back: pending GC intents are finished, and every job whose
+//!   manifest state is non-terminal reopens its journal in place and
+//!   runs to the same result it would have reached uninterrupted.
+//!   Terminal jobs beyond the `keep_terminal` retention budget are
+//!   garbage-collected via two-phase delete (durable intent, then
+//!   directory removal), so `jobs/` stops accumulating. An out-of-space
+//!   condition on any manifest write flips the daemon into
 //!   *draining read-only* mode: running jobs stop at their next batch
 //!   boundary with resumable journals, new submissions are refused, and
 //!   every other verb stays up.
 
-use crate::manifest::{JobEntry, Manifest, ManifestOptions, WalError, WalStats};
+use crate::manifest::{JobEntry, Manifest, WalError, WalStats};
 use crate::sched::FairGate;
 use datamime::jobspec::JobSpec;
 use datamime::profiler::profile_workload;
@@ -105,17 +105,15 @@ struct JobRecord {
     detail: Option<String>,
 }
 
-/// Daemon-level options beyond the state root: retention, WAL tuning,
-/// and the deterministic disk-fault plan (tests only).
+/// Daemon-level options beyond the state root: retention and the
+/// deterministic disk-fault plan (tests only).
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Keep at most this many terminal jobs; older ones (by id) are
     /// garbage-collected via two-phase delete. `None` keeps everything.
     pub keep_terminal: Option<usize>,
-    /// Manifest segment-rotation threshold in bytes (`None` = default).
-    pub segment_bytes: Option<u64>,
-    /// Deterministic disk faults injected into the manifest, checkpoint,
-    /// journal, and GC write paths.
+    /// Deterministic disk faults injected into the manifest, journal,
+    /// and GC write paths.
     pub disk_faults: Option<DiskFaultPlan>,
 }
 
@@ -181,31 +179,23 @@ fn enter_read_only(shared: &Shared, reason: &str) {
     shared.gate.close();
 }
 
-/// Post-processes one manifest mutation: refreshes the WAL gauges,
-/// flips read-only on any out-of-space sighting (the mutation's own, or
-/// a checkpoint's recorded inside the manifest), and converts the error
-/// for `?` in `Result<_, String>` contexts.
+/// Post-processes one manifest mutation: refreshes the GC gauges, flips
+/// read-only if the write ran out of space, and converts the error for
+/// `?` in `Result<_, String>` contexts.
 fn manifest_op(shared: &Shared, res: Result<(), WalError>) -> Result<(), String> {
-    let no_space_seen = lock(&shared.manifest).no_space_seen();
     refresh_wal_gauges(shared);
-    if no_space_seen || res.as_ref().is_err_and(|e| e.no_space) {
-        let detail = match &res {
-            Err(e) => e.message.clone(),
-            Ok(()) => "out of disk space during a WAL checkpoint".to_string(),
-        };
-        enter_read_only(shared, &detail);
-    }
-    res.map_err(|e| e.message)
+    res.map_err(|e| {
+        if e.no_space {
+            enter_read_only(shared, &e.message);
+        }
+        e.message
+    })
 }
 
-/// The durable WAL shape: the rows `health` prints and the gauges that
+/// The durable GC progress: the rows `health` prints and the gauges that
 /// let the plain `stats` command expose the same.
-fn wal_rows(wal: &WalStats) -> [(&'static str, u64); 6] {
+fn wal_rows(wal: &WalStats) -> [(&'static str, u64); 2] {
     [
-        ("wal_segments", wal.segments),
-        ("wal_segment_bytes", wal.segment_bytes),
-        ("wal_checkpoint_seq", wal.checkpoint_seq),
-        ("wal_checkpoint_failures", wal.checkpoint_failures),
         ("wal_pending_gc", wal.pending_gc),
         ("jobs_gcd_total", wal.gcd_jobs),
     ]
@@ -230,7 +220,7 @@ pub fn run(root: PathBuf, term: TermSignal) -> Result<(), String> {
 
 /// Runs the daemon rooted at `root` until `term` requests termination
 /// (SIGTERM/SIGINT via the sentinel, or the admin `shutdown` command).
-/// Replays the manifest first, finishing any pending GC intents and
+/// Reads the manifest first, finishing any pending GC intents and
 /// resuming every non-terminal job; then applies the retention policy.
 ///
 /// # Errors
@@ -241,13 +231,7 @@ pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Resul
     std::fs::create_dir_all(root.join("jobs"))
         .map_err(|e| format!("cannot create state root {root:?}: {e}"))?;
     let injector = options.disk_faults.map(DiskFaultInjector::new);
-    let (manifest, entries) = Manifest::open_with(
-        &root,
-        ManifestOptions {
-            segment_bytes: options.segment_bytes,
-            faults: injector.clone(),
-        },
-    )?;
+    let (manifest, entries) = Manifest::open_with(&root, injector.clone())?;
     let pending_gc = manifest.take_pending_gc();
     let shared = Arc::new(Shared {
         root: root.clone(),
@@ -285,7 +269,10 @@ pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Resul
             let term = term.clone();
             std::thread::spawn(move || handle_conn(&shared, &mut conn, &term));
         } else {
-            std::thread::sleep(Duration::from_millis(10));
+            // Short: a pending connection waits out this poll, so every
+            // request (a client's first call after start included) pays
+            // up to one interval before it is read.
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -318,7 +305,7 @@ fn bind(path: &PathBuf) -> Result<UnixListener, String> {
 
 /// Applies the retention policy: terminal jobs beyond the newest
 /// `keep_terminal` (in id order) are garbage-collected. Skipped while
-/// read-only — GC itself must append to the WAL.
+/// read-only — GC itself must write the manifest.
 fn maybe_gc(shared: &Arc<Shared>) {
     let Some(keep) = shared.keep_terminal else {
         return;
@@ -354,7 +341,7 @@ fn gc_job(shared: &Arc<Shared>, job: &str) {
         eprintln!("datamime-served: cannot record gc intent for {job}: {e}");
         return;
     }
-    // The intent is durable: the job is gone from the manifest fold, so
+    // The intent is durable: the job is gone from the manifest, so
     // it leaves the live table now regardless of how phase two fares.
     lock(&shared.jobs).remove(job);
     finish_gc(shared, job);
@@ -387,7 +374,7 @@ fn finish_gc(shared: &Arc<Shared>, job: &str) {
     }
 }
 
-/// Re-creates job records from replayed manifest entries and restarts
+/// Re-creates job records from the manifest's entries and restarts
 /// every non-terminal job from its journal.
 fn resume_jobs(shared: &Arc<Shared>, entries: BTreeMap<String, JobEntry>) {
     for (id, entry) in entries {
@@ -491,8 +478,8 @@ fn run_job(shared: &Arc<Shared>, job: &str, spec_line: &str, resume: bool) {
         match result {
             Ok(outcome) => {
                 // The terminal transition must be durable *before* the
-                // result is served: a Done record without a fsynced
-                // `done` event would be re-run (and re-acknowledged with
+                // result is served: a Done record without a published
+                // `done` transition would be re-run (and re-acknowledged with
                 // a possibly different journal) by a restarted daemon.
                 let (state, counter) = match outcome.quota {
                     Some(cause) => {
@@ -700,8 +687,8 @@ fn submit(shared: &Arc<Shared>, spec_line: &str) -> Result<String, String> {
     let canonical = spec.to_line()?;
     // Id allocation and the submit record commit under one manifest
     // lock, so concurrent submitters cannot race the same number. The
-    // high-water mark lives in the manifest fold (and its checkpoints),
-    // so GC of old jobs never recycles an id.
+    // high-water mark lives in the manifest, so GC of old jobs never
+    // recycles an id.
     let (job, res) = {
         let mut m = lock(&shared.manifest);
         let job = format!("job-{:04}", m.next_job_number());

@@ -2,8 +2,8 @@
 //!
 //! Each case arms `datamime-served` with a deterministic disk-fault plan
 //! whose `crash` faults abort the process (no unwinding — bit-for-bit a
-//! SIGKILL) at one exact durability boundary: the Nth manifest WAL
-//! append, the Nth checkpoint write, a GC directory removal. The daemon
+//! SIGKILL) at one exact durability boundary: the Nth manifest write, a
+//! GC directory removal. The daemon
 //! is then restarted *without* faults on the same state root and must
 //! satisfy the durability contract:
 //!
@@ -13,8 +13,8 @@
 //!   the same spec;
 //! - a half-done GC is finished, never half-remembered.
 //!
-//! The matrix runs the thread backend across every boundary and repeats
-//! representative points on the process backend. Separate cases cover
+//! The matrix runs the thread backend across every manifest write and
+//! repeats a representative one on the process backend. Separate cases cover
 //! quota stops resuming bit-identically through a mid-run crash, and
 //! injected ENOSPC flipping the daemon into draining read-only mode.
 
@@ -119,12 +119,12 @@ fn assert_bit_identical(job: &str, client: &ServeClient, reference: &SearchOutco
 
 /// One matrix cell: crash the daemon at `fault`, restart clean, and
 /// check the durability contract for every acknowledged job. `specs`
-/// parameterizes the backend. Extra daemon args apply to both runs.
-fn run_cell(tag: &str, fault: &str, specs: &[String], args: &[&str]) {
+/// parameterizes the backend.
+fn run_cell(tag: &str, fault: &str, specs: &[String]) {
     let root = tmp_root(tag);
     let client = ServeClient::new(&root);
 
-    let mut daemon = start_daemon(&root, args, Some(fault));
+    let mut daemon = start_daemon(&root, &[], Some(fault));
     let mut acked: Vec<(String, String)> = Vec::new();
     if await_ready(&client, &mut daemon) {
         for spec in specs {
@@ -138,7 +138,7 @@ fn run_cell(tag: &str, fault: &str, specs: &[String], args: &[&str]) {
     daemon.wait().expect("reap crashed daemon");
 
     // Recovery run: no faults, same root.
-    let mut daemon = start_daemon(&root, args, None);
+    let mut daemon = start_daemon(&root, &[], None);
     assert!(
         await_ready(&client, &mut daemon),
         "{tag}: recovery daemon must come up after a crash at `{fault}`"
@@ -166,10 +166,8 @@ fn run_cell(tag: &str, fault: &str, specs: &[String], args: &[&str]) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Thread backend, the full matrix: every manifest append boundary the
-/// two-job script can reach (2 submits + 2 starts + 2 dones), every
-/// checkpoint boundary (tiny segments checkpoint on every rotation), and
-/// the GC directory removal.
+/// Thread backend, the full matrix: every manifest write the two-job
+/// script reaches (2 submits + 2 starts + 2 dones).
 #[test]
 fn crash_matrix_thread_backend() {
     let specs: Vec<String> = SPECS.iter().map(|s| s.to_string()).collect();
@@ -178,27 +176,16 @@ fn crash_matrix_thread_backend() {
             &format!("manifest-{nth}"),
             &format!("manifest:{nth}:crash"),
             &specs,
-            &[],
         );
     }
-    // --segment-bytes 1 rotates (and attempts a checkpoint) before every
-    // append past the first, so checkpoint ops 0 and 2 bracket the run.
-    for nth in [0, 2] {
-        run_cell(
-            &format!("checkpoint-{nth}"),
-            &format!("checkpoint:{nth}:crash"),
-            &specs,
-            &["--segment-bytes", "1"],
-        );
-    }
-    // The GC boundaries (intent append, directory removal) are covered
+    // The GC boundaries (intent write, directory removal) are covered
     // by `gc_retention_is_enforced_and_reported_after_recovery`: a GC'd
     // job is *supposed* to vanish, so the keep-everything contract this
     // cell asserts does not apply there.
 }
 
-/// Process backend: representative boundaries (a mid-lifecycle manifest
-/// append and a checkpoint write). Worker crashes are already covered by
+/// Process backend: a representative boundary (a mid-lifecycle manifest
+/// write). Worker crashes are already covered by
 /// the runtime's own supervision tests; here the daemon process is the
 /// one that dies.
 #[test]
@@ -208,13 +195,7 @@ fn crash_matrix_proc_backend() {
         .iter()
         .map(|s| format!("{s} backend=proc workers=2 worker_bin={}", worker.display()))
         .collect();
-    run_cell("proc-manifest-3", "manifest:3:crash", &specs, &[]);
-    run_cell(
-        "proc-checkpoint-1",
-        "checkpoint:1:crash",
-        &specs,
-        &["--segment-bytes", "1"],
-    );
+    run_cell("proc-manifest-3", "manifest:3:crash", &specs);
 }
 
 /// Resolves (building if necessary) the `datamime-worker` binary the
@@ -273,7 +254,7 @@ fn quota_stop_survives_crash_resume_bit_identically() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Injected ENOSPC on the `done` append: the daemon must not panic and
+/// Injected ENOSPC on the `done` write: the daemon must not panic and
 /// must not serve a result whose terminal event was never fsynced.
 /// Instead it drains into read-only mode — the job fails loudly, new
 /// submissions are refused, status/health stay up, and shutdown is
@@ -282,7 +263,7 @@ fn quota_stop_survives_crash_resume_bit_identically() {
 fn enospc_drains_the_daemon_read_only() {
     let root = tmp_root("enospc");
     let client = ServeClient::new(&root);
-    // Single job: manifest append 0 = submit, 1 = start, 2 = done.
+    // Single job: manifest write 0 = submit, 1 = start, 2 = done.
     let mut daemon = start_daemon(&root, &[], Some("manifest:2:enospc"));
     assert!(await_ready(&client, &mut daemon));
     let job = client.submit_line(SPECS[0]).expect("submit");
@@ -324,7 +305,7 @@ fn enospc_drains_the_daemon_read_only() {
 fn gc_retention_is_enforced_and_reported_after_recovery() {
     // Both phase boundaries of the two-phase delete: the directory
     // removal (intent already durable — recovery must finish it) and the
-    // intent append itself (nothing durable — recovery re-decides GC).
+    // intent write itself (nothing durable — recovery re-decides GC).
     gc_retention_cell("gcdir-crash", "gcdir:0:crash");
     gc_retention_cell("gcintent-crash", "manifest:6:crash");
 }

@@ -6,7 +6,7 @@
 //! `DATAMIME_TERM_SENTINEL` is set explicitly when spawning the daemon,
 //! which disables the `/bin/sh` termination trampoline — the SIGKILL
 //! therefore hits the real daemon process, exactly the crash the
-//! manifest WAL and journals exist to survive.
+//! manifest and journals exist to survive.
 
 use datamime::jobspec::JobSpec;
 use datamime::profiler::profile_workload;
@@ -103,7 +103,7 @@ fn sigkilled_daemon_resumes_all_jobs_to_identical_results() {
     let last = text.lines().last().unwrap().len();
     std::fs::write(&torn, &text[..text.len() - 1 - last / 2]).unwrap();
 
-    // Restart on the same root: the manifest replays and both in-flight
+    // Restart on the same root: the manifest is read back and both in-flight
     // jobs resume from their journals.
     let mut daemon = start_daemon(&root, &sentinel);
     await_ready(&client);

@@ -1,13 +1,13 @@
-//! Property tests for the segmented manifest WAL: random operation
-//! sequences replay to exactly the state a simple in-memory model
-//! predicts, across segment sizes (forcing rotations and checkpoints),
-//! reopen cycles, and randomly torn segment tails.
+//! Property tests for the manifest snapshot: random operation sequences
+//! read back to exactly the state a simple in-memory model predicts,
+//! across reopen cycles and injected write faults.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use datamime::servectl::JobState;
-use datamime_serve::{segment_file_name, JobEntry, Manifest, ManifestOptions};
+use datamime_runtime::diskfault::{DiskFaultInjector, DiskFaultKind, DiskFaultPlan, DiskTarget};
+use datamime_serve::{JobEntry, Manifest, WalError};
 use proptest::prelude::*;
 
 /// A unique scratch directory per test case (proptest runs many cases
@@ -73,10 +73,18 @@ fn observed(manifest: &Manifest, table: &BTreeMap<String, JobEntry>) -> Model {
     )
 }
 
-/// Applies one (code, pick) choice to both the real manifest and the
-/// model. Choices are mapped onto *valid* operations deterministically,
-/// so the two sides always see the same op sequence.
-fn apply_step(m: &mut Manifest, model: &mut Model, step: usize, code: u8, pick: u8) {
+/// Applies one (code, pick) choice to the real manifest and, if the
+/// write is acknowledged, to the model. Choices are mapped onto *valid*
+/// operations deterministically, so the two sides always see the same op
+/// sequence.
+fn apply_step(
+    m: &mut Manifest,
+    model: &mut Model,
+    step: usize,
+    code: u8,
+    pick: u8,
+) -> Result<(), WalError> {
+    let mut next = model.clone();
     let pick_job = |model: &Model| -> Option<String> {
         let ids: Vec<&String> = model.jobs.keys().collect();
         if ids.is_empty() {
@@ -88,41 +96,42 @@ fn apply_step(m: &mut Manifest, model: &mut Model, step: usize, code: u8, pick: 
     let submit = |m: &mut Manifest, model: &mut Model| {
         let id = format!("job-{:04}", model.max_job + 1);
         let spec = format!("workload=mem-fb iters=8 seed={step}");
-        m.submit(&id, &spec).expect("submit");
         model.max_job += 1;
         model.jobs.insert(
-            id,
+            id.clone(),
             ModelJob {
-                spec,
+                spec: spec.clone(),
                 state: JobState::Submitted,
                 best_error: None,
                 best_unit: Vec::new(),
                 detail: None,
             },
         );
+        m.submit(&id, &spec)
     };
-    match code % 8 {
-        0 => submit(m, model),
-        1 => match pick_job(model) {
+    let res = match code % 8 {
+        0 => submit(m, &mut next),
+        1 => match pick_job(&next) {
             Some(job) => {
-                m.start(&job).expect("start");
-                model.jobs.get_mut(&job).unwrap().state = JobState::Running;
+                next.jobs.get_mut(&job).unwrap().state = JobState::Running;
+                m.start(&job)
             }
-            None => submit(m, model),
+            None => submit(m, &mut next),
         },
-        2 => match pick_job(model) {
+        2 => match pick_job(&next) {
             Some(job) => {
                 let err = step as f64 * 0.25;
                 let unit = vec![step as f64 * 0.125, 0.5];
-                m.done(&job, err, &unit).expect("done");
-                let e = model.jobs.get_mut(&job).unwrap();
+                let res = m.done(&job, err, &unit);
+                let e = next.jobs.get_mut(&job).unwrap();
                 e.state = JobState::Done;
                 e.best_error = Some(err);
                 e.best_unit = unit;
+                res
             }
-            None => submit(m, model),
+            None => submit(m, &mut next),
         },
-        3 => match pick_job(model) {
+        3 => match pick_job(&next) {
             Some(job) => {
                 let err = step as f64 * 0.5;
                 let unit = vec![0.75, step as f64 * 0.0625];
@@ -131,195 +140,142 @@ fn apply_step(m: &mut Manifest, model: &mut Model, step: usize, code: u8, pick: 
                 } else {
                     "wall_clock_s"
                 };
-                m.quota(&job, err, &unit, cause).expect("quota");
-                let e = model.jobs.get_mut(&job).unwrap();
+                let res = m.quota(&job, err, &unit, cause);
+                let e = next.jobs.get_mut(&job).unwrap();
                 e.state = JobState::QuotaExceeded;
                 e.best_error = Some(err);
                 e.best_unit = unit;
                 e.detail = Some(cause.to_string());
+                res
             }
-            None => submit(m, model),
+            None => submit(m, &mut next),
         },
-        4 => match pick_job(model) {
+        4 => match pick_job(&next) {
             Some(job) => {
-                m.cancel(&job).expect("cancel");
-                model.jobs.get_mut(&job).unwrap().state = JobState::Cancelled;
+                next.jobs.get_mut(&job).unwrap().state = JobState::Cancelled;
+                m.cancel(&job)
             }
-            None => submit(m, model),
+            None => submit(m, &mut next),
         },
-        5 => match pick_job(model) {
+        5 => match pick_job(&next) {
             Some(job) => {
                 let detail = format!("injected failure at step {step}");
-                m.fail(&job, &detail).expect("fail");
-                let e = model.jobs.get_mut(&job).unwrap();
+                let res = m.fail(&job, &detail);
+                let e = next.jobs.get_mut(&job).unwrap();
                 e.state = JobState::Failed;
                 e.detail = Some(detail);
+                res
             }
-            None => submit(m, model),
+            None => submit(m, &mut next),
         },
-        6 => match pick_job(model) {
+        6 => match pick_job(&next) {
             Some(job) => {
-                m.gc_intent(&job).expect("gc intent");
-                model.jobs.remove(&job);
-                if !model.pending_gc.contains(&job) {
-                    model.pending_gc.push(job);
+                next.jobs.remove(&job);
+                if !next.pending_gc.contains(&job) {
+                    next.pending_gc.push(job.clone());
                 }
+                m.gc_intent(&job)
             }
-            None => submit(m, model),
+            None => submit(m, &mut next),
         },
         _ => {
-            if model.pending_gc.is_empty() {
-                submit(m, model);
+            if next.pending_gc.is_empty() {
+                submit(m, &mut next)
             } else {
-                let job = model.pending_gc[pick as usize % model.pending_gc.len()].clone();
-                m.gc_done(&job).expect("gc done");
-                model.pending_gc.retain(|j| j != &job);
-                model.gcd += 1;
+                let job = next.pending_gc[pick as usize % next.pending_gc.len()].clone();
+                next.pending_gc.retain(|j| j != &job);
+                next.gcd += 1;
+                m.gc_done(&job)
             }
         }
+    };
+    if res.is_ok() {
+        *model = next;
     }
+    res
 }
 
-fn open(root: &Path, segment_bytes: u64) -> (Manifest, BTreeMap<String, JobEntry>) {
-    Manifest::open_with(
-        root,
-        ManifestOptions {
-            segment_bytes: Some(segment_bytes),
-            faults: None,
-        },
-    )
-    .expect("open manifest")
+fn open(root: &Path) -> (Manifest, BTreeMap<String, JobEntry>) {
+    Manifest::open(root).expect("open manifest")
 }
 
-/// Strategy: up to 40 raw (code, pick) choices plus a segment size that
-/// ranges from pathological (rotate+checkpoint on every append) to
-/// never-rotating.
-fn ops_and_segment() -> impl Strategy<Value = (Vec<(u8, u8)>, u64)> {
-    (
-        prop::collection::vec((0u8..=255, 0u8..=255), 1..40),
-        prop_oneof![Just(1u64), Just(64), Just(200), Just(1 << 20)],
-    )
+/// Strategy: up to 40 raw (code, pick) choices.
+fn ops() -> impl Strategy<Value = Vec<(u8, u8)>> {
+    prop::collection::vec((0u8..=255, 0u8..=255), 1..40)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Live folded state always equals the model, and reopening (replay
-    /// of checkpoint + segments) reproduces it bit-for-bit.
+    /// Reopening reproduces the model bit-for-bit.
     #[test]
-    fn replay_matches_model_across_reopen((ops, segment_bytes) in ops_and_segment(), case in any::<u64>()) {
+    fn replay_matches_model_across_reopen(ops in ops(), case in any::<u64>()) {
         let root = scratch("reopen", case);
         let mut model = Model::default();
         {
-            let (mut m, table) = open(&root, segment_bytes);
+            let (mut m, table) = open(&root);
             prop_assert!(table.is_empty());
             for (step, &(code, pick)) in ops.iter().enumerate() {
-                apply_step(&mut m, &mut model, step, code, pick);
+                apply_step(&mut m, &mut model, step, code, pick).expect("op");
             }
         }
-        let (m, table) = open(&root, segment_bytes);
+        let (m, table) = open(&root);
         prop_assert_eq!(observed(&m, &table), model);
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// Reopening twice in a row is idempotent even when the first open
-    /// rewrote state (segment deletion, tail repair).
+    /// Reopening twice in a row is idempotent: open only reads (and
+    /// deletes a stale temp).
     #[test]
-    fn double_reopen_is_idempotent((ops, segment_bytes) in ops_and_segment(), case in any::<u64>()) {
+    fn double_reopen_is_idempotent(ops in ops(), case in any::<u64>()) {
         let root = scratch("double", case);
         let mut model = Model::default();
         {
-            let (mut m, _) = open(&root, segment_bytes);
+            let (mut m, _) = open(&root);
             for (step, &(code, pick)) in ops.iter().enumerate() {
-                apply_step(&mut m, &mut model, step, code, pick);
+                apply_step(&mut m, &mut model, step, code, pick).expect("op");
             }
         }
         let first = {
-            let (m, table) = open(&root, segment_bytes);
+            let (m, table) = open(&root);
             observed(&m, &table)
         };
-        let (m, table) = open(&root, segment_bytes);
+        let (m, table) = open(&root);
         prop_assert_eq!(observed(&m, &table), first);
         prop_assert_eq!(first, model);
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// Tearing the tail of the *active* segment (what a crash mid-append
-    /// can leave) loses only a suffix of acknowledged events: the
-    /// replayed state equals the model after some prefix of the ops.
+    /// An `enospc`, `short` or `syncfail` fault injected at a random
+    /// operation fails that operation alone: every other operation is
+    /// acknowledged, and reopening yields exactly the model without it.
     #[test]
-    fn torn_active_tail_replays_to_a_prefix(
-        (ops, segment_bytes) in ops_and_segment(),
-        cut in 1usize..200,
+    fn injected_fault_fails_one_op_and_reopen_matches_model(
+        ops in ops(),
+        at in 0usize..40,
+        kind in 0usize..3,
         case in any::<u64>(),
     ) {
-        let root = scratch("torn", case);
+        let root = scratch("fault", case);
+        let at = at % ops.len();
+        let kind = [DiskFaultKind::NoSpace, DiskFaultKind::ShortWrite, DiskFaultKind::SyncFail][kind];
+        let plan = DiskFaultPlan::new().fail(DiskTarget::Manifest, at as u64, kind);
         let mut model = Model::default();
-        let mut snapshots = vec![model.clone()];
         {
-            let (mut m, _) = open(&root, segment_bytes);
+            let (mut m, _) = Manifest::open_with(&root, Some(DiskFaultInjector::new(plan)))
+                .expect("open manifest");
             for (step, &(code, pick)) in ops.iter().enumerate() {
-                apply_step(&mut m, &mut model, step, code, pick);
-                snapshots.push(model.clone());
+                let res = apply_step(&mut m, &mut model, step, code, pick);
+                if step == at {
+                    let err = res.expect_err("the faulted op fails");
+                    prop_assert_eq!(err.no_space, kind == DiskFaultKind::NoSpace);
+                } else {
+                    res.expect("every other op is acknowledged");
+                }
             }
         }
-        // Tear the highest-numbered segment: drop `cut` bytes from its
-        // tail (clamped to the file size).
-        // Segments need not start at 1 — checkpoints delete covered ones.
-        let last_seg = (1..=10_000u64)
-            .filter(|&s| root.join(segment_file_name(s)).exists())
-            .max()
-            .expect("at least one segment");
-        let path = root.join(segment_file_name(last_seg));
-        let len = std::fs::metadata(&path).expect("segment metadata").len();
-        let keep = len.saturating_sub(cut as u64);
-        let f = std::fs::OpenOptions::new().write(true).open(&path).expect("open segment");
-        f.set_len(keep).expect("truncate segment");
-        drop(f);
-
-        let (m, table) = open(&root, segment_bytes);
-        let got = observed(&m, &table);
-        prop_assert!(
-            snapshots.contains(&got),
-            "torn-tail replay must match some op prefix; got {got:?}"
-        );
+        let (m, table) = open(&root);
+        prop_assert_eq!(observed(&m, &table), model);
         let _ = std::fs::remove_dir_all(&root);
     }
-}
-
-/// An event kind this version has never heard of must fail the open
-/// loudly — even when it sits in an old (non-active) segment. Silently
-/// dropping transitions written by a newer daemon is how split-brain
-/// job tables happen.
-#[test]
-fn unknown_event_kind_in_any_segment_is_loud() {
-    use std::io::Write as _;
-
-    let root = scratch("unknown-kind", 0);
-    {
-        let (mut m, _) = open(&root, 1); // rotate on every append
-        m.submit("job-0001", "workload=mem-fb iters=8")
-            .expect("submit");
-        m.start("job-0001").expect("start");
-        m.submit("job-0002", "workload=mem-fb iters=8")
-            .expect("submit");
-    }
-    // Splice a future event kind into the *oldest* surviving segment.
-    let oldest = (1..)
-        .find(|&s| root.join(segment_file_name(s)).exists())
-        .expect("a segment survives");
-    let path = root.join(segment_file_name(oldest));
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(&path)
-        .expect("open oldest segment");
-    writeln!(f, r#"{{"event":"promote","job":"job-0002"}}"#).expect("splice");
-    drop(f);
-
-    let err = Manifest::open(&root).expect_err("unknown event kind must refuse to open");
-    assert!(
-        err.contains("unknown manifest event"),
-        "error should name the problem: {err}"
-    );
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -105,8 +105,8 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   run cargo build --release -q -p datamime-serve
   run scripts/serve_smoke.sh
   # Durability torture pass: the crash matrix aborts the daemon at every
-  # WAL append/rotation/checkpoint/GC boundary and requires bit-identical
-  # recovery; the ENOSPC cell requires a graceful read-only drain. The
+  # manifest write and GC boundary and requires bit-identical recovery;
+  # the ENOSPC cell requires a graceful read-only drain. The
   # process-backend cells exec datamime-worker, so build it first.
   run cargo build -q -p datamime --bin datamime-worker
   run cargo test -q -p datamime-serve --features faultinject

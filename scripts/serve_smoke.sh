@@ -67,6 +67,10 @@ echo "live evals: $LIVE_EVALS"
 "$CTL" ctl wait "$JOB" --root "$ROOT" --timeout-secs 600
 "$CTL" ctl result "$JOB" --root "$ROOT"
 
+# The manifest is one snapshot: manifest.json and no other manifest.* file.
+MANIFESTS=$(find "$ROOT" -maxdepth 1 -name 'manifest.*')
+[ "$MANIFESTS" = "$ROOT/manifest.json" ] || { echo "expected only manifest.json, found: $MANIFESTS"; exit 1; }
+
 STATS=$("$CTL" ctl stats --root "$ROOT")
 echo "$STATS" | awk '$2 == "evals" && $3 > 0 { ok = 1 } END { exit !ok }' \
   || { echo "final evals counter is zero"; echo "$STATS"; exit 1; }
