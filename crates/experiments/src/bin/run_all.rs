@@ -1,60 +1,34 @@
-//! Runs every experiment binary in sequence, regenerating the complete
-//! evaluation under `results/`. Equivalent to the loop in README.md but
-//! with per-step timing and a final manifest.
+//! Regenerates the paper's evaluation under `results/`: every experiment
+//! in [`FIGURES`] order, or only those named (`run_all fig3 fig10`), in
+//! one process whose searches each run once. An unknown name exits 2.
 
 #![forbid(unsafe_code)]
-use std::process::Command;
+use datamime_experiments::{or_exit, Searches, Settings, FIGURES};
 use std::time::Instant;
 
-const EXPERIMENTS: &[&str] = &[
-    "table2",
-    "fig1",
-    "fig3",
-    "fig4",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9_table4",
-    "fig10",
-    "fig11",
-    "fig12",
-    "ablations",
-    "ext_compress",
-    "ext_tail_latency",
-    "ext_constrained",
-];
-
 fn main() {
-    let exe_dir = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(std::path::Path::to_path_buf))
-        .expect("executable directory");
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = names
+        .iter()
+        .find(|name| !FIGURES.iter().any(|(known, _)| known == name))
+    {
+        let valid: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+        or_exit::<()>(Err(format!(
+            "unknown experiment {unknown:?}; valid: {}",
+            valid.join(" ")
+        )));
+    }
+    let s = Settings::from_env();
+    let mut searches = Searches::default();
     let total = Instant::now();
-    let mut failures = Vec::new();
-    for name in EXPERIMENTS {
-        let bin = exe_dir.join(name);
+    for (name, figure) in FIGURES {
+        if !names.is_empty() && !names.iter().any(|n| n == name) {
+            continue;
+        }
         let t0 = Instant::now();
         eprintln!(">>> {name}");
-        let status = Command::new(&bin).status();
-        match status {
-            Ok(s) if s.success() => {
-                eprintln!("<<< {name} ok in {:.1?}", t0.elapsed());
-            }
-            Ok(s) => {
-                eprintln!("<<< {name} FAILED ({s})");
-                failures.push(*name);
-            }
-            Err(e) => {
-                eprintln!("<<< {name} could not run ({e}); build with `cargo build --release -p datamime-experiments` first");
-                failures.push(*name);
-            }
-        }
+        figure(&s, &mut searches).finish();
+        eprintln!("<<< {name} ok in {:.1?}", t0.elapsed());
     }
     eprintln!("all experiments done in {:.1?}", total.elapsed());
-    if failures.is_empty() {
-        eprintln!("results written under results/");
-    } else {
-        eprintln!("failures: {failures:?}");
-        std::process::exit(1);
-    }
 }

@@ -1,8 +1,9 @@
-//! Shared infrastructure for the experiment binaries that regenerate every
-//! table and figure of the paper (see DESIGN.md for the index).
+//! Every table and figure of the paper as a function over one table of
+//! searches (see DESIGN.md for the index). `run_all` calls the
+//! [`FIGURES`] in one process.
 //!
 //! Knobs (environment variables; unset means the default, a malformed
-//! value stops the binary with a message naming it):
+//! value stops the process with a message naming it):
 //!
 //! - `DATAMIME_PROFILE` — `fast` (default) or `paper`: profiling fidelity;
 //! - `DATAMIME_ITERS` — search iterations per benchmark (default 40;
@@ -10,19 +11,24 @@
 //! - `DATAMIME_PARALLEL` — candidates evaluated per optimizer batch, on
 //!   as many worker threads (default 1 = sequential).
 //!
-//! Every figure searches: [`clone_target`] profiles the target and runs
-//! the search engine each time it is called, so a file under `results/`
-//! is a function of the code and the settings its second line records.
+//! Every figure searches: [`Searches`] profiles the target and runs the
+//! search engine the first time a search is asked for, and holds the
+//! outcome in memory only, so a file under `results/` is a function of
+//! the code and the settings its second line records.
 
 #![forbid(unsafe_code)]
 use datamime::generator::generator_for_program;
 use datamime::profile::Profile;
 use datamime::profiler::{profile_workload, ProfilingConfig};
-use datamime::search::{search_with_runtime, RuntimeOptions, SearchConfig};
+use datamime::search::{search_with_runtime, RuntimeOptions, SearchConfig, SearchOutcome};
 use datamime::workload::Workload;
 use datamime::MetricWeights;
 use std::fmt;
 use std::fs;
+
+mod figures;
+
+pub use figures::{Figure, FIGURES};
 
 /// The `DATAMIME_PROFILE` names.
 const PROFILES: [&str; 2] = ["fast", "paper"];
@@ -37,7 +43,7 @@ fn profile_by_name(name: &str) -> Option<ProfilingConfig> {
 }
 
 /// Resolved experiment settings from the environment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Settings {
     /// Search iterations per benchmark.
     pub iters: usize,
@@ -49,7 +55,7 @@ pub struct Settings {
 
 /// The process environment as the lookup [`Settings::parse`] and
 /// [`env_usize`] read through.
-pub fn process_env(var: &str) -> Option<String> {
+fn process_env(var: &str) -> Option<String> {
     std::env::var_os(var).map(|v| v.to_string_lossy().into_owned())
 }
 
@@ -57,22 +63,24 @@ pub fn process_env(var: &str) -> Option<String> {
 ///
 /// # Errors
 ///
-/// Names the variable and its value when it is set to anything but a
-/// non-negative integer.
-pub fn env_usize(
+/// Names the variable and its value when it is set to anything but an
+/// integer of at least `min`.
+fn env_usize(
     env: &dyn Fn(&str) -> Option<String>,
     var: &str,
     default: usize,
+    min: usize,
 ) -> Result<usize, String> {
     match env(var) {
         None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{var}={v:?} is not a non-negative integer")),
+        Some(v) => match v.parse() {
+            Ok(n) if n >= min => Ok(n),
+            _ => Err(format!("{var}={v:?} is not an integer >= {min}")),
+        },
     }
 }
 
-/// Unwraps, or stops the binary (exit status 2) with the message — a
+/// Unwraps, or stops the process (exit status 2) with the message — a
 /// regeneration must not run at a budget nobody asked for, nor pass for
 /// done when its file was not written.
 pub fn or_exit<T>(result: Result<T, String>) -> T {
@@ -94,15 +102,16 @@ impl Settings {
     ///
     /// # Errors
     ///
-    /// Names the variable and its value when one is malformed.
+    /// Names the variable and its value when one is malformed, including
+    /// a zero `DATAMIME_ITERS` (a search needs one iteration).
     pub fn parse(env: &dyn Fn(&str) -> Option<String>) -> Result<Self, String> {
         let name = env("DATAMIME_PROFILE").unwrap_or_else(|| "fast".to_string());
         let profiling = profile_by_name(&name)
             .ok_or_else(|| format!("DATAMIME_PROFILE={name:?} is not one of {PROFILES:?}"))?;
         Ok(Settings {
-            iters: env_usize(env, "DATAMIME_ITERS", 40)?,
+            iters: env_usize(env, "DATAMIME_ITERS", 40, 1)?,
             profiling,
-            parallel: env_usize(env, "DATAMIME_PARALLEL", 1)?.max(1),
+            parallel: env_usize(env, "DATAMIME_PARALLEL", 1, 0)?.max(1),
         })
     }
 
@@ -141,68 +150,71 @@ impl fmt::Display for Settings {
     }
 }
 
-/// A synthesized benchmark for one target: the Datamime search result.
-#[derive(Debug)]
-pub struct CloneResult {
-    /// The synthesized workload.
-    pub workload: Workload,
-    /// Best unit-hypercube parameters.
-    pub unit_params: Vec<f64>,
+/// The Datamime searches of one process. A search runs the first time its
+/// key is asked for, and every later request reads the same outcome. The
+/// key is every input a search reads: target, program, [`Settings`]
+/// (profiling fidelity, iterations, batch width) and metric weights; the
+/// seed is the engine's default. The table lives in memory only, so it
+/// cannot outlive the code that filled it.
+#[derive(Default)]
+pub struct Searches {
+    done: Vec<(SearchKey, SearchOutcome)>,
 }
 
-/// Runs the Datamime search cloning `target` with the generator matching
-/// `program`, using default equal metric weights.
-///
-/// # Panics
-///
-/// Panics if no generator exists for `program`.
-pub fn clone_target(target: &Workload, program: &str, settings: &Settings) -> CloneResult {
-    clone_target_weighted(target, program, settings, &MetricWeights::equal())
-}
+type SearchKey = (Workload, String, Settings, MetricWeights);
 
-/// Like [`clone_target`] but with explicit metric weights (used by the
-/// Sec. V-C reweighting experiment).
-///
-/// # Panics
-///
-/// Panics if no generator exists for `program`.
-pub fn clone_target_weighted(
-    target: &Workload,
-    program: &str,
-    settings: &Settings,
-    weights: &MetricWeights,
-) -> CloneResult {
-    let generator = generator_for_program(program)
-        .unwrap_or_else(|| panic!("no dataset generator for program {program}"));
-    let mut cfg = settings.search_config();
-    cfg.weights = weights.clone();
-    eprintln!(
-        "[search] {} with {} ({} iterations)",
-        target.name,
-        generator.name(),
-        cfg.iterations
-    );
-    let target_profile = profile_workload(target, &cfg.machine, &cfg.profiling);
-    let outcome = search_with_runtime(
-        generator.as_ref(),
-        &target_profile,
-        &cfg,
-        &settings.runtime_options(),
-    )
-    .expect("journal-less search cannot fail");
-    CloneResult {
-        workload: outcome.best_workload,
-        unit_params: outcome.best_unit_params,
+impl Searches {
+    /// The search cloning `target` with the generator matching `program`
+    /// under `weights`, run now unless an earlier request ran it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no generator exists for `program`.
+    pub(crate) fn outcome(
+        &mut self,
+        target: &Workload,
+        program: &str,
+        settings: &Settings,
+        weights: &MetricWeights,
+    ) -> &SearchOutcome {
+        let key = (
+            target.clone(),
+            program.to_owned(),
+            settings.clone(),
+            weights.clone(),
+        );
+        let i = match self.done.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                let generator = generator_for_program(program)
+                    .unwrap_or_else(|| panic!("no dataset generator for program {program}"));
+                let mut cfg = settings.search_config();
+                cfg.weights = weights.clone();
+                eprintln!(
+                    "[search] {} with {} ({} iterations)",
+                    target.name,
+                    generator.name(),
+                    cfg.iterations
+                );
+                let target_profile = profile_workload(target, &cfg.machine, &cfg.profiling);
+                let opts = settings.runtime_options();
+                let outcome = search_with_runtime(generator.as_ref(), &target_profile, &cfg, &opts)
+                    .expect("journal-less search cannot fail");
+                self.done.push((key, outcome));
+                self.done.len() - 1
+            }
+        };
+        &self.done[i].1
     }
 }
 
 /// Profiles a workload with this run's settings on a machine.
-pub fn profile(w: &Workload, machine: &datamime_sim::MachineConfig, s: &Settings) -> Profile {
+fn profile(w: &Workload, machine: &datamime_sim::MachineConfig, s: &Settings) -> Profile {
     profile_workload(w, machine, &s.profiling)
 }
 
 /// Formats a row of f64 cells after a label, TSV-style with fixed width.
-pub fn row(label: &str, cells: &[f64]) -> String {
+fn row(label: &str, cells: &[f64]) -> String {
     let mut s = format!("{label:<24}");
     for c in cells {
         s.push_str(&format!("\t{c:>9.3}"));
@@ -218,9 +230,9 @@ pub struct Report {
 
 impl Report {
     /// Starts a report. Its second line records `settings` — the resolved
-    /// [`Settings`], plus whatever else the binary reads from the
+    /// [`Settings`], plus whatever else the figure reads from the
     /// environment — so the file says what budget produced it.
-    pub fn new(name: &str, settings: impl fmt::Display) -> Self {
+    fn new(name: &str, settings: impl fmt::Display) -> Self {
         let mut report = Report {
             name: name.to_owned(),
             lines: Vec::new(),
@@ -231,13 +243,13 @@ impl Report {
     }
 
     /// Emits one line.
-    pub fn line(&mut self, text: impl AsRef<str>) {
+    fn line(&mut self, text: impl AsRef<str>) {
         println!("{}", text.as_ref());
         self.lines.push(text.as_ref().to_owned());
     }
 
     /// Flushes the report to `results/<name>.txt`; a report that cannot be
-    /// written stops the binary, since `scripts/ci.sh` judges the files.
+    /// written stops the process, since `scripts/ci.sh` judges the files.
     pub fn finish(self) {
         let path = format!("results/{}.txt", self.name);
         let written = fs::create_dir_all("results")
@@ -247,7 +259,7 @@ impl Report {
 }
 
 /// The five primary targets with the program used to clone each.
-pub fn primary_targets_with_programs() -> Vec<(Workload, &'static str)> {
+fn primary_targets_with_programs() -> Vec<(Workload, &'static str)> {
     vec![
         (Workload::mem_fb(), "memcached"),
         (Workload::mem_twtr(), "memcached"),
@@ -258,7 +270,7 @@ pub fn primary_targets_with_programs() -> Vec<(Workload, &'static str)> {
 }
 
 /// The public-dataset counterpart of each primary target (the red bars).
-pub fn public_counterpart(name: &str) -> Workload {
+fn public_counterpart(name: &str) -> Workload {
     match name {
         "mem-fb" | "mem-twtr" => Workload::mem_public(),
         "silo" => Workload::silo_public(),
@@ -271,7 +283,7 @@ pub fn public_counterpart(name: &str) -> Workload {
 /// Profiles a PerfProx-style proxy generated from `target_broadwell` (the
 /// paper generates all proxies on Broadwell) on `machine`, at saturation
 /// (a fixed loop has no request structure).
-pub fn profile_perfprox(
+fn profile_perfprox(
     target_broadwell: &Profile,
     machine: &datamime_sim::MachineConfig,
     s: &Settings,
@@ -319,11 +331,13 @@ mod tests {
         // A zero-wide batch is sequential.
         assert_eq!(parse(&[("DATAMIME_PARALLEL", "0")]).unwrap().parallel, 1);
 
-        // Malformed values are refused, naming the variable and the value.
+        // Malformed values are refused, naming the variable and the value;
+        // a search needs at least one iteration.
         for (var, value) in [
             ("DATAMIME_ITERS", "4O"),
             ("DATAMIME_ITERS", ""),
             ("DATAMIME_ITERS", "-3"),
+            ("DATAMIME_ITERS", "0"),
             ("DATAMIME_PARALLEL", "two"),
             ("DATAMIME_PROFILE", "papr"),
             ("DATAMIME_PROFILE", "Paper"),
@@ -332,9 +346,12 @@ mod tests {
             assert!(err.contains(var) && err.contains(value), "{err}");
         }
         let env = |_: &str| Some("x".to_string());
-        let err = env_usize(&env, "DATAMIME_SWEEP_POINTS", 8).unwrap_err();
+        let err = env_usize(&env, "DATAMIME_SWEEP_POINTS", 8, 2).unwrap_err();
         assert!(err.contains("DATAMIME_SWEEP_POINTS=\"x\""), "{err}");
-        assert_eq!(env_usize(&|_| None, "DATAMIME_SWEEP_POINTS", 8), Ok(8));
+        let one = |_: &str| Some("1".to_string());
+        let err = env_usize(&one, "DATAMIME_SWEEP_POINTS", 8, 2).unwrap_err();
+        assert!(err.contains("DATAMIME_SWEEP_POINTS=\"1\""), "{err}");
+        assert_eq!(env_usize(&|_| None, "DATAMIME_SWEEP_POINTS", 8, 2), Ok(8));
     }
 
     #[test]
@@ -345,7 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn clone_target_searches_every_time_and_caches_nothing() {
+    fn searches_run_each_key_once_and_equal_the_engine() {
+        use datamime::generator::KvGenerator;
+        use datamime::metrics::DistMetric;
+
         let mut target = Workload::mem_fb();
         if let datamime::workload::AppConfig::Kv(c) = &mut target.app {
             c.n_keys = 20_000;
@@ -353,12 +373,45 @@ mod tests {
         let mut s = parse(&[("DATAMIME_ITERS", "5")]).unwrap();
         s.profiling = s.profiling.without_curves();
         s.profiling.n_samples = 3;
-        let first = clone_target(&target, "memcached", &s);
-        let second = clone_target(&target, "memcached", &s);
-        assert_eq!(first.unit_params, second.unit_params);
-        assert_eq!(first.unit_params.len(), 6);
-        // Tests run from the crate directory, which has no `results/`: a
-        // winner stored by either call would have created it.
+        let equal = MetricWeights::equal();
+        let bits = |o: &SearchOutcome| {
+            let mut v: Vec<u64> = o.best_unit_params.iter().map(|x| x.to_bits()).collect();
+            v.push(o.best_error.to_bits());
+            v
+        };
+
+        // The same key twice is one search.
+        let mut searches = Searches::default();
+        let first = bits(searches.outcome(&target, "memcached", &s, &equal));
+        let again = bits(searches.outcome(&target, "memcached", &s, &equal));
+        assert_eq!(first, again);
+        assert_eq!(first.len(), 7);
+        assert_eq!(searches.done.len(), 1);
+
+        // The entry is the engine's own result, bit for bit.
+        let cfg = s.search_config();
+        let target_profile = profile_workload(&target, &cfg.machine, &cfg.profiling);
+        let direct = search_with_runtime(
+            &KvGenerator::new(),
+            &target_profile,
+            &cfg,
+            &s.runtime_options(),
+        )
+        .unwrap();
+        assert_eq!(first, bits(&direct));
+
+        // Other weights (fig9's reweighting) and another CAT sweep (fig7's
+        // twelve ways) are other searches.
+        let ipc_x8 = equal.clone().with_dist_weight(DistMetric::Ipc, 8.0);
+        searches.outcome(&target, "memcached", &s, &ipc_x8);
+        assert_eq!(searches.done.len(), 2);
+        let mut swept = s.clone();
+        swept.profiling.curve_ways = vec![12];
+        searches.outcome(&target, "memcached", &swept, &equal);
+        assert_eq!(searches.done.len(), 3);
+
+        // Tests run from the crate directory, which has no `results/`: an
+        // outcome stored on disk would have created it.
         assert!(!std::path::Path::new("results").exists());
     }
 }

@@ -58,11 +58,13 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # golden profiles, the copy counts and the panic/cancel behaviour in
   # the build where the lanes run at full speed side by side.
   run cargo test -q --release -p datamime --test integration_fork
-  # The reproduction gate: every experiment binary searches (there is no
-  # result cache) and rewrites its `results/<name>.txt`, so regenerating
-  # all fifteen at the default settings and diffing against the committed
-  # files fails the build on any drift — in the simulator, the optimiser,
-  # the profiler's lanes or an experiment — and on any nondeterminism.
+  # The reproduction gate: `run_all` calls all fifteen figure functions in
+  # one process, runs each distinct search once (in memory; there is no
+  # result cache on disk) and rewrites every `results/<name>.txt`, so
+  # diffing against the committed files fails the build on any drift —
+  # in the simulator, the optimiser, the profiler's lanes or an
+  # experiment — and on any nondeterminism. A panicking figure stops
+  # `run_all` non-zero at that figure.
   # The second line of each file records the settings, so a run under a
   # `DATAMIME_*` override cannot pass for the default one.
   run target/release/run_all
