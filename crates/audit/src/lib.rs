@@ -98,6 +98,7 @@ pub fn run_check(root: &Path, cfg: &AuditConfig) -> Result<CheckReport, Workspac
 
     let mut raw: Vec<Diagnostic> = facts.iter().flat_map(|f| f.diags.iter().cloned()).collect();
     raw.extend(rules::layering::check(&ws.crates, &cfg.layering));
+    raw.extend(stale_scope_entries(&facts, cfg));
 
     if !cfg.wire_compat.files.is_empty() {
         let mut current = Vec::new();
@@ -130,6 +131,40 @@ pub fn run_check(root: &Path, cfg: &AuditConfig) -> Result<CheckReport, Workspac
         files_scanned: ws.files.len(),
         crates_scanned: ws.crates.len(),
     })
+}
+
+/// Reports every rule scope entry (`paths` / `strict-paths`) that
+/// matches no scanned file. Scope is a bare prefix match, so a renamed or
+/// deleted file would otherwise drop out of its rules without a word.
+fn stale_scope_entries(facts: &[FileFacts], cfg: &AuditConfig) -> Vec<Diagnostic> {
+    let scopes = [
+        ("nondet-taint", "paths", &cfg.nondet_taint.paths),
+        (
+            "nondet-taint",
+            "strict-paths",
+            &cfg.nondet_taint.strict_paths,
+        ),
+        ("panic-safety", "paths", &cfg.panic_safety.paths),
+        ("durability-protocol", "paths", &cfg.durability.paths),
+        ("swallowed-result", "paths", &cfg.swallowed_result.paths),
+    ];
+    let mut out = Vec::new();
+    for (rule, key, entries) in scopes {
+        for entry in entries {
+            if !facts.iter().any(|f| f.rel_path.starts_with(entry)) {
+                out.push(Diagnostic::new(
+                    rule,
+                    entry,
+                    0,
+                    format!(
+                        "`[{rule}] {key}` entry matches no scanned file — point it at the \
+                         file's new path or delete it"
+                    ),
+                ));
+            }
+        }
+    }
+    out
 }
 
 /// The per-file analysis: lex + parse once, then run every rule whose

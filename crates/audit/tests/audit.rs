@@ -157,6 +157,24 @@ fn misfiring_allows_are_themselves_violations() {
 }
 
 #[test]
+fn scope_entries_matching_no_file_are_reported() {
+    // Two entries name a deleted file; the live directory and file
+    // entries beside them stay quiet.
+    let diags = check_fixture("stale_scope");
+    assert_eq!(
+        rules_of(&diags),
+        vec!["nondet-taint", "swallowed-result"],
+        "{diags:?}"
+    );
+    for d in &diags {
+        assert!(d.file.ends_with("crates/core/src/gone.rs"), "{d:?}");
+        assert!(d.message.contains("matches no scanned file"), "{d:?}");
+    }
+    assert!(diags[0].message.contains("`[nondet-taint] strict-paths`"));
+    assert!(diags[1].message.contains("`[swallowed-result] paths`"));
+}
+
+#[test]
 fn clean_fixture_passes_and_its_allow_counts_as_used() {
     assert_clean("clean");
 }

@@ -287,7 +287,7 @@ pub struct WorkerInvocation {
     /// Broker-assigned worker id.
     pub worker_id: u64,
     /// Deterministic fault plan (tests and CI only).
-    pub fault: FaultPlan,
+    pub faults: FaultPlan,
 }
 
 /// Parses a full `datamime-worker` command line (the [`EvalSpec`] flags
@@ -312,7 +312,7 @@ pub fn parse_worker_argv(args: &[String]) -> Result<WorkerInvocation, String> {
     let mut weights = None;
     let mut socket = None;
     let mut worker_id = None;
-    let mut fault = FaultPlan::new();
+    let mut faults = FaultPlan::new();
 
     let mut i = 0;
     while i < args.len() {
@@ -344,7 +344,7 @@ pub fn parse_worker_argv(args: &[String]) -> Result<WorkerInvocation, String> {
             "--weights" => weights = Some(decode_weights(value)?),
             "--socket" => socket = Some(PathBuf::from(value)),
             "--worker-id" => worker_id = Some(value.parse().map_err(|e| parse_err(&e))?),
-            "--fault" => fault = FaultPlan::from_spec(value)?,
+            "--fault" => faults = FaultPlan::from_spec(value)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 2;
@@ -370,7 +370,7 @@ pub fn parse_worker_argv(args: &[String]) -> Result<WorkerInvocation, String> {
         },
         socket: socket.ok_or_else(|| require("--socket"))?,
         worker_id: worker_id.ok_or_else(|| require("--worker-id"))?,
-        fault,
+        faults,
     })
 }
 
@@ -429,29 +429,19 @@ pub fn run_worker_with_signal(
             }
         });
     }
-    serve(
-        &WorkerConfig::new(inv.socket.clone(), inv.worker_id, ctx),
-        |req, stages: &mut StageTimes| {
-            busy.store(true, std::sync::atomic::Ordering::SeqCst);
-            let _guard = BusyGuard(&busy);
-            if drained() {
-                std::process::exit(0);
-            }
-            let index = req.index as usize;
-            if inv.fault.kills(index, req.dispatch) {
-                // Simulates a worker crash: SIGABRT, no unwinding, no
-                // reply frame — the broker sees the connection drop.
-                std::process::abort();
-            }
-            if let Some(injected) = inv.fault.apply(index, req.attempt, &token) {
-                return injected;
-            }
-            // The worker serves evaluations on one thread, so its
-            // thread-local arena persists across requests: every
-            // candidate after the first reuses the same simulator arrays.
-            evaluate(&generator, &cfg, &objective, &req.unit, stages, &token).error
-        },
-    )
+    let mut wcfg = WorkerConfig::new(inv.socket, inv.worker_id, ctx);
+    wcfg.faults = inv.faults;
+    serve(&wcfg, |req, stages: &mut StageTimes| {
+        busy.store(true, std::sync::atomic::Ordering::SeqCst);
+        let _guard = BusyGuard(&busy);
+        if drained() {
+            std::process::exit(0);
+        }
+        // The worker serves evaluations on one thread, so its
+        // thread-local arena persists across requests: every
+        // candidate after the first reuses the same simulator arrays.
+        evaluate(&generator, &cfg, &objective, &req.unit, stages, &token).error
+    })
 }
 
 /// Clears the worker's busy flag when an evaluation closure unwinds or
@@ -494,7 +484,7 @@ mod tests {
         let inv = parse_worker_argv(&argv).expect("parses");
         assert_eq!(inv.spec, spec);
         assert_eq!(inv.worker_id, 3);
-        assert!(inv.fault.is_empty());
+        assert!(inv.faults.is_empty());
     }
 
     #[test]

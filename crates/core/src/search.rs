@@ -23,10 +23,10 @@ use crate::profiler::{profile_app_cancellable_in, profile_workload, ProfilingCon
 use crate::workload::Workload;
 use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig, RandomSearch};
 use datamime_runtime::{
-    canonical_bits, fingerprint, replay, with_local_backend, Backend, CancelToken,
-    DiskFaultInjector, ExecError, Executor, FailPolicy, FaultPlan, GateHandle, JournalError,
-    JournalWriter, MemoKeyFn, MetricsRegistry, MetricsSink, QuotaCause, RunMeta, RunOutcome,
-    SharedSink, StageTimes, StderrSink, SupervisorConfig,
+    canonical_bits, fingerprint, replay, with_local_backend, Backend, CancelToken, ExecError,
+    Executor, FailPolicy, FaultInjector, GateHandle, JournalError, JournalWriter, MemoKeyFn,
+    MetricsRegistry, MetricsSink, QuotaCause, RunMeta, RunOutcome, SharedSink, StageTimes,
+    StderrSink, SupervisorConfig,
 };
 use datamime_sim::MachineConfig;
 use std::path::PathBuf;
@@ -146,8 +146,11 @@ pub struct RuntimeOptions {
     /// Whether an evaluation that still fails after retries aborts the
     /// run or is penalized so the search continues (the default).
     pub fail_policy: FailPolicy,
-    /// Deterministic fault-injection plan (tests and CI only).
-    pub fault_plan: Option<FaultPlan>,
+    /// Deterministic fault injection (tests and CI only): the plan's
+    /// eval entries reach the supervisor and, on the process backend,
+    /// every worker's `--fault`; its write entries reach the journal
+    /// writer. Empty by default.
+    pub faults: FaultInjector,
     /// Disable the evaluation memo cache, forcing every suggestion to pay
     /// a fresh simulator run even when its quantized dataset parameters
     /// were already evaluated. Memoization never changes results (hits
@@ -183,9 +186,6 @@ pub struct RuntimeOptions {
     /// The clock restarts on resume: it bounds one process's effort and
     /// is deliberately not part of the deterministic state.
     pub wall_clock: Option<Duration>,
-    /// Deterministic disk-fault injection threaded into the journal
-    /// writer (crash-matrix tests only).
-    pub disk_faults: Option<DiskFaultInjector>,
 }
 
 /// Where a search's evaluations execute.
@@ -468,7 +468,7 @@ fn supervision(opts: &RuntimeOptions) -> SupervisorConfig {
         deadline: opts.eval_timeout,
         max_retries: opts.max_retries,
         fail_policy: opts.fail_policy,
-        fault_plan: opts.fault_plan.clone(),
+        faults: opts.faults.plan().clone(),
         ..SupervisorConfig::default()
     }
 }
@@ -552,10 +552,7 @@ fn build_executor(
     if let Some(gate) = &opts.batch_gate {
         exec = exec.gate(gate.arc());
     }
-    let arm = |w: JournalWriter| match &opts.disk_faults {
-        Some(inj) => w.with_faults(inj.clone()),
-        None => w,
-    };
+    let arm = |w: JournalWriter| w.with_faults(opts.faults.clone());
     exec = match (&opts.resume, &opts.journal) {
         // One way to continue a journal: reopen it in place (its torn
         // tail, if any, is cut first). Resuming onto a different path
@@ -737,9 +734,9 @@ fn search_with_process_backend(
             proc.workers.max(1),
         );
         bcfg.worker_args = spec.to_argv();
-        if let Some(plan) = &opts.fault_plan {
+        if !opts.faults.plan().is_empty() {
             bcfg.worker_args.push("--fault".to_string());
-            bcfg.worker_args.push(plan.to_spec());
+            bcfg.worker_args.push(opts.faults.plan().to_spec());
         }
         bcfg.ctx_fingerprint = ctx;
         bcfg.seed = cfg.seed;
@@ -906,7 +903,7 @@ mod tests {
 
     #[test]
     fn faulty_evaluations_do_not_abort_the_search() {
-        use datamime_runtime::InjectedFault;
+        use datamime_runtime::{EvalFault, FaultPlan};
         let mut cfg = SearchConfig::fast(8);
         cfg.profiling = cfg.profiling.without_curves();
         let machine = cfg.machine.clone();
@@ -914,10 +911,10 @@ mod tests {
         let opts = RuntimeOptions {
             batch_k: 2,
             workers: 2,
-            fault_plan: Some(
+            faults: FaultInjector::new(
                 FaultPlan::new()
-                    .fail(1, InjectedFault::Panic)
-                    .fail(4, InjectedFault::Nan),
+                    .fail(1, EvalFault::Panic)
+                    .fail(4, EvalFault::Nan),
             ),
             ..RuntimeOptions::default()
         };
@@ -937,14 +934,14 @@ mod tests {
 
     #[test]
     fn abort_fail_policy_keeps_fail_fast_behavior() {
-        use datamime_runtime::InjectedFault;
+        use datamime_runtime::{EvalFault, FaultPlan};
         let mut cfg = SearchConfig::fast(4);
         cfg.profiling = cfg.profiling.without_curves();
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
         let opts = RuntimeOptions {
             fail_policy: FailPolicy::Abort,
-            fault_plan: Some(FaultPlan::new().fail(2, InjectedFault::Panic)),
+            faults: FaultInjector::new(FaultPlan::new().fail(2, EvalFault::Panic)),
             ..RuntimeOptions::default()
         };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

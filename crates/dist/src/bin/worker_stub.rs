@@ -4,12 +4,11 @@
 //! machinery (negotiation, dispatch, deadlines, crash respawn) can be
 //! exercised without dragging the simulator in. The `--bad-*` flags make
 //! it misrepresent itself in `Hello` to trigger the broker's negotiation
-//! rejects, and `--fault` accepts a `FaultPlan` spec (including `kill`
-//! faults, honored by aborting the whole process).
+//! rejects, and `--fault` accepts a `FaultPlan` spec, which
+//! [`datamime_dist::serve`] applies.
 
 #![forbid(unsafe_code)]
 use datamime_dist::{serve, WorkerConfig};
-use datamime_runtime::supervisor::CancelToken;
 use datamime_runtime::FaultPlan;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -27,7 +26,7 @@ fn run() -> Result<(), String> {
     let mut ctx: u64 = 0;
     let mut bad_version = false;
     let mut bad_identity = false;
-    let mut plan = FaultPlan::new();
+    let mut faults = FaultPlan::new();
     let mut stall_connect_ms: u64 = 0;
 
     let mut argv = std::env::args().skip(1);
@@ -45,7 +44,7 @@ fn run() -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("bad --ctx: {e}"))?;
             }
-            "--fault" => plan = FaultPlan::from_spec(&value("--fault")?)?,
+            "--fault" => faults = FaultPlan::from_spec(&value("--fault")?)?,
             "--stall-connect-ms" => {
                 stall_connect_ms = value("--stall-connect-ms")?
                     .parse()
@@ -63,6 +62,7 @@ fn run() -> Result<(), String> {
     }
 
     let mut cfg = WorkerConfig::new(socket, worker_id, ctx);
+    cfg.faults = faults;
     if bad_version {
         cfg.protocol_version = cfg.protocol_version.wrapping_add(1);
     }
@@ -70,16 +70,7 @@ fn run() -> Result<(), String> {
         cfg.identity ^= 0xDEAD_BEEF;
     }
 
-    let token = CancelToken::new();
     serve(&cfg, |req, stages| {
-        let index = req.index as usize;
-        if plan.kills(index, req.dispatch) {
-            // Simulates a worker crash: SIGABRT, no unwinding, no reply.
-            std::process::abort();
-        }
-        if let Some(injected) = plan.apply(index, req.attempt, &token) {
-            return injected;
-        }
         let start = Instant::now();
         let value = objective(&req.unit);
         stages.record("evaluate", start.elapsed());

@@ -35,7 +35,7 @@ use crate::protocol::{
     read_frame, worker_identity, write_frame, Frame, ProtocolError, PROTOCOL_VERSION,
 };
 use datamime_runtime::supervisor::{
-    retry_backoff, Evaluated, FailPolicy, FailedAttempt, FailureKind, FaultInfo,
+    AfterFailure, Evaluated, FailPolicy, FailedAttempt, FailureKind, SupervisorConfig,
 };
 use datamime_runtime::telemetry::StageTimes;
 use datamime_runtime::Backend;
@@ -47,8 +47,9 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`Broker`]. The supervision fields mirror
-/// `SupervisorConfig` so both backends penalize, retry, and back off
-/// identically for the same run seed.
+/// [`SupervisorConfig`]; [`Broker::start`] builds one from them, so both
+/// backends penalize, retry, and back off through the same
+/// [`SupervisorConfig::after_failure`] for the same run seed.
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
     /// Path of the worker binary to spawn.
@@ -104,7 +105,7 @@ impl BrokerConfig {
             backoff_base: Duration::from_millis(100),
             backoff_cap: Duration::from_secs(10),
             fail_policy: FailPolicy::Penalize,
-            penalty: datamime_runtime::SupervisorConfig::default().penalty,
+            penalty: SupervisorConfig::default().penalty,
             restart_budget: 3,
             redispatch_budget: 3,
             metrics: None,
@@ -160,6 +161,8 @@ struct Job {
 /// The broker-side worker pool; see the module docs.
 pub struct Broker {
     cfg: BrokerConfig,
+    /// The retry policy, built from `cfg`'s supervision fields.
+    supervision: SupervisorConfig,
     dir: PathBuf,
     socket_path: PathBuf,
     events: mpsc::Receiver<Msg>,
@@ -218,8 +221,18 @@ impl Broker {
                 .map_err(|e| format!("cannot spawn acceptor: {e}"))?
         };
 
+        let supervision = SupervisorConfig {
+            deadline: cfg.deadline,
+            max_retries: cfg.max_retries,
+            backoff_base: cfg.backoff_base,
+            backoff_cap: cfg.backoff_cap,
+            fail_policy: cfg.fail_policy,
+            penalty: cfg.penalty,
+            ..SupervisorConfig::default()
+        };
         let mut broker = Broker {
             cfg,
+            supervision,
             dir,
             socket_path,
             events: rx,
@@ -350,8 +363,8 @@ impl Broker {
     }
 
     /// Charges a real failed attempt (timeout, panic, non-finite) to
-    /// `jobs[j]`, scheduling a retry or producing the final verdict —
-    /// the same state machine as `Supervisor::evaluate`, driven remotely.
+    /// `jobs[j]`, scheduling a retry or producing the final verdict by
+    /// the supervisor's own [`SupervisorConfig::after_failure`].
     #[allow(clippy::too_many_arguments)]
     fn failed_attempt(
         &mut self,
@@ -371,41 +384,29 @@ impl Broker {
             detail: detail.clone(),
             worker,
         });
-        if job.attempt < self.cfg.max_retries {
-            job.attempt += 1;
-            job.ready_at = Some(
+        let next = self.supervision.after_failure(
+            self.cfg.seed,
+            job.index,
+            job.attempt,
+            kind,
+            detail,
+            None,
+        );
+        match next {
+            AfterFailure::Retry(backoff) => {
+                job.attempt += 1;
                 // Wall-clock only gates *when* the retry starts; the
                 // backoff length itself is the seeded pure function
                 // shared with the supervisor, and taint analysis sees
                 // the timestamp never reaches a journaled surface.
-                Instant::now()
-                    + retry_backoff(
-                        self.cfg.backoff_base,
-                        self.cfg.backoff_cap,
-                        self.cfg.seed,
-                        job.index,
-                        job.attempt,
-                    ),
-            );
-            return;
+                job.ready_at = Some(Instant::now() + backoff);
+            }
+            AfterFailure::Penalized(mut verdict) => {
+                verdict.worker = worker;
+                job.verdict = Some(verdict);
+                *done += 1;
+            }
         }
-        let attempts = self.cfg.max_retries + 1;
-        if self.cfg.fail_policy == FailPolicy::Abort {
-            let index = job.index;
-            // audit:allow(panic-safety): Abort is the legacy fail-fast policy — this message matches Supervisor::evaluate byte for byte
-            panic!("evaluation {index} failed ({kind} after {attempts} attempt(s)): {detail}");
-        }
-        let mut verdict = Evaluated::penalized(
-            self.cfg.penalty,
-            FaultInfo {
-                kind,
-                detail,
-                retries: self.cfg.max_retries,
-            },
-        );
-        verdict.worker = worker;
-        job.verdict = Some(verdict);
-        *done += 1;
     }
 
     /// SIGKILLs workers whose in-flight attempt is past its deadline and

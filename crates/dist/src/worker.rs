@@ -6,8 +6,9 @@
 //! same context fingerprint the broker computed, and calls [`serve`]
 //! with a closure that evaluates one point. [`serve`] owns the whole
 //! protocol conversation: `Hello`/`HelloAck` negotiation, the
-//! `Eval` → `EvalOk`/`EvalErr` loop with panic containment, and clean
-//! shutdown.
+//! `Eval` → `EvalOk`/`EvalErr` loop with panic containment, the
+//! worker-side half of the [`FaultPlan`] carried on [`WorkerConfig`],
+//! and clean shutdown.
 //!
 //! Everything scheduling-related (deadlines, retries, re-dispatch) lives
 //! broker-side; the worker is a pure request server, which is what makes
@@ -16,8 +17,9 @@
 use crate::protocol::{
     read_frame, worker_identity, write_frame, Frame, ProtocolError, PROTOCOL_VERSION,
 };
-use datamime_runtime::supervisor::FailureKind;
+use datamime_runtime::supervisor::{CancelToken, FailureKind};
 use datamime_runtime::telemetry::StageTimes;
+use datamime_runtime::FaultPlan;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
@@ -37,6 +39,10 @@ pub struct WorkerConfig {
     pub protocol_version: u16,
     /// Worker-binary identity to claim in `Hello`.
     pub identity: u64,
+    /// Deterministic fault plan (`--fault`; tests and CI only): its eval
+    /// entries fail requests before `eval` runs, and `kill` aborts the
+    /// process.
+    pub faults: FaultPlan,
 }
 
 impl WorkerConfig {
@@ -48,6 +54,7 @@ impl WorkerConfig {
             ctx_fingerprint,
             protocol_version: PROTOCOL_VERSION,
             identity: worker_identity(),
+            faults: FaultPlan::new(),
         }
     }
 }
@@ -71,10 +78,13 @@ pub struct EvalRequest {
 /// until `Shutdown` or the broker hangs up.
 ///
 /// `eval` computes the objective for one request, recording stage
-/// timings as it goes. Panics inside `eval` are contained and reported
-/// as `EvalErr` frames; a non-finite return is classified worker-side
-/// exactly like the in-process supervisor would (`nonfinite`, detail
-/// `objective evaluated to {value}`).
+/// timings as it goes. `cfg.faults` is applied first: a `kill` entry for
+/// the request's dispatch aborts the process without a reply, and any
+/// other entry for its attempt replaces `eval`, as in the in-process
+/// supervisor. Panics are contained and reported as `EvalErr` frames; a
+/// non-finite value is classified worker-side exactly like the
+/// in-process supervisor would (`nonfinite`, detail `objective evaluated
+/// to {value}`).
 ///
 /// # Errors
 ///
@@ -123,13 +133,18 @@ where
                 dispatch,
                 unit_bits,
             } => {
+                if cfg.faults.kills(index as usize, dispatch) {
+                    // Simulates a worker crash: SIGABRT, no unwinding, no
+                    // reply frame — the broker sees the connection drop.
+                    std::process::abort();
+                }
                 let req = EvalRequest {
                     index,
                     attempt,
                     dispatch,
                     unit: unit_bits.iter().copied().map(f64::from_bits).collect(),
                 };
-                answer(&req, &mut eval)
+                answer(&req, &cfg.faults, &mut eval)
             }
             _ => return Err("broker sent a frame only workers send".to_string()),
         };
@@ -139,14 +154,23 @@ where
     }
 }
 
-/// Runs one evaluation under panic containment and classifies the
-/// outcome into the frame the broker expects.
-fn answer<F>(req: &EvalRequest, eval: &mut F) -> Frame
+/// Runs one evaluation (or the fault `faults` schedules in its place)
+/// under panic containment and classifies the outcome into the frame the
+/// broker expects.
+fn answer<F>(req: &EvalRequest, faults: &FaultPlan, eval: &mut F) -> Frame
 where
     F: FnMut(&EvalRequest, &mut StageTimes) -> f64,
 {
     let mut stages = StageTimes::new();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval(req, &mut stages)));
+    // Deadlines are the broker's SIGKILL, so the token never fires and an
+    // injected stall simply elapses.
+    let token = CancelToken::new();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        match faults.apply(req.index as usize, req.attempt, &token) {
+            Some(injected) => injected,
+            None => eval(req, &mut stages),
+        }
+    }));
     match result {
         Ok(value) if value.is_finite() => Frame::EvalOk {
             index: req.index,

@@ -6,7 +6,7 @@ use datamime_dist::{
     read_frame, write_frame, Broker, BrokerConfig, Frame, WorkerConfig, PROTOCOL_VERSION,
 };
 use datamime_runtime::supervisor::{FailPolicy, FailureKind};
-use datamime_runtime::{Backend, FaultPlan, InjectedFault};
+use datamime_runtime::{Backend, EvalFault, FaultPlan};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -100,7 +100,7 @@ fn killed_worker_is_respawned_and_the_point_redispatched_transparently() {
     // Index 1 aborts the worker on its first dispatch only; the respawned
     // worker answers the re-dispatch. No supervision attempt is consumed.
     let mut cfg = base_cfg(2);
-    cfg.worker_args = vec!["--fault".to_string(), "1:kill@1".to_string()];
+    cfg.worker_args = vec!["--fault".to_string(), "eval:1:kill@1".to_string()];
     let mut attempts = 0usize;
     let jobs = batch(4);
     let mut broker = Broker::start(cfg).expect("broker start");
@@ -117,7 +117,7 @@ fn killed_worker_is_respawned_and_the_point_redispatched_transparently() {
 #[test]
 fn unbounded_kills_exhaust_the_redispatch_budget_into_worker_lost() {
     let mut cfg = base_cfg(1);
-    cfg.worker_args = vec!["--fault".to_string(), "0:kill".to_string()];
+    cfg.worker_args = vec!["--fault".to_string(), "eval:0:kill".to_string()];
     cfg.redispatch_budget = 2;
     cfg.restart_budget = 10;
     let mut broker = Broker::start(cfg).expect("broker start");
@@ -138,7 +138,7 @@ fn unbounded_kills_exhaust_the_redispatch_budget_into_worker_lost() {
 #[test]
 fn injected_panic_retries_then_penalizes_like_the_supervisor() {
     let mut cfg = base_cfg(1);
-    cfg.worker_args = vec!["--fault".to_string(), "0:panic".to_string()];
+    cfg.worker_args = vec!["--fault".to_string(), "eval:0:panic".to_string()];
     cfg.max_retries = 1;
     cfg.backoff_base = Duration::from_millis(1);
     cfg.fail_policy = FailPolicy::Penalize;
@@ -160,7 +160,7 @@ fn deadline_overrun_is_sigkilled_and_classified_timeout() {
     // deadline and charges a Timeout attempt. The retry (attempt 1) is
     // past the fault window and succeeds.
     let mut cfg = base_cfg(1);
-    cfg.worker_args = vec!["--fault".to_string(), "0:stall30000@1".to_string()];
+    cfg.worker_args = vec!["--fault".to_string(), "eval:0:stall30000@1".to_string()];
     cfg.deadline = Some(Duration::from_millis(250));
     cfg.max_retries = 1;
     cfg.backoff_base = Duration::from_millis(1);
@@ -201,8 +201,8 @@ fn backpressure_queues_without_reordering_commits_across_worker_counts() {
 #[test]
 fn fault_plan_spec_round_trips_across_the_process_boundary() {
     let plan = FaultPlan::new()
-        .fail_first(1, InjectedFault::KillWorker, 1)
-        .fail(3, InjectedFault::Nan);
+        .fail_first(1, EvalFault::KillWorker, 1)
+        .fail(3, EvalFault::Nan);
     let respawned = FaultPlan::from_spec(&plan.to_spec()).expect("spec parses");
     assert_eq!(plan, respawned);
 }

@@ -100,8 +100,9 @@ pub(super) fn run(s: &Settings, _: &mut Searches) -> Report {
             let eval = |unit: &[f64], stages: &mut _, cancel: &_| {
                 evaluate(&generator, &base_cfg, &objective, unit, stages, cancel).error
             };
-            with_local_backend(1, None, &eval, |backend| {
-                Executor::new(meta).run(&mut bo, backend)
+            let exec = Executor::new(meta);
+            with_local_backend(1, exec.supervisor(), &eval, |backend| {
+                exec.run(&mut bo, backend)
             })
             .expect("journal-less run cannot fail")
             .best_error

@@ -7,7 +7,7 @@
 //! draining a bounded work queue — through [`with_local_backend`]; the
 //! out-of-process broker (`datamime-dist`) implements the same trait.
 
-use crate::supervisor::{CancelToken, EvalFn, Evaluated, FailedAttempt, Supervisor};
+use crate::supervisor::{CancelToken, Evaluated, FailedAttempt, Supervisor};
 use crate::telemetry::StageTimes;
 use std::sync::{mpsc, Mutex, PoisonError};
 
@@ -39,33 +39,9 @@ pub trait Backend {
 /// worker threads.
 pub type SyncEvalFn<'a> = dyn Fn(&[f64], &mut StageTimes, &CancelToken) -> f64 + Sync + 'a;
 
-/// One point's verdict: retried, deadline-guarded and penalized by
-/// `supervisor` when there is one, a single fail-fast call otherwise.
-fn attempt(
-    supervisor: Option<&Supervisor>,
-    index: usize,
-    unit: &[f64],
-    eval: &mut EvalFn<'_>,
-    on_attempt: &mut dyn FnMut(FailedAttempt),
-) -> Evaluated {
-    match supervisor {
-        Some(sup) => sup.evaluate(index, unit, eval, on_attempt),
-        None => {
-            let mut stages = StageTimes::new();
-            let error = eval(unit, &mut stages, &CancelToken::new());
-            Evaluated {
-                error,
-                stages,
-                fault: None,
-                worker: None,
-            }
-        }
-    }
-}
-
 /// Evaluates each batch in job order on the calling thread.
 struct Inline<'a> {
-    supervisor: Option<Supervisor>,
+    supervisor: Supervisor,
     eval: &'a SyncEvalFn<'a>,
 }
 
@@ -79,13 +55,8 @@ impl Backend for Inline<'_> {
         Ok(jobs
             .iter()
             .map(|(index, unit)| {
-                attempt(
-                    self.supervisor.as_ref(),
-                    *index,
-                    unit,
-                    &mut |u, st, t| eval(u, st, t),
-                    on_attempt,
-                )
+                self.supervisor
+                    .evaluate(*index, unit, &mut |u, st, t| eval(u, st, t), on_attempt)
             })
             .collect())
     }
@@ -144,25 +115,23 @@ impl Backend for Pool {
 /// evaluation state — simulator arenas — is therefore built once per
 /// worker per run, not once per batch).
 ///
-/// Every point is evaluated under `supervisor` when given (the one
-/// [`Executor::supervisor`](crate::Executor::supervisor) returns), and by
-/// a single fail-fast call of `eval` otherwise.
+/// Every point is evaluated under `supervisor` (the one
+/// [`Executor::supervisor`](crate::Executor::supervisor) returns).
 ///
 /// # Panics
 ///
-/// Re-raises, on the calling thread, any panic from `eval` that the
-/// supervisor does not contain: every panic when unsupervised, and the
-/// final one under [`FailPolicy::Abort`](crate::FailPolicy::Abort).
+/// Re-raises, on the calling thread, the final panic of an evaluation
+/// under [`FailPolicy::Abort`](crate::FailPolicy::Abort).
 pub fn with_local_backend<R>(
     workers: usize,
-    supervisor: Option<Supervisor>,
+    supervisor: Supervisor,
     eval: &SyncEvalFn<'_>,
     body: impl FnOnce(&mut dyn Backend) -> R,
 ) -> R {
     if workers <= 1 {
         return body(&mut Inline { supervisor, eval });
     }
-    let supervisor = supervisor.as_ref();
+    let supervisor = &supervisor;
     // Bounded job queue: the coordinator blocks rather than buffering a
     // whole oversized batch. Created outside the scope so worker borrows
     // outlive every spawned thread.
@@ -178,19 +147,13 @@ pub fn with_local_backend<R>(
                 // only code that runs under it is `recv` itself.
                 let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
                 let Ok((slot, index, unit)) = job else { break };
-                // The catch keeps the pool alive so an Abort re-raise (or
-                // an unsupervised panic) propagates via the coordinator's
-                // resume_unwind, not a dead worker.
+                // The catch keeps the pool alive so an Abort re-raise
+                // propagates via the coordinator's resume_unwind, not a
+                // dead worker.
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    attempt(
-                        supervisor,
-                        index,
-                        &unit,
-                        &mut |u, st, t| eval(u, st, t),
-                        &mut |a| {
-                            let _ = res_tx.send(WorkerMsg::Attempt(a));
-                        },
-                    )
+                    supervisor.evaluate(index, &unit, &mut |u, st, t| eval(u, st, t), &mut |a| {
+                        let _ = res_tx.send(WorkerMsg::Attempt(a));
+                    })
                 }));
                 if res_tx.send(WorkerMsg::Done(slot, outcome)).is_err() {
                     break;

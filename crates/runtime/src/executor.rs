@@ -14,18 +14,18 @@
 //!
 //! # Fault tolerance
 //!
-//! [`supervise`](Executor::supervise) attaches a
-//! [`Supervisor`]: evaluations that
+//! Every run is supervised, under [`SupervisorConfig::default`] unless
+//! [`supervise`](Executor::supervise) replaces it: evaluations that
 //! panic, stall past their deadline, or return a non-finite objective
 //! are retried with deterministic backoff and finally *penalized* (a
 //! large finite objective is observed and a `fault` record journaled)
-//! instead of killing the run. Because all fault bookkeeping —
-//! quarantine of repeatedly-failing points, consecutive-failure counting
-//! and batch degradation — happens in the engine in **observation
-//! order**, a faulty run remains bit-for-bit deterministic across worker
-//! counts, and a resumed run (whose replayed fault records drive the
-//! same state machine) continues exactly where it would have gone.
-//! Without `supervise` the executor keeps its legacy fail-fast behavior.
+//! instead of killing the run — or, under `FailPolicy::Abort`, re-raised.
+//! Because all fault bookkeeping — quarantine of repeatedly-failing
+//! points, consecutive-failure counting and batch degradation — happens
+//! in the engine in **observation order**, a faulty run remains
+//! bit-for-bit deterministic across worker counts, and a resumed run
+//! (whose replayed fault records drive the same state machine) continues
+//! exactly where it would have gone.
 
 use crate::backend::Backend;
 use crate::journal::{JournalError, JournalWriter, Replay};
@@ -270,7 +270,7 @@ pub struct Executor {
     resume: Option<Replay>,
     /// Progress observers; every event reaches each in attachment order.
     sinks: Vec<Box<dyn ProgressSink>>,
-    supervision: Option<SupervisorConfig>,
+    supervision: SupervisorConfig,
     /// The memo cache and the projection of a unit point onto its key
     /// space (e.g. the dataset generator's quantized parameter values, so
     /// unit points that instantiate identical datasets share one cache
@@ -282,8 +282,8 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// A run with no journal, no progress reporting, and no supervision
-    /// (legacy fail-fast behavior).
+    /// A run with no journal, no progress reporting, and the default
+    /// supervision ([`SupervisorConfig::default`]).
     ///
     /// # Panics
     ///
@@ -299,7 +299,7 @@ impl Executor {
             journal: None,
             resume: None,
             sinks: Vec::new(),
-            supervision: None,
+            supervision: SupervisorConfig::default(),
             memo: None,
             gate: None,
             quota_evals: None,
@@ -368,14 +368,13 @@ impl Executor {
         self
     }
 
-    /// Supervises the run under `cfg`: the engine quarantines, degrades
-    /// and penalizes on fault verdicts, and [`supervisor`](Self::supervisor)
-    /// hands a local backend the matching [`Supervisor`]; see the module
-    /// docs. Without this the executor fails fast, exactly as before
-    /// supervision existed.
+    /// Supervises the run under `cfg` instead of the default: the engine
+    /// quarantines, degrades and penalizes on fault verdicts, and
+    /// [`supervisor`](Self::supervisor) hands a local backend the
+    /// matching [`Supervisor`]; see the module docs.
     #[must_use]
     pub fn supervise(mut self, cfg: SupervisorConfig) -> Self {
-        self.supervision = Some(cfg);
+        self.supervision = cfg;
         self
     }
 
@@ -411,12 +410,9 @@ impl Executor {
 
     /// The supervisor a local backend evaluates this run's points under
     /// (see [`with_local_backend`](crate::with_local_backend)): built
-    /// from the [`supervise`](Self::supervise) config and seeded with
-    /// `meta.seed`; `None` for an unsupervised, fail-fast run.
-    pub fn supervisor(&self) -> Option<Supervisor> {
-        self.supervision
-            .clone()
-            .map(|cfg| Supervisor::new(cfg, self.meta.seed))
+    /// from the supervision config and seeded with `meta.seed`.
+    pub fn supervisor(&self) -> Supervisor {
+        Supervisor::new(self.supervision.clone(), self.meta.seed)
     }
 
     /// Resumes from a replayed journal: journaled points are re-suggested
@@ -427,7 +423,7 @@ impl Executor {
     /// penalty (and re-drive quarantine/degradation) rather than
     /// re-running the failed evaluation, and a point whose journal tail
     /// holds only failed `attempt` records — a mid-retry kill — is
-    /// penalized directly under supervision instead of being retried.
+    /// penalized directly instead of being retried.
     ///
     /// # Errors
     ///
@@ -469,8 +465,7 @@ impl Executor {
     /// in-process evaluation, the `datamime-dist` broker for worker
     /// processes. Results are observed in batch order regardless of how
     /// the backend schedules a batch, so the outcome is a function of
-    /// `(seed, batch_k)` alone — with or without supervision and
-    /// injected faults.
+    /// `(seed, batch_k)` alone — injected faults included.
     ///
     /// The supervision config shapes the engine-side fault machinery
     /// (quarantine, degradation, penalties for journal-pending points);
@@ -490,7 +485,7 @@ impl Executor {
     /// # Panics
     ///
     /// Propagates whatever panic the backend lets through (the local
-    /// backends re-raise an evaluation's panic when unsupervised or under
+    /// backends re-raise an evaluation's panic under
     /// [`FailPolicy::Abort`](crate::supervisor::FailPolicy::Abort)).
     pub fn run(
         mut self,
@@ -520,8 +515,8 @@ impl Executor {
         let mut history: Vec<EvalRecord> = Vec::with_capacity(iterations);
         let mut best: Option<(Vec<f64>, f64)> = None;
         let mut since_checkpoint = 0usize;
-        // Fault state machine (supervised runs only); driven by fresh and
-        // replayed records alike so resume stays deterministic.
+        // Fault state machine, driven by fresh and replayed records alike
+        // so resume stays deterministic.
         let mut effective_k = self.meta.batch_k;
         let mut consecutive_failures = 0u32;
         let mut quarantine: Vec<Vec<f64>> = Vec::new();
@@ -579,32 +574,30 @@ impl Executor {
                     slots.push(SlotPlan::Replayed);
                     continue;
                 }
-                if let Some(cfg) = sup_cfg.as_ref() {
-                    if let Some(pending) = pending_faults.remove(&index) {
-                        slots.push(SlotPlan::Synth(FaultInfo {
-                            kind: pending.kind,
-                            detail: format!(
-                                "penalized from journaled retry attempts: {}",
-                                pending.detail
-                            ),
-                            retries: pending.attempts.saturating_sub(1),
-                        }));
-                        continue;
-                    }
-                    if quarantine
-                        .iter()
-                        .any(|q| within_radius(q, unit, cfg.quarantine_radius))
-                    {
-                        slots.push(SlotPlan::Synth(FaultInfo {
-                            kind: FailureKind::Quarantined,
-                            detail: format!(
-                                "point matches a quarantined failure within radius {}",
-                                cfg.quarantine_radius
-                            ),
-                            retries: 0,
-                        }));
-                        continue;
-                    }
+                if let Some(pending) = pending_faults.remove(&index) {
+                    slots.push(SlotPlan::Synth(FaultInfo {
+                        kind: pending.kind,
+                        detail: format!(
+                            "penalized from journaled retry attempts: {}",
+                            pending.detail
+                        ),
+                        retries: pending.attempts.saturating_sub(1),
+                    }));
+                    continue;
+                }
+                if quarantine
+                    .iter()
+                    .any(|q| within_radius(q, unit, sup_cfg.quarantine_radius))
+                {
+                    slots.push(SlotPlan::Synth(FaultInfo {
+                        kind: FailureKind::Quarantined,
+                        detail: format!(
+                            "point matches a quarantined failure within radius {}",
+                            sup_cfg.quarantine_radius
+                        ),
+                        retries: 0,
+                    }));
+                    continue;
                 }
                 if let Some((memo, key)) = &self.memo {
                     if let Some(entry) = memo.lookup(&key(unit)) {
@@ -675,10 +668,7 @@ impl Executor {
                     SlotPlan::Synth(fault) => EvalRecord {
                         index,
                         unit,
-                        error: sup_cfg
-                            .as_ref()
-                            .expect("synthesized slots only exist under supervision")
-                            .penalty,
+                        error: sup_cfg.penalty,
                         stage_ms: Vec::new(),
                         fault: Some(fault.clone()),
                         cached: None,
@@ -723,35 +713,33 @@ impl Executor {
                 }
 
                 // Fault bookkeeping, in observation order.
-                if let Some(cfg) = sup_cfg.as_ref() {
-                    match &rec.fault {
-                        Some(f) if f.kind == FailureKind::Quarantined => {
-                            telemetry.count_quarantine_hit();
-                        }
-                        Some(f) => {
-                            telemetry.count_fault(f.kind);
-                            if !quarantine
-                                .iter()
-                                .any(|q| within_radius(q, &rec.unit, cfg.quarantine_radius))
-                            {
-                                quarantine.push(rec.unit.clone());
-                            }
-                            consecutive_failures += 1;
-                            if cfg.degrade_after > 0
-                                && consecutive_failures >= cfg.degrade_after
-                                && effective_k > 1
-                            {
-                                let from = effective_k;
-                                effective_k = (effective_k / 2).max(1);
-                                consecutive_failures = 0;
-                                telemetry.count_degradation();
-                                for s in &mut self.sinks {
-                                    s.on_degrade(from, effective_k);
-                                }
-                            }
-                        }
-                        None => consecutive_failures = 0,
+                match &rec.fault {
+                    Some(f) if f.kind == FailureKind::Quarantined => {
+                        telemetry.count_quarantine_hit();
                     }
+                    Some(f) => {
+                        telemetry.count_fault(f.kind);
+                        if !quarantine
+                            .iter()
+                            .any(|q| within_radius(q, &rec.unit, sup_cfg.quarantine_radius))
+                        {
+                            quarantine.push(rec.unit.clone());
+                        }
+                        consecutive_failures += 1;
+                        if sup_cfg.degrade_after > 0
+                            && consecutive_failures >= sup_cfg.degrade_after
+                            && effective_k > 1
+                        {
+                            let from = effective_k;
+                            effective_k = (effective_k / 2).max(1);
+                            consecutive_failures = 0;
+                            telemetry.count_degradation();
+                            for s in &mut self.sinks {
+                                s.on_degrade(from, effective_k);
+                            }
+                        }
+                    }
+                    None => consecutive_failures = 0,
                 }
 
                 optimizer.observe(rec.unit.clone(), rec.error);

@@ -31,8 +31,8 @@
 //! faithfully — reconstructing the optimizer state bit-for-bit before
 //! continuing with fresh evaluations.
 
-use crate::diskfault::{DiskFaultInjector, DiskTarget};
 use crate::executor::{EvalRecord, RunMeta};
+use crate::faultinject::{FaultInjector, WriteSite};
 use crate::json::{push_f64, push_f64_array, push_str_escaped, Json};
 use crate::supervisor::{FailedAttempt, FailureKind};
 use std::collections::BTreeMap;
@@ -95,9 +95,9 @@ impl From<std::io::Error> for JournalError {
 #[derive(Debug)]
 pub struct JournalWriter {
     out: BufWriter<File>,
-    /// Deterministic disk-fault injection on the append path (tests and
-    /// torture harnesses only; `None` in production).
-    faults: Option<DiskFaultInjector>,
+    /// Deterministic fault injection on the append path (tests and
+    /// torture harnesses only; empty in production).
+    faults: FaultInjector,
 }
 
 impl JournalWriter {
@@ -105,7 +105,7 @@ impl JournalWriter {
     pub fn create(path: &Path, meta: &RunMeta) -> Result<Self, JournalError> {
         let mut w = JournalWriter {
             out: BufWriter::new(File::create(path)?),
-            faults: None,
+            faults: FaultInjector::default(),
         };
         let mut line = String::from("{\"event\":\"header\",\"version\":");
         push_f64(&mut line, JOURNAL_VERSION as f64);
@@ -148,29 +148,27 @@ impl JournalWriter {
         file.sync_all()?;
         let writer = JournalWriter {
             out: BufWriter::new(file),
-            faults: None,
+            faults: FaultInjector::default(),
         };
         Ok((replayed, writer))
     }
 
     /// Routes every subsequent append through `injector`
-    /// ([`DiskTarget::Journal`] operations), so seeded ENOSPC / short
-    /// write / fsync-failure / crash plans exercise the journal's failure
+    /// ([`WriteSite::Journal`] writes), so seeded ENOSPC / short write /
+    /// fsync-failure / crash plans exercise the journal's failure
     /// handling deterministically.
     #[must_use]
-    pub fn with_faults(mut self, injector: DiskFaultInjector) -> Self {
-        self.faults = Some(injector);
+    pub fn with_faults(mut self, injector: FaultInjector) -> Self {
+        self.faults = injector;
         self
     }
 
     fn write_line(&mut self, line: &str) -> Result<(), JournalError> {
-        if let Some(inj) = &self.faults {
-            if let Some(kind) = inj.next(DiskTarget::Journal) {
-                let mut bytes = Vec::with_capacity(line.len() + 1);
-                bytes.extend_from_slice(line.as_bytes());
-                bytes.push(b'\n');
-                return Err(JournalError::Io(kind.corrupt_append(&mut self.out, &bytes)));
-            }
+        if let Some(kind) = self.faults.next_write(WriteSite::Journal) {
+            let mut bytes = Vec::with_capacity(line.len() + 1);
+            bytes.extend_from_slice(line.as_bytes());
+            bytes.push(b'\n');
+            return Err(JournalError::Io(kind.corrupt_append(&mut self.out, &bytes)));
         }
         self.out.write_all(line.as_bytes())?;
         self.out.write_all(b"\n")?;

@@ -12,15 +12,13 @@
 //!   watchdog deadlines via a cooperative [`CancelToken`], bounded retry
 //!   with deterministic backoff, and penalty verdicts the executor
 //!   quarantines and degrades on;
-//! - [`faultinject`] — a deterministic [`FaultPlan`] that makes chosen
-//!   evaluations panic, stall, or return NaN/Inf so every failure path is
-//!   testable in CI (the `faultinject` cargo feature only gates extra
-//!   stress tests — the module is always available);
-//! - [`diskfault`] — the durability-plane counterpart: a deterministic
-//!   [`DiskFaultPlan`] that makes the Nth append on a chosen write
-//!   surface (manifest WAL, checkpoint, run journal, GC sweep) hit
-//!   ENOSPC, tear short, fail its fsync, or abort the process at the
-//!   boundary;
+//! - [`faultinject`] — one deterministic [`FaultPlan`] for every
+//!   injection point: chosen evaluations panic, stall, return NaN/Inf or
+//!   kill their worker, and the Nth write on a durability site (manifest
+//!   snapshot, run journal, GC sweep) hits ENOSPC, tears short, fails its
+//!   fsync, or aborts the process, so every failure path is testable in
+//!   CI (the `faultinject` cargo feature only gates extra stress tests —
+//!   the module is always available);
 //! - [`journal`] — an append-only JSONL run journal plus [`replay`] for
 //!   crash-safe resume, with `fault`/`attempt` events that replay
 //!   failures faithfully and `cache_hit` events that replay memoized
@@ -44,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod diskfault;
 pub mod executor;
 pub mod faultinject;
 pub mod journal;
@@ -56,14 +53,11 @@ pub mod telemetry;
 pub mod termsig;
 
 pub use backend::{with_local_backend, Backend, SyncEvalFn};
-pub use diskfault::{
-    DiskFaultInjector, DiskFaultKind, DiskFaultPlan, DiskTarget, PlannedDiskFault, DISK_FAULT_ENV,
-};
 pub use executor::{
     BatchGate, EvalRecord, ExecError, Executor, GateClosed, GateHandle, MemoKeyFn, QuotaCause,
     RunMeta, RunOutcome,
 };
-pub use faultinject::{FaultPlan, InjectedFault, PlannedFault};
+pub use faultinject::{EvalFault, FaultInjector, FaultPlan, WriteFault, WriteSite};
 pub use journal::{
     replay, JournalError, JournalWriter, PendingFault, Replay, JOURNAL_VERSION,
     OLDEST_READABLE_VERSION,
@@ -71,7 +65,7 @@ pub use journal::{
 pub use memo::{canonical_bits, fingerprint, MemoCache, MemoEntry};
 pub use metrics::{MetricsRegistry, MetricsSink};
 pub use supervisor::{
-    retry_backoff, CancelToken, Evaluated, FailPolicy, FailedAttempt, FailureKind, FaultInfo,
+    AfterFailure, CancelToken, Evaluated, FailPolicy, FailedAttempt, FailureKind, FaultInfo,
     Supervisor, SupervisorConfig, Watchdog,
 };
 pub use telemetry::{ProgressSink, SharedSink, StageTimes, StderrSink, Telemetry};

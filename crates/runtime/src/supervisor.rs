@@ -24,8 +24,11 @@
 //!   optimization steers away from the failed region and the search
 //!   survives.
 //!
-//! Deterministic fault injection ([`crate::faultinject::FaultPlan`])
-//! plugs in here so every one of those paths is testable in CI.
+//! The retry-or-verdict decision is one function,
+//! [`SupervisorConfig::after_failure`], which the out-of-process broker
+//! drives too. Deterministic fault injection
+//! ([`crate::faultinject::FaultPlan`]) plugs in here so every one of
+//! those paths is testable in CI.
 
 use crate::faultinject::FaultPlan;
 use crate::telemetry::StageTimes;
@@ -150,10 +153,10 @@ pub enum FailPolicy {
     Abort,
 }
 
-/// Configuration of the supervisor. [`SupervisorConfig::default`] gives
-/// a penalizing supervisor with no deadline and no retries, which is
-/// behaviorally identical to an unsupervised run as long as every
-/// evaluation succeeds.
+/// Configuration of the supervisor. [`SupervisorConfig::default`] — a
+/// penalizing supervisor with no deadline and no retries — is what every
+/// executor run starts from; as long as every evaluation succeeds it
+/// changes nothing.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Wall-clock budget per evaluation attempt (`None` = unlimited).
@@ -174,8 +177,9 @@ pub struct SupervisorConfig {
     /// L∞ radius within which a suggested point matches a quarantined
     /// one (quarantined points are penalized without evaluation).
     pub quarantine_radius: f64,
-    /// Deterministic fault-injection plan (tests/CI only).
-    pub fault_plan: Option<FaultPlan>,
+    /// Deterministic fault-injection plan (tests/CI only; empty by
+    /// default).
+    pub faults: FaultPlan,
 }
 
 impl Default for SupervisorConfig {
@@ -189,8 +193,67 @@ impl Default for SupervisorConfig {
             penalty: datamime_bayesopt::PENALTY_OBJECTIVE,
             degrade_after: 5,
             quarantine_radius: 1e-9,
-            fault_plan: None,
+            faults: FaultPlan::new(),
         }
+    }
+}
+
+/// What follows a failed evaluation attempt.
+#[derive(Debug)]
+pub enum AfterFailure {
+    /// Try again after this deterministic backoff.
+    Retry(Duration),
+    /// Retries are exhausted: the penalty verdict.
+    Penalized(Evaluated),
+}
+
+impl SupervisorConfig {
+    /// The one retry policy both backends share: after failed `attempt`
+    /// (0-based) of evaluation `index` in a run seeded `seed`, either
+    /// retry after the seeded backoff or settle on the penalty verdict.
+    ///
+    /// # Panics
+    ///
+    /// Under [`FailPolicy::Abort`], once retries are exhausted: re-raises
+    /// `payload` (the evaluation's own panic) when there is one, and
+    /// panics with a descriptive message otherwise — the legacy
+    /// fail-fast behavior.
+    pub fn after_failure(
+        &self,
+        seed: u64,
+        index: usize,
+        attempt: u32,
+        kind: FailureKind,
+        detail: String,
+        payload: Option<PanicPayload>,
+    ) -> AfterFailure {
+        if attempt < self.max_retries {
+            let backoff = retry_backoff(
+                self.backoff_base,
+                self.backoff_cap,
+                seed,
+                index,
+                attempt + 1,
+            );
+            return AfterFailure::Retry(backoff);
+        }
+        if self.fail_policy == FailPolicy::Abort {
+            let attempts = self.max_retries + 1;
+            match payload {
+                Some(p) => std::panic::resume_unwind(p),
+                None => panic!(
+                    "evaluation {index} failed ({kind} after {attempts} attempt(s)): {detail}"
+                ),
+            }
+        }
+        AfterFailure::Penalized(Evaluated::penalized(
+            self.penalty,
+            FaultInfo {
+                kind,
+                detail,
+                retries: self.max_retries,
+            },
+        ))
     }
 }
 
@@ -391,18 +454,6 @@ impl Supervisor {
         &self.cfg
     }
 
-    /// The deterministic backoff before retry attempt `attempt` (≥ 1) of
-    /// evaluation `index`; see [`retry_backoff`].
-    pub fn backoff(&self, index: usize, attempt: u32) -> Duration {
-        retry_backoff(
-            self.cfg.backoff_base,
-            self.cfg.backoff_cap,
-            self.seed,
-            index,
-            attempt,
-        )
-    }
-
     /// Evaluates `unit` (global evaluation `index`) under full
     /// supervision. `on_attempt` is invoked for every *failed* attempt —
     /// including the final one — before the verdict is returned, so the
@@ -410,10 +461,7 @@ impl Supervisor {
     ///
     /// # Panics
     ///
-    /// Under [`FailPolicy::Abort`], re-raises the evaluation's own panic
-    /// (or panics with a descriptive message for timeouts/non-finite
-    /// objectives) once retries are exhausted — the legacy fail-fast
-    /// behavior.
+    /// As [`SupervisorConfig::after_failure`] under [`FailPolicy::Abort`].
     pub fn evaluate(
         &self,
         index: usize,
@@ -421,21 +469,16 @@ impl Supervisor {
         eval: &mut EvalFn<'_>,
         on_attempt: &mut dyn FnMut(FailedAttempt),
     ) -> Evaluated {
-        let attempts = self.cfg.max_retries + 1;
-        let mut last: Option<(FailureKind, String, Option<PanicPayload>)> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(self.backoff(index, attempt));
-            }
+        let mut attempt = 0;
+        loop {
             let token = CancelToken::new();
             let guard = match (&self.watchdog, self.cfg.deadline) {
                 (Some(dog), Some(deadline)) => Some(dog.register(deadline, token.clone())),
                 _ => None,
             };
             let mut stages = StageTimes::new();
-            let plan = self.cfg.fault_plan.as_ref();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(injected) = plan.and_then(|p| p.apply(index, attempt, &token)) {
+                if let Some(injected) = self.cfg.faults.apply(index, attempt, &token) {
                     injected
                 } else if token.is_cancelled() {
                     // The injected stall already consumed the deadline;
@@ -480,30 +523,20 @@ impl Supervisor {
                 detail: detail.clone(),
                 worker: None,
             });
-            last = Some((kind, detail, payload));
-        }
-
-        let (kind, detail, payload) = last.expect("at least one attempt ran");
-        match self.cfg.fail_policy {
-            FailPolicy::Abort => match payload {
-                Some(p) => std::panic::resume_unwind(p),
-                None => panic!(
-                    "evaluation {index} failed ({kind} after {attempts} attempt(s)): {detail}"
-                ),
-            },
-            FailPolicy::Penalize => Evaluated::penalized(
-                self.cfg.penalty,
-                FaultInfo {
-                    kind,
-                    detail,
-                    retries: self.cfg.max_retries,
-                },
-            ),
+            match self
+                .cfg
+                .after_failure(self.seed, index, attempt, kind, detail, payload)
+            {
+                AfterFailure::Retry(backoff) => std::thread::sleep(backoff),
+                AfterFailure::Penalized(verdict) => return verdict,
+            }
+            attempt += 1;
         }
     }
 }
 
-type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
+/// A caught panic's payload, as `catch_unwind` returns it.
+pub type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
 /// Extracts a human-readable message from a panic payload.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -516,18 +549,11 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The deterministic retry backoff shared by the in-process supervisor
-/// and the out-of-process broker: `base · 2^(attempt-1)`, jittered to
-/// `[0.5×, 1.5×)` by a hash of `(seed, index, attempt)`, capped at
-/// `cap`. A pure function — both backends replay the exact same backoff
-/// schedule for the same run seed.
-pub fn retry_backoff(
-    base: Duration,
-    cap: Duration,
-    seed: u64,
-    index: usize,
-    attempt: u32,
-) -> Duration {
+/// The deterministic backoff before retry `attempt` (≥ 1):
+/// `base · 2^(attempt-1)`, jittered to `[0.5×, 1.5×)` by a hash of
+/// `(seed, index, attempt)`, capped at `cap`. A pure function — both
+/// backends replay the exact same backoff schedule for the same run seed.
+fn retry_backoff(base: Duration, cap: Duration, seed: u64, index: usize, attempt: u32) -> Duration {
     let exp = base.as_secs_f64() * 2f64.powi(attempt as i32 - 1);
     let h = splitmix64(
         seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -673,21 +699,27 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_exponential_and_capped() {
         let cfg = SupervisorConfig {
+            max_retries: 1,
             backoff_base: Duration::from_millis(100),
             backoff_cap: Duration::from_millis(250),
             ..SupervisorConfig::default()
         };
-        let a = supervisor(cfg.clone());
-        let b = supervisor(cfg);
+        let backoff =
+            |index, attempt| retry_backoff(cfg.backoff_base, cfg.backoff_cap, 42, index, attempt);
         for attempt in 1..6 {
-            assert_eq!(a.backoff(7, attempt), b.backoff(7, attempt));
-            assert!(a.backoff(7, attempt) <= Duration::from_millis(250));
+            assert_eq!(backoff(7, attempt), backoff(7, attempt));
+            assert!(backoff(7, attempt) <= Duration::from_millis(250));
         }
         // Jitter stays within [0.5, 1.5) of the exponential base.
-        let first = a.backoff(7, 1);
+        let first = backoff(7, 1);
         assert!(first >= Duration::from_millis(50) && first < Duration::from_millis(150));
         // Different indexes jitter differently (with overwhelming odds).
-        assert_ne!(a.backoff(7, 1), a.backoff(8, 1));
+        assert_ne!(backoff(7, 1), backoff(8, 1));
+        // The retry decision hands out the same schedule.
+        match cfg.after_failure(42, 7, 0, FailureKind::Panic, String::new(), None) {
+            AfterFailure::Retry(d) => assert_eq!(d, first),
+            AfterFailure::Penalized(_) => panic!("a first failure under max_retries 1 must retry"),
+        }
     }
 
     #[test]

@@ -15,8 +15,7 @@ mod common;
 use common::RunLocal;
 use datamime_bayesopt::{BayesOpt, BoConfig};
 use datamime_runtime::{
-    CancelToken, EvalRecord, Executor, FaultPlan, InjectedFault, RunMeta, StageTimes,
-    SupervisorConfig,
+    CancelToken, EvalFault, EvalRecord, Executor, FaultPlan, RunMeta, StageTimes, SupervisorConfig,
 };
 use std::time::Duration;
 
@@ -55,9 +54,9 @@ fn storm_plan(storm: u64, iterations: usize) -> FaultPlan {
             .wrapping_add(1442695040888963407);
         if state.is_multiple_of(3) {
             let kind = match (state >> 32) % 3 {
-                0 => InjectedFault::Panic,
-                1 => InjectedFault::Nan,
-                _ => InjectedFault::StallMs(10_000),
+                0 => EvalFault::Panic,
+                1 => EvalFault::Nan,
+                _ => EvalFault::StallMs(10_000),
             };
             plan = plan.fail(index, kind);
         }
@@ -78,7 +77,7 @@ fn fault_storms_stay_deterministic_across_worker_counts() {
                 backoff_base: Duration::from_millis(1),
                 backoff_cap: Duration::from_millis(4),
                 degrade_after: 3,
-                fault_plan: Some(plan.clone()),
+                faults: plan.clone(),
                 ..SupervisorConfig::default()
             };
             Executor::new(meta("storm", iterations, 4, workers))
@@ -110,14 +109,14 @@ fn all_evaluations_failing_still_completes() {
     let iterations = 10;
     let mut plan = FaultPlan::new();
     for index in 0..iterations {
-        plan = plan.fail(index, InjectedFault::Panic);
+        plan = plan.fail(index, EvalFault::Panic);
     }
     let cfg = SupervisorConfig {
         max_retries: 2,
         backoff_base: Duration::from_millis(1),
         backoff_cap: Duration::from_millis(2),
         degrade_after: 2,
-        fault_plan: Some(plan),
+        faults: plan,
         ..SupervisorConfig::default()
     };
     let out = Executor::new(meta("total-loss", iterations, 4, 3))

@@ -7,8 +7,8 @@ mod common;
 use common::RunLocal;
 use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig, PENALTY_OBJECTIVE};
 use datamime_runtime::{
-    replay, CancelToken, EvalRecord, Executor, FailPolicy, FailedAttempt, FailureKind, FaultInfo,
-    FaultPlan, InjectedFault, JournalWriter, ProgressSink, RunMeta, StageTimes, SupervisorConfig,
+    replay, CancelToken, EvalFault, EvalRecord, Executor, FailPolicy, FailedAttempt, FailureKind,
+    FaultInfo, FaultPlan, JournalWriter, ProgressSink, RunMeta, StageTimes, SupervisorConfig,
 };
 use std::cell::RefCell;
 use std::fs;
@@ -66,7 +66,7 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn injected_panic_is_contained_and_penalized() {
     let cfg = SupervisorConfig {
-        fault_plan: Some(FaultPlan::new().fail(2, InjectedFault::Panic)),
+        faults: FaultPlan::new().fail(2, EvalFault::Panic),
         ..supervision()
     };
     let out = Executor::new(meta("panic", 8, 2, 1))
@@ -91,14 +91,14 @@ fn injected_panic_is_contained_and_penalized() {
 #[test]
 fn faulty_outcome_is_identical_across_worker_counts() {
     let plan = FaultPlan::new()
-        .fail(2, InjectedFault::Panic)
-        .fail(5, InjectedFault::Nan)
-        .fail(7, InjectedFault::StallMs(10_000));
+        .fail(2, EvalFault::Panic)
+        .fail(5, EvalFault::Nan)
+        .fail(7, EvalFault::StallMs(10_000));
     let run = |workers: usize| {
         let cfg = SupervisorConfig {
             deadline: Some(Duration::from_millis(50)),
             max_retries: 1,
-            fault_plan: Some(plan.clone()),
+            faults: plan.clone(),
             ..supervision()
         };
         Executor::new(meta("det", 12, 4, workers))
@@ -144,7 +144,7 @@ fn transient_fault_recovers_on_retry() {
         .unwrap();
     let cfg = SupervisorConfig {
         max_retries: 1,
-        fault_plan: Some(FaultPlan::new().fail_first(3, InjectedFault::Panic, 1)),
+        faults: FaultPlan::new().fail_first(3, EvalFault::Panic, 1),
         ..supervision()
     };
     let faulty = Executor::new(meta("transient", 8, 2, 1))
@@ -161,7 +161,7 @@ fn transient_fault_recovers_on_retry() {
 fn stall_past_deadline_is_a_timeout() {
     let cfg = SupervisorConfig {
         deadline: Some(Duration::from_millis(30)),
-        fault_plan: Some(FaultPlan::new().fail(1, InjectedFault::StallMs(60_000))),
+        faults: FaultPlan::new().fail(1, EvalFault::StallMs(60_000)),
         ..supervision()
     };
     let out = Executor::new(meta("stall", 4, 1, 1))
@@ -178,7 +178,7 @@ fn stall_past_deadline_is_a_timeout() {
 fn abort_policy_reraises_through_the_worker_pool() {
     let cfg = SupervisorConfig {
         fail_policy: FailPolicy::Abort,
-        fault_plan: Some(FaultPlan::new().fail(1, InjectedFault::Panic)),
+        faults: FaultPlan::new().fail(1, EvalFault::Panic),
         ..supervision()
     };
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -219,7 +219,7 @@ impl BlackBoxOptimizer for ConstantOptimizer {
 fn repeatedly_failing_point_is_quarantined_without_reevaluation() {
     let cfg = SupervisorConfig {
         max_retries: 1,
-        fault_plan: Some(FaultPlan::new().fail(0, InjectedFault::Panic)),
+        faults: FaultPlan::new().fail(0, EvalFault::Panic),
         ..supervision()
     };
     let mut opt = ConstantOptimizer {
@@ -283,12 +283,12 @@ impl ProgressSink for FaultSink {
 fn consecutive_failures_degrade_the_batch_deterministically() {
     let mut plan = FaultPlan::new();
     for index in 0..7 {
-        plan = plan.fail(index, InjectedFault::Nan);
+        plan = plan.fail(index, EvalFault::Nan);
     }
     let run = |workers: usize| {
         let cfg = SupervisorConfig {
             degrade_after: 2,
-            fault_plan: Some(plan.clone()),
+            faults: plan.clone(),
             ..supervision()
         };
         let sink = FaultSink::default();
@@ -324,7 +324,7 @@ fn fault_records_round_trip_through_the_journal() {
     let m = meta("fault-journal", 6, 2, 1);
     let cfg = SupervisorConfig {
         max_retries: 1,
-        fault_plan: Some(FaultPlan::new().fail(1, InjectedFault::Inf)),
+        faults: FaultPlan::new().fail(1, EvalFault::Inf),
         ..supervision()
     };
     let writer = JournalWriter::create(&path, &m).unwrap();
@@ -373,10 +373,10 @@ fn fault_records_round_trip_through_the_journal() {
 fn resume_after_mid_retry_kill_penalizes_without_rerunning() {
     let iterations = 6;
     let m = meta("midretry", iterations, 1, 1);
-    let plan = FaultPlan::new().fail(2, InjectedFault::Panic);
-    let sup = |plan: Option<FaultPlan>| SupervisorConfig {
+    let plan = FaultPlan::new().fail(2, EvalFault::Panic);
+    let sup = |plan: FaultPlan| SupervisorConfig {
         max_retries: 2,
-        fault_plan: plan,
+        faults: plan,
         ..supervision()
     };
 
@@ -384,7 +384,7 @@ fn resume_after_mid_retry_kill_penalizes_without_rerunning() {
     let path = tmp("midretry.jsonl");
     let writer = JournalWriter::create(&path, &m).unwrap();
     let reference = Executor::new(m.clone())
-        .supervise(sup(Some(plan.clone())))
+        .supervise(sup(plan.clone()))
         .journal(writer)
         .run_local(&mut bayes(42), &eval)
         .unwrap();
@@ -422,7 +422,7 @@ fn resume_after_mid_retry_kill_penalizes_without_rerunning() {
     let evals = AtomicUsize::new(0);
     let (r, writer) = JournalWriter::reopen(&path).unwrap();
     let resumed = Executor::new(m.clone())
-        .supervise(sup(None))
+        .supervise(sup(FaultPlan::new()))
         .journal(writer)
         .resume(r)
         .unwrap()
@@ -461,12 +461,12 @@ fn resumed_fault_records_drive_the_same_state_machine() {
     // same way when resumed from its own journal mid-way.
     let mut plan = FaultPlan::new();
     for index in 0..6 {
-        plan = plan.fail(index, InjectedFault::Nan);
+        plan = plan.fail(index, EvalFault::Nan);
     }
     let m = meta("resume-degrade", 12, 4, 1);
     let sup = || SupervisorConfig {
         degrade_after: 2,
-        fault_plan: Some(plan.clone()),
+        faults: plan.clone(),
         ..supervision()
     };
 
@@ -548,7 +548,7 @@ fn quarantined_points_are_never_memoized_but_healthy_ones_are() {
 
     // Point 1 (index 1, the cycle's second point) faults on first visit.
     let cfg = SupervisorConfig {
-        fault_plan: Some(FaultPlan::new().fail(1, InjectedFault::Nan)),
+        faults: FaultPlan::new().fail(1, EvalFault::Nan),
         ..supervision()
     };
     let out = Executor::new(meta("memo-quarantine", 12, 1, 1))

@@ -12,9 +12,10 @@
 //! `running` so the next start resumes them. SIGKILL is also safe — that
 //! is the crash-resume path the integration tests exercise.
 //!
-//! `--disk-fault <spec>` (or the `DATAMIME_DISK_FAULT` environment
-//! variable) arms the deterministic disk-fault injector; see
-//! [`datamime_runtime::diskfault`] for the `target:nth:kind;...` spec
+//! `--fault <spec>` arms the deterministic fault injector: write entries
+//! (`manifest|journal|gcdir:<nth>:enospc|short|syncfail|crash`) hit the
+//! daemon's durability paths and eval entries (`eval:<index>:...`) every
+//! job's evaluations; see [`datamime_runtime::faultinject`] for the
 //! grammar. Intended for the crash-matrix tests, not production.
 
 #![forbid(unsafe_code)]
@@ -22,11 +23,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use datamime_runtime::{DiskFaultPlan, DISK_FAULT_ENV};
+use datamime_runtime::{FaultInjector, FaultPlan};
 use datamime_serve::ServeOptions;
 
 const USAGE: &str = "usage: datamime-served --root <state-dir> \
-[--keep-terminal <n>] [--disk-fault <spec>]";
+[--keep-terminal <n>] [--fault <spec>]";
 
 fn parse_args(args: &[String]) -> Result<Option<(PathBuf, ServeOptions)>, String> {
     let mut root: Option<PathBuf> = None;
@@ -48,21 +49,13 @@ fn parse_args(args: &[String]) -> Result<Option<(PathBuf, ServeOptions)>, String
                     .map_err(|_| format!("invalid --keep-terminal value: {raw}"))?;
                 options.keep_terminal = Some(n);
             }
-            "--disk-fault" => {
-                let raw = value("--disk-fault")?;
-                options.disk_faults = Some(DiskFaultPlan::from_spec(raw)?);
+            "--fault" => {
+                options.faults = FaultInjector::new(FaultPlan::from_spec(value("--fault")?)?);
             }
             other => return Err(format!("unknown argument: {other}")),
         }
     }
     let root = root.ok_or_else(|| "--root is required".to_string())?;
-    if options.disk_faults.is_none() {
-        if let Ok(spec) = std::env::var(DISK_FAULT_ENV) {
-            if !spec.is_empty() {
-                options.disk_faults = Some(DiskFaultPlan::from_spec(&spec)?);
-            }
-        }
-    }
     Ok(Some((root, options)))
 }
 

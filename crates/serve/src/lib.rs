@@ -14,7 +14,7 @@
 //!   one-shot CLI;
 //! - [`manifest`] — the job table as one snapshot, atomically rewritten
 //!   on every lifecycle transition (two-phase GC included) under
-//!   deterministic disk-fault injection; after a crash (or a graceful
+//!   deterministic write-fault injection; after a crash (or a graceful
 //!   drain) the daemon reads it back and resumes every in-flight job
 //!   from its evaluation journal.
 //!

@@ -20,11 +20,11 @@
 //! GC is two-phase: `gc_intent` is durable before any file is unlinked,
 //! `gc_done` follows the directory removal, and a crash in between leaves
 //! an intent [`Manifest::take_pending_gc`] hands to the next startup.
-//! Every publish consults the [`DiskFaultInjector`], so the crash matrix
+//! Every publish consults the [`FaultInjector`], so the crash matrix
 //! hits each durability edge deterministically.
 
 use datamime::servectl::JobState;
-use datamime_runtime::diskfault::{is_no_space, DiskFaultInjector, DiskTarget};
+use datamime_runtime::faultinject::{is_no_space, FaultInjector, WriteSite};
 use datamime_runtime::json::{push_f64, push_f64_array, push_str_escaped, Json};
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -96,7 +96,7 @@ struct Table {
 pub struct Manifest {
     root: PathBuf,
     table: Table,
-    faults: Option<DiskFaultInjector>,
+    faults: FaultInjector,
 }
 
 impl Manifest {
@@ -107,12 +107,12 @@ impl Manifest {
     ///
     /// As [`Manifest::open_with`].
     pub fn open(root: &Path) -> Result<(Manifest, BTreeMap<String, JobEntry>), String> {
-        Manifest::open_with(root, None)
+        Manifest::open_with(root, FaultInjector::default())
     }
 
     /// Opens the manifest under `root` (an absent snapshot is an empty
     /// table), deleting a stale temp, and returns the writer plus the job
-    /// table in id order. `faults` arms disk-fault injection on every
+    /// table in id order. `faults` arms write-fault injection on every
     /// publish.
     ///
     /// # Errors
@@ -121,7 +121,7 @@ impl Manifest {
     /// format revision, or any old-layout file under `root` (left as is).
     pub fn open_with(
         root: &Path,
-        faults: Option<DiskFaultInjector>,
+        faults: FaultInjector,
     ) -> Result<(Manifest, BTreeMap<String, JobEntry>), String> {
         let listing =
             std::fs::read_dir(root).map_err(|e| format!("cannot list state root {root:?}: {e}"))?;
@@ -304,10 +304,7 @@ impl Manifest {
                 message: format!("cannot publish the manifest ({step}): {e}"),
             }
         };
-        let injected = self
-            .faults
-            .as_ref()
-            .and_then(|inj| inj.next(DiskTarget::Manifest));
+        let injected = self.faults.next_write(WriteSite::Manifest);
         let mut f = File::create(&tmp).map_err(failed("create temp"))?;
         if let Some(kind) = injected {
             return Err(failed("write temp")(
@@ -430,7 +427,7 @@ fn job_number(job: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datamime_runtime::diskfault::{DiskFaultKind, DiskFaultPlan};
+    use datamime_runtime::faultinject::{FaultPlan, WriteFault};
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -440,8 +437,8 @@ mod tests {
         dir
     }
 
-    fn with_faults(plan: DiskFaultPlan) -> Option<DiskFaultInjector> {
-        Some(DiskFaultInjector::new(plan))
+    fn with_faults(plan: FaultPlan) -> FaultInjector {
+        FaultInjector::new(plan)
     }
 
     /// Every file name under `root`, sorted.
@@ -597,7 +594,7 @@ mod tests {
     #[test]
     fn injected_enospc_fails_the_append_and_flags_no_space() {
         let root = tmp("enospc");
-        let plan = DiskFaultPlan::new().fail(DiskTarget::Manifest, 1, DiskFaultKind::NoSpace);
+        let plan = FaultPlan::new().fail_write(WriteSite::Manifest, 1, WriteFault::NoSpace);
         {
             let (mut m, _) = Manifest::open_with(&root, with_faults(plan)).unwrap();
             m.submit("job-0001", "workload=mem-fb").unwrap(); // op 0 ok
@@ -614,7 +611,7 @@ mod tests {
     #[test]
     fn injected_short_write_self_repairs_so_later_appends_fold() {
         let root = tmp("short");
-        let plan = DiskFaultPlan::new().fail(DiskTarget::Manifest, 1, DiskFaultKind::ShortWrite);
+        let plan = FaultPlan::new().fail_write(WriteSite::Manifest, 1, WriteFault::ShortWrite);
         {
             let (mut m, _) = Manifest::open_with(&root, with_faults(plan)).unwrap();
             m.submit("job-0001", "workload=mem-fb").unwrap();
@@ -634,8 +631,8 @@ mod tests {
     fn failed_checkpoint_keeps_previous_one_authoritative() {
         let root = tmp("ckptfail");
         // Every publish after the first two hits ENOSPC.
-        let plan = (2..64).fold(DiskFaultPlan::new(), |p, n| {
-            p.fail(DiskTarget::Manifest, n, DiskFaultKind::NoSpace)
+        let plan = (2..64).fold(FaultPlan::new(), |p, n| {
+            p.fail_write(WriteSite::Manifest, n, WriteFault::NoSpace)
         });
         {
             let (mut m, _) = Manifest::open_with(&root, with_faults(plan)).unwrap();

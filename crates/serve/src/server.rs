@@ -36,10 +36,9 @@ use datamime::jobspec::JobSpec;
 use datamime::profiler::profile_workload;
 use datamime::search::search_with_runtime;
 use datamime::servectl::{JobResult, JobState, JobStatus, SERVE_SOCKET};
-use datamime_runtime::diskfault::DiskTarget;
 use datamime_runtime::{
-    DiskFaultInjector, DiskFaultPlan, ExecError, GateClosed, GateHandle, MetricsRegistry,
-    ProgressSink, RunMeta, SharedSink, TermSignal,
+    ExecError, FaultInjector, GateClosed, GateHandle, MetricsRegistry, ProgressSink, RunMeta,
+    SharedSink, TermSignal, WriteSite,
 };
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -106,15 +105,16 @@ struct JobRecord {
 }
 
 /// Daemon-level options beyond the state root: retention and the
-/// deterministic disk-fault plan (tests only).
+/// deterministic fault plan (tests only).
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Keep at most this many terminal jobs; older ones (by id) are
     /// garbage-collected via two-phase delete. `None` keeps everything.
     pub keep_terminal: Option<usize>,
-    /// Deterministic disk faults injected into the manifest, journal,
-    /// and GC write paths.
-    pub disk_faults: Option<DiskFaultPlan>,
+    /// Deterministic faults (`--fault`): write entries hit the
+    /// manifest, journal and GC write paths; eval entries reach every
+    /// job's supervisor. Empty by default.
+    pub faults: FaultInjector,
 }
 
 /// State shared between the accept loop, connection handlers, and job
@@ -128,7 +128,7 @@ struct Shared {
     metrics: Arc<MetricsRegistry>,
     started: Instant,
     keep_terminal: Option<usize>,
-    injector: Option<DiskFaultInjector>,
+    faults: FaultInjector,
     read_only: AtomicBool,
     read_only_reason: Mutex<String>,
 }
@@ -230,8 +230,7 @@ pub fn run(root: PathBuf, term: TermSignal) -> Result<(), String> {
 pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Result<(), String> {
     std::fs::create_dir_all(root.join("jobs"))
         .map_err(|e| format!("cannot create state root {root:?}: {e}"))?;
-    let injector = options.disk_faults.map(DiskFaultInjector::new);
-    let (manifest, entries) = Manifest::open_with(&root, injector.clone())?;
+    let (manifest, entries) = Manifest::open_with(&root, options.faults.clone())?;
     let pending_gc = manifest.take_pending_gc();
     let shared = Arc::new(Shared {
         root: root.clone(),
@@ -244,7 +243,7 @@ pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Resul
         // it never reaches a journaled or wire surface.
         started: Instant::now(),
         keep_terminal: options.keep_terminal,
-        injector,
+        faults: options.faults,
         read_only: AtomicBool::new(false),
         read_only_reason: Mutex::new(String::new()),
     });
@@ -350,13 +349,9 @@ fn gc_job(shared: &Arc<Shared>, job: &str) {
 /// Phase two of GC: remove the job directory (idempotent) and close the
 /// intent. On failure the intent stays pending for the next startup.
 fn finish_gc(shared: &Arc<Shared>, job: &str) {
-    if let Some(inj) = &shared.injector {
-        if let Some(kind) = inj.next(DiskTarget::GcDir) {
-            eprintln!(
-                "datamime-served: injected {kind:?} during gc of {job}; intent stays pending"
-            );
-            return;
-        }
+    if let Some(kind) = shared.faults.next_write(WriteSite::GcDir) {
+        eprintln!("datamime-served: injected {kind:?} during gc of {job}; intent stays pending");
+        return;
     }
     let dir = shared.job_dir(job);
     match std::fs::remove_dir_all(&dir) {
@@ -471,7 +466,7 @@ fn run_job(shared: &Arc<Shared>, job: &str, spec_line: &str, resume: bool) {
         opts.extra_sink = Some(SharedSink::new(JobSink { progress }));
         opts.batch_gate = Some(GateHandle::new(Arc::new(ticket)));
         opts.metrics = Some(Arc::clone(&shared.metrics));
-        opts.disk_faults = shared.injector.clone();
+        opts.faults = shared.faults.clone();
 
         let result = search_with_runtime(generator.as_ref(), &target_profile, &cfg, &opts);
         shared.gate.finish(seq);

@@ -1,6 +1,6 @@
 //! The crash-matrix torture harness (`--features faultinject`).
 //!
-//! Each case arms `datamime-served` with a deterministic disk-fault plan
+//! Each case arms `datamime-served` with a deterministic `--fault` plan
 //! whose `crash` faults abort the process (no unwinding — bit-for-bit a
 //! SIGKILL) at one exact durability boundary: the Nth manifest write, a
 //! GC directory removal. The daemon
@@ -45,7 +45,7 @@ fn tmp_root(tag: &str) -> PathBuf {
 
 /// Spawns the daemon with the termination trampoline disabled (so an
 /// injected abort is the process dying, not a shell) and an optional
-/// disk-fault spec.
+/// `--fault` spec.
 fn start_daemon(root: &Path, args: &[&str], fault: Option<&str>) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_datamime-served"));
     cmd.arg("--root")
@@ -56,10 +56,9 @@ fn start_daemon(root: &Path, args: &[&str], fault: Option<&str>) -> Child {
     for a in args {
         cmd.arg(a);
     }
-    match fault {
-        Some(spec) => cmd.arg("--disk-fault").arg(spec),
-        None => cmd.env_remove("DATAMIME_DISK_FAULT"),
-    };
+    if let Some(spec) = fault {
+        cmd.arg("--fault").arg(spec);
+    }
     cmd.spawn().expect("spawn datamime-served")
 }
 

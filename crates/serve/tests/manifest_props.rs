@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use datamime::servectl::JobState;
-use datamime_runtime::diskfault::{DiskFaultInjector, DiskFaultKind, DiskFaultPlan, DiskTarget};
+use datamime_runtime::{FaultInjector, FaultPlan, WriteFault, WriteSite};
 use datamime_serve::{JobEntry, Manifest, WalError};
 use proptest::prelude::*;
 
@@ -258,17 +258,17 @@ proptest! {
     ) {
         let root = scratch("fault", case);
         let at = at % ops.len();
-        let kind = [DiskFaultKind::NoSpace, DiskFaultKind::ShortWrite, DiskFaultKind::SyncFail][kind];
-        let plan = DiskFaultPlan::new().fail(DiskTarget::Manifest, at as u64, kind);
+        let kind = [WriteFault::NoSpace, WriteFault::ShortWrite, WriteFault::SyncFail][kind];
+        let plan = FaultPlan::new().fail_write(WriteSite::Manifest, at as u64, kind);
         let mut model = Model::default();
         {
-            let (mut m, _) = Manifest::open_with(&root, Some(DiskFaultInjector::new(plan)))
+            let (mut m, _) = Manifest::open_with(&root, FaultInjector::new(plan))
                 .expect("open manifest");
             for (step, &(code, pick)) in ops.iter().enumerate() {
                 let res = apply_step(&mut m, &mut model, step, code, pick);
                 if step == at {
                     let err = res.expect_err("the faulted op fails");
-                    prop_assert_eq!(err.no_space, kind == DiskFaultKind::NoSpace);
+                    prop_assert_eq!(err.no_space, kind == WriteFault::NoSpace);
                 } else {
                     res.expect("every other op is acknowledged");
                 }

@@ -12,7 +12,7 @@ use datamime::search::{
     search_with_runtime, BackendChoice, ProcOptions, RuntimeOptions, SearchConfig, SearchOutcome,
 };
 use datamime::workload::Workload;
-use datamime_runtime::{FaultPlan, InjectedFault, MetricsRegistry};
+use datamime_runtime::{EvalFault, FaultInjector, FaultPlan, MetricsRegistry};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -93,12 +93,12 @@ fn killing_a_worker_mid_batch_changes_nothing() {
     // plan is a no-op, so both runs must land on identical bits.
     let cfg = fast_config(8);
     let target = profile_workload(&Workload::mem_fb(), &cfg.machine, &cfg.profiling);
-    let plan = FaultPlan::new().fail_first(2, InjectedFault::KillWorker, 1);
+    let plan = FaultPlan::new().fail_first(2, EvalFault::KillWorker, 1);
     let thread_metrics = Arc::new(MetricsRegistry::new());
     let base = RuntimeOptions {
         batch_k: 4,
         workers: 2,
-        fault_plan: Some(plan),
+        faults: FaultInjector::new(plan),
         metrics: Some(Arc::clone(&thread_metrics)),
         ..RuntimeOptions::default()
     };

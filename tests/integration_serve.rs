@@ -188,7 +188,7 @@ fn quota_stops_health_reporting_and_retention() {
         let term = TermSignal::at(sentinel.clone());
         let options = datamime_serve::ServeOptions {
             keep_terminal: Some(1),
-            disk_faults: None,
+            ..datamime_serve::ServeOptions::default()
         };
         std::thread::spawn(move || datamime_serve::run_with(root, term, options))
     };
