@@ -3,22 +3,18 @@
 //!
 //! Spawned by the broker (`datamime clone ... --backend proc`), never run
 //! by hand: it rebuilds the search's evaluation context from its command
-//! line, connects back over the broker's Unix socket, proves protocol
-//! version / binary identity / context fingerprint during the handshake,
-//! and then serves instantiate → profile → error evaluations until told
-//! to shut down. All the logic lives in [`datamime::distproc`].
+//! line, proves protocol version / binary identity / context fingerprint
+//! in the handshake over its stdin and stdout, and then serves
+//! instantiate → profile → error evaluations until the broker closes its
+//! stdin. All the logic lives in [`datamime::distproc`].
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    // Broker-spawned workers get their termination sentinel via the
-    // environment (no trampoline); SIGTERM/SIGINT then drain gracefully
-    // between evaluations. SIGKILL still kills instantly.
-    let term = datamime_runtime::termsig::install();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match datamime::distproc::run_worker_with_signal(&args, Some(term)) {
+    match datamime::distproc::run_worker(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("datamime-worker: {e}");

@@ -1,8 +1,9 @@
 //! Process-backend glue: carrying a search's evaluation context across
 //! the process boundary.
 //!
-//! The broker spawns `datamime-worker` processes that must rebuild the
-//! *exact* evaluation context — generator, machine, profiling fidelity,
+//! The broker spawns `datamime-worker` processes as its children, speaks
+//! frames over their stdin and stdout, and each must rebuild the *exact*
+//! evaluation context — generator, machine, profiling fidelity,
 //! error-model weights, seed, and target profile — from their command
 //! line, because an evaluation is a pure function of `(unit, context)`
 //! and bit-identical results across backends depend on it. [`EvalSpec`]
@@ -111,8 +112,8 @@ impl EvalSpec {
         Ok(spec)
     }
 
-    /// Serializes the spec as `datamime-worker` command-line arguments
-    /// (everything except the broker-appended `--socket`/`--worker-id`).
+    /// Serializes the spec as `datamime-worker` command-line arguments,
+    /// the worker's whole command line short of an optional `--fault`.
     pub fn to_argv(&self) -> Vec<String> {
         let mut argv = vec![
             "--target-profile".to_string(),
@@ -282,16 +283,12 @@ pub fn dist_context(generator: &dyn DatasetGenerator, cfg: &SearchConfig, target
 pub struct WorkerInvocation {
     /// The evaluation context to rebuild.
     pub spec: EvalSpec,
-    /// Broker socket path.
-    pub socket: PathBuf,
-    /// Broker-assigned worker id.
-    pub worker_id: u64,
     /// Deterministic fault plan (tests and CI only).
     pub faults: FaultPlan,
 }
 
 /// Parses a full `datamime-worker` command line (the [`EvalSpec`] flags
-/// plus `--socket`, `--worker-id`, and an optional `--fault` plan).
+/// plus an optional `--fault` plan).
 ///
 /// # Errors
 ///
@@ -310,8 +307,6 @@ pub fn parse_worker_argv(args: &[String]) -> Result<WorkerInvocation, String> {
     let mut curve_method = None;
     let mut prof_seed = None;
     let mut weights = None;
-    let mut socket = None;
-    let mut worker_id = None;
     let mut faults = FaultPlan::new();
 
     let mut i = 0;
@@ -342,8 +337,6 @@ pub fn parse_worker_argv(args: &[String]) -> Result<WorkerInvocation, String> {
             }
             "--prof-seed" => prof_seed = Some(value.parse().map_err(|e| parse_err(&e))?),
             "--weights" => weights = Some(decode_weights(value)?),
-            "--socket" => socket = Some(PathBuf::from(value)),
-            "--worker-id" => worker_id = Some(value.parse().map_err(|e| parse_err(&e))?),
             "--fault" => faults = FaultPlan::from_spec(value)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -368,91 +361,45 @@ pub fn parse_worker_argv(args: &[String]) -> Result<WorkerInvocation, String> {
             seed: seed.ok_or_else(|| require("--opt-seed"))?,
             target_tsv: target.ok_or_else(|| require("--target-profile"))?,
         },
-        socket: socket.ok_or_else(|| require("--socket"))?,
-        worker_id: worker_id.ok_or_else(|| require("--worker-id"))?,
         faults,
     })
 }
 
 /// The `datamime-worker` main: parses the command line, rebuilds the
 /// evaluation context, derives the context fingerprint, and serves
-/// evaluations until the broker shuts the connection down.
+/// evaluations over stdin and stdout until the broker closes stdin.
 ///
 /// The evaluation body is [`evaluate`], the very function the in-process
 /// backend runs, on a never-cancelled token — the broker enforces
-/// deadlines by SIGKILL, not cooperative cancellation.
+/// deadlines by SIGKILL, not cooperative cancellation. A worker that
+/// dies on its own (SIGTERM, a crash) closes its stdout; the broker
+/// respawns it and re-dispatches the point transparently.
 ///
 /// # Errors
 ///
-/// Returns a message on argv, context-rebuild, socket, or handshake
+/// Returns a message on argv, context-rebuild, pipe, or handshake
 /// failures (including a broker reject for version/identity/context
 /// skew).
 pub fn run_worker(args: &[String]) -> Result<(), String> {
-    run_worker_with_signal(args, None)
-}
-
-/// [`run_worker`] with graceful-termination support: when `term` reports
-/// a request (SIGTERM/SIGINT observed via the
-/// [`datamime_runtime::termsig`] sentinel) the worker finishes the
-/// evaluation it is serving, then exits 0 instead of picking up another —
-/// the broker sees a clean connection close and re-dispatches
-/// transparently. A worker killed mid-evaluation (`SIGKILL`, the
-/// crash-resume test path) still dies instantly.
-///
-/// # Errors
-///
-/// As [`run_worker`].
-pub fn run_worker_with_signal(
-    args: &[String],
-    term: Option<datamime_runtime::TermSignal>,
-) -> Result<(), String> {
     let inv = parse_worker_argv(args)?;
     let (generator, cfg, target) = inv.spec.build()?;
     let ctx = dist_context(&generator, &cfg, &target);
     let objective = emd_objective(&target, &cfg.weights);
     let token = CancelToken::new();
-    // Drain protocol: between evaluations the closure checks the signal
-    // directly; while the worker sits idle in `read_frame` a watcher
-    // thread polls it and exits for us. `busy` keeps the watcher from
-    // abandoning an answer the broker is already waiting for.
-    let busy = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let drained = {
-        let term = term.clone();
-        move || term.as_ref().is_some_and(|t| t.requested())
-    };
-    if let Some(t) = term {
-        let busy = std::sync::Arc::clone(&busy);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            if t.requested() && !busy.load(std::sync::atomic::Ordering::SeqCst) {
-                std::process::exit(0);
-            }
-        });
-    }
-    let mut wcfg = WorkerConfig::new(inv.socket, inv.worker_id, ctx);
+    let mut wcfg = WorkerConfig::new(ctx);
     wcfg.faults = inv.faults;
-    serve(&wcfg, |req, stages: &mut StageTimes| {
-        busy.store(true, std::sync::atomic::Ordering::SeqCst);
-        let _guard = BusyGuard(&busy);
-        if drained() {
-            std::process::exit(0);
-        }
-        // The worker serves evaluations on one thread, so its
-        // thread-local arena persists across requests: every
-        // candidate after the first reuses the same simulator arrays.
-        evaluate(&generator, &cfg, &objective, &req.unit, stages, &token).error
-    })
-}
-
-/// Clears the worker's busy flag when an evaluation closure unwinds or
-/// returns, so the drain watcher never misreads a finished evaluation as
-/// in-flight.
-struct BusyGuard<'a>(&'a std::sync::atomic::AtomicBool);
-
-impl Drop for BusyGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, std::sync::atomic::Ordering::SeqCst);
-    }
+    let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
+    serve(
+        &wcfg,
+        stdin.lock(),
+        stdout.lock(),
+        |req, stages: &mut StageTimes| {
+            // The worker serves evaluations on one thread, so its
+            // thread-local arena persists across requests: every
+            // candidate after the first reuses the same simulator arrays.
+            evaluate(&generator, &cfg, &objective, &req.unit, stages, &token).error
+        },
+    )
 }
 
 #[cfg(test)]
@@ -475,15 +422,8 @@ mod tests {
     #[test]
     fn argv_round_trips_the_full_spec() {
         let spec = spec();
-        let mut argv = spec.to_argv();
-        argv.extend(
-            ["--socket", "/tmp/b.sock", "--worker-id", "3"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        let inv = parse_worker_argv(&argv).expect("parses");
+        let inv = parse_worker_argv(&spec.to_argv()).expect("parses");
         assert_eq!(inv.spec, spec);
-        assert_eq!(inv.worker_id, 3);
         assert!(inv.faults.is_empty());
     }
 

@@ -1,7 +1,7 @@
 //! Test worker for the datamime-dist integration tests.
 //!
-//! Serves a cheap, deterministic quadratic objective so the broker
-//! machinery (negotiation, dispatch, deadlines, crash respawn) can be
+//! Serves a cheap, deterministic quadratic objective over its stdin and
+//! stdout so the broker machinery (negotiation, dispatch, deadlines, crash respawn) can be
 //! exercised without dragging the simulator in. The `--bad-*` flags make
 //! it misrepresent itself in `Hello` to trigger the broker's negotiation
 //! rejects, and `--fault` accepts a `FaultPlan` spec, which
@@ -10,8 +10,7 @@
 #![forbid(unsafe_code)]
 use datamime_dist::{serve, WorkerConfig};
 use datamime_runtime::FaultPlan;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() {
     if let Err(e) = run() {
@@ -21,47 +20,27 @@ fn main() {
 }
 
 fn run() -> Result<(), String> {
-    let mut socket: Option<PathBuf> = None;
-    let mut worker_id: u64 = 0;
     let mut ctx: u64 = 0;
     let mut bad_version = false;
     let mut bad_identity = false;
     let mut faults = FaultPlan::new();
-    let mut stall_connect_ms: u64 = 0;
 
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut value = |flag: &str| argv.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
-            "--socket" => socket = Some(PathBuf::from(value("--socket")?)),
-            "--worker-id" => {
-                worker_id = value("--worker-id")?
-                    .parse()
-                    .map_err(|e| format!("bad --worker-id: {e}"))?;
-            }
             "--ctx" => {
                 ctx = value("--ctx")?
                     .parse()
                     .map_err(|e| format!("bad --ctx: {e}"))?;
             }
             "--fault" => faults = FaultPlan::from_spec(&value("--fault")?)?,
-            "--stall-connect-ms" => {
-                stall_connect_ms = value("--stall-connect-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --stall-connect-ms: {e}"))?;
-            }
             "--bad-version" => bad_version = true,
             "--bad-identity" => bad_identity = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let socket = socket.ok_or("--socket is required")?;
-
-    if stall_connect_ms > 0 {
-        std::thread::sleep(Duration::from_millis(stall_connect_ms));
-    }
-
-    let mut cfg = WorkerConfig::new(socket, worker_id, ctx);
+    let mut cfg = WorkerConfig::new(ctx);
     cfg.faults = faults;
     if bad_version {
         cfg.protocol_version = cfg.protocol_version.wrapping_add(1);
@@ -70,12 +49,17 @@ fn run() -> Result<(), String> {
         cfg.identity ^= 0xDEAD_BEEF;
     }
 
-    serve(&cfg, |req, stages| {
-        let start = Instant::now();
-        let value = objective(&req.unit);
-        stages.record("evaluate", start.elapsed());
-        value
-    })
+    serve(
+        &cfg,
+        std::io::stdin().lock(),
+        std::io::stdout().lock(),
+        |req, stages| {
+            let start = Instant::now();
+            let value = objective(&req.unit);
+            stages.record("evaluate", start.elapsed());
+            value
+        },
+    )
 }
 
 /// A deterministic quadratic bowl: pure function of the unit point, so

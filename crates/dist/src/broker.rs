@@ -1,8 +1,11 @@
 //! The broker: the engine-side half of the distributed evaluation plane.
 //!
-//! [`Broker::start`] binds a Unix domain socket, spawns `workers` worker
-//! processes, and validates each one's `Hello` (protocol version, context
-//! fingerprint, worker-binary identity) before admitting it to the pool.
+//! [`Broker::start`] spawns `workers` worker processes as its children
+//! and speaks frames over each child's stdin and stdout. One reader
+//! thread per incarnation validates the child's `Hello` (protocol
+//! version, context fingerprint, worker-binary identity), which must
+//! arrive within ten seconds of the spawn, admits it to the pool, and
+//! then forwards its replies to the event loop.
 //! [`Broker`] implements [`datamime_runtime::Backend`], so
 //! `Executor::run` drives it exactly like the in-process thread
 //! pool — and because verdicts are returned in job order and every
@@ -27,7 +30,9 @@
 //!   [`FailureKind::WorkerLost`] fault;
 //! - **respawn** of dead workers is bounded by a per-slot restart budget;
 //!   when every slot has exhausted its budget the batch fails with a
-//!   [`Backend`](datamime_runtime::ExecError::Backend) error.
+//!   [`Backend`](datamime_runtime::ExecError::Backend) error. A child
+//!   that exits before its `Hello` closes its stdout, so its reader
+//!   reports it like any other death.
 //!
 //! [`CancelToken`]: datamime_runtime::CancelToken
 
@@ -39,12 +44,14 @@ use datamime_runtime::supervisor::{
 };
 use datamime_runtime::telemetry::StageTimes;
 use datamime_runtime::Backend;
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// How long a freshly spawned worker has to complete its `Hello`; past
+/// it the batch fails with an error naming the handshake.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Configuration of a [`Broker`]. The supervision fields mirror
 /// [`SupervisorConfig`]; [`Broker::start`] builds one from them, so both
@@ -54,8 +61,7 @@ use std::time::{Duration, Instant};
 pub struct BrokerConfig {
     /// Path of the worker binary to spawn.
     pub worker_bin: PathBuf,
-    /// Arguments passed to every worker (the broker appends `--socket`
-    /// and `--worker-id` itself).
+    /// Arguments passed to every worker, verbatim.
     pub worker_args: Vec<String>,
     /// Number of worker processes.
     pub workers: usize,
@@ -113,25 +119,29 @@ impl BrokerConfig {
     }
 }
 
-/// Messages flowing from the acceptor/reader threads to the event loop.
+/// Messages flowing from the reader threads to the event loop.
 enum Msg {
-    /// A worker finished its handshake; `conn` is the write half.
-    Ready { id: u64, conn: UnixStream },
+    /// Worker `id` finished its handshake; `conn` is its stdin.
+    Ready { id: u64, conn: ChildStdin },
     /// A worker failed protocol/context/identity negotiation.
     Rejected { reason: String },
     /// An `EvalOk`/`EvalErr` frame from worker `id`.
     Result { id: u64, frame: Frame },
-    /// Worker `id`'s connection closed.
+    /// Worker `id`'s stdout closed (it exited) or carried garbage.
     Closed { id: u64 },
 }
 
 /// One worker slot. `id` names the current process *incarnation* — it
 /// changes on every respawn, so messages from a killed predecessor are
 /// recognizably stale and ignored.
+#[derive(Default)]
 struct Slot {
     id: u64,
     child: Option<Child>,
-    conn: Option<UnixStream>,
+    /// The worker's stdin, once its handshake has completed.
+    conn: Option<ChildStdin>,
+    /// Until the handshake completes: when it must have.
+    hello_due: Option<Instant>,
     /// Batch position of the job in flight, if any.
     busy: Option<usize>,
     /// Deadline of the in-flight attempt.
@@ -163,64 +173,28 @@ pub struct Broker {
     cfg: BrokerConfig,
     /// The retry policy, built from `cfg`'s supervision fields.
     supervision: SupervisorConfig,
-    dir: PathBuf,
-    socket_path: PathBuf,
+    /// Cloned into every reader thread; holding it keeps `events` open.
+    tx: mpsc::Sender<Msg>,
     events: mpsc::Receiver<Msg>,
     slots: Vec<Slot>,
     next_id: u64,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
 }
 
-static SOCKET_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 impl Broker {
-    /// Binds the broker socket and spawns `cfg.workers` worker processes.
-    /// Handshakes complete asynchronously; a version- or context-skewed
-    /// worker surfaces as a clear [`evaluate_batch`](Backend) error, never
-    /// a hang.
+    /// Spawns `cfg.workers` worker processes. Handshakes complete
+    /// asynchronously; a version- or context-skewed or silent worker
+    /// surfaces as a clear [`evaluate_batch`](Backend) error, never a
+    /// hang.
     ///
     /// # Errors
     ///
-    /// Fails if the socket directory or listener cannot be created, or a
-    /// worker process cannot be spawned at all.
+    /// Fails if a worker process or its reader thread cannot be spawned
+    /// at all.
     pub fn start(cfg: BrokerConfig) -> Result<Self, String> {
         if cfg.workers == 0 {
             return Err("broker needs at least one worker".to_string());
         }
-        let dir = std::env::temp_dir().join(format!(
-            "datamime-dist-{}-{}",
-            std::process::id(),
-            SOCKET_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
-        let socket_path = dir.join("broker.sock");
-        let listener = UnixListener::bind(&socket_path)
-            .map_err(|e| format!("cannot bind {socket_path:?}: {e}"))?;
-
-        let (tx, rx) = mpsc::channel();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let tx = tx.clone();
-            let shutdown = Arc::clone(&shutdown);
-            let expect_ctx = cfg.ctx_fingerprint;
-            std::thread::Builder::new()
-                .name("datamime-broker-accept".to_string())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(conn) = conn else { continue };
-                        let tx = tx.clone();
-                        let _ = std::thread::Builder::new()
-                            .name("datamime-broker-reader".to_string())
-                            .spawn(move || handshake_and_read(conn, expect_ctx, &tx));
-                    }
-                })
-                .map_err(|e| format!("cannot spawn acceptor: {e}"))?
-        };
-
+        let (tx, events) = mpsc::channel();
         let supervision = SupervisorConfig {
             deadline: cfg.deadline,
             max_retries: cfg.max_retries,
@@ -231,28 +205,13 @@ impl Broker {
             ..SupervisorConfig::default()
         };
         let mut broker = Broker {
+            slots: (0..cfg.workers).map(|_| Slot::default()).collect(),
             cfg,
             supervision,
-            dir,
-            socket_path,
-            events: rx,
-            slots: Vec::new(),
+            tx,
+            events,
             next_id: 1,
-            shutdown,
-            acceptor: Some(acceptor),
         };
-        for _ in 0..broker.cfg.workers {
-            let slot = Slot {
-                id: 0,
-                child: None,
-                conn: None,
-                busy: None,
-                due: None,
-                restarts: 0,
-                dead: false,
-            };
-            broker.slots.push(slot);
-        }
         for i in 0..broker.slots.len() {
             broker.spawn_worker(i)?;
         }
@@ -260,34 +219,35 @@ impl Broker {
     }
 
     /// Spawns a fresh worker process into slot `i` under a new
-    /// incarnation id.
+    /// incarnation id, with a reader thread that owns its stdout.
     fn spawn_worker(&mut self, i: usize) -> Result<(), String> {
         let id = self.next_id;
         self.next_id += 1;
-        // Point the worker's termination sentinel into the broker's own
-        // socket dir. Besides giving broker-managed workers a drain path,
-        // this disables the worker's `/bin/sh` trampoline (see
-        // `datamime_runtime::termsig`): the PID the broker holds must be
-        // the real worker, or deadline SIGKILLs would hit the wrapper and
-        // orphan the evaluation process.
-        let sentinel = self.dir.join(format!("term-{id}.sentinel"));
-        let child = Command::new(&self.cfg.worker_bin)
+        let mut child = Command::new(&self.cfg.worker_bin)
             .args(&self.cfg.worker_args)
-            .arg("--socket")
-            .arg(&self.socket_path)
-            .arg("--worker-id")
-            .arg(id.to_string())
-            .env(datamime_runtime::TERM_SENTINEL_ENV, &sentinel)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
             .spawn()
             .map_err(|e| format!("cannot spawn worker {:?}: {e}", self.cfg.worker_bin))?;
+        let pipes = child.stdin.take().zip(child.stdout.take());
+        // The slot owns the child from here on, so an early return below
+        // still kills and reaps it when the slot is retired or dropped.
         let slot = &mut self.slots[i];
         slot.id = id;
         slot.child = Some(child);
-        slot.conn = None;
-        slot.busy = None;
-        slot.due = None;
+        // The handshake bound is wall-clock by nature; it gates only
+        // whether the batch fails, never an observed value.
+        slot.hello_due = Some(Instant::now() + HANDSHAKE_TIMEOUT);
+        let (stdin, stdout) = pipes.ok_or("worker spawned without piped stdin/stdout")?;
+        let tx = self.tx.clone();
+        let expect_ctx = self.cfg.ctx_fingerprint;
+        // Detached, not joined: the reader ends when the worker's stdout
+        // closes, and a grandchild the worker left holding that pipe must
+        // not be able to hang the broker.
+        std::thread::Builder::new()
+            .name("datamime-broker-reader".to_string())
+            .spawn(move || handshake_and_read(id, stdin, stdout, expect_ctx, &tx))
+            .map_err(|e| format!("cannot spawn reader for worker {id}: {e}"))?;
         Ok(())
     }
 
@@ -302,6 +262,7 @@ impl Broker {
         }
         self.slots[i].id = 0;
         self.slots[i].conn = None;
+        self.slots[i].hello_due = None;
         self.slots[i].busy = None;
         self.slots[i].due = None;
         if self.slots[i].restarts >= self.cfg.restart_budget {
@@ -349,8 +310,8 @@ impl Broker {
                 None => false,
             };
             if !sent {
-                // Broken pipe: the reader thread will report Closed for
-                // this incarnation; stop handing it work meanwhile.
+                // Broken pipe: the worker exited, and its reader will
+                // report Closed; stop handing it work meanwhile.
                 slot.conn = None;
                 continue;
             }
@@ -409,8 +370,9 @@ impl Broker {
         }
     }
 
-    /// SIGKILLs workers whose in-flight attempt is past its deadline and
-    /// charges the timeout, matching the supervisor's classification.
+    /// Fails the batch if a worker is past its handshake bound; SIGKILLs
+    /// workers whose in-flight attempt is past its deadline and charges
+    /// the timeout, matching the supervisor's classification.
     fn enforce_deadlines(
         &mut self,
         jobs: &mut [Job],
@@ -418,9 +380,19 @@ impl Broker {
         on_attempt: &mut dyn FnMut(FailedAttempt),
         done: &mut usize,
     ) -> Result<(), String> {
-        let budget = match self.cfg.deadline {
-            Some(d) => d,
-            None => return Ok(()),
+        if let Some(slot) = self
+            .slots
+            .iter()
+            .find(|s| s.hello_due.is_some_and(|d| d <= now))
+        {
+            return Err(format!(
+                "worker {} ({:?}) did not complete the handshake within \
+                 {HANDSHAKE_TIMEOUT:?} of its spawn",
+                slot.id, self.cfg.worker_bin
+            ));
+        }
+        let Some(budget) = self.cfg.deadline else {
+            return Ok(());
         };
         for i in 0..self.slots.len() {
             let overdue = self.slots[i].due.is_some_and(|d| d <= now);
@@ -446,10 +418,13 @@ impl Broker {
         Ok(())
     }
 
-    /// The instant of the nearest pending timer (attempt deadline or
-    /// retry `ready_at`), for sizing the event-loop wait.
+    /// The instant of the nearest pending timer (handshake bound, attempt
+    /// deadline or retry `ready_at`), for sizing the event-loop wait.
     fn next_timer(&self, jobs: &[Job]) -> Option<Instant> {
-        let deadlines = self.slots.iter().filter_map(|s| s.due);
+        let deadlines = self
+            .slots
+            .iter()
+            .flat_map(|s| s.hello_due.into_iter().chain(s.due));
         let retries = jobs
             .iter()
             .filter(|job| job.verdict.is_none() && job.running_on.is_none())
@@ -459,6 +434,75 @@ impl Broker {
 
     fn slot_by_id(&self, id: u64) -> Option<usize> {
         self.slots.iter().position(|s| s.id == id && id != 0)
+    }
+
+    /// Applies one reader message to the pool and the batch.
+    fn on_msg(
+        &mut self,
+        msg: Msg,
+        jobs: &mut [Job],
+        on_attempt: &mut dyn FnMut(FailedAttempt),
+        done: &mut usize,
+    ) -> Result<(), String> {
+        match msg {
+            Msg::Ready { id, conn } => {
+                if let Some(i) = self.slot_by_id(id) {
+                    self.slots[i].conn = Some(conn);
+                    self.slots[i].hello_due = None;
+                }
+            }
+            Msg::Rejected { reason } => return Err(reason),
+            Msg::Result { id, frame } => {
+                let Some(i) = self.slot_by_id(id) else {
+                    return Ok(()); // stale incarnation (killed after sending)
+                };
+                let Some(j) = self.slots[i].busy.take() else {
+                    return Ok(());
+                };
+                self.slots[i].due = None;
+                jobs[j].running_on = None;
+                match classify(id, jobs[j].index, frame)? {
+                    Reply::Value(verdict) => {
+                        jobs[j].verdict = Some(verdict);
+                        *done += 1;
+                    }
+                    Reply::Failed(kind, detail) => {
+                        self.failed_attempt(jobs, j, kind, detail, Some(id), on_attempt, done)
+                    }
+                }
+            }
+            Msg::Closed { id } => {
+                let Some(i) = self.slot_by_id(id) else {
+                    return Ok(()); // already retired (deadline kill)
+                };
+                let j = self.slots[i].busy;
+                self.retire_and_respawn(i)?;
+                if let Some(j) = j {
+                    jobs[j].running_on = None;
+                    jobs[j].lost += 1;
+                    if jobs[j].lost > self.cfg.redispatch_budget {
+                        let lost = jobs[j].lost;
+                        self.failed_attempt(
+                            jobs,
+                            j,
+                            FailureKind::WorkerLost,
+                            format!("worker process died {lost} time(s) evaluating this point"),
+                            Some(id),
+                            on_attempt,
+                            done,
+                        );
+                    } else if let Some(m) = &self.cfg.metrics {
+                        // Transparent re-dispatch — no attempt is
+                        // consumed, because the in-process backend has
+                        // no equivalent failure and determinism demands
+                        // both backends observe the same values; the
+                        // counter is the only trace it leaves.
+                        m.incr("redispatches");
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -484,6 +528,11 @@ impl Backend for Broker {
         let mut done = 0usize;
 
         while done < jobs.len() {
+            // What the readers have already reported comes first, so no
+            // timer below fires on a stale view of the pool.
+            while let Ok(msg) = self.events.try_recv() {
+                self.on_msg(msg, &mut jobs, on_attempt, &mut done)?;
+            }
             // The event loop's clock schedules dispatch and enforces
             // deadlines; observed values never depend on it.
             let now = Instant::now();
@@ -492,136 +541,14 @@ impl Backend for Broker {
             if done >= jobs.len() {
                 break;
             }
-
-            // Workers that died before ever connecting (bad binary, early
-            // abort) produce no Closed event; poll their exit instead.
-            for i in 0..self.slots.len() {
-                if self.slots[i].conn.is_none() && !self.slots[i].dead {
-                    let exited = match self.slots[i].child.as_mut() {
-                        Some(c) => c.try_wait().map(|s| s.is_some()).unwrap_or(true),
-                        None => false,
-                    };
-                    if exited {
-                        self.retire_and_respawn(i)?;
-                    }
-                }
-            }
-
             let wait = self
                 .next_timer(&jobs)
                 .map(|t| t.saturating_duration_since(now))
                 .unwrap_or(Duration::from_millis(200))
                 .clamp(Duration::from_millis(1), Duration::from_millis(200));
-            let msg = match self.events.recv_timeout(wait) {
-                Ok(msg) => msg,
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err("broker acceptor thread died".to_string())
-                }
-            };
-            match msg {
-                Msg::Ready { id, conn } => {
-                    if let Some(i) = self.slot_by_id(id) {
-                        self.slots[i].conn = Some(conn);
-                    }
-                }
-                Msg::Rejected { reason } => return Err(reason),
-                Msg::Result { id, frame } => {
-                    let Some(i) = self.slot_by_id(id) else {
-                        continue; // stale incarnation (killed after sending)
-                    };
-                    let Some(j) = self.slots[i].busy.take() else {
-                        continue;
-                    };
-                    self.slots[i].due = None;
-                    jobs[j].running_on = None;
-                    match frame {
-                        Frame::EvalOk {
-                            index,
-                            error_bits,
-                            stage_ms,
-                        } => {
-                            if index as usize != jobs[j].index {
-                                return Err(format!(
-                                    "worker {id} answered for evaluation {index}, \
-                                     expected {}",
-                                    jobs[j].index
-                                ));
-                            }
-                            let error = f64::from_bits(error_bits);
-                            if error.is_finite() {
-                                jobs[j].verdict = Some(Evaluated {
-                                    error,
-                                    stages: rebuild_stages(&stage_ms),
-                                    fault: None,
-                                    worker: Some(id),
-                                });
-                                done += 1;
-                            } else {
-                                // Defense in depth: workers classify
-                                // non-finite objectives themselves.
-                                self.failed_attempt(
-                                    &mut jobs,
-                                    j,
-                                    FailureKind::NonFinite,
-                                    format!("objective evaluated to {error}"),
-                                    Some(id),
-                                    on_attempt,
-                                    &mut done,
-                                );
-                            }
-                        }
-                        Frame::EvalErr {
-                            index: _,
-                            kind,
-                            detail,
-                        } => {
-                            let kind = FailureKind::from_tag(&kind).unwrap_or(FailureKind::Panic);
-                            self.failed_attempt(
-                                &mut jobs,
-                                j,
-                                kind,
-                                detail,
-                                Some(id),
-                                on_attempt,
-                                &mut done,
-                            );
-                        }
-                        _ => return Err(format!("worker {id} sent an unexpected frame")),
-                    }
-                }
-                Msg::Closed { id } => {
-                    let Some(i) = self.slot_by_id(id) else {
-                        continue; // already retired (deadline kill)
-                    };
-                    let j = self.slots[i].busy;
-                    self.retire_and_respawn(i)?;
-                    if let Some(j) = j {
-                        jobs[j].running_on = None;
-                        jobs[j].lost += 1;
-                        if jobs[j].lost > self.cfg.redispatch_budget {
-                            let lost = jobs[j].lost;
-                            self.failed_attempt(
-                                &mut jobs,
-                                j,
-                                FailureKind::WorkerLost,
-                                format!("worker process died {lost} time(s) evaluating this point"),
-                                Some(id),
-                                on_attempt,
-                                &mut done,
-                            );
-                        } else {
-                            // Transparent re-dispatch — no attempt is
-                            // consumed, because the in-process backend has
-                            // no equivalent failure and determinism demands
-                            // both backends observe the same values; the
-                            // counter is the only trace it leaves.
-                            if let Some(m) = &self.cfg.metrics {
-                                m.incr("redispatches");
-                            }
-                        }
-                    }
-                }
+            // `self.tx` keeps the channel open, so the only error is a timeout.
+            if let Ok(msg) = self.events.recv_timeout(wait) {
+                self.on_msg(msg, &mut jobs, on_attempt, &mut done)?;
             }
         }
 
@@ -638,25 +565,78 @@ impl Backend for Broker {
 
 impl Drop for Broker {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
         for slot in &mut self.slots {
-            if let Some(conn) = slot.conn.as_mut() {
-                // audit:allow(swallowed-result): courtesy frame in Drop — the kill below is the enforcement
-                let _ = write_frame(conn, &Frame::Shutdown);
-            }
+            // EOF on stdin is the stop; the kill below is the enforcement.
+            slot.conn = None;
             if let Some(mut child) = slot.child.take() {
                 // audit:allow(swallowed-result): the worker may already have exited — kill failing means there is nothing left to kill
                 let _ = child.kill();
                 let _ = child.wait();
             }
         }
-        // Unblock the acceptor's `incoming()` so it observes the flag.
-        let _ = UnixStream::connect(&self.socket_path);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
+}
+
+/// What a worker's reply says about the job it was answering.
+enum Reply {
+    /// A finite objective, with the worker's stage timings.
+    Value(Evaluated),
+    /// A failed attempt to charge to the job.
+    Failed(FailureKind, String),
+}
+
+/// Checks worker `id`'s reply `frame` against the evaluation `expected`
+/// its slot holds and classifies it. A reply for another evaluation, an
+/// `EvalErr` kind no worker sends (only `panic` and `nonfinite` are
+/// worker-side failures), or a frame that is no reply is a protocol
+/// error that fails the batch.
+fn classify(id: u64, expected: usize, frame: Frame) -> Result<Reply, String> {
+    let (echoed, reply) = match frame {
+        Frame::EvalOk {
+            index,
+            error_bits,
+            stage_ms,
+        } => {
+            let error = f64::from_bits(error_bits);
+            let reply = if error.is_finite() {
+                Reply::Value(Evaluated {
+                    error,
+                    stages: rebuild_stages(&stage_ms),
+                    fault: None,
+                    worker: Some(id),
+                })
+            } else {
+                // Defense in depth: workers classify non-finite
+                // objectives themselves.
+                Reply::Failed(
+                    FailureKind::NonFinite,
+                    format!("objective evaluated to {error}"),
+                )
+            };
+            (index, reply)
+        }
+        Frame::EvalErr {
+            index,
+            kind,
+            detail,
+        } => match FailureKind::from_tag(&kind) {
+            Some(kind @ (FailureKind::Panic | FailureKind::NonFinite)) => {
+                (index, Reply::Failed(kind, detail))
+            }
+            _ => {
+                return Err(format!(
+                    "worker {id} reported failure kind `{kind}`, which no worker sends"
+                ))
+            }
+        },
+        _ => return Err(format!("worker {id} sent an unexpected frame")),
+    };
+    if echoed != expected as u64 {
+        return Err(format!(
+            "worker {id} answered for evaluation {echoed}, expected {expected}"
+        ));
+    }
+    Ok(reply)
 }
 
 /// Maps wire stage names back onto the `&'static str` names the runtime
@@ -676,18 +656,24 @@ fn rebuild_stages(stage_ms: &[(String, u64)]) -> StageTimes {
     stages
 }
 
-/// Per-connection thread: validates the worker's `Hello`, then pumps its
-/// frames into the event channel until the socket closes.
-fn handshake_and_read(mut conn: UnixStream, expect_ctx: u64, tx: &mpsc::Sender<Msg>) {
+/// Per-incarnation reader thread: validates worker `id`'s `Hello`,
+/// answers it on `stdin` and hands `stdin` to the event loop, then pumps
+/// the worker's frames into the event channel until its stdout closes.
+fn handshake_and_read(
+    id: u64,
+    mut stdin: ChildStdin,
+    stdout: ChildStdout,
+    expect_ctx: u64,
+    tx: &mpsc::Sender<Msg>,
+) {
     let reject = |reason: String| {
         let _ = tx.send(Msg::Rejected { reason });
     };
-    // Without the handshake deadline a silent client would pin this
-    // thread forever; if the socket cannot take a timeout, reject it.
-    if let Err(e) = conn.set_read_timeout(Some(Duration::from_secs(10))) {
-        return reject(format!("cannot arm the handshake timeout: {e}"));
-    }
-    let hello = match read_frame(&mut conn) {
+    let closed = || {
+        let _ = tx.send(Msg::Closed { id });
+    };
+    let mut stdout = std::io::BufReader::new(stdout);
+    let hello = match read_frame(&mut stdout) {
         Ok(f) => f,
         Err(ProtocolError::VersionMismatch { got, want }) => {
             return reject(format!(
@@ -695,27 +681,26 @@ fn handshake_and_read(mut conn: UnixStream, expect_ctx: u64, tx: &mpsc::Sender<M
                  v{want} — rebuild or repoint the worker binary"
             ));
         }
-        Err(ProtocolError::Closed) => return, // e.g. the Drop unblock probe
+        Err(ProtocolError::Closed) => return closed(), // exited before its Hello
         Err(e) => return reject(format!("worker handshake failed: {e}")),
     };
     let Frame::Hello {
         protocol_version,
         ctx_fingerprint,
         identity,
-        worker_id,
     } = hello
     else {
         return reject("worker opened with a non-Hello frame".to_string());
     };
     if protocol_version != PROTOCOL_VERSION {
         return reject(format!(
-            "worker {worker_id} negotiated protocol v{protocol_version}, this broker \
+            "worker {id} negotiated protocol v{protocol_version}, this broker \
              speaks v{PROTOCOL_VERSION} — rebuild or repoint the worker binary"
         ));
     }
     if identity != worker_identity() {
         return reject(format!(
-            "worker {worker_id} was built from different evaluation code (identity \
+            "worker {id} was built from different evaluation code (identity \
              {identity:#018x}, expected {:#018x}) — a stale datamime-worker on PATH \
              cannot serve this run",
             worker_identity()
@@ -723,56 +708,90 @@ fn handshake_and_read(mut conn: UnixStream, expect_ctx: u64, tx: &mpsc::Sender<M
     }
     if ctx_fingerprint != expect_ctx {
         return reject(format!(
-            "worker {worker_id} derived context fingerprint {ctx_fingerprint:#018x}, \
+            "worker {id} derived context fingerprint {ctx_fingerprint:#018x}, \
              the broker expects {expect_ctx:#018x} — its command line does not \
              reproduce this run's evaluation context"
         ));
     }
-    if write_frame(
-        &mut conn,
-        &Frame::HelloAck {
-            protocol_version: PROTOCOL_VERSION,
-        },
-    )
-    .is_err()
-    {
-        return;
-    }
-    // The worker connection must outlive the handshake deadline: a
-    // leftover 10s timeout would sever an idle worker mid-run.
-    if let Err(e) = conn.set_read_timeout(None) {
-        return reject(format!("cannot disarm the handshake timeout: {e}"));
-    }
-    let writer = match conn.try_clone() {
-        Ok(w) => w,
-        Err(e) => return reject(format!("cannot clone worker {worker_id} socket: {e}")),
+    let ack = Frame::HelloAck {
+        protocol_version: PROTOCOL_VERSION,
     };
-    if tx
-        .send(Msg::Ready {
-            id: worker_id,
-            conn: writer,
-        })
-        .is_err()
-    {
-        return;
+    if write_frame(&mut stdin, &ack).is_err() || tx.send(Msg::Ready { id, conn: stdin }).is_err() {
+        return closed();
     }
     loop {
-        match read_frame(&mut conn) {
+        match read_frame(&mut stdout) {
             Ok(frame @ (Frame::EvalOk { .. } | Frame::EvalErr { .. })) => {
-                if tx
-                    .send(Msg::Result {
-                        id: worker_id,
-                        frame,
-                    })
-                    .is_err()
-                {
+                if tx.send(Msg::Result { id, frame }).is_err() {
                     return;
                 }
             }
-            Ok(_) | Err(_) => {
-                let _ = tx.send(Msg::Closed { id: worker_id });
-                return;
+            Ok(_) | Err(_) => return closed(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn err(index: u64, kind: &str) -> Frame {
+        Frame::EvalErr {
+            index,
+            kind: kind.to_string(),
+            detail: "boom".to_string(),
+        }
+    }
+
+    #[test]
+    fn a_reply_for_another_evaluation_is_a_protocol_error() {
+        let ok = Frame::EvalOk {
+            index: 4,
+            error_bits: 0.5f64.to_bits(),
+            stage_ms: Vec::new(),
+        };
+        for frame in [ok, err(4, "panic")] {
+            let e = classify(1, 3, frame).err().expect("index mismatch");
+            assert!(e.contains("answered for evaluation 4, expected 3"), "{e}");
+        }
+    }
+
+    #[test]
+    fn only_worker_side_failure_kinds_are_charged() {
+        for kind in [FailureKind::Panic, FailureKind::NonFinite] {
+            match classify(1, 3, err(3, kind.tag())) {
+                Ok(Reply::Failed(k, detail)) => assert_eq!((k, detail.as_str()), (kind, "boom")),
+                _ => panic!("{kind} must be charged as a failed attempt"),
             }
         }
+        for kind in ["timeout", "quarantined", "workerlost", "bogus"] {
+            let e = classify(1, 3, err(3, kind)).err().expect("refused");
+            assert!(e.contains(&format!("`{kind}`")), "{e}");
+        }
+    }
+
+    #[test]
+    fn eval_ok_is_a_value_unless_non_finite() {
+        let ok = |bits: u64| Frame::EvalOk {
+            index: 3,
+            error_bits: bits,
+            stage_ms: vec![("evaluate".to_string(), 2.0f64.to_bits())],
+        };
+        match classify(7, 3, ok(0.25f64.to_bits())) {
+            Ok(Reply::Value(v)) => {
+                assert_eq!(v.error.to_bits(), 0.25f64.to_bits());
+                assert_eq!(v.worker, Some(7));
+                assert!(v.fault.is_none());
+            }
+            _ => panic!("a finite EvalOk is a value"),
+        }
+        assert!(matches!(
+            classify(7, 3, ok(f64::NAN.to_bits())),
+            Ok(Reply::Failed(FailureKind::NonFinite, _))
+        ));
+        let hello = Frame::HelloAck {
+            protocol_version: PROTOCOL_VERSION,
+        };
+        assert!(classify(7, 3, hello).is_err());
     }
 }

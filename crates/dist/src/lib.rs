@@ -4,16 +4,15 @@
 //! The crate has three layers:
 //!
 //! - [`protocol`] — the versioned, length-prefixed, CRC-checked binary
-//!   frame codec spoken over Unix domain sockets between the broker and
-//!   its workers;
-//! - [`broker`] — the broker side: spawns `datamime-worker` processes,
-//!   negotiates the protocol, dispatches evaluation points, enforces
-//!   deadlines by SIGKILL, respawns crashed workers under a bounded
-//!   restart budget, and commits observations in deterministic batch
-//!   order. Implements [`datamime_runtime::Backend`] so the executor can
+//!   frame codec spoken over each worker's stdin and stdout;
+//! - [`broker`] — the broker side: spawns `datamime-worker` processes as
+//!   its children, negotiates the protocol over their pipes, dispatches
+//!   evaluation points, enforces deadlines by SIGKILL, respawns crashed
+//!   workers under a bounded restart budget, and commits observations in
+//!   deterministic batch order. Implements [`datamime_runtime::Backend`] so the executor can
 //!   drive it exactly like the in-process thread pool;
 //! - [`worker`] — the worker side: a small serve loop a worker binary
-//!   runs after connecting back to the broker's socket.
+//!   runs over its stdin and stdout until the broker closes stdin.
 //!
 //! Determinism: an evaluation is a pure function of `(unit, context)`;
 //! floats cross the wire as raw IEEE-754 bits; the broker returns

@@ -1,7 +1,8 @@
 //! Versioned, length-prefixed, CRC-checked binary frame protocol spoken
-//! between the broker and its workers over Unix domain sockets — six
-//! frame kinds, and nothing else speaks it (the serve daemon's plane is
-//! plain text, `datamime::servectl`).
+//! between the broker and its workers over each worker's stdin (broker →
+//! worker) and stdout (worker → broker) — five frame kinds, and nothing
+//! else speaks it (the serve daemon's plane is plain text,
+//! `datamime::servectl`). Closing the worker's stdin is the only stop.
 //!
 //! Wire layout of one frame (all integers little-endian):
 //!
@@ -32,13 +33,13 @@ use std::io::{Read, Write};
 
 /// Protocol version spoken by this build. Bump on any change to the
 /// frame header or payload encodings.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Manually-bumped revision of the evaluation semantics carried over the
 /// wire (stage naming, unit encoding, error classification). Folded into
 /// [`worker_identity`] so a worker binary built from different evaluation
 /// code can never satisfy a broker expecting this build's semantics.
-pub const WIRE_REVISION: u32 = 4;
+pub const WIRE_REVISION: u32 = 5;
 
 /// Frame magic ("DIST", mangled). A connection that opens with anything
 /// else is not speaking this protocol.
@@ -65,8 +66,8 @@ pub fn worker_identity() -> u64 {
 /// One message on the broker–worker wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Worker → broker, first frame after connecting: identifies the
-    /// worker and what it was built to evaluate.
+    /// Worker → broker, the worker's first frame: identifies what it was
+    /// built to evaluate.
     Hello {
         /// Protocol version the worker speaks.
         protocol_version: u16,
@@ -75,8 +76,6 @@ pub enum Frame {
         ctx_fingerprint: u64,
         /// [`worker_identity`] of the worker binary.
         identity: u64,
-        /// Slot id the broker assigned via `--worker-id`.
-        worker_id: u64,
     },
     /// Broker → worker: handshake accepted; evaluation requests follow.
     HelloAck {
@@ -115,14 +114,13 @@ pub enum Frame {
         /// Human-readable failure detail.
         detail: String,
     },
-    /// Broker → worker: exit cleanly. No reply.
-    Shutdown,
 }
 
 impl Frame {
-    /// The kind byte. 6, 7 and 9–18 are retired (a liveness probe nothing
-    /// sent, and the serve daemon's job frames before its plane became one
-    /// line grammar — `datamime::servectl`) and are never reused.
+    /// The kind byte. 6–18 are retired (a liveness probe nothing sent, a
+    /// `Shutdown` that said what closing stdin says, and the serve
+    /// daemon's job frames before its plane became one line grammar —
+    /// `datamime::servectl`) and are never reused.
     fn kind(&self) -> u8 {
         match self {
             Frame::Hello { .. } => 1,
@@ -130,7 +128,6 @@ impl Frame {
             Frame::Eval { .. } => 3,
             Frame::EvalOk { .. } => 4,
             Frame::EvalErr { .. } => 5,
-            Frame::Shutdown => 8,
         }
     }
 }
@@ -140,7 +137,7 @@ impl Frame {
 pub enum ProtocolError {
     /// The peer closed the connection at a frame boundary.
     Closed,
-    /// An I/O error (including mid-frame EOF) from the underlying socket.
+    /// An I/O error from the underlying pipe or stream.
     Io(std::io::Error),
     /// The first four bytes were not [`FRAME_MAGIC`].
     BadMagic(u32),
@@ -170,7 +167,7 @@ impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProtocolError::Closed => write!(f, "peer closed the connection"),
-            ProtocolError::Io(e) => write!(f, "socket error: {e}"),
+            ProtocolError::Io(e) => write!(f, "I/O error: {e}"),
             ProtocolError::BadMagic(m) => {
                 write!(
                     f,
@@ -325,12 +322,10 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             protocol_version,
             ctx_fingerprint,
             identity,
-            worker_id,
         } => {
             put_u16(&mut p, *protocol_version);
             put_u64(&mut p, *ctx_fingerprint);
             put_u64(&mut p, *identity);
-            put_u64(&mut p, *worker_id);
         }
         Frame::HelloAck { protocol_version } => put_u16(&mut p, *protocol_version),
         Frame::Eval {
@@ -369,7 +364,6 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             put_str(&mut p, kind);
             put_str(&mut p, detail);
         }
-        Frame::Shutdown => {}
     }
     p
 }
@@ -405,7 +399,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
             protocol_version: c.u16()?,
             ctx_fingerprint: c.u64()?,
             identity: c.u64()?,
-            worker_id: c.u64()?,
         },
         2 => Frame::HelloAck {
             protocol_version: c.u16()?,
@@ -453,15 +446,14 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
             kind: c.str()?,
             detail: c.str()?,
         },
-        8 => Frame::Shutdown,
         other => return Err(ProtocolError::UnknownKind(other)),
     };
     c.finish()?;
     Ok(frame)
 }
 
-/// Reads one complete frame from `r`, validating magic, version, size,
-/// and checksum. Returns [`ProtocolError::Closed`] on a clean EOF at a
+/// Reads one complete frame from `r`, validating magic, version, the
+/// reserved byte, size, and checksum. Returns [`ProtocolError::Closed`] on a clean EOF at a
 /// frame boundary.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtocolError> {
     let mut header = [0u8; 12];
@@ -487,6 +479,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtocolError> {
             want: PROTOCOL_VERSION,
         });
     }
+    if header[7] != 0 {
+        return Err(ProtocolError::Malformed("reserved header byte is not zero"));
+    }
     let kind = header[6];
     let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
     if len > MAX_PAYLOAD {
@@ -508,13 +503,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtocolError> {
 mod tests {
     use super::*;
 
+    const ACK: Frame = Frame::HelloAck {
+        protocol_version: PROTOCOL_VERSION,
+    };
+
     fn sample_frames() -> Vec<Frame> {
         vec![
             Frame::Hello {
                 protocol_version: PROTOCOL_VERSION,
                 ctx_fingerprint: 0xDEAD_BEEF_CAFE_F00D,
                 identity: worker_identity(),
-                worker_id: 3,
             },
             Frame::HelloAck {
                 protocol_version: PROTOCOL_VERSION,
@@ -538,7 +536,6 @@ mod tests {
                 kind: "panic".to_string(),
                 detail: "injected panic at evaluation 7".to_string(),
             },
-            Frame::Shutdown,
         ]
     }
 
@@ -555,8 +552,8 @@ mod tests {
 
     #[test]
     fn retired_kind_bytes_decode_to_unknown_kind() {
-        for kind in (6..=7).chain(9..=18) {
-            let mut bytes = encode_frame(&Frame::Shutdown);
+        for kind in 6..=18 {
+            let mut bytes = encode_frame(&ACK);
             bytes[6] = kind;
             assert!(
                 matches!(
@@ -590,14 +587,14 @@ mod tests {
 
     #[test]
     fn bad_magic_and_header_version_are_rejected() {
-        let mut bytes = encode_frame(&Frame::Shutdown);
+        let mut bytes = encode_frame(&ACK);
         bytes[0] ^= 0xFF;
         assert!(matches!(
             read_frame(&mut &bytes[..]).unwrap_err(),
             ProtocolError::BadMagic(_)
         ));
 
-        let mut bytes = encode_frame(&Frame::Shutdown);
+        let mut bytes = encode_frame(&ACK);
         bytes[4] = bytes[4].wrapping_add(1);
         match read_frame(&mut &bytes[..]).unwrap_err() {
             ProtocolError::VersionMismatch { got, want } => {
@@ -610,9 +607,7 @@ mod tests {
 
     #[test]
     fn truncated_and_oversized_frames_are_rejected() {
-        let bytes = encode_frame(&Frame::HelloAck {
-            protocol_version: PROTOCOL_VERSION,
-        });
+        let bytes = encode_frame(&ACK);
         for cut in 1..bytes.len() {
             let err = read_frame(&mut &bytes[..cut]).unwrap_err();
             assert!(
@@ -625,7 +620,7 @@ mod tests {
             ProtocolError::Closed
         ));
 
-        let mut bytes = encode_frame(&Frame::Shutdown);
+        let mut bytes = encode_frame(&ACK);
         let huge = (MAX_PAYLOAD + 1).to_le_bytes();
         bytes[8..12].copy_from_slice(&huge);
         assert!(matches!(
@@ -636,17 +631,27 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_are_rejected() {
-        // Hand-build a Shutdown frame with one stray payload byte and a
+        // Hand-build a HelloAck frame with one stray payload byte and a
         // valid CRC over it: structurally sound, semantically malformed.
-        let payload = [0xABu8];
+        let payload = [2u8, 0, 0xAB];
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
         bytes.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        bytes.push(8);
+        bytes.push(2);
         bytes.push(0);
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&payload);
         bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        assert!(matches!(
+            read_frame(&mut &bytes[..]).unwrap_err(),
+            ProtocolError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn nonzero_reserved_header_byte_is_malformed() {
+        let mut bytes = encode_frame(&ACK);
+        bytes[7] = 1;
         assert!(matches!(
             read_frame(&mut &bytes[..]).unwrap_err(),
             ProtocolError::Malformed(_)

@@ -1,14 +1,15 @@
 //! The worker: the process-side half of the distributed evaluation
 //! plane.
 //!
-//! A worker binary parses its command line, rebuilds the evaluation
-//! context (generator, machine config, profiling config), derives the
-//! same context fingerprint the broker computed, and calls [`serve`]
-//! with a closure that evaluates one point. [`serve`] owns the whole
-//! protocol conversation: `Hello`/`HelloAck` negotiation, the
-//! `Eval` → `EvalOk`/`EvalErr` loop with panic containment, the
-//! worker-side half of the [`FaultPlan`] carried on [`WorkerConfig`],
-//! and clean shutdown.
+//! A worker binary is its broker's child. It parses its command line,
+//! rebuilds the evaluation context (generator, machine config, profiling
+//! config), derives the same context fingerprint the broker computed, and
+//! calls [`serve`] on its stdin and stdout with a closure that evaluates
+//! one point. [`serve`] owns the whole protocol conversation:
+//! `Hello`/`HelloAck` negotiation, the `Eval` → `EvalOk`/`EvalErr` loop
+//! with panic containment, the worker-side half of the [`FaultPlan`]
+//! carried on [`WorkerConfig`], and a clean return when the broker closes
+//! the worker's stdin.
 //!
 //! Everything scheduling-related (deadlines, retries, re-dispatch) lives
 //! broker-side; the worker is a pure request server, which is what makes
@@ -20,8 +21,7 @@ use crate::protocol::{
 use datamime_runtime::supervisor::{CancelToken, FailureKind};
 use datamime_runtime::telemetry::StageTimes;
 use datamime_runtime::FaultPlan;
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::io::{Read, Write};
 
 /// How a worker process introduces itself to the broker.
 ///
@@ -29,10 +29,6 @@ use std::path::PathBuf;
 /// tests override them to exercise the broker's negotiation rejects.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
-    /// Broker socket path (`--socket`).
-    pub socket: PathBuf,
-    /// Broker-assigned incarnation id (`--worker-id`).
-    pub worker_id: u64,
     /// Fingerprint of the evaluation context this worker rebuilt.
     pub ctx_fingerprint: u64,
     /// Protocol version to claim in `Hello`.
@@ -47,10 +43,8 @@ pub struct WorkerConfig {
 
 impl WorkerConfig {
     /// A config claiming this build's true protocol version and identity.
-    pub fn new(socket: PathBuf, worker_id: u64, ctx_fingerprint: u64) -> Self {
+    pub fn new(ctx_fingerprint: u64) -> Self {
         WorkerConfig {
-            socket,
-            worker_id,
             ctx_fingerprint,
             protocol_version: PROTOCOL_VERSION,
             identity: worker_identity(),
@@ -74,8 +68,9 @@ pub struct EvalRequest {
     pub unit: Vec<f64>,
 }
 
-/// Connects to the broker, negotiates, and serves evaluation requests
-/// until `Shutdown` or the broker hangs up.
+/// Negotiates with the broker, then serves the evaluation requests read
+/// from `reader`, writing each reply to `writer`, until the broker hangs
+/// up (EOF on `reader` at a frame boundary, the only stop).
 ///
 /// `eval` computes the objective for one request, recording stage
 /// timings as it goes. `cfg.faults` is applied first: a `kill` entry for
@@ -88,31 +83,33 @@ pub struct EvalRequest {
 ///
 /// # Errors
 ///
-/// Returns a message when the socket cannot be reached or the broker
-/// rejects the handshake (version/identity/context skew).
-pub fn serve<F>(cfg: &WorkerConfig, mut eval: F) -> Result<(), String>
+/// Returns a message when the broker rejects the handshake
+/// (version/identity/context skew) or the pipes fail mid-conversation.
+pub fn serve<F>(
+    cfg: &WorkerConfig,
+    mut reader: impl Read,
+    mut writer: impl Write,
+    mut eval: F,
+) -> Result<(), String>
 where
     F: FnMut(&EvalRequest, &mut StageTimes) -> f64,
 {
-    let mut conn = UnixStream::connect(&cfg.socket)
-        .map_err(|e| format!("cannot reach broker socket {:?}: {e}", cfg.socket))?;
     write_frame(
-        &mut conn,
+        &mut writer,
         &Frame::Hello {
             protocol_version: cfg.protocol_version,
             ctx_fingerprint: cfg.ctx_fingerprint,
             identity: cfg.identity,
-            worker_id: cfg.worker_id,
         },
     )
     .map_err(|e| format!("handshake write failed: {e}"))?;
-    match read_frame(&mut conn) {
+    match read_frame(&mut reader) {
         Ok(Frame::HelloAck { .. }) => {}
         Ok(_) => return Err("broker answered Hello with an unexpected frame".to_string()),
         Err(ProtocolError::Closed) => {
             return Err(
                 "broker rejected the handshake (protocol, identity, or context mismatch) \
-                 and closed the connection"
+                 and closed the pipe"
                     .to_string(),
             )
         }
@@ -120,13 +117,12 @@ where
     }
 
     loop {
-        let frame = match read_frame(&mut conn) {
+        let frame = match read_frame(&mut reader) {
             Ok(f) => f,
             Err(ProtocolError::Closed) => return Ok(()),
-            Err(e) => return Err(format!("broker connection failed: {e}")),
+            Err(e) => return Err(format!("broker pipe failed: {e}")),
         };
         let reply = match frame {
-            Frame::Shutdown => return Ok(()),
             Frame::Eval {
                 index,
                 attempt,
@@ -135,7 +131,7 @@ where
             } => {
                 if cfg.faults.kills(index as usize, dispatch) {
                     // Simulates a worker crash: SIGABRT, no unwinding, no
-                    // reply frame — the broker sees the connection drop.
+                    // reply frame — the broker sees the worker's stdout close.
                     std::process::abort();
                 }
                 let req = EvalRequest {
@@ -146,10 +142,10 @@ where
                 };
                 answer(&req, &cfg.faults, &mut eval)
             }
-            _ => return Err("broker sent a frame only workers send".to_string()),
+            _ => return Err("broker sent a frame other than Eval".to_string()),
         };
-        if let Err(e) = write_frame(&mut conn, &reply) {
-            return Err(format!("broker connection failed: {e}"));
+        if let Err(e) = write_frame(&mut writer, &reply) {
+            return Err(format!("broker pipe failed: {e}"));
         }
     }
 }

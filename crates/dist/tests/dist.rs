@@ -7,8 +7,9 @@ use datamime_dist::{
 };
 use datamime_runtime::supervisor::{FailPolicy, FailureKind};
 use datamime_runtime::{Backend, EvalFault, FaultPlan};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn stub_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_dist-worker-stub"))
@@ -208,26 +209,24 @@ fn fault_plan_spec_round_trips_across_the_process_boundary() {
 }
 
 #[test]
-fn worker_serve_answers_heartbeats_and_honors_shutdown() {
-    // Drive serve() directly against a hand-rolled broker endpoint.
-    let dir = std::env::temp_dir().join(format!("datamime-dist-hb-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let sock = dir.join("hb.sock");
-    let _ = std::fs::remove_file(&sock);
-    let listener = std::os::unix::net::UnixListener::bind(&sock).unwrap();
+fn worker_serve_answers_evals_and_returns_ok_on_hang_up() {
+    // Drive serve() directly over a socket pair standing in for the
+    // child's stdin and stdout.
+    let (broker_end, worker_end) = UnixStream::pair().unwrap();
+    let worker = std::thread::spawn(move || {
+        let writer = worker_end.try_clone().unwrap();
+        datamime_dist::serve(&WorkerConfig::new(9), worker_end, writer, |_, _| 0.5)
+    });
 
-    let cfg = WorkerConfig::new(sock.clone(), 9, 0);
-    let worker = std::thread::spawn(move || datamime_dist::serve(&cfg, |_, _| 0.5));
-
-    let (mut conn, _) = listener.accept().unwrap();
+    let mut conn = broker_end;
     match read_frame(&mut conn).unwrap() {
         Frame::Hello {
             protocol_version,
-            worker_id,
+            ctx_fingerprint,
             ..
         } => {
             assert_eq!(protocol_version, PROTOCOL_VERSION);
-            assert_eq!(worker_id, 9);
+            assert_eq!(ctx_fingerprint, 9);
         }
         other => panic!("expected Hello, got {other:?}"),
     }
@@ -257,7 +256,37 @@ fn worker_serve_answers_heartbeats_and_honors_shutdown() {
         }
         other => panic!("expected EvalOk, got {other:?}"),
     }
-    write_frame(&mut conn, &Frame::Shutdown).unwrap();
-    worker.join().unwrap().expect("serve exits cleanly");
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(conn);
+    worker.join().unwrap().expect("serve returns Ok on hang-up");
+}
+
+#[test]
+fn worker_exiting_before_hello_exhausts_the_restart_budget() {
+    let mut cfg = BrokerConfig::new(PathBuf::from("/bin/true"), 1);
+    cfg.restart_budget = 2;
+    let mut broker = Broker::start(cfg).expect("broker start");
+    let err = broker
+        .evaluate_batch(&batch(1), &mut |_| {})
+        .expect_err("a worker that never speaks must fail the batch");
+    assert!(
+        err.contains("restart budget of 2"),
+        "unexpected error: {err}"
+    );
+}
+
+#[test]
+fn silent_worker_fails_the_batch_on_the_handshake_bound() {
+    let mut cfg = BrokerConfig::new(PathBuf::from("/bin/sleep"), 1);
+    cfg.worker_args = vec!["60".to_string()];
+    let mut broker = Broker::start(cfg).expect("broker start");
+    let started = Instant::now();
+    let err = broker
+        .evaluate_batch(&batch(1), &mut |_| {})
+        .expect_err("a worker that never says Hello must fail the batch");
+    assert!(err.contains("handshake"), "unexpected error: {err}");
+    let waited = started.elapsed();
+    assert!(
+        (Duration::from_secs(9)..Duration::from_secs(30)).contains(&waited),
+        "failed after {waited:?}"
+    );
 }

@@ -69,4 +69,4 @@ pub use supervisor::{
     Supervisor, SupervisorConfig, Watchdog,
 };
 pub use telemetry::{ProgressSink, SharedSink, StageTimes, StderrSink, Telemetry};
-pub use termsig::{TermSignal, NO_TRAP_ENV, TERM_SENTINEL_ENV};
+pub use termsig::{TermSignal, TERM_SENTINEL_ENV};

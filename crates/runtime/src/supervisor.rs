@@ -76,7 +76,7 @@ pub enum FailureKind {
     /// of repeatedly-failing points and was penalized directly.
     Quarantined,
     /// The out-of-process backend lost the worker evaluating the point
-    /// (crash, SIGKILL, socket close) more times than its re-dispatch
+    /// (crash, SIGKILL, closed stdout) more times than its re-dispatch
     /// budget allows. Never produced by the in-process supervisor.
     WorkerLost,
 }

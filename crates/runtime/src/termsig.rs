@@ -23,18 +23,13 @@
 //!
 //! Limitation: this observes only `TERM` and `INT` delivered to the
 //! wrapped PID. It is a drain *request* mechanism, not a general signal
-//! API — which is exactly what the serve daemon and workers need.
+//! API — which is exactly what the serve daemon needs.
 
 use std::path::{Path, PathBuf};
 
 /// Environment variable naming the sentinel file whose existence means
 /// "terminate gracefully". Setting it yourself disables the trampoline.
 pub const TERM_SENTINEL_ENV: &str = "DATAMIME_TERM_SENTINEL";
-
-/// Set this environment variable (to anything) to skip the `/bin/sh`
-/// trampoline without wiring a sentinel of your own: [`install`] returns
-/// a signal that can only be triggered programmatically.
-pub const NO_TRAP_ENV: &str = "DATAMIME_NO_TRAP";
 
 /// The shell trampoline: `"$@"` is the real binary and its arguments.
 /// `: >` (not `touch`) creates the sentinel so only shell builtins are
@@ -110,9 +105,6 @@ pub fn install() -> TermSignal {
     let path = std::env::temp_dir().join(format!("datamime-term-{}.sentinel", std::process::id()));
     // audit:allow(swallowed-result): a stale sentinel from a previous pid usually does not exist — creation below is authoritative
     let _ = std::fs::remove_file(&path);
-    if std::env::var_os(NO_TRAP_ENV).is_some() {
-        return TermSignal::at(path);
-    }
     let Ok(exe) = std::env::current_exe() else {
         return TermSignal::at(path);
     };

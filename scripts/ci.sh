@@ -94,9 +94,9 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   echo "==> bench_smoke"
   run scripts/bench.sh --check
   # Multi-process smoke: a short fig10-style search on the process
-  # backend (--backend proc --workers 2, each evaluation in its own
-  # datamime-worker OS process) must be checksum-identical to the
-  # in-process thread backend.
+  # backend (--backend proc --workers 2: a pool of two datamime-worker
+  # child processes, fed frames over their stdin and stdout) must be
+  # checksum-identical to the in-process thread backend.
   run cargo build --release -q -p datamime-experiments --bin dist_smoke
   echo "==> DATAMIME_WORKER=target/release/datamime-worker target/release/dist_smoke --check"
   DATAMIME_WORKER=target/release/datamime-worker target/release/dist_smoke --check
