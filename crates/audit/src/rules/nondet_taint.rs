@@ -27,7 +27,7 @@
 //! narrow APIs keep those paths short), and *control*-flow taint (a
 //! branch on a clock deciding *whether* to journal) is out of scope —
 //! timing-dependent control flow is sanctioned policy for quotas and
-//! watchdogs.
+//! deadlines.
 //!
 //! On the configured `strict-paths` (the original deterministic core:
 //! sim kernels, stats, the search loop) the old ident denylist still

@@ -17,11 +17,13 @@
 //! DESIGN.md §8):
 //!
 //! - **deadlines** are enforced by SIGKILL-ing the worker process —
-//!   strictly stronger than the watchdog's cooperative [`CancelToken`]
-//!   cancellation, because a wedged simulator that never polls the token
-//!   still dies. The killed attempt is classified `timeout` with the
-//!   supervisor's exact detail string and consumes a retry, exactly as
-//!   in-process;
+//!   strictly stronger than the in-process deadline on the cooperative
+//!   [`CancelToken`], because a wedged simulator that never polls the
+//!   token still dies. The killed attempt is classified `timeout` with
+//!   the supervisor's own [`timeout_detail`] and consumes a retry,
+//!   exactly as in-process; every other attempt is classified
+//!   worker-side by the supervisor's own
+//!   [`run_attempt`](datamime_runtime::supervisor::run_attempt);
 //! - **spontaneous worker death** (crash, OOM-kill, `KillWorker` fault)
 //!   is *transparent*: the in-flight point is re-dispatched to another
 //!   worker without consuming a retry, because in-process evaluation has
@@ -40,7 +42,8 @@ use crate::protocol::{
     read_frame, worker_identity, write_frame, Frame, ProtocolError, PROTOCOL_VERSION,
 };
 use datamime_runtime::supervisor::{
-    AfterFailure, Evaluated, FailPolicy, FailedAttempt, FailureKind, SupervisorConfig,
+    nonfinite_detail, timeout_detail, AfterFailure, Evaluated, FailPolicy, FailedAttempt,
+    FailureKind, SupervisorConfig,
 };
 use datamime_runtime::telemetry::StageTimes;
 use datamime_runtime::Backend;
@@ -408,7 +411,7 @@ impl Broker {
                     jobs,
                     j,
                     FailureKind::Timeout,
-                    format!("evaluation exceeded its {budget:?} deadline"),
+                    timeout_detail(budget),
                     worker,
                     on_attempt,
                     done,
@@ -608,10 +611,7 @@ fn classify(id: u64, expected: usize, frame: Frame) -> Result<Reply, String> {
             } else {
                 // Defense in depth: workers classify non-finite
                 // objectives themselves.
-                Reply::Failed(
-                    FailureKind::NonFinite,
-                    format!("objective evaluated to {error}"),
-                )
+                Reply::Failed(FailureKind::NonFinite, nonfinite_detail(error))
             };
             (index, reply)
         }
@@ -734,6 +734,63 @@ fn handshake_and_read(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datamime_runtime::supervisor::Supervisor;
+    use std::os::unix::net::UnixStream;
+
+    /// Runs `eval` as evaluation 3 in a worker's `serve` over a socket
+    /// pair and returns the failure the broker reads from its reply.
+    fn failure_through_a_worker(eval: fn() -> f64) -> (FailureKind, String) {
+        let (mut conn, worker_end) = UnixStream::pair().unwrap();
+        let worker = std::thread::spawn(move || {
+            let writer = worker_end.try_clone().unwrap();
+            crate::serve(&crate::WorkerConfig::new(9), worker_end, writer, |_, _| {
+                eval()
+            })
+        });
+        assert!(matches!(read_frame(&mut conn), Ok(Frame::Hello { .. })));
+        let ack = Frame::HelloAck {
+            protocol_version: PROTOCOL_VERSION,
+        };
+        write_frame(&mut conn, &ack).unwrap();
+        let request = Frame::Eval {
+            index: 3,
+            attempt: 0,
+            dispatch: 0,
+            unit_bits: vec![0.5f64.to_bits()],
+        };
+        write_frame(&mut conn, &request).unwrap();
+        let reply = read_frame(&mut conn).unwrap();
+        drop(conn);
+        worker.join().unwrap().expect("serve returns Ok on hang-up");
+        match classify(1, 3, reply) {
+            Ok(Reply::Failed(kind, detail)) => (kind, detail),
+            _ => panic!("the worker's reply must be a failed attempt"),
+        }
+    }
+
+    /// Runs `eval` as evaluation 3 under the in-process supervisor and
+    /// returns the failure it reports.
+    fn failure_in_process(eval: fn() -> f64) -> (FailureKind, String) {
+        let sup = Supervisor::new(SupervisorConfig::default(), 0);
+        let mut failed = Vec::new();
+        sup.evaluate(3, &[0.5], &mut |_, _, _| eval(), &mut |a| {
+            failed.push((a.kind, a.detail))
+        });
+        failed.pop().expect("the evaluation must fail")
+    }
+
+    #[test]
+    fn a_failure_reads_the_same_in_process_and_through_a_worker() {
+        let evals: [fn() -> f64; 4] = [
+            || std::panic::panic_any(7u32),
+            || panic!("simulated profiler crash"),
+            || f64::NAN,
+            || f64::NEG_INFINITY,
+        ];
+        for eval in evals {
+            assert_eq!(failure_through_a_worker(eval), failure_in_process(eval));
+        }
+    }
 
     fn err(index: u64, kind: &str) -> Frame {
         Frame::EvalErr {

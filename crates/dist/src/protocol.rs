@@ -39,7 +39,7 @@ pub const PROTOCOL_VERSION: u16 = 2;
 /// wire (stage naming, unit encoding, error classification). Folded into
 /// [`worker_identity`] so a worker binary built from different evaluation
 /// code can never satisfy a broker expecting this build's semantics.
-pub const WIRE_REVISION: u32 = 5;
+pub const WIRE_REVISION: u32 = 6;
 
 /// Frame magic ("DIST", mangled). A connection that opens with anything
 /// else is not speaking this protocol.

@@ -7,9 +7,9 @@
 //! calls [`serve`] on its stdin and stdout with a closure that evaluates
 //! one point. [`serve`] owns the whole protocol conversation:
 //! `Hello`/`HelloAck` negotiation, the `Eval` → `EvalOk`/`EvalErr` loop
-//! with panic containment, the worker-side half of the [`FaultPlan`]
-//! carried on [`WorkerConfig`], and a clean return when the broker closes
-//! the worker's stdin.
+//! over the in-process supervisor's own [`run_attempt`], the worker-side
+//! half of the [`FaultPlan`] carried on [`WorkerConfig`], and a clean
+//! return when the broker closes the worker's stdin.
 //!
 //! Everything scheduling-related (deadlines, retries, re-dispatch) lives
 //! broker-side; the worker is a pure request server, which is what makes
@@ -18,7 +18,7 @@
 use crate::protocol::{
     read_frame, worker_identity, write_frame, Frame, ProtocolError, PROTOCOL_VERSION,
 };
-use datamime_runtime::supervisor::{CancelToken, FailureKind};
+use datamime_runtime::supervisor::run_attempt;
 use datamime_runtime::telemetry::StageTimes;
 use datamime_runtime::FaultPlan;
 use std::io::{Read, Write};
@@ -73,13 +73,12 @@ pub struct EvalRequest {
 /// up (EOF on `reader` at a frame boundary, the only stop).
 ///
 /// `eval` computes the objective for one request, recording stage
-/// timings as it goes. `cfg.faults` is applied first: a `kill` entry for
-/// the request's dispatch aborts the process without a reply, and any
-/// other entry for its attempt replaces `eval`, as in the in-process
-/// supervisor. Panics are contained and reported as `EvalErr` frames; a
-/// non-finite value is classified worker-side exactly like the
-/// in-process supervisor would (`nonfinite`, detail `objective evaluated
-/// to {value}`).
+/// timings as it goes. A `kill` entry of `cfg.faults` for the request's
+/// dispatch aborts the process without a reply; otherwise the request is
+/// one [`run_attempt`], the in-process supervisor's own, without a
+/// deadline (the broker's SIGKILL enforces it), and a failed attempt is
+/// reported as an `EvalErr` frame with the kind and detail the
+/// in-process supervisor would journal.
 ///
 /// # Errors
 ///
@@ -140,63 +139,35 @@ where
                     dispatch,
                     unit: unit_bits.iter().copied().map(f64::from_bits).collect(),
                 };
-                answer(&req, &cfg.faults, &mut eval)
+                let outcome = run_attempt(
+                    &cfg.faults,
+                    index as usize,
+                    attempt,
+                    None,
+                    &req.unit,
+                    &mut |_, stages, _| eval(&req, stages),
+                );
+                match outcome {
+                    Ok((error, stages)) => Frame::EvalOk {
+                        index,
+                        error_bits: error.to_bits(),
+                        stage_ms: stages
+                            .to_millis()
+                            .into_iter()
+                            .map(|(name, ms)| (name, ms.to_bits()))
+                            .collect(),
+                    },
+                    Err(failed) => Frame::EvalErr {
+                        index,
+                        kind: failed.kind.tag().to_string(),
+                        detail: failed.detail,
+                    },
+                }
             }
             _ => return Err("broker sent a frame other than Eval".to_string()),
         };
         if let Err(e) = write_frame(&mut writer, &reply) {
             return Err(format!("broker pipe failed: {e}"));
         }
-    }
-}
-
-/// Runs one evaluation (or the fault `faults` schedules in its place)
-/// under panic containment and classifies the outcome into the frame the
-/// broker expects.
-fn answer<F>(req: &EvalRequest, faults: &FaultPlan, eval: &mut F) -> Frame
-where
-    F: FnMut(&EvalRequest, &mut StageTimes) -> f64,
-{
-    let mut stages = StageTimes::new();
-    // Deadlines are the broker's SIGKILL, so the token never fires and an
-    // injected stall simply elapses.
-    let token = CancelToken::new();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        match faults.apply(req.index as usize, req.attempt, &token) {
-            Some(injected) => injected,
-            None => eval(req, &mut stages),
-        }
-    }));
-    match result {
-        Ok(value) if value.is_finite() => Frame::EvalOk {
-            index: req.index,
-            error_bits: value.to_bits(),
-            stage_ms: stages
-                .to_millis()
-                .into_iter()
-                .map(|(name, ms)| (name, ms.to_bits()))
-                .collect(),
-        },
-        Ok(value) => Frame::EvalErr {
-            index: req.index,
-            kind: FailureKind::NonFinite.tag().to_string(),
-            detail: format!("objective evaluated to {value}"),
-        },
-        Err(payload) => Frame::EvalErr {
-            index: req.index,
-            kind: FailureKind::Panic.tag().to_string(),
-            detail: panic_message(payload.as_ref()),
-        },
-    }
-}
-
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }

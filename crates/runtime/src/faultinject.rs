@@ -41,7 +41,7 @@ pub enum EvalFault {
     Panic,
     /// Stall cooperatively for up to this many milliseconds, polling the
     /// cancel token every millisecond. With a deadline shorter than the
-    /// stall the watchdog cancels first and the attempt times out;
+    /// stall the token expires first and the attempt times out;
     /// without one the stall simply elapses and the attempt falls
     /// through as a timeout-free NaN (see [`FaultPlan::apply`]).
     StallMs(u64),

@@ -26,6 +26,12 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// How deeply arrays and objects may nest before [`Json::parse`] refuses
+/// the input. Every writer in the repository nests at most five deep;
+/// the cap keeps the recursive parser's stack bounded on damaged or
+/// hostile bytes.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: byte offset plus a static description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -44,11 +50,14 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl Json {
-    /// Parses one JSON value; trailing non-whitespace is an error.
+    /// Parses one JSON value; trailing non-whitespace, and arrays or
+    /// objects nested deeper than [`MAX_DEPTH`], are errors.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -99,8 +108,11 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -141,8 +153,9 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nested too deeply")),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -150,6 +163,17 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -246,11 +270,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 scalar (input came from a &str, so
-                    // the byte stream is valid UTF-8).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).expect("input is valid UTF-8");
-                    let ch = rest.chars().next().expect("non-empty by peek");
+                    // Multi-byte UTF-8 scalar: every step so far moved
+                    // over whole characters, so `pos` is a char boundary.
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("broken UTF-8 sequence"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -381,6 +407,16 @@ mod tests {
         let mut s = String::new();
         push_str_escaped(&mut s, original);
         assert_eq!(Json::parse(&s).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.offset, err.message), (MAX_DEPTH, "nested too deeply"));
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! - [`backend`] — where a batch is evaluated: the [`Backend`] seam plus
 //!   the in-process implementations (inline, or a pool of scoped worker
 //!   threads over a bounded work queue);
-//! - [`supervisor`] — fault-tolerant evaluation: panic containment,
-//!   watchdog deadlines via a cooperative [`CancelToken`], bounded retry
+//! - [`supervisor`] — fault-tolerant evaluation: one attempt function
+//!   both backends run (panic containment, deadlines carried on a
+//!   cooperative [`CancelToken`], one failure wording), bounded retry
 //!   with deterministic backoff, and penalty verdicts the executor
 //!   quarantines and degrades on;
 //! - [`faultinject`] — one deterministic [`FaultPlan`] for every
@@ -66,7 +67,7 @@ pub use memo::{canonical_bits, fingerprint, MemoCache, MemoEntry};
 pub use metrics::{MetricsRegistry, MetricsSink};
 pub use supervisor::{
     AfterFailure, CancelToken, Evaluated, FailPolicy, FailedAttempt, FailureKind, FaultInfo,
-    Supervisor, SupervisorConfig, Watchdog,
+    Supervisor, SupervisorConfig,
 };
 pub use telemetry::{ProgressSink, SharedSink, StageTimes, StderrSink, Telemetry};
 pub use termsig::{TermSignal, TERM_SENTINEL_ENV};

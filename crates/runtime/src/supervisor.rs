@@ -8,8 +8,8 @@
 //!
 //! - **panic containment** — a panic inside the evaluation becomes a
 //!   [`FailureKind::Panic`] with the payload string, not a dead run;
-//! - **deadlines** — a [`Watchdog`] thread cancels a cooperative
-//!   [`CancelToken`] when an evaluation exceeds its wall-clock budget
+//! - **deadlines** — an attempt's [`CancelToken`] carries its wall-clock
+//!   deadline and reads as cancelled once it passes
 //!   ([`FailureKind::Timeout`]); the profiler's sampling loops poll the
 //!   token and return early;
 //! - **non-finite objectives** — NaN/±Inf become
@@ -24,42 +24,60 @@
 //!   optimization steers away from the failed region and the search
 //!   survives.
 //!
-//! The retry-or-verdict decision is one function,
-//! [`SupervisorConfig::after_failure`], which the out-of-process broker
-//! drives too. Deterministic fault injection
-//! ([`crate::faultinject::FaultPlan`]) plugs in here so every one of
-//! those paths is testable in CI.
+//! Both backends share the two halves of that work. [`run_attempt`] runs
+//! and classifies one attempt, and a worker process calls it too, so a
+//! failure reads the same whichever backend met it; the broker words its
+//! own verdicts with [`timeout_detail`] and [`nonfinite_detail`]. The
+//! retry-or-verdict decision is [`SupervisorConfig::after_failure`],
+//! which the out-of-process broker drives too. Deterministic fault
+//! injection ([`crate::faultinject::FaultPlan`]) plugs into
+//! [`run_attempt`] so every one of those paths is testable in CI.
 
 use crate::faultinject::FaultPlan;
 use crate::telemetry::StageTimes;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A cooperative cancellation flag shared between a watchdog and the
-/// evaluation it guards. Cloning yields a handle to the *same* flag.
+/// A cooperative cancellation flag, optionally with a wall-clock
+/// deadline. Cloning yields a handle to the *same* flag and deadline.
 ///
 /// Long-running evaluation loops (the profiler's sampling loops, curve
 /// sweeps) poll [`is_cancelled`](Self::is_cancelled) and return early
 /// once it fires; the supervisor then classifies the evaluation as timed
 /// out and discards its truncated result.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken {
+    flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
+}
 
 impl CancelToken {
-    /// A fresh, un-cancelled token.
+    /// A fresh, un-cancelled token without a deadline.
     pub fn new() -> Self {
         CancelToken::default()
     }
 
-    /// Requests cancellation. Idempotent.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
+    /// A fresh token that also reads as cancelled once `budget` has
+    /// passed from now (never, if that instant is unrepresentable).
+    pub fn with_deadline(budget: Duration) -> Self {
+        CancelToken {
+            flag: Arc::default(),
+            // Wall-clock by design: a deadline cancels work but never
+            // feeds results.
+            deadline: Instant::now().checked_add(budget),
+        }
     }
 
-    /// Whether cancellation has been requested.
+    /// Requests cancellation. Idempotent.
+    pub fn cancel(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether cancellation has been requested or the deadline has
+    /// passed. Reads the clock only when the token has a deadline.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -68,7 +86,7 @@ impl CancelToken {
 pub enum FailureKind {
     /// The evaluation panicked.
     Panic,
-    /// The evaluation exceeded its wall-clock deadline.
+    /// The evaluation ran past its wall-clock deadline.
     Timeout,
     /// The evaluation returned NaN or ±Inf.
     NonFinite,
@@ -289,138 +307,79 @@ impl Evaluated {
 /// times and a cancel token threaded through, objective out.
 pub type EvalFn<'a> = dyn FnMut(&[f64], &mut StageTimes, &CancelToken) -> f64 + 'a;
 
-/// Shared state between the watchdog thread and its registrants.
+/// Why one evaluation attempt failed, as [`run_attempt`] classifies it.
 #[derive(Debug)]
-struct WatchState {
-    /// Active `(deadline, registration id, token)` entries.
-    entries: Vec<(Instant, u64, CancelToken)>,
-    next_id: u64,
-    shutdown: bool,
+pub struct AttemptError {
+    /// How the attempt failed.
+    pub kind: FailureKind,
+    /// Human-readable detail (panic payload, deadline, offending value).
+    pub detail: String,
+    /// The evaluation's own panic payload, which [`FailPolicy::Abort`]
+    /// re-raises.
+    pub payload: Option<PanicPayload>,
 }
 
-#[derive(Debug)]
-struct WatchShared {
-    state: Mutex<WatchState>,
-    cv: Condvar,
-}
-
-/// A background thread that cancels tokens whose deadline has passed.
+/// Runs attempt `attempt` (0-based) of evaluation `index` and classifies
+/// it — the one attempt both backends share. The fault `faults`
+/// schedules for `(index, attempt)` runs in place of `eval`; otherwise
+/// `eval` runs, under `catch_unwind`, on a token that expires `deadline`
+/// from now (never, for `None`). A finite value is the attempt's result
+/// with its stage timings; a panic, an expired deadline, or a non-finite
+/// value is an [`AttemptError`].
 ///
-/// Registrations are scoped: dropping the [`WatchGuard`] deregisters the
-/// entry, and dropping the watchdog shuts the thread down and joins it.
-#[derive(Debug)]
-pub struct Watchdog {
-    shared: Arc<WatchShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    /// Spawns the watchdog thread.
-    pub fn new() -> Self {
-        let shared = Arc::new(WatchShared {
-            state: Mutex::new(WatchState {
-                entries: Vec::new(),
-                next_id: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("datamime-watchdog".to_string())
-            .spawn(move || watch_loop(&thread_shared))
-            .expect("failed to spawn watchdog thread");
-        Watchdog {
-            shared,
-            handle: Some(handle),
+/// # Errors
+///
+/// Returns the classified failure; see [`FailureKind`].
+pub fn run_attempt(
+    faults: &FaultPlan,
+    index: usize,
+    attempt: u32,
+    deadline: Option<Duration>,
+    unit: &[f64],
+    eval: &mut EvalFn<'_>,
+) -> Result<(f64, StageTimes), AttemptError> {
+    let token = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
+    let mut stages = StageTimes::new();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if let Some(injected) = faults.apply(index, attempt, &token) {
+            injected
+        } else if token.is_cancelled() {
+            // The deadline passed before the evaluation could start;
+            // the value is discarded below.
+            f64::NAN
+        } else {
+            eval(unit, &mut stages, &token)
         }
-    }
-
-    /// Arms `token` to be cancelled `timeout` from now unless the
-    /// returned guard is dropped first.
-    pub fn register(&self, timeout: Duration, token: CancelToken) -> WatchGuard<'_> {
-        // The watchdog is wall-clock by design — timeouts cancel work
-        // but never feed results.
-        let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock().expect("watchdog poisoned");
-        let id = st.next_id;
-        st.next_id += 1;
-        st.entries.push((deadline, id, token));
-        drop(st);
-        self.cv_notify();
-        WatchGuard { dog: self, id }
-    }
-
-    fn cv_notify(&self) {
-        self.shared.cv.notify_all();
-    }
+    }));
+    let (kind, detail, payload) = match result {
+        Ok(_) if token.is_cancelled() => (
+            FailureKind::Timeout,
+            timeout_detail(deadline.unwrap_or_default()),
+            None,
+        ),
+        Ok(value) if !value.is_finite() => (FailureKind::NonFinite, nonfinite_detail(value), None),
+        Ok(value) => return Ok((value, stages)),
+        Err(payload) => (
+            FailureKind::Panic,
+            panic_message(payload.as_ref()),
+            Some(payload),
+        ),
+    };
+    Err(AttemptError {
+        kind,
+        detail,
+        payload,
+    })
 }
 
-impl Default for Watchdog {
-    fn default() -> Self {
-        Watchdog::new()
-    }
+/// The detail of an attempt that outlived its `budget`.
+pub fn timeout_detail(budget: Duration) -> String {
+    format!("evaluation exceeded its {budget:?} deadline")
 }
 
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        if let Ok(mut st) = self.shared.state.lock() {
-            st.shutdown = true;
-        }
-        self.cv_notify();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Deregisters its watchdog entry on drop (the evaluation finished
-/// before the deadline).
-#[derive(Debug)]
-pub struct WatchGuard<'a> {
-    dog: &'a Watchdog,
-    id: u64,
-}
-
-impl Drop for WatchGuard<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut st) = self.dog.shared.state.lock() {
-            st.entries.retain(|(_, id, _)| *id != self.id);
-        }
-        self.dog.cv_notify();
-    }
-}
-
-fn watch_loop(shared: &WatchShared) {
-    let mut st = shared.state.lock().expect("watchdog poisoned");
-    loop {
-        if st.shutdown {
-            return;
-        }
-        // The watchdog is wall-clock by design — timeouts cancel work
-        // but never feed results.
-        let now = Instant::now();
-        st.entries.retain(|(deadline, _, token)| {
-            if *deadline <= now {
-                token.cancel();
-                false
-            } else {
-                true
-            }
-        });
-        let next = st.entries.iter().map(|(d, _, _)| *d).min();
-        st = match next {
-            Some(deadline) => {
-                let wait = deadline.saturating_duration_since(now);
-                shared
-                    .cv
-                    .wait_timeout(st, wait)
-                    .expect("watchdog poisoned")
-                    .0
-            }
-            None => shared.cv.wait(st).expect("watchdog poisoned"),
-        };
-    }
+/// The detail of an attempt whose objective came out non-finite.
+pub fn nonfinite_detail(value: f64) -> String {
+    format!("objective evaluated to {value}")
 }
 
 /// Drives one evaluation attempt after another until it succeeds, runs
@@ -434,19 +393,12 @@ pub struct Supervisor {
     /// Run seed; the retry jitter is a pure function of
     /// `(seed, index, attempt)` so backoff schedules replay exactly.
     seed: u64,
-    watchdog: Option<Watchdog>,
 }
 
 impl Supervisor {
-    /// Builds a supervisor (and its watchdog thread, when a deadline is
-    /// configured) for a run with the given seed.
+    /// Builds a supervisor for a run with the given seed.
     pub fn new(cfg: SupervisorConfig, seed: u64) -> Self {
-        let watchdog = cfg.deadline.map(|_| Watchdog::new());
-        Supervisor {
-            cfg,
-            seed,
-            watchdog,
-        }
+        Supervisor { cfg, seed }
     }
 
     /// The configuration this supervisor runs under.
@@ -455,9 +407,11 @@ impl Supervisor {
     }
 
     /// Evaluates `unit` (global evaluation `index`) under full
-    /// supervision. `on_attempt` is invoked for every *failed* attempt —
-    /// including the final one — before the verdict is returned, so the
-    /// caller can journal retry progress eagerly.
+    /// supervision: [`run_attempt`] until it succeeds or
+    /// [`SupervisorConfig::after_failure`] settles on a verdict.
+    /// `on_attempt` is invoked for every *failed* attempt — including
+    /// the final one — before the verdict is returned, so the caller can
+    /// journal retry progress eagerly.
     ///
     /// # Panics
     ///
@@ -471,62 +425,39 @@ impl Supervisor {
     ) -> Evaluated {
         let mut attempt = 0;
         loop {
-            let token = CancelToken::new();
-            let guard = match (&self.watchdog, self.cfg.deadline) {
-                (Some(dog), Some(deadline)) => Some(dog.register(deadline, token.clone())),
-                _ => None,
-            };
-            let mut stages = StageTimes::new();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(injected) = self.cfg.faults.apply(index, attempt, &token) {
-                    injected
-                } else if token.is_cancelled() {
-                    // The injected stall already consumed the deadline;
-                    // the value is discarded below.
-                    f64::NAN
-                } else {
-                    eval(unit, &mut stages, &token)
-                }
-            }));
-            drop(guard);
-            let (kind, detail, payload) = match result {
-                Ok(_) if token.is_cancelled() => {
-                    let budget = self.cfg.deadline.unwrap_or_default();
-                    (
-                        FailureKind::Timeout,
-                        format!("evaluation exceeded its {budget:?} deadline"),
-                        None,
-                    )
-                }
-                Ok(value) if !value.is_finite() => (
-                    FailureKind::NonFinite,
-                    format!("objective evaluated to {value}"),
-                    None,
-                ),
-                Ok(value) => {
+            let failed = match run_attempt(
+                &self.cfg.faults,
+                index,
+                attempt,
+                self.cfg.deadline,
+                unit,
+                eval,
+            ) {
+                Ok((error, stages)) => {
                     return Evaluated {
-                        error: value,
+                        error,
                         stages,
                         fault: None,
                         worker: None,
                     }
                 }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    (FailureKind::Panic, msg, Some(payload))
-                }
+                Err(failed) => failed,
             };
             on_attempt(FailedAttempt {
                 index,
                 attempt,
-                kind,
-                detail: detail.clone(),
+                kind: failed.kind,
+                detail: failed.detail.clone(),
                 worker: None,
             });
-            match self
-                .cfg
-                .after_failure(self.seed, index, attempt, kind, detail, payload)
-            {
+            match self.cfg.after_failure(
+                self.seed,
+                index,
+                attempt,
+                failed.kind,
+                failed.detail,
+                failed.payload,
+            ) {
                 AfterFailure::Retry(backoff) => std::thread::sleep(backoff),
                 AfterFailure::Penalized(verdict) => return verdict,
             }
@@ -663,10 +594,13 @@ mod tests {
             0,
             &[0.3],
             &mut |_, _, token| {
-                // A cooperative runaway: spins until the watchdog fires.
+                // A cooperative runaway: spins until the deadline passes.
                 let start = Instant::now();
                 while !token.is_cancelled() {
-                    assert!(start.elapsed() < Duration::from_secs(10), "watchdog dead");
+                    assert!(
+                        start.elapsed() < Duration::from_secs(10),
+                        "deadline never fired"
+                    );
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 123.0 // discarded: the deadline already passed
@@ -723,27 +657,30 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_fires_only_expired_entries() {
-        let dog = Watchdog::new();
-        let fast = CancelToken::new();
-        let slow = CancelToken::new();
-        let _g1 = dog.register(Duration::from_millis(10), fast.clone());
-        let _g2 = dog.register(Duration::from_secs(60), slow.clone());
+    fn a_deadline_token_fires_only_once_its_deadline_passes() {
+        let fast = CancelToken::with_deadline(Duration::from_millis(10));
+        let slow = CancelToken::with_deadline(Duration::from_secs(60));
+        let never = CancelToken::with_deadline(Duration::MAX);
+        let clone = fast.clone();
         let start = Instant::now();
         while !fast.is_cancelled() {
-            assert!(start.elapsed() < Duration::from_secs(10), "watchdog dead");
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "deadline never fired"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(!slow.is_cancelled());
+        assert!(start.elapsed() >= Duration::from_millis(5));
+        assert!(clone.is_cancelled(), "clones share the deadline");
+        assert!(!slow.is_cancelled() && !never.is_cancelled());
     }
 
     #[test]
-    fn dropping_the_guard_disarms_the_deadline() {
-        let dog = Watchdog::new();
+    fn a_token_without_a_deadline_fires_only_when_cancelled() {
         let token = CancelToken::new();
-        let guard = dog.register(Duration::from_millis(10), token.clone());
-        drop(guard);
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(5));
         assert!(!token.is_cancelled());
+        token.clone().cancel();
+        assert!(token.is_cancelled(), "clones share the flag");
     }
 }

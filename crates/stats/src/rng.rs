@@ -74,7 +74,10 @@ impl Rng {
     /// assert_ne!(caches.u64(), arrivals.u64());
     /// ```
     pub fn fork(&mut self, label: &str) -> Rng {
-        // FNV-1a over the label, mixed with a fresh draw from the parent.
+        // An FNV-1a-shaped hash of the label, mixed with a fresh draw from
+        // the parent. The multiplier is 0x1000_0000_01b3, not FNV's prime
+        // 0x100_0000_01b3; it stays, because every forked stream, and so
+        // every committed result, is seeded through it.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in label.bytes() {
             h ^= u64::from(b);

@@ -29,7 +29,62 @@ fn tied_samples(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     )
 }
 
+/// Integer-valued samples: shifting them by an integer and scaling them
+/// by a power of two is exact in `f64`, so metamorphic relations over
+/// them can be asserted to the bit.
+fn grid_samples(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec((-1_000_000i32..1_000_000).prop_map(f64::from), 1..max_len)
+}
+
+/// Maps every sample through `x -> scale * x + shift`.
+fn affine(xs: &[f64], scale: f64, shift: f64) -> Ecdf {
+    Ecdf::new(xs.iter().map(|x| scale * x + shift).collect()).unwrap()
+}
+
 proptest! {
+    /// EMD is the area between two CDFs: shifting both distributions
+    /// leaves it unchanged, and scaling both by `s > 0` scales it by `s`.
+    /// On the integer grid both relations are exact; KS, a rank
+    /// statistic, is unchanged by either.
+    #[test]
+    fn emd_and_ks_shift_and_scale_exactly_on_the_grid(
+        a in grid_samples(32),
+        b in grid_samples(32),
+        shift in -1_000_000i32..1_000_000,
+        pow in -8i32..8,
+    ) {
+        let (ea, eb) = (Ecdf::new(a.clone()).unwrap(), Ecdf::new(b.clone()).unwrap());
+        let (emd, ks) = (emd_area(&ea, &eb), ks_statistic(&ea, &eb));
+        let shift = f64::from(shift);
+        let (sa, sb) = (affine(&a, 1.0, shift), affine(&b, 1.0, shift));
+        prop_assert_eq!(emd_area(&sa, &sb).to_bits(), emd.to_bits());
+        prop_assert_eq!(ks_statistic(&sa, &sb).to_bits(), ks.to_bits());
+        let scale = 2f64.powi(pow);
+        let (ka, kb) = (affine(&a, scale, 0.0), affine(&b, scale, 0.0));
+        prop_assert_eq!(emd_area(&ka, &kb).to_bits(), (scale * emd).to_bits());
+        prop_assert_eq!(ks_statistic(&ka, &kb).to_bits(), ks.to_bits());
+    }
+
+    /// The same relations on arbitrary samples, where rounding allows a
+    /// relative error; a negative scale mirrors both CDFs, which leaves
+    /// EMD unchanged up to `|s|`.
+    #[test]
+    fn emd_shifts_and_scales_on_any_samples(
+        a in finite_samples(32),
+        b in finite_samples(32),
+        shift in -1e6f64..1e6,
+        scale in prop_oneof![0.01f64..100.0, -100.0f64..-0.01],
+    ) {
+        let emd = emd_area(&Ecdf::new(a.clone()).unwrap(), &Ecdf::new(b.clone()).unwrap());
+        // The rounding of each shifted or scaled sample bounds the error.
+        let slack = |magnitude: f64| 1e-9 * (1.0 + magnitude) * (a.len() + b.len()) as f64;
+        let shifted = emd_area(&affine(&a, 1.0, shift), &affine(&b, 1.0, shift));
+        prop_assert!((shifted - emd).abs() <= slack(shift.abs() + 1e6), "{} vs {}", shifted, emd);
+        let scaled = emd_area(&affine(&a, scale, 0.0), &affine(&b, scale, 0.0));
+        let want = scale.abs() * emd;
+        prop_assert!((scaled - want).abs() <= slack(scale.abs() * 1e6), "{} vs {}", scaled, want);
+    }
+
     #[test]
     fn ecdf_is_monotone_and_bounded(samples in finite_samples(64), probe in -1e6f64..1e6) {
         let e = Ecdf::new(samples).unwrap();

@@ -1,7 +1,8 @@
 //! Integration of the full Datamime search with the `datamime-dist`
 //! process backend: bit-identical results against the in-process thread
-//! backend across worker counts, under worker-kill fault plans, under
-//! backpressure, and across journal resume in both backend directions.
+//! backend across worker counts, under worker-kill and failing-evaluation
+//! fault plans, under backpressure, and across journal resume in both
+//! backend directions.
 //!
 //! The real `datamime-worker` binary is built by cargo alongside this
 //! test and located via `CARGO_BIN_EXE_datamime-worker`.
@@ -12,6 +13,7 @@ use datamime::search::{
     search_with_runtime, BackendChoice, ProcOptions, RuntimeOptions, SearchConfig, SearchOutcome,
 };
 use datamime::workload::Workload;
+use datamime_runtime::json::Json;
 use datamime_runtime::{EvalFault, FaultInjector, FaultPlan, MetricsRegistry};
 use std::fs;
 use std::path::PathBuf;
@@ -123,6 +125,71 @@ fn killing_a_worker_mid_batch_changes_nothing() {
             .any(|(name, _)| name == "worker_restarts" || name == "redispatches"),
         "{thread_counters:?}"
     );
+}
+
+/// The journal's `attempt` events, without the worker id that only the
+/// process backend writes.
+fn attempt_events(journal: &PathBuf) -> Vec<Json> {
+    fs::read_to_string(journal)
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains("\"event\":\"attempt\""))
+        .map(|l| match Json::parse(l).unwrap() {
+            Json::Obj(fields) => {
+                Json::Obj(fields.into_iter().filter(|(k, _)| k != "worker").collect())
+            }
+            other => other,
+        })
+        .collect()
+}
+
+#[test]
+fn failing_evaluations_journal_the_same_records_on_both_backends() {
+    // Evaluation 1 panics and evaluation 3 returns NaN on every attempt.
+    // The thread backend classifies them in-process, the process backend
+    // in its workers; either way every record, its fault kind, detail
+    // and retry count, and every failed attempt must be the same.
+    let cfg = fast_config(6);
+    let target = profile_workload(&Workload::mem_fb(), &cfg.machine, &cfg.profiling);
+    let plan = FaultPlan::from_spec("eval:1:panic;eval:3:nan").unwrap();
+    let run = |backend: BackendChoice, name: &str| {
+        let journal = tmp(name);
+        search_with_runtime(
+            &generator(),
+            &target,
+            &cfg,
+            &RuntimeOptions {
+                batch_k: 2,
+                workers: 2,
+                backend,
+                journal: Some(journal.clone()),
+                max_retries: 1,
+                faults: FaultInjector::new(plan.clone()),
+                ..RuntimeOptions::default()
+            },
+        )
+        .unwrap();
+        let evals = datamime_runtime::replay(&journal).unwrap().evals;
+        let attempts = attempt_events(&journal);
+        let _ = fs::remove_file(&journal);
+        (evals, attempts)
+    };
+    let (thread, thread_attempts) = run(BackendChoice::Thread, "faults-thread.jsonl");
+    let (proc, proc_attempts) = run(proc_backend(2), "faults-proc.jsonl");
+    assert_eq!(thread.len(), 6);
+    assert_eq!(thread.len(), proc.len());
+    for (t, p) in thread.iter().zip(&proc) {
+        assert!(t.semantic_eq(p), "thread {t:?}\nproc   {p:?}");
+    }
+    let faults: Vec<_> = thread.iter().filter_map(|r| r.fault.as_ref()).collect();
+    assert_eq!(faults.len(), 2, "{faults:?}");
+    assert!(faults.iter().all(|f| f.retries == 1), "{faults:?}");
+    assert_eq!(
+        thread_attempts.len(),
+        4,
+        "two failed attempts per faulted point"
+    );
+    assert_eq!(thread_attempts, proc_attempts);
 }
 
 #[test]
