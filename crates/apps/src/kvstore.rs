@@ -14,7 +14,7 @@ use crate::content::ContentModel;
 use crate::dataset::SizeDist;
 use crate::engine::{App, CodeLayout, CodeRegion, ServicePaths};
 use datamime_sim::{Addr, Machine, Segment, SimAlloc};
-use datamime_stats::dist::{sample_size, Zipf};
+use datamime_stats::dist::{sample_size, Distribution, Zipf};
 use datamime_stats::Rng;
 use std::sync::Arc;
 
@@ -173,6 +173,8 @@ struct KvImage {
     rank_to_key: Vec<u32>,
     /// Sampled value contents for memory-snapshot profiling.
     content_sample: Vec<Vec<u8>>,
+    /// The value-size sampler SETs draw new sizes from.
+    value_size: Box<dyn Distribution + Send + Sync>,
     // Code regions.
     frontend: CodeRegion,
     netstack: CodeRegion,
@@ -223,13 +225,75 @@ fn slab_class_of(bytes: u64) -> usize {
     class
 }
 
+/// Runs `back` on a scoped thread while `front` runs on the caller, and
+/// returns both results. A panic on the spawned lane is re-raised on the
+/// caller with its original payload, not as a second panic about a join.
+fn beside<F, B: Send>(front: impl FnOnce() -> F, back: impl FnOnce() -> B + Send) -> (F, B) {
+    std::thread::scope(|lanes| {
+        let back = lanes.spawn(back);
+        let front = front();
+        match back.join() {
+            Ok(back) => (front, back),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
+/// Draws each item's key and value size, in item order; addresses come
+/// later.
+fn fill_sizes(
+    items: &mut [Item],
+    key_size: &dyn Distribution,
+    value_size: &dyn Distribution,
+    rng: &mut Rng,
+) {
+    for it in items {
+        let key_bytes = sample_size(key_size, rng, 1, MAX_KEY);
+        let value_bytes = sample_size(value_size, rng, 1, MAX_VALUE);
+        *it = Item::new(0, key_bytes, value_bytes);
+    }
+}
+
+/// The hash chains in CSR form: a counting sort of the key ids by bucket,
+/// filled in id order so every chain keeps insertion order.
+fn hash_chains(n_keys: usize, n_buckets: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut bucket_starts = vec![0u32; n_buckets + 1];
+    for id in 0..n_keys as u32 {
+        bucket_starts[bucket_of(id, n_buckets) + 1] += 1;
+    }
+    for b in 0..n_buckets {
+        bucket_starts[b + 1] += bucket_starts[b];
+    }
+    let mut next = bucket_starts[..n_buckets].to_vec();
+    let mut bucket_ids = vec![0u32; n_keys];
+    for id in 0..n_keys as u32 {
+        let slot = &mut next[bucket_of(id, n_buckets)];
+        bucket_ids[*slot as usize] = id;
+        *slot += 1;
+    }
+    (bucket_starts, bucket_ids)
+}
+
 impl KvStore {
     /// Builds and populates the store from a dataset configuration.
+    ///
+    /// The build runs on two lanes inside one `std::thread::scope` and
+    /// yields, bit for bit, what one sequential pass over the build `Rng`
+    /// would: every key's sizes take a fixed number of draws
+    /// ([`SizeDist::draws_per_sample`]), so the spawned lane steps a copy
+    /// of the stream past the front half's draws and fills the back half of
+    /// the item table while the caller fills the front half. The spawned
+    /// lane also builds the hash chains and then shuffles `rank_to_key`
+    /// where the sequential stream would; the caller builds the Zipf
+    /// table. One pass in item order then hands out the simulated
+    /// addresses. A panic on the spawned lane reaches the caller with its
+    /// original payload.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (zero keys, invalid
-    /// distributions, or a non-finite/negative skew).
+    /// distributions, or a non-finite/negative skew). An invalid size
+    /// distribution panics on the caller before the second lane starts.
     pub fn new(cfg: KvConfig) -> Self {
         assert!(cfg.n_keys > 0, "store needs at least one key");
         assert!(
@@ -251,46 +315,48 @@ impl KvStore {
         let slab_classes = layout.regions(16, 2 * 1024);
         let aux_paths = ServicePaths::new(&mut layout, 16, 2 * 1024);
 
-        let n_buckets = cfg.n_keys.next_power_of_two();
+        let n_keys = cfg.n_keys;
+        let n_buckets = n_keys.next_power_of_two();
         let bucket_table = alloc
             .alloc(Segment::Heap, (n_buckets as u64) * 8)
             .expect("bucket table");
 
-        // One sampler per distribution for the whole build.
+        // One sampler per distribution for the whole build, shared by both
+        // lanes; the value sampler stays in the image for SETs.
         let key_size = cfg.key_size.build().expect("invalid size distribution");
         let value_size = cfg.value_size.build().expect("invalid size distribution");
-        let mut items = Vec::with_capacity(cfg.n_keys);
+        let (keys, values) = (key_size.as_ref(), value_size.as_ref());
+        let draws_per_key = cfg.key_size.draws_per_sample() + cfg.value_size.draws_per_sample();
+
+        let mut items = vec![Item::new(0, 1, 1); n_keys];
+        let (front, back) = items.split_at_mut(n_keys / 2);
+        let skip = draws_per_key * front.len();
+        let mut back_rng = rng.clone();
+        // `rng` comes back as the spawned lane's stream, which ends where
+        // the sequential one would: after every key's sizes and the shuffle.
+        let (popularity, (bucket_starts, bucket_ids, rank_to_key, mut rng)) = beside(
+            || {
+                fill_sizes(front, keys, values, &mut rng);
+                Zipf::new(n_keys, cfg.popularity_skew).expect("invalid popularity skew")
+            },
+            move || {
+                for _ in 0..skip {
+                    back_rng.u64();
+                }
+                fill_sizes(back, keys, values, &mut back_rng);
+                let (bucket_starts, bucket_ids) = hash_chains(n_keys, n_buckets);
+                let mut rank_to_key: Vec<u32> = (0..n_keys as u32).collect();
+                back_rng.shuffle(&mut rank_to_key);
+                (bucket_starts, bucket_ids, rank_to_key, back_rng)
+            },
+        );
+
         let mut footprint = (n_buckets as u64) * 8;
-        for _ in 0..cfg.n_keys {
-            let key_bytes = sample_size(key_size.as_ref(), &mut rng, 1, MAX_KEY);
-            let value_bytes = sample_size(value_size.as_ref(), &mut rng, 1, MAX_VALUE);
-            let total = ITEM_HEADER_BYTES + key_bytes + value_bytes;
-            let addr = alloc.alloc(Segment::Heap, total).expect("item");
-            items.push(Item::new(addr, key_bytes, value_bytes));
+        for it in &mut items {
+            let total = ITEM_HEADER_BYTES + it.key_bytes() + it.value_bytes();
+            it.addr = alloc.alloc(Segment::Heap, total).expect("item");
             footprint += total;
         }
-
-        // Counting sort of the key ids by bucket; filling in id order keeps
-        // every chain in insertion order.
-        let mut bucket_starts = vec![0u32; n_buckets + 1];
-        for id in 0..cfg.n_keys as u32 {
-            bucket_starts[bucket_of(id, n_buckets) + 1] += 1;
-        }
-        for b in 0..n_buckets {
-            bucket_starts[b + 1] += bucket_starts[b];
-        }
-        let mut next = bucket_starts[..n_buckets].to_vec();
-        let mut bucket_ids = vec![0u32; cfg.n_keys];
-        for id in 0..cfg.n_keys as u32 {
-            let slot = &mut next[bucket_of(id, n_buckets)];
-            bucket_ids[*slot as usize] = id;
-            *slot += 1;
-        }
-
-        let popularity =
-            Zipf::new(cfg.n_keys, cfg.popularity_skew).expect("invalid popularity skew");
-        let mut rank_to_key: Vec<u32> = (0..cfg.n_keys as u32).collect();
-        rng.shuffle(&mut rank_to_key);
 
         // Generate value contents for a sample of items so a profiler can
         // measure the dataset's compressibility without materializing
@@ -317,6 +383,7 @@ impl KvStore {
                 popularity,
                 rank_to_key,
                 content_sample,
+                value_size,
                 frontend,
                 netstack,
                 parse,
@@ -408,7 +475,7 @@ impl KvStore {
     fn serve_set(&mut self, machine: &mut Machine, key: u32, rng: &mut Rng) {
         let old = self.lookup(machine, key);
         // New value size drawn from the dataset's distribution.
-        let value_bytes = self.image.cfg.value_size.sample_bytes(rng, 1, MAX_VALUE);
+        let value_bytes = sample_size(self.image.value_size.as_ref(), rng, 1, MAX_VALUE);
         let old_total = ITEM_HEADER_BYTES + old.key_bytes() + old.value_bytes();
         let new_total = ITEM_HEADER_BYTES + old.key_bytes() + value_bytes;
         let old_class = slab_class_of(old_total);
@@ -738,6 +805,161 @@ mod tests {
         assert_eq!(slab_class_of(64), 0);
         assert_eq!(slab_class_of(65), 1);
         assert!(slab_class_of(1 << 20) <= 15);
+    }
+
+    /// FNV-1a over everything a build decides: each item's address and
+    /// sizes in item order, `rank_to_key`, the footprint and the content
+    /// sample.
+    fn build_digest(store: &KvStore) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        };
+        for it in &store.items {
+            eat(&it.addr.to_le_bytes());
+            eat(&it.key_bytes().to_le_bytes());
+            eat(&it.value_bytes().to_le_bytes());
+        }
+        for &k in &store.image.rank_to_key {
+            eat(&k.to_le_bytes());
+        }
+        eat(&store.footprint.to_le_bytes());
+        for v in &store.image.content_sample {
+            eat(&(v.len() as u64).to_le_bytes());
+            eat(v);
+        }
+        h
+    }
+
+    /// Build digests recorded on the sequential single-pass build; the
+    /// two-lane build must reproduce every one. The key counts straddle
+    /// the lane split (one key leaves the spawned lane empty; odd counts
+    /// give it the larger half), and the size families cover every draw
+    /// count.
+    #[test]
+    fn builds_match_the_sequential_goldens() {
+        let fb = KvConfig::facebook_like;
+        let synth = KvConfig {
+            n_keys: 50_001,
+            key_size: SizeDist::Normal {
+                mean: 40.0,
+                std: 12.0,
+            },
+            value_size: SizeDist::Normal {
+                mean: 900.0,
+                std: 400.0,
+            },
+            seed: 77,
+            ..fb()
+        };
+        let cases: Vec<(&str, KvConfig, u64)> = vec![
+            ("fb n=1", KvConfig { n_keys: 1, ..fb() }, 0xe4e4fe4b981016cd),
+            ("fb n=2", KvConfig { n_keys: 2, ..fb() }, 0xaf01fc0a3c2835c8),
+            ("fb n=3", KvConfig { n_keys: 3, ..fb() }, 0x44c5ac1cddaa5af7),
+            (
+                "fb n=2999",
+                KvConfig {
+                    n_keys: 2_999,
+                    ..fb()
+                },
+                0x8f253a7309a66cbf,
+            ),
+            ("facebook_like", fb(), 0x23d093ceb9975e7f),
+            ("twitter_like", KvConfig::twitter_like(), 0x39e754fa2195b96e),
+            ("ycsb_like", KvConfig::ycsb_like(), 0xd9dee948a4494cc0),
+            ("normal/normal", synth.clone(), 0x7b6bbbddfef41d2d),
+            (
+                "lognormal/uniform",
+                KvConfig {
+                    n_keys: 7_777,
+                    key_size: SizeDist::LogNormal {
+                        mu: 3.0,
+                        sigma: 0.5,
+                    },
+                    value_size: SizeDist::Uniform {
+                        lo: 10.0,
+                        hi: 5000.0,
+                    },
+                    ..synth.clone()
+                },
+                0x03258a81d30aa736,
+            ),
+            (
+                "uniform/lognormal redundant",
+                KvConfig {
+                    n_keys: 4_001,
+                    key_size: SizeDist::Uniform { lo: 8.0, hi: 64.0 },
+                    value_size: SizeDist::LogNormal {
+                        mu: 6.0,
+                        sigma: 1.0,
+                    },
+                    value_redundancy: Some(0.6),
+                    ..synth.clone()
+                },
+                0x05e5cf94301361f7,
+            ),
+            (
+                "fb n=3 redundant",
+                KvConfig {
+                    n_keys: 3,
+                    value_redundancy: Some(0.3),
+                    ..fb()
+                },
+                0xe75c850b22d1ae9d,
+            ),
+            (
+                "fb n=120000 redundant",
+                KvConfig {
+                    value_redundancy: Some(0.9),
+                    ..fb()
+                },
+                0xcfefeca1c9dabeeb,
+            ),
+        ];
+        for (label, cfg, want) in cases {
+            let got = build_digest(&KvStore::new(cfg));
+            assert_eq!(got, want, "{label}: {got:#018x}");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_spawned_lane_reaches_the_caller_with_its_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(u32);
+        let caller = std::thread::current().id();
+        let mut front_ran = false;
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            beside(
+                || front_ran = true,
+                || {
+                    assert_ne!(std::thread::current().id(), caller);
+                    std::panic::panic_any(Payload(7))
+                },
+            )
+        }))
+        .expect_err("the lane's panic must reach the caller");
+        assert_eq!(caught.downcast_ref::<Payload>(), Some(&Payload(7)));
+        assert!(front_ran, "the caller's lane runs to completion first");
+    }
+
+    #[test]
+    fn a_set_draws_the_size_sample_bytes_would() {
+        let cfg = KvConfig {
+            n_keys: 500,
+            ..KvConfig::facebook_like()
+        };
+        let mut store = KvStore::new(cfg.clone());
+        let mut machine = Machine::new(MachineConfig::broadwell());
+        let mut rng = Rng::with_seed(17);
+        for i in 0..400u32 {
+            let key = i * 7 % 500;
+            let want = cfg.value_size.sample_bytes(&mut rng.clone(), 1, MAX_VALUE);
+            store.serve_set(&mut machine, key, &mut rng);
+            assert_eq!(store.items[key as usize].value_bytes(), want, "SET {i}");
+        }
     }
 
     #[test]

@@ -19,6 +19,55 @@ fn serve_some<A: App>(mut app: A, seed: u64) -> u64 {
     machine.counters().instructions
 }
 
+/// Every size family over valid parameters, wide enough to hit both
+/// clamps and, for the generalized Pareto, both shape branches.
+fn any_size_dist() -> impl Strategy<Value = SizeDist> {
+    prop_oneof![
+        (0.0f64..2e6).prop_map(SizeDist::Fixed),
+        (-100.0f64..5000.0, 0.0f64..3000.0).prop_map(|(mean, std)| SizeDist::Normal { mean, std }),
+        (-2.0f64..14.0, 0.0f64..3.0).prop_map(|(mu, sigma)| SizeDist::LogNormal { mu, sigma }),
+        (
+            -50.0f64..500.0,
+            0.01f64..1000.0,
+            -0.5f64..1.5,
+            any::<bool>()
+        )
+            .prop_map(|(mu, sigma, xi, exponential)| SizeDist::GeneralizedPareto {
+                mu,
+                sigma,
+                xi: if exponential { 0.0 } else { xi },
+            }),
+        (0.0f64..1000.0, 0.0f64..5000.0)
+            .prop_map(|(lo, span)| SizeDist::Uniform { lo, hi: lo + span }),
+    ]
+}
+
+proptest! {
+    // Cheap cases, and enough that every family is drawn dozens of times.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The contract the two-lane `KvStore` build rests on: `k` samples
+    /// leave the `Rng` exactly `k × draws_per_sample` raw outputs on.
+    #[test]
+    fn every_size_sample_takes_its_familys_draw_count(
+        dist in any_size_dist(),
+        k in 0usize..64,
+        lo in 0u64..64,
+        span in 0u64..(1 << 21),
+        seed in any::<u64>(),
+    ) {
+        let mut sampled = Rng::with_seed(seed);
+        let mut stepped = sampled.clone();
+        for _ in 0..k {
+            dist.sample_bytes(&mut sampled, lo, lo + span);
+        }
+        for _ in 0..k * dist.draws_per_sample() {
+            stepped.u64();
+        }
+        prop_assert_eq!(sampled, stepped);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

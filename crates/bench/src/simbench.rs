@@ -363,7 +363,9 @@ fn kv_fingerprint(store: &mut dyn App) -> u64 {
 /// One dataset build: what every evaluation of the Fig. 10 search pays
 /// once. Serving the fingerprint's requests costs about as much as the
 /// build, so only the first invocation — the untimed one whose checksum is
-/// recorded — serves them; the timed ones are the build alone.
+/// recorded — serves them; the timed ones are the build alone. The build
+/// runs on two lanes ([`KvStore::new`]), so this kernel's time depends on
+/// whether the host's second core is free; its checksum does not.
 pub fn kv_build() -> Kernel {
     let cfg = kv_midpoint();
     let mut fingerprint = None;

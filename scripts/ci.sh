@@ -58,6 +58,11 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # golden profiles, the copy counts and the panic/cancel behaviour in
   # the build where the lanes run at full speed side by side.
   run cargo test -q --release -p datamime --test integration_fork
+  # And the dataset build's two lanes (`KvStore::new`): the build goldens
+  # recorded on the one-pass build, the per-family draw-count property
+  # the lane split rests on, and the lane-panic tests, in the build where
+  # both halves of the item table fill side by side.
+  run cargo test -q --release -p datamime-apps
   # The reproduction gate: `run_all` calls all fifteen figure functions in
   # one process, runs each distinct search once (in memory; there is no
   # result cache on disk) and rewrites every `results/<name>.txt`, so
