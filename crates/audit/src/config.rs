@@ -1,10 +1,11 @@
 //! `audit.toml`: which paths each rule covers and what each rule denies.
 //!
 //! The configuration is explicit on purpose — the deterministic surface,
-//! the supervised-evaluation surface, the durability paths, and the
-//! journal/wire sink lists are *policy*, not something the tool can
-//! infer. See the workspace `audit.toml` for the commented canonical
-//! instance.
+//! the durability paths, and the journal/wire sink lists are *policy*,
+//! not something the tool can infer. See the workspace `audit.toml` for
+//! the commented canonical instance. Every table and key is checked
+//! against the known ones: a misspelt name would otherwise load as an
+//! empty scope and silently enforce nothing.
 
 use crate::toml::{self, Value};
 use std::collections::BTreeMap;
@@ -31,18 +32,6 @@ pub struct NondetTaintConfig {
     pub sinks: Vec<String>,
 }
 
-/// Scope + deny-lists for the panic-safety rule.
-#[derive(Debug, Clone)]
-pub struct PanicSafetyConfig {
-    /// Files/directories (workspace-relative) on the supervised
-    /// evaluation path.
-    pub paths: Vec<PathBuf>,
-    /// Method names that panic on failure (`unwrap`, `expect`).
-    pub deny_methods: Vec<String>,
-    /// Macro names that unconditionally panic (`panic`, `todo`…).
-    pub deny_macros: Vec<String>,
-}
-
 /// Scope for the durability-protocol rule.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
@@ -51,16 +40,6 @@ pub struct DurabilityConfig {
     /// Call names that fsync a *directory* after a rename
     /// (project helpers like `sync_dir`).
     pub dirsync_fns: Vec<String>,
-}
-
-/// Scope + API list for the swallowed-result rule.
-#[derive(Debug, Clone)]
-pub struct SwallowedResultConfig {
-    /// Files/directories where discards of the listed APIs are audited.
-    pub paths: Vec<PathBuf>,
-    /// Durability/IPC call names whose `Result` must not be silently
-    /// dropped.
-    pub apis: Vec<String>,
 }
 
 /// Settings for the wire-compat rule.
@@ -83,12 +62,8 @@ pub struct AuditConfig {
     pub exclude: Vec<PathBuf>,
     /// Nondet-taint rule settings.
     pub nondet_taint: NondetTaintConfig,
-    /// Panic-safety rule settings.
-    pub panic_safety: PanicSafetyConfig,
     /// Durability-protocol rule settings.
     pub durability: DurabilityConfig,
-    /// Swallowed-result rule settings.
-    pub swallowed_result: SwallowedResultConfig,
     /// Wire-compat rule settings.
     pub wire_compat: WireCompatConfig,
     /// Allowed internal dependencies per crate; a crate absent from the
@@ -117,9 +92,11 @@ impl AuditConfig {
             .map_err(|ConfigError(msg)| ConfigError(format!("{}: {msg}", path.display())))
     }
 
-    /// Interprets configuration text.
+    /// Interprets configuration text. Unknown tables and keys are
+    /// errors.
     pub fn from_toml(text: &str) -> Result<Self, ConfigError> {
         let doc = toml::parse(text).map_err(|e| ConfigError(e.to_string()))?;
+        reject_unknown(&doc)?;
         let layering = doc
             .table("layering.allow")
             .into_iter()
@@ -159,33 +136,9 @@ impl AuditConfig {
                 )?,
                 sinks: str_list(&doc, "nondet-taint", "sinks", &[])?,
             },
-            panic_safety: PanicSafetyConfig {
-                paths: path_list(&doc, "panic-safety", "paths", &[])?,
-                deny_methods: str_list(
-                    &doc,
-                    "panic-safety",
-                    "deny-methods",
-                    &["unwrap", "expect"],
-                )?,
-                deny_macros: str_list(
-                    &doc,
-                    "panic-safety",
-                    "deny-macros",
-                    &["panic", "unreachable", "todo", "unimplemented"],
-                )?,
-            },
             durability: DurabilityConfig {
                 paths: path_list(&doc, "durability-protocol", "paths", &[])?,
                 dirsync_fns: str_list(&doc, "durability-protocol", "dirsync-fns", &["sync_dir"])?,
-            },
-            swallowed_result: SwallowedResultConfig {
-                paths: path_list(&doc, "swallowed-result", "paths", &[])?,
-                apis: str_list(
-                    &doc,
-                    "swallowed-result",
-                    "apis",
-                    &["sync_all", "sync_data", "rename", "write_frame"],
-                )?,
             },
             wire_compat: WireCompatConfig {
                 files: path_list(&doc, "wire-compat", "files", &[])?,
@@ -210,6 +163,45 @@ impl AuditConfig {
     pub fn is_excluded(&self, rel: &Path) -> bool {
         Self::path_in_scope(rel, &self.exclude)
     }
+}
+
+/// Every table `audit.toml` may hold, with the keys it may hold (`None`:
+/// any key — the layering matrix is keyed by crate name).
+const KNOWN_KEYS: [(&str, Option<&[&str]>); 6] = [
+    ("", Some(&[])),
+    ("scan", Some(&["roots", "exclude"])),
+    (
+        "nondet-taint",
+        Some(&["paths", "strict-paths", "deny-idents", "sources", "sinks"]),
+    ),
+    ("durability-protocol", Some(&["paths", "dirsync-fns"])),
+    ("wire-compat", Some(&["files", "lock"])),
+    ("layering.allow", None),
+];
+
+fn reject_unknown(doc: &toml::Doc) -> Result<(), ConfigError> {
+    for (table, entries) in doc.tables() {
+        let Some((_, keys)) = KNOWN_KEYS.iter().find(|(t, _)| *t == table) else {
+            let known: Vec<_> = KNOWN_KEYS[1..].iter().map(|(t, _)| *t).collect();
+            return Err(ConfigError(format!(
+                "unknown table `[{table}]` (tables: {})",
+                known.join(", ")
+            )));
+        };
+        let Some(keys) = keys else { continue };
+        if let Some(e) = entries.iter().find(|e| !keys.contains(&e.key.as_str())) {
+            let place = if table.is_empty() {
+                "at the top level".to_string()
+            } else {
+                format!("in `[{table}]` (keys: {})", keys.join(", "))
+            };
+            return Err(ConfigError(format!(
+                "line {}: unknown key `{}` {place}",
+                e.line, e.key
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn string_array(v: &Value, what: &str) -> Result<Vec<String>, ConfigError> {
@@ -283,14 +275,9 @@ mod tests {
             deny-idents = ["HashMap"]
             sources = ["Instant::now"]
             sinks = ["eval", "write_frame"]
-            [panic-safety]
-            paths = ["crates/core/src/profiler.rs"]
             [durability-protocol]
             paths = ["crates/serve/src/manifest.rs"]
             dirsync-fns = ["sync_dir"]
-            [swallowed-result]
-            paths = ["crates/serve/src"]
-            apis = ["sync_all", "rename"]
             [wire-compat]
             files = ["crates/dist/src/protocol.rs"]
             lock = "audit.wire.lock"
@@ -311,7 +298,7 @@ mod tests {
         ));
         assert_eq!(cfg.nondet_taint.sinks, vec!["eval", "write_frame"]);
         assert_eq!(cfg.durability.paths.len(), 1);
-        assert_eq!(cfg.swallowed_result.apis, vec!["sync_all", "rename"]);
+        assert_eq!(cfg.durability.dirsync_fns, vec!["sync_dir"]);
         assert_eq!(
             cfg.wire_compat.files,
             vec![PathBuf::from("crates/dist/src/protocol.rs")]
@@ -323,6 +310,32 @@ mod tests {
     fn shape_errors_are_reported() {
         assert!(AuditConfig::from_toml("[nondet-taint]\npaths = \"not-a-list\"\n").is_err());
         assert!(AuditConfig::from_toml("[wire-compat]\nlock = 3\n").is_err());
-        assert!(AuditConfig::from_toml("[swallowed-result]\napis = [1]\n").is_err());
+        assert!(AuditConfig::from_toml("[nondet-taint]\nsinks = [1]\n").is_err());
+    }
+
+    #[test]
+    fn unknown_tables_and_keys_are_refused_by_name() {
+        for (text, named) in [
+            ("[nondet-tiant]\npaths = [\"crates\"]\n", "`[nondet-tiant]`"),
+            (
+                "[nondet-taint]\nstrict_paths = [\"crates\"]\n",
+                "`strict_paths`",
+            ),
+            (
+                "strict-paths = [\"crates\"]\n",
+                "`strict-paths` at the top level",
+            ),
+            // A retired rule's leftover table would otherwise enforce nothing.
+            (
+                "[panic-safety]\npaths = [\"crates/core/src\"]\n",
+                "`[panic-safety]`",
+            ),
+            ("[swallowed-result]\n", "`[swallowed-result]`"),
+        ] {
+            let err = AuditConfig::from_toml(text).unwrap_err().to_string();
+            assert!(err.contains(named), "{text:?}: {err}");
+        }
+        // The layering matrix takes any crate name as a key.
+        assert!(AuditConfig::from_toml("[layering.allow]\nnew-crate = []\n").is_ok());
     }
 }

@@ -1,11 +1,10 @@
 //! A lightweight structural parser over the token stream.
 //!
-//! The flow-aware rules (durability-protocol, nondet-taint,
-//! swallowed-result) need more than token matching: they reason about
-//! *functions* (brace-matched bodies), *`let` bindings* (which names a
-//! statement introduces and from what initializer) and *call sites*
-//! (method calls with reconstructed receiver paths, and free/path
-//! calls). This module recovers exactly that much structure — and no
+//! The flow-aware rules (durability-protocol, nondet-taint) need more
+//! than token matching: they reason about *functions* (brace-matched
+//! bodies), *`let` bindings* (which names a statement introduces and
+//! from what initializer) and *call sites* (method calls with
+//! reconstructed receiver paths, and free/path calls). This module recovers exactly that much structure — and no
 //! more — from the lexer's tokens. It is not a Rust parser: expressions
 //! stay flat token ranges, types are skipped by bracket matching, and
 //! macros are opaque except for their argument tokens.
@@ -180,8 +179,6 @@ pub struct LetBinding {
     /// `["a", "b"]`; enum/struct constructors in the pattern are skipped
     /// by their leading capital).
     pub names: Vec<String>,
-    /// Whether the pattern is exactly the wildcard `_`.
-    pub is_wildcard: bool,
     /// Token index of the `let` keyword.
     pub let_idx: usize,
     /// Token range `(first, last)` of the initializer expression, both
@@ -260,10 +257,8 @@ fn parse_let(toks: &[Token], let_idx: usize, limit: usize) -> Option<LetBinding>
         } else if paren <= 0 && bracket <= 0 && brace <= 0 {
             if t.is_punct(';') {
                 // `let x;` — no initializer.
-                let names = pattern_names(toks, let_idx + 1, j);
                 return Some(LetBinding {
-                    is_wildcard: names.1,
-                    names: names.0,
+                    names: pattern_names(toks, let_idx + 1, j),
                     let_idx,
                     init: (j, j.saturating_sub(1)), // empty range
                     stmt_end: j + 1,
@@ -300,10 +295,8 @@ fn parse_let(toks: &[Token], let_idx: usize, limit: usize) -> Option<LetBinding>
             brace -= 1;
         } else if paren == 0 && bracket == 0 && brace == 0 {
             if t.is_punct(';') {
-                let names = pattern_names(toks, let_idx + 1, eq);
                 return Some(LetBinding {
-                    is_wildcard: names.1,
-                    names: names.0,
+                    names: pattern_names(toks, let_idx + 1, eq),
                     let_idx,
                     init: (eq + 1, k - 1),
                     stmt_end: k + 1,
@@ -313,10 +306,8 @@ fn parse_let(toks: &[Token], let_idx: usize, limit: usize) -> Option<LetBinding>
             if t.is_ident("else") {
                 // let-else: the diverging block ends the statement.
                 if let Some((_, close)) = body_span(toks, k + 1) {
-                    let names = pattern_names(toks, let_idx + 1, eq);
                     return Some(LetBinding {
-                        is_wildcard: names.1,
-                        names: names.0,
+                        names: pattern_names(toks, let_idx + 1, eq),
                         let_idx,
                         init: (eq + 1, k - 1),
                         stmt_end: close + 1,
@@ -333,11 +324,10 @@ fn parse_let(toks: &[Token], let_idx: usize, limit: usize) -> Option<LetBinding>
     None
 }
 
-/// Names bound by the pattern tokens in `[start, end)`, plus whether the
-/// pattern is exactly `_`. The type annotation after a top-level `:` is
-/// excluded; capitalized idents (enum variants, structs, types) and
-/// pattern keywords are skipped.
-fn pattern_names(toks: &[Token], start: usize, end: usize) -> (Vec<String>, bool) {
+/// Names bound by the pattern tokens in `[start, end)`. The type
+/// annotation after a top-level `:` is excluded; capitalized idents
+/// (enum variants, structs, types) and pattern keywords are skipped.
+fn pattern_names(toks: &[Token], start: usize, end: usize) -> Vec<String> {
     // Cut the pattern at the top-level `:` (type annotation).
     let mut depth = 0i32;
     let mut pat_end = end;
@@ -359,7 +349,6 @@ fn pattern_names(toks: &[Token], start: usize, end: usize) -> (Vec<String>, bool
         }
     }
     let pat: Vec<&Token> = toks[start..pat_end].iter().collect();
-    let is_wildcard = pat.len() == 1 && pat[0].is_ident("_");
     let mut names = Vec::new();
     for (off, t) in pat.iter().enumerate() {
         if t.kind != TokKind::Ident {
@@ -380,7 +369,7 @@ fn pattern_names(toks: &[Token], start: usize, end: usize) -> (Vec<String>, bool
         }
         names.push(name.to_string());
     }
-    (names, is_wildcard)
+    names
 }
 
 /// The token index one past the matching `)` for the `(` at `open`.
@@ -629,7 +618,7 @@ mod tests {
         assert_eq!(lets.len(), 6);
         assert_eq!(lets[0].names, vec!["a"]);
         assert_eq!(lets[1].names, vec!["b", "c"]);
-        assert!(lets[2].is_wildcard && lets[2].names.is_empty());
+        assert!(lets[2].names.is_empty());
         assert_eq!(lets[3].names, vec!["d"]);
         assert_eq!(lets[4].names, vec!["e"]);
         assert_eq!(lets[5].names, vec!["g"]);
@@ -642,7 +631,7 @@ mod tests {
     #[test]
     fn lets_nested_in_block_valued_inits_are_found() {
         // `let _ = term.trigger();` inside the match arm must be visible
-        // — swallowed-result depends on it.
+        // — the dataflow rules read every binding.
         let f = parse(
             "fn f() {\n\
                let reply = match cmd {\n\
@@ -655,7 +644,7 @@ mod tests {
         let lets = let_bindings(&f.tokens, fns[0].body);
         assert_eq!(lets.len(), 2, "{lets:?}");
         assert_eq!(lets[0].names, vec!["reply"]);
-        assert!(lets[1].is_wildcard);
+        assert!(lets[1].names.is_empty());
         assert!(range_mentions(&f.tokens, lets[1].init, "trigger"));
     }
 

@@ -9,18 +9,15 @@
 pub mod durability;
 pub mod layering;
 pub mod nondet_taint;
-pub mod panic_safety;
-pub mod swallowed_result;
 pub mod wire_compat;
 
 /// Every rule identifier an `audit:allow(...)` comment may name.
-/// (`nondet-taint` superseded PR 3's `determinism`; the flow-aware
-/// families landed with the audit-v2 engine.)
-pub const RULES: [&str; 6] = [
+/// (`nondet-taint` superseded the older `determinism` rule;
+/// `panic-safety` and `swallowed-result` became clippy lints, see
+/// crates/audit/README.md.)
+pub const RULES: [&str; 4] = [
     "nondet-taint",
-    "panic-safety",
     "layering",
     "durability-protocol",
-    "swallowed-result",
     "wire-compat",
 ];

@@ -1,7 +1,7 @@
 //! One scanned Rust source file: its token stream, its
 //! `// audit:allow(rule): reason` escape hatches, and a mask of the
 //! token ranges that only compile under `#[cfg(test)]` (audit rules skip
-//! test-only code — tests may unwrap and use wall clocks freely).
+//! test-only code — tests may use wall clocks and skip fsyncs freely).
 
 use crate::lexer::{lex, Lexed, Token};
 use std::path::{Path, PathBuf};
@@ -242,7 +242,7 @@ mod tests {
         for bad in [
             "// audit:allow(determinism)\n",        // no reason
             "// audit:allow: forgot the rule\n",    // no (rule)
-            "// audit:allow(panic-safety):   \n",   // empty reason
+            "// audit:allow(layering):   \n",       // empty reason
             "// audit: allow(determinism): typo\n", // near-miss
         ] {
             let f = parse_src(bad);

@@ -9,10 +9,15 @@
 //! occurrences concatenated — enough for scanning target paths, where the
 //! grouping does not matter. Multi-line strings are not supported
 //! (rejected with an error naming the line); nothing in this workspace
-//! uses them.
+//! uses them. Arrays and inline tables nest at most [`MAX_DEPTH`] deep.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// How deeply arrays and inline tables may nest before [`parse`] refuses
+/// the input. The workspace's manifests nest at most two deep; the cap
+/// keeps the recursive parser's stack bounded on damaged input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed TOML value.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +81,12 @@ impl Doc {
             .collect()
     }
 
+    /// Every table in document order as `(name, entries)`, re-opened
+    /// tables once per header; the top level comes first as `""`.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = (&str, &[Entry])> {
+        self.tables.iter().map(|(n, e)| (n.as_str(), e.as_slice()))
+    }
+
     /// Looks up `key` in table `name`.
     pub fn get(&self, table: &str, key: &str) -> Option<&Entry> {
         self.table(table).into_iter().find(|e| e.key == key)
@@ -105,6 +116,7 @@ pub fn parse(src: &str) -> Result<Doc, ParseError> {
         chars: src.chars().collect(),
         pos: 0,
         line: 1,
+        depth: 0,
     };
     let mut doc = Doc::default();
     let mut current = (String::new(), Vec::new());
@@ -137,6 +149,8 @@ struct Parser {
     chars: Vec<char>,
     pos: usize,
     line: u32,
+    /// Arrays and inline tables currently open around the cursor.
+    depth: usize,
 }
 
 impl Parser {
@@ -277,60 +291,9 @@ impl Parser {
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
             Some('"') | Some('\'') => Ok(Value::Str(self.quoted_string()?)),
-            Some('[') => {
-                self.bump();
-                let mut items = Vec::new();
-                loop {
-                    self.skip_trivia(); // arrays may span lines
-                    match self.peek() {
-                        Some(']') => {
-                            self.bump();
-                            return Ok(Value::Array(items));
-                        }
-                        Some(_) => {
-                            items.push(self.value()?);
-                            self.skip_trivia();
-                            if self.peek() == Some(',') {
-                                self.bump();
-                            } else if self.peek() != Some(']') {
-                                return self.fail("expected `,` or `]` in array");
-                            }
-                        }
-                        None => return self.fail("unterminated array"),
-                    }
-                }
-            }
-            Some('{') => {
-                self.bump();
-                let mut map = BTreeMap::new();
-                loop {
-                    self.skip_spaces();
-                    match self.peek() {
-                        Some('}') => {
-                            self.bump();
-                            return Ok(Value::Inline(map));
-                        }
-                        Some(_) => {
-                            let key = self.dotted_key()?;
-                            self.skip_spaces();
-                            if self.peek() != Some('=') {
-                                return self.fail("expected `=` in inline table");
-                            }
-                            self.bump();
-                            self.skip_spaces();
-                            let value = self.value()?;
-                            map.insert(key, value);
-                            self.skip_spaces();
-                            if self.peek() == Some(',') {
-                                self.bump();
-                            } else if self.peek() != Some('}') {
-                                return self.fail("expected `,` or `}` in inline table");
-                            }
-                        }
-                        None => return self.fail("unterminated inline table"),
-                    }
-                }
-            }
+            Some('[' | '{') if self.depth == MAX_DEPTH => self.fail("nested too deeply"),
+            Some('[') => self.nested(Self::array),
+            Some('{') => self.nested(Self::inline_table),
             Some(_) => {
                 // Bare scalar: bool, number, date — raw text up to a
                 // delimiter.
@@ -351,6 +314,73 @@ impl Parser {
                 }
             }
             None => self.fail("expected a value"),
+        }
+    }
+
+    /// Parses one array or inline table one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn array(&mut self) -> Result<Value, ParseError> {
+        self.bump(); // '['
+        let mut items = Vec::new();
+        loop {
+            self.skip_trivia(); // arrays may span lines
+            match self.peek() {
+                Some(']') => {
+                    self.bump();
+                    return Ok(Value::Array(items));
+                }
+                Some(_) => {
+                    items.push(self.value()?);
+                    self.skip_trivia();
+                    if self.peek() == Some(',') {
+                        self.bump();
+                    } else if self.peek() != Some(']') {
+                        return self.fail("expected `,` or `]` in array");
+                    }
+                }
+                None => return self.fail("unterminated array"),
+            }
+        }
+    }
+
+    fn inline_table(&mut self) -> Result<Value, ParseError> {
+        self.bump(); // '{'
+        let mut map = BTreeMap::new();
+        loop {
+            self.skip_spaces();
+            match self.peek() {
+                Some('}') => {
+                    self.bump();
+                    return Ok(Value::Inline(map));
+                }
+                Some(_) => {
+                    let key = self.dotted_key()?;
+                    self.skip_spaces();
+                    if self.peek() != Some('=') {
+                        return self.fail("expected `=` in inline table");
+                    }
+                    self.bump();
+                    self.skip_spaces();
+                    let value = self.value()?;
+                    map.insert(key, value);
+                    self.skip_spaces();
+                    if self.peek() == Some(',') {
+                        self.bump();
+                    } else if self.peek() != Some('}') {
+                        return self.fail("expected `,` or `}` in inline table");
+                    }
+                }
+                None => return self.fail("unterminated inline table"),
+            }
         }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The audit deliberately scans only each crate's `src/` tree — that is
 //! the product code the invariants protect. Integration tests and
-//! benches are wholly test code and may unwrap, read clocks, and lock in
-//! any order they like, exactly as `#[cfg(test)]` blocks inside `src/`
+//! benches are wholly test code and may read clocks and skip fsyncs as
+//! they like, exactly as `#[cfg(test)]` blocks inside `src/`
 //! may (the rules mask those via
 //! [`SourceFile::is_test_code`](crate::source::SourceFile::is_test_code)).
 

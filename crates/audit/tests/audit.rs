@@ -1,7 +1,9 @@
 //! End-to-end audit runs: each fixture mini-workspace under
 //! `tests/fixtures/` trips exactly its intended rule (and its clean
 //! twin passes), the CLI reports violations with a non-zero exit, and
-//! — the self-check — the live workspace passes with zero violations.
+//! — the self-check — the live workspace passes with zero violations
+//! and still carries the lint attributes that replaced two former
+//! rules.
 
 use datamime_audit::config::AuditConfig;
 use datamime_audit::diagnostics::Diagnostic;
@@ -84,22 +86,6 @@ fn durability_clean_twin_passes() {
 }
 
 #[test]
-fn swallowed_result_fixture_flags_every_discard_shape() {
-    let diags = check_fixture("swallowed_result");
-    assert_eq!(rules_of(&diags), vec!["swallowed-result"; 3], "{diags:?}");
-    assert!(diags[0].message.contains("`let _ =`"), "{diags:?}");
-    assert!(diags[1].message.contains("`.ok()`"), "{diags:?}");
-    assert!(diags[2].message.contains("unread"), "{diags:?}");
-}
-
-#[test]
-fn swallowed_result_clean_twin_passes_with_a_used_allow() {
-    // `?` propagation plus one reasoned audit:allow on a best-effort
-    // cleanup; an unused allow would itself be a violation.
-    assert_clean("swallowed_result_clean");
-}
-
-#[test]
 fn wire_compat_fixture_fails_a_kind_addition_without_a_revision_bump() {
     // The acceptance scenario: `Frame::Retire` exists in the source,
     // the committed lock predates it, and WIRE_REVISION never moved.
@@ -113,15 +99,6 @@ fn wire_compat_fixture_fails_a_kind_addition_without_a_revision_bump() {
 #[test]
 fn wire_compat_clean_twin_passes_when_the_revision_moved_too() {
     assert_clean("wire_compat_clean");
-}
-
-#[test]
-fn panic_safety_fixture_trips_only_panic_safety() {
-    let diags = check_fixture("panic_safety");
-    assert_eq!(rules_of(&diags), vec!["panic-safety"; 3], "{diags:?}");
-    assert_eq!(diags[0].line, 6, "unwrap site");
-    assert_eq!(diags[1].line, 7, "expect site");
-    assert_eq!(diags[2].line, 9, "panic! site");
 }
 
 #[test]
@@ -163,15 +140,15 @@ fn scope_entries_matching_no_file_are_reported() {
     let diags = check_fixture("stale_scope");
     assert_eq!(
         rules_of(&diags),
-        vec!["nondet-taint", "swallowed-result"],
+        vec!["durability-protocol", "nondet-taint"],
         "{diags:?}"
     );
     for d in &diags {
         assert!(d.file.ends_with("crates/core/src/gone.rs"), "{d:?}");
         assert!(d.message.contains("matches no scanned file"), "{d:?}");
     }
-    assert!(diags[0].message.contains("`[nondet-taint] strict-paths`"));
-    assert!(diags[1].message.contains("`[swallowed-result] paths`"));
+    assert!(diags[0].message.contains("`[durability-protocol] paths`"));
+    assert!(diags[1].message.contains("`[nondet-taint] strict-paths`"));
 }
 
 #[test]
@@ -247,11 +224,11 @@ fn wire_lock_update_refuses_unbumped_kind_changes() {
 
 #[test]
 fn cli_exits_nonzero_on_a_fixture_and_zero_on_the_workspace() {
-    let bad = audit_cli(&["check"], &fixture_root("panic_safety"));
+    let bad = audit_cli(&["check"], &fixture_root("durability"));
     assert_eq!(bad.status.code(), Some(1), "fixture must fail the audit");
     let report = String::from_utf8_lossy(&bad.stdout);
     assert!(
-        report.starts_with("crates/eval/src/lib.rs:6: [panic-safety] "),
+        report.starts_with("crates/dur/src/lib.rs:11: [durability-protocol] "),
         "{report}"
     );
 
@@ -273,7 +250,7 @@ fn workspace_root() -> PathBuf {
 }
 
 /// The self-check gate: the workspace this crate ships in must audit
-/// clean under its own committed policy — all six rules.
+/// clean under its own committed policy — all four rules.
 #[test]
 fn live_workspace_audits_clean() {
     let root = workspace_root();
@@ -298,8 +275,82 @@ fn live_workspace_audits_clean() {
         "durability policy engaged"
     );
     assert!(
-        !cfg.swallowed_result.paths.is_empty(),
-        "swallowed-result engaged"
+        !cfg.nondet_taint.strict_paths.is_empty(),
+        "nondet-taint strict paths engaged"
     );
     assert!(!cfg.wire_compat.files.is_empty(), "wire-compat engaged");
+}
+
+/// The module attributes that deny panicking shortcuts outside tests,
+/// whitespace removed.
+const PANIC_LINTS: &str = "#![cfg_attr(not(test),deny(clippy::unwrap_used,clippy::expect_used))]\
+     #![cfg_attr(not(test),deny(clippy::panic,clippy::unreachable))]\
+     #![cfg_attr(not(test),deny(clippy::todo,clippy::unimplemented))]";
+/// The module attributes that deny silently discarded results outside
+/// tests, whitespace removed.
+const DISCARD_LINTS: &str = "#![cfg_attr(not(test),deny(clippy::let_underscore_must_use))]\
+     #![cfg_attr(not(test),deny(clippy::unused_result_ok,unused_must_use))]";
+
+/// Whether the file at `rel` (workspace-relative) carries `attr`,
+/// whitespace aside.
+fn carries(rel: &str, attr: &str) -> bool {
+    let text = std::fs::read_to_string(workspace_root().join(rel)).expect("scoped file exists");
+    let squeezed: String = text.split_whitespace().collect();
+    squeezed.contains(attr)
+}
+
+/// `dir`'s `lib.rs` and every `bin/*.rs`: the crate roots whose
+/// attributes cover every module under `dir`, a new one included.
+fn crate_roots(dir: &str) -> Vec<String> {
+    let bins = std::fs::read_dir(workspace_root().join(dir).join("bin")).expect("bin/ lists");
+    let mut roots = vec![format!("{dir}/lib.rs")];
+    roots.extend(
+        bins.flatten()
+            .map(|e| format!("{dir}/bin/{}", e.file_name().to_string_lossy())),
+    );
+    roots
+}
+
+/// The former `panic-safety` and `swallowed-result` rules are clippy
+/// lints now; the module attributes are their scope, which must never
+/// be narrower than the rules' was. `scripts/ci.sh` proves the lints
+/// fire (the `lint_probe` fixture crate).
+#[test]
+fn lint_attributes_cover_the_former_rule_scopes() {
+    for rel in [
+        "crates/core/src/arena.rs",
+        "crates/core/src/search.rs",
+        "crates/core/src/compress.rs",
+        "crates/runtime/src/backend.rs",
+        "crates/core/src/profiler.rs",
+        "crates/stats/src/emd.rs",
+        "crates/core/src/profile.rs",
+        "crates/core/src/error_model.rs",
+        "crates/core/src/generator.rs",
+        "crates/core/src/metrics.rs",
+        "crates/loadgen/src/lib.rs",
+        "crates/dist/src/protocol.rs",
+        "crates/dist/src/broker.rs",
+        "crates/dist/src/worker.rs",
+    ] {
+        assert!(carries(rel, PANIC_LINTS), "{rel} lost its panic lints");
+    }
+    let mut discard: Vec<String> = ["crates/serve/src", "crates/dist/src"]
+        .into_iter()
+        .flat_map(crate_roots)
+        .collect();
+    discard.extend(
+        [
+            "crates/runtime/src/journal.rs",
+            "crates/runtime/src/faultinject.rs",
+            "crates/runtime/src/termsig.rs",
+        ]
+        .map(String::from),
+    );
+    for rel in &discard {
+        assert!(carries(rel, DISCARD_LINTS), "{rel} lost its discard lints");
+    }
+    // The probe must test the attributes the workspace actually uses.
+    let probe = "crates/audit/tests/fixtures/lint_probe/src/lib.rs";
+    assert!(carries(probe, PANIC_LINTS) && carries(probe, DISCARD_LINTS));
 }

@@ -9,6 +9,11 @@
 //! `crates/sim/tests/machine_equivalence.rs` property tests pin down as
 //! bit-identical to fresh construction.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use datamime_sim::{Machine, MachineConfig, Sampler};
 use std::cell::RefCell;
 

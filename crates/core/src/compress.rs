@@ -15,6 +15,11 @@
 //! - [`search_compress_aware`] runs the shared search engine on an
 //!   objective that adds the ratio mismatch to the usual EMD error.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::generator::{DatasetGenerator, KvGenerator, ParamSpec};
 use crate::profile::Profile;
 use crate::search::{

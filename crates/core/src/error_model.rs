@@ -8,6 +8,11 @@
 //! prioritize metrics (the Sec. V-C IPC-reweighting experiment and the
 //! Fig. 11 single-metric sweeps use this).
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::metrics::{CurveMetric, DistMetric};
 use crate::profile::{CurvePoint, Profile};
 use datamime_stats::emd::{curve_distance_iter, emd_normalized, ks_statistic};

@@ -9,6 +9,11 @@
 //! matching the performance profile does not require matching the dataset
 //! family.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::workload::{AppConfig, Workload};
 use datamime_apps::{KvConfig, NetSpec, SearchConfig, SiloConfig, SizeDist};
 use datamime_loadgen::{ArrivalProcess, WorkloadSpec};

@@ -1,5 +1,10 @@
 //! The profiled metrics of the paper's Table I.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use std::fmt;
 
 /// A distribution-valued metric sampled at every profiling interval.

@@ -1,6 +1,11 @@
 //! Performance profiles: distributions of every Table-I metric plus the
 //! cache-sensitivity curves.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::metrics::{CurveMetric, DistMetric};
 use datamime_sim::MetricSample;
 use datamime_stats::Ecdf;

@@ -4,6 +4,11 @@
 //! samples all Table-I metrics at fixed intervals, and sweeps LLC way
 //! allocations (CAT-style) to measure the cache-sensitivity curves.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::arena::EvalArena;
 use crate::profile::{CurvePoint, Profile};
 use crate::workload::Workload;
@@ -312,7 +317,10 @@ pub fn profile_app_cancellable_in(
     } else {
         sampler.samples()
     };
-    // audit:allow(panic-safety): the fallback above makes emptiness impossible; a non-finite sample is a simulator bug worth a loud stop
+    #[expect(
+        clippy::expect_used,
+        reason = "the fallback above makes emptiness impossible; a non-finite sample is a simulator bug worth a loud stop"
+    )]
     let profile = Profile::from_samples(samples, curve).expect("finite samples build a profile");
     arena.recycle_sampler(sampler);
     profile

@@ -15,6 +15,11 @@
 //! [`search`] is it with default options, which is bit-for-bit the paper's
 //! sequential loop.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::arena::EvalArena;
 use crate::error_model::{profile_error, MetricWeights};
 use crate::generator::{DatasetGenerator, ParamSpec};
@@ -760,6 +765,10 @@ fn search_with_process_backend(
 ///
 /// Panics if `cfg.iterations == 0`, or when an evaluation panics or
 /// returns a non-finite error.
+#[expect(
+    clippy::expect_used,
+    reason = "the engine only fails on journal I/O or backend setup, and these options set neither"
+)]
 pub fn search(
     generator: &(dyn DatasetGenerator + Sync),
     target_profile: &Profile,
@@ -770,7 +779,6 @@ pub fn search(
         ..RuntimeOptions::default()
     };
     search_with_runtime(generator, target_profile, cfg, &abort_on_failure)
-        // audit:allow(panic-safety): the engine only fails on journal I/O or backend setup, and these options set neither
         .expect("journal-less thread-backend run cannot fail")
 }
 

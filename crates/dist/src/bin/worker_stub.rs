@@ -8,6 +8,9 @@
 //! [`datamime_dist::serve`] applies.
 
 #![forbid(unsafe_code)]
+// Durability/IPC path: no discarded results outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok, unused_must_use))]
 use datamime_dist::{serve, WorkerConfig};
 use datamime_runtime::FaultPlan;
 use std::time::Instant;

@@ -38,6 +38,11 @@
 //!
 //! [`CancelToken`]: datamime_runtime::CancelToken
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::protocol::{
     read_frame, worker_identity, write_frame, Frame, ProtocolError, PROTOCOL_VERSION,
 };
@@ -258,10 +263,8 @@ impl Broker {
     /// restart budget allows. Retires the incarnation id either way, so
     /// late messages from the old process are ignored.
     fn retire_and_respawn(&mut self, i: usize) -> Result<(), String> {
-        if let Some(mut child) = self.slots[i].child.take() {
-            // audit:allow(swallowed-result): the worker may already have exited — kill failing means there is nothing left to kill
-            let _ = child.kill();
-            let _ = child.wait();
+        if let Some(child) = self.slots[i].child.take() {
+            kill_and_reap(child);
         }
         self.slots[i].id = 0;
         self.slots[i].conn = None;
@@ -555,14 +558,18 @@ impl Backend for Broker {
             }
         }
 
-        Ok(jobs
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop above only exits once every job holds a verdict"
+        )]
+        let verdicts = jobs
             .into_iter()
             .map(|job| {
                 job.verdict
-                    // audit:allow(panic-safety): the loop above only exits once every job holds a verdict
                     .expect("evaluate_batch loop left a job unresolved")
             })
-            .collect())
+            .collect();
+        Ok(verdicts)
     }
 }
 
@@ -571,13 +578,21 @@ impl Drop for Broker {
         for slot in &mut self.slots {
             // EOF on stdin is the stop; the kill below is the enforcement.
             slot.conn = None;
-            if let Some(mut child) = slot.child.take() {
-                // audit:allow(swallowed-result): the worker may already have exited — kill failing means there is nothing left to kill
-                let _ = child.kill();
-                let _ = child.wait();
+            if let Some(child) = slot.child.take() {
+                kill_and_reap(child);
             }
         }
     }
+}
+
+/// Kills a worker process and reaps it.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "the worker may already have exited — kill failing means there is nothing left to kill, and there is no exit status left to report"
+)]
+fn kill_and_reap(mut child: Child) {
+    let _ = child.kill();
+    let _ = child.wait();
 }
 
 /// What a worker's reply says about the job it was answering.
@@ -666,12 +681,15 @@ fn handshake_and_read(
     expect_ctx: u64,
     tx: &mpsc::Sender<Msg>,
 ) {
-    let reject = |reason: String| {
-        let _ = tx.send(Msg::Rejected { reason });
+    let send = |msg: Msg| {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a failed send means the broker dropped its receiver — nobody is left to tell"
+        )]
+        let _ = tx.send(msg);
     };
-    let closed = || {
-        let _ = tx.send(Msg::Closed { id });
-    };
+    let reject = |reason: String| send(Msg::Rejected { reason });
+    let closed = || send(Msg::Closed { id });
     let mut stdout = std::io::BufReader::new(stdout);
     let hello = match read_frame(&mut stdout) {
         Ok(f) => f,

@@ -28,6 +28,11 @@
 //! fingerprint and worker-binary identity so the broker can reject a
 //! skewed worker with a clear error even if the header happened to agree.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use datamime_runtime::fingerprint;
 use std::io::{Read, Write};
 

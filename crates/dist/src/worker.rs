@@ -15,6 +15,11 @@
 //! broker-side; the worker is a pure request server, which is what makes
 //! the determinism argument in DESIGN.md §8 short.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::protocol::{
     read_frame, worker_identity, write_frame, Frame, ProtocolError, PROTOCOL_VERSION,
 };

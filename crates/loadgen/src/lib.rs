@@ -30,6 +30,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use datamime_apps::App;
 use datamime_sim::{Machine, Sampler};

@@ -7,6 +7,11 @@
 //! draining a bounded work queue — through [`with_local_backend`]; the
 //! out-of-process broker (`datamime-dist`) implements the same trait.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::supervisor::{CancelToken, Evaluated, FailedAttempt, Supervisor};
 use crate::telemetry::StageTimes;
 use std::sync::{mpsc, Mutex, PoisonError};

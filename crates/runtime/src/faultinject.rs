@@ -26,6 +26,10 @@
 //! The module is always compiled; the cargo feature `faultinject` only
 //! gates the long-running stress and crash-matrix tests.
 
+// Durability/IPC path: no discarded results outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok, unused_must_use))]
+
 use crate::supervisor::CancelToken;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -147,17 +151,19 @@ impl WriteFault {
     /// is left with exactly the torn tail the repair path must handle;
     /// [`WriteFault::SyncFail`] writes everything but reports that
     /// durability was not achieved.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fault injection deliberately tears these writes — the error it returns is the product"
+    )]
     pub fn corrupt_append<W: Write>(self, w: &mut W, bytes: &[u8]) -> io::Error {
         match self {
             WriteFault::NoSpace => io::Error::from_raw_os_error(ENOSPC_CODE),
             WriteFault::ShortWrite => {
-                // audit:allow(swallowed-result): fault injection deliberately tears this write — the error it returns is the product
                 let _ = w.write_all(&bytes[..bytes.len() / 2]);
                 let _ = w.flush();
                 io::Error::new(io::ErrorKind::WriteZero, "injected short write")
             }
             WriteFault::SyncFail => {
-                // audit:allow(swallowed-result): fault injection deliberately tears this write — the error it returns is the product
                 let _ = w.write_all(bytes);
                 let _ = w.flush();
                 io::Error::other("injected fsync failure")

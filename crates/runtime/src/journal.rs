@@ -31,6 +31,10 @@
 //! faithfully — reconstructing the optimizer state bit-for-bit before
 //! continuing with fresh evaluations.
 
+// Durability/IPC path: no discarded results outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok, unused_must_use))]
+
 use crate::executor::{EvalRecord, RunMeta};
 use crate::faultinject::{FaultInjector, WriteSite};
 use crate::json::{push_f64, push_f64_array, push_str_escaped, Json};

@@ -25,6 +25,10 @@
 //! wrapped PID. It is a drain *request* mechanism, not a general signal
 //! API — which is exactly what the serve daemon needs.
 
+// Durability/IPC path: no discarded results outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok, unused_must_use))]
+
 use std::path::{Path, PathBuf};
 
 /// Environment variable naming the sentinel file whose existence means
@@ -103,7 +107,10 @@ pub fn install() -> TermSignal {
         }
     }
     let path = std::env::temp_dir().join(format!("datamime-term-{}.sentinel", std::process::id()));
-    // audit:allow(swallowed-result): a stale sentinel from a previous pid usually does not exist — creation below is authoritative
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "a stale sentinel from a previous pid usually does not exist — creation below is authoritative"
+    )]
     let _ = std::fs::remove_file(&path);
     let Ok(exe) = std::env::current_exe() else {
         return TermSignal::at(path);

@@ -19,6 +19,9 @@
 //! grammar. Intended for the crash-matrix tests, not production.
 
 #![forbid(unsafe_code)]
+// Durability/IPC path: no discarded results outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok, unused_must_use))]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

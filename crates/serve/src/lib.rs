@@ -25,6 +25,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Durability/IPC path: no discarded results outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok, unused_must_use))]
 
 pub mod manifest;
 pub mod sched;

@@ -282,9 +282,16 @@ pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Resul
     shared.gate.close();
     let threads = std::mem::take(&mut *lock(&shared.threads));
     for t in threads {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a job thread that panicked has already reported it through the panic hook; the drain only waits for it"
+        )]
         let _ = t.join();
     }
-    // audit:allow(swallowed-result): shutdown cleanup is best-effort — a leftover socket file is replaced by the next bind
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "shutdown cleanup is best-effort — a leftover socket file is replaced by the next bind"
+    )]
     let _ = std::fs::remove_file(root.join(SERVE_SOCKET));
     Ok(())
 }
@@ -292,7 +299,10 @@ pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Resul
 fn bind(path: &PathBuf) -> Result<UnixListener, String> {
     // A daemon killed with SIGKILL leaves its socket files behind; a
     // fresh bind must replace them.
-    // audit:allow(swallowed-result): the file usually does not exist — a real collision surfaces as the bind error below
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the file usually does not exist — a real collision surfaces as the bind error below"
+    )]
     let _ = std::fs::remove_file(path);
     let listener =
         UnixListener::bind(path).map_err(|e| format!("cannot listen on {path:?}: {e}"))?;
@@ -599,7 +609,10 @@ fn handle_conn(shared: &Arc<Shared>, conn: &mut UnixStream, term: &TermSignal) {
     let reply = read_request(conn)
         .and_then(|line| answer(shared, term, &line))
         .unwrap_or_else(|detail| format!("ERROR {}\n", detail.replace('\n', " ")));
-    // audit:allow(swallowed-result): reply is best-effort — the client may already have hung up
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "reply is best-effort — the client may already have hung up"
+    )]
     let _ = conn.write_all(reply.as_bytes());
 }
 

@@ -7,6 +7,11 @@
 //! paper additionally normalizes both axes to `[0, 1]` (Sec. V-D) so each
 //! metric contributes comparably.
 
+// Supervised evaluation path: no panics outside tests (crates/audit/README.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::ecdf::Ecdf;
 
 /// Computes the raw (un-normalized) EMD between two eCDFs: the area between
@@ -162,7 +167,10 @@ pub fn curve_distance_iter(
                 n += 1;
             }
             (None, None) => break,
-            // audit:allow(panic-safety): mismatched grids are a caller bug; the documented panic mirrors the slice API's assert
+            #[expect(
+                clippy::panic,
+                reason = "mismatched grids are a caller bug; the documented panic mirrors the slice API's assert"
+            )]
             _ => panic!("curves must share a grid"),
         }
     }

@@ -12,27 +12,49 @@ run() {
 }
 
 # Formatting and lints first: they fail fast and never depend on a
-# release build. Both components can be absent on minimal toolchains,
-# in which case they are skipped with a notice rather than failing CI.
+# release build. rustfmt can be absent on minimal toolchains, in which
+# case the format check is skipped with a notice. Clippy cannot: it
+# carries two gates — no panicking shortcuts on the supervised
+# evaluation path and no silently discarded results on the
+# durability/IPC paths (module-level lint attributes, see
+# crates/audit/README.md) — so a missing clippy fails CI.
 if cargo fmt --version >/dev/null 2>&1; then
   run cargo fmt --all --check
 else
   echo "==> cargo fmt not installed; skipping format check"
 fi
 
-if cargo clippy --version >/dev/null 2>&1; then
-  run cargo clippy --workspace --all-targets -- -D warnings
-else
-  echo "==> cargo clippy not installed; skipping lints"
+if ! cargo clippy --version >/dev/null 2>&1; then
+  echo "==> cargo clippy not installed: the panic and discarded-result gates need it" >&2
+  exit 1
+fi
+run cargo clippy --workspace --all-targets -- -D warnings
+
+# The lint probe holds one violation of each of those lints under the
+# same attributes, so clippy must fail on it and name exactly these six
+# lints: a toolchain that renamed or dropped one cannot pass silently.
+probe_lints="clippy::expect_used clippy::let_underscore_must_use clippy::panic \
+clippy::unused_result_ok clippy::unwrap_used unused_must_use"
+echo "==> cargo clippy on the lint probe (must fail naming: $probe_lints)"
+probe_out=$(cargo clippy --offline -q \
+  --manifest-path crates/audit/tests/fixtures/lint_probe/Cargo.toml \
+  --target-dir target/lint-probe --message-format=json -- -D warnings 2>/dev/null) &&
+  { echo "lint probe passed clippy: the lint attributes no longer bite" >&2; exit 1; }
+probe_found=$(grep -o '"code":{"code":"[^"]*"' <<<"$probe_out" |
+  sed 's/.*"code":"//; s/"$//' | LC_ALL=C sort -u | xargs || true)
+if [ "$probe_found" != "$probe_lints" ]; then
+  echo "lint probe named [$probe_found], expected [$probe_lints]" >&2
+  exit 1
 fi
 
-# Static-analysis gate: six rule families — nondet-taint, panic-safety,
-# layering, durability-protocol, swallowed-result, and wire-compat
-# (policy in audit.toml + audit.wire.lock, tool in crates/audit; `unsafe`
-# is refused by the workspace lint at compile time). Runs before the
-# tests — it is fast and its findings usually explain any downstream
-# flakiness. The fixture suite proves each rule still trips on its
-# violating mini-workspace and stays quiet on the clean twin.
+# Static-analysis gate: four rule families — nondet-taint, layering,
+# durability-protocol and wire-compat (policy in audit.toml +
+# audit.wire.lock, tool in crates/audit; `unsafe` is refused by the
+# workspace lint at compile time, panics and discarded results by the
+# clippy lints above). Runs before the tests — it is fast and its
+# findings usually explain any downstream flakiness. The fixture suite
+# proves each rule still trips on its violating mini-workspace and
+# stays quiet on the clean twin.
 run cargo test -q -p datamime-audit --test audit
 run cargo run -q -p datamime-audit -- check
 
