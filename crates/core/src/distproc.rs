@@ -397,7 +397,10 @@ pub fn run_worker(args: &[String]) -> Result<(), String> {
             // The worker serves evaluations on one thread, so its
             // thread-local arena persists across requests: every
             // candidate after the first reuses the same simulator arrays.
-            evaluate(&generator, &cfg, &objective, &req.unit, stages, &token).error
+            evaluate(
+                &generator, &cfg, &objective, &req.unit, stages, &token, None,
+            )
+            .error
         },
     )
 }

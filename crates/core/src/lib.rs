@@ -52,6 +52,7 @@ pub mod generator;
 pub mod jobspec;
 pub mod metrics;
 pub mod profile;
+pub mod profile_store;
 pub mod profiler;
 pub mod search;
 pub mod servectl;
@@ -67,6 +68,7 @@ pub use generator::{
 pub use jobspec::{JobBackend, JobSpec};
 pub use metrics::{CurveMetric, DistMetric};
 pub use profile::{CurvePoint, EmptyProfileError, Profile};
+pub use profile_store::{ProfileKey, ProfileStore};
 pub use profiler::{profile_app_cancellable_in, profile_workload, ProfilingConfig};
 pub use search::{
     search, search_with_runtime, BackendChoice, IterationRecord, OptimizerKind, ProcOptions,

@@ -24,6 +24,7 @@ use crate::arena::EvalArena;
 use crate::error_model::{profile_error, MetricWeights};
 use crate::generator::{DatasetGenerator, ParamSpec};
 use crate::profile::Profile;
+use crate::profile_store::{ProfileKey, ProfileStore};
 use crate::profiler::{profile_app_cancellable_in, profile_workload, ProfilingConfig};
 use crate::workload::Workload;
 use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig, RandomSearch};
@@ -191,6 +192,13 @@ pub struct RuntimeOptions {
     /// The clock restarts on resume: it bounds one process's effort and
     /// is deliberately not part of the deterministic state.
     pub wall_clock: Option<Duration>,
+    /// A profile store shared with other searches (the serve daemon's):
+    /// each evaluation looks its instantiated workload up before building
+    /// it, and a hit is scored without a simulator run. Results are
+    /// unchanged, hit or miss; nothing about the store is journalled.
+    /// Thread backend only: the process backend's workers profile in
+    /// their own processes and never see it.
+    pub profiles: Option<Arc<ProfileStore>>,
 }
 
 /// Where a search's evaluations execute.
@@ -433,6 +441,11 @@ pub struct Evaluation {
 /// is built once, here, and the profiler restarts from copies of it. The
 /// cancel token reaches the profiler's sampling loops so a deadline can
 /// stop a runaway evaluation cooperatively.
+///
+/// With a `profiles` store the instantiated workload is looked up between
+/// instantiate and build: a hit skips build and profile and `objective`
+/// scores the stored bits; a miss profiles as usual and stores the
+/// profile unless `cancel` fired (a cancelled profile is truncated).
 pub fn evaluate(
     generator: &dyn DatasetGenerator,
     cfg: &SearchConfig,
@@ -440,24 +453,41 @@ pub fn evaluate(
     unit: &[f64],
     stages: &mut StageTimes,
     cancel: &CancelToken,
+    profiles: Option<&ProfileStore>,
 ) -> Evaluation {
     let workload = stages.time("instantiate", || generator.instantiate(unit));
-    let app = stages.time("build", || workload.app.build());
-    let profile = stages.time("profile", || {
-        // Each evaluating thread recycles its simulator state across
-        // evaluations (and across supervisor retries) through its
-        // thread-local arena; results are bit-identical to fresh state.
-        EvalArena::with_thread_local(|arena| {
-            profile_app_cancellable_in(
-                app,
-                workload.load,
-                &cfg.machine,
-                &cfg.profiling,
-                cancel,
-                arena,
-            )
-        })
+    let lookup = profiles.map(|store| {
+        let key = ProfileKey::new(&workload, &cfg.machine, &cfg.profiling);
+        (store, key)
     });
+    let hit = lookup.as_ref().and_then(|(store, key)| store.get(key));
+    let profile = match hit {
+        Some(profile) => profile,
+        None => {
+            let app = stages.time("build", || workload.app.build());
+            let profile = stages.time("profile", || {
+                // Each evaluating thread recycles its simulator state across
+                // evaluations (and across supervisor retries) through its
+                // thread-local arena; results are bit-identical to fresh state.
+                EvalArena::with_thread_local(|arena| {
+                    profile_app_cancellable_in(
+                        app,
+                        workload.load,
+                        &cfg.machine,
+                        &cfg.profiling,
+                        cancel,
+                        arena,
+                    )
+                })
+            });
+            if let Some((store, key)) = lookup {
+                if !cancel.is_cancelled() {
+                    store.insert(key, profile.clone());
+                }
+            }
+            profile
+        }
+    };
     let error = stages.time("error", || objective(&workload, &profile));
     Evaluation {
         workload,
@@ -657,7 +687,15 @@ pub fn search_with_objective(
     let meta = run_meta(generator, cfg, opts.batch_k, opts.workers);
     let exec = build_executor(generator, memo_context(cfg), meta, opts)?;
     let eval = |unit: &[f64], stages: &mut StageTimes, cancel: &CancelToken| {
-        let done = evaluate(generator, cfg, objective, unit, stages, cancel);
+        let done = evaluate(
+            generator,
+            cfg,
+            objective,
+            unit,
+            stages,
+            cancel,
+            opts.profiles.as_deref(),
+        );
         let error = done.error;
         // A cancelled evaluation produced a truncated profile and will be
         // penalized by the supervisor — its artifacts must not be
@@ -848,6 +886,7 @@ mod tests {
             &[0.3; 6],
             &mut StageTimes::new(),
             &CancelToken::new(),
+            None,
         );
         let expected = profile_error(&target, &done.profile, &cfg.weights).total;
         assert_eq!(done.error.to_bits(), expected.to_bits());

@@ -98,7 +98,10 @@ pub(super) fn run(s: &Settings, _: &mut Searches) -> Report {
             // scores each point by the yardstick itself.
             let objective = emd_objective(&target_profile, &base_cfg.weights);
             let eval = |unit: &[f64], stages: &mut _, cancel: &_| {
-                evaluate(&generator, &base_cfg, &objective, unit, stages, cancel).error
+                evaluate(
+                    &generator, &base_cfg, &objective, unit, stages, cancel, None,
+                )
+                .error
             };
             let exec = Executor::new(meta);
             with_local_backend(1, exec.supervisor(), &eval, |backend| {

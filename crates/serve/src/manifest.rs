@@ -12,10 +12,13 @@
 //!
 //! A crash before the rename leaves the previous snapshot authoritative
 //! and a stale temp that open deletes. The rename is atomic, so a
-//! snapshot that does not parse, or carries another format revision, was
+//! snapshot that does not parse, carries another format revision, or
+//! holds anything but one whole table (a missing, unknown or repeated
+//! field, a repeated job, a non-finite number, a count past 2^53) was
 //! damaged or written by another daemon: open refuses it loudly rather
-//! than resurrect GC'd jobs or forget live ones. Open likewise refuses a
-//! root holding any file of the old write-ahead-log layout, untouched.
+//! than resurrect GC'd jobs, forget live ones, or read part of a job.
+//! Open likewise refuses a root holding any file of the old
+//! write-ahead-log layout, untouched.
 //!
 //! GC is two-phase: `gc_intent` is durable before any file is unlinked,
 //! `gc_done` follows the directory removal, and a crash in between leaves
@@ -364,57 +367,112 @@ fn snapshot_json(t: &Table) -> String {
     s
 }
 
+/// Largest count a snapshot may hold: every integer up to 2^53 is exact
+/// in a JSON number, and the daemon adds one to `max_job` and `gcd`.
+const MAX_COUNT: f64 = 9_007_199_254_740_992.0;
+
+/// The fields of a snapshot object by name: every name in `required`
+/// present, any in `optional`, no other and none twice. A snapshot this
+/// daemon did not write whole is refused, never read in part.
+fn fields<'a>(
+    v: &'a Json,
+    what: &str,
+    required: &[&str],
+    optional: &[&str],
+) -> Result<BTreeMap<&'a str, &'a Json>, String> {
+    let Json::Obj(pairs) = v else {
+        return Err(format!("{what} is not an object"));
+    };
+    let mut out = BTreeMap::new();
+    for (key, value) in pairs {
+        if !required.contains(&key.as_str()) && !optional.contains(&key.as_str()) {
+            return Err(format!("{what} has an unknown field `{key}`"));
+        }
+        if out.insert(key.as_str(), value).is_some() {
+            return Err(format!("{what} has field `{key}` twice"));
+        }
+    }
+    match required.iter().find(|key| !out.contains_key(*key)) {
+        Some(key) => Err(format!("{what} has no `{key}`")),
+        None => Ok(out),
+    }
+}
+
+fn array<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
+    v.as_arr().ok_or_else(|| format!("{what} is not an array"))
+}
+
 fn parse_snapshot(text: &str) -> Result<Table, String> {
     let v = Json::parse(text.trim()).map_err(|e| format!("corrupt JSON: {e}"))?;
-    let count = |key: &str| {
-        v.get(key)
-            .and_then(Json::as_usize)
+    let count = |v: &Json, key: &str| {
+        v.as_f64()
+            .filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_COUNT)
             .map(|n| n as u64)
-            .ok_or_else(|| format!("missing {key}"))
+            .ok_or_else(|| format!("{key} is not a count"))
     };
-    let revision = count("revision")?;
+    // The revision first: another revision's layout is refused as such.
+    let revision = count(v.get("revision").ok_or("missing revision")?, "revision")?;
     if revision != u64::from(MANIFEST_FORMAT_REVISION) {
         return Err(format!(
             "format revision {revision}, but this daemon reads revision \
              {MANIFEST_FORMAT_REVISION} only"
         ));
     }
+    let top = fields(
+        &v,
+        "the snapshot",
+        &["revision", "gcd", "max_job", "pending_gc", "jobs"],
+        &[],
+    )?;
     let mut table = Table {
-        gcd: count("gcd")?,
-        max_job: count("max_job")?,
+        gcd: count(top["gcd"], "gcd")?,
+        max_job: count(top["max_job"], "max_job")?,
         ..Table::default()
     };
-    for j in v
-        .get("pending_gc")
-        .and_then(Json::as_arr)
-        .unwrap_or_default()
-    {
+    for j in array(top["pending_gc"], "pending_gc")? {
         let job = j.as_str().ok_or("pending_gc holds a non-string")?;
         table.pending_gc.push(job.to_string());
     }
-    for jv in v.get("jobs").and_then(Json::as_arr).unwrap_or_default() {
-        let field = |key: &str| jv.get(key).and_then(Json::as_str);
-        let id = field("job").ok_or("job without id")?;
-        let spec = field("spec").ok_or_else(|| format!("job {id} without spec"))?;
-        let state_s = field("state").ok_or_else(|| format!("job {id} without state"))?;
+    for jv in array(top["jobs"], "jobs")? {
+        let job = fields(
+            jv,
+            "a job",
+            &["job", "spec", "state", "best_unit"],
+            &["best_error", "detail"],
+        )?;
+        let id = job["job"].as_str().ok_or("a job id is not a string")?;
+        let string = |key: &str| {
+            job[key]
+                .as_str()
+                .ok_or_else(|| format!("job {id}: {key} is not a string"))
+        };
+        // Finite only: a publish cannot write anything else back.
+        let number = |v: &Json| {
+            v.as_f64()
+                .filter(|n| n.is_finite())
+                .ok_or_else(|| format!("job {id}: not a finite number"))
+        };
+        let spec = string("spec")?;
+        let state_s = string("state")?;
         let state = JobState::parse(state_s)
             .ok_or_else(|| format!("job {id} has unknown state `{state_s}`"))?;
-        table.jobs.insert(
-            id.to_string(),
-            JobEntry {
-                spec: spec.to_string(),
-                state,
-                best_error: jv.get("best_error").and_then(Json::as_f64),
-                best_unit: jv
-                    .get("best_unit")
-                    .and_then(Json::as_arr)
-                    .unwrap_or_default()
-                    .iter()
-                    .filter_map(Json::as_f64)
-                    .collect(),
-                detail: field("detail").map(str::to_string),
-            },
-        );
+        let entry = JobEntry {
+            spec: spec.to_string(),
+            state,
+            best_error: job.get("best_error").map(|v| number(v)).transpose()?,
+            best_unit: array(job["best_unit"], "best_unit")?
+                .iter()
+                .map(number)
+                .collect::<Result<_, _>>()?,
+            detail: job
+                .get("detail")
+                .map(|_| string("detail"))
+                .transpose()?
+                .map(str::to_string),
+        };
+        if table.jobs.insert(id.to_string(), entry).is_some() {
+            return Err(format!("job {id} appears twice"));
+        }
     }
     Ok(table)
 }
@@ -588,6 +646,44 @@ mod tests {
                 body
             );
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_snapshot_is_read_whole_or_refused() {
+        let root = tmp("whole");
+        let job = |fields: &str| {
+            format!(
+                "{{\"revision\":3,\"gcd\":0,\"max_job\":1,\"pending_gc\":[],\"jobs\":[{{\"job\":\"job-0001\",\"spec\":\"s\",\"state\":\"done\",{fields}}}]}}"
+            )
+        };
+        for (body, why) in [
+            // Each of these opened before, and panicked at the next
+            // publish or job number, or lost part of the table.
+            (
+                "{\"revision\":3,\"gcd\":0,\"max_job\":18446744073709551615,\"pending_gc\":[],\"jobs\":[]}".to_string(),
+                "max_job is not a count",
+            ),
+            (job("\"best_error\":1e999,\"best_unit\":[]"), "not a finite number"),
+            (job("\"best_unit\":[1e999]"), "not a finite number"),
+            (
+                "{\"revision\":3,\"gcd\":0,\"max_job\":1,\"pending_gc\":[],\"jobz\":[]}".to_string(),
+                "unknown field `jobz`",
+            ),
+            (job("\"best_unit\":[0.5,\"x\"]"), "not a finite number"),
+            (job("\"best_unit\":[],\"state\":\"failed\""), "field `state` twice"),
+            (
+                job("\"best_unit\":[]},{\"job\":\"job-0001\",\"spec\":\"t\",\"state\":\"failed\",\"best_unit\":[]"),
+                "job job-0001 appears twice",
+            ),
+        ] {
+            std::fs::write(root.join(MANIFEST_FILE), &body).unwrap();
+            let err = Manifest::open(&root).expect_err(&body);
+            assert!(err.contains(why) && err.contains(MANIFEST_FILE), "{body}: {err}");
+        }
+        std::fs::write(root.join(MANIFEST_FILE), job("\"best_unit\":[0.5]")).unwrap();
+        let (_m, jobs) = Manifest::open(&root).unwrap();
+        assert_eq!(jobs["job-0001"].best_unit, [0.5]);
         let _ = std::fs::remove_dir_all(&root);
     }
 

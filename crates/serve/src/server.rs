@@ -9,13 +9,17 @@
 //!   `shutdown`. The grammar and its reply text live in
 //!   [`datamime::servectl`]; specs are validated at submit time. `stats`
 //!   is the daemon's [`MetricsRegistry`] (monotonic counters plus the GC
-//!   gauges) in sorted order, `health` the durability dashboard (uptime,
-//!   GC progress, the read-only state with its reason), and `shutdown`
-//!   drains: gates close, jobs stop at their next batch boundary leaving
-//!   resumable journals, and the process exits 0;
+//!   and profile-store gauges) in sorted order, `health` the durability
+//!   dashboard (uptime, GC progress, the read-only state with its
+//!   reason), and `shutdown` drains: gates close, jobs stop at their
+//!   next batch boundary leaving resumable journals, and the process
+//!   exits 0;
 //! - **scheduling**: every accepted job runs the unmodified
 //!   `search_with_runtime` loop on its own thread, interleaved with its
-//!   tenants through the [`FairGate`] round-robin (see [`crate::sched`]);
+//!   tenants through the [`FairGate`] round-robin (see [`crate::sched`]).
+//!   All jobs share one [`ProfileStore`]: a target or a thread-backend
+//!   candidate that some job already profiled is scored from the store,
+//!   bit for bit, without another simulator run (`profile_reuses`);
 //! - **durability**: the [`Manifest`] snapshot is atomically rewritten
 //!   on every lifecycle transition, and each job journals its
 //!   evaluations under `jobs/<id>/journal.jsonl`. On startup both are
@@ -33,7 +37,7 @@
 use crate::manifest::{JobEntry, Manifest, WalError, WalStats};
 use crate::sched::FairGate;
 use datamime::jobspec::JobSpec;
-use datamime::profiler::profile_workload;
+use datamime::profile_store::ProfileStore;
 use datamime::search::search_with_runtime;
 use datamime::servectl::{JobResult, JobState, JobStatus, SERVE_SOCKET};
 use datamime_runtime::{
@@ -126,6 +130,10 @@ struct Shared {
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     gate: FairGate,
     metrics: Arc<MetricsRegistry>,
+    /// Every profile any job measured, target or candidate: a job that
+    /// instantiates a dataset some job already profiled scores the stored
+    /// profile instead of simulating it again.
+    profiles: Arc<ProfileStore>,
     started: Instant,
     keep_terminal: Option<usize>,
     faults: FaultInjector,
@@ -232,13 +240,15 @@ pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Resul
         .map_err(|e| format!("cannot create state root {root:?}: {e}"))?;
     let (manifest, entries) = Manifest::open_with(&root, options.faults.clone())?;
     let pending_gc = manifest.take_pending_gc();
+    let metrics = Arc::new(MetricsRegistry::new());
     let shared = Arc::new(Shared {
         root: root.clone(),
         jobs: Mutex::new(BTreeMap::new()),
         manifest: Mutex::new(manifest),
         threads: Mutex::new(Vec::new()),
         gate: FairGate::new(),
-        metrics: Arc::new(MetricsRegistry::new()),
+        profiles: Arc::new(ProfileStore::with_metrics(Arc::clone(&metrics))),
+        metrics,
         // Only feeds the admin plane's uptime line; taint analysis sees
         // it never reaches a journaled or wire surface.
         started: Instant::now(),
@@ -440,7 +450,10 @@ fn run_job(shared: &Arc<Shared>, job: &str, spec_line: &str, resume: bool) {
         // this job's own target workload, and joining the round-robin
         // before this potentially minutes-long phase would make every
         // other tenant block on its turn until profiling finished.
-        let target_profile = profile_workload(&target, &cfg.machine, &cfg.profiling);
+        let target_profile =
+            shared
+                .profiles
+                .profile_workload(&target, &cfg.machine, &cfg.profiling);
 
         // Join the rotation only now, at the edge of the search. A
         // cancel that arrived while profiling (gate_seq was still None)
@@ -476,6 +489,7 @@ fn run_job(shared: &Arc<Shared>, job: &str, spec_line: &str, resume: bool) {
         opts.extra_sink = Some(SharedSink::new(JobSink { progress }));
         opts.batch_gate = Some(GateHandle::new(Arc::new(ticket)));
         opts.metrics = Some(Arc::clone(&shared.metrics));
+        opts.profiles = Some(Arc::clone(&shared.profiles));
         opts.faults = shared.faults.clone();
 
         let result = search_with_runtime(generator.as_ref(), &target_profile, &cfg, &opts);
@@ -587,14 +601,15 @@ fn read_request(conn: &mut UnixStream) -> Result<String, String> {
             }
             Err(e) => return Err(format!("request failed: {e}")),
         };
-        let had = line.len();
-        line.extend_from_slice(&chunk[..n]);
-        if let Some(end) = chunk[..n].iter().position(|&b| b == b'\n') {
-            line.truncate(had + end);
-            break;
-        }
+        // The cap applies to the line itself, also when its end arrives
+        // in the chunk that crosses the cap.
+        let newline = chunk[..n].iter().position(|&b| b == b'\n');
+        line.extend_from_slice(&chunk[..newline.unwrap_or(n)]);
         if line.len() > MAX_REQUEST {
             return Err(format!("request longer than {MAX_REQUEST} bytes"));
+        }
+        if newline.is_some() {
+            break;
         }
     }
     String::from_utf8(line).map_err(|_| "request is not UTF-8".to_string())
@@ -770,4 +785,34 @@ fn cancel(shared: &Arc<Shared>, job: &str) -> Result<(), String> {
 
 fn no_such_job(job: &str) -> String {
     format!("no such job: {job}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Sends `len` bytes of `a` plus a newline down one end of a socket
+    /// pair and reads the request off the other.
+    fn read_line_of(len: usize) -> Result<String, String> {
+        let (mut client, mut server) = UnixStream::pair().unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut bytes = vec![b'a'; len];
+            bytes.push(b'\n');
+            // A refused request stops being read; the write then fails.
+            let _ = client.write_all(&bytes);
+        });
+        let got = read_request(&mut server);
+        drop(server);
+        writer.join().unwrap();
+        got
+    }
+
+    #[test]
+    fn the_request_cap_holds_wherever_the_newline_lands() {
+        assert_eq!(read_line_of(MAX_REQUEST).unwrap().len(), MAX_REQUEST);
+        for len in [MAX_REQUEST + 1, 70_000] {
+            let err = read_line_of(len).unwrap_err();
+            assert!(err.contains("request longer than"), "{len}: {err}");
+        }
+    }
 }

@@ -129,8 +129,9 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   DATAMIME_WORKER=target/release/datamime-worker target/release/dist_smoke --check
   # Service-plane smoke: a short fixed-seed job submitted to
   # datamime-served through `datamime ctl` must complete, the admin
-  # plane must report live eval/cache-hit counters, and the daemon must
-  # drain cleanly on the admin shutdown command.
+  # plane must report live eval/cache-hit counters, the same job
+  # resubmitted must reach the same result from the profile store, and
+  # the daemon must drain cleanly on the admin shutdown command.
   run cargo build --release -q -p datamime-serve
   run scripts/serve_smoke.sh
   # Durability torture pass: the crash matrix aborts the daemon at every

@@ -2,7 +2,9 @@
 # Service-plane smoke (wired into scripts/ci.sh): start datamime-served
 # on a throwaway state root, drive a short fixed-seed job through
 # `datamime ctl`, assert the admin plane reports live eval and cache-hit
-# counters, and drain the daemon via the admin shutdown command.
+# counters, resubmit the job and check it is served from the profile
+# store to the same result, and drain the daemon via the admin shutdown
+# command.
 #
 # Expects release binaries (scripts/ci.sh builds them first):
 #   target/release/datamime-served, target/release/datamime
@@ -65,7 +67,8 @@ done
 echo "live evals: $LIVE_EVALS"
 
 "$CTL" ctl wait "$JOB" --root "$ROOT" --timeout-secs 600
-"$CTL" ctl result "$JOB" --root "$ROOT"
+RESULT=$("$CTL" ctl result "$JOB" --root "$ROOT")
+echo "$RESULT"
 
 # The manifest is one snapshot: manifest.json and no other manifest.* file.
 MANIFESTS=$(find "$ROOT" -maxdepth 1 -name 'manifest.*')
@@ -78,6 +81,28 @@ echo "$STATS" | awk '$2 == "cache_hits" && $3 > 0 { ok = 1 } END { exit !ok }' \
   || { echo "cache_hits counter is zero"; echo "$STATS"; exit 1; }
 echo "$STATS" | awk '$2 == "jobs_completed" && $3 == 1 { ok = 1 } END { exit !ok }' \
   || { echo "jobs_completed != 1"; echo "$STATS"; exit 1; }
+
+# The same job again: the daemon's profile store serves its target and
+# every evaluation it dispatches, so the result is the same bits, the
+# memo hits exactly double, and each of job two's dispatched evaluations
+# (its observations less its memo hits) plus its target was a reuse.
+FIRST_HITS=$(echo "$STATS" | awk '$2 == "cache_hits" { print $3 }')
+JOB2=$("$CTL" ctl submit workload=mem-fb iters=48 seed=7 curves=false grid=4 --root "$ROOT")
+"$CTL" ctl wait "$JOB2" --root "$ROOT" --timeout-secs 600
+RESULT2=$("$CTL" ctl result "$JOB2" --root "$ROOT")
+best_lines() { echo "$1" | grep -E '^best_(error|unit)='; }
+[ "$(best_lines "$RESULT")" = "$(best_lines "$RESULT2")" ] \
+  || { echo "resubmitted job differs:"; echo "$RESULT"; echo "$RESULT2"; exit 1; }
+STATS=$("$CTL" ctl stats --root "$ROOT")
+stat() { echo "$STATS" | awk -v name="$1" '$2 == name { print $3 }'; }
+EVALS=$(stat evals)
+HITS=$(stat cache_hits)
+REUSES=$(stat profile_reuses)
+[ "$HITS" -eq $((2 * FIRST_HITS)) ] \
+  || { echo "cache_hits $HITS is not twice $FIRST_HITS"; echo "$STATS"; exit 1; }
+[ "$REUSES" -eq $((EVALS / 2 - HITS / 2 + 1)) ] \
+  || { echo "profile_reuses $REUSES != $EVALS/2 - $HITS/2 + 1"; echo "$STATS"; exit 1; }
+echo "resubmitted: $REUSES profiles reused, $(stat profile_store_entries) stored"
 
 "$CTL" ctl shutdown --root "$ROOT"
 wait "$DAEMON_PID"

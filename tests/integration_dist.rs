@@ -329,6 +329,7 @@ fn every_stage_evaluate_records_reaches_a_process_backend_journal() {
         &[0.5; 6],
         &mut stages,
         &datamime_runtime::CancelToken::new(),
+        None,
     );
     let recorded: Vec<&str> = stages.entries().iter().map(|(name, _)| *name).collect();
     assert!(recorded.contains(&"build"), "{recorded:?}");

@@ -12,7 +12,7 @@ use datamime::jobspec::JobSpec;
 use datamime::profiler::profile_workload;
 use datamime::search::{search_with_runtime, SearchOutcome};
 use datamime::servectl::{JobResult, JobState, ServeClient, SERVE_SOCKET};
-use datamime_runtime::{replay, TermSignal};
+use datamime_runtime::{replay, EvalRecord, FaultInjector, FaultPlan, TermSignal};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -387,6 +387,156 @@ fn malformed_requests_are_refused_on_the_one_socket() {
         .filter(|name| name.ends_with(".sock"))
         .collect();
     assert_eq!(sockets, [SERVE_SOCKET], "one socket under the root");
+
+    assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
+    daemon.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Starts a daemon under `options` on a fresh root.
+fn start(
+    tag: &str,
+    options: datamime_serve::ServeOptions,
+) -> (
+    PathBuf,
+    ServeClient,
+    std::thread::JoinHandle<Result<(), String>>,
+) {
+    let root = tmp_root(tag);
+    let client = ServeClient::new(&root);
+    let daemon = {
+        let root = root.clone();
+        let term = TermSignal::at(root.join("term.sentinel"));
+        std::thread::spawn(move || datamime_serve::run_with(root, term, options))
+    };
+    wait_reachable(&client);
+    (root, client, daemon)
+}
+
+/// Runs one job to `done`; returns its journal's observations.
+fn run_to_done(root: &Path, client: &ServeClient, spec: &str) -> Vec<EvalRecord> {
+    let job = client.submit_line(spec).unwrap();
+    let status = client.wait(&job, Duration::from_secs(600)).unwrap();
+    assert_eq!(status.state, JobState::Done, "{job}");
+    let journal = replay(&root.join(client.result(&job).unwrap().journal)).unwrap();
+    assert!(journal.complete, "{job}");
+    journal.evals
+}
+
+fn assert_same_observations(a: &[EvalRecord], b: &[EvalRecord], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: length");
+    for (x, y) in a.iter().zip(b) {
+        assert!(x.semantic_eq(y), "{what}:\n{x:?}\n{y:?}");
+    }
+}
+
+/// Observations the job dispatched to an evaluation (not memo hits).
+fn dispatched(evals: &[EvalRecord]) -> Vec<&EvalRecord> {
+    evals.iter().filter(|r| r.cached.is_none()).collect()
+}
+
+/// The same job twice: the second is served entirely from the daemon's
+/// profile store — its target and every evaluation it dispatches, none of
+/// which builds a dataset or runs the simulator — and observes exactly
+/// what the first job and the one-shot run observe.
+#[test]
+fn a_repeated_job_runs_no_simulator() {
+    let (root, client, daemon) = start("store", datamime_serve::ServeOptions::default());
+    let spec = "workload=mem-fb iters=12 curves=false grid=3 batch=2 seed=21";
+    let first = run_to_done(&root, &client, spec);
+    let cold = stat(&client.stats().unwrap(), "profile_reuses");
+    let second = run_to_done(&root, &client, spec);
+    let stats = client.stats().unwrap();
+
+    let fresh = dispatched(&second);
+    assert_eq!(
+        stat(&stats, "profile_reuses") - cold,
+        fresh.len() as u64 + 1,
+        "every dispatched evaluation and the target were reused: {stats:?}"
+    );
+    for rec in fresh {
+        let stages: Vec<&str> = rec.stage_ms.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(stages, ["instantiate", "error"], "index {}", rec.index);
+    }
+    assert!(stat(&stats, "profile_store_entries") > 0, "{stats:?}");
+    assert_same_observations(&second, &first, "job two vs job one");
+    let reference = one_shot(spec, &root.join("reference.jsonl"));
+    let twin = replay(&root.join("reference.jsonl")).unwrap().evals;
+    assert_eq!(reference.history.len(), twin.len());
+    assert_same_observations(&second, &twin, "job two vs its one-shot twin");
+
+    assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
+    daemon.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Same generator and seed, another target: the GP's initial design is
+/// the same points, so the second job reuses at least those profiles —
+/// and, scoring them against its own target, still observes exactly what
+/// its one-shot twin does.
+#[test]
+fn another_target_reuses_the_initial_design() {
+    let (root, client, daemon) = start("design", datamime_serve::ServeOptions::default());
+    run_to_done(
+        &root,
+        &client,
+        "workload=mem-fb iters=13 curves=false seed=8",
+    );
+    let cold = stat(&client.stats().unwrap(), "profile_reuses");
+    let spec = "workload=mem-twtr iters=13 curves=false seed=8";
+    let second = run_to_done(&root, &client, spec);
+    // The memcached generator has six dimensions: twelve initial points.
+    let reused = stat(&client.stats().unwrap(), "profile_reuses") - cold;
+    assert!(reused >= 12, "reused {reused} profiles");
+    one_shot(spec, &root.join("reference.jsonl"));
+    let twin = replay(&root.join("reference.jsonl")).unwrap().evals;
+    assert_same_observations(&second, &twin, "job two vs its one-shot twin");
+
+    assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
+    daemon.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The journal's `attempt` events, in order.
+fn attempt_lines(root: &Path, evals_of: &str) -> Vec<String> {
+    std::fs::read_to_string(root.join("jobs").join(evals_of).join("journal.jsonl"))
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains("\"event\":\"attempt\""))
+        .map(str::to_string)
+        .collect()
+}
+
+/// A store hit happens inside the supervised attempt, after the fault
+/// plan has had its say: a warm store fails exactly the attempts a cold
+/// one does, and journals the same records.
+#[test]
+fn a_warm_store_fails_the_same_attempts_as_a_cold_one() {
+    let options = datamime_serve::ServeOptions {
+        faults: FaultInjector::new(FaultPlan::from_spec("eval:1:panic;eval:3:nan").unwrap()),
+        ..datamime_serve::ServeOptions::default()
+    };
+    let (root, client, daemon) = start("store-faults", options);
+    let spec = "workload=mem-fb iters=6 curves=false seed=3";
+    let cold = run_to_done(&root, &client, spec);
+    let before = stat(&client.stats().unwrap(), "profile_reuses");
+    let warm = run_to_done(&root, &client, spec);
+    let reused = stat(&client.stats().unwrap(), "profile_reuses") - before;
+    assert_eq!(reused, 4 + 1, "four healthy evaluations and the target");
+
+    assert_same_observations(&warm, &cold, "warm vs cold");
+    let faulted: Vec<usize> = warm
+        .iter()
+        .filter(|r| r.fault.is_some())
+        .map(|r| r.index)
+        .collect();
+    assert_eq!(faulted, [1, 3]);
+    let (cold_attempts, warm_attempts) = (
+        attempt_lines(&root, "job-0001"),
+        attempt_lines(&root, "job-0002"),
+    );
+    assert_eq!(cold_attempts.len(), 2, "{cold_attempts:?}");
+    assert_eq!(warm_attempts, cold_attempts);
 
     assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
     daemon.join().unwrap().unwrap();
