@@ -42,16 +42,6 @@ pub struct DurabilityConfig {
     pub dirsync_fns: Vec<String>,
 }
 
-/// Settings for the wire-compat rule.
-#[derive(Debug, Clone)]
-pub struct WireCompatConfig {
-    /// Workspace-relative files whose wire surfaces are locked. Empty
-    /// disables the rule.
-    pub files: Vec<PathBuf>,
-    /// Workspace-relative lockfile path.
-    pub lock: PathBuf,
-}
-
 /// The full audit configuration.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
@@ -64,8 +54,6 @@ pub struct AuditConfig {
     pub nondet_taint: NondetTaintConfig,
     /// Durability-protocol rule settings.
     pub durability: DurabilityConfig,
-    /// Wire-compat rule settings.
-    pub wire_compat: WireCompatConfig,
     /// Allowed internal dependencies per crate; a crate absent from the
     /// matrix is itself a layering violation.
     pub layering: BTreeMap<String, Vec<String>>,
@@ -140,15 +128,6 @@ impl AuditConfig {
                 paths: path_list(&doc, "durability-protocol", "paths", &[])?,
                 dirsync_fns: str_list(&doc, "durability-protocol", "dirsync-fns", &["sync_dir"])?,
             },
-            wire_compat: WireCompatConfig {
-                files: path_list(&doc, "wire-compat", "files", &[])?,
-                lock: match doc.get("wire-compat", "lock") {
-                    Some(e) => PathBuf::from(e.value.as_str().ok_or_else(|| {
-                        ConfigError("`[wire-compat] lock` must be a string".to_string())
-                    })?),
-                    None => PathBuf::from("audit.wire.lock"),
-                },
-            },
             layering,
         })
     }
@@ -167,7 +146,7 @@ impl AuditConfig {
 
 /// Every table `audit.toml` may hold, with the keys it may hold (`None`:
 /// any key — the layering matrix is keyed by crate name).
-const KNOWN_KEYS: [(&str, Option<&[&str]>); 6] = [
+const KNOWN_KEYS: [(&str, Option<&[&str]>); 5] = [
     ("", Some(&[])),
     ("scan", Some(&["roots", "exclude"])),
     (
@@ -175,7 +154,6 @@ const KNOWN_KEYS: [(&str, Option<&[&str]>); 6] = [
         Some(&["paths", "strict-paths", "deny-idents", "sources", "sinks"]),
     ),
     ("durability-protocol", Some(&["paths", "dirsync-fns"])),
-    ("wire-compat", Some(&["files", "lock"])),
     ("layering.allow", None),
 ];
 
@@ -257,8 +235,6 @@ mod tests {
             .nondet_taint
             .sources
             .contains(&"Instant::now".to_string()));
-        assert!(cfg.wire_compat.files.is_empty(), "wire-compat defaults off");
-        assert_eq!(cfg.wire_compat.lock, PathBuf::from("audit.wire.lock"));
         assert!(cfg.layering.is_empty());
     }
 
@@ -278,9 +254,6 @@ mod tests {
             [durability-protocol]
             paths = ["crates/serve/src/manifest.rs"]
             dirsync-fns = ["sync_dir"]
-            [wire-compat]
-            files = ["crates/dist/src/protocol.rs"]
-            lock = "audit.wire.lock"
             [layering.allow]
             datamime-stats = []
             datamime-sim = ["datamime-stats"]
@@ -299,17 +272,13 @@ mod tests {
         assert_eq!(cfg.nondet_taint.sinks, vec!["eval", "write_frame"]);
         assert_eq!(cfg.durability.paths.len(), 1);
         assert_eq!(cfg.durability.dirsync_fns, vec!["sync_dir"]);
-        assert_eq!(
-            cfg.wire_compat.files,
-            vec![PathBuf::from("crates/dist/src/protocol.rs")]
-        );
         assert_eq!(cfg.layering["datamime-sim"], vec!["datamime-stats"]);
     }
 
     #[test]
     fn shape_errors_are_reported() {
         assert!(AuditConfig::from_toml("[nondet-taint]\npaths = \"not-a-list\"\n").is_err());
-        assert!(AuditConfig::from_toml("[wire-compat]\nlock = 3\n").is_err());
+        assert!(AuditConfig::from_toml("[scan]\nroots = 3\n").is_err());
         assert!(AuditConfig::from_toml("[nondet-taint]\nsinks = [1]\n").is_err());
     }
 
@@ -331,6 +300,10 @@ mod tests {
                 "`[panic-safety]`",
             ),
             ("[swallowed-result]\n", "`[swallowed-result]`"),
+            (
+                "[wire-compat]\nlock = \"audit.wire.lock\"\n",
+                "`[wire-compat]`",
+            ),
         ] {
             let err = AuditConfig::from_toml(text).unwrap_err().to_string();
             assert!(err.contains(named), "{text:?}: {err}");

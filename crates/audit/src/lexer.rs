@@ -60,21 +60,6 @@ impl Token {
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == c.len_utf8() && self.text.starts_with(c)
     }
-
-    /// For a plain string literal (`"…"` with no raw fence), the content
-    /// between the quotes; `None` for every other token. Escapes are not
-    /// processed — good enough for the event-kind and frame-name strings
-    /// the wire-compat rule reads, which are plain ASCII words.
-    pub fn str_content(&self) -> Option<&str> {
-        if self.kind != TokKind::Literal {
-            return None;
-        }
-        let t = self.text.as_str();
-        if t.len() >= 2 && t.starts_with('"') && t.ends_with('"') {
-            return Some(&t[1..t.len() - 1]);
-        }
-        None
-    }
 }
 
 /// One comment (line or block) with its 1-based starting line and span.
@@ -485,9 +470,7 @@ mod tests {
             .filter(|t| t.kind == TokKind::Literal)
             .collect();
         assert_eq!(lits[0].text, "\"eval\"");
-        assert_eq!(lits[0].str_content(), Some("eval"));
         assert_eq!(lits[1].text, "r#\"raw\"#");
-        assert_eq!(lits[1].str_content(), None, "raw strings are not plain");
     }
 
     #[test]

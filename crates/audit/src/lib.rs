@@ -3,14 +3,17 @@
 //!
 //! The search runtime promises bit-identical results across worker
 //! counts and journal replays, crash-safe durability of the manifest
-//! and journals, stable wire formats, and a layered crate graph. No
-//! compiler lint checks those — this crate does, over a hand-rolled
-//! token stream and a lightweight structural parser (no `syn`: the
-//! build environment has no crates.io access, and the auditor must sit
-//! below every layer it audits). What a lint can say is left to the
-//! compiler: panic-freedom of the supervised evaluation path and
-//! unread `Result`s on the durability/IPC paths are module-level clippy
-//! lint attributes (see the crate README). Four CI-gating rule families:
+//! and journals, and a layered crate graph. No compiler lint checks
+//! those — this crate does, over a hand-rolled token stream and a
+//! lightweight structural parser (no `syn`: the build environment has
+//! no crates.io access, and the auditor must sit below every layer it
+//! audits). What a lint can say is left to the compiler: panic-freedom
+//! of the supervised evaluation path and unread `Result`s on the
+//! durability/IPC paths are module-level clippy lint attributes (see
+//! the crate README). What a unit test can say is left to the tests:
+//! each wire format (dist frames, the run journal, the daemon manifest)
+//! is pinned byte for byte by a golden test beside its version
+//! constant. Three CI-gating rule families:
 //!
 //! - **`nondet-taint`** — flow-sensitive taint from nondeterminism
 //!   sources (clocks, entropy) to journaled/wire sinks; strict paths
@@ -20,14 +23,10 @@
 //! - **`durability-protocol`** — file handles on durability paths must
 //!   follow write → fsync → rename → dir-fsync; a rename before the
 //!   sync, or a dropped handle with unsynced writes, is a violation.
-//! - **`wire-compat`** — frame kinds, journal event kinds, and their
-//!   version constants are locked in a committed `audit.wire.lock`;
-//!   kinds cannot change without a revision bump.
 //!
 //! The engine analyzes files one at a time in discovery order; the
-//! cross-file rules — layering, the wire-lock comparison, and allow
-//! bookkeeping — then run over the per-file facts, and the report is
-//! sorted.
+//! cross-file rules — layering and allow bookkeeping — then run over the
+//! per-file facts, and the report is sorted.
 //!
 //! Intentional exceptions are written in the source as
 //! `// audit:allow(rule): reason` on (or directly above) the flagged
@@ -65,9 +64,6 @@ struct FileFacts {
     allows: Vec<Allow>,
     /// Malformed allow comments.
     bad_allows: Vec<BadAllow>,
-    /// Wire surface facts, when the file is configured under
-    /// `[wire-compat] files`.
-    wire: Option<rules::wire_compat::WireFacts>,
 }
 
 /// The outcome of one `check` run.
@@ -97,28 +93,6 @@ pub fn run_check(root: &Path, cfg: &AuditConfig) -> Result<CheckReport, Workspac
     let mut raw: Vec<Diagnostic> = facts.iter().flat_map(|f| f.diags.iter().cloned()).collect();
     raw.extend(rules::layering::check(&ws.crates, &cfg.layering));
     raw.extend(stale_scope_entries(&facts, cfg));
-
-    if !cfg.wire_compat.files.is_empty() {
-        let mut current = Vec::new();
-        for rel in &cfg.wire_compat.files {
-            match facts.iter().find(|f| &f.rel_path == rel) {
-                Some(f) => current.push((rel.clone(), f.wire.clone().unwrap_or_default())),
-                None => raw.push(Diagnostic::new(
-                    "wire-compat",
-                    rel,
-                    0,
-                    "configured wire file was not found by the scan — check \
-                     [wire-compat] files against the scan roots",
-                )),
-            }
-        }
-        let lock_text = std::fs::read_to_string(root.join(&cfg.wire_compat.lock)).ok();
-        raw.extend(rules::wire_compat::check_against_lock(
-            &current,
-            lock_text.as_deref(),
-            &cfg.wire_compat,
-        ));
-    }
 
     let mut diagnostics = apply_allows(&facts, raw);
     diagnostics.sort_by(|a, b| {
@@ -177,19 +151,11 @@ fn analyze_file(raw: &RawFile, cfg: &AuditConfig) -> FileFacts {
     if AuditConfig::path_in_scope(&src.rel_path, &cfg.durability.paths) {
         diags.extend(rules::durability::check(&src, &cfg.durability));
     }
-    let wire = cfg
-        .wire_compat
-        .files
-        .iter()
-        .any(|f| f == &src.rel_path)
-        .then(|| rules::wire_compat::extract(&src));
-
     FileFacts {
         rel_path: raw.rel_path.clone(),
         diags,
         allows: src.allows,
         bad_allows: src.bad_allows,
-        wire,
     }
 }
 

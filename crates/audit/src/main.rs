@@ -2,20 +2,17 @@
 //!
 //! ```text
 //! cargo run -p datamime-audit -- check [--root DIR] [--config FILE] [--quiet]
-//! cargo run -p datamime-audit -- wire-lock [--update] [--force]
-//!                                          [--root DIR] [--config FILE]
 //! cargo run -p datamime-audit -- rules
 //! ```
 //!
-//! Exit codes: `0` — clean; `1` — violations found (or a stale
-//! wire-lock); `2` — usage, configuration, or scan error. Without
+//! Exit codes: `0` — clean; `1` — violations found; `2` — usage,
+//! configuration, or scan error. Without
 //! `--root`/`--config`, the workspace root is located by walking up
 //! from the current directory to the nearest `audit.toml`.
 
 #![forbid(unsafe_code)]
 
 use datamime_audit::config::AuditConfig;
-use datamime_audit::rules::wire_compat;
 use datamime_audit::run_check;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,24 +23,18 @@ datamime-audit: static-analysis gates for the Datamime workspace
 
 USAGE:
     datamime-audit check [--root DIR] [--config FILE] [--quiet]
-    datamime-audit wire-lock [--update] [--force] [--root DIR] [--config FILE]
     datamime-audit rules
 
 OPTIONS:
     --root DIR       Workspace root (default: nearest ancestor with audit.toml)
     --config FILE    Configuration file (default: <root>/audit.toml)
     --quiet          Suppress the summary line on success
-    --update         (wire-lock) Rewrite the lockfile from current sources
-    --force          (wire-lock) Re-baseline even when kinds changed without
-                     a revision bump (normally refused)
 ";
 
 struct Options {
     root: Option<PathBuf>,
     config: Option<PathBuf>,
     quiet: bool,
-    update: bool,
-    force: bool,
 }
 
 fn main() -> ExitCode {
@@ -67,14 +58,6 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        "wire-lock" => match parse_options(args) {
-            Ok(opts) => wire_lock(&opts),
-            Err(msg) => {
-                eprintln!("datamime-audit: {msg}");
-                eprint!("{USAGE}");
-                ExitCode::from(2)
-            }
-        },
         "--help" | "-h" | "help" => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -92,8 +75,6 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
         root: None,
         config: None,
         quiet: false,
-        update: false,
-        force: false,
     };
     while let Some(arg) = args.next() {
         // Accept both `--flag value` and `--flag=value`.
@@ -116,8 +97,6 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
             "--root" => opts.root = Some(PathBuf::from(value)),
             "--config" => opts.config = Some(PathBuf::from(value)),
             "--quiet" | "-q" => opts.quiet = true,
-            "--update" => opts.update = true,
-            "--force" => opts.force = true,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -189,87 +168,6 @@ fn check(opts: &Options) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// `wire-lock`: show or refresh the committed wire-compat baseline.
-///
-/// Without `--update`, reports whether the lockfile matches current
-/// sources (exit 1 when it does not). With `--update`, rewrites it —
-/// unless kinds changed while every version constant stayed put, which
-/// is exactly the regression the rule exists to catch; that re-baseline
-/// is refused without `--force`.
-fn wire_lock(opts: &Options) -> ExitCode {
-    let (root, cfg) = match load(opts) {
-        Ok(rc) => rc,
-        Err(code) => return code,
-    };
-    if cfg.wire_compat.files.is_empty() {
-        eprintln!("datamime-audit: no [wire-compat] files configured in audit.toml");
-        return ExitCode::from(2);
-    }
-    let current = match wire_compat::extract_configured(&root, &cfg.wire_compat) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("datamime-audit: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let lock_path = root.join(&cfg.wire_compat.lock);
-    let existing = std::fs::read_to_string(&lock_path).ok();
-    let diags = wire_compat::check_against_lock(&current, existing.as_deref(), &cfg.wire_compat);
-
-    if !opts.update {
-        if diags.is_empty() {
-            if !opts.quiet {
-                eprintln!(
-                    "datamime-audit: {} is up to date ({} wire file(s))",
-                    cfg.wire_compat.lock.display(),
-                    current.len()
-                );
-            }
-            return ExitCode::SUCCESS;
-        }
-        for d in &diags {
-            println!("{d}");
-        }
-        eprintln!(
-            "datamime-audit: {} is out of date (run `wire-lock --update`)",
-            cfg.wire_compat.lock.display()
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let unbumped: Vec<_> = diags
-        .iter()
-        .filter(|d| d.message.contains("without a revision bump"))
-        .collect();
-    if !unbumped.is_empty() && !opts.force {
-        for d in &unbumped {
-            println!("{d}");
-        }
-        eprintln!(
-            "datamime-audit: refusing to re-baseline: wire kinds changed but no \
-             revision constant moved — bump the revision (or pass --force if the \
-             old numbering truly never shipped)"
-        );
-        return ExitCode::FAILURE;
-    }
-    let rendered = wire_compat::render_lock(&current);
-    if let Err(e) = std::fs::write(&lock_path, &rendered) {
-        eprintln!(
-            "datamime-audit: cannot write {}: {e}",
-            cfg.wire_compat.lock.display()
-        );
-        return ExitCode::from(2);
-    }
-    if !opts.quiet {
-        eprintln!(
-            "datamime-audit: wrote {} ({} wire file(s))",
-            cfg.wire_compat.lock.display(),
-            current.len()
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 /// Walks up from the current directory to the nearest `audit.toml`.

@@ -9,15 +9,10 @@
 pub mod durability;
 pub mod layering;
 pub mod nondet_taint;
-pub mod wire_compat;
 
 /// Every rule identifier an `audit:allow(...)` comment may name.
 /// (`nondet-taint` superseded the older `determinism` rule;
 /// `panic-safety` and `swallowed-result` became clippy lints, see
-/// crates/audit/README.md.)
-pub const RULES: [&str; 4] = [
-    "nondet-taint",
-    "layering",
-    "durability-protocol",
-    "wire-compat",
-];
+/// crates/audit/README.md; `wire-compat` became golden tests beside each
+/// wire format's version constant.)
+pub const RULES: [&str; 3] = ["nondet-taint", "layering", "durability-protocol"];

@@ -86,22 +86,6 @@ fn durability_clean_twin_passes() {
 }
 
 #[test]
-fn wire_compat_fixture_fails_a_kind_addition_without_a_revision_bump() {
-    // The acceptance scenario: `Frame::Retire` exists in the source,
-    // the committed lock predates it, and WIRE_REVISION never moved.
-    let diags = check_fixture("wire_compat");
-    assert_eq!(rules_of(&diags), vec!["wire-compat"], "{diags:?}");
-    assert!(diags[0].message.contains("`Frame::Retire`"), "{diags:?}");
-    assert!(diags[0].message.contains("without a revision bump"));
-    assert_eq!(diags[0].line, 18, "points at the new match arm");
-}
-
-#[test]
-fn wire_compat_clean_twin_passes_when_the_revision_moved_too() {
-    assert_clean("wire_compat_clean");
-}
-
-#[test]
 fn layering_fixture_flags_the_skipped_layer() {
     let diags = check_fixture("layering");
     assert_eq!(rules_of(&diags), vec!["layering"], "{diags:?}");
@@ -165,61 +149,23 @@ fn audit_cli(args: &[&str], root: &Path) -> std::process::Output {
         .expect("audit binary runs")
 }
 
-/// The facts cache and the SARIF and JSON renderers are gone, and so are
-/// their switches: asking for one is a usage error, not a silent no-op.
+/// The facts cache, the SARIF and JSON renderers and the wire lock are
+/// gone, and so are their switches: asking for one is a usage error, not
+/// a silent no-op.
 #[test]
 fn removed_cache_and_sarif_switches_are_usage_errors() {
     let root = fixture_root("clean");
     for args in [
-        ["check", "--no-cache"],
-        ["check", "--format=sarif"],
-        ["check", "--format=json"],
+        &["check", "--no-cache"][..],
+        &["check", "--format=sarif"],
+        &["check", "--format=json"],
+        &["check", "--update"],
+        &["wire-lock"],
+        &["wire-lock", "--update", "--force"],
     ] {
-        let out = audit_cli(&args, &root);
+        let out = audit_cli(args, &root);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
     }
-}
-
-/// Copies a fixture into a scratch dir so a CLI test can mutate it.
-fn copy_fixture(name: &str, tag: &str) -> PathBuf {
-    let dst = std::env::temp_dir().join(format!("audit-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dst);
-    fn walk(from: &Path, to: &Path) {
-        std::fs::create_dir_all(to).expect("mkdir");
-        for entry in std::fs::read_dir(from).expect("readdir") {
-            let entry = entry.expect("entry");
-            let target = to.join(entry.file_name());
-            if entry.file_type().expect("ftype").is_dir() {
-                walk(&entry.path(), &target);
-            } else {
-                std::fs::copy(entry.path(), &target).expect("copy");
-            }
-        }
-    }
-    walk(&fixture_root(name), &dst);
-    dst
-}
-
-/// `wire-lock --update` must refuse to paper over an unbumped kind
-/// change; `--force` is the explicit escape hatch.
-#[test]
-fn wire_lock_update_refuses_unbumped_kind_changes() {
-    let scratch = copy_fixture("wire_compat", "wirelock");
-    let refused = audit_cli(&["wire-lock", "--update"], &scratch);
-    assert_eq!(refused.status.code(), Some(1), "unbumped update must fail");
-    assert!(
-        String::from_utf8_lossy(&refused.stderr).contains("refusing to re-baseline"),
-        "{}",
-        String::from_utf8_lossy(&refused.stderr)
-    );
-    let forced = audit_cli(&["wire-lock", "--update", "--force"], &scratch);
-    assert_eq!(forced.status.code(), Some(0), "--force must succeed");
-    let lock = std::fs::read_to_string(scratch.join("audit.wire.lock")).expect("lock rewritten");
-    assert!(lock.contains("kind Frame::Retire = 3"), "{lock}");
-    // After the forced re-baseline the audit is clean again.
-    let clean = audit_cli(&["check", "--quiet"], &scratch);
-    assert_eq!(clean.status.code(), Some(0));
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]
@@ -250,7 +196,7 @@ fn workspace_root() -> PathBuf {
 }
 
 /// The self-check gate: the workspace this crate ships in must audit
-/// clean under its own committed policy — all four rules.
+/// clean under its own committed policy — all three rules.
 #[test]
 fn live_workspace_audits_clean() {
     let root = workspace_root();
@@ -278,7 +224,6 @@ fn live_workspace_audits_clean() {
         !cfg.nondet_taint.strict_paths.is_empty(),
         "nondet-taint strict paths engaged"
     );
-    assert!(!cfg.wire_compat.files.is_empty(), "wire-compat engaged");
 }
 
 /// The module attributes that deny panicking shortcuts outside tests,

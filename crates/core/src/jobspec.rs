@@ -2,7 +2,7 @@
 //!
 //! A [`JobSpec`] is everything a search job needs, in a single-line
 //! `key=value` form that survives the wire (the `submit` request line), the
-//! manifest WAL, and a human's shell history. The encoding is
+//! manifest snapshot, and a human's shell history. The encoding is
 //! deliberately not JSON: values are bare tokens with no quoting, which
 //! keeps the round-trip trivially canonical — [`JobSpec::parse`] of
 //! [`JobSpec::to_line`] is always the identity, and the daemon can log

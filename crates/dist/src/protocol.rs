@@ -37,7 +37,9 @@ use datamime_runtime::fingerprint;
 use std::io::{Read, Write};
 
 /// Protocol version spoken by this build. Bump on any change to the
-/// frame header or payload encodings.
+/// frame header or payload encodings; the golden test
+/// `wire_format_is_pinned_to_its_version` pins it with the bytes of one
+/// frame of each kind and fails until both move together.
 pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Manually-bumped revision of the evaluation semantics carried over the
@@ -512,41 +514,9 @@ mod tests {
         protocol_version: PROTOCOL_VERSION,
     };
 
-    fn sample_frames() -> Vec<Frame> {
-        vec![
-            Frame::Hello {
-                protocol_version: PROTOCOL_VERSION,
-                ctx_fingerprint: 0xDEAD_BEEF_CAFE_F00D,
-                identity: worker_identity(),
-            },
-            Frame::HelloAck {
-                protocol_version: PROTOCOL_VERSION,
-            },
-            Frame::Eval {
-                index: 42,
-                attempt: 1,
-                dispatch: 2,
-                unit_bits: vec![0.25f64.to_bits(), 0.5f64.to_bits(), (-0.0f64).to_bits()],
-            },
-            Frame::EvalOk {
-                index: 42,
-                error_bits: 1.5e-3f64.to_bits(),
-                stage_ms: vec![
-                    ("instantiate".to_string(), 0.125f64.to_bits()),
-                    ("profile".to_string(), 7.75f64.to_bits()),
-                ],
-            },
-            Frame::EvalErr {
-                index: 7,
-                kind: "panic".to_string(),
-                detail: "injected panic at evaluation 7".to_string(),
-            },
-        ]
-    }
-
     #[test]
     fn every_frame_kind_round_trips() {
-        for frame in sample_frames() {
+        for frame in golden_samples() {
             let bytes = encode_frame(&frame);
             let mut r = &bytes[..];
             let back = read_frame(&mut r).unwrap();
@@ -668,6 +638,115 @@ mod tests {
         // The canonical check value for CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Lowercase hex of `bytes`, for pins a reader can diff.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One sample of every `Frame` variant.
+    fn golden_samples() -> Vec<Frame> {
+        let samples = vec![
+            Frame::Hello {
+                protocol_version: PROTOCOL_VERSION,
+                ctx_fingerprint: 0x0123_4567_89ab_cdef,
+                identity: 0xfedc_ba98_7654_3210,
+            },
+            ACK,
+            Frame::Eval {
+                index: 42,
+                attempt: 1,
+                dispatch: 2,
+                unit_bits: vec![0.25f64.to_bits(), 0.5f64.to_bits(), (-0.0f64).to_bits()],
+            },
+            Frame::EvalOk {
+                index: 42,
+                error_bits: 1.5e-3f64.to_bits(),
+                stage_ms: vec![
+                    ("instantiate".to_string(), 0.125f64.to_bits()),
+                    ("profile".to_string(), 7.75f64.to_bits()),
+                ],
+            },
+            Frame::EvalErr {
+                index: 7,
+                kind: "panic".to_string(),
+                detail: "boom".to_string(),
+            },
+        ];
+        for frame in &samples {
+            // Exhaustive on purpose: a new variant does not compile
+            // until it is named here, beside the sample it needs.
+            match frame {
+                Frame::Hello { .. }
+                | Frame::HelloAck { .. }
+                | Frame::Eval { .. }
+                | Frame::EvalOk { .. }
+                | Frame::EvalErr { .. } => {}
+            }
+        }
+        samples
+    }
+
+    /// The wire format, pinned: the version constants with the kind byte
+    /// (offset 6) and the exact bytes of one frame of each variant. A
+    /// change to any of them changes what crosses the pipe between two
+    /// builds.
+    #[test]
+    fn wire_format_is_pinned_to_its_version() {
+        let pinned: Vec<(u8, String)> = golden_samples()
+            .iter()
+            .map(|frame| {
+                let bytes = encode_frame(frame);
+                (bytes[6], hex(&bytes))
+            })
+            .collect();
+        // Every kind byte the decoder accepts: an empty payload is
+        // malformed for each live kind and unknown for any other byte.
+        let live: Vec<u8> = (0..=u8::MAX)
+            .filter(|&k| !matches!(decode_payload(k, &[]), Err(ProtocolError::UnknownKind(_))))
+            .collect();
+        assert!(
+            live.iter().all(|k| !(6..=18).contains(k)),
+            "kinds 6-18 are retired and never reused: {live:?}"
+        );
+        let mut sampled: Vec<u8> = pinned.iter().map(|(kind, _)| *kind).collect();
+        sampled.sort_unstable();
+        assert_eq!(sampled, live, "one sample per kind the decoder accepts");
+        assert_eq!(
+            (PROTOCOL_VERSION, WIRE_REVISION, pinned),
+            (
+                2,
+                6,
+                [
+                    (
+                        1,
+                        "a3f457d102000100120000000200efcdab89674523011032547698badcfe847880fa",
+                    ),
+                    (
+                        2,
+                        "a3f457d1020002000200000002007d70ef73",
+                    ),
+                    (
+                        3,
+                        "a3f457d1020003002c0000002a00000000000000010000000200000003000000000000000000d03f000000000000e03f000000000000008050c19859",
+                    ),
+                    (
+                        4,
+                        "a3f457d1020004003e0000002a00000000000000fa7e6abc7493583f020000000b000000696e7374616e7469617465000000000000c03f0700000070726f66696c650000000000001f4095eabf3a",
+                    ),
+                    (
+                        5,
+                        "a3f457d1020005001900000007000000000000000500000070616e696304000000626f6f6d4fba0417",
+                    ),
+                ]
+                .map(|(kind, bytes)| (kind, bytes.to_string()))
+                .to_vec()
+            ),
+            "the frame wire format changed: bump PROTOCOL_VERSION (header or payload \
+             encoding) or WIRE_REVISION (evaluation semantics) and re-pin these bytes \
+             in the same change"
+        );
     }
 
     #[test]

@@ -585,15 +585,11 @@ impl Executor {
                     }));
                     continue;
                 }
-                if quarantine
-                    .iter()
-                    .any(|q| within_radius(q, unit, sup_cfg.quarantine_radius))
-                {
+                if quarantine.iter().any(|q| within_radius(q, unit)) {
                     slots.push(SlotPlan::Synth(FaultInfo {
                         kind: FailureKind::Quarantined,
                         detail: format!(
-                            "point matches a quarantined failure within radius {}",
-                            sup_cfg.quarantine_radius
+                            "point matches a quarantined failure within radius {QUARANTINE_RADIUS}"
                         ),
                         retries: 0,
                     }));
@@ -719,10 +715,7 @@ impl Executor {
                     }
                     Some(f) => {
                         telemetry.count_fault(f.kind);
-                        if !quarantine
-                            .iter()
-                            .any(|q| within_radius(q, &rec.unit, sup_cfg.quarantine_radius))
-                        {
+                        if !quarantine.iter().any(|q| within_radius(q, &rec.unit)) {
                             quarantine.push(rec.unit.clone());
                         }
                         consecutive_failures += 1;
@@ -805,7 +798,14 @@ impl Executor {
     }
 }
 
+/// L∞ radius within which a suggested point matches a quarantined one
+/// (quarantined points are penalized without evaluation).
+const QUARANTINE_RADIUS: f64 = 1e-9;
+
 /// L∞ proximity test for the quarantine set.
-fn within_radius(a: &[f64], b: &[f64], radius: f64) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= radius)
+fn within_radius(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| (x - y).abs() <= QUARANTINE_RADIUS)
 }

@@ -45,7 +45,10 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Journal format version written into the header. Version 2 added the
-/// `fault`, `attempt`, and `cache_hit` events.
+/// `fault`, `attempt`, and `cache_hit` events. The golden test
+/// `journal_format_is_pinned_to_its_version` pins it together with the
+/// text every appender writes: a changed event or field fails there
+/// until this is bumped and the text re-pinned.
 pub const JOURNAL_VERSION: u64 = 2;
 
 /// The oldest journal version [`replay`] still reads. Version 1 (no
@@ -53,20 +56,6 @@ pub const JOURNAL_VERSION: u64 = 2;
 /// its read support was dropped; a v1 header is an
 /// "unsupported journal version".
 pub const OLDEST_READABLE_VERSION: u64 = 2;
-
-/// Every `event` value a journal line may carry. This registry is a
-/// wire surface: the audit's `wire-compat` rule locks it in
-/// `audit.wire.lock`, so adding, removing, or renaming a kind without
-/// bumping [`JOURNAL_VERSION`] fails CI.
-pub const JOURNAL_EVENT_KINDS: [&str; 7] = [
-    "header",
-    "eval",
-    "cache_hit",
-    "fault",
-    "attempt",
-    "checkpoint",
-    "done",
-];
 
 /// A failure reading or writing a journal.
 #[derive(Debug)]
@@ -596,5 +585,109 @@ fn parse_event(line: &str, expect_index: usize, dims: usize) -> Option<LineEvent
         "checkpoint" => Some(LineEvent::Checkpoint),
         "done" => Some(LineEvent::Done),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::supervisor::FaultInfo;
+
+    fn record(index: usize, unit: &[f64], error: f64) -> EvalRecord {
+        EvalRecord {
+            index,
+            unit: unit.to_vec(),
+            error,
+            stage_ms: Vec::new(),
+            fault: None,
+            cached: None,
+            worker: None,
+        }
+    }
+
+    /// The journal format, pinned: the version constants and the exact
+    /// text of a journal written through one call of each appender, which
+    /// `replay` must read back whole. Journals outlive the binary that
+    /// wrote them, so a change here is a change to every resume.
+    #[test]
+    fn journal_format_is_pinned_to_its_version() {
+        const GOLDEN: &str = r#"{"event":"header","version":2,"label":"golden","seed":"9223372036854775809","dims":2,"iterations":4,"batch_k":1,"workers":1,"optimizer":"bayesian"}
+{"event":"eval","index":0,"unit":[0.25,0.5],"error":0.125,"stage_ms":{"build":1.5,"profile":2.25}}
+{"event":"cache_hit","index":1,"unit":[0.25,0.5],"error":0.125,"source":0,"worker":1}
+{"event":"fault","index":2,"unit":[0.75,1],"penalty":1000000,"kind":"panic","detail":"boom \"here\"","retries":1}
+{"event":"attempt","index":3,"attempt":0,"kind":"timeout","detail":"late","worker":2}
+{"event":"checkpoint","evals":3,"best_error":0.125,"best_unit":[0.25,0.5]}
+{"event":"done","evals":3,"best_error":0.125,"best_unit":[0.25,0.5]}
+"#;
+        let path =
+            std::env::temp_dir().join(format!("datamime-journal-golden-{}", std::process::id()));
+        let meta = RunMeta {
+            label: "golden".to_string(),
+            seed: (1 << 63) + 1,
+            dims: 2,
+            iterations: 4,
+            batch_k: 1,
+            workers: 1,
+            optimizer: "bayesian".to_string(),
+        };
+        let mut w = JournalWriter::create(&path, &meta).unwrap();
+        w.eval(&EvalRecord {
+            stage_ms: vec![("build".to_string(), 1.5), ("profile".to_string(), 2.25)],
+            ..record(0, &[0.25, 0.5], 0.125)
+        })
+        .unwrap();
+        w.cache_hit(&EvalRecord {
+            cached: Some(0),
+            worker: Some(1),
+            ..record(1, &[0.25, 0.5], 0.125)
+        })
+        .unwrap();
+        w.fault(&EvalRecord {
+            fault: Some(FaultInfo {
+                kind: FailureKind::Panic,
+                detail: "boom \"here\"".to_string(),
+                retries: 1,
+            }),
+            ..record(2, &[0.75, 1.0], 1e6)
+        })
+        .unwrap();
+        w.attempt(&FailedAttempt {
+            index: 3,
+            attempt: 0,
+            kind: FailureKind::Timeout,
+            detail: "late".to_string(),
+            worker: Some(2),
+        })
+        .unwrap();
+        w.checkpoint(3, 0.125, &[0.25, 0.5]).unwrap();
+        w.done(3, 0.125, &[0.25, 0.5]).unwrap();
+        drop(w);
+
+        let back = replay(&path).unwrap();
+        assert_eq!(back.meta, meta);
+        assert!(back.complete && back.dropped_lines == 0);
+        let kinds: Vec<_> = back
+            .evals
+            .iter()
+            .map(|r| (r.index, r.cached, r.fault.as_ref().map(|f| f.kind)))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (0, None, None),
+                (1, Some(0), None),
+                (2, None, Some(FailureKind::Panic))
+            ]
+        );
+        assert_eq!(back.fault_attempts[&3].kind, FailureKind::Timeout);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            (JOURNAL_VERSION, OLDEST_READABLE_VERSION, text.as_str()),
+            (2, 2, GOLDEN),
+            "the journal format changed: bump JOURNAL_VERSION (and OLDEST_READABLE_VERSION \
+             when replay stops reading the old one) and re-pin this text in the same change"
+        );
     }
 }

@@ -192,9 +192,6 @@ pub struct SupervisorConfig {
     /// Consecutive failed evaluations before the executor halves its
     /// batch (graceful degradation); `0` disables degradation.
     pub degrade_after: u32,
-    /// L∞ radius within which a suggested point matches a quarantined
-    /// one (quarantined points are penalized without evaluation).
-    pub quarantine_radius: f64,
     /// Deterministic fault-injection plan (tests/CI only; empty by
     /// default).
     pub faults: FaultPlan,
@@ -210,7 +207,6 @@ impl Default for SupervisorConfig {
             fail_policy: FailPolicy::Penalize,
             penalty: datamime_bayesopt::PENALTY_OBJECTIVE,
             degrade_after: 5,
-            quarantine_radius: 1e-9,
             faults: FaultPlan::new(),
         }
     }

@@ -33,6 +33,6 @@ pub mod manifest;
 pub mod sched;
 pub mod server;
 
-pub use manifest::{JobEntry, Manifest, WalError, WalStats};
+pub use manifest::{GcStats, JobEntry, Manifest, ManifestError};
 pub use sched::{FairGate, Ticket};
 pub use server::{run, run_with, ServeOptions};

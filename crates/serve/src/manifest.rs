@@ -42,13 +42,15 @@ const MANIFEST_TMP: &str = "manifest.json.tmp";
 
 /// Manifest format revision, recorded in every snapshot. Open reads only
 /// this revision: revision 3 replaced the write-ahead log (`manifest.log`,
-/// `manifest.NNNNNN.log`, `manifest.ckpt`) with the one snapshot.
+/// `manifest.NNNNNN.log`, `manifest.ckpt`) with the one snapshot. The
+/// golden test `snapshot_format_is_pinned_to_its_revision` pins it with
+/// the exact snapshot text and fails until both move together.
 pub const MANIFEST_FORMAT_REVISION: u32 = 3;
 
-/// A manifest write failure. `no_space` marks the ENOSPC class that should
+/// A manifest publish failure. `no_space` marks the ENOSPC class that should
 /// flip the daemon into draining read-only mode.
 #[derive(Debug, Clone)]
-pub struct WalError {
+pub struct ManifestError {
     /// Whether the failure was an out-of-space condition.
     pub no_space: bool,
     /// Human-readable description.
@@ -57,7 +59,7 @@ pub struct WalError {
 
 /// GC bookkeeping for the admin plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalStats {
+pub struct GcStats {
     /// Jobs whose GC completed (cumulative, survives restarts).
     pub gcd_jobs: u64,
     /// GC intents not yet closed by a `gc_done`.
@@ -180,8 +182,8 @@ impl Manifest {
     }
 
     /// GC progress for the admin plane.
-    pub fn wal_stats(&self) -> WalStats {
-        WalStats {
+    pub fn gc_stats(&self) -> GcStats {
+        GcStats {
             gcd_jobs: self.table.gcd,
             pending_gc: self.table.pending_gc.len() as u64,
         }
@@ -189,7 +191,7 @@ impl Manifest {
 
     /// Records a job submission (once this returns, a restart will know
     /// the job).
-    pub fn submit(&mut self, job: &str, spec: &str) -> Result<(), WalError> {
+    pub fn submit(&mut self, job: &str, spec: &str) -> Result<(), ManifestError> {
         self.commit(|t| {
             if let Some(n) = job_number(job) {
                 t.max_job = t.max_job.max(n);
@@ -208,12 +210,17 @@ impl Manifest {
     }
 
     /// Records that a job started running.
-    pub fn start(&mut self, job: &str) -> Result<(), WalError> {
+    pub fn start(&mut self, job: &str) -> Result<(), ManifestError> {
         self.transition(job, |e| e.state = JobState::Running)
     }
 
     /// Records successful completion with the result.
-    pub fn done(&mut self, job: &str, best_error: f64, best_unit: &[f64]) -> Result<(), WalError> {
+    pub fn done(
+        &mut self,
+        job: &str,
+        best_error: f64,
+        best_unit: &[f64],
+    ) -> Result<(), ManifestError> {
         self.transition(job, |e| {
             e.state = JobState::Done;
             e.best_error = Some(best_error);
@@ -229,7 +236,7 @@ impl Manifest {
         best_error: f64,
         best_unit: &[f64],
         cause: &str,
-    ) -> Result<(), WalError> {
+    ) -> Result<(), ManifestError> {
         self.transition(job, |e| {
             e.state = JobState::QuotaExceeded;
             e.best_error = Some(best_error);
@@ -239,12 +246,12 @@ impl Manifest {
     }
 
     /// Records cancellation.
-    pub fn cancel(&mut self, job: &str) -> Result<(), WalError> {
+    pub fn cancel(&mut self, job: &str) -> Result<(), ManifestError> {
         self.transition(job, |e| e.state = JobState::Cancelled)
     }
 
     /// Records failure with a human-readable reason.
-    pub fn fail(&mut self, job: &str, detail: &str) -> Result<(), WalError> {
+    pub fn fail(&mut self, job: &str, detail: &str) -> Result<(), ManifestError> {
         self.transition(job, |e| {
             e.state = JobState::Failed;
             e.detail = Some(detail.to_string());
@@ -254,7 +261,7 @@ impl Manifest {
     /// Records the durable *intent* to garbage-collect a terminal job
     /// (phase one of two-phase delete: nothing may be unlinked before
     /// this returns). The job leaves the table immediately.
-    pub fn gc_intent(&mut self, job: &str) -> Result<(), WalError> {
+    pub fn gc_intent(&mut self, job: &str) -> Result<(), ManifestError> {
         self.commit(|t| {
             t.jobs.remove(job);
             if !t.pending_gc.iter().any(|j| j == job) {
@@ -265,16 +272,20 @@ impl Manifest {
 
     /// Records that a GC'd job's directory is gone (phase two; closes
     /// the pending intent).
-    pub fn gc_done(&mut self, job: &str) -> Result<(), WalError> {
+    pub fn gc_done(&mut self, job: &str) -> Result<(), ManifestError> {
         self.commit(|t| {
             t.pending_gc.retain(|j| j != job);
             t.gcd += 1;
         })
     }
 
-    fn transition(&mut self, job: &str, f: impl FnOnce(&mut JobEntry)) -> Result<(), WalError> {
+    fn transition(
+        &mut self,
+        job: &str,
+        f: impl FnOnce(&mut JobEntry),
+    ) -> Result<(), ManifestError> {
         if !self.table.jobs.contains_key(job) {
-            return Err(WalError {
+            return Err(ManifestError {
                 no_space: false,
                 message: format!("the manifest has no job {job}"),
             });
@@ -288,7 +299,7 @@ impl Manifest {
 
     /// Folds `f` into a copy of the table, publishes the copy, and only
     /// then makes it the acknowledged table.
-    fn commit(&mut self, f: impl FnOnce(&mut Table)) -> Result<(), WalError> {
+    fn commit(&mut self, f: impl FnOnce(&mut Table)) -> Result<(), ManifestError> {
         let mut next = self.table.clone();
         f(&mut next);
         self.publish(&next)?;
@@ -298,11 +309,11 @@ impl Manifest {
 
     /// Writes `table` to the temp, fsyncs it, renames it over the
     /// snapshot, and fsyncs the directory so the new name is durable.
-    fn publish(&self, table: &Table) -> Result<(), WalError> {
+    fn publish(&self, table: &Table) -> Result<(), ManifestError> {
         let body = snapshot_json(table);
         let tmp = self.root.join(MANIFEST_TMP);
         let failed = |step: &'static str| {
-            move |e: std::io::Error| WalError {
+            move |e: std::io::Error| ManifestError {
                 no_space: is_no_space(&e),
                 message: format!("cannot publish the manifest ({step}): {e}"),
             }
@@ -583,10 +594,10 @@ mod tests {
             let (mut m, jobs) = Manifest::open(&root).unwrap();
             assert!(!jobs.contains_key("job-0001"), "gc'd job left the table");
             assert_eq!(m.take_pending_gc(), vec!["job-0001".to_string()]);
-            assert_eq!(m.wal_stats().gcd_jobs, 0);
+            assert_eq!(m.gc_stats().gcd_jobs, 0);
             m.gc_done("job-0001").unwrap();
             assert!(m.take_pending_gc().is_empty());
-            assert_eq!(m.wal_stats().gcd_jobs, 1);
+            assert_eq!(m.gc_stats().gcd_jobs, 1);
         }
         let (m, jobs) = Manifest::open(&root).unwrap();
         assert_eq!(jobs.len(), 1);
@@ -741,7 +752,7 @@ mod tests {
             );
             assert!(m.gc_intent("job-0001").unwrap_err().no_space);
             assert_eq!(m.next_job_number(), 2);
-            assert_eq!(m.wal_stats().pending_gc, 0);
+            assert_eq!(m.gc_stats().pending_gc, 0);
             assert!(
                 m.start("job-0002").is_err(),
                 "job-0002 was never acknowledged"
@@ -751,5 +762,50 @@ mod tests {
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs["job-0001"].state, JobState::Done);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The snapshot format, pinned: the revision and the exact text a
+    /// fixed sequence of every transition publishes, which open must read
+    /// back. A restarted daemon reads what the previous one wrote, so a
+    /// change here is a change to every upgrade.
+    #[test]
+    fn snapshot_format_is_pinned_to_its_revision() {
+        const GOLDEN: &str = concat!(
+            r#"{"revision":3,"gcd":1,"max_job":8,"pending_gc":["job-0007"],"jobs":["#,
+            r#"{"job":"job-0001","spec":"workload=mem-fb iters=4","state":"done","best_error":0.25,"best_unit":[0.5,1]},"#,
+            r#"{"job":"job-0002","spec":"workload=mem-fb iters=4","state":"quota_exceeded","best_error":1.5,"best_unit":[0.125],"detail":"max_evals"},"#,
+            r#"{"job":"job-0003","spec":"workload=mem-fb iters=4","state":"failed","best_unit":[],"detail":"unknown \"x\""},"#,
+            r#"{"job":"job-0004","spec":"workload=mem-fb iters=4","state":"cancelled","best_unit":[]},"#,
+            r#"{"job":"job-0005","spec":"workload=mem-fb iters=4","state":"running","best_unit":[]},"#,
+            r#"{"job":"job-0006","spec":"workload=mem-fb iters=4","state":"submitted","best_unit":[]}"#,
+            "]}\n",
+        );
+        let root = tmp("golden");
+        let (mut m, _) = Manifest::open(&root).unwrap();
+        for n in 1..=8 {
+            m.submit(&format!("job-{n:04}"), "workload=mem-fb iters=4")
+                .unwrap();
+        }
+        m.start("job-0001").unwrap();
+        m.done("job-0001", 0.25, &[0.5, 1.0]).unwrap();
+        m.quota("job-0002", 1.5, &[0.125], "max_evals").unwrap();
+        m.fail("job-0003", "unknown \"x\"").unwrap();
+        m.cancel("job-0004").unwrap();
+        m.start("job-0005").unwrap();
+        m.gc_intent("job-0007").unwrap();
+        m.gc_intent("job-0008").unwrap();
+        m.gc_done("job-0008").unwrap();
+        drop(m);
+        let text = std::fs::read_to_string(root.join(MANIFEST_FILE)).unwrap();
+        let (m, jobs) = Manifest::open(&root).unwrap();
+        assert_eq!(snapshot_json(&m.table), text, "open reads it back whole");
+        assert_eq!(jobs.len(), 6);
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(
+            (MANIFEST_FORMAT_REVISION, text.as_str()),
+            (3, GOLDEN),
+            "the manifest snapshot format changed: bump MANIFEST_FORMAT_REVISION and \
+             re-pin this text in the same change"
+        );
     }
 }

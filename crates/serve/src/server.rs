@@ -34,7 +34,7 @@
 //!   boundary with resumable journals, new submissions are refused, and
 //!   every other verb stays up.
 
-use crate::manifest::{JobEntry, Manifest, WalError, WalStats};
+use crate::manifest::{GcStats, JobEntry, Manifest, ManifestError};
 use crate::sched::FairGate;
 use datamime::jobspec::JobSpec;
 use datamime::profile_store::ProfileStore;
@@ -47,7 +47,7 @@ use datamime_runtime::{
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -190,8 +190,8 @@ fn enter_read_only(shared: &Shared, reason: &str) {
 /// Post-processes one manifest mutation: refreshes the GC gauges, flips
 /// read-only if the write ran out of space, and converts the error for
 /// `?` in `Result<_, String>` contexts.
-fn manifest_op(shared: &Shared, res: Result<(), WalError>) -> Result<(), String> {
-    refresh_wal_gauges(shared);
+fn manifest_op(shared: &Shared, res: Result<(), ManifestError>) -> Result<(), String> {
+    refresh_gc_gauges(shared);
     res.map_err(|e| {
         if e.no_space {
             enter_read_only(shared, &e.message);
@@ -201,17 +201,18 @@ fn manifest_op(shared: &Shared, res: Result<(), WalError>) -> Result<(), String>
 }
 
 /// The durable GC progress: the rows `health` prints and the gauges that
-/// let the plain `stats` command expose the same.
-fn wal_rows(wal: &WalStats) -> [(&'static str, u64); 2] {
+/// let the plain `stats` command expose the same. `wal_pending_gc` keeps
+/// its write-ahead-log-era name: operators and the crash matrix read it.
+fn gc_rows(gc: &GcStats) -> [(&'static str, u64); 2] {
     [
-        ("wal_pending_gc", wal.pending_gc),
-        ("jobs_gcd_total", wal.gcd_jobs),
+        ("wal_pending_gc", gc.pending_gc),
+        ("jobs_gcd_total", gc.gcd_jobs),
     ]
 }
 
-fn refresh_wal_gauges(shared: &Shared) {
-    let wal = lock(&shared.manifest).wal_stats();
-    for (name, value) in wal_rows(&wal) {
+fn refresh_gc_gauges(shared: &Shared) {
+    let gc = lock(&shared.manifest).gc_stats();
+    for (name, value) in gc_rows(&gc) {
         shared.metrics.set_gauge(name, value);
     }
 }
@@ -236,36 +237,7 @@ pub fn run(root: PathBuf, term: TermSignal) -> Result<(), String> {
 /// Fails on state-root or socket I/O errors; job failures are recorded
 /// in the manifest, not returned.
 pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Result<(), String> {
-    std::fs::create_dir_all(root.join("jobs"))
-        .map_err(|e| format!("cannot create state root {root:?}: {e}"))?;
-    let (manifest, entries) = Manifest::open_with(&root, options.faults.clone())?;
-    let pending_gc = manifest.take_pending_gc();
-    let metrics = Arc::new(MetricsRegistry::new());
-    let shared = Arc::new(Shared {
-        root: root.clone(),
-        jobs: Mutex::new(BTreeMap::new()),
-        manifest: Mutex::new(manifest),
-        threads: Mutex::new(Vec::new()),
-        gate: FairGate::new(),
-        profiles: Arc::new(ProfileStore::with_metrics(Arc::clone(&metrics))),
-        metrics,
-        // Only feeds the admin plane's uptime line; taint analysis sees
-        // it never reaches a journaled or wire surface.
-        started: Instant::now(),
-        keep_terminal: options.keep_terminal,
-        faults: options.faults,
-        read_only: AtomicBool::new(false),
-        read_only_reason: Mutex::new(String::new()),
-    });
-    // Finish interrupted deletions before anything else: the intents are
-    // durable and the directory removals are idempotent.
-    for job in pending_gc {
-        finish_gc(&shared, &job);
-    }
-    resume_jobs(&shared, entries);
-    maybe_gc(&shared);
-    refresh_wal_gauges(&shared);
-
+    let shared = open_shared(&root, options)?;
     let listener = bind(&root.join(SERVE_SOCKET))?;
     eprintln!("datamime-served: listening under {}", root.display());
 
@@ -304,6 +276,42 @@ pub fn run_with(root: PathBuf, term: TermSignal, options: ServeOptions) -> Resul
     )]
     let _ = std::fs::remove_file(root.join(SERVE_SOCKET));
     Ok(())
+}
+
+/// Reads the state under `root` into the daemon's shared state: finishes
+/// pending GC intents, resumes every non-terminal job, and applies the
+/// retention policy.
+fn open_shared(root: &Path, options: ServeOptions) -> Result<Arc<Shared>, String> {
+    std::fs::create_dir_all(root.join("jobs"))
+        .map_err(|e| format!("cannot create state root {root:?}: {e}"))?;
+    let (manifest, entries) = Manifest::open_with(root, options.faults.clone())?;
+    let pending_gc = manifest.take_pending_gc();
+    let metrics = Arc::new(MetricsRegistry::new());
+    let shared = Arc::new(Shared {
+        root: root.to_path_buf(),
+        jobs: Mutex::new(BTreeMap::new()),
+        manifest: Mutex::new(manifest),
+        threads: Mutex::new(Vec::new()),
+        gate: FairGate::new(),
+        profiles: Arc::new(ProfileStore::with_metrics(Arc::clone(&metrics))),
+        metrics,
+        // Only feeds the admin plane's uptime line; taint analysis sees
+        // it never reaches a journaled or wire surface.
+        started: Instant::now(),
+        keep_terminal: options.keep_terminal,
+        faults: options.faults,
+        read_only: AtomicBool::new(false),
+        read_only_reason: Mutex::new(String::new()),
+    });
+    // Finish interrupted deletions before anything else: the intents are
+    // durable and the directory removals are idempotent.
+    for job in pending_gc {
+        finish_gc(&shared, &job);
+    }
+    resume_jobs(&shared, entries);
+    maybe_gc(&shared);
+    refresh_gc_gauges(&shared);
+    Ok(shared)
 }
 
 fn bind(path: &PathBuf) -> Result<UnixListener, String> {
@@ -669,10 +677,10 @@ fn answer(shared: &Arc<Shared>, term: &TermSignal, line: &str) -> Result<String,
         }
         "version" => Ok(format!("datamime-served {}\n", env!("CARGO_PKG_VERSION"))),
         "health" => {
-            let wal = lock(&shared.manifest).wal_stats();
+            let gc = lock(&shared.manifest).gc_stats();
             let read_only = shared.read_only.load(Ordering::SeqCst);
             let mut out = format!("STAT uptime_s {}\n", shared.started.elapsed().as_secs());
-            for (name, value) in wal_rows(&wal) {
+            for (name, value) in gc_rows(&gc) {
                 out.push_str(&format!("STAT {name} {value}\n"));
             }
             out.push_str(&format!("STAT read_only {}\n", u64::from(read_only)));
@@ -693,6 +701,15 @@ fn answer(shared: &Arc<Shared>, term: &TermSignal, line: &str) -> Result<String,
     }
 }
 
+/// Largest `iters` a job may ask for (the paper runs 200). The run
+/// preallocates its history, so a count near `usize::MAX` panicked the
+/// job thread and left its job `running` for good.
+const MAX_ITERS: usize = 100_000;
+
+/// Largest `batch` or `workers` a job may ask for: each unit of either is
+/// a thread or a process of the daemon's.
+const MAX_PARALLEL: usize = 64;
+
 /// Accepts one job; returns its id.
 fn submit(shared: &Arc<Shared>, spec_line: &str) -> Result<String, String> {
     if shared.read_only.load(Ordering::SeqCst) {
@@ -707,6 +724,17 @@ fn submit(shared: &Arc<Shared>, spec_line: &str) -> Result<String, String> {
     spec.target()?;
     spec.search_config()?;
     spec.generator()?;
+    for (key, n, max) in [
+        ("iters", spec.iters, MAX_ITERS),
+        ("batch", spec.batch, MAX_PARALLEL),
+        ("workers", spec.workers, MAX_PARALLEL),
+    ] {
+        if n > max {
+            return Err(format!(
+                "job-spec key `{key}`: must be at most {max}: `{n}`"
+            ));
+        }
+    }
     let canonical = spec.to_line()?;
     // Id allocation and the submit record commit under one manifest
     // lock, so concurrent submitters cannot race the same number. The
@@ -786,6 +814,9 @@ fn cancel(shared: &Arc<Shared>, job: &str) -> Result<(), String> {
 fn no_such_job(job: &str) -> String {
     format!("no such job: {job}")
 }
+
+#[cfg(test)]
+mod request_props;
 
 #[cfg(test)]
 mod tests {

@@ -93,7 +93,7 @@ fn opened(m: &Manifest, jobs: &BTreeMap<String, datamime_serve::JobEntry>) -> Ta
             })
             .collect(),
         pending_gc: m.take_pending_gc(),
-        gcd: m.wal_stats().gcd_jobs,
+        gcd: m.gc_stats().gcd_jobs,
         max_job: m.next_job_number() - 1,
     }
 }

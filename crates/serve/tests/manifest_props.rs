@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use datamime::servectl::JobState;
 use datamime_runtime::{FaultInjector, FaultPlan, WriteFault, WriteSite};
-use datamime_serve::{JobEntry, Manifest, WalError};
+use datamime_serve::{JobEntry, Manifest, ManifestError};
 use proptest::prelude::*;
 
 /// A unique scratch directory per test case (proptest runs many cases
@@ -68,7 +68,7 @@ fn observed(manifest: &Manifest, table: &BTreeMap<String, JobEntry>) -> Model {
     model_of(
         table,
         manifest.take_pending_gc(),
-        manifest.wal_stats().gcd_jobs,
+        manifest.gc_stats().gcd_jobs,
         manifest.next_job_number() - 1,
     )
 }
@@ -83,7 +83,7 @@ fn apply_step(
     step: usize,
     code: u8,
     pick: u8,
-) -> Result<(), WalError> {
+) -> Result<(), ManifestError> {
     let mut next = model.clone();
     let pick_job = |model: &Model| -> Option<String> {
         let ids: Vec<&String> = model.jobs.keys().collect();

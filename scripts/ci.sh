@@ -47,12 +47,14 @@ if [ "$probe_found" != "$probe_lints" ]; then
   exit 1
 fi
 
-# Static-analysis gate: four rule families — nondet-taint, layering,
-# durability-protocol and wire-compat (policy in audit.toml +
-# audit.wire.lock, tool in crates/audit; `unsafe` is refused by the
-# workspace lint at compile time, panics and discarded results by the
-# clippy lints above). Runs before the tests — it is fast and its
-# findings usually explain any downstream flakiness. The fixture suite
+# Static-analysis gate: three rule families — nondet-taint, layering and
+# durability-protocol (policy in audit.toml, tool in crates/audit;
+# `unsafe` is refused by the workspace lint at compile time, panics and
+# discarded results by the clippy lints above). The wire formats are not
+# an audit rule: a golden test beside each version constant (dist
+# protocol, run journal, serve manifest) pins it with the bytes it
+# governs, in the tier-1 tests below. Runs before the tests — it is fast
+# and its findings usually explain any downstream flakiness. The fixture suite
 # proves each rule still trips on its violating mini-workspace and
 # stays quiet on the clean twin.
 run cargo test -q -p datamime-audit --test audit
