@@ -86,6 +86,14 @@ pub trait BlackBoxOptimizer {
     /// Records an evaluated point.
     fn observe(&mut self, x: Vec<f64>, y: f64);
 
+    /// How many of the next suggestions cannot depend on any observation
+    /// — pending or made in between — so a caller may draw them before
+    /// the points ahead of them are observed and get the same values.
+    /// The default, 0, promises nothing.
+    fn observation_free(&self) -> usize {
+        0
+    }
+
     /// The best observation so far, if any.
     fn best(&self) -> Option<(&[f64], f64)>;
 
@@ -335,6 +343,14 @@ impl BlackBoxOptimizer for BayesOpt {
         self.observed_since_fit += 1;
     }
 
+    /// What is left of the Latin-hypercube design: [`suggest`] pops it
+    /// without reading the history or the pending fantasies.
+    ///
+    /// [`suggest`]: BlackBoxOptimizer::suggest
+    fn observation_free(&self) -> usize {
+        self.init_design.len()
+    }
+
     fn best(&self) -> Option<(&[f64], f64)> {
         self.history
             .iter()
@@ -380,6 +396,11 @@ impl BlackBoxOptimizer for RandomSearch {
     fn observe(&mut self, x: Vec<f64>, y: f64) {
         assert_eq!(x.len(), self.dims, "observation dimension mismatch");
         self.history.push((x, sanitize_objective(y)));
+    }
+
+    /// Every suggestion: each is a fresh uniform draw.
+    fn observation_free(&self) -> usize {
+        usize::MAX
     }
 
     fn best(&self) -> Option<(&[f64], f64)> {
@@ -659,6 +680,43 @@ mod batch_tests {
                 .sqrt();
             assert!(d > 1e-6, "suggestion collided with pending point {i}");
         }
+    }
+
+    /// The design's suggestions are the same whatever is observed in
+    /// between, and `observation_free` counts down to 0 exactly as the
+    /// design runs out.
+    #[test]
+    fn design_suggestions_ignore_observations() {
+        let cfg = BoConfig::for_dims(3);
+        let n = cfg.init_points;
+        let mut quiet = BayesOpt::new(cfg.clone(), 45);
+        let mut busy = BayesOpt::new(cfg, 45);
+        // `quiet` draws the whole design before observing anything;
+        // `busy` observes each point (NaN included) before the next.
+        let drawn: Vec<Vec<f64>> = (0..n).map(|_| quiet.suggest_batch(1).remove(0)).collect();
+        for (i, x) in drawn.iter().enumerate() {
+            assert_eq!(busy.observation_free(), n - i);
+            let y = busy.suggest();
+            assert_eq!(bits(&y), bits(x), "design point {i}");
+            busy.observe(y, if i == 1 { f64::NAN } else { i as f64 });
+        }
+        assert_eq!(quiet.observation_free(), 0);
+        assert_eq!(busy.observation_free(), 0);
+        for (i, x) in drawn.into_iter().enumerate() {
+            quiet.observe(x, if i == 1 { f64::NAN } else { i as f64 });
+        }
+        // Past the design, both fit the same history to the same point.
+        assert_eq!(bits(&quiet.suggest()), bits(&busy.suggest()));
+        assert_eq!(busy.observation_free(), 0);
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn random_search_never_reads_its_observations() {
+        assert_eq!(RandomSearch::new(2, 1).observation_free(), usize::MAX);
     }
 
     #[test]

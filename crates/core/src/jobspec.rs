@@ -65,7 +65,9 @@ pub struct JobSpec {
     pub machine: String,
     /// Suggestions drawn per optimizer batch.
     pub batch: usize,
-    /// Worker threads/processes (0 = the batch width).
+    /// Worker threads/processes (0 = the batch width; the serve daemon
+    /// reads 0 on a thread job as at least two, so a sequential job runs
+    /// its initial design two points at a time). Never changes a result.
     pub workers: usize,
     /// Where evaluations run.
     pub backend: JobBackend,
@@ -77,9 +79,11 @@ pub struct JobSpec {
     /// Snap every generator axis to a uniform grid of this many steps —
     /// re-suggested points then hit the evaluation memo cache.
     pub grid: Option<u32>,
-    /// Explicit `datamime-worker` binary for the process backend (tests;
-    /// the default resolution is the `DATAMIME_WORKER` environment
-    /// variable, then a sibling of the current executable).
+    /// Explicit `datamime-worker` binary for the process backend (tests
+    /// and one-shot runs; the default resolution is the
+    /// `DATAMIME_WORKER` environment variable, then a sibling of the
+    /// current executable). The serve daemon refuses the key: a request
+    /// must not name a program for it to run.
     pub worker_bin: Option<PathBuf>,
     /// Evaluation quota: stop (with the best-so-far result) once this
     /// many observations exist. Checked at batch boundaries, counted

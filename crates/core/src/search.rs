@@ -127,7 +127,11 @@ pub struct RuntimeOptions {
     /// Suggestions drawn per optimizer batch (0 or 1 = sequential).
     pub batch_k: usize,
     /// Worker threads evaluating a batch (0 or 1 = no pool). Ignored by
-    /// the process backend, which sizes its own worker pool.
+    /// the process backend, which sizes its own worker pool. Never
+    /// changes a result: with `batch_k` ≤ 1 and more than one worker, the
+    /// optimizer's observation-free suggestions (its initial design) run
+    /// side by side and are observed in order. One-shot runs keep
+    /// `workers == batch_k`; the serve daemon gives each thread job two.
     pub workers: usize,
     /// Where evaluations run: in-process threads (the default) or a pool
     /// of `datamime-worker` OS processes. Results are bit-identical

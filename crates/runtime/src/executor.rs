@@ -10,7 +10,11 @@
 //! With `batch_k = 1` the executor is exactly the paper's sequential
 //! suggest → evaluate → observe loop, which is how
 //! `datamime::search::search()` runs on top of it without changing any
-//! result.
+//! result. Given more than one worker, such a run still fills the pool
+//! wherever the optimizer's next suggestions cannot depend on any
+//! observation (the Bayesian optimizer's initial design): those points
+//! are drawn and evaluated together, and observed in the same order
+//! with the same values, so the run stays the sequential one.
 //!
 //! # Fault tolerance
 //!
@@ -50,7 +54,10 @@ pub struct RunMeta {
     pub iterations: usize,
     /// Suggestions drawn per optimizer batch.
     pub batch_k: usize,
-    /// Worker threads evaluating a batch (does not affect results).
+    /// Worker threads (or processes) evaluating a batch; never affects
+    /// results. With `batch_k == 1` and more than one worker, a batch
+    /// grows to as many observation-free suggestions as there are
+    /// workers (see [`Executor::run`]).
     pub workers: usize,
     /// Optimizer family tag (e.g. `"bayesian"`, `"random"`), used to
     /// refuse resuming a journal under a different optimizer.
@@ -477,6 +484,12 @@ impl Executor {
     /// quarantine, degradation, and the outcome itself never depend on
     /// thread scheduling.
     ///
+    /// A sequential run (`batch_k == 1`) on more than one worker draws
+    /// each batch wider: up to `workers` points, as long as the optimizer
+    /// reports them [observation-free](BlackBoxOptimizer::observation_free),
+    /// within the iterations and the evaluation quota left. Every record,
+    /// journal line and cache hit is the one the one-point batches give.
+    ///
     /// # Errors
     ///
     /// Fails on journal I/O, a resume/journal mismatch, a closed
@@ -524,6 +537,8 @@ impl Executor {
         // boundary — it never feeds the optimizer or the journal.
         let quota_started = Instant::now();
         let mut quota: Option<QuotaCause> = None;
+        // A drawn point that `draw_widened` moved to the next batch.
+        let mut held: Option<Vec<f64>> = None;
 
         while history.len() < iterations {
             // Quota checks sit at the batch boundary, after at least one
@@ -544,16 +559,23 @@ impl Executor {
                 }
             }
             let done = history.len();
-            let k = effective_k.min(iterations - done);
             // Stage timing feeds telemetry only, never the optimizer or
             // the journal.
             let suggest_started = Instant::now();
-            let units = optimizer.suggest_batch(k);
+            let units = if self.meta.batch_k == 1 && self.meta.workers > 1 {
+                let left = self
+                    .quota_evals
+                    .map_or(usize::MAX, |q| q.saturating_sub(done).max(1));
+                let width = self.meta.workers.min(iterations - done).min(left);
+                self.draw_widened(optimizer, width, &mut held)
+            } else {
+                optimizer.suggest_batch(effective_k.min(iterations - done))
+            };
             telemetry.record("suggest", suggest_started.elapsed());
 
             // Split the batch into the journaled prefix (re-observed, not
             // re-evaluated) and the fresh tail.
-            let from_journal = replayed_prefix.len().saturating_sub(done).min(k);
+            let from_journal = replayed_prefix.len().saturating_sub(done).min(units.len());
             for (i, unit) in units.iter().enumerate().take(from_journal) {
                 if replayed_prefix[done + i].unit != *unit {
                     return Err(ExecError::ResumeMismatch(format!(
@@ -795,6 +817,53 @@ impl Executor {
             replayed,
             quota,
         })
+    }
+
+    /// The next batch of a sequential (`batch_k == 1`) run on more than
+    /// one worker: its one point — `held`, if the last batch left one —
+    /// then as many further suggestions as the optimizer draws without
+    /// reading an observation ([`BlackBoxOptimizer::observation_free`]),
+    /// up to `width` points. Drawn early, those points are the very ones
+    /// the one-at-a-time run draws, so the wider batch only lets the
+    /// backend evaluate them side by side.
+    ///
+    /// The batch ends before a point that shares an earlier point's memo
+    /// key or lies within quarantine radius of it: one at a time, that
+    /// point would have been planned after the earlier one's observation
+    /// (a cache hit, or a quarantine penalty), so it is `held` to open
+    /// the next batch, where it is planned exactly so.
+    fn draw_widened(
+        &self,
+        optimizer: &mut dyn BlackBoxOptimizer,
+        width: usize,
+        held: &mut Option<Vec<f64>>,
+    ) -> Vec<Vec<f64>> {
+        let memo_key = |unit: &[f64]| {
+            self.memo
+                .as_ref()
+                .map(|(_, key)| crate::memo::canonical_bits(&key(unit)))
+        };
+        let first = match held.take() {
+            Some(unit) => unit,
+            None => optimizer.suggest_batch(1).swap_remove(0),
+        };
+        let mut keys = vec![memo_key(&first)];
+        let mut units = vec![first];
+        while units.len() < width && optimizer.observation_free() > 0 {
+            let unit = optimizer.suggest_batch(1).swap_remove(0);
+            let key = memo_key(&unit);
+            let repeats = units
+                .iter()
+                .zip(&keys)
+                .any(|(u, k)| within_radius(u, &unit) || (key.is_some() && *k == key));
+            if repeats {
+                *held = Some(unit);
+                break;
+            }
+            units.push(unit);
+            keys.push(key);
+        }
+        units
     }
 }
 

@@ -36,7 +36,7 @@
 
 use crate::manifest::{GcStats, JobEntry, Manifest, ManifestError};
 use crate::sched::FairGate;
-use datamime::jobspec::JobSpec;
+use datamime::jobspec::{JobBackend, JobSpec};
 use datamime::profile_store::ProfileStore;
 use datamime::search::search_with_runtime;
 use datamime::servectl::{JobResult, JobState, JobStatus, SERVE_SOCKET};
@@ -434,7 +434,12 @@ fn spawn_job(shared: &Arc<Shared>, job: String, spec_line: String, resume: bool)
 /// CLI would, run it under the fair gate, and record the outcome.
 fn run_job(shared: &Arc<Shared>, job: &str, spec_line: &str, resume: bool) {
     let outcome = (|| -> Result<(), String> {
-        let spec = JobSpec::parse(spec_line)?;
+        let mut spec = JobSpec::parse(spec_line)?;
+        // Worker processes are the daemon's own choice (`DATAMIME_WORKER`,
+        // else the `datamime-worker` beside this binary), never a path
+        // from a request: `submit` refuses the key, and one that a
+        // manifest written before that refusal still holds is dropped.
+        spec.worker_bin = None;
         let target = spec.target()?;
         let cfg = spec.search_config()?;
         let generator = spec.generator()?;
@@ -492,6 +497,13 @@ fn run_job(shared: &Arc<Shared>, job: &str, spec_line: &str, resume: bool) {
         let reopen = resume && datamime_runtime::replay(&journal).is_ok();
 
         let mut opts = spec.runtime_options();
+        // Every thread job gets two lanes: a sequential job fills the
+        // second with its initial design (see `Executor::run`), which no
+        // observation shapes, so its results stay those of one lane. A
+        // spec that names `workers` keeps its own count.
+        if spec.backend == JobBackend::Thread && spec.workers == 0 {
+            opts.workers = opts.workers.max(2);
+        }
         opts.resume = reopen.then(|| journal.clone());
         opts.journal = Some(journal);
         opts.extra_sink = Some(SharedSink::new(JobSink { progress }));
@@ -721,6 +733,13 @@ fn submit(shared: &Arc<Shared>, spec_line: &str) -> Result<String, String> {
     // Validate the whole spec now so a bad submit fails the submitter,
     // not a job thread minutes later.
     let spec = JobSpec::parse(spec_line)?;
+    if spec.worker_bin.is_some() {
+        return Err(
+            "job-spec key `worker_bin`: the daemon runs its own datamime-worker \
+                    (DATAMIME_WORKER, else the one beside datamime-served)"
+                .to_string(),
+        );
+    }
     spec.target()?;
     spec.search_config()?;
     spec.generator()?;

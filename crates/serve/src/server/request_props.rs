@@ -139,7 +139,7 @@ fn doomed_spec(rng: &mut TestRng) -> String {
         "wall_clock_s",
     ];
     const VALUES: [&str; 9] = ["mem-fb", "0", "1", "65", "100001", "-1", "NaN", "true", ""];
-    const REFUSED: [&str; 12] = [
+    const REFUSED: [&str; 13] = [
         "workload=nope",
         "iters=0",
         "iters=100001",
@@ -152,6 +152,7 @@ fn doomed_spec(rng: &mut TestRng) -> String {
         "max_evals=-1",
         "bogus=1",
         "novalue",
+        "worker_bin=/bin/true",
     ];
     let mut tokens: Vec<String> = match rng.below(2) {
         0 => vec!["workload=mem-fb".to_string(), "curves=false".to_string()],

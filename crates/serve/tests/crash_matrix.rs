@@ -20,11 +20,11 @@
 
 #![cfg(feature = "faultinject")]
 
-use datamime::jobspec::JobSpec;
+use datamime::jobspec::{JobBackend, JobSpec};
 use datamime::profiler::profile_workload;
 use datamime::search::{search_with_runtime, SearchOutcome};
 use datamime::servectl::{JobState, ServeClient};
-use datamime_runtime::{QuotaCause, TERM_SENTINEL_ENV};
+use datamime_runtime::{replay, QuotaCause, TERM_SENTINEL_ENV};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -89,9 +89,13 @@ fn await_death(daemon: &mut Child) {
     }
 }
 
-/// The uninterrupted reference outcome for a spec line.
+/// The uninterrupted reference outcome for a spec line. A process
+/// backend spec runs the worker the daemon runs: the one beside it.
 fn one_shot(spec_line: &str) -> SearchOutcome {
-    let spec = JobSpec::parse(spec_line).unwrap();
+    let mut spec = JobSpec::parse(spec_line).unwrap();
+    if spec.backend == JobBackend::Proc {
+        spec.worker_bin = Some(ensure_worker_built());
+    }
     let target = spec.target().unwrap();
     let cfg = spec.search_config().unwrap();
     let generator = spec.generator().unwrap();
@@ -189,10 +193,11 @@ fn crash_matrix_thread_backend() {
 /// one that dies.
 #[test]
 fn crash_matrix_proc_backend() {
-    let worker = ensure_worker_built();
+    // The daemon refuses `worker_bin=`; it runs the worker beside it.
+    ensure_worker_built();
     let specs: Vec<String> = SPECS
         .iter()
-        .map(|s| format!("{s} backend=proc workers=2 worker_bin={}", worker.display()))
+        .map(|s| format!("{s} backend=proc workers=2"))
         .collect();
     run_cell("proc-manifest-3", "manifest:3:crash", &specs);
 }
@@ -247,6 +252,49 @@ fn quota_stop_survives_crash_resume_bit_identically() {
     let status = client.wait(&job, Duration::from_secs(600)).expect("wait");
     assert_eq!(status.state, JobState::QuotaExceeded, "{job} after resume");
     assert_bit_identical(&job, &client, &reference);
+
+    assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
+    assert!(daemon.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A sequential job runs its initial design two points at a time in the
+/// daemon. Killed between the two journal appends of one such pair —
+/// both points evaluated, one committed — the job resumes to the
+/// one-shot run's bits, and its journal to the one-shot records.
+#[test]
+fn a_crash_inside_a_paired_design_batch_resumes_bit_identically() {
+    let spec = SPECS[0];
+    let reference = one_shot(spec);
+    let root = tmp_root("pair-crash");
+    let client = ServeClient::new(&root);
+    // Journal appends after the header count from 0, so append 3 is the
+    // fourth observation: the second of the pair (2, 3), as no memo hit
+    // among the first five reshapes the pairs (asserted below).
+    let mut daemon = start_daemon(&root, &[], Some("journal:3:crash"));
+    assert!(await_ready(&client, &mut daemon));
+    let job = client.submit_line(spec).expect("submit");
+    await_death(&mut daemon);
+    daemon.wait().expect("reap crashed daemon");
+    let journal = root.join("jobs").join(&job).join("journal.jsonl");
+    let cut = replay(&journal).expect("journal after the crash");
+    assert_eq!((cut.meta.batch_k, cut.meta.workers), (1, 2));
+    assert_eq!(cut.evals.len(), 3, "the crash lands inside the pair");
+
+    let mut daemon = start_daemon(&root, &[], None);
+    assert!(await_ready(&client, &mut daemon));
+    let status = client.wait(&job, Duration::from_secs(600)).expect("wait");
+    assert_eq!(status.state, JobState::Done, "{job} after resume");
+    assert_bit_identical(&job, &client, &reference);
+    let resumed = replay(&journal).expect("journal after resume");
+    assert!(resumed.complete);
+    assert!(resumed.evals[..5].iter().all(|r| r.cached.is_none()));
+    assert_eq!(resumed.evals.len(), reference.history.len());
+    for (rec, want) in resumed.evals.iter().zip(&reference.history) {
+        assert_eq!(rec.error.to_bits(), want.error.to_bits(), "{}", rec.index);
+        let bits = |u: &[f64]| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rec.unit), bits(&want.unit_params), "{}", rec.index);
+    }
 
     assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
     assert!(daemon.wait().unwrap().success());

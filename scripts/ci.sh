@@ -87,6 +87,10 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # the lane split rests on, and the lane-panic tests, in the build where
   # both halves of the item table fill side by side.
   run cargo test -q --release -p datamime-apps
+  # And a sequential run's widened design batches (`Executor::run` with
+  # `batch_k = 1` on two or three workers): journals and outcomes must
+  # match the one-lane run where the lanes really overlap.
+  run cargo test -q --release -p datamime-runtime --test design_lanes
   # The reproduction gate: `run_all` calls all fifteen figure functions in
   # one process, runs each distinct search once (in memory; there is no
   # result cache on disk) and rewrites every `results/<name>.txt`, so
@@ -138,7 +142,9 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   run scripts/serve_smoke.sh
   # Durability torture pass: the crash matrix aborts the daemon at every
   # manifest write and GC boundary and requires bit-identical recovery;
-  # the ENOSPC cell requires a graceful read-only drain. The
+  # the ENOSPC cell requires a graceful read-only drain, and one cell
+  # kills the daemon between the two appends of a paired design batch
+  # of a sequential job. The
   # process-backend cells exec datamime-worker, so build it first.
   run cargo build -q -p datamime --bin datamime-worker
   run cargo test -q -p datamime-serve --features faultinject

@@ -70,6 +70,12 @@ echo "live evals: $LIVE_EVALS"
 RESULT=$("$CTL" ctl result "$JOB" --root "$ROOT")
 echo "$RESULT"
 
+# A sequential job gets two lanes in the daemon (its initial design runs
+# two points at a time); the journal header records both numbers.
+HEADER=$(head -n 1 "$ROOT/jobs/$JOB/journal.jsonl")
+echo "$HEADER" | grep -q '"batch_k":1,"workers":2' \
+  || { echo "journal header is not batch_k 1 on two workers: $HEADER"; exit 1; }
+
 # The manifest is one snapshot: manifest.json and no other manifest.* file.
 MANIFESTS=$(find "$ROOT" -maxdepth 1 -name 'manifest.*')
 [ "$MANIFESTS" = "$ROOT/manifest.json" ] || { echo "expected only manifest.json, found: $MANIFESTS"; exit 1; }

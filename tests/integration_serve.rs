@@ -91,13 +91,13 @@ fn daemon_jobs_are_bit_identical_to_one_shot_runs_on_both_backends() {
     // the optimizer re-suggests points and the memo cache gets hits.
     let thread_spec = "workload=mem-fb iters=48 seed=7 curves=false grid=4";
     // Process-backend tenant: same fixed-seed contract through real
-    // datamime-worker processes.
-    let proc_spec = format!(
-        "workload=mem-fb iters=10 seed=9 curves=false grid=4 backend=proc worker_bin={}",
-        env!("CARGO_BIN_EXE_datamime-worker")
-    );
+    // datamime-worker processes. A request cannot name the worker
+    // binary; the daemon (this process) finds it through
+    // `DATAMIME_WORKER`, as the one-shot twin below does.
+    std::env::set_var("DATAMIME_WORKER", env!("CARGO_BIN_EXE_datamime-worker"));
+    let proc_spec = "workload=mem-fb iters=10 seed=9 curves=false grid=4 backend=proc";
     let thread_job = client.submit_line(thread_spec).unwrap();
-    let proc_job = client.submit_line(&proc_spec).unwrap();
+    let proc_job = client.submit_line(proc_spec).unwrap();
 
     // The admin plane must report live counters while jobs are running.
     let deadline = Instant::now() + Duration::from_secs(120);
@@ -149,7 +149,7 @@ fn daemon_jobs_are_bit_identical_to_one_shot_runs_on_both_backends() {
     assert_eq!(status.evals, 48, "status evals with {hits} memo hits");
 
     let proc_result = client.result(&proc_job).unwrap();
-    let proc_ref = one_shot(&proc_spec, &root.join("proc.reference.jsonl"));
+    let proc_ref = one_shot(proc_spec, &root.join("proc.reference.jsonl"));
     assert_matches_one_shot(&root, &proc_result, &proc_ref, "process backend");
 
     assert!(client
@@ -287,12 +287,21 @@ fn hostile_specs_are_refused_and_the_daemon_keeps_serving() {
     };
     wait_reachable(&client);
 
-    for key in ["iters", "grid"] {
-        let err = client
-            .submit_line(&format!("workload=mem-fb {key}=0"))
-            .unwrap_err();
+    for (key, line) in [
+        ("iters", "workload=mem-fb iters=0"),
+        ("grid", "workload=mem-fb grid=0"),
+        (
+            "worker_bin",
+            "workload=mem-fb iters=2 backend=proc worker_bin=/bin/true",
+        ),
+    ] {
+        let err = client.submit_line(line).unwrap_err();
         assert!(err.contains(&format!("job-spec key `{key}`")), "{err}");
     }
+    assert!(
+        client.list().unwrap().is_empty(),
+        "a refused spec made a job"
+    );
     let health = client.admin("health").unwrap();
     assert!(health.ends_with("END\n"), "health terminates: {health}");
 
@@ -541,4 +550,45 @@ fn a_warm_store_fails_the_same_attempts_as_a_cold_one() {
     assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
     daemon.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A sequential thread job gets two lanes in the daemon: its journal
+/// header says so, its initial design runs two points at a time, and
+/// still every record is its one-shot twin's (one lane), and its memo
+/// hits and store reuses are those of the same job held to one lane.
+#[test]
+fn a_sequential_job_runs_its_design_on_two_lanes() {
+    let spec = "workload=mem-fb iters=14 curves=false grid=3 seed=5";
+    let (root, client, daemon) = start("lanes", datamime_serve::ServeOptions::default());
+    let evals = run_to_done(&root, &client, spec);
+    let header = replay(&root.join("jobs/job-0001/journal.jsonl"))
+        .unwrap()
+        .meta;
+    assert_eq!((header.batch_k, header.workers), (1, 2));
+    let stats = client.stats().unwrap();
+    assert_eq!(client.admin("shutdown").unwrap(), "OK draining\n");
+    daemon.join().unwrap().unwrap();
+
+    one_shot(spec, &root.join("reference.jsonl"));
+    let twin = replay(&root.join("reference.jsonl")).unwrap();
+    assert_eq!(twin.meta.workers, 1, "one-shot runs keep workers = batch");
+    assert_same_observations(&evals, &twin.evals, "two lanes vs its one-shot twin");
+
+    let (one_root, one_client, one_daemon) =
+        start("one-lane", datamime_serve::ServeOptions::default());
+    let one_lane = run_to_done(&one_root, &one_client, &format!("{spec} workers=1"));
+    let one_stats = one_client.stats().unwrap();
+    assert_eq!(one_client.admin("shutdown").unwrap(), "OK draining\n");
+    one_daemon.join().unwrap().unwrap();
+    assert_same_observations(&evals, &one_lane, "two lanes vs one");
+    for name in ["evals", "cache_hits", "profile_reuses"] {
+        assert_eq!(
+            stat(&stats, name),
+            stat(&one_stats, name),
+            "{name}: {stats:?} vs {one_stats:?}"
+        );
+    }
+    assert!(stat(&stats, "cache_hits") > 0, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&one_root);
 }
