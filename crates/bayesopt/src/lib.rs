@@ -16,8 +16,8 @@
 //!   baseline, both behind [`BlackBoxOptimizer`].
 //!
 //! The GP core is column-major and allocation-free per evaluation
-//! (docs/PERFORMANCE.md §6); [`mod@reference`] keeps the row-ordered stack it
-//! replaced as the oracle it must match bit for bit.
+//! (docs/PERFORMANCE.md §2, row B1); [`mod@reference`] keeps the
+//! row-ordered stack it replaced as the oracle it must match bit for bit.
 //!
 //! # Examples
 //!

@@ -454,8 +454,9 @@ fn validate_paper_setup(
 
 /// The job `clone` and `validate` run, from their flags: the same
 /// [`JobSpec`] a `ctl submit` of those settings would carry, so the
-/// one-shot search and the daemon's are built by one code path.
-fn job_spec(name: &str, opts: &Options) -> JobSpec {
+/// one-shot search and the daemon's are built by one code path, and
+/// refused past the same bounds.
+fn job_spec(name: &str, opts: &Options) -> Result<JobSpec, String> {
     let mut spec = JobSpec::new(name);
     if let Some(machine) = &opts.machine {
         spec.machine = machine.clone();
@@ -467,7 +468,8 @@ fn job_spec(name: &str, opts: &Options) -> JobSpec {
         spec.backend = JobBackend::Proc;
         spec.workers = opts.workers.unwrap_or(spec.batch).max(1);
     }
-    spec
+    spec.check_bounds()?;
+    Ok(spec)
 }
 
 fn cmd_validate(workload: &Workload, spec: &JobSpec, opts: &Options) -> Result<(), String> {
@@ -624,8 +626,8 @@ fn run() -> Result<(), String> {
             let opts = parse_options(&args[2..])?;
             match cmd {
                 "profile" => cmd_profile(&workload, &opts),
-                "clone" => cmd_clone(&workload, &job_spec(name, &opts), &opts),
-                _ => cmd_validate(&workload, &job_spec(name, &opts), &opts),
+                "clone" => cmd_clone(&workload, &job_spec(name, &opts)?, &opts),
+                _ => cmd_validate(&workload, &job_spec(name, &opts)?, &opts),
             }
         }
         Some("help") | Some("--help") | Some("-h") | None => {

@@ -49,6 +49,15 @@ fn at_least_one<T: std::str::FromStr + Default + PartialEq>(
     Ok(n)
 }
 
+/// Largest `iters` a job may ask for (the paper runs 200). The run
+/// preallocates its history, so a count near `usize::MAX` dies in the
+/// allocator after the target has been profiled.
+pub const MAX_ITERS: usize = 100_000;
+
+/// Largest `batch` or `workers` a job may ask for: each unit of either is
+/// a thread or a worker process.
+pub const MAX_PARALLEL: usize = 64;
+
 /// The boxed generator shape [`JobSpec::generator`] returns.
 pub type BoxedGenerator = Box<dyn crate::generator::DatasetGenerator + Send + Sync>;
 
@@ -224,7 +233,30 @@ impl JobSpec {
         if spec.workload.is_empty() {
             return Err("job spec needs workload=<name>; see `datamime list`".to_string());
         }
+        spec.check_bounds()?;
         Ok(spec)
+    }
+
+    /// Refuses counts no run can honour: `iters` past [`MAX_ITERS`],
+    /// `batch` or `workers` past [`MAX_PARALLEL`]. [`JobSpec::parse`]
+    /// calls it, and so must any caller that fills the fields itself.
+    ///
+    /// # Errors
+    ///
+    /// Names the first key out of bounds, with its bound and value.
+    pub fn check_bounds(&self) -> Result<(), String> {
+        for (key, n, max) in [
+            ("iters", self.iters, MAX_ITERS),
+            ("batch", self.batch, MAX_PARALLEL),
+            ("workers", self.workers, MAX_PARALLEL),
+        ] {
+            if n > max {
+                return Err(format!(
+                    "job-spec key `{key}`: must be at most {max}: `{n}`"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The target workload named by the spec.
@@ -348,6 +380,31 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn counts_past_their_bounds_are_refused_naming_the_key() {
+        for (key, max) in [
+            ("iters", MAX_ITERS),
+            ("batch", MAX_PARALLEL),
+            ("workers", MAX_PARALLEL),
+        ] {
+            let at = format!("workload=mem-fb {key}={max}");
+            assert!(JobSpec::parse(&at).is_ok(), "{at}");
+            for over in [(max + 1).to_string(), usize::MAX.to_string()] {
+                let err = JobSpec::parse(&format!("workload=mem-fb {key}={over}")).unwrap_err();
+                assert_eq!(
+                    err,
+                    format!("job-spec key `{key}`: must be at most {max}: `{over}`")
+                );
+            }
+        }
+        // A spec filled field by field is refused by the same check.
+        let mut spec = JobSpec::new("mem-fb");
+        spec.workers = MAX_PARALLEL + 1;
+        assert!(spec.check_bounds().unwrap_err().contains("`workers`"));
+        spec.workers = MAX_PARALLEL;
+        assert_eq!(spec.check_bounds(), Ok(()));
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //!    back `Ok` or `Err`, never a panic.
 //! 2. **What is accepted is canonical.** A job spec parsed from any line
 //!    re-parses from its `to_line` to itself.
-//! 3. **Generated values round-trip.** `JobSpec::parse(to_line(s)) == s`,
+//! 3. **Generated values round-trip.** `JobSpec::parse(to_line(s)) == s`
+//!    for a spec within its bounds (past one, the refusal names the key),
 //!    and `Profile::from_tsv(to_tsv(p))` holds the same samples and curve
 //!    as `p`, bit for bit.
 
+use datamime::jobspec::{MAX_ITERS, MAX_PARALLEL};
 use datamime::servectl::records;
 use datamime::{
     CurvePoint, DistMetric, JobBackend, JobResult, JobSpec, JobState, JobStatus, Profile,
@@ -229,7 +231,32 @@ proptest! {
     #[test]
     fn generated_specs_round_trip(spec in spec()) {
         let line = spec.to_line()?;
-        prop_assert_eq!(JobSpec::parse(&line), Ok(spec), "{}", line);
+        let over = [
+            ("iters", spec.iters, MAX_ITERS),
+            ("batch", spec.batch, MAX_PARALLEL),
+            ("workers", spec.workers, MAX_PARALLEL),
+        ]
+        .into_iter()
+        .find(|&(_, n, max)| n > max);
+        if let Some((key, n, max)) = over {
+            // Past a bound the spec is refused, naming the first such key.
+            prop_assert_eq!(
+                JobSpec::parse(&line),
+                Err(format!("job-spec key `{key}`: must be at most {max}: `{n}`")),
+                "{}",
+                line
+            );
+        }
+        // The same spec folded into its bounds round-trips, so every case
+        // still checks the encoding.
+        let within = JobSpec {
+            iters: spec.iters.min(MAX_ITERS),
+            batch: spec.batch % (MAX_PARALLEL + 1),
+            workers: spec.workers % (MAX_PARALLEL + 1),
+            ..spec
+        };
+        let line = within.to_line()?;
+        prop_assert_eq!(JobSpec::parse(&line), Ok(within), "{}", line);
     }
 
     #[test]

@@ -713,15 +713,6 @@ fn answer(shared: &Arc<Shared>, term: &TermSignal, line: &str) -> Result<String,
     }
 }
 
-/// Largest `iters` a job may ask for (the paper runs 200). The run
-/// preallocates its history, so a count near `usize::MAX` panicked the
-/// job thread and left its job `running` for good.
-const MAX_ITERS: usize = 100_000;
-
-/// Largest `batch` or `workers` a job may ask for: each unit of either is
-/// a thread or a process of the daemon's.
-const MAX_PARALLEL: usize = 64;
-
 /// Accepts one job; returns its id.
 fn submit(shared: &Arc<Shared>, spec_line: &str) -> Result<String, String> {
     if shared.read_only.load(Ordering::SeqCst) {
@@ -743,17 +734,6 @@ fn submit(shared: &Arc<Shared>, spec_line: &str) -> Result<String, String> {
     spec.target()?;
     spec.search_config()?;
     spec.generator()?;
-    for (key, n, max) in [
-        ("iters", spec.iters, MAX_ITERS),
-        ("batch", spec.batch, MAX_PARALLEL),
-        ("workers", spec.workers, MAX_PARALLEL),
-    ] {
-        if n > max {
-            return Err(format!(
-                "job-spec key `{key}`: must be at most {max}: `{n}`"
-            ));
-        }
-    }
     let canonical = spec.to_line()?;
     // Id allocation and the submit record commit under one manifest
     // lock, so concurrent submitters cannot race the same number. The

@@ -160,11 +160,6 @@ impl Sampler {
     pub fn samples(&self) -> &[MetricSample] {
         &self.samples
     }
-
-    /// Consumes the sampler, returning its samples.
-    pub fn into_samples(self) -> Vec<MetricSample> {
-        self.samples
-    }
 }
 
 #[cfg(test)]

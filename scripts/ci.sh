@@ -47,6 +47,27 @@ if [ "$probe_found" != "$probe_lints" ]; then
   exit 1
 fi
 
+# Section citations resolve: every `DESIGN.md §N` or `PERFORMANCE.md §N`
+# in a tracked file (benchmark/ included) must name a `## N.` heading of
+# DESIGN.md or docs/PERFORMANCE.md, so renumbering a section cannot leave
+# a comment or a document pointing at nothing.
+echo "==> section citations"
+cite_bad=0
+while IFS= read -r hit; do
+  cite=${hit##*:}
+  n=${cite##*§}
+  n=${n# }
+  case $cite in
+    *PERFORMANCE*) doc=docs/PERFORMANCE.md ;;
+    *) doc=DESIGN.md ;;
+  esac
+  if ! grep -q "^## $n\. " "$doc"; then
+    echo "${hit%:*}: \`$cite\` has no '## $n.' heading in $doc" >&2
+    cite_bad=1
+  fi
+done < <(git grep -noE '(DESIGN|PERFORMANCE)\.md`? ?§ ?[0-9]+' || true)
+[ "$cite_bad" = 0 ] || exit 1
+
 # Static-analysis gate: three rule families — nondet-taint, layering and
 # durability-protocol (policy in audit.toml, tool in crates/audit;
 # `unsafe` is refused by the workspace lint at compile time, panics and
@@ -126,13 +147,12 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # The memo accounting harness runs its own smoke first.
   echo "==> bench_smoke"
   run scripts/bench.sh --check
-  # Multi-process smoke: a short fig10-style search on the process
-  # backend (--backend proc --workers 2: a pool of two datamime-worker
-  # child processes, fed frames over their stdin and stdout) must be
-  # checksum-identical to the in-process thread backend.
-  run cargo build --release -q -p datamime-experiments --bin dist_smoke
-  echo "==> DATAMIME_WORKER=target/release/datamime-worker target/release/dist_smoke --check"
-  DATAMIME_WORKER=target/release/datamime-worker target/release/dist_smoke --check
+  # The process backend in the release build: a quantized-KV search on
+  # pools of 1, 2 and 4 datamime-worker child processes (frames over
+  # their stdin and stdout) must match the thread backend in history,
+  # winner, best profile and stats, and a faulting run must journal the
+  # same records on both backends.
+  run cargo test -q --release -p datamime --test integration_dist
   # Service-plane smoke: a short fixed-seed job submitted to
   # datamime-served through `datamime ctl` must complete, the admin
   # plane must report live eval/cache-hit counters, the same job
