@@ -18,8 +18,8 @@
 //! - **`nondet-taint`** — flow-sensitive taint from nondeterminism
 //!   sources (clocks, entropy) to journaled/wire sinks; strict paths
 //!   additionally deny unordered containers outright.
-//! - **`layering`** — internal dependencies match the
-//!   `[layering.allow]` matrix.
+//! - **`layering`** — internal dependencies match the policy's
+//!   layering matrix.
 //! - **`durability-protocol`** — file handles on durability paths must
 //!   follow write → fsync → rename → dir-fsync; a rename before the
 //!   sync, or a dropped handle with unsynced writes, is a violation.
@@ -36,20 +36,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod config;
 pub mod diagnostics;
 pub mod lexer;
+pub mod manifest;
 pub mod parser;
+pub mod policy;
 pub mod rules;
 pub mod source;
-pub mod toml;
 pub mod workspace;
 
-use config::AuditConfig;
 use diagnostics::Diagnostic;
+use policy::{in_scope, Policy};
 use source::{Allow, BadAllow, SourceFile};
 use std::path::{Path, PathBuf};
-use workspace::{RawFile, Workspace, WorkspaceError};
+use workspace::{RawFile, Workspace};
 
 /// Everything the per-file analysis phase learns about one source file:
 /// per-file diagnostics plus the raw material the cross-file rules
@@ -84,15 +84,16 @@ impl CheckReport {
     }
 }
 
-/// Runs every enabled rule over the workspace at `root` and applies the
-/// `audit:allow` suppression pass.
-pub fn run_check(root: &Path, cfg: &AuditConfig) -> Result<CheckReport, WorkspaceError> {
-    let ws = Workspace::discover(root, cfg)?;
-    let facts: Vec<FileFacts> = ws.files.iter().map(|f| analyze_file(f, cfg)).collect();
+/// Runs every rule over the workspace at `root` under `policy` and
+/// applies the `audit:allow` suppression pass. An error is a scan
+/// failure: I/O, or a manifest the reader refuses.
+pub fn run_check(root: &Path, policy: &Policy) -> Result<CheckReport, String> {
+    let ws = Workspace::discover(root)?;
+    let facts: Vec<FileFacts> = ws.files.iter().map(|f| analyze_file(f, policy)).collect();
 
     let mut raw: Vec<Diagnostic> = facts.iter().flat_map(|f| f.diags.iter().cloned()).collect();
-    raw.extend(rules::layering::check(&ws.crates, &cfg.layering));
-    raw.extend(stale_scope_entries(&facts, cfg));
+    raw.extend(rules::layering::check(&ws.crates, policy.layering));
+    raw.extend(stale_scope_entries(&facts, policy));
 
     let mut diagnostics = apply_allows(&facts, raw);
     diagnostics.sort_by(|a, b| {
@@ -105,18 +106,18 @@ pub fn run_check(root: &Path, cfg: &AuditConfig) -> Result<CheckReport, Workspac
     })
 }
 
-/// Reports every rule scope entry (`paths` / `strict-paths`) that
+/// Reports every rule scope entry (a path list of the [`Policy`]) that
 /// matches no scanned file. Scope is a bare prefix match, so a renamed or
 /// deleted file would otherwise drop out of its rules without a word.
-fn stale_scope_entries(facts: &[FileFacts], cfg: &AuditConfig) -> Vec<Diagnostic> {
+fn stale_scope_entries(facts: &[FileFacts], policy: &Policy) -> Vec<Diagnostic> {
     let scopes = [
-        ("nondet-taint", "paths", &cfg.nondet_taint.paths),
+        ("nondet-taint", "taint_paths", policy.taint_paths),
+        ("nondet-taint", "strict_paths", policy.strict_paths),
         (
-            "nondet-taint",
-            "strict-paths",
-            &cfg.nondet_taint.strict_paths,
+            "durability-protocol",
+            "durability_paths",
+            policy.durability_paths,
         ),
-        ("durability-protocol", "paths", &cfg.durability.paths),
     ];
     let mut out = Vec::new();
     for (rule, key, entries) in scopes {
@@ -127,7 +128,7 @@ fn stale_scope_entries(facts: &[FileFacts], cfg: &AuditConfig) -> Vec<Diagnostic
                     entry,
                     0,
                     format!(
-                        "`[{rule}] {key}` entry matches no scanned file — point it at the \
+                        "policy entry `{key}` matches no scanned file — point it at the \
                          file's new path or delete it"
                     ),
                 ));
@@ -139,17 +140,16 @@ fn stale_scope_entries(facts: &[FileFacts], cfg: &AuditConfig) -> Vec<Diagnostic
 
 /// The per-file analysis: lex + parse once, then run every rule whose
 /// scope covers this file.
-fn analyze_file(raw: &RawFile, cfg: &AuditConfig) -> FileFacts {
+fn analyze_file(raw: &RawFile, policy: &Policy) -> FileFacts {
     let src = SourceFile::parse(&raw.rel_path, &raw.text);
     let mut diags = Vec::new();
 
-    let strict = AuditConfig::path_in_scope(&src.rel_path, &cfg.nondet_taint.strict_paths);
-    let wide = AuditConfig::path_in_scope(&src.rel_path, &cfg.nondet_taint.paths);
-    if strict || wide {
-        diags.extend(rules::nondet_taint::check(&src, &cfg.nondet_taint, strict));
+    let strict = in_scope(&src.rel_path, policy.strict_paths);
+    if strict || in_scope(&src.rel_path, policy.taint_paths) {
+        diags.extend(rules::nondet_taint::check(&src, strict));
     }
-    if AuditConfig::path_in_scope(&src.rel_path, &cfg.durability.paths) {
-        diags.extend(rules::durability::check(&src, &cfg.durability));
+    if in_scope(&src.rel_path, policy.durability_paths) {
+        diags.extend(rules::durability::check(&src));
     }
     FileFacts {
         rel_path: raw.rel_path.clone(),

@@ -1,19 +1,20 @@
 //! The `datamime-audit` command-line interface.
 //!
 //! ```text
-//! cargo run -p datamime-audit -- check [--root DIR] [--config FILE] [--quiet]
+//! cargo run -p datamime-audit -- check [--root DIR] [--quiet]
 //! cargo run -p datamime-audit -- rules
 //! ```
 //!
-//! Exit codes: `0` — clean; `1` — violations found; `2` — usage,
-//! configuration, or scan error. Without
-//! `--root`/`--config`, the workspace root is located by walking up
-//! from the current directory to the nearest `audit.toml`.
+//! `check` applies the workspace policy
+//! ([`datamime_audit::policy::WORKSPACE`]). Exit codes: `0` — clean;
+//! `1` — violations found; `2` — usage or scan error. Without `--root`,
+//! the workspace root is located by walking up from the current
+//! directory to the `Cargo.toml` that holds `[workspace]`.
 
 #![forbid(unsafe_code)]
 
-use datamime_audit::config::AuditConfig;
-use datamime_audit::run_check;
+use datamime_audit::policy::WORKSPACE;
+use datamime_audit::{manifest, run_check};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -22,163 +23,90 @@ const USAGE: &str = "\
 datamime-audit: static-analysis gates for the Datamime workspace
 
 USAGE:
-    datamime-audit check [--root DIR] [--config FILE] [--quiet]
+    datamime-audit check [--root DIR] [--quiet]
     datamime-audit rules
 
 OPTIONS:
-    --root DIR       Workspace root (default: nearest ancestor with audit.toml)
-    --config FILE    Configuration file (default: <root>/audit.toml)
+    --root DIR       Workspace root (default: the nearest ancestor whose
+                     Cargo.toml holds [workspace])
     --quiet          Suppress the summary line on success
+
+The policy is compiled in: crates/audit/src/policy.rs.
 ";
 
-struct Options {
-    root: Option<PathBuf>,
-    config: Option<PathBuf>,
-    quiet: bool,
-}
-
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(command) = args.next() else {
-        eprint!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    match command.as_str() {
-        "rules" => {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match args.first().map(String::as_str) {
+        Some("rules") => {
             for rule in datamime_audit::rules::RULES {
                 println!("{rule}");
             }
-            ExitCode::SUCCESS
+            Ok(true)
         }
-        "check" => match parse_options(args) {
-            Ok(opts) => check(&opts),
-            Err(msg) => {
-                eprintln!("datamime-audit: {msg}");
-                eprint!("{USAGE}");
-                ExitCode::from(2)
-            }
-        },
-        "--help" | "-h" | "help" => {
+        Some("check") => check(&args[1..]),
+        Some("--help" | "-h" | "help") => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(true)
         }
-        other => {
-            eprintln!("datamime-audit: unknown command `{other}`");
-            eprint!("{USAGE}");
+        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
+        None => Err(format!("missing command\n{USAGE}")),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(msg) => {
+            eprintln!("datamime-audit: {msg}");
             ExitCode::from(2)
         }
     }
 }
 
-fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
-    let mut opts = Options {
-        root: None,
-        config: None,
-        quiet: false,
-    };
+/// Runs `check` with its options; `Ok(clean)`, or a usage or scan error.
+fn check(args: &[String]) -> Result<bool, String> {
+    let (mut root, mut quiet) = (None, false);
+    let mut args = args.iter();
     while let Some(arg) = args.next() {
-        // Accept both `--flag value` and `--flag=value`.
-        let (flag, mut inline) = match arg.split_once('=') {
-            Some((f, v)) => (f.to_string(), Some(v.to_string())),
-            None => (arg, None),
-        };
-        let takes_value = matches!(flag.as_str(), "--root" | "--config");
-        let value = if takes_value {
-            match inline.take() {
-                Some(v) => v,
-                None => args
-                    .next()
-                    .ok_or_else(|| format!("`{flag}` needs a value"))?,
-            }
-        } else {
-            String::new()
-        };
-        match flag.as_str() {
-            "--root" => opts.root = Some(PathBuf::from(value)),
-            "--config" => opts.config = Some(PathBuf::from(value)),
-            "--quiet" | "-q" => opts.quiet = true,
-            other => return Err(format!("unknown option `{other}`")),
+        // Accept both `--root DIR` and `--root=DIR`.
+        match (arg.as_str(), arg.strip_prefix("--root=")) {
+            ("--quiet" | "-q", _) => quiet = true,
+            ("--root", _) => root = Some(args.next().ok_or("`--root` needs a value")?.into()),
+            (_, Some(dir)) => root = Some(dir.into()),
+            (other, None) => return Err(format!("unknown option `{other}`\n{USAGE}")),
         }
     }
-    Ok(opts)
-}
-
-/// Resolves the workspace root and loads the config, or prints the
-/// error and returns the exit code.
-fn load(opts: &Options) -> Result<(PathBuf, AuditConfig), ExitCode> {
-    let root = match &opts.root {
-        Some(r) => r.clone(),
-        None => match find_root() {
-            Some(r) => r,
-            None => {
-                eprintln!(
-                    "datamime-audit: no audit.toml found here or in any parent \
-                     directory (pass --root or --config)"
-                );
-                return Err(ExitCode::from(2));
-            }
-        },
-    };
-    let config_path = opts
-        .config
-        .clone()
-        .unwrap_or_else(|| root.join("audit.toml"));
-    match AuditConfig::load(&config_path) {
-        Ok(cfg) => Ok((root, cfg)),
-        Err(e) => {
-            eprintln!("datamime-audit: {e}");
-            Err(ExitCode::from(2))
-        }
-    }
-}
-
-fn check(opts: &Options) -> ExitCode {
-    let (root, cfg) = match load(opts) {
-        Ok(rc) => rc,
-        Err(code) => return code,
-    };
+    let root: PathBuf = root.map_or_else(find_root, Ok)?;
     let started = Instant::now();
-    let report = match run_check(&root, &cfg) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("datamime-audit: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let report = run_check(&root, &WORKSPACE)?;
     let elapsed_ms = started.elapsed().as_millis();
     for d in &report.diagnostics {
         println!("{d}");
     }
+    let (files, crates) = (report.files_scanned, report.crates_scanned);
     if !report.clean() {
+        let n = report.diagnostics.len();
         eprintln!(
-            "datamime-audit: {} violation(s) across {} file(s) in {} crate(s) \
-             ({elapsed_ms} ms)",
-            report.diagnostics.len(),
-            report.files_scanned,
-            report.crates_scanned,
+            "datamime-audit: {n} violation(s) across {files} file(s) in {crates} crate(s) \
+             ({elapsed_ms} ms)"
         );
-    } else if !opts.quiet {
-        eprintln!(
-            "datamime-audit: clean ({} files, {} crates, {elapsed_ms} ms)",
-            report.files_scanned, report.crates_scanned,
-        );
+    } else if !quiet {
+        eprintln!("datamime-audit: clean ({files} files, {crates} crates, {elapsed_ms} ms)");
     }
-    if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(report.clean())
 }
 
-/// Walks up from the current directory to the nearest `audit.toml`.
-fn find_root() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        if dir.join("audit.toml").is_file() {
-            return Some(dir);
-        }
-        if !dir.pop() {
-            return None;
+/// Walks up from the current directory to the `Cargo.toml` that holds
+/// `[workspace]`. A manifest on the way that the reader refuses is an
+/// error: it might be the workspace's.
+fn find_root() -> Result<PathBuf, String> {
+    let cwd = std::env::current_dir().map_err(|e| format!("no current directory: {e}"))?;
+    for dir in cwd.ancestors().filter(|d| d.join("Cargo.toml").is_file()) {
+        let path = dir.join("Cargo.toml");
+        let text = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+        match text.and_then(|text| manifest::read(&text)) {
+            Ok(m) if !m.workspace => {}
+            Ok(_) => return Ok(dir.to_path_buf()),
+            Err(e) => return Err(format!("{}: {e}", path.display())),
         }
     }
+    Err("no Cargo.toml with [workspace] here or in any parent directory (pass --root)".into())
 }

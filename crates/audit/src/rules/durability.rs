@@ -10,7 +10,7 @@
 //! forget in a refactor and invisible to tests that don't cut power.
 //!
 //! This rule runs a per-function state machine over file-handle
-//! dataflow in the configured durability paths:
+//! dataflow in the policy's durability paths:
 //!
 //! - A **tracked handle** is a `let` binding whose initializer creates a
 //!   file (`File::create`, `File::open`, an `OpenOptions` chain). Its
@@ -32,13 +32,12 @@
 //!    classic torn-checkpoint bug where the rename publishes
 //!    unsynced bytes.
 //! 3. **rename-without-dirsync** — a `rename` with no following
-//!    directory-sync call (configured `dirsync-fns`, default
-//!    `sync_dir`) in the same function: the file is durable but the
-//!    *name* is not.
+//!    directory-sync call (one of [`DIRSYNC_FNS`], `sync_dir`) in the
+//!    same function: the file is durable but the *name* is not.
 
-use crate::config::DurabilityConfig;
 use crate::diagnostics::Diagnostic;
 use crate::parser::{self, Call};
+use crate::policy::DIRSYNC_FNS;
 use crate::source::SourceFile;
 
 /// Method names that write through a handle.
@@ -62,7 +61,7 @@ struct Handle {
 }
 
 /// Checks one in-scope file.
-pub fn check(src: &SourceFile, cfg: &DurabilityConfig) -> Vec<Diagnostic> {
+pub fn check(src: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let toks = &src.tokens;
     for f in parser::functions(src) {
@@ -102,7 +101,7 @@ pub fn check(src: &SourceFile, cfg: &DurabilityConfig) -> Vec<Diagnostic> {
             .collect();
         let dirsyncs: Vec<&Call> = calls
             .iter()
-            .filter(|c| cfg.dirsync_fns.iter().any(|d| d == &c.name))
+            .filter(|c| DIRSYNC_FNS.contains(&c.name.as_str()))
             .collect();
 
         // Classify every mention of each handle.
@@ -203,7 +202,7 @@ pub fn check(src: &SourceFile, cfg: &DurabilityConfig) -> Vec<Diagnostic> {
                          ({}): the new name is not durable until the parent \
                          directory is synced",
                         f.name,
-                        cfg.dirsync_fns.join("/"),
+                        DIRSYNC_FNS.join("/"),
                     ),
                 ));
             }
@@ -242,15 +241,8 @@ mod tests {
     use super::*;
     use std::path::Path;
 
-    fn cfg() -> DurabilityConfig {
-        DurabilityConfig {
-            paths: Vec::new(),
-            dirsync_fns: vec!["sync_dir".into()],
-        }
-    }
-
     fn run(src: &str) -> Vec<Diagnostic> {
-        check(&SourceFile::parse(Path::new("f.rs"), src), &cfg())
+        check(&SourceFile::parse(Path::new("f.rs"), src))
     }
 
     #[test]

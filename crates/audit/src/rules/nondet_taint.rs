@@ -1,23 +1,18 @@
 //! Rule `nondet-taint`: nondeterminism must not *flow* into journaled,
 //! objective, or wire surfaces.
 //!
-//! The predecessor rule (`determinism`, PR 3) denied whole identifiers
-//! per file: any `Instant::now` in a listed path was a violation, which
-//! kept the listed paths small and sprouted `audit:allow` comments on
-//! every telemetry timestamp. This rule replaces it with flow-sensitive
-//! taint tracking, which changes the question from "does this file
-//! mention a clock?" to "does a clock value *reach* a replayed
-//! surface?" — the actual invariant. That precision is what lets the
-//! covered paths widen from a hand-picked file list to entire crates.
+//! The question is not "does this file mention a clock?" but "does a
+//! clock value *reach* a replayed surface?" — the actual invariant, and
+//! precise enough that the covered paths can be entire crates.
 //!
 //! Mechanics, per function (intra-procedural, statement-ordered):
 //!
-//! - **Sources** (configured): `Instant::now()`, `SystemTime::now()`,
+//! - **Sources** ([`SOURCES`]): `Instant::now()`, `SystemTime::now()`,
 //!   `thread_rng()`, `from_entropy()`, hasher constructions. A call
 //!   expression containing a source is tainted.
 //! - **Propagation**: `let x = <tainted>` taints `x`; `x = <tainted>`
 //!   re-taints; any expression mentioning a tainted name is tainted.
-//! - **Sinks** (configured): journal record constructors/appenders,
+//! - **Sinks** ([`SINKS`]): journal record constructors/appenders,
 //!   frame writes, objective observations. A sink call with a tainted
 //!   argument — or a source called directly in its arguments — is a
 //!   violation.
@@ -29,24 +24,24 @@
 //! timing-dependent control flow is sanctioned policy for quotas and
 //! deadlines.
 //!
-//! On the configured `strict-paths` (the original deterministic core:
+//! On the policy's `strict_paths` (the original deterministic core:
 //! sim kernels, stats, the search loop) the old ident denylist still
 //! applies to *unordered containers* — `HashMap` iteration order is a
 //! type-level hazard no flow analysis can see past.
 
-use crate::config::NondetTaintConfig;
 use crate::diagnostics::Diagnostic;
 use crate::lexer::{TokKind, Token};
 use crate::parser::{self};
+use crate::policy::{DENY_IDENTS, SINKS, SOURCES};
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
 
 /// Checks one file. `strict` additionally applies the container ident
-/// denylist (the file is under `strict-paths`).
-pub fn check(src: &SourceFile, cfg: &NondetTaintConfig, strict: bool) -> Vec<Diagnostic> {
+/// denylist (the file is under `strict_paths`).
+pub fn check(src: &SourceFile, strict: bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if strict {
-        deny_idents(src, cfg, &mut out);
+        deny_idents(src, &mut out);
     }
     let toks = &src.tokens;
     for f in parser::functions(src) {
@@ -74,7 +69,7 @@ pub fn check(src: &SourceFile, cfg: &NondetTaintConfig, strict: bool) -> Vec<Dia
             actions.push((pos, Action::Assign { lhs, rhs }));
         }
         for c in &calls {
-            if !c.is_macro && cfg.sinks.iter().any(|s| s == &c.name) {
+            if !c.is_macro && SINKS.contains(&c.name.as_str()) {
                 actions.push((c.name_idx, Action::Sink(c)));
             }
         }
@@ -85,14 +80,14 @@ pub fn check(src: &SourceFile, cfg: &NondetTaintConfig, strict: bool) -> Vec<Dia
         for (_, action) in actions {
             match action {
                 Action::Bind(b) => {
-                    if let Some(origin) = range_taint(toks, b.init, cfg, &tainted) {
+                    if let Some(origin) = range_taint(toks, b.init, &tainted) {
                         for n in &b.names {
                             tainted.insert(n.clone(), origin.clone());
                         }
                     }
                 }
                 Action::Assign { lhs, rhs } => {
-                    if let Some(origin) = range_taint(toks, rhs, cfg, &tainted) {
+                    if let Some(origin) = range_taint(toks, rhs, &tainted) {
                         tainted.insert(lhs, origin);
                     }
                 }
@@ -101,7 +96,7 @@ pub fn check(src: &SourceFile, cfg: &NondetTaintConfig, strict: bool) -> Vec<Dia
                         continue;
                     }
                     let arg_range = (c.args.0 + 1, c.args.1.saturating_sub(1));
-                    if let Some(origin) = range_taint(toks, arg_range, cfg, &tainted) {
+                    if let Some(origin) = range_taint(toks, arg_range, &tainted) {
                         out.push(Diagnostic::new(
                             "nondet-taint",
                             &src.rel_path,
@@ -128,7 +123,6 @@ pub fn check(src: &SourceFile, cfg: &NondetTaintConfig, strict: bool) -> Vec<Dia
 fn range_taint(
     toks: &[Token],
     range: (usize, usize),
-    cfg: &NondetTaintConfig,
     tainted: &BTreeMap<String, String>,
 ) -> Option<String> {
     if range.0 > range.1 {
@@ -138,7 +132,7 @@ fn range_taint(
         if toks[i].kind != TokKind::Ident {
             continue;
         }
-        for s in &cfg.sources {
+        for s in SOURCES {
             if s.split("::").next() == Some(toks[i].text.as_str())
                 && parser::matches_call_path(toks, i, s)
             {
@@ -146,7 +140,7 @@ fn range_taint(
                 // by `(` (possibly after `::<…>`).
                 let end = i + 3 * (s.matches("::").count());
                 if toks.get(end + 1).is_some_and(|t| t.is_punct('(')) {
-                    return Some(s.clone());
+                    return Some(s.to_string());
                 }
             }
         }
@@ -228,12 +222,12 @@ fn assignments(
 
 /// The strict-path container denylist (`HashMap`, `HashSet`, hasher
 /// types): unordered iteration is a hazard wherever the type appears.
-fn deny_idents(src: &SourceFile, cfg: &NondetTaintConfig, out: &mut Vec<Diagnostic>) {
+fn deny_idents(src: &SourceFile, out: &mut Vec<Diagnostic>) {
     for (i, t) in src.tokens.iter().enumerate() {
         if t.kind != TokKind::Ident || src.is_test_code(i) {
             continue;
         }
-        if cfg.deny_idents.contains(&t.text) {
+        if DENY_IDENTS.contains(&t.text.as_str()) {
             out.push(Diagnostic::new(
                 "nondet-taint",
                 &src.rel_path,
@@ -254,22 +248,8 @@ mod tests {
     use super::*;
     use std::path::Path;
 
-    fn cfg() -> NondetTaintConfig {
-        NondetTaintConfig {
-            paths: Vec::new(),
-            strict_paths: Vec::new(),
-            deny_idents: vec!["HashMap".into(), "HashSet".into()],
-            sources: vec![
-                "Instant::now".into(),
-                "SystemTime::now".into(),
-                "thread_rng".into(),
-            ],
-            sinks: vec!["eval".into(), "write_frame".into(), "observe".into()],
-        }
-    }
-
     fn run(src: &str) -> Vec<Diagnostic> {
-        check(&SourceFile::parse(Path::new("f.rs"), src), &cfg(), false)
+        check(&SourceFile::parse(Path::new("f.rs"), src), false)
     }
 
     #[test]
@@ -318,7 +298,6 @@ mod tests {
                 Path::new("f.rs"),
                 "use std::collections::HashMap;\nfn f() { let m: HashMap<u8, u8> = make(); }\n",
             ),
-            &cfg(),
             true,
         );
         assert_eq!(diags.len(), 2, "{diags:?}");

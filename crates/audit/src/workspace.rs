@@ -1,5 +1,5 @@
-//! Workspace discovery: find the crates under the configured scan
-//! roots, parse their manifests, and lex their `src/` trees.
+//! Workspace discovery: find the crates under [`SCAN_ROOT`],
+//! read their manifests, and collect their `src/` trees.
 //!
 //! The audit deliberately scans only each crate's `src/` tree — that is
 //! the product code the invariants protect. Integration tests and
@@ -8,9 +8,8 @@
 //! may (the rules mask those via
 //! [`SourceFile::is_test_code`](crate::source::SourceFile::is_test_code)).
 
-use crate::config::AuditConfig;
-use crate::toml;
-use std::fmt;
+use crate::manifest;
+use crate::policy::{EXCLUDE, SCAN_ROOT};
 use std::path::{Path, PathBuf};
 
 /// One source file as read from disk. Discovery only does I/O; lexing
@@ -37,8 +36,6 @@ pub struct DepRef {
 pub struct CrateInfo {
     /// Package name from `[package] name`.
     pub name: String,
-    /// Crate directory relative to the workspace root (`crates/sim`).
-    pub rel_dir: PathBuf,
     /// Manifest path relative to the workspace root.
     pub manifest_rel: PathBuf,
     /// `[dependencies]` + `[build-dependencies]` entries. Dev-dependencies
@@ -56,78 +53,41 @@ pub struct Workspace {
     pub files: Vec<RawFile>,
 }
 
-/// A discovery failure (I/O or a manifest that does not parse).
-#[derive(Debug)]
-pub struct WorkspaceError(pub String);
-
-impl fmt::Display for WorkspaceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "workspace scan error: {}", self.0)
-    }
-}
-
-impl std::error::Error for WorkspaceError {}
-
 impl Workspace {
-    /// Scans `root` according to `cfg`.
-    pub fn discover(root: &Path, cfg: &AuditConfig) -> Result<Self, WorkspaceError> {
+    /// Scans the workspace at `root`. An error (I/O, or a manifest the
+    /// reader refuses) names its path.
+    pub fn discover(root: &Path) -> Result<Self, String> {
         let mut manifests = Vec::new();
-        for scan_root in &cfg.roots {
-            let abs = root.join(scan_root);
-            if abs.is_dir() {
-                find_manifests(root, &abs, cfg, &mut manifests)?;
-            }
+        if root.join(SCAN_ROOT).is_dir() {
+            walk(root, &root.join(SCAN_ROOT), manifest_or_dir, &mut manifests)?;
         }
-        manifests.sort();
 
         let mut crates = Vec::new();
         let mut files = Vec::new();
-        for manifest_abs in &manifests {
-            let rel_dir = manifest_abs
-                .parent()
-                .expect("manifest path has a parent")
-                .strip_prefix(root)
-                .expect("manifest found under root")
-                .to_path_buf();
-            let manifest_rel = rel_dir.join("Cargo.toml");
-            let text = read(manifest_abs)?;
-            let doc = toml::parse(&text)
-                .map_err(|e| WorkspaceError(format!("{}: {e}", manifest_rel.display())))?;
-            let Some(name) = doc.get("package", "name").and_then(|e| e.value.as_str()) else {
+        for manifest_rel in manifests {
+            let manifest_abs = root.join(&manifest_rel);
+            let text = read(&manifest_abs)?;
+            let manifest =
+                manifest::read(&text).map_err(|e| format!("{}: {e}", manifest_rel.display()))?;
+            let Some(name) = manifest.name else {
                 // A virtual manifest (pure `[workspace]`) declares no
                 // package; nothing to audit in it.
                 continue;
             };
-            let mut deps = Vec::new();
-            for table in ["dependencies", "build-dependencies"] {
-                for e in doc.table(table) {
-                    let dep_name = e.key.split('.').next().unwrap_or(&e.key);
-                    deps.push(DepRef {
-                        name: dep_name.to_string(),
-                        line: e.line,
-                    });
-                }
-            }
 
             let mut src_files = Vec::new();
             let src_dir = manifest_abs.parent().expect("has parent").join("src");
             if src_dir.is_dir() {
-                find_rust_files(root, &src_dir, cfg, &mut src_files)?;
+                walk(root, &src_dir, rust_or_dir, &mut src_files)?;
             }
-            src_files.sort();
-
-            for rel in &src_files {
-                let text = read(&root.join(rel))?;
-                files.push(RawFile {
-                    rel_path: rel.clone(),
-                    text,
-                });
+            for rel_path in src_files {
+                let text = read(&root.join(&rel_path))?;
+                files.push(RawFile { rel_path, text });
             }
             crates.push(CrateInfo {
-                name: name.to_string(),
-                rel_dir,
+                name,
                 manifest_rel,
-                deps,
+                deps: manifest.deps,
             });
         }
         crates.sort_by(|a, b| a.name.cmp(&b.name));
@@ -136,66 +96,57 @@ impl Workspace {
     }
 }
 
-fn read(path: &Path) -> Result<String, WorkspaceError> {
-    std::fs::read_to_string(path)
-        .map_err(|e| WorkspaceError(format!("cannot read {}: {e}", path.display())))
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
-/// Recursively collects `Cargo.toml` paths under `dir`, skipping excluded
-/// prefixes and `target/` build output.
-fn find_manifests(
+/// Recursively collects the workspace-relative paths under `dir` that
+/// `keep` accepts, descending only into directories it accepts and
+/// skipping [`EXCLUDE`].
+fn walk(
     root: &Path,
     dir: &Path,
-    cfg: &AuditConfig,
+    keep: fn(&Path) -> bool,
     out: &mut Vec<PathBuf>,
-) -> Result<(), WorkspaceError> {
+) -> Result<(), String> {
     for entry in list_dir(dir)? {
         let rel = entry.strip_prefix(root).unwrap_or(&entry);
-        if cfg.is_excluded(rel) {
+        if rel.starts_with(EXCLUDE) || !keep(&entry) {
             continue;
         }
         if entry.is_dir() {
-            if entry.file_name().is_some_and(|n| n == "target") {
-                continue;
-            }
-            find_manifests(root, &entry, cfg, out)?;
-        } else if entry.file_name().is_some_and(|n| n == "Cargo.toml") {
-            out.push(entry);
+            walk(root, &entry, keep, out)?;
+        } else {
+            out.push(rel.to_path_buf());
         }
     }
     Ok(())
 }
 
-/// Recursively collects workspace-relative `*.rs` paths under `dir`.
-fn find_rust_files(
-    root: &Path,
-    dir: &Path,
-    cfg: &AuditConfig,
-    out: &mut Vec<PathBuf>,
-) -> Result<(), WorkspaceError> {
-    for entry in list_dir(dir)? {
-        let rel = entry.strip_prefix(root).unwrap_or(&entry).to_path_buf();
-        if cfg.is_excluded(&rel) {
-            continue;
-        }
-        if entry.is_dir() {
-            find_rust_files(root, &entry, cfg, out)?;
-        } else if entry.extension().is_some_and(|e| e == "rs") {
-            out.push(rel);
-        }
+/// Manifests, outside `target/` build output.
+fn manifest_or_dir(p: &Path) -> bool {
+    let name = p.file_name().unwrap_or_default();
+    if p.is_dir() {
+        name != "target"
+    } else {
+        name == "Cargo.toml"
     }
-    Ok(())
+}
+
+/// Rust sources.
+fn rust_or_dir(p: &Path) -> bool {
+    p.is_dir() || p.extension().is_some_and(|e| e == "rs")
 }
 
 /// Reads a directory into a sorted list of absolute paths (sorted so the
 /// scan order — and therefore diagnostic order — is stable across
 /// filesystems).
-fn list_dir(dir: &Path) -> Result<Vec<PathBuf>, WorkspaceError> {
-    let rd = std::fs::read_dir(dir)
-        .map_err(|e| WorkspaceError(format!("cannot read dir {}: {e}", dir.display())))?;
+fn list_dir(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let rd =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read dir {}: {e}", dir.display()))?;
     let mut entries = Vec::new();
     for e in rd {
-        let e = e.map_err(|err| WorkspaceError(format!("readdir {}: {err}", dir.display())))?;
+        let e = e.map_err(|err| format!("readdir {}: {err}", dir.display()))?;
         entries.push(e.path());
     }
     entries.sort();

@@ -1,15 +1,42 @@
 //! End-to-end audit runs: each fixture mini-workspace under
-//! `tests/fixtures/` trips exactly its intended rule (and its clean
-//! twin passes), the CLI reports violations with a non-zero exit, and
-//! — the self-check — the live workspace passes with zero violations
-//! and still carries the lint attributes that replaced two former
-//! rules.
+//! `tests/fixtures/` trips exactly its intended rule under its own small
+//! policy (and its clean twin passes), the CLI reports violations with a
+//! non-zero exit and finds the workspace root on its own, and — the
+//! self-check — the live workspace passes with zero violations and still
+//! carries the lint attributes that replaced two former rules.
 
-use datamime_audit::config::AuditConfig;
 use datamime_audit::diagnostics::Diagnostic;
+use datamime_audit::policy::{Policy, WORKSPACE};
 use datamime_audit::run_check;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+/// What every fixture policy starts from: no scope and no layering row
+/// until the fixture names its own. The source, sink and denylist
+/// constants are the workspace's.
+const FIXTURE: Policy = Policy {
+    taint_paths: &[],
+    strict_paths: &[],
+    durability_paths: &[],
+    layering: &[],
+};
+
+/// The `taint` crate's policy, shared by the nondet-taint fixture and
+/// its clean twin.
+const TAINT: Policy = Policy {
+    taint_paths: &["crates/taint/src"],
+    strict_paths: &["crates/taint/src/strict.rs"],
+    layering: &[("taint", &[])],
+    ..FIXTURE
+};
+
+/// The `dur` crate's policy, shared by the durability fixture and its
+/// clean twin.
+const DUR: Policy = Policy {
+    durability_paths: &["crates/dur/src"],
+    layering: &[("dur", &[])],
+    ..FIXTURE
+};
 
 fn fixture_root(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -17,10 +44,8 @@ fn fixture_root(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn check_fixture(name: &str) -> Vec<Diagnostic> {
-    let root = fixture_root(name);
-    let cfg = AuditConfig::load(&root.join("audit.toml")).expect("fixture config loads");
-    run_check(&root, &cfg)
+fn check_fixture(name: &str, policy: &Policy) -> Vec<Diagnostic> {
+    run_check(&fixture_root(name), policy)
         .expect("fixture scan succeeds")
         .diagnostics
 }
@@ -29,24 +54,27 @@ fn rules_of(diags: &[Diagnostic]) -> Vec<&str> {
     diags.iter().map(|d| d.rule).collect()
 }
 
-fn assert_clean(name: &str) {
-    let diags = check_fixture(name);
+fn assert_clean(name: &str, policy: &Policy) {
+    let diags = check_fixture(name, policy);
     assert!(diags.is_empty(), "{name} should pass: {diags:?}");
 }
 
 #[test]
 fn nondet_taint_fixture_flags_the_flow_and_the_strict_container() {
-    let diags = check_fixture("nondet_taint");
-    assert_eq!(rules_of(&diags), vec!["nondet-taint"; 4], "{diags:?}");
-    // One flow diagnostic at the sink, naming source and sink…
+    let diags = check_fixture("nondet_taint", &TAINT);
+    assert_eq!(rules_of(&diags), vec!["nondet-taint"; 5], "{diags:?}");
+    // One flow diagnostic at each sink — the objective observation and
+    // the journal's closing record — naming source and sink…
     let flow: Vec<_> = diags
         .iter()
         .filter(|d| d.message.contains("flows into"))
         .collect();
-    assert_eq!(flow.len(), 1, "{diags:?}");
-    assert!(flow[0].message.contains("Instant::now"));
-    assert!(flow[0].message.contains("`observe`"));
-    assert!(flow[0].file.ends_with("crates/taint/src/lib.rs"));
+    assert_eq!(flow.len(), 2, "{diags:?}");
+    for (d, sink) in flow.iter().zip(["`observe`", "`done`"]) {
+        assert!(d.message.contains("Instant::now"), "{d:?}");
+        assert!(d.message.contains(sink), "{d:?}");
+        assert!(d.file.ends_with("crates/taint/src/lib.rs"));
+    }
     // …and three strict-path container mentions (use + type + new).
     let strict = diags
         .iter()
@@ -59,12 +87,12 @@ fn nondet_taint_fixture_flags_the_flow_and_the_strict_container() {
 fn nondet_taint_clean_twin_passes() {
     // Same policy, but the clock feeds a log line (not the sink) and
     // the strict half uses BTreeMap.
-    assert_clean("nondet_taint_clean");
+    assert_clean("nondet_taint_clean", &TAINT);
 }
 
 #[test]
 fn durability_fixture_flags_all_three_protocol_gaps() {
-    let diags = check_fixture("durability");
+    let diags = check_fixture("durability", &DUR);
     assert_eq!(
         rules_of(&diags),
         vec!["durability-protocol"; 3],
@@ -82,12 +110,16 @@ fn durability_fixture_flags_all_three_protocol_gaps() {
 #[test]
 fn durability_clean_twin_passes() {
     // create-temp -> write -> sync_all -> rename -> sync_dir.
-    assert_clean("durability_clean");
+    assert_clean("durability_clean", &DUR);
 }
 
 #[test]
 fn layering_fixture_flags_the_skipped_layer() {
-    let diags = check_fixture("layering");
+    let policy = Policy {
+        layering: &[("base", &[]), ("mid", &["base"]), ("top", &["mid"])],
+        ..FIXTURE
+    };
+    let diags = check_fixture("layering", &policy);
     assert_eq!(rules_of(&diags), vec!["layering"], "{diags:?}");
     assert!(diags[0].file.ends_with("crates/top/Cargo.toml"));
     assert!(diags[0].message.contains("`top` may not depend on `base`"));
@@ -95,7 +127,11 @@ fn layering_fixture_flags_the_skipped_layer() {
 
 #[test]
 fn misfiring_allows_are_themselves_violations() {
-    let diags = check_fixture("unused_allow");
+    let policy = Policy {
+        layering: &[("stale", &[])],
+        ..FIXTURE
+    };
+    let diags = check_fixture("unused_allow", &policy);
     let mut rules = rules_of(&diags);
     rules.sort_unstable();
     assert_eq!(
@@ -119,9 +155,15 @@ fn misfiring_allows_are_themselves_violations() {
 
 #[test]
 fn scope_entries_matching_no_file_are_reported() {
-    // Two entries name a deleted file; the live directory and file
-    // entries beside them stay quiet.
-    let diags = check_fixture("stale_scope");
+    // Two entries name the deleted `gone.rs`; the live directory and
+    // file entries beside them stay quiet.
+    let policy = Policy {
+        taint_paths: &["crates/core/src"],
+        strict_paths: &["crates/core/src/gone.rs"],
+        durability_paths: &["crates/core/src/gone.rs", "crates/core/src/lib.rs"],
+        layering: &[("core", &[])],
+    };
+    let diags = check_fixture("stale_scope", &policy);
     assert_eq!(
         rules_of(&diags),
         vec!["durability-protocol", "nondet-taint"],
@@ -131,13 +173,18 @@ fn scope_entries_matching_no_file_are_reported() {
         assert!(d.file.ends_with("crates/core/src/gone.rs"), "{d:?}");
         assert!(d.message.contains("matches no scanned file"), "{d:?}");
     }
-    assert!(diags[0].message.contains("`[durability-protocol] paths`"));
-    assert!(diags[1].message.contains("`[nondet-taint] strict-paths`"));
+    assert!(diags[0].message.contains("`durability_paths`"));
+    assert!(diags[1].message.contains("`strict_paths`"));
 }
 
 #[test]
 fn clean_fixture_passes_and_its_allow_counts_as_used() {
-    assert_clean("clean");
+    let policy = Policy {
+        taint_paths: &["crates/tidy/src"],
+        layering: &[("tidy", &[])],
+        ..FIXTURE
+    };
+    assert_clean("clean", &policy);
 }
 
 fn audit_cli(args: &[&str], root: &Path) -> std::process::Output {
@@ -149,9 +196,9 @@ fn audit_cli(args: &[&str], root: &Path) -> std::process::Output {
         .expect("audit binary runs")
 }
 
-/// The facts cache, the SARIF and JSON renderers and the wire lock are
-/// gone, and so are their switches: asking for one is a usage error, not
-/// a silent no-op.
+/// The facts cache, the SARIF and JSON renderers, the wire lock and the
+/// policy file are gone, and so are their switches: asking for one is a
+/// usage error, not a silent no-op.
 #[test]
 fn removed_cache_and_sarif_switches_are_usage_errors() {
     let root = fixture_root("clean");
@@ -160,6 +207,8 @@ fn removed_cache_and_sarif_switches_are_usage_errors() {
         &["check", "--format=sarif"],
         &["check", "--format=json"],
         &["check", "--update"],
+        &["check", "--config", "audit.toml"],
+        &["check", "--config=audit.toml"],
         &["wire-lock"],
         &["wire-lock", "--update", "--force"],
     ] {
@@ -168,13 +217,17 @@ fn removed_cache_and_sarif_switches_are_usage_errors() {
     }
 }
 
+/// The CLI applies the workspace policy wherever `--root` points: a
+/// fixture's crate is in no row of its layering matrix.
 #[test]
 fn cli_exits_nonzero_on_a_fixture_and_zero_on_the_workspace() {
     let bad = audit_cli(&["check"], &fixture_root("durability"));
     assert_eq!(bad.status.code(), Some(1), "fixture must fail the audit");
     let report = String::from_utf8_lossy(&bad.stdout);
     assert!(
-        report.starts_with("crates/dur/src/lib.rs:11: [durability-protocol] "),
+        report.lines().any(|l| l.starts_with(
+            "crates/dur/Cargo.toml:0: [layering] crate `dur` is not in the layering matrix"
+        )),
         "{report}"
     );
 
@@ -195,13 +248,43 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// Without `--root`, `check` walks up to the `Cargo.toml` that holds
+/// `[workspace]`; with no such manifest above it, it is a usage error.
+#[test]
+fn check_finds_the_workspace_root_from_a_member_and_refuses_outside_one() {
+    let from = |dir: &Path| {
+        Command::new(env!("CARGO_BIN_EXE_datamime-audit"))
+            .arg("check")
+            .current_dir(dir)
+            .output()
+            .expect("audit binary runs")
+    };
+    let member = from(&workspace_root().join("crates/core"));
+    assert_eq!(
+        member.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&member.stderr)
+    );
+
+    let outside = std::env::temp_dir().join(format!("audit-no-workspace-{}", std::process::id()));
+    std::fs::create_dir_all(&outside).expect("temp dir");
+    let out = from(&outside);
+    let _ = std::fs::remove_dir(&outside);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("no Cargo.toml with [workspace]"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 /// The self-check gate: the workspace this crate ships in must audit
-/// clean under its own committed policy — all three rules.
+/// clean under its own policy — all three rules.
 #[test]
 fn live_workspace_audits_clean() {
     let root = workspace_root();
-    let cfg = AuditConfig::load(&root.join("audit.toml")).expect("workspace audit.toml loads");
-    let report = run_check(&root, &cfg).expect("workspace scan succeeds");
+    let report = run_check(&root, &WORKSPACE).expect("workspace scan succeeds");
     assert!(
         report.diagnostics.is_empty(),
         "live workspace has audit violations:\n{}",
@@ -217,11 +300,11 @@ fn live_workspace_audits_clean() {
     assert!(report.crates_scanned >= 10, "{}", report.crates_scanned);
     assert!(report.files_scanned >= 50, "{}", report.files_scanned);
     assert!(
-        !cfg.durability.paths.is_empty(),
+        !WORKSPACE.durability_paths.is_empty(),
         "durability policy engaged"
     );
     assert!(
-        !cfg.nondet_taint.strict_paths.is_empty(),
+        !WORKSPACE.strict_paths.is_empty(),
         "nondet-taint strict paths engaged"
     );
 }

@@ -1,22 +1,15 @@
-//! Property tests for the hand-rolled TOML subset parser, the third
-//! decoder of untrusted text next to the lexer and the runtime's JSON.
+//! Property tests for the manifest reader (`datamime_audit::manifest`),
+//! the audit's decoder of untrusted TOML next to the lexer.
 //!
-//! Three properties:
-//!
-//! 1. **Total.** Arbitrary text, and mutated or truncated copies of the
-//!    committed `audit.toml` and the workspace `Cargo.toml`s, parse to
-//!    `Ok` or `Err` — never a panic, never a hang, never a stack
-//!    overflow.
-//! 2. **Depth 128 parses.** Arrays and inline tables nested
-//!    [`MAX_DEPTH`] deep are accepted.
-//! 3. **Depth 129 is an error** that names its line, however deep the
-//!    input goes past it.
+//! **Total.** Arbitrary text, and mutated or truncated copies of the
+//! committed `Cargo.toml`s, read to `Ok` or `Err` — never a panic, never
+//! a hang. The committed manifests themselves read.
 
-use datamime_audit::toml::{parse, MAX_DEPTH};
+use datamime_audit::manifest::read;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Characters that steer the parser into its interesting states.
+/// Characters that steer the reader into its interesting states.
 const ALPHABET: &[char] = &[
     '[', ']', '{', '}', '=', '"', '\'', '#', ',', '.', '\n', ' ', '\t', '\\', 'a', 'z', '-', '_',
     '0', '1', 't', 'r', 'u', 'e', 'é',
@@ -30,10 +23,10 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// The committed TOML the auditor reads: the policy and every manifest.
+/// The committed manifests: the workspace's and every crate's.
 fn committed_toml() -> Vec<(PathBuf, String)> {
     let root = workspace_root();
-    let mut paths = vec![root.join("audit.toml"), root.join("Cargo.toml")];
+    let mut paths = vec![root.join("Cargo.toml")];
     for entry in std::fs::read_dir(root.join("crates"))
         .expect("crates/ lists")
         .flatten()
@@ -47,7 +40,7 @@ fn committed_toml() -> Vec<(PathBuf, String)> {
     paths
         .into_iter()
         .map(|p| {
-            let text = std::fs::read_to_string(&p).expect("committed TOML reads");
+            let text = std::fs::read_to_string(&p).expect("committed manifest reads");
             (p, text)
         })
         .collect()
@@ -79,12 +72,12 @@ impl Rng {
     }
 }
 
-/// Parses `text` and fails if it panicked or took over a second.
+/// Reads `text` and fails if it panicked or took over a second.
 fn assert_total(what: &str, text: &str) {
     let start = Instant::now();
-    let parsed = std::panic::catch_unwind(|| parse(text));
+    let read_back = std::panic::catch_unwind(|| read(text));
     let shown: String = text.chars().take(200).collect();
-    assert!(parsed.is_ok(), "{what}: parse panicked on {shown:?}");
+    assert!(read_back.is_ok(), "{what}: read panicked on {shown:?}");
     assert!(
         start.elapsed() < Duration::from_secs(1),
         "{what}: {} bytes took {:?}",
@@ -106,9 +99,11 @@ fn arbitrary_text_never_panics_or_hangs() {
 #[test]
 fn committed_toml_parses_and_its_truncations_never_panic() {
     let files = committed_toml();
-    assert!(files.len() >= 10, "found only {} TOML files", files.len());
+    assert!(files.len() >= 10, "found only {} manifests", files.len());
     for (path, text) in files {
-        assert!(parse(&text).is_ok(), "{} must parse", path.display());
+        if let Err(e) = read(&text) {
+            panic!("{} must read: {e}", path.display());
+        }
         for (cut, _) in text.char_indices() {
             assert_total(&format!("{} cut at {cut}", path.display()), &text[..cut]);
         }
@@ -136,32 +131,4 @@ fn mutated_committed_toml_never_panics() {
             assert_total(&format!("mutated {}", path.display()), &mutant);
         }
     }
-}
-
-/// `x = ` followed by `depth` levels of arrays (or inline tables), on
-/// line 2.
-fn nested(depth: usize, open: &str, close: &str) -> String {
-    format!("[t]\nx = {}1{}\n", open.repeat(depth), close.repeat(depth))
-}
-
-#[test]
-fn nesting_to_the_cap_parses() {
-    for (open, close) in [("[", "]"), ("{ a = ", " }")] {
-        let text = nested(MAX_DEPTH, open, close);
-        assert!(parse(&text).is_ok(), "depth {MAX_DEPTH} of {open:?}");
-    }
-}
-
-#[test]
-fn nesting_past_the_cap_is_an_error_with_its_line() {
-    for (open, close) in [("[", "]"), ("{ a = ", " }")] {
-        for depth in [MAX_DEPTH + 1, 200_000] {
-            let err = parse(&nested(depth, open, close)).unwrap_err();
-            assert_eq!(err.line, 2, "depth {depth} of {open:?}");
-            assert!(err.message.contains("nested too deeply"), "{err}");
-        }
-    }
-    // Unclosed: the case that used to overflow the stack.
-    let err = parse(&format!("x = {}", "[".repeat(200_000))).unwrap_err();
-    assert!(err.message.contains("nested too deeply"), "{err}");
 }

@@ -28,7 +28,7 @@
 //!   the `datamime-experiments` binary of that name) in the report as the
 //!   search-level memo-cache accounting. The file is produced elsewhere
 //!   because this crate deliberately does not depend on the runtime (see
-//!   `audit.toml` layering).
+//!   the layering matrix in `crates/audit/src/policy.rs`).
 //!
 //! See docs/PERFORMANCE.md for how to read the report.
 

@@ -12,7 +12,7 @@
 use datamime::jobspec::{machine_by_name, JobBackend, JobSpec, MACHINE_PRESETS};
 use datamime::metrics::DistMetric;
 use datamime::profiler::{profile_workload, ProfilingConfig};
-use datamime::search::{search, search_with_runtime, RuntimeOptions};
+use datamime::search::{search_with_runtime, RuntimeOptions};
 use datamime::servectl::{records, ServeClient};
 use datamime::workload::Workload;
 use datamime_runtime::FailPolicy;
@@ -46,35 +46,37 @@ OPTIONS:
     --machine <name>           broadwell (default) | zen2 | silvermont
     --iters <n>                search iterations (default 40)
     --parallel <k>             evaluate k candidates per batch in parallel
-    --backend <kind>           with `clone`: where evaluations run —
-                               thread (default, in-process pool) | proc
-                               (datamime-worker OS processes; deadlines
-                               are enforced by SIGKILL and a crashing
-                               evaluation cannot take the search down)
+    --backend <kind>           where evaluations run — thread (default,
+                               in-process pool) | proc (datamime-worker
+                               OS processes; deadlines are enforced by
+                               SIGKILL and a crashing evaluation cannot
+                               take the search down)
     --workers <n>              with `--backend proc`: worker processes
                                (default: the --parallel batch width)
-    --journal <path>           with `clone`: log every evaluation to a
-                               crash-safe JSONL run journal
-    --resume <path>            with `clone`: resume an interrupted search
-                               from its journal (journaled points are
-                               re-observed, not re-profiled)
-    --eval-timeout <secs>      with `clone`: wall-clock budget per
-                               evaluation; a runaway profile is cancelled
-                               and the point penalized
-    --max-retries <n>          with `clone`: retries (with deterministic
-                               backoff) before a failing evaluation is
-                               penalized or aborts (default 1)
-    --fail-policy <policy>     with `clone`: what to do when an evaluation
-                               still fails after retries —
-                               penalize (default) | abort (fail fast)
-    --progress-every <n>       with `clone`: emit a stderr progress line
-                               every n evaluations (default 10)
+    --journal <path>           log every evaluation to a crash-safe JSONL
+                               run journal
+    --resume <path>            resume an interrupted search from its
+                               journal (journaled points are re-observed,
+                               not re-profiled)
+    --eval-timeout <secs>      wall-clock budget per evaluation; a runaway
+                               profile is cancelled and the point penalized
+    --max-retries <n>          retries (with deterministic backoff) before
+                               a failing evaluation is penalized or aborts
+                               (default 1)
+    --fail-policy <policy>     what to do when an evaluation still fails
+                               after retries — penalize (default) | abort
+                               (fail fast)
+    --progress-every <n>       emit a stderr progress line every n
+                               evaluations (default 10)
     --root <dir>               with `ctl`: the daemon state root
     --timeout <n>              with `ctl wait`: give up (and exit nonzero)
                                after n seconds (default 600); --timeout-secs
                                is accepted as an alias
     --paper                    paper-fidelity profiling (slower)
     --tsv                      with `profile`: dump raw samples as TSV
+
+--parallel through --progress-every steer the search that `clone` and
+`validate` run; `profile` runs none and refuses them.
 ";
 
 #[derive(Debug, Default)]
@@ -472,39 +474,40 @@ fn job_spec(name: &str, opts: &Options) -> Result<JobSpec, String> {
     Ok(spec)
 }
 
-fn cmd_validate(workload: &Workload, spec: &JobSpec, opts: &Options) -> Result<(), String> {
-    let generator = spec.generator()?;
-    let cfg = spec.search_config()?;
-    eprintln!(
-        "cloning {} ({} iterations) ...",
-        workload.name, cfg.iterations
-    );
-    let target = profile_workload(workload, &cfg.machine, &cfg.profiling);
-    let outcome = search(generator.as_ref(), &target, &cfg);
-    eprintln!("validating across machines ...");
-    let report = validate_paper_setup(workload, &outcome.best_workload, &cfg.profiling);
-    print!("{report}");
-    if let Some(mape) = report.mape(DistMetric::Ipc) {
-        println!("IPC MAPE across machines: {:.1}%", mape * 100.0);
-    }
-    if opts.tsv {
-        print!("{}", report.to_tsv());
-    }
-    Ok(())
+/// The flags only a search reads, as named on the command line.
+fn search_flags(opts: &Options) -> impl Iterator<Item = &'static str> {
+    [
+        ("--parallel", opts.parallel.is_some()),
+        ("--backend", opts.backend.is_some()),
+        ("--workers", opts.workers.is_some()),
+        ("--journal", opts.journal.is_some()),
+        ("--resume", opts.resume.is_some()),
+        ("--eval-timeout", opts.eval_timeout.is_some()),
+        ("--max-retries", opts.max_retries.is_some()),
+        ("--fail-policy", opts.fail_policy.is_some()),
+        ("--progress-every", opts.progress_every.is_some()),
+    ]
+    .into_iter()
+    .filter_map(|(flag, set)| set.then_some(flag))
 }
 
-fn cmd_clone(workload: &Workload, spec: &JobSpec, opts: &Options) -> Result<(), String> {
-    let generator = spec.generator()?;
-    let cfg = spec.search_config()?;
-    eprintln!(
-        "profiling {} and searching {} dataset parameters ({} iterations{}) ...",
-        workload.name,
-        generator.dims(),
-        cfg.iterations,
-        opts.parallel
-            .map_or(String::new(), |k| format!(", batch {k}")),
-    );
-    let target = profile_workload(workload, &cfg.machine, &cfg.profiling);
+/// The search a workload command runs, from its flags: `None` for
+/// `profile`, which runs none and so refuses the search's flags by name;
+/// `clone` and `validate` run the same one.
+fn search_plan(
+    cmd: &str,
+    name: &str,
+    opts: &Options,
+) -> Result<Option<(JobSpec, RuntimeOptions)>, String> {
+    if cmd == "profile" {
+        return match search_flags(opts).next() {
+            Some(flag) => Err(format!(
+                "{flag} applies to clone and validate; profile runs no search"
+            )),
+            None => Ok(None),
+        };
+    }
+    let spec = job_spec(name, opts)?;
     let runtime = RuntimeOptions {
         // An interrupted run resumed in place continues its own journal
         // unless a different --journal is given.
@@ -519,8 +522,43 @@ fn cmd_clone(workload: &Workload, spec: &JobSpec, opts: &Options) -> Result<(), 
         progress_every: opts.progress_every,
         ..spec.runtime_options()
     };
-    let outcome = search_with_runtime(generator.as_ref(), &target, &cfg, &runtime)
+    Ok(Some((spec, runtime)))
+}
+
+/// Profiles the target and runs the search; `clone` then prints the
+/// synthesized dataset, `validate` compares it across machines.
+fn cmd_search(
+    validate: bool,
+    workload: &Workload,
+    spec: &JobSpec,
+    runtime: &RuntimeOptions,
+    opts: &Options,
+) -> Result<(), String> {
+    let generator = spec.generator()?;
+    let cfg = spec.search_config()?;
+    eprintln!(
+        "profiling {} and searching {} dataset parameters ({} iterations{}) ...",
+        workload.name,
+        generator.dims(),
+        cfg.iterations,
+        opts.parallel
+            .map_or(String::new(), |k| format!(", batch {k}")),
+    );
+    let target = profile_workload(workload, &cfg.machine, &cfg.profiling);
+    let outcome = search_with_runtime(generator.as_ref(), &target, &cfg, runtime)
         .map_err(|e| e.to_string())?;
+    if validate {
+        eprintln!("validating across machines ...");
+        let report = validate_paper_setup(workload, &outcome.best_workload, &cfg.profiling);
+        print!("{report}");
+        if let Some(mape) = report.mape(DistMetric::Ipc) {
+            println!("IPC MAPE across machines: {:.1}%", mape * 100.0);
+        }
+        if opts.tsv {
+            print!("{}", report.to_tsv());
+        }
+        return Ok(());
+    }
     println!("best total EMD error: {:.4}", outcome.best_error);
     println!("synthesized dataset parameters:");
     for (name, value) in generator.describe(&outcome.best_unit_params) {
@@ -624,10 +662,11 @@ fn run() -> Result<(), String> {
             let workload = Workload::by_name(name)
                 .ok_or(format!("unknown workload {name}; see `datamime list`"))?;
             let opts = parse_options(&args[2..])?;
-            match cmd {
-                "profile" => cmd_profile(&workload, &opts),
-                "clone" => cmd_clone(&workload, &job_spec(name, &opts)?, &opts),
-                _ => cmd_validate(&workload, &job_spec(name, &opts)?, &opts),
+            match search_plan(cmd, name, &opts)? {
+                None => cmd_profile(&workload, &opts),
+                Some((spec, runtime)) => {
+                    cmd_search(cmd == "validate", &workload, &spec, &runtime, &opts)
+                }
             }
         }
         Some("help") | Some("--help") | Some("-h") | None => {
@@ -753,6 +792,78 @@ mod tests {
     fn timeout_is_an_alias_for_timeout_secs() {
         let o = parse_options(&args(&["--timeout", "42"])).unwrap();
         assert_eq!(o.timeout_secs, Some(42));
+    }
+
+    fn search_options(cmd: &str, flags: &[&str]) -> String {
+        match search_plan(cmd, "mem-fb", &parse_options(&args(flags)).unwrap()) {
+            Ok(Some((_, runtime))) => format!("{runtime:?}"),
+            Ok(None) => panic!("{cmd} plans no search"),
+            Err(e) => panic!("{cmd} {flags:?}: {e}"),
+        }
+    }
+
+    #[test]
+    fn validate_searches_with_the_runtime_flags_clone_does() {
+        for flags in [
+            &[][..],
+            &[
+                "--parallel",
+                "3",
+                "--journal",
+                "v.jsonl",
+                "--eval-timeout",
+                "2",
+            ],
+            &[
+                "--backend",
+                "proc",
+                "--workers",
+                "2",
+                "--resume",
+                "old.jsonl",
+            ],
+            &[
+                "--max-retries",
+                "4",
+                "--fail-policy",
+                "abort",
+                "--progress-every",
+                "5",
+            ],
+        ] {
+            let clone = search_options("clone", flags);
+            assert_eq!(clone, search_options("validate", flags), "{flags:?}");
+            // The flags reach the options: nothing is dropped on the way.
+            for value in flags.iter().filter(|f| !f.starts_with("--")) {
+                let shown = match *value {
+                    "proc" => "Process",
+                    "abort" => "Abort",
+                    v => v,
+                };
+                assert!(clone.contains(shown), "{value} missing from {clone}");
+            }
+        }
+    }
+
+    #[test]
+    fn profile_refuses_search_flags_by_name() {
+        for (flags, named) in [
+            (&["--journal", "x"][..], "--journal"),
+            (&["--backend", "proc"], "--backend"),
+            (
+                &["--machine", "zen2", "--eval-timeout", "1"],
+                "--eval-timeout",
+            ),
+            (&["--progress-every", "3"], "--progress-every"),
+        ] {
+            let opts = parse_options(&args(flags)).unwrap();
+            match search_plan("profile", "mem-fb", &opts) {
+                Err(e) => assert!(e.starts_with(named), "{e}"),
+                Ok(_) => panic!("profile accepted {flags:?}"),
+            }
+        }
+        let opts = parse_options(&args(&["--machine", "zen2", "--paper", "--tsv"])).unwrap();
+        assert!(matches!(search_plan("profile", "mem-fb", &opts), Ok(None)));
     }
 
     #[test]

@@ -69,7 +69,7 @@ done < <(git grep -noE '(DESIGN|PERFORMANCE)\.md`? ?§ ?[0-9]+' || true)
 [ "$cite_bad" = 0 ] || exit 1
 
 # Static-analysis gate: three rule families — nondet-taint, layering and
-# durability-protocol (policy in audit.toml, tool in crates/audit;
+# durability-protocol (tool in crates/audit, policy in its src/policy.rs;
 # `unsafe` is refused by the workspace lint at compile time, panics and
 # discarded results by the clippy lints above). The wire formats are not
 # an audit rule: a golden test beside each version constant (dist
