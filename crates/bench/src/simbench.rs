@@ -281,7 +281,7 @@ pub fn replay_silo() -> Kernel {
 
 /// The distributed backend's wire path: one `Eval` frame encoded, pushed
 /// through a Unix socket pair, read back, CRC-checked, and decoded per
-/// op — the per-evaluation overhead `--backend proc` adds on top of the
+/// op — the per-evaluation overhead `backend=proc` adds on top of the
 /// simulator work itself.
 pub fn ipc_roundtrip() -> Kernel {
     const N: usize = 20_000;

@@ -2,229 +2,163 @@
 //! representative benchmarks from the terminal.
 //!
 //! ```text
-//! datamime list                          # available workloads
-//! datamime machines                      # the Table-II platforms
-//! datamime profile mem-fb --machine zen2 # print a profile
-//! datamime clone mem-fb --iters 60       # run the Datamime search
+//! datamime list                           # available workloads
+//! datamime machines                       # the Table-II platforms
+//! datamime profile mem-fb machine=zen2    # print a profile
+//! datamime clone mem-fb iters=60 batch=4  # run the Datamime search
 //! ```
+//!
+//! A search is named by `key=value` settings: `clone <workload> <settings>`
+//! parses the line `ctl submit workload=<workload> <settings>` sends the
+//! daemon, with [`JobSpec::parse_request`], so both run the same job and
+//! refuse the same mistakes. `--flags` only steer how this process runs
+//! it (journal, supervision, progress, output). Each command reads its own
+//! flags and refuses any other by name.
 
 #![forbid(unsafe_code)]
-use datamime::jobspec::{machine_by_name, JobBackend, JobSpec, MACHINE_PRESETS};
+use datamime::jobspec::{machine_by_name, JobSpec, MACHINE_PRESETS};
 use datamime::metrics::DistMetric;
 use datamime::profiler::{profile_workload, ProfilingConfig};
-use datamime::search::{search_with_runtime, RuntimeOptions};
+use datamime::search::{search_with_runtime, RuntimeOptions, SearchConfig};
 use datamime::servectl::{records, ServeClient};
 use datamime::workload::Workload;
-use datamime_runtime::FailPolicy;
+use datamime_runtime::{FailPolicy, QuotaCause};
 use datamime_sim::MachineConfig;
 use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 const USAGE: &str = "\
 datamime — generate representative benchmarks by synthesizing datasets
 
 USAGE:
-    datamime <COMMAND> [OPTIONS]
+    datamime <COMMAND> [key=value ...] [--flag ...]
 
 COMMANDS:
     list                       list available target workloads
     machines                   describe the simulated platforms
-    profile <workload>         profile a workload and print its metrics
-    clone <workload>           search for a matching synthetic dataset
-    validate <workload>        clone, then validate across all machines
+    profile <workload> [machine=<name>] [paper=<bool>] [curves=<bool>]
+                               profile a workload and print its metrics
+    clone <workload> [key=value ...]
+                               search for a matching synthetic dataset
+    validate <workload> [key=value ...]
+                               clone, then validate across all machines
     ctl <action> [...]         talk to a running datamime-served daemon:
-                                 submit key=value...   (workload=<name> ...,
-                                 optional quotas max_evals=<n> wall_clock_s=<s>)
+                                 submit workload=<name> [key=value ...]
                                  status|result|wait|cancel <job-id>
                                  list | stats | health | version | shutdown
-                               the daemon root comes from --root or the
-                               DATAMIME_SERVE_ROOT environment variable
 
-OPTIONS:
-    --machine <name>           broadwell (default) | zen2 | silvermont
-    --iters <n>                search iterations (default 40)
-    --parallel <k>             evaluate k candidates per batch in parallel
-    --backend <kind>           where evaluations run — thread (default,
-                               in-process pool) | proc (datamime-worker
-                               OS processes; deadlines are enforced by
-                               SIGKILL and a crashing evaluation cannot
-                               take the search down)
-    --workers <n>              with `--backend proc`: worker processes
-                               (default: the --parallel batch width)
-    --journal <path>           log every evaluation to a crash-safe JSONL
-                               run journal
-    --resume <path>            resume an interrupted search from its
-                               journal (journaled points are re-observed,
-                               not re-profiled)
-    --eval-timeout <secs>      wall-clock budget per evaluation; a runaway
-                               profile is cancelled and the point penalized
-    --max-retries <n>          retries (with deterministic backoff) before
-                               a failing evaluation is penalized or aborts
-                               (default 1)
-    --fail-policy <policy>     what to do when an evaluation still fails
-                               after retries — penalize (default) | abort
-                               (fail fast)
-    --progress-every <n>       emit a stderr progress line every n
-                               evaluations (default 10)
-    --root <dir>               with `ctl`: the daemon state root
-    --timeout <n>              with `ctl wait`: give up (and exit nonzero)
-                               after n seconds (default 600); --timeout-secs
-                               is accepted as an alias
-    --paper                    paper-fidelity profiling (slower)
-    --tsv                      with `profile`: dump raw samples as TSV
+JOB SETTINGS — the keys `ctl submit` takes, with its defaults:
+    iters=<n> (40)  seed=<n>  machine=broadwell|zen2|silvermont
+    batch=<k> (1)  backend=thread|proc  workers=<n> (one-shot runs: the
+    batch width; daemon thread jobs: 2)
+    paper=<bool> (false)  curves=<bool> (true)  grid=<steps>
+    max_evals=<n>  wall_clock_s=<secs>
+`backend=proc` runs evaluations in datamime-worker processes (the one
+DATAMIME_WORKER names, else the one beside this binary).
 
---parallel through --progress-every steer the search that `clone` and
-`validate` run; `profile` runs none and refuses them.
+FLAGS of clone and validate:
+    --journal <path>           journal every evaluation (crash-safe JSONL)
+    --resume <path>            resume an interrupted search from its journal
+    --eval-timeout <secs>      wall-clock budget per evaluation attempt
+    --max-retries <n>          retries of a failed evaluation (default 1)
+    --fail-policy <policy>     then penalize (default) | abort the search
+    --progress-every <n>       a stderr progress line every n evaluations
+FLAGS of profile and validate:
+    --tsv                      print the samples / the comparison as TSV
+FLAGS of ctl:
+    --root <dir>               the daemon root (else DATAMIME_SERVE_ROOT)
+    --timeout <secs>           wait: give up after this long (default 600)
 ";
 
-#[derive(Debug, Default)]
-struct Options {
-    machine: Option<String>,
-    iters: Option<usize>,
-    parallel: Option<usize>,
-    journal: Option<PathBuf>,
-    resume: Option<PathBuf>,
-    eval_timeout: Option<Duration>,
-    max_retries: Option<u32>,
-    fail_policy: Option<FailPolicy>,
-    backend: Option<String>,
-    workers: Option<usize>,
-    progress_every: Option<usize>,
-    root: Option<PathBuf>,
-    timeout_secs: Option<u64>,
-    paper: bool,
-    tsv: bool,
+/// The flags of `clone`; `validate` adds `--tsv`. They steer how this
+/// process runs a search, never which search it is.
+const CLONE_FLAGS: [&str; 6] = [
+    "--journal",
+    "--resume",
+    "--eval-timeout",
+    "--max-retries",
+    "--fail-policy",
+    "--progress-every",
+];
+
+/// The flags of `validate`: `clone`'s and `--tsv`.
+fn validate_flags() -> Vec<&'static str> {
+    [&CLONE_FLAGS[..], &["--tsv"]].concat()
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut o = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--machine" => {
-                o.machine = Some(args.get(i + 1).ok_or("--machine needs a value")?.clone());
-                i += 2;
+/// The job-spec keys `profile` reads: it runs no search.
+const PROFILE_KEYS: [&str; 3] = ["machine", "paper", "curves"];
+
+/// One command line, split by its command's flag table.
+#[derive(Debug, Default)]
+struct Args {
+    /// Everything that is not a flag: the workload and its `key=value`
+    /// settings, or a `ctl` action and its arguments.
+    words: Vec<String>,
+    /// The flags given, each with its value (`--tsv` has none).
+    flags: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// Splits `args` for `cmd`, whose flags are `table`. A flag outside
+    /// the table, a repeated flag and a flag without its value are errors
+    /// that name the flag.
+    fn parse(cmd: &str, table: &[&'static str], args: &[String]) -> Result<Args, String> {
+        let mut out = Args::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                out.words.push(arg.clone());
+                continue;
             }
-            "--iters" => {
-                let n: usize = args
-                    .get(i + 1)
-                    .ok_or("--iters needs a value")?
-                    .parse()
-                    .map_err(|_| "--iters must be a number")?;
-                if n == 0 {
-                    return Err("--iters must be at least 1".to_string());
-                }
-                o.iters = Some(n);
-                i += 2;
+            let Some(&flag) = table.iter().find(|f| **f == arg) else {
+                return Err(format!(
+                    "{cmd} has no flag {arg} (its flags: {}); job settings are \
+                     key=value tokens, the keys `ctl submit` takes (iters=8 \
+                     machine=zen2 ...; see `datamime help`)",
+                    table.join(" ")
+                ));
+            };
+            if out.get(flag).is_some() {
+                return Err(format!("{flag} is given twice"));
             }
-            "--parallel" => {
-                o.parallel = Some(
-                    args.get(i + 1)
-                        .ok_or("--parallel needs a value")?
-                        .parse()
-                        .map_err(|_| "--parallel must be a number")?,
-                );
-                i += 2;
+            let value = match flag {
+                "--tsv" => String::new(),
+                _ => it.next().ok_or(format!("{flag} needs a value"))?.clone(),
+            };
+            out.flags.push((flag, value));
+        }
+        Ok(out)
+    }
+
+    /// The value of `flag`, if it was given.
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The value of `flag` read as a number, if it was given.
+    fn number<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.get(flag)
+            .map(|v| v.parse().map_err(|_| format!("{flag}: not a count: `{v}`")))
+            .transpose()
+    }
+
+    /// The job line of a workload command: its first word is the
+    /// workload, the rest are settings.
+    fn job_line(&self, cmd: &str) -> Result<String, String> {
+        match self.words.split_first() {
+            Some((name, settings)) if !name.contains('=') => {
+                Ok(format!("workload={name} {}", settings.join(" ")))
             }
-            "--journal" => {
-                o.journal = Some(args.get(i + 1).ok_or("--journal needs a path")?.into());
-                i += 2;
-            }
-            "--resume" => {
-                o.resume = Some(args.get(i + 1).ok_or("--resume needs a path")?.into());
-                i += 2;
-            }
-            "--eval-timeout" => {
-                let secs: f64 = args
-                    .get(i + 1)
-                    .ok_or("--eval-timeout needs a value in seconds")?
-                    .parse()
-                    .map_err(|_| "--eval-timeout must be a number of seconds")?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--eval-timeout must be positive".to_string());
-                }
-                o.eval_timeout = Some(Duration::from_secs_f64(secs));
-                i += 2;
-            }
-            "--max-retries" => {
-                o.max_retries = Some(
-                    args.get(i + 1)
-                        .ok_or("--max-retries needs a value")?
-                        .parse()
-                        .map_err(|_| "--max-retries must be a number")?,
-                );
-                i += 2;
-            }
-            "--fail-policy" => {
-                o.fail_policy = Some(
-                    match args
-                        .get(i + 1)
-                        .ok_or("--fail-policy needs a value")?
-                        .as_str()
-                    {
-                        "penalize" => FailPolicy::Penalize,
-                        "abort" => FailPolicy::Abort,
-                        _ => return Err("--fail-policy must be abort or penalize".to_string()),
-                    },
-                );
-                i += 2;
-            }
-            "--backend" => {
-                let kind = args.get(i + 1).ok_or("--backend needs a value")?;
-                if kind != "thread" && kind != "proc" {
-                    return Err("--backend must be thread or proc".to_string());
-                }
-                o.backend = Some(kind.clone());
-                i += 2;
-            }
-            "--workers" => {
-                o.workers = Some(
-                    args.get(i + 1)
-                        .ok_or("--workers needs a value")?
-                        .parse()
-                        .map_err(|_| "--workers must be a number")?,
-                );
-                i += 2;
-            }
-            "--progress-every" => {
-                let n: usize = args
-                    .get(i + 1)
-                    .ok_or("--progress-every needs a value")?
-                    .parse()
-                    .map_err(|_| "--progress-every must be a number")?;
-                if n == 0 {
-                    return Err("--progress-every must be at least 1".to_string());
-                }
-                o.progress_every = Some(n);
-                i += 2;
-            }
-            "--root" => {
-                o.root = Some(args.get(i + 1).ok_or("--root needs a path")?.into());
-                i += 2;
-            }
-            "--timeout-secs" | "--timeout" => {
-                o.timeout_secs = Some(
-                    args.get(i + 1)
-                        .ok_or("--timeout needs a value")?
-                        .parse()
-                        .map_err(|_| "--timeout must be a number of seconds")?,
-                );
-                i += 2;
-            }
-            "--paper" => {
-                o.paper = true;
-                i += 1;
-            }
-            "--tsv" => {
-                o.tsv = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown option {other}")),
+            _ => Err(format!("{cmd} needs a workload first; see `datamime list`")),
         }
     }
-    Ok(o)
 }
 
 fn cmd_list() {
@@ -276,17 +210,28 @@ fn cmd_machines() {
     }
 }
 
-fn cmd_profile(workload: &Workload, opts: &Options) -> Result<(), String> {
-    let machine = machine_by_name(opts.machine.as_deref().unwrap_or("broadwell"))
-        .ok_or("unknown machine (broadwell | zen2 | silvermont)")?;
-    let cfg = if opts.paper {
-        ProfilingConfig::paper_default()
-    } else {
-        ProfilingConfig::fast()
-    };
-    eprintln!("profiling {} on {} ...", workload.name, machine.name);
-    let p = profile_workload(workload, &machine, &cfg);
-    if opts.tsv {
+/// The workload `profile` profiles, and the machine and fidelity its
+/// settings name, read by [`JobSpec::search_config`] like a search's.
+fn profile_plan(args: &Args) -> Result<(Workload, SearchConfig), String> {
+    for word in args.words.iter().skip(1) {
+        let key = word.split_once('=').map_or(word.as_str(), |(k, _)| k);
+        if !PROFILE_KEYS.contains(&key) {
+            return Err(format!(
+                "profile takes the keys machine=, paper= and curves=, not `{key}`: \
+                 it runs no search"
+            ));
+        }
+    }
+    let spec = JobSpec::parse_request(&args.job_line("profile")?)?;
+    Ok((spec.target()?, spec.search_config()?))
+}
+
+/// Profiles a workload as [`profile_plan`] reads it.
+fn cmd_profile(args: &Args) -> Result<(), String> {
+    let (workload, cfg) = profile_plan(args)?;
+    eprintln!("profiling {} on {} ...", workload.name, cfg.machine.name);
+    let p = profile_workload(&workload, &cfg.machine, &cfg.profiling);
+    if args.get("--tsv").is_some() {
         print!("{}", p.to_tsv());
         return Ok(());
     }
@@ -454,107 +399,88 @@ fn validate_paper_setup(
     )
 }
 
-/// The job `clone` and `validate` run, from their flags: the same
-/// [`JobSpec`] a `ctl submit` of those settings would carry, so the
-/// one-shot search and the daemon's are built by one code path, and
-/// refused past the same bounds.
-fn job_spec(name: &str, opts: &Options) -> Result<JobSpec, String> {
-    let mut spec = JobSpec::new(name);
-    if let Some(machine) = &opts.machine {
-        spec.machine = machine.clone();
+/// The search `clone` and `validate` run: the job their settings name —
+/// the one `ctl submit` of the same settings runs — under the runtime
+/// their flags set.
+fn search_plan(cmd: &str, args: &Args) -> Result<(JobSpec, RuntimeOptions), String> {
+    let spec = JobSpec::parse_request(&args.job_line(cmd)?)?;
+    let eval_timeout = match args.get("--eval-timeout") {
+        None => None,
+        Some(v) => Some(
+            v.parse::<f64>()
+                .ok()
+                .filter(|secs| *secs > 0.0)
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                .ok_or(format!(
+                    "--eval-timeout must be a positive number of seconds \
+                     a Duration can hold: `{v}`"
+                ))?,
+        ),
+    };
+    let fail_policy = match args.get("--fail-policy") {
+        None | Some("penalize") => FailPolicy::Penalize,
+        Some("abort") => FailPolicy::Abort,
+        Some(v) => return Err(format!("--fail-policy must be penalize or abort: `{v}`")),
+    };
+    let progress_every = args.number("--progress-every")?;
+    if progress_every == Some(0) {
+        return Err("--progress-every must be at least 1".to_string());
     }
-    spec.iters = opts.iters.unwrap_or(spec.iters);
-    spec.batch = opts.parallel.unwrap_or(1).max(1);
-    spec.paper = opts.paper;
-    if opts.backend.as_deref() == Some("proc") {
-        spec.backend = JobBackend::Proc;
-        spec.workers = opts.workers.unwrap_or(spec.batch).max(1);
-    }
-    spec.check_bounds()?;
-    Ok(spec)
-}
-
-/// The flags only a search reads, as named on the command line.
-fn search_flags(opts: &Options) -> impl Iterator<Item = &'static str> {
-    [
-        ("--parallel", opts.parallel.is_some()),
-        ("--backend", opts.backend.is_some()),
-        ("--workers", opts.workers.is_some()),
-        ("--journal", opts.journal.is_some()),
-        ("--resume", opts.resume.is_some()),
-        ("--eval-timeout", opts.eval_timeout.is_some()),
-        ("--max-retries", opts.max_retries.is_some()),
-        ("--fail-policy", opts.fail_policy.is_some()),
-        ("--progress-every", opts.progress_every.is_some()),
-    ]
-    .into_iter()
-    .filter_map(|(flag, set)| set.then_some(flag))
-}
-
-/// The search a workload command runs, from its flags: `None` for
-/// `profile`, which runs none and so refuses the search's flags by name;
-/// `clone` and `validate` run the same one.
-fn search_plan(
-    cmd: &str,
-    name: &str,
-    opts: &Options,
-) -> Result<Option<(JobSpec, RuntimeOptions)>, String> {
-    if cmd == "profile" {
-        return match search_flags(opts).next() {
-            Some(flag) => Err(format!(
-                "{flag} applies to clone and validate; profile runs no search"
-            )),
-            None => Ok(None),
-        };
-    }
-    let spec = job_spec(name, opts)?;
+    let resume = args.get("--resume").map(PathBuf::from);
     let runtime = RuntimeOptions {
         // An interrupted run resumed in place continues its own journal
         // unless a different --journal is given.
-        journal: opts.journal.clone().or_else(|| opts.resume.clone()),
-        resume: opts.resume.clone(),
+        journal: args.get("--journal").map(PathBuf::from).or(resume.clone()),
+        resume,
         progress: true,
-        eval_timeout: opts.eval_timeout,
+        eval_timeout,
         // One retry by default: a long search should shrug off a
         // transient failure without being asked.
-        max_retries: opts.max_retries.unwrap_or(1),
-        fail_policy: opts.fail_policy.unwrap_or_default(),
-        progress_every: opts.progress_every,
+        max_retries: args.number("--max-retries")?.unwrap_or(1),
+        fail_policy,
+        progress_every,
         ..spec.runtime_options()
     };
-    Ok(Some((spec, runtime)))
+    Ok((spec, runtime))
+}
+
+/// What stopped a search short of its `iters`, as the daemon's
+/// `quota_exceeded` state says it: the result is the best so far.
+fn quota_note(quota: Option<QuotaCause>, evals: usize) -> Option<String> {
+    let cause = quota?.as_str();
+    Some(format!(
+        "stopped early by quota {cause} after {evals} evaluations"
+    ))
 }
 
 /// Profiles the target and runs the search; `clone` then prints the
 /// synthesized dataset, `validate` compares it across machines.
-fn cmd_search(
-    validate: bool,
-    workload: &Workload,
-    spec: &JobSpec,
-    runtime: &RuntimeOptions,
-    opts: &Options,
-) -> Result<(), String> {
+fn cmd_search(cmd: &str, args: &Args) -> Result<(), String> {
+    let (spec, runtime) = search_plan(cmd, args)?;
+    let workload = spec.target()?;
     let generator = spec.generator()?;
     let cfg = spec.search_config()?;
     eprintln!(
-        "profiling {} and searching {} dataset parameters ({} iterations{}) ...",
+        "profiling {} and searching {} dataset parameters ({} iterations, batch {}) ...",
         workload.name,
         generator.dims(),
         cfg.iterations,
-        opts.parallel
-            .map_or(String::new(), |k| format!(", batch {k}")),
+        runtime.batch_k,
     );
-    let target = profile_workload(workload, &cfg.machine, &cfg.profiling);
-    let outcome = search_with_runtime(generator.as_ref(), &target, &cfg, runtime)
+    let target = profile_workload(&workload, &cfg.machine, &cfg.profiling);
+    let outcome = search_with_runtime(generator.as_ref(), &target, &cfg, &runtime)
         .map_err(|e| e.to_string())?;
-    if validate {
+    if let Some(note) = quota_note(outcome.quota, outcome.history.len()) {
+        eprintln!("{note}");
+    }
+    if cmd == "validate" {
         eprintln!("validating across machines ...");
-        let report = validate_paper_setup(workload, &outcome.best_workload, &cfg.profiling);
+        let report = validate_paper_setup(&workload, &outcome.best_workload, &cfg.profiling);
         print!("{report}");
         if let Some(mape) = report.mape(DistMetric::Ipc) {
             println!("IPC MAPE across machines: {:.1}%", mape * 100.0);
         }
-        if opts.tsv {
+        if args.get("--tsv").is_some() {
             print!("{}", report.to_tsv());
         }
         return Ok(());
@@ -576,54 +502,39 @@ fn cmd_search(
     Ok(())
 }
 
-/// Splits a `ctl` argument list into the `key=value`/id positionals and
-/// the `--flag`-style options (parsed with [`parse_options`]).
-fn split_ctl_args(args: &[String]) -> Result<(Vec<String>, Options), String> {
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            flags.push(a.clone());
-            if let Some(v) = it.peek() {
-                if !v.starts_with("--") {
-                    flags.push(it.next().unwrap().clone());
-                }
-            }
-        } else {
-            positional.push(a.clone());
-        }
+/// `ctl <action> [arguments]`: one request to the daemon. Each action
+/// takes exactly its own arguments, and only `wait` reads `--timeout`.
+fn cmd_ctl(args: &Args) -> Result<(), String> {
+    let (action, rest) = args.words.split_first().ok_or(
+        "ctl needs an action: submit | status | result | wait | cancel | list | stats | health | version | shutdown",
+    )?;
+    let (arity, wanted) = match action.as_str() {
+        "submit" => (rest.len(), "job settings"),
+        "status" | "result" | "wait" | "cancel" => (1, "one job id"),
+        "list" | "stats" | "health" | "version" | "shutdown" => (0, "no arguments"),
+        other => return Err(format!("unknown ctl action {other}")),
+    };
+    if rest.len() != arity {
+        let got = rest.join(" ");
+        return Err(format!("ctl {action} takes {wanted}, got `{got}`"));
     }
-    Ok((positional, parse_options(&flags)?))
-}
-
-fn cmd_ctl(args: &[String]) -> Result<(), String> {
-    let action = args
-        .first()
-        .ok_or("ctl needs an action: submit | status | result | wait | cancel | list | stats | health | version | shutdown")?
-        .clone();
-    let (positional, opts) = split_ctl_args(&args[1..])?;
-    let root = opts
-        .root
+    if action != "wait" && args.get("--timeout").is_some() {
+        return Err(format!("--timeout applies to ctl wait, not ctl {action}"));
+    }
+    let root = args
+        .get("--root")
+        .map(PathBuf::from)
         .or_else(|| std::env::var_os("DATAMIME_SERVE_ROOT").map(PathBuf::from))
         .ok_or("ctl needs the daemon root: pass --root <dir> or set DATAMIME_SERVE_ROOT")?;
     let client = ServeClient::new(root);
-    let job_arg = || {
-        positional
-            .first()
-            .cloned()
-            .ok_or(format!("ctl {action} needs a job id"))
-    };
     let request = match action.as_str() {
         "submit" => format!(
             "submit {}",
-            JobSpec::parse(&positional.join(" "))?.to_line()?
+            JobSpec::parse_request(&rest.join(" "))?.to_line()?
         ),
-        "status" | "result" | "cancel" => format!("{action} {}", job_arg()?),
-        "list" | "stats" | "health" | "version" | "shutdown" => action.clone(),
         "wait" => {
-            let timeout = Duration::from_secs(opts.timeout_secs.unwrap_or(600));
-            let s = client.wait(&job_arg()?, timeout)?;
+            let timeout = Duration::from_secs(args.number("--timeout")?.unwrap_or(600));
+            let s = client.wait(&rest[0], timeout)?;
             println!("state={} best_error={}", s.state.as_str(), s.best_error);
             // Quota-exhausted jobs still carry a best-so-far result, so
             // they count as success; cancelled/failed jobs do not.
@@ -632,7 +543,7 @@ fn cmd_ctl(args: &[String]) -> Result<(), String> {
             }
             return Ok(());
         }
-        other => return Err(format!("unknown ctl action {other}")),
+        _ => args.words.join(" "),
     };
     // The reply is the output; `health` alone has always shown its `END`.
     let reply = client.admin(&request)?;
@@ -645,36 +556,24 @@ fn cmd_ctl(args: &[String]) -> Result<(), String> {
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            cmd_list();
-            Ok(())
+    let Some((cmd, rest)) = args.split_first() else {
+        print!("{USAGE}");
+        return Ok(());
+    };
+    match cmd.as_str() {
+        "list" | "machines" | "help" | "--help" | "-h" if !rest.is_empty() => {
+            return Err(format!("{cmd} takes no arguments: `{}`", rest.join(" ")));
         }
-        Some("machines") => {
-            cmd_machines();
-            Ok(())
-        }
-        Some("ctl") => cmd_ctl(&args[1..]),
-        Some(cmd @ ("profile" | "clone" | "validate")) => {
-            let name = args
-                .get(1)
-                .ok_or(format!("{cmd} needs a workload name; see `datamime list`"))?;
-            let workload = Workload::by_name(name)
-                .ok_or(format!("unknown workload {name}; see `datamime list`"))?;
-            let opts = parse_options(&args[2..])?;
-            match search_plan(cmd, name, &opts)? {
-                None => cmd_profile(&workload, &opts),
-                Some((spec, runtime)) => {
-                    cmd_search(cmd == "validate", &workload, &spec, &runtime, &opts)
-                }
-            }
-        }
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command {other}\n\n{USAGE}")),
+        "list" => cmd_list(),
+        "machines" => cmd_machines(),
+        "help" | "--help" | "-h" => print!("{USAGE}"),
+        "ctl" => cmd_ctl(&Args::parse(cmd, &["--root", "--timeout"], rest)?)?,
+        "profile" => cmd_profile(&Args::parse(cmd, &["--tsv"], rest)?)?,
+        "clone" => cmd_search(cmd, &Args::parse(cmd, &CLONE_FLAGS, rest)?)?,
+        "validate" => cmd_search(cmd, &Args::parse(cmd, &validate_flags(), rest)?)?,
+        other => return Err(format!("unknown command {other}\n\n{USAGE}")),
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -690,6 +589,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datamime::jobspec::JobBackend;
+    use datamime::search::{BackendChoice, ProcOptions};
     use datamime::workload::AppConfig;
     use datamime_apps::KvConfig;
 
@@ -697,173 +598,222 @@ mod tests {
         xs.iter().map(|s| s.to_string()).collect()
     }
 
+    fn plan(cmd: &str, words: &[&str]) -> Result<(JobSpec, RuntimeOptions), String> {
+        let table = match cmd {
+            "clone" => CLONE_FLAGS.to_vec(),
+            _ => validate_flags(),
+        };
+        search_plan(cmd, &Args::parse(cmd, &table, &args(words))?)
+    }
+
     #[test]
     fn parses_all_options() {
-        let o = parse_options(&args(&[
-            "--machine",
-            "zen2",
-            "--iters",
-            "7",
-            "--parallel",
-            "3",
-            "--journal",
-            "run.jsonl",
-            "--resume",
-            "old.jsonl",
-            "--eval-timeout",
-            "2.5",
-            "--max-retries",
-            "4",
-            "--fail-policy",
-            "abort",
-            "--backend",
-            "proc",
-            "--workers",
-            "3",
-            "--progress-every",
-            "5",
-            "--root",
-            "/tmp/serve-root",
-            "--timeout-secs",
-            "30",
-            "--paper",
-            "--tsv",
-        ]))
-        .unwrap();
-        assert_eq!(o.machine.as_deref(), Some("zen2"));
-        assert_eq!(o.iters, Some(7));
-        assert_eq!(o.parallel, Some(3));
-        assert_eq!(
-            o.journal.as_deref(),
-            Some(std::path::Path::new("run.jsonl"))
-        );
-        assert_eq!(o.resume.as_deref(), Some(std::path::Path::new("old.jsonl")));
-        assert_eq!(o.eval_timeout, Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(o.max_retries, Some(4));
-        assert_eq!(o.fail_policy, Some(FailPolicy::Abort));
-        assert_eq!(o.backend.as_deref(), Some("proc"));
-        assert_eq!(o.workers, Some(3));
-        assert_eq!(o.progress_every, Some(5));
-        assert_eq!(
-            o.root.as_deref(),
-            Some(std::path::Path::new("/tmp/serve-root"))
-        );
-        assert_eq!(o.timeout_secs, Some(30));
-        assert!(o.paper && o.tsv);
-    }
-
-    #[test]
-    fn parses_thread_backend() {
-        let o = parse_options(&args(&["--backend", "thread"])).unwrap();
-        assert_eq!(o.backend.as_deref(), Some("thread"));
-        assert_eq!(o.workers, None);
-    }
-
-    #[test]
-    fn parses_penalize_fail_policy() {
-        let o = parse_options(&args(&["--fail-policy", "penalize"])).unwrap();
-        assert_eq!(o.fail_policy, Some(FailPolicy::Penalize));
-    }
-
-    #[test]
-    fn rejects_unknown_and_incomplete_options() {
-        assert!(parse_options(&args(&["--bogus"])).is_err());
-        assert!(parse_options(&args(&["--iters"])).is_err());
-        assert!(parse_options(&args(&["--iters", "x"])).is_err());
-        assert!(parse_options(&args(&["--iters", "0"])).is_err());
-        assert!(parse_options(&args(&["--journal"])).is_err());
-        assert!(parse_options(&args(&["--resume"])).is_err());
-        assert!(parse_options(&args(&["--eval-timeout"])).is_err());
-        assert!(parse_options(&args(&["--eval-timeout", "-3"])).is_err());
-        assert!(parse_options(&args(&["--eval-timeout", "zero"])).is_err());
-        assert!(parse_options(&args(&["--max-retries", "x"])).is_err());
-        assert!(parse_options(&args(&["--fail-policy", "explode"])).is_err());
-        assert!(parse_options(&args(&["--backend"])).is_err());
-        assert!(parse_options(&args(&["--backend", "fiber"])).is_err());
-        assert!(parse_options(&args(&["--workers", "x"])).is_err());
-        assert!(parse_options(&args(&["--progress-every", "0"])).is_err());
-        assert!(parse_options(&args(&["--progress-every", "x"])).is_err());
-        assert!(parse_options(&args(&["--root"])).is_err());
-        assert!(parse_options(&args(&["--timeout-secs", "x"])).is_err());
-        assert!(parse_options(&args(&["--timeout", "x"])).is_err());
-    }
-
-    #[test]
-    fn timeout_is_an_alias_for_timeout_secs() {
-        let o = parse_options(&args(&["--timeout", "42"])).unwrap();
-        assert_eq!(o.timeout_secs, Some(42));
-    }
-
-    fn search_options(cmd: &str, flags: &[&str]) -> String {
-        match search_plan(cmd, "mem-fb", &parse_options(&args(flags)).unwrap()) {
-            Ok(Some((_, runtime))) => format!("{runtime:?}"),
-            Ok(None) => panic!("{cmd} plans no search"),
-            Err(e) => panic!("{cmd} {flags:?}: {e}"),
-        }
-    }
-
-    #[test]
-    fn validate_searches_with_the_runtime_flags_clone_does() {
-        for flags in [
-            &[][..],
-            &[
-                "--parallel",
-                "3",
+        assert_eq!(validate_flags()[..6], CLONE_FLAGS);
+        assert_eq!(validate_flags()[6..], ["--tsv"]);
+        let a = Args::parse(
+            "validate",
+            &validate_flags(),
+            &args(&[
+                "mem-fb",
+                "iters=7",
                 "--journal",
-                "v.jsonl",
-                "--eval-timeout",
-                "2",
-            ],
-            &[
-                "--backend",
-                "proc",
-                "--workers",
-                "2",
+                "run.jsonl",
                 "--resume",
                 "old.jsonl",
-            ],
-            &[
+                "--eval-timeout",
+                "2.5",
                 "--max-retries",
                 "4",
                 "--fail-policy",
                 "abort",
                 "--progress-every",
                 "5",
-            ],
+                "--tsv",
+            ]),
+        )
+        .unwrap();
+        assert_eq!(a.words, args(&["mem-fb", "iters=7"]));
+        assert_eq!(a.flags.len(), 7);
+        let (spec, rt) = search_plan("validate", &a).unwrap();
+        assert_eq!(spec.iters, 7);
+        assert_eq!(rt.journal, Some(PathBuf::from("run.jsonl")));
+        assert_eq!(rt.resume, Some(PathBuf::from("old.jsonl")));
+        assert_eq!(rt.eval_timeout, Some(Duration::from_secs_f64(2.5)));
+        assert_eq!(rt.max_retries, 4);
+        assert_eq!(rt.fail_policy, FailPolicy::Abort);
+        assert_eq!(rt.progress_every, Some(5));
+        assert!(rt.progress);
+        assert_eq!(a.get("--tsv"), Some(""));
+    }
+
+    #[test]
+    fn parses_thread_backend() {
+        let (spec, rt) = plan("clone", &["mem-fb", "backend=thread", "batch=2"]).unwrap();
+        assert_eq!((spec.backend, spec.workers), (JobBackend::Thread, 0));
+        assert_eq!(rt.backend, BackendChoice::Thread);
+        assert_eq!((rt.batch_k, rt.workers), (2, 2));
+    }
+
+    #[test]
+    fn parses_penalize_fail_policy() {
+        let (_, rt) = plan("clone", &["mem-fb", "--fail-policy", "penalize"]).unwrap();
+        assert_eq!(rt.fail_policy, FailPolicy::Penalize);
+        // Unset, the policy is `penalize` with one retry.
+        let (_, rt) = plan("clone", &["mem-fb"]).unwrap();
+        assert_eq!((rt.fail_policy, rt.max_retries), (FailPolicy::Penalize, 1));
+    }
+
+    #[test]
+    fn rejects_unknown_and_incomplete_options() {
+        for (words, named) in [
+            (&["mem-fb", "--bogus"][..], "--bogus"),
+            (&["mem-fb", "--iters", "7"], "--iters"),
+            (&["mem-fb", "--root", "/x"], "--root"),
+            (&["mem-fb", "--tsv"], "--tsv"),
+            (&["mem-fb", "--journal"], "--journal"),
+            (&["mem-fb", "--resume"], "--resume"),
+            (&["mem-fb", "--journal", "a", "--journal", "b"], "--journal"),
+            (&["mem-fb", "--eval-timeout", "-3"], "--eval-timeout"),
+            (&["mem-fb", "--eval-timeout", "zero"], "--eval-timeout"),
+            (&["mem-fb", "--eval-timeout", "1e300"], "--eval-timeout"),
+            (&["mem-fb", "--max-retries", "x"], "--max-retries"),
+            (&["mem-fb", "--fail-policy", "explode"], "--fail-policy"),
+            (&["mem-fb", "--progress-every", "0"], "--progress-every"),
+            (&["mem-fb", "--progress-every", "x"], "--progress-every"),
+            (&["mem-fb", "iters=0"], "`iters`"),
+            (&["mem-fb", "iters"], "`iters`"),
+            (&["mem-fb", "backend=fiber"], "`backend`"),
+            (&["mem-fb", "workers=65"], "`workers`"),
+            (&["mem-fb", "worker_bin=/bin/true"], "`worker_bin`"),
+            (&["mem-fb", "workload=xapian"], "`workload`"),
+            (&["iters=3"], "needs a workload"),
+            (&[], "needs a workload"),
         ] {
-            let clone = search_options("clone", flags);
-            assert_eq!(clone, search_options("validate", flags), "{flags:?}");
-            // The flags reach the options: nothing is dropped on the way.
-            for value in flags.iter().filter(|f| !f.starts_with("--")) {
-                let shown = match *value {
-                    "proc" => "Process",
-                    "abort" => "Abort",
-                    v => v,
-                };
-                assert!(clone.contains(shown), "{value} missing from {clone}");
+            match plan("clone", words) {
+                Err(e) => assert!(e.contains(named), "{words:?}: {e}"),
+                Ok(_) => panic!("clone accepted {words:?}"),
             }
         }
     }
 
     #[test]
-    fn profile_refuses_search_flags_by_name() {
-        for (flags, named) in [
-            (&["--journal", "x"][..], "--journal"),
-            (&["--backend", "proc"], "--backend"),
-            (
-                &["--machine", "zen2", "--eval-timeout", "1"],
+    fn validate_searches_with_the_runtime_flags_clone_does() {
+        // The settings give the job and runtime the old flags gave:
+        // `--iters 60 --parallel 4 --backend proc --workers 2 --paper
+        // --machine zen2`.
+        let words = [
+            "mem-fb",
+            "iters=60",
+            "batch=4",
+            "backend=proc",
+            "workers=2",
+            "paper=true",
+            "machine=zen2",
+        ];
+        let (spec, rt) = plan("clone", &words).unwrap();
+        assert_eq!(
+            spec,
+            JobSpec {
+                iters: 60,
+                machine: "zen2".to_string(),
+                batch: 4,
+                workers: 2,
+                backend: JobBackend::Proc,
+                paper: true,
+                ..JobSpec::new("mem-fb")
+            }
+        );
+        assert_eq!((rt.batch_k, rt.workers), (4, 2));
+        assert_eq!(
+            rt.backend,
+            BackendChoice::Process(ProcOptions {
+                workers: 2,
+                worker_bin: None,
+            })
+        );
+        let cfg = spec.search_config().unwrap();
+        assert_eq!((cfg.iterations, cfg.machine.name.as_str()), (60, "zen2"));
+        assert_eq!(cfg.profiling, ProfilingConfig::paper_default());
+        // `workers=` reaches a thread-backend run too.
+        let (_, rt) = plan("clone", &["mem-fb", "workers=3"]).unwrap();
+        assert_eq!(
+            (rt.backend, rt.batch_k, rt.workers),
+            (BackendChoice::Thread, 1, 3)
+        );
+        // `validate` runs the search `clone` runs.
+        for words in [
+            &words[..],
+            &[
+                "mem-fb",
+                "batch=3",
+                "--journal",
+                "v.jsonl",
                 "--eval-timeout",
-            ),
-            (&["--progress-every", "3"], "--progress-every"),
+                "2",
+            ],
+            &["mem-fb", "--resume", "old.jsonl", "--max-retries", "4"],
+            &["mem-fb", "--fail-policy", "abort", "--progress-every", "5"],
         ] {
-            let opts = parse_options(&args(flags)).unwrap();
-            match search_plan("profile", "mem-fb", &opts) {
-                Err(e) => assert!(e.starts_with(named), "{e}"),
-                Ok(_) => panic!("profile accepted {flags:?}"),
+            let clone = format!("{:?}", plan("clone", words).unwrap());
+            assert_eq!(clone, format!("{:?}", plan("validate", words).unwrap()));
+        }
+        let (_, rt) = plan("validate", &["mem-fb", "--resume", "old.jsonl"]).unwrap();
+        assert_eq!(rt.journal, Some(PathBuf::from("old.jsonl")));
+    }
+
+    #[test]
+    fn profile_refuses_search_flags_by_name() {
+        let profile = |words: &[&str]| {
+            Args::parse("profile", &["--tsv"], &args(words)).and_then(|a| profile_plan(&a))
+        };
+        // It accepts its own keys and flag, and profiles where they say.
+        let words = [
+            "mem-fb",
+            "machine=zen2",
+            "paper=true",
+            "curves=false",
+            "--tsv",
+        ];
+        let (workload, cfg) = profile(&words).unwrap();
+        assert_eq!(workload.name, "mem-fb");
+        assert_eq!(cfg.machine.name, "zen2");
+        assert_eq!(
+            cfg.profiling,
+            ProfilingConfig::paper_default().without_curves()
+        );
+        let (_, cfg) = profile(&["mem-fb"]).unwrap();
+        assert_eq!(cfg.machine.name, "broadwell");
+        assert_eq!(cfg.profiling, ProfilingConfig::fast());
+        for (words, named) in [
+            (&["mem-fb", "--journal", "x"][..], "--journal"),
+            (&["mem-fb", "--eval-timeout", "1"], "--eval-timeout"),
+            (&["mem-fb", "--root", "/x"], "--root"),
+            (&["mem-fb", "iters=5"], "`iters`"),
+            (&["mem-fb", "backend=proc"], "`backend`"),
+            (&["mem-fb", "zen2"], "`zen2`"),
+            (&["mem-fb", "machine=m1"], "m1"),
+        ] {
+            match profile(words) {
+                Err(e) => assert!(e.contains(named), "{words:?}: {e}"),
+                Ok(_) => panic!("profile accepted {words:?}"),
             }
         }
-        let opts = parse_options(&args(&["--machine", "zen2", "--paper", "--tsv"])).unwrap();
-        assert!(matches!(search_plan("profile", "mem-fb", &opts), Ok(None)));
+    }
+
+    #[test]
+    fn a_quota_stop_is_reported_by_its_key() {
+        let (spec, rt) = plan("clone", &["mem-fb", "max_evals=2", "wall_clock_s=5"]).unwrap();
+        assert_eq!((spec.max_evals, spec.wall_clock_s), (Some(2), Some(5)));
+        assert_eq!(rt.max_evals, Some(2));
+        assert_eq!(rt.wall_clock, Some(Duration::from_secs(5)));
+        assert_eq!(
+            quota_note(Some(QuotaCause::MaxEvals), 2).unwrap(),
+            "stopped early by quota max_evals after 2 evaluations"
+        );
+        assert!(quota_note(Some(QuotaCause::WallClock), 1)
+            .unwrap()
+            .contains("wall_clock_s"));
+        assert_eq!(quota_note(None, 40), None);
     }
 
     #[test]
@@ -877,19 +827,27 @@ mod tests {
 
     #[test]
     fn ctl_args_split_positionals_from_flags() {
-        let (pos, opts) = split_ctl_args(&args(&[
-            "workload=mem-fb",
-            "iters=8",
-            "--root",
-            "/tmp/r",
-            "--timeout-secs",
-            "9",
-        ]))
-        .unwrap();
-        assert_eq!(pos, args(&["workload=mem-fb", "iters=8"]));
-        assert_eq!(opts.root.as_deref(), Some(std::path::Path::new("/tmp/r")));
-        assert_eq!(opts.timeout_secs, Some(9));
-        assert!(split_ctl_args(&args(&["--bogus"])).is_err());
+        let ctl = |words: &[&str]| Args::parse("ctl", &["--root", "--timeout"], &args(words));
+        let a = ctl(&["submit", "workload=mem-fb", "--root", "/tmp/r", "iters=8"]).unwrap();
+        assert_eq!(a.words, args(&["submit", "workload=mem-fb", "iters=8"]));
+        assert_eq!(a.get("--root"), Some("/tmp/r"));
+        assert!(ctl(&["list", "--paper"]).unwrap_err().contains("--paper"));
+        assert!(ctl(&["wait", "j", "--timeout-secs", "9"])
+            .unwrap_err()
+            .contains("--timeout-secs"));
+        // Each action takes exactly its own arguments, refused before
+        // any connection is tried.
+        for (words, named) in [
+            (&["status", "job-1", "job-2"][..], "one job id"),
+            (&["wait", "--root", "/nonexistent"], "one job id"),
+            (&["list", "job-1"], "no arguments"),
+            (&["stats", "--timeout", "3", "--root", "/x"], "--timeout"),
+            (&["frob"], "frob"),
+            (&[], "needs an action"),
+        ] {
+            let err = cmd_ctl(&ctl(words).unwrap()).unwrap_err();
+            assert!(err.contains(named), "{words:?}: {err}");
+        }
     }
 
     fn tiny(name: &str, n_keys: usize) -> Workload {

@@ -1,7 +1,7 @@
 //! `datamime-worker`: the evaluation worker process of the distributed
 //! search backend.
 //!
-//! Spawned by the broker (`datamime clone ... --backend proc`), never run
+//! Spawned by the broker (`datamime clone ... backend=proc`), never run
 //! by hand: it rebuilds the search's evaluation context from its command
 //! line, proves protocol version / binary identity / context fingerprint
 //! in the handshake over its stdin and stdout, and then serves

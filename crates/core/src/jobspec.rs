@@ -8,10 +8,13 @@
 //! [`JobSpec::to_line`] is always the identity, and the daemon can log
 //! the line verbatim.
 //!
-//! The spec builds the same objects the CLI's `clone` command builds
-//! ([`Workload::by_name`], [`SearchConfig`], [`RuntimeOptions`],
-//! [`generator_for_program_grid`]), so a job submitted to the daemon runs the
-//! identical fixed-seed search a one-shot `datamime clone` would.
+//! It is also the one-shot CLI's language: `datamime clone <workload>
+//! iters=8 machine=zen2` and `datamime ctl submit workload=<workload>
+//! iters=8 machine=zen2` hand the same line to [`JobSpec::parse_request`],
+//! and the spec builds the objects the search needs ([`Workload::by_name`],
+//! [`SearchConfig`], [`RuntimeOptions`], [`generator_for_program_grid`]), so
+//! a job submitted to the daemon runs the identical fixed-seed search a
+//! one-shot `datamime clone` would.
 
 use crate::generator::generator_for_program_grid;
 use crate::profiler::ProfilingConfig;
@@ -91,8 +94,8 @@ pub struct JobSpec {
     /// Explicit `datamime-worker` binary for the process backend (tests
     /// and one-shot runs; the default resolution is the
     /// `DATAMIME_WORKER` environment variable, then a sibling of the
-    /// current executable). The serve daemon refuses the key: a request
-    /// must not name a program for it to run.
+    /// current executable). [`JobSpec::parse_request`] refuses the key:
+    /// neither a request nor a command line names a program to run.
     pub worker_bin: Option<PathBuf>,
     /// Evaluation quota: stop (with the best-so-far result) once this
     /// many observations exist. Checked at batch boundaries, counted
@@ -234,6 +237,25 @@ impl JobSpec {
             return Err("job spec needs workload=<name>; see `datamime list`".to_string());
         }
         spec.check_bounds()?;
+        Ok(spec)
+    }
+
+    /// Parses a job line written outside the program — a daemon `submit`
+    /// or a `datamime clone`/`validate` command line — as
+    /// [`JobSpec::parse`] does, refusing `worker_bin`: such a line never
+    /// names a program to run. A job runs the worker `DATAMIME_WORKER`
+    /// names, else the `datamime-worker` beside the running binary.
+    ///
+    /// # Errors
+    ///
+    /// As [`JobSpec::parse`], and names `worker_bin` when it is given.
+    pub fn parse_request(line: &str) -> Result<Self, String> {
+        let spec = JobSpec::parse(line)?;
+        if spec.worker_bin.is_some() {
+            return Err("job-spec key `worker_bin`: a job runs the datamime-worker \
+                        DATAMIME_WORKER names, else the one beside the running binary"
+                .to_string());
+        }
         Ok(spec)
     }
 

@@ -299,9 +299,10 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// Fails on connection errors or when `timeout` elapses first.
+    /// Fails on connection errors or when `timeout` elapses first. A
+    /// `timeout` past the clock's range waits without a deadline.
     pub fn wait(&self, job: &str, timeout: Duration) -> Result<JobStatus, String> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut pause = Duration::from_millis(25);
         loop {
             let status = self.status(job)?;
@@ -309,13 +310,13 @@ impl ServeClient {
                 return Ok(status);
             }
             let now = Instant::now();
-            if now >= deadline {
+            if deadline.is_some_and(|d| now >= d) {
                 return Err(format!(
                     "job {job} still {} after {timeout:?}",
                     status.state.as_str()
                 ));
             }
-            std::thread::sleep(pause.min(deadline - now));
+            std::thread::sleep(deadline.map_or(pause, |d| pause.min(d - now)));
             pause = (pause * 2).min(Duration::from_secs(1));
         }
     }

@@ -322,7 +322,9 @@ impl Broker {
                 continue;
             }
             slot.busy = Some(j);
-            slot.due = self.cfg.deadline.map(|d| now + d);
+            // A deadline past the clock's range is no deadline, as with
+            // the thread backend's `CancelToken::with_deadline`.
+            slot.due = self.cfg.deadline.and_then(|d| now.checked_add(d));
             job.running_on = Some(i);
             job.dispatch += 1;
             job.ready_at = None;

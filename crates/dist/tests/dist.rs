@@ -40,16 +40,21 @@ fn batch(n: usize) -> Vec<(usize, Vec<f64>)> {
 
 #[test]
 fn happy_path_returns_exact_bits_in_job_order() {
-    let mut broker = Broker::start(base_cfg(2)).expect("broker start");
-    let jobs = batch(5);
-    let out = broker
-        .evaluate_batch(&jobs, &mut |a| panic!("unexpected failed attempt: {a:?}"))
-        .expect("batch");
-    assert_eq!(out.len(), jobs.len());
-    for (verdict, (_, unit)) in out.iter().zip(&jobs) {
-        assert_eq!(verdict.error.to_bits(), objective(unit).to_bits());
-        assert!(verdict.fault.is_none());
-        assert!(verdict.worker.is_some(), "proc verdicts carry a worker id");
+    // A deadline past the clock's range is no deadline, not a panic.
+    for deadline in [None, Some(Duration::MAX)] {
+        let mut cfg = base_cfg(2);
+        cfg.deadline = deadline;
+        let mut broker = Broker::start(cfg).expect("broker start");
+        let jobs = batch(5);
+        let out = broker
+            .evaluate_batch(&jobs, &mut |a| panic!("unexpected failed attempt: {a:?}"))
+            .expect("batch");
+        assert_eq!(out.len(), jobs.len());
+        for (verdict, (_, unit)) in out.iter().zip(&jobs) {
+            assert_eq!(verdict.error.to_bits(), objective(unit).to_bits());
+            assert!(verdict.fault.is_none());
+            assert!(verdict.worker.is_some(), "proc verdicts carry a worker id");
+        }
     }
 }
 

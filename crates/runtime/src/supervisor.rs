@@ -167,7 +167,7 @@ pub enum FailPolicy {
     #[default]
     Penalize,
     /// Re-raise the failure and kill the run — the legacy fail-fast
-    /// behavior, still available behind `--fail-policy=abort`.
+    /// behavior, still available behind `--fail-policy abort`.
     Abort,
 }
 

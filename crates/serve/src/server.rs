@@ -723,14 +723,7 @@ fn submit(shared: &Arc<Shared>, spec_line: &str) -> Result<String, String> {
     }
     // Validate the whole spec now so a bad submit fails the submitter,
     // not a job thread minutes later.
-    let spec = JobSpec::parse(spec_line)?;
-    if spec.worker_bin.is_some() {
-        return Err(
-            "job-spec key `worker_bin`: the daemon runs its own datamime-worker \
-                    (DATAMIME_WORKER, else the one beside datamime-served)"
-                .to_string(),
-        );
-    }
+    let spec = JobSpec::parse_request(spec_line)?;
     spec.target()?;
     spec.search_config()?;
     spec.generator()?;

@@ -66,7 +66,7 @@ done
 [ "$LIVE_EVALS" -gt 0 ] || { echo "no live eval counter appeared"; exit 1; }
 echo "live evals: $LIVE_EVALS"
 
-"$CTL" ctl wait "$JOB" --root "$ROOT" --timeout-secs 600
+"$CTL" ctl wait "$JOB" --root "$ROOT" --timeout 600
 RESULT=$("$CTL" ctl result "$JOB" --root "$ROOT")
 echo "$RESULT"
 
@@ -94,7 +94,7 @@ echo "$STATS" | awk '$2 == "jobs_completed" && $3 == 1 { ok = 1 } END { exit !ok
 # (its observations less its memo hits) plus its target was a reuse.
 FIRST_HITS=$(echo "$STATS" | awk '$2 == "cache_hits" { print $3 }')
 JOB2=$("$CTL" ctl submit workload=mem-fb iters=48 seed=7 curves=false grid=4 --root "$ROOT")
-"$CTL" ctl wait "$JOB2" --root "$ROOT" --timeout-secs 600
+"$CTL" ctl wait "$JOB2" --root "$ROOT" --timeout 600
 RESULT2=$("$CTL" ctl result "$JOB2" --root "$ROOT")
 best_lines() { echo "$1" | grep -E '^best_(error|unit)='; }
 [ "$(best_lines "$RESULT")" = "$(best_lines "$RESULT2")" ] \
