@@ -1,7 +1,7 @@
 //! Dataset-level distribution specifications shared by the applications.
 
 use datamime_stats::dist::{
-    Distribution, GeneralizedPareto, InvalidParamsError, LogNormal, Normal, Uniform,
+    FromVariate, GeneralizedPareto, InvalidParamsError, LogNormal, Normal, Uniform,
 };
 use datamime_stats::Rng;
 
@@ -52,12 +52,15 @@ pub enum SizeDist {
 
 impl SizeDist {
     /// Builds the underlying sampler. It is `Send + Sync`, so one sampler
-    /// can serve every lane of a build and every request of a store.
+    /// can serve every lane of a build and every request of a store. Every
+    /// family is one formula over one variate ([`FromVariate`]), so a build
+    /// can draw the variates apart from the formula: a standard normal for
+    /// `Normal` and `LogNormal`, one raw uniform for the rest.
     ///
     /// # Errors
     ///
     /// Returns an error if the parameters are invalid for the family.
-    pub fn build(&self) -> Result<Box<dyn Distribution + Send + Sync>, InvalidParamsError> {
+    pub fn build(&self) -> Result<Box<dyn FromVariate + Send + Sync>, InvalidParamsError> {
         Ok(match *self {
             SizeDist::Fixed(v) => Box::new(Uniform::new(v, v)?),
             SizeDist::Normal { mean, std } => Box::new(Normal::new(mean, std)?),
@@ -67,19 +70,6 @@ impl SizeDist {
             }
             SizeDist::Uniform { lo, hi } => Box::new(Uniform::new(lo, hi)?),
         })
-    }
-
-    /// How many [`Rng::u64`] outputs one sample takes: two for the
-    /// Box–Muller families (`Normal`, `LogNormal`), one for the rest. It is
-    /// the same for every sample, so the stream position of the `i`-th of a
-    /// run of samples is known without drawing the first `i`; a family that
-    /// needs a variable count (a rejection sampler) must not be added
-    /// without changing the builds that rely on this.
-    pub fn draws_per_sample(&self) -> usize {
-        match self {
-            SizeDist::Normal { .. } | SizeDist::LogNormal { .. } => 2,
-            SizeDist::Fixed(_) | SizeDist::GeneralizedPareto { .. } | SizeDist::Uniform { .. } => 1,
-        }
     }
 
     /// Samples a byte size clamped to `[lo, hi]`. Each call builds a

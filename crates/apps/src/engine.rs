@@ -173,11 +173,14 @@ pub trait App: Send {
     /// same simulated addresses, same counters, same footprint — and
     /// serving one never changes the other. A copy of a freshly built
     /// application is therefore address-for-address a rebuild from the
-    /// same configuration, at the price of a `memcpy` instead of a
-    /// dataset construction; the profiler restarts an application between
-    /// runs this way, and runs the main profile on one such copy while
-    /// the curve sweep serves the others — so a copy may share with its
-    /// original only what no `serve` ever writes.
+    /// same configuration, without a dataset construction; the profiler
+    /// restarts an application between runs this way, and runs the main
+    /// profile on one such copy while the curve sweep serves the others.
+    /// So a copy may share with its original, behind an `Arc`, only what no
+    /// `serve` ever writes, and must own whatever one does: `KvStore`
+    /// shares its whole item table and gives each copy its own overlay
+    /// for the items its SETs rewrite, which a copy of a served copy
+    /// carries over.
     fn fork(&self) -> Box<dyn App>;
 
     /// Approximate resident data footprint in bytes (used by tests and by

@@ -14,8 +14,9 @@ use crate::content::ContentModel;
 use crate::dataset::SizeDist;
 use crate::engine::{App, CodeLayout, CodeRegion, ServicePaths};
 use datamime_sim::{Addr, Machine, Segment, SimAlloc};
-use datamime_stats::dist::{sample_size, Distribution, Zipf};
+use datamime_stats::dist::{clamp_size, sample_size, FromVariate, Variate, Zipf};
 use datamime_stats::Rng;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Dataset + request-mix configuration for [`KvStore`].
@@ -121,8 +122,8 @@ impl KvConfig {
 }
 
 /// One entry of the item table, packed to 16 bytes: the table is the
-/// state every copy of the store owns, so its size is what a copy costs
-/// in time and in resident memory.
+/// largest thing a built store holds, so its size is what a build costs in
+/// resident memory.
 #[derive(Debug, Clone, Copy)]
 struct Item {
     addr: Addr,
@@ -158,23 +159,35 @@ impl Item {
     }
 }
 
+/// The hash chains, the popularity order and the Zipf table: what serving
+/// reads to pick and find a key. They depend only on the key count, the
+/// skew and the build stream, so one copy serves every store built from
+/// one [`KvBase`].
+#[derive(Debug)]
+struct KvIndex {
+    /// The hash chains in CSR form: bucket `b` holds key ids
+    /// `bucket_ids[bucket_starts[b]..bucket_starts[b + 1]]`, ascending.
+    bucket_starts: Vec<u32>,
+    bucket_ids: Vec<u32>,
+    popularity: Zipf,
+    /// Maps popularity rank -> key id, so hot keys are scattered over buckets.
+    rank_to_key: Vec<u32>,
+}
+
 /// Everything about a built store that serving never changes, shared by
 /// the store and all its copies behind one `Arc`.
 #[derive(Debug)]
 struct KvImage {
     cfg: KvConfig,
-    /// The hash chains in CSR form: bucket `b` holds key ids
-    /// `bucket_ids[bucket_starts[b]..bucket_starts[b + 1]]`, ascending.
-    bucket_starts: Vec<u32>,
-    bucket_ids: Vec<u32>,
+    index: Arc<KvIndex>,
     bucket_table: Addr,
-    popularity: Zipf,
-    /// Maps popularity rank -> key id, so hot keys are scattered over buckets.
-    rank_to_key: Vec<u32>,
+    /// Every item as built, in key order. No copy writes it: a SET goes
+    /// to the serving copy's own overlay ([`KvStore::item`]).
+    items: Vec<Item>,
     /// Sampled value contents for memory-snapshot profiling.
     content_sample: Vec<Vec<u8>>,
     /// The value-size sampler SETs draw new sizes from.
-    value_size: Box<dyn Distribution + Send + Sync>,
+    value_size: Box<dyn FromVariate + Send + Sync>,
     // Code regions.
     frontend: CodeRegion,
     netstack: CodeRegion,
@@ -189,13 +202,18 @@ struct KvImage {
 }
 
 /// The memcached-like store (see module docs): an immutable image shared
-/// with every copy, plus the state requests mutate (SETs move items
-/// between slab classes), so a copy costs one `memcpy` of the item table.
+/// with every copy, item table included, plus the state requests mutate.
+/// A SET rewrites an item (and may move it between slab classes) in this
+/// copy's overlay: a bitmap of the keys it rewrote and an ordered map of
+/// their items. A copy of a freshly built store therefore costs a 1-bit-
+/// per-key bitmap and the allocator, not the item table.
 #[derive(Debug, Clone)]
 pub struct KvStore {
     image: Arc<KvImage>,
     alloc: SimAlloc,
-    items: Vec<Item>,
+    /// Bit `k % 64` of word `k / 64` is set once key `k` is in `rewritten`.
+    written: Vec<u64>,
+    rewritten: BTreeMap<u32, Item>,
     footprint: u64,
     /// Wall-clock cycle of the last LRU-reaper pass.
     last_reap_cycles: u64,
@@ -239,18 +257,10 @@ fn beside<F, B: Send>(front: impl FnOnce() -> F, back: impl FnOnce() -> B + Send
     })
 }
 
-/// Draws each item's key and value size, in item order; addresses come
-/// later.
-fn fill_sizes(
-    items: &mut [Item],
-    key_size: &dyn Distribution,
-    value_size: &dyn Distribution,
-    rng: &mut Rng,
-) {
-    for it in items {
-        let key_bytes = sample_size(key_size, rng, 1, MAX_KEY);
-        let value_bytes = sample_size(value_size, rng, 1, MAX_VALUE);
-        *it = Item::new(0, key_bytes, value_bytes);
+/// Draws each key's key-size and value-size variates, in key order.
+fn draw_variates(out: &mut [[f64; 2]], kinds: [Variate; 2], rng: &mut Rng) {
+    for v in out {
+        *v = [kinds[0].draw(rng), kinds[1].draw(rng)];
     }
 }
 
@@ -274,33 +284,156 @@ fn hash_chains(n_keys: usize, n_buckets: usize) -> (Vec<u32>, Vec<u32>) {
     (bucket_starts, bucket_ids)
 }
 
-impl KvStore {
-    /// Builds and populates the store from a dataset configuration.
+/// The half of a store's build that no searched parameter moves: each
+/// key's size variates, the Zipf table, the hash chains and the popularity
+/// order, all fixed by the seed, the key count, the skew and the two size
+/// families' variate kinds. [`KvStore::from_base`] turns a base into a
+/// store for any configuration it fits by replaying only the size
+/// formulas and the allocation; a search whose generator fixes those five
+/// builds its base once ([`KvBase::new`]) for all its evaluations.
+pub struct KvBase {
+    fit: BaseFit,
+    /// Each key's `[key-size, value-size]` variates, in key order.
+    variates: Vec<[f64; 2]>,
+    index: Arc<KvIndex>,
+    /// The build stream after every key's variates and the shuffle: the
+    /// `value_redundancy` content sample draws from here.
+    rng: Rng,
+}
+
+/// What a [`KvBase`] is a function of: seed, key count, skew bits and the
+/// key and value variate kinds.
+type BaseFit = (u64, usize, u64, Variate, Variate);
+
+/// The samplers for a configuration's key and value sizes.
+///
+/// # Panics
+///
+/// Panics if either distribution is invalid.
+fn size_samplers(
+    cfg: &KvConfig,
+) -> (
+    Box<dyn FromVariate + Send + Sync>,
+    Box<dyn FromVariate + Send + Sync>,
+) {
+    let build = |d: &SizeDist| d.build().expect("invalid size distribution");
+    (build(&cfg.key_size), build(&cfg.value_size))
+}
+
+fn fit_of(cfg: &KvConfig, kinds: [Variate; 2]) -> BaseFit {
+    (
+        cfg.seed,
+        cfg.n_keys,
+        cfg.popularity_skew.to_bits(),
+        kinds[0],
+        kinds[1],
+    )
+}
+
+impl std::fmt::Debug for KvBase {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KvBase").field("fit", &self.fit).finish()
+    }
+}
+
+impl KvBase {
+    /// Builds the base for `cfg`: the variates of one sequential pass over
+    /// the build `Rng`, then the shuffle of the popularity order.
     ///
     /// The build runs on two lanes inside one `std::thread::scope` and
-    /// yields, bit for bit, what one sequential pass over the build `Rng`
-    /// would: every key's sizes take a fixed number of draws
-    /// ([`SizeDist::draws_per_sample`]), so the spawned lane steps a copy
-    /// of the stream past the front half's draws and fills the back half of
-    /// the item table while the caller fills the front half. The spawned
-    /// lane also builds the hash chains and then shuffles `rank_to_key`
-    /// where the sequential stream would; the caller builds the Zipf
-    /// table. One pass in item order then hands out the simulated
-    /// addresses. A panic on the spawned lane reaches the caller with its
-    /// original payload.
+    /// yields, bit for bit, what that one sequential pass would: every
+    /// key's variates take a fixed number of draws ([`Variate::draws`]),
+    /// so the spawned lane steps a copy of the stream past the front
+    /// half's draws and fills the back half while the caller fills the
+    /// front half. The spawned lane also builds the hash chains and then
+    /// shuffles `rank_to_key` where the sequential stream would; the
+    /// caller builds the Zipf table. A panic on the spawned lane reaches
+    /// the caller with its original payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero keys, an invalid size distribution (on the caller,
+    /// before the second lane starts) or a non-finite/negative skew.
+    pub fn new(cfg: &KvConfig) -> Self {
+        assert!(cfg.n_keys > 0, "store needs at least one key");
+        let (keys, values) = size_samplers(cfg);
+        let kinds = [keys.variate(), values.variate()];
+        let n_keys = cfg.n_keys;
+        let n_buckets = n_keys.next_power_of_two();
+
+        let mut rng = Rng::with_seed(cfg.seed);
+        let mut variates = vec![[0.0; 2]; n_keys];
+        let (front, back) = variates.split_at_mut(n_keys / 2);
+        let skip = (kinds[0].draws() + kinds[1].draws()) * front.len();
+        let mut back_rng = rng.clone();
+        // `rng` comes back as the spawned lane's stream, which ends where
+        // the sequential one would: after every key's variates and the
+        // shuffle.
+        let (popularity, (bucket_starts, bucket_ids, rank_to_key, rng)) = beside(
+            || {
+                draw_variates(front, kinds, &mut rng);
+                Zipf::new(n_keys, cfg.popularity_skew).expect("invalid popularity skew")
+            },
+            move || {
+                for _ in 0..skip {
+                    back_rng.u64();
+                }
+                draw_variates(back, kinds, &mut back_rng);
+                let (bucket_starts, bucket_ids) = hash_chains(n_keys, n_buckets);
+                let mut rank_to_key: Vec<u32> = (0..n_keys as u32).collect();
+                back_rng.shuffle(&mut rank_to_key);
+                (bucket_starts, bucket_ids, rank_to_key, back_rng)
+            },
+        );
+        KvBase {
+            fit: fit_of(cfg, kinds),
+            variates,
+            index: Arc::new(KvIndex {
+                bucket_starts,
+                bucket_ids,
+                popularity,
+                rank_to_key,
+            }),
+            rng,
+        }
+    }
+}
+
+impl KvStore {
+    /// Builds and populates the store from a dataset configuration: a
+    /// fresh [`KvBase`], then [`KvStore::from_base`].
     ///
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (zero keys, invalid
-    /// distributions, or a non-finite/negative skew). An invalid size
-    /// distribution panics on the caller before the second lane starts.
+    /// distributions, a non-finite/negative skew or a GET ratio outside
+    /// `[0, 1]`).
     pub fn new(cfg: KvConfig) -> Self {
-        assert!(cfg.n_keys > 0, "store needs at least one key");
+        let base = KvBase::new(&cfg);
+        KvStore::from_base(cfg, &base)
+    }
+
+    /// Builds the store for `cfg` on `base`, bit for bit what
+    /// [`KvStore::new`] builds: each item's sizes are the configuration's
+    /// size formulas over the base's variates, the simulated addresses are
+    /// handed out in key order, and the content sample draws from the
+    /// base's stream. The store shares the base's hash chains, popularity
+    /// order and Zipf table. A base that does not fit `cfg` (another seed,
+    /// key count, skew or variate kind) is not used: the store is built on
+    /// a fresh base instead.
+    ///
+    /// # Panics
+    ///
+    /// As [`KvStore::new`].
+    pub fn from_base(cfg: KvConfig, base: &KvBase) -> Self {
         assert!(
             (0.0..=1.0).contains(&cfg.get_ratio),
             "get_ratio must be in [0,1]"
         );
-        let mut rng = Rng::with_seed(cfg.seed);
+        let (key_size, value_size) = size_samplers(&cfg);
+        if base.fit != fit_of(&cfg, [key_size.variate(), value_size.variate()]) {
+            return KvStore::new(cfg);
+        }
         let mut alloc = SimAlloc::new();
 
         let mut layout = CodeLayout::new(&mut alloc);
@@ -321,42 +454,19 @@ impl KvStore {
             .alloc(Segment::Heap, (n_buckets as u64) * 8)
             .expect("bucket table");
 
-        // One sampler per distribution for the whole build, shared by both
-        // lanes; the value sampler stays in the image for SETs.
-        let key_size = cfg.key_size.build().expect("invalid size distribution");
-        let value_size = cfg.value_size.build().expect("invalid size distribution");
-        let (keys, values) = (key_size.as_ref(), value_size.as_ref());
-        let draws_per_key = cfg.key_size.draws_per_sample() + cfg.value_size.draws_per_sample();
-
-        let mut items = vec![Item::new(0, 1, 1); n_keys];
-        let (front, back) = items.split_at_mut(n_keys / 2);
-        let skip = draws_per_key * front.len();
-        let mut back_rng = rng.clone();
-        // `rng` comes back as the spawned lane's stream, which ends where
-        // the sequential one would: after every key's sizes and the shuffle.
-        let (popularity, (bucket_starts, bucket_ids, rank_to_key, mut rng)) = beside(
-            || {
-                fill_sizes(front, keys, values, &mut rng);
-                Zipf::new(n_keys, cfg.popularity_skew).expect("invalid popularity skew")
-            },
-            move || {
-                for _ in 0..skip {
-                    back_rng.u64();
-                }
-                fill_sizes(back, keys, values, &mut back_rng);
-                let (bucket_starts, bucket_ids) = hash_chains(n_keys, n_buckets);
-                let mut rank_to_key: Vec<u32> = (0..n_keys as u32).collect();
-                back_rng.shuffle(&mut rank_to_key);
-                (bucket_starts, bucket_ids, rank_to_key, back_rng)
-            },
-        );
-
         let mut footprint = (n_buckets as u64) * 8;
-        for it in &mut items {
-            let total = ITEM_HEADER_BYTES + it.key_bytes() + it.value_bytes();
-            it.addr = alloc.alloc(Segment::Heap, total).expect("item");
-            footprint += total;
-        }
+        let items: Vec<Item> = base
+            .variates
+            .iter()
+            .map(|&[k, v]| {
+                let key_bytes = clamp_size(key_size.map_variate(k), 1, MAX_KEY);
+                let value_bytes = clamp_size(value_size.map_variate(v), 1, MAX_VALUE);
+                let total = ITEM_HEADER_BYTES + key_bytes + value_bytes;
+                footprint += total;
+                let addr = alloc.alloc(Segment::Heap, total).expect("item");
+                Item::new(addr, key_bytes, value_bytes)
+            })
+            .collect();
 
         // Generate value contents for a sample of items so a profiler can
         // measure the dataset's compressibility without materializing
@@ -364,6 +474,7 @@ impl KvStore {
         let content_sample = match cfg.value_redundancy {
             Some(red) => {
                 let model = ContentModel::new(red);
+                let mut rng = base.rng.clone();
                 (0..192.min(items.len()))
                     .map(|_| {
                         let it = items[rng.index(items.len())];
@@ -377,11 +488,9 @@ impl KvStore {
         KvStore {
             image: Arc::new(KvImage {
                 cfg,
-                bucket_starts,
-                bucket_ids,
+                index: Arc::clone(&base.index),
                 bucket_table,
-                popularity,
-                rank_to_key,
+                items,
                 content_sample,
                 value_size,
                 frontend,
@@ -396,10 +505,30 @@ impl KvStore {
                 aux_paths,
             }),
             alloc,
-            items,
+            written: vec![0; n_keys.div_ceil(64)],
+            rewritten: BTreeMap::new(),
             footprint,
             last_reap_cycles: 0,
         }
+    }
+
+    /// Key `key`'s item as this copy sees it: its own rewrite if a SET on
+    /// this copy made one, the built item otherwise. Every item read goes
+    /// through here.
+    fn item(&self, key: u32) -> Item {
+        let k = key as usize;
+        if self.written[k / 64] >> (k % 64) & 1 == 0 {
+            self.image.items[k]
+        } else {
+            self.rewritten[&key]
+        }
+    }
+
+    /// Rewrites key `key`'s item in this copy's overlay.
+    fn set_item(&mut self, key: u32, item: Item) {
+        let k = key as usize;
+        self.written[k / 64] |= 1 << (k % 64);
+        self.rewritten.insert(key, item);
     }
 
     /// memcached's background LRU crawler: periodically scans item headers
@@ -411,8 +540,9 @@ impl KvStore {
         }
         self.last_reap_cycles = machine.wall_cycles();
         self.image.reaper.call(machine, 900);
-        for _ in 0..REAP_SCAN_ITEMS.min(self.items.len()) {
-            let it = self.items[rng.index(self.items.len())];
+        let n_keys = self.image.items.len();
+        for _ in 0..REAP_SCAN_ITEMS.min(n_keys) {
+            let it = self.item(rng.index(n_keys) as u32);
             machine.load(it.addr, 64);
             // Expiry check on the header timestamp: almost never expired.
             self.image.reaper.branch(machine, 128, rng.bool(0.02));
@@ -426,20 +556,22 @@ impl KvStore {
     }
 
     fn pick_key(&self, rng: &mut Rng) -> u32 {
-        self.image.rank_to_key[self.image.popularity.sample_rank(rng)]
+        let index = &*self.image.index;
+        index.rank_to_key[index.popularity.sample_rank(rng)]
     }
 
     /// Walks the hash chain to `key`, modeling the bucket-head load, the
     /// per-entry header loads, and the data-dependent compare branches.
     fn lookup(&self, machine: &mut Machine, key: u32) -> Item {
         let img = &*self.image;
-        let b = bucket_of(key, img.bucket_starts.len() - 1);
+        let index = &*img.index;
+        let b = bucket_of(key, index.bucket_starts.len() - 1);
         machine.load(img.bucket_table + (b as u64) * 8, 8);
         let chain =
-            &img.bucket_ids[img.bucket_starts[b] as usize..img.bucket_starts[b + 1] as usize];
-        let mut found = self.items[key as usize];
+            &index.bucket_ids[index.bucket_starts[b] as usize..index.bucket_starts[b + 1] as usize];
+        let mut found = self.item(key);
         for &id in chain {
-            let it = self.items[id as usize];
+            let it = self.item(id);
             // Header contains the hash + key pointer: one line.
             machine.load(it.addr, 64.min(ITEM_HEADER_BYTES + it.key_bytes()));
             let is_match = id == key;
@@ -493,7 +625,7 @@ impl KvStore {
         } else {
             old.addr
         };
-        self.items[key as usize] = Item::new(addr, old.key_bytes(), value_bytes);
+        self.set_item(key, Item::new(addr, old.key_bytes(), value_bytes));
         // Store-side bookkeeping paths: LRU maintenance, eviction checks,
         // stats, logging — memcached's write path is much wider than GET.
         self.image.aux_paths.touch(machine, rng, 3, 300);
@@ -520,7 +652,7 @@ impl App for KvStore {
             self.image.netstack.call(machine, 4200);
         }
         let key = self.pick_key(rng);
-        let it = self.items[key as usize];
+        let it = self.item(key);
         self.image.parse.call(machine, 350 + it.key_bytes() * 3);
         // Tokenizing the request: one data-dependent branch per few key
         // bytes (delimiter checks on effectively random characters).
@@ -807,9 +939,10 @@ mod tests {
         assert!(slab_class_of(1 << 20) <= 15);
     }
 
-    /// FNV-1a over everything a build decides: each item's address and
-    /// sizes in item order, `rank_to_key`, the footprint and the content
-    /// sample.
+    /// FNV-1a over everything a build decides, as the store's reads see
+    /// it: each item's address and sizes in key order (through
+    /// [`KvStore::item`], so a copy's SETs show), `rank_to_key`, the
+    /// footprint and the content sample.
     fn build_digest(store: &KvStore) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -818,12 +951,13 @@ mod tests {
                 h = h.wrapping_mul(0x1000_0000_01b3);
             }
         };
-        for it in &store.items {
+        for key in 0..store.config().n_keys as u32 {
+            let it = store.item(key);
             eat(&it.addr.to_le_bytes());
             eat(&it.key_bytes().to_le_bytes());
             eat(&it.value_bytes().to_le_bytes());
         }
-        for &k in &store.image.rank_to_key {
+        for &k in &store.image.index.rank_to_key {
             eat(&k.to_le_bytes());
         }
         eat(&store.footprint.to_le_bytes());
@@ -925,6 +1059,149 @@ mod tests {
         }
     }
 
+    /// A size family of variate kind `kind`, with random valid parameters.
+    fn random_size(kind: Variate, rng: &mut Rng) -> SizeDist {
+        match (kind, rng.below(3)) {
+            (Variate::StandardNormal, 0) => SizeDist::Normal {
+                mean: rng.range_f64(1.0, 2_000.0),
+                std: rng.range_f64(0.0, 800.0),
+            },
+            (Variate::StandardNormal, _) => SizeDist::LogNormal {
+                mu: rng.range_f64(0.0, 9.0),
+                sigma: rng.range_f64(0.0, 2.0),
+            },
+            (Variate::Unit, 0) => SizeDist::Fixed(rng.range_f64(1.0, 3_000.0)),
+            (Variate::Unit, 1) => {
+                let lo = rng.range_f64(1.0, 500.0);
+                SizeDist::Uniform {
+                    lo,
+                    hi: lo + rng.range_f64(0.0, 4_000.0),
+                }
+            }
+            (Variate::Unit, _) => SizeDist::GeneralizedPareto {
+                mu: rng.range_f64(0.0, 50.0),
+                sigma: rng.range_f64(1.0, 400.0),
+                xi: rng.range_f64(-0.3, 0.6),
+            },
+        }
+    }
+
+    /// A random point: sizes of the given kinds, and everything a base
+    /// does not fix drawn afresh.
+    fn random_point(base: &KvConfig, kinds: [Variate; 2], rng: &mut Rng) -> KvConfig {
+        KvConfig {
+            key_size: random_size(kinds[0], rng),
+            value_size: random_size(kinds[1], rng),
+            get_ratio: rng.f64(),
+            value_redundancy: rng.bool(0.5).then(|| rng.f64()),
+            multiget_fraction: rng.f64() * 0.3,
+            ..base.clone()
+        }
+    }
+
+    /// Stores built from one shared base are the stores `KvStore::new`
+    /// builds, over all five size families on both sides, with and
+    /// without a content sample; a base that does not fit is not used.
+    #[test]
+    fn points_built_on_a_shared_base_equal_fresh_builds() {
+        let kinds = [Variate::StandardNormal, Variate::Unit];
+        let mut rng = Rng::with_seed(0xBA5E);
+        for case in 0..24 {
+            let n_keys = match case {
+                0 => 1,
+                1 => 2,
+                _ => 2 * rng.index(2_500) + 1,
+            };
+            let fixed = KvConfig {
+                n_keys,
+                popularity_skew: rng.range_f64(0.0, 1.5),
+                seed: rng.u64(),
+                ..KvConfig::facebook_like()
+            };
+            let pair = [kinds[rng.index(2)], kinds[rng.index(2)]];
+            let first = random_point(&fixed, pair, &mut rng);
+            let base = KvBase::new(&first);
+            for cfg in [first.clone(), random_point(&fixed, pair, &mut rng)] {
+                let shared = KvStore::from_base(cfg.clone(), &base);
+                assert!(Arc::ptr_eq(&shared.image.index, &base.index), "{case}");
+                let fresh = KvStore::new(cfg.clone());
+                assert_eq!(
+                    build_digest(&shared),
+                    build_digest(&fresh),
+                    "{case}: {cfg:?}"
+                );
+            }
+            let other_kinds = [pair[0], kinds[(pair[1] == kinds[0]) as usize]];
+            let misfits = [
+                KvConfig {
+                    seed: fixed.seed ^ 1,
+                    ..first.clone()
+                },
+                KvConfig {
+                    n_keys: n_keys + 1,
+                    ..first.clone()
+                },
+                KvConfig {
+                    popularity_skew: fixed.popularity_skew + 0.25,
+                    ..first.clone()
+                },
+                random_point(&fixed, other_kinds, &mut rng),
+            ];
+            for cfg in misfits {
+                let fallback = KvStore::from_base(cfg.clone(), &base);
+                assert!(!Arc::ptr_eq(&fallback.image.index, &base.index), "{case}");
+                let fresh = KvStore::new(cfg.clone());
+                assert_eq!(
+                    build_digest(&fallback),
+                    build_digest(&fresh),
+                    "{case}: {cfg:?}"
+                );
+            }
+        }
+    }
+
+    /// Serves `requests` requests on `store`, seeded by `seed`.
+    fn serve_on(store: &mut KvStore, machine: &mut Machine, requests: usize, seed: u64) {
+        let mut rng = Rng::with_seed(seed);
+        for _ in 0..requests {
+            store.serve(machine, &mut rng);
+        }
+    }
+
+    /// `App::fork`'s contract on the shared item table: a copy's SETs live
+    /// in that copy alone, and a copy of a served copy carries its writes.
+    #[test]
+    fn sets_on_one_copy_never_show_in_the_original_or_another_copy() {
+        let cfg = KvConfig {
+            n_keys: 3_001,
+            get_ratio: 0.2,
+            ..KvConfig::facebook_like()
+        };
+        let fresh = build_digest(&KvStore::new(cfg.clone()));
+        let original = KvStore::new(cfg);
+        let mut served = original.clone();
+        let mut machine = Machine::new(MachineConfig::broadwell());
+        serve_on(&mut served, &mut machine, 2_000, 5);
+        assert!(!served.rewritten.is_empty());
+        for (&key, &it) in &served.rewritten {
+            let read = served.item(key);
+            assert_eq!((read.addr, read.value_bytes()), (it.addr, it.value_bytes()));
+        }
+        assert_ne!(build_digest(&served), fresh);
+        assert_eq!(build_digest(&original), fresh);
+        assert_eq!(build_digest(&original.clone()), fresh);
+
+        let mut copy_of_served = served.clone();
+        assert_eq!(build_digest(&copy_of_served), build_digest(&served));
+        let mut twin = machine.clone();
+        serve_on(&mut served, &mut machine, 1_000, 6);
+        serve_on(&mut copy_of_served, &mut twin, 1_000, 6);
+        assert_eq!(machine.counters(), twin.counters());
+        assert_eq!(build_digest(&served), build_digest(&copy_of_served));
+        assert_eq!(served.footprint_bytes(), copy_of_served.footprint_bytes());
+        assert_eq!(build_digest(&original), fresh);
+    }
+
     #[test]
     fn a_panic_on_the_spawned_lane_reaches_the_caller_with_its_payload() {
         #[derive(Debug, PartialEq)]
@@ -958,7 +1235,7 @@ mod tests {
             let key = i * 7 % 500;
             let want = cfg.value_size.sample_bytes(&mut rng.clone(), 1, MAX_VALUE);
             store.serve_set(&mut machine, key, &mut rng);
-            assert_eq!(store.items[key as usize].value_bytes(), want, "SET {i}");
+            assert_eq!(store.item(key).value_bytes(), want, "SET {i}");
         }
     }
 

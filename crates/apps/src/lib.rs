@@ -52,7 +52,7 @@ pub use dataset::SizeDist;
 pub use dnn::{DnnApp, LayerSpec, NetSpec};
 pub use engine::{App, CodeLayout, CodeRegion, ServicePaths};
 pub use imgdnn::{ImgDnn, ImgDnnConfig};
-pub use kvstore::{KvConfig, KvStore};
+pub use kvstore::{KvBase, KvConfig, KvStore};
 pub use masstree::{Masstree, MasstreeConfig};
 pub use silo::{SiloConfig, SiloDb, TxKind, TX_KINDS};
 pub use xapian::{SearchConfig, SearchEngine};

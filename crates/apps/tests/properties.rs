@@ -46,8 +46,8 @@ proptest! {
     // Cheap cases, and enough that every family is drawn dozens of times.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The contract the two-lane `KvStore` build rests on: `k` samples
-    /// leave the `Rng` exactly `k × draws_per_sample` raw outputs on.
+    /// The contract the two-lane `KvBase` build rests on: `k` samples
+    /// leave the `Rng` exactly `k` times its variate's draw count on.
     #[test]
     fn every_size_sample_takes_its_familys_draw_count(
         dist in any_size_dist(),
@@ -61,7 +61,7 @@ proptest! {
         for _ in 0..k {
             dist.sample_bytes(&mut sampled, lo, lo + span);
         }
-        for _ in 0..k * dist.draws_per_sample() {
+        for _ in 0..k * dist.build().unwrap().variate().draws() {
             stepped.u64();
         }
         prop_assert_eq!(sampled, stepped);

@@ -18,7 +18,7 @@
 //! fast-path rewrites stayed bit-identical.
 
 use datamime_apps::{
-    App, KvConfig, KvStore, SearchConfig, SearchEngine, SiloConfig, SiloDb, SizeDist,
+    App, KvBase, KvConfig, KvStore, SearchConfig, SearchEngine, SiloConfig, SiloDb, SizeDist,
 };
 use datamime_bayesopt::{
     reference, BayesOpt, BlackBoxOptimizer, BoConfig, GaussianProcess, Kernel as GpKernel,
@@ -379,21 +379,40 @@ pub fn kv_build() -> Kernel {
     }
 }
 
+/// The per-point half of a build alone: [`KvStore::from_base`] on one
+/// [`KvBase`] of the mid-point dataset, built outside the timing — what each
+/// evaluation of a search pays for its dataset once its generator holds a
+/// base. Fingerprinted like [`kv_build`], and to the same value: a store
+/// built on a shared base is the store a fresh build makes.
+pub fn kv_point() -> Kernel {
+    let cfg = kv_midpoint();
+    let base = KvBase::new(&cfg);
+    let mut fingerprint = None;
+    Kernel {
+        name: "apps/kv_point",
+        ops: cfg.n_keys as u64,
+        run: Box::new(move || {
+            let mut store = std::hint::black_box(KvStore::from_base(cfg.clone(), &base));
+            *fingerprint.get_or_insert_with(|| kv_fingerprint(&mut store))
+        }),
+    }
+}
+
 /// Per-run copies of the built dataset ([`App::fork`]): what each run of a
-/// profile but the last pays instead of a rebuild. One copy takes ~0.3 ms,
-/// a fifth of the next-shortest kernel and short enough for one timer
-/// tick to double a reading, so an invocation takes sixteen. Fingerprinted
+/// profile but the last pays instead of a rebuild, reported per copy. A
+/// copy shares the item table and owns only its write overlay and
+/// allocator, so it takes well under a microsecond; an invocation takes
+/// 1 024, long enough that a timer tick cannot double a reading.
+/// Fingerprinted
 /// like [`kv_build`] — and to the same value, since a copy of a fresh
 /// build is a rebuild.
 pub fn kv_fork() -> Kernel {
-    const COPIES: u64 = 16;
-    let cfg = kv_midpoint();
-    let ops = COPIES * cfg.n_keys as u64;
-    let built = KvStore::new(cfg);
+    const COPIES: u64 = 1_024;
+    let built = KvStore::new(kv_midpoint());
     let mut fingerprint = None;
     Kernel {
         name: "apps/kv_fork",
-        ops,
+        ops: COPIES,
         run: Box::new(move || {
             let mut h = 0;
             for _ in 0..COPIES {
@@ -572,6 +591,7 @@ pub fn all_kernels() -> Vec<Kernel> {
         replay_silo(),
         ipc_roundtrip(),
         kv_build(),
+        kv_point(),
         kv_fork(),
         bo_hyperfit_n88(),
     ]
@@ -746,6 +766,11 @@ mod tests {
     #[test]
     fn a_forked_store_fingerprints_like_a_built_one() {
         assert_eq!((kv_build().run)(), (kv_fork().run)());
+    }
+
+    #[test]
+    fn a_store_on_a_shared_base_fingerprints_like_a_built_one() {
+        assert_eq!((kv_build().run)(), (kv_point().run)());
     }
 
     #[test]

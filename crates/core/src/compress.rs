@@ -26,6 +26,7 @@ use crate::search::{
     emd_objective, search_with_objective, RuntimeOptions, SearchConfig, SearchOutcome,
 };
 use crate::workload::{AppConfig, Workload};
+use datamime_apps::App;
 use datamime_runtime::ExecError;
 use datamime_stats::compress::estimate_compression_ratio;
 
@@ -86,6 +87,10 @@ impl DatasetGenerator for KvGeneratorCompressible {
             cfg.value_redundancy = Some(redundancy);
         }
         w
+    }
+
+    fn build(&self, workload: &Workload) -> Box<dyn App> {
+        self.inner.build(workload)
     }
 }
 

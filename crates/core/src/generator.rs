@@ -15,8 +15,9 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use crate::workload::{AppConfig, Workload};
-use datamime_apps::{KvConfig, NetSpec, SearchConfig, SiloConfig, SizeDist};
+use datamime_apps::{App, KvBase, KvConfig, KvStore, NetSpec, SearchConfig, SiloConfig, SizeDist};
 use datamime_loadgen::{ArrivalProcess, WorkloadSpec};
+use std::sync::{Arc, OnceLock};
 
 /// One searchable parameter: its range and scale.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,6 +166,15 @@ pub trait DatasetGenerator {
     /// Panics if `unit.len()` differs from `param_specs().len()`.
     fn instantiate(&self, unit: &[f64]) -> Workload;
 
+    /// Builds the application of a workload this generator instantiated:
+    /// one evaluation's dataset construction. It must build what
+    /// `workload.app.build()` builds, bit for bit, which is the default; a
+    /// generator that fixes part of every dataset may build that part once
+    /// and keep it for as long as the generator lives.
+    fn build(&self, workload: &Workload) -> Box<dyn App> {
+        workload.app.build()
+    }
+
     /// Number of parameters (dimension of the search space).
     fn dims(&self) -> usize {
         self.param_specs().len()
@@ -195,6 +205,10 @@ impl<G: DatasetGenerator + ?Sized> DatasetGenerator for Box<G> {
     fn instantiate(&self, unit: &[f64]) -> Workload {
         (**self).instantiate(unit)
     }
+
+    fn build(&self, workload: &Workload) -> Box<dyn App> {
+        (**self).build(workload)
+    }
 }
 
 fn check_dims(specs: &[ParamSpec], unit: &[f64]) {
@@ -207,9 +221,16 @@ fn check_dims(specs: &[ParamSpec], unit: &[f64]) {
 
 /// Table III `memcached` generator: QPS, GET/SET ratio, and Gaussian key /
 /// value size distributions (mean and standard deviation of each).
+///
+/// Everything else is fixed, so every dataset it instantiates fits one
+/// [`KvBase`]: the generator builds that base on its first
+/// [`DatasetGenerator::build`] and builds every later store on it. The
+/// base lives as long as the generator (one search, one daemon job, one
+/// worker process); clones share it.
 #[derive(Debug, Clone)]
 pub struct KvGenerator {
     specs: Vec<ParamSpec>,
+    base: OnceLock<Arc<KvBase>>,
 }
 
 impl KvGenerator {
@@ -224,6 +245,7 @@ impl KvGenerator {
                 ParamSpec::log("value_size_mean", 16.0, 8192.0),
                 ParamSpec::log("value_size_std", 1.0, 4096.0),
             ],
+            base: OnceLock::new(),
         }
     }
 }
@@ -275,6 +297,21 @@ impl DatasetGenerator for KvGenerator {
                 qps: v[0],
                 arrivals: ArrivalProcess::bursty_default(),
             },
+        }
+    }
+
+    /// Builds the store on the generator's base, made from the first
+    /// configuration built. Lanes racing on that first build wait for one
+    /// base; a configuration the base does not fit (a wrapper changed a
+    /// fixed field) gets a fresh one ([`KvStore::from_base`]), so the
+    /// result never depends on which configuration came first.
+    fn build(&self, workload: &Workload) -> Box<dyn App> {
+        match &workload.app {
+            AppConfig::Kv(cfg) => {
+                let base = self.base.get_or_init(|| Arc::new(KvBase::new(cfg)));
+                Box::new(KvStore::from_base(cfg.clone(), base))
+            }
+            app => app.build(),
         }
     }
 }
@@ -538,6 +575,10 @@ impl<G: DatasetGenerator> DatasetGenerator for QuantizedGenerator<G> {
             .collect();
         self.inner.instantiate(&snapped)
     }
+
+    fn build(&self, workload: &Workload) -> Box<dyn App> {
+        self.inner.build(workload)
+    }
 }
 
 /// Returns the generator matching a target workload's program, used by the
@@ -574,6 +615,90 @@ pub fn generator_for_program_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A wrapper that forwards everything but `build`, so every evaluation
+    /// through it takes the default one-off build.
+    struct OneOff<G>(G);
+
+    impl<G: DatasetGenerator> DatasetGenerator for OneOff<G> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn param_specs(&self) -> &[ParamSpec] {
+            self.0.param_specs()
+        }
+
+        fn instantiate(&self, unit: &[f64]) -> Workload {
+            self.0.instantiate(unit)
+        }
+    }
+
+    /// A search's history, winner and best profile, as bits.
+    type OutcomeBits = (Vec<(Vec<u64>, u64)>, Vec<u64>, u64, String);
+
+    fn outcome_bits(o: &crate::search::SearchOutcome) -> OutcomeBits {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            o.history
+                .iter()
+                .map(|r| (bits(&r.unit_params), r.error.to_bits()))
+                .collect(),
+            bits(&o.best_unit_params),
+            o.best_error.to_bits(),
+            o.best_profile.to_tsv(),
+        )
+    }
+
+    /// Stores built on the generator's base give the search one-off builds
+    /// give, bit for bit: sequentially, and on the `grid=3` wrapper with
+    /// two lanes racing on the first build. The wrapper reaches the inner
+    /// generator's base, which stays the one base across searches.
+    #[test]
+    fn a_search_on_the_generators_base_is_the_one_off_search() {
+        use crate::profiler::profile_workload;
+        use crate::search::{search_with_runtime, RuntimeOptions, SearchConfig};
+
+        let mut cfg = SearchConfig::fast(5);
+        cfg.profiling = cfg.profiling.without_curves();
+        let mut target = Workload::mem_fb();
+        if let AppConfig::Kv(c) = &mut target.app {
+            c.n_keys = 20_000;
+        }
+        let target = profile_workload(&target, &cfg.machine, &cfg.profiling);
+        let run = |generator: &(dyn DatasetGenerator + Sync), opts: &RuntimeOptions| {
+            let outcome = search_with_runtime(generator, &target, &cfg, opts)
+                .expect("journal-less run cannot fail");
+            outcome_bits(&outcome)
+        };
+
+        let sequential = RuntimeOptions::default();
+        let shared = KvGenerator::new();
+        let one_off = OneOff(KvGenerator::new());
+        assert_eq!(run(&shared, &sequential), run(&one_off, &sequential));
+        assert!(shared.base.get().is_some());
+        assert!(
+            one_off.0.base.get().is_none(),
+            "the one-off side built a base"
+        );
+
+        let lanes = RuntimeOptions {
+            batch_k: 2,
+            workers: 2,
+            ..RuntimeOptions::default()
+        };
+        let grid = QuantizedGenerator::new(KvGenerator::new(), 3);
+        let one_off = OneOff(QuantizedGenerator::new(KvGenerator::new(), 3));
+        assert_eq!(run(&grid, &lanes), run(&one_off, &lanes));
+        assert!(
+            one_off.0.inner.base.get().is_none(),
+            "the one-off side built a base"
+        );
+        let base = Arc::clone(grid.inner.base.get().expect("the grid forwards build"));
+        run(&grid, &lanes);
+        let again = grid.inner.base.get().expect("the base outlives a search");
+        assert!(Arc::ptr_eq(&base, again), "a second base was built");
+    }
 
     #[test]
     fn param_spec_denormalization() {

@@ -442,9 +442,10 @@ pub struct Evaluation {
 /// One evaluation: instantiate → build → profile → `objective`, with each
 /// stage timed — the only such body; the thread backend, the
 /// `datamime-worker` process and the experiments all call it. The dataset
-/// is built once, here, and the profiler restarts from copies of it. The
-/// cancel token reaches the profiler's sampling loops so a deadline can
-/// stop a runaway evaluation cooperatively.
+/// is built once, here, by the generator ([`DatasetGenerator::build`]),
+/// and the profiler restarts from copies of it. The cancel token reaches
+/// the profiler's sampling loops so a deadline can stop a runaway
+/// evaluation cooperatively.
 ///
 /// With a `profiles` store the instantiated workload is looked up between
 /// instantiate and build: a hit skips build and profile and `objective`
@@ -468,7 +469,7 @@ pub fn evaluate(
     let profile = match hit {
         Some(profile) => profile,
         None => {
-            let app = stages.time("build", || workload.app.build());
+            let app = stages.time("build", || generator.build(&workload));
             let profile = stages.time("profile", || {
                 // Each evaluating thread recycles its simulator state across
                 // evaluations (and across supervisor retries) through its

@@ -19,6 +19,7 @@ use datamime::generator::{DatasetGenerator, KvGenerator, ParamSpec};
 use datamime::profiler::profile_workload;
 use datamime::search::search;
 use datamime::workload::{AppConfig, Workload};
+use datamime_apps::App;
 
 /// A native-value constraint on one named parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,6 +119,10 @@ impl<G: DatasetGenerator> DatasetGenerator for ConstrainedGenerator<G> {
             .map(|(&u, &(lo, hi))| lo + u.clamp(0.0, 1.0) * (hi - lo))
             .collect();
         self.inner.instantiate(&remapped)
+    }
+
+    fn build(&self, workload: &Workload) -> Box<dyn App> {
+        self.inner.build(workload)
     }
 }
 

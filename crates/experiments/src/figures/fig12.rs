@@ -9,6 +9,7 @@ use datamime::metrics::{CurveMetric, DistMetric};
 use datamime::profiler::profile_workload;
 use datamime::search::search;
 use datamime::workload::{AppConfig, Workload};
+use datamime_apps::App;
 
 /// The memcached generator with the networked code path enabled — the
 /// networked experiment keeps the program configuration identical between
@@ -29,6 +30,9 @@ impl DatasetGenerator for NetworkedKvGenerator {
             c.networked = true;
         }
         w
+    }
+    fn build(&self, workload: &Workload) -> Box<dyn App> {
+        self.0.build(workload)
     }
 }
 

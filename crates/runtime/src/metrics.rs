@@ -116,7 +116,10 @@ impl MetricsRegistry {
 /// serve daemon's `stats` endpoint. Counter names mirror
 /// [`Telemetry`]'s vocabulary (`evals`, `cache_hits`, `faults`,
 /// `failed_attempts`, `degradations`, `replayed`); per-stage totals land
-/// as `stage_<name>_ms` when the run finishes.
+/// as `stage_<name>_us` when the run finishes, each run's total counted in
+/// whole microseconds so sub-millisecond stages add up. The older
+/// `stage_<name>_ms` counters stay beside them for readers that use them;
+/// they add each run's whole milliseconds and so drop a short stage.
 #[derive(Debug, Clone)]
 pub struct MetricsSink {
     metrics: Arc<MetricsRegistry>,
@@ -161,6 +164,8 @@ impl ProgressSink for MetricsSink {
     fn on_finish(&mut self, _best_error: f64, telemetry: &Telemetry) {
         self.metrics.incr("runs_finished");
         for (stage, total, _count) in telemetry.stages() {
+            self.metrics
+                .add(&format!("stage_{stage}_us"), total.as_micros() as u64);
             self.metrics
                 .add(&format!("stage_{stage}_ms"), total.as_millis() as u64);
         }
@@ -222,6 +227,20 @@ mod tests {
         assert_eq!(m.get("evals"), 2);
         assert_eq!(m.get("cache_hits"), 1);
         assert_eq!(m.get("replayed"), 3);
+    }
+
+    #[test]
+    fn stage_totals_keep_sub_millisecond_runs() {
+        use std::time::Duration;
+        let m = Arc::new(MetricsRegistry::new());
+        let mut sink = MetricsSink::new(Arc::clone(&m));
+        for _ in 0..2 {
+            let mut telemetry = Telemetry::new();
+            telemetry.record("build", Duration::from_micros(600));
+            sink.on_finish(0.0, &telemetry);
+        }
+        assert_eq!(m.get("stage_build_us"), 1_200);
+        assert_eq!(m.get("runs_finished"), 2);
     }
 
     #[test]

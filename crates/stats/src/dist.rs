@@ -36,6 +36,53 @@ pub trait Distribution: fmt::Debug {
     }
 }
 
+/// The one random input a sample of a [`FromVariate`] family consumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Variate {
+    /// A standard normal `z`, by Box–Muller: two [`Rng::u64`] outputs.
+    StandardNormal,
+    /// One raw [`Rng::f64`] in `[0, 1)`: one [`Rng::u64`] output.
+    Unit,
+}
+
+impl Variate {
+    /// Draws one variate of this kind.
+    pub fn draw(self, rng: &mut Rng) -> f64 {
+        match self {
+            Variate::StandardNormal => {
+                // Box–Muller; draws u1 in (0,1] to avoid ln(0).
+                let u1 = 1.0 - rng.f64();
+                let u2 = rng.f64();
+                (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+            }
+            Variate::Unit => rng.f64(),
+        }
+    }
+
+    /// How many [`Rng::u64`] outputs one variate takes. It is the same for
+    /// every draw, so the stream position of the `i`-th of a run of draws
+    /// is known without making the first `i`.
+    pub fn draws(self) -> usize {
+        match self {
+            Variate::StandardNormal => 2,
+            Variate::Unit => 1,
+        }
+    }
+}
+
+/// A family whose every sample is one formula applied to one variate:
+/// `sample(rng)` is `map_variate(variate().draw(rng))`, bit for bit and
+/// stream position for stream position. A build that samples the same
+/// family at many parameter points can therefore draw the variates once
+/// and replay only the formula.
+pub trait FromVariate: Distribution {
+    /// The kind of variate one sample consumes.
+    fn variate(&self) -> Variate;
+
+    /// The sample a variate of kind [`FromVariate::variate`] maps to.
+    fn map_variate(&self, v: f64) -> f64;
+}
+
 /// Error returned when distribution parameters are invalid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvalidParamsError {
@@ -81,11 +128,22 @@ impl Uniform {
 
 impl Distribution for Uniform {
     fn sample(&self, rng: &mut Rng) -> f64 {
-        rng.range_f64(self.lo, self.hi)
+        self.map_variate(self.variate().draw(rng))
     }
 
     fn mean(&self) -> Option<f64> {
         Some(0.5 * (self.lo + self.hi))
+    }
+}
+
+impl FromVariate for Uniform {
+    fn variate(&self) -> Variate {
+        Variate::Unit
+    }
+
+    /// [`Rng::range_f64`]'s expression.
+    fn map_variate(&self, u: f64) -> f64 {
+        self.lo + (self.hi - self.lo) * u
     }
 }
 
@@ -123,15 +181,21 @@ impl Normal {
 
 impl Distribution for Normal {
     fn sample(&self, rng: &mut Rng) -> f64 {
-        // Box–Muller; draws u1 in (0,1] to avoid ln(0).
-        let u1 = 1.0 - rng.f64();
-        let u2 = rng.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        self.mu + self.sigma * z
+        self.map_variate(self.variate().draw(rng))
     }
 
     fn mean(&self) -> Option<f64> {
         Some(self.mu)
+    }
+}
+
+impl FromVariate for Normal {
+    fn variate(&self) -> Variate {
+        Variate::StandardNormal
+    }
+
+    fn map_variate(&self, z: f64) -> f64 {
+        self.mu + self.sigma * z
     }
 }
 
@@ -157,13 +221,23 @@ impl LogNormal {
 
 impl Distribution for LogNormal {
     fn sample(&self, rng: &mut Rng) -> f64 {
-        self.inner.sample(rng).exp()
+        self.map_variate(self.variate().draw(rng))
     }
 
     fn mean(&self) -> Option<f64> {
         let mu = self.inner.mean()?;
         let s = self.inner.sigma();
         Some((mu + 0.5 * s * s).exp())
+    }
+}
+
+impl FromVariate for LogNormal {
+    fn variate(&self) -> Variate {
+        Variate::StandardNormal
+    }
+
+    fn map_variate(&self, z: f64) -> f64 {
+        self.inner.map_variate(z).exp()
     }
 }
 
@@ -231,12 +305,7 @@ impl GeneralizedPareto {
 
 impl Distribution for GeneralizedPareto {
     fn sample(&self, rng: &mut Rng) -> f64 {
-        let u = 1.0 - rng.f64(); // in (0, 1]
-        if self.xi.abs() < 1e-12 {
-            self.mu - self.sigma * u.ln()
-        } else {
-            self.mu + self.sigma * (u.powf(-self.xi) - 1.0) / self.xi
-        }
+        self.map_variate(self.variate().draw(rng))
     }
 
     fn mean(&self) -> Option<f64> {
@@ -244,6 +313,21 @@ impl Distribution for GeneralizedPareto {
             Some(self.mu + self.sigma / (1.0 - self.xi))
         } else {
             None
+        }
+    }
+}
+
+impl FromVariate for GeneralizedPareto {
+    fn variate(&self) -> Variate {
+        Variate::Unit
+    }
+
+    fn map_variate(&self, v: f64) -> f64 {
+        let u = 1.0 - v; // in (0, 1]
+        if self.xi.abs() < 1e-12 {
+            self.mu - self.sigma * u.ln()
+        } else {
+            self.mu + self.sigma * (u.powf(-self.xi) - 1.0) / self.xi
         }
     }
 }
@@ -377,9 +461,13 @@ impl Distribution for Categorical {
 /// nearest integer — the common "size in bytes" shape used by the dataset
 /// generators.
 pub fn sample_size(dist: &dyn Distribution, rng: &mut Rng, lo: u64, hi: u64) -> u64 {
-    let x = dist.sample(rng);
-    let x = x.clamp(lo as f64, hi as f64);
-    x.round() as u64
+    clamp_size(dist.sample(rng), lo, hi)
+}
+
+/// Clamps a sample into `[lo, hi]` and rounds it to the nearest integer:
+/// what [`sample_size`] does to each draw.
+pub fn clamp_size(x: f64, lo: u64, hi: u64) -> u64 {
+    x.clamp(lo as f64, hi as f64).round() as u64
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Property-based tests of the statistical core: these invariants protect
 //! the error model the whole search relies on.
 
-use datamime_stats::dist::{Categorical, Distribution, Normal, Zipf};
+use datamime_stats::dist::{
+    Categorical, Distribution, FromVariate, GeneralizedPareto, LogNormal, Normal, Uniform, Zipf,
+};
 use datamime_stats::emd::{
     curve_distance, curve_distance_iter, emd_area, emd_area_naive, emd_normalized, ks_statistic,
     ks_statistic_naive,
@@ -41,7 +43,83 @@ fn affine(xs: &[f64], scale: f64, shift: f64) -> Ecdf {
     Ecdf::new(xs.iter().map(|x| scale * x + shift).collect()).unwrap()
 }
 
+/// A size family with random valid parameters (`Uniform` with `lo == hi`
+/// is the apps' `Fixed`), beside its one-pass sample formula as written
+/// before the variate split, as an oracle independent of `map_variate`.
+type Oracle = Box<dyn Fn(&mut Rng) -> f64>;
+
+fn size_family() -> impl Strategy<Value = (Box<dyn FromVariate>, Oracle)> {
+    fn box_muller(rng: &mut Rng) -> f64 {
+        let u1 = 1.0 - rng.f64();
+        let u2 = rng.f64();
+        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    }
+    prop_oneof![
+        (-1e3f64..1e3, 0.0f64..1e3).prop_map(|(mu, sigma)| {
+            let d: Box<dyn FromVariate> = Box::new(Normal::new(mu, sigma).unwrap());
+            let oracle: Oracle = Box::new(move |rng| mu + sigma * box_muller(rng));
+            (d, oracle)
+        }),
+        (-2.0f64..14.0, 0.0f64..3.0).prop_map(|(mu, sigma)| {
+            let d: Box<dyn FromVariate> = Box::new(LogNormal::new(mu, sigma).unwrap());
+            let oracle: Oracle = Box::new(move |rng| (mu + sigma * box_muller(rng)).exp());
+            (d, oracle)
+        }),
+        (
+            -100.0f64..100.0,
+            0.01f64..1e3,
+            prop_oneof![Just(0.0), -0.5f64..1.0]
+        )
+            .prop_map(|(mu, sigma, xi)| {
+                let d: Box<dyn FromVariate> =
+                    Box::new(GeneralizedPareto::new(mu, sigma, xi).unwrap());
+                let oracle: Oracle = Box::new(move |rng| {
+                    let u = 1.0 - rng.f64();
+                    if xi.abs() < 1e-12 {
+                        mu - sigma * u.ln()
+                    } else {
+                        mu + sigma * (u.powf(-xi) - 1.0) / xi
+                    }
+                });
+                (d, oracle)
+            }),
+        (-1e4f64..1e4, prop_oneof![Just(0.0), 0.0f64..1e4]).prop_map(|(lo, span)| {
+            let d: Box<dyn FromVariate> = Box::new(Uniform::new(lo, lo + span).unwrap());
+            let oracle: Oracle = Box::new(move |rng| rng.range_f64(lo, lo + span));
+            (d, oracle)
+        }),
+    ]
+}
+
 proptest! {
+    /// Every size family's sample is its formula over one variate: drawing
+    /// the variate and mapping it later gives the very bits `sample` and
+    /// the pre-split formula give, and leaves the stream where they do,
+    /// `variate().draws()` outputs on.
+    #[test]
+    fn a_sample_is_its_formula_over_one_variate(
+        (dist, oracle) in size_family(),
+        seed in any::<u64>(),
+        n in 1usize..16,
+    ) {
+        let (mut by_sample, mut by_variate, mut by_oracle) =
+            (Rng::with_seed(seed), Rng::with_seed(seed), Rng::with_seed(seed));
+        let mut counted = Rng::with_seed(seed);
+        for _ in 0..n {
+            let want = oracle(&mut by_oracle).to_bits();
+            prop_assert_eq!(dist.sample(&mut by_sample).to_bits(), want);
+            let v = dist.variate().draw(&mut by_variate);
+            prop_assert_eq!(dist.map_variate(v).to_bits(), want);
+            for _ in 0..dist.variate().draws() {
+                counted.u64();
+            }
+        }
+        let digest = by_oracle.state_digest();
+        prop_assert_eq!(by_sample.state_digest(), digest);
+        prop_assert_eq!(by_variate.state_digest(), digest);
+        prop_assert_eq!(counted.state_digest(), digest);
+    }
+
     /// EMD is the area between two CDFs: shifting both distributions
     /// leaves it unchanged, and scaling both by `s > 0` scales it by `s`.
     /// On the integer grid both relations are exact; KS, a rank

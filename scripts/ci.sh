@@ -103,10 +103,13 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # golden profiles, the copy counts and the panic/cancel behaviour in
   # the build where the lanes run at full speed side by side.
   run cargo test -q --release -p datamime --test integration_fork
-  # And the dataset build's two lanes (`KvStore::new`): the build goldens
-  # recorded on the one-pass build, the per-family draw-count property
-  # the lane split rests on, and the lane-panic tests, in the build where
-  # both halves of the item table fill side by side.
+  # And the dataset build (`KvBase::new` on two lanes, then
+  # `KvStore::from_base`): the build goldens recorded on the one-pass
+  # build, the per-family draw-count property the lane split rests on,
+  # the lane-panic tests, the shared-base test (stores built on one base
+  # equal fresh builds; a base that does not fit is not used) and the copy
+  # isolation test (a copy's SETs never show in the original or another
+  # copy), in the build where both halves of the variates fill side by side.
   run cargo test -q --release -p datamime-apps
   # And a sequential run's widened design batches (`Executor::run` with
   # `batch_k = 1` on two or three workers): journals and outcomes must
@@ -141,7 +144,7 @@ if [ -z "${SKIP_TESTS:-}" ]; then
   # checksum cross-check (every sim/<k> kernel must fingerprint
   # identically to its scalar/<k> RefCache/RefTlb twin, every
   # bayesopt/<k> kernel to its reference/bayesopt_<k> row-ordered twin),
-  # then a short gated measurement of all sixteen kernels against the
+  # then a short gated measurement of all seventeen kernels against the
   # committed BENCH_sim.json that fails on checksum drift or a median
   # regression beyond the documented threshold (docs/PERFORMANCE.md).
   # The memo accounting harness runs its own smoke first.
